@@ -125,7 +125,10 @@ class Options:
                 near = difflib.get_close_matches(key, known, n=3)
                 hint = (" did you mean: " + ", ".join(near) + "?") if near else ""
                 raise UnknownOptionError("unknown option %r;%s" % (key, hint))
-            values[key] = _coerce(raw, getattr(self, key))
+            try:
+                values[key] = _coerce(raw, getattr(self, key))
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError("option %s: cannot parse %r" % (key, raw)) from exc
         return replace(self, **values)
 
 
@@ -201,7 +204,22 @@ def preset_options(name: str) -> Options:
     raise UnknownPresetError("unknown preset %r; known: %s" % (name, ", ".join(PRESETS)))
 
 
+# (option, admits its value, the admitted range)
+_RANGES = (
+    ("backtrack_factor", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ("alpha_min", lambda v: v >= np.finfo(float).eps, ">= machine epsilon"),
+    ("radius_initial", lambda v: v > 0.0, "> 0"),
+    ("radius_increase_factor", lambda v: v > 1.0, "> 1"),
+    ("radius_decrease_factor", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ("filter_capacity", lambda v: v >= 1, ">= 1"),
+)
+
+
 def validate_options(opts: Options) -> Options:
+    for key, admits, bounds in _RANGES:
+        value = getattr(opts, key)
+        if not admits(value):
+            raise ConfigurationError("option %s must be %s, got %r" % (key, bounds, value))
     if opts.constraint_relaxation_strategy not in RELAXATIONS:
         raise ConfigurationError(
             "unknown constraint_relaxation_strategy %r" % opts.constraint_relaxation_strategy
@@ -283,7 +301,10 @@ def preprocess_initial_point(model: Model, x0: np.ndarray) -> np.ndarray:
         d_lower=model.variable_lower - x0,
         d_upper=model.variable_upper - x0,
     )
-    sol = qp_solve(qp)
+    try:
+        sol = qp_solve(qp)
+    except QPFailureError:  # an Optimal that fails its KKT check
+        return x0
     if sol.status == INFEASIBLE:
         raise InfeasibleLinearConstraintsError(
             "the linear constraints and bounds are inconsistent"

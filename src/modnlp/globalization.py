@@ -260,16 +260,6 @@ def filter_is_acceptable_waechter(
     return accepted, add_current
 
 
-def filter_add(flt: Filter, eta: float, phi: float) -> Filter:
-    flt.add(eta, phi)
-    return flt
-
-
-def filter_reset(flt: Filter, eta_reference: float) -> Filter:
-    flt.reset(eta_reference)
-    return flt
-
-
 class GlobalizationStrategy:
     """Decides whether a trial iterate makes acceptable progress."""
 

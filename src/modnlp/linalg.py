@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegularizationFailedError, SingularMatrixError
+from .errors import QPFailureError, RegularizationFailedError, SingularMatrixError
 
 _ALPHA = (1.0 + np.sqrt(17.0)) / 8.0  # Bunch-Kaufman pivot threshold
 
@@ -348,6 +348,38 @@ class QPData:
         return self.b.size
 
 
+def extend_with_elastics(qp: QPData) -> QPData:
+    """Append elastic columns: constraints become c + Jd - u+ + u- = 0 with
+    u+,u- >= 0 and unit objective weight; the extension is always feasible.
+    This is the solver's one elastic layout, columns ordered (d, u+, u-)."""
+    n, m = qp.n, qp.m
+    ne = n + 2 * m
+    W = np.zeros((ne, ne))
+    W[:n, :n] = qp.W
+    g = np.concatenate([qp.g, np.ones(2 * m)])
+    A = np.hstack([qp.A, -np.eye(m), np.eye(m)])
+    lb = np.concatenate([qp.d_lower, np.zeros(2 * m)])
+    ub = np.concatenate([qp.d_upper, np.full(2 * m, np.inf)])
+    return QPData(W, g, A, qp.b, lb, ub)
+
+
+def elastic_init(c_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positive and negative parts of c: u+ = max(c, 0), u- = max(-c, 0)."""
+    c = np.asarray(c_values, dtype=float)
+    return np.maximum(c, 0.0), np.maximum(-c, 0.0)
+
+
+def central_elastics(c_values: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Elastics on the central path of the barrier problem: the positive
+    solution of u+ - u- = c, mu/u+ + mu/u- = 2 (the bound multipliers of a
+    stationary elastic pair sum to its unit weights twice), i.e.
+    u- = ((mu - c) + sqrt(c^2 + mu^2)) / 2 and u+ = c + u- (Waechter &
+    Biegler, Math. Prog. 106, 2006, restoration phase)."""
+    c = np.asarray(c_values, dtype=float)
+    u_minus = 0.5 * ((mu - c) + np.sqrt(c * c + mu * mu))
+    return c + u_minus, u_minus
+
+
 @dataclass
 class QPSolution:
     status: str
@@ -541,20 +573,14 @@ def qp_solve(
     residual = (b - A @ d0) if m else np.zeros(0)
     phase1_iters = 0
     if m and float(np.max(np.abs(residual))) > feas_tol:
-        # Phase I: min e^T u+ + e^T u-  s.t.  A d + u+ - u- = b, bounds.
-        ne = n + 2 * m
-        W1 = np.zeros((ne, ne))
-        g1 = np.concatenate([np.zeros(n), np.ones(2 * m)])
-        A1 = np.hstack([A, np.eye(m), -np.eye(m)])
-        lb1 = np.concatenate([lb, np.zeros(2 * m)])
-        ub1 = np.concatenate([ub, np.full(2 * m, np.inf)])
-        u_plus = np.maximum(residual, 0.0)
-        u_minus = np.maximum(-residual, 0.0)
-        d1 = np.concatenate([d0, u_plus, u_minus])
-        codes1 = np.full(ne, _FREE, dtype=np.int8)
-        codes1[np.flatnonzero(np.abs(d1 - lb1) <= 1e-12)] = _LOWER
+        # Phase I: the elastic QP with zero W and g, from exact elastics.
+        phase1 = extend_with_elastics(QPData(np.zeros((n, n)), np.zeros(n), A, b, lb, ub))
+        d1 = np.concatenate([d0, *elastic_init(-residual)])
+        codes1 = np.full(d1.size, _FREE, dtype=np.int8)
+        codes1[np.flatnonzero(np.abs(d1 - phase1.d_lower) <= 1e-12)] = _LOWER
         status1, d1, _, phase1_iters = _active_set_loop(
-            W1, g1, A1, b, d1, codes1, lb1, ub1, schedule, max_iter, feas_tol
+            phase1.W, phase1.g, phase1.A, b, d1, codes1, phase1.d_lower, phase1.d_upper,
+            schedule, max_iter, feas_tol,
         )
         infeasibility = float(np.sum(d1[n:]))
         if status1 != OPTIMAL or infeasibility > 100.0 * feas_tol * (1 + m):
@@ -586,7 +612,8 @@ def qp_solve(
 
 
 def _verify_kkt(qp: QPData, sol: QPSolution) -> None:
-    """Assert the QPSolution KKT contract before returning Optimal.
+    """Check the QPSolution KKT contract before returning Optimal; raise
+    QPFailureError on a violation.
 
     The stated tolerances apply to well-scaled data; a backward-error term
     covers the floating-point floor of badly scaled instances (it is
@@ -604,19 +631,21 @@ def _verify_kkt(qp: QPData, sol: QPSolution) -> None:
     tol_stat = 1e-8 * (1.0 + float(np.max(np.abs(g))) if g.size else 1.0) + floor_stat
     tol_feas = 1e-8 * (1.0 + float(np.max(np.abs(b))) if b.size else 1.0) + floor_feas
     stat = W @ d + g - (A.T @ y if qp.m else 0.0) - z
-    assert float(np.max(np.abs(stat), initial=0.0)) <= tol_stat, "QP stationarity violated"
-    if qp.m:
-        assert float(np.max(np.abs(A @ d - b))) <= tol_feas, "QP feasibility violated"
-    assert np.all(d >= qp.d_lower - 1e-9) and np.all(d <= qp.d_upper + 1e-9)
+    if not float(np.max(np.abs(stat), initial=0.0)) <= tol_stat:  # NaN fails too
+        raise QPFailureError("QP stationarity violated")
+    if qp.m and not float(np.max(np.abs(A @ d - b))) <= tol_feas:
+        raise QPFailureError("QP feasibility violated")
+    if not (np.all(d >= qp.d_lower - 1e-9) and np.all(d <= qp.d_upper + 1e-9)):
+        raise QPFailureError("QP bounds violated")
     gap_l = np.where(np.isfinite(qp.d_lower), d - qp.d_lower, np.inf)
     gap_u = np.where(np.isfinite(qp.d_upper), qp.d_upper - d, np.inf)
     gap = np.minimum(gap_l, gap_u)
     comp = np.where(z == 0.0, 0.0, np.abs(z) * np.where(np.isfinite(gap), gap, 0.0))
-    assert float(np.max(comp, initial=0.0)) <= 1e-8 * (1.0 + float(np.max(np.abs(z), initial=0.0))), (
-        "QP complementarity violated"
-    )
+    if not float(np.max(comp, initial=0.0)) <= 1e-8 * (1.0 + float(np.max(np.abs(z), initial=0.0))):
+        raise QPFailureError("QP complementarity violated")
     sign_ok = np.where(
         np.isclose(gap_l, 0.0, atol=1e-9), z >= -1e-8,
         np.where(np.isclose(gap_u, 0.0, atol=1e-9), z <= 1e-8, np.abs(z) <= 1e-8),
     )
-    assert bool(np.all(sign_ok)), "QP bound multiplier signs violated"
+    if not bool(np.all(sign_ok)):
+        raise QPFailureError("QP bound multiplier signs violated")

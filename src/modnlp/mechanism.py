@@ -29,10 +29,6 @@ class LineSearchConfig:
     alpha_min: float = 1e-7
     max_inner: int = 50
 
-    def __post_init__(self):
-        assert 0.0 < self.backtrack_factor < 1.0
-        assert self.alpha_min >= _MACHINE_EPS
-
 
 @dataclass
 class TrustRegionConfig:
@@ -43,10 +39,6 @@ class TrustRegionConfig:
     decrease_factor: float = 0.5
     activity_tolerance_rel: float = 1e-10
     max_inner: int = 50
-
-    def __post_init__(self):
-        assert self.increase_factor > 1.0
-        assert 0.0 < self.decrease_factor < 1.0
 
 
 def assemble_trial(ws: Workspace, iterate: Iterate, direction: Direction, alpha: float) -> Iterate:

@@ -128,14 +128,9 @@ def scale_functions(model: Model, x0: np.ndarray, s_max: float = 100.0):
     return scaled, factors
 
 
-def elastic_init(c_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positive and negative parts of c: u+ = max(c, 0), u- = max(-c, 0)."""
-    c = np.asarray(c_values, dtype=float)
-    return np.maximum(c, 0.0), np.maximum(-c, 0.0)
-
-
 class ElasticModel:
-    """Smooth elastic reformulation over variables (x, u+, u-):
+    """Smooth elastic reformulation over variables (x, u+, u-), in the
+    elastic layout of linalg.extend_with_elastics:
 
         min  rho * f(x) + e^T u+ + e^T u-
         s.t. c(x) - u+ + u- = 0,  u+ >= 0,  u- >= 0  (plus the x bounds).
@@ -151,19 +146,10 @@ class ElasticModel:
         self.base = base
         self.rho = float(rho)
         n, m = base.n, base.m
-        self.name = base.name + "+elastic"
         self.n = n + 2 * m
         self.m = m
-        self.n_elastic = 2 * m
         self.variable_lower = np.concatenate([base.variable_lower, np.zeros(2 * m)])
         self.variable_upper = np.concatenate([base.variable_upper, np.full(2 * m, np.inf)])
-        self.constraint_lower = np.zeros(m)
-        self.constraint_upper = np.zeros(m)
-        self.linear_rows = base.linear_rows
-
-        c0 = np.asarray(base.eval_constraints(base.initial_point), dtype=float)
-        u_plus, u_minus = elastic_init(np.nan_to_num(c0, nan=0.0, posinf=0.0, neginf=0.0))
-        self.initial_point = np.concatenate([base.initial_point, u_plus, u_minus])
 
         def objective(w):
             return self.rho * base.eval_objective(w[:n]) + float(np.sum(w[n:]))
@@ -195,19 +181,5 @@ class ElasticModel:
         self.eval_constraint_jacobian = jacobian
         self.eval_lagrangian_hessian = hessian
 
-    @property
-    def is_equality_form(self) -> bool:
-        return True
-
     def set_rho(self, rho: float) -> None:
         self.rho = float(rho)
-
-    def embed(self, x: np.ndarray, c_values: np.ndarray) -> np.ndarray:
-        """Lift a base-space point to the elastic space with exact equality
-        residuals (u from the positive/negative parts of c)."""
-        u_plus, u_minus = elastic_init(c_values)
-        return np.concatenate([x, u_plus, u_minus])
-
-
-def make_l1_relaxed(model: Model, rho: float) -> ElasticModel:
-    return ElasticModel(model, rho)

@@ -23,18 +23,21 @@ from .linalg import (
     OPTIMAL,
     UNBOUNDED,
     RegularizationSchedule,
+    central_elastics,
+    elastic_init,
+    extend_with_elastics,
     ldlt_factorize,
     qp_solve,
     solve_factorized,
 )
 from .model import Evaluations, evaluate
-from .reformulation import ElasticModel, elastic_init, make_l1_relaxed
+from .reformulation import ElasticModel
 from .state import Iterate, Workspace
 from .subproblem import (
     Direction,
+    barrier_gradient_terms,
     barrier_kkt_error,
     build_sqp_qp,
-    extend_with_elastics,
     ipm_solve_step,
     update_barrier_parameter,
 )
@@ -199,23 +202,21 @@ class IPMSubproblem:
     def _elastic_point(self, ws, iterate):
         """Current iterate lifted to the elastic space (re-seeded every step).
 
-        The elastic values solve the one-dimensional central-path conditions
-        z+ = mu/u+, z- = mu/u-, z+ + z- = 2, u+ - u- = c exactly, so the
-        lifted point is strictly interior with exact equality residuals and
-        mu-consistent complementarity.
+        The elastic values are on the central path (central_elastics), so
+        the lifted point is strictly interior with exact equality residuals
+        and mu-consistent complementarity.
         """
         mu = self.barrier.mu
-        c = np.asarray(iterate.evals.c, dtype=float)
-        u_minus = 0.5 * ((mu - c) + np.sqrt(c * c + mu * mu))
-        u_plus = c + u_minus
-        u = np.concatenate([u_plus, u_minus])
+        u = np.concatenate(central_elastics(iterate.evals.c, mu))
         w = np.concatenate([iterate.x, u])
         zl_full = np.concatenate([iterate.zl, mu / u])
         zu_full = np.concatenate([iterate.zu, np.zeros(u.size)])
         return w, zl_full, zu_full
 
     def elastic_direction(self, ws, elastic: ElasticModel, iterate) -> Direction:
-        """Step of the barrier problem on the elastic model."""
+        """Step of the barrier problem on the elastic model, with gtd and dwd
+        of the base model: the x-block of the elastic Hessian is the base W
+        at the elastic rho."""
         n = ws.model.n
         w, zl_full, zu_full = self._elastic_point(ws, iterate)
         eev = evaluate(elastic, w, rho=1.0, y=iterate.y, with_hessian=True)
@@ -225,8 +226,9 @@ class IPMSubproblem:
             elastic.variable_lower, elastic.variable_upper,
             self.barrier, self.schedule,
         )
+        dx = full.dx[:n]
         return Direction(
-            dx=full.dx[:n],
+            dx=dx,
             dy=full.dy,
             dzl=full.dzl[:n],
             dzu=full.dzu[:n],
@@ -234,6 +236,8 @@ class IPMSubproblem:
             alpha_max=full.alpha_max,
             dual_scale=full.dual_scale,
             subproblem_objective=full.subproblem_objective,
+            gtd=float(np.asarray(iterate.evals.grad_f) @ dx),
+            dwd=float(dx @ eev.hessian[:n, :n] @ dx),
         )
 
 
@@ -372,7 +376,7 @@ class L1Relaxation(ConstraintRelaxationStrategy):
                  restoration_sigma: float = 1e-8):
         super().__init__(ws, subproblem, strategy, restoration_sigma)
         self.steering = steering or SteeringState()
-        self.elastic = make_l1_relaxed(ws.model, self.steering.rho)
+        self.elastic = ElasticModel(ws.model, self.steering.rho)
         self._feas_tol = 1e-9
 
     def measure_rho(self) -> float:
@@ -392,7 +396,6 @@ class L1Relaxation(ConstraintRelaxationStrategy):
         if self.subproblem.is_interior:
             self.elastic.set_rho(rho)
             direction = self.subproblem.elastic_direction(self.ws, self.elastic, iterate)
-            W = self.ws.hessian_at(iterate.x, rho, iterate.y)
         else:
             evals = iterate.evals
             W = self.ws.hessian_at(iterate.x, rho, iterate.y)
@@ -402,8 +405,8 @@ class L1Relaxation(ConstraintRelaxationStrategy):
             )
             if direction.status in (UNBOUNDED, ITERATION_LIMIT):
                 raise QPFailureError("elastic QP failed with status " + direction.status)
-        direction.gtd = float(np.asarray(iterate.evals.grad_f) @ direction.dx)
-        direction.dwd = float(direction.dx @ W @ direction.dx)
+            direction.gtd = float(np.asarray(iterate.evals.grad_f) @ direction.dx)
+            direction.dwd = float(direction.dx @ W @ direction.dx)
         return direction
 
     def _merit_model_reduction(self, iterate, direction, rho) -> float:
@@ -523,7 +526,7 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
         super().__init__(ws, subproblem, strategy, restoration_sigma)
         self.state = PhaseState()
         self.restoration_exit_factor = restoration_exit_factor
-        self.elastic = make_l1_relaxed(ws.model, 0.0)
+        self.elastic = ElasticModel(ws.model, 0.0)
         self._optimality_feasible = False
         self._last_restoration_mu = np.inf
 
@@ -585,7 +588,7 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
                 direction.dwd = float(direction.dx @ evals.hessian @ direction.dx)
                 return direction
             self._last_restoration_mu = self.subproblem.barrier.mu
-            return self._interior_restoration_direction(iterate)
+            return self.subproblem.elastic_direction(self.ws, self.elastic, iterate)
 
         # QP/LP flavor
         if self.state.phase == OPTIMALITY:
@@ -665,8 +668,7 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
         """Elastic barrier objective with the elastic block eliminated at its
         central values: sum(u+ + u- - mu log(u+ u-)) plus the x-block barrier."""
         mu = self.subproblem.barrier.mu
-        u_minus = 0.5 * ((mu - c) + np.sqrt(c * c + mu * mu))
-        u_plus = c + u_minus
+        u_plus, u_minus = central_elastics(c, mu)
         if np.any(u_plus <= 0.0) or np.any(u_minus <= 0.0):
             return np.inf
         value = float(np.sum(u_plus + u_minus) - mu * np.sum(np.log(u_plus) + np.log(u_minus)))
@@ -675,14 +677,11 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
     def _smoothed_infeasibility_armijo(self, iterate, trial, direction, alpha) -> bool:
         mu = self.subproblem.barrier.mu
         c = np.asarray(iterate.evals.c, dtype=float)
-        u_minus = 0.5 * ((mu - c) + np.sqrt(c * c + mu * mu))
-        u_plus = c + u_minus
+        u_plus, _ = central_elastics(c, mu)
         y_central = mu / u_plus - 1.0
-        grad = -(np.asarray(iterate.evals.jac_c).T @ y_central)
-        finite_lo = np.isfinite(self.ws.lower)
-        finite_hi = np.isfinite(self.ws.upper)
-        grad[finite_lo] -= mu / (iterate.x[finite_lo] - self.ws.lower[finite_lo])
-        grad[finite_hi] += mu / (self.ws.upper[finite_hi] - iterate.x[finite_hi])
+        grad = -(np.asarray(iterate.evals.jac_c).T @ y_central) + barrier_gradient_terms(
+            iterate.x, self.ws.lower, self.ws.upper, mu
+        )
         slope = float(grad @ direction.dx)
         if slope >= 0.0:
             return False
@@ -700,21 +699,14 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
                 self._maybe_update_barrier(iterate)
                 if self.subproblem.barrier.mu < self._last_restoration_mu:
                     self._last_restoration_mu = self.subproblem.barrier.mu
-                    return self._interior_restoration_direction(iterate)
+                    return self.subproblem.elastic_direction(self.ws, self.elastic, iterate)
             return None
         self._enter_restoration(iterate)
         if self.subproblem.is_interior:
             self._maybe_update_barrier(iterate)
             self._last_restoration_mu = self.subproblem.barrier.mu
-            return self._interior_restoration_direction(iterate)
+            return self.subproblem.elastic_direction(self.ws, self.elastic, iterate)
         return self._restoration_direction(iterate, None)
-
-    def _interior_restoration_direction(self, iterate: Iterate) -> Direction:
-        direction = self.subproblem.elastic_direction(self.ws, self.elastic, iterate)
-        W0 = self.ws.hessian_at(iterate.x, 0.0, iterate.y)
-        direction.gtd = float(np.asarray(iterate.evals.grad_f) @ direction.dx)
-        direction.dwd = float(direction.dx @ W0 @ direction.dx)
-        return direction
 
     def _filter_eta_min(self) -> float:
         if isinstance(self.strategy, FilterMethod):

@@ -134,20 +134,6 @@ def build_sqp_qp(
     return qp, delta_w, np.stack([tr_lower, tr_upper])
 
 
-def extend_with_elastics(qp: QPData) -> QPData:
-    """Append elastic columns: constraints become c + Jd - u+ + u- = 0 with
-    u+,u- >= 0 and unit objective weight; the extension is always feasible."""
-    n, m = qp.n, qp.m
-    ne = n + 2 * m
-    W = np.zeros((ne, ne))
-    W[:n, :n] = qp.W
-    g = np.concatenate([qp.g, np.ones(2 * m)])
-    A = np.hstack([qp.A, -np.eye(m), np.eye(m)])
-    lb = np.concatenate([qp.d_lower, np.zeros(2 * m)])
-    ub = np.concatenate([qp.d_upper, np.full(2 * m, np.inf)])
-    return QPData(W, g, A, qp.b, lb, ub)
-
-
 def fraction_to_boundary(
     x: np.ndarray,
     dx: np.ndarray,

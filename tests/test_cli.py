@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import modnlp
 from modnlp.cli import (
     RunRecord,
     main,
@@ -53,6 +59,24 @@ class TestCLI:
     def test_unknown_option_exit_two(self, capsys):
         code = main(["-preset", "filtersqp", "-option", "bogus=1", "booth", "--quiet"])
         assert code == 2
+
+    def test_unparsable_option_value_exit_two(self, capsys):
+        code = main(["-preset", "filtersqp", "-option", "tolerance=abc", "hs071", "--quiet"])
+        assert code == 2
+        assert "tolerance" in capsys.readouterr().err
+
+    def test_out_of_range_option_exit_two_under_optimize(self):
+        # python -O strips asserts: the range check must not be one
+        src = str(Path(modnlp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "modnlp.cli", "-globalization_mechanism", "LS",
+             "-option", "backtrack_factor=2", "booth", "--quiet"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "backtrack_factor" in proc.stderr
 
     def test_iteration_log_printed(self, capsys):
         main(["-preset", "ipopt", "hs035"])

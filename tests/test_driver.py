@@ -3,8 +3,16 @@ import pytest
 
 from modnlp.corpus import corpus_get
 from modnlp.driver import (
+    EVALUATION_ERROR,
+    FEASIBLE_FJ,
+    FEASIBLE_KKT,
+    INFEASIBLE_STATIONARY,
+    ITERATION_LIMIT,
+    LOOSE_KKT,
+    SMALL_TRUST_REGION,
     Options,
     Residuals,
+    SolveResult,
     TerminationState,
     estimate_initial_multipliers,
     load_options_file,
@@ -23,6 +31,8 @@ from modnlp.model import Model, evaluate
 from modnlp.reformulation import to_equality_form
 
 INF = np.inf
+STATUSES = (FEASIBLE_KKT, FEASIBLE_FJ, INFEASIBLE_STATIONARY, SMALL_TRUST_REGION, LOOSE_KKT,
+            ITERATION_LIMIT, EVALUATION_ERROR)
 
 
 def linear_model(A, b, lower=None, upper=None, x0=None):
@@ -169,6 +179,22 @@ class TestOptions:
         with pytest.raises(ConfigurationError):
             load_options_file(str(path))
 
+    def test_unparsable_value(self):
+        with pytest.raises(ConfigurationError, match="tolerance"):
+            Options().updated({"tolerance": "abc"})
+
+    @pytest.mark.parametrize("key, value", [
+        ("backtrack_factor", 2.0), ("backtrack_factor", 0.0), ("alpha_min", 1e-20),
+        ("radius_initial", -1.0), ("radius_increase_factor", 1.0),
+        ("radius_decrease_factor", 1.0), ("filter_capacity", 0),
+    ])
+    def test_out_of_range_value(self, key, value):
+        opts = Options().updated({key: value})
+        with pytest.raises(ConfigurationError, match=key):
+            validate_options(opts)
+        with pytest.raises(ConfigurationError, match=key):
+            solve(corpus_get("booth"), opts)
+
     def test_prohibited_combination(self):
         opts = Options(subproblem="primal_dual_IPM", globalization_mechanism="TR")
         with pytest.raises(ConfigurationError):
@@ -259,3 +285,14 @@ class TestSolve:
         e = error_measure(ev, x_full, result.y, result.rho,
                           working.variable_lower, working.variable_upper)
         assert e <= 10 * 1e-6
+
+    def test_qp_kkt_violation_ends_in_a_status(self):
+        # the LP's active-set solve returns an Optimal that fails its KKT
+        # check; the typed error becomes a status instead of a crash
+        opts = Options(
+            constraint_relaxation_strategy="feasibility_restoration", subproblem="LP",
+            globalization_strategy="leyffer_filter_method", globalization_mechanism="TR",
+        )
+        result = solve(corpus_get("genhs28"), opts)
+        assert isinstance(result, SolveResult)
+        assert result.status in STATUSES

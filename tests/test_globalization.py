@@ -9,10 +9,8 @@ from modnlp.globalization import (
     ReductionModels,
     barrier_value,
     compute_measures,
-    filter_add,
     filter_is_acceptable,
     filter_is_acceptable_waechter,
-    filter_reset,
     infeasibility_armijo,
     merit_is_acceptable,
 )
@@ -93,8 +91,8 @@ class TestFilter:
     def test_insert_mutually_nondominated(self):
         f = Filter(eta_max=np.inf)
         for eta, phi in ((2.0, 0.5), (0.5, 2.0)):
-            filter_add(f, eta, phi)
-        filter_add(f, 1.0, 1.0)
+            f.add(eta, phi)
+        f.add(1.0, 1.0)
         assert sorted(f.entries) == [(0.5, 2.0), (1.0, 1.0), (2.0, 0.5)]
 
     def test_dominance_pruning(self):
@@ -119,7 +117,7 @@ class TestFilter:
     def test_reset(self):
         f = Filter(beta=0.9, gamma=0.1)
         f.add(1.0, 1.0)
-        filter_reset(f, eta_reference=2.0)
+        f.reset(eta_reference=2.0)
         assert f.entries == []
         assert f.beta == 0.9 and f.gamma == 0.1
         assert f.eta_max == pytest.approx(2e4)

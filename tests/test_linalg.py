@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from modnlp.errors import SingularMatrixError
+from modnlp.errors import QPFailureError, SingularMatrixError
 from modnlp.linalg import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     QPData,
+    QPSolution,
     RegularizationSchedule,
+    _verify_kkt,
+    central_elastics,
     inertia_correct,
     ldlt_factorize,
     make_positive_definite,
@@ -347,3 +350,24 @@ class TestQPSolve:
             qp = QPData(W, g, np.zeros((0, n)), np.zeros(0), lb, ub)
             sol = qp_solve(qp)
             assert sol.status == OPTIMAL  # KKT contract checked internally
+
+
+def test_central_elastics_on_the_central_path():
+    rng = np.random.RandomState(11)
+    for _ in range(50):
+        c = rng.uniform(-10.0, 10.0, size=6)
+        mu = 10.0 ** rng.uniform(-4.0, 0.0)
+        u_plus, u_minus = central_elastics(c, mu)
+        assert np.all(u_plus > 0.0) and np.all(u_minus > 0.0)
+        np.testing.assert_allclose(u_plus - u_minus, c, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(mu / u_plus + mu / u_minus, 2.0, rtol=1e-9)
+
+
+def test_kkt_contract_violation_is_a_typed_error():
+    qp = QPData(np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([1.0]),
+                np.full(2, -np.inf), np.full(2, np.inf))
+    good = QPSolution(OPTIMAL, np.array([0.5, 0.5]), np.array([0.5]), np.zeros(2), (), 0.25)
+    _verify_kkt(qp, good)
+    infeasible = QPSolution(OPTIMAL, np.zeros(2), np.zeros(1), np.zeros(2), (), 0.0)
+    with pytest.raises(QPFailureError, match="feasibility"):
+        _verify_kkt(qp, infeasible)

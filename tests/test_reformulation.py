@@ -3,11 +3,10 @@ import pytest
 
 from modnlp.corpus import corpus_get
 from modnlp.errors import InconsistentBoundsError
-from modnlp.linalg import ldlt_factorize
+from modnlp.linalg import elastic_init, ldlt_factorize
 from modnlp.model import evaluate
 from modnlp.reformulation import (
-    elastic_init,
-    make_l1_relaxed,
+    ElasticModel,
     scale_functions,
     to_equality_form,
 )
@@ -108,11 +107,11 @@ def test_elastic_model_objective_and_residual():
     base = to_equality_form(corpus_get("rosenbrock_ring"))
     rng = np.random.RandomState(2)
     for rho in (0.0, 0.37, 1.0):
-        elastic = make_l1_relaxed(base, rho)
+        elastic = ElasticModel(base, rho)
         for _ in range(5):
             x = rng.uniform(-2.0, 2.0, size=base.n)
             ev = evaluate(base, x, with_derivatives=False)
-            w = elastic.embed(x, ev.c)
+            w = np.concatenate([x, *elastic_init(ev.c)])
             eev = evaluate(elastic, w, with_derivatives=False)
             np.testing.assert_allclose(eev.c, np.zeros(base.m), atol=1e-14)
             assert eev.f == pytest.approx(rho * ev.f + np.sum(np.abs(ev.c)))
@@ -120,10 +119,10 @@ def test_elastic_model_objective_and_residual():
 
 def test_elastic_rho_zero_is_feasibility_objective():
     base = to_equality_form(corpus_get("hs006"))
-    elastic = make_l1_relaxed(base, 0.0)
+    elastic = ElasticModel(base, 0.0)
     x = np.array([0.5, -1.0])
     ev = evaluate(base, x, with_derivatives=False)
-    w = elastic.embed(x, ev.c)
+    w = np.concatenate([x, *elastic_init(ev.c)])
     assert elastic.eval_objective(w) == pytest.approx(np.sum(np.abs(ev.c)))
     elastic.set_rho(2.0)
     assert elastic.eval_objective(w) == pytest.approx(2.0 * ev.f + np.sum(np.abs(ev.c)))
@@ -133,10 +132,10 @@ def test_elastic_jacobian_full_row_rank():
     rng = np.random.RandomState(3)
     for name in ("hs071", "infeasible1", "hs048"):
         base = to_equality_form(corpus_get(name))
-        elastic = make_l1_relaxed(base, 1.0)
+        elastic = ElasticModel(base, 1.0)
         for _ in range(10):
             x = rng.uniform(-2.0, 2.0, size=base.n)
-            w = elastic.embed(x, evaluate(base, x, with_derivatives=False).c)
+            w = np.concatenate([x, *elastic_init(evaluate(base, x, with_derivatives=False).c)])
             J = elastic.eval_constraint_jacobian(w)
             # rank via factorization of J J^T
             fact = ldlt_factorize(J @ J.T)
@@ -145,8 +144,8 @@ def test_elastic_jacobian_full_row_rank():
 
 def test_elastic_structure_sizes():
     base = to_equality_form(corpus_get("booth"))
-    elastic = make_l1_relaxed(base, 1.0)
+    elastic = ElasticModel(base, 1.0)
     assert elastic.n == base.n + 4
     assert elastic.m == 2
-    g = elastic.eval_objective_gradient(elastic.initial_point)
+    g = elastic.eval_objective_gradient(np.zeros(elastic.n))
     np.testing.assert_allclose(g[base.n:], np.ones(4))

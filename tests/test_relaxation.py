@@ -24,6 +24,7 @@ from modnlp.relaxation import (
     linearized_infeasibility,
 )
 from modnlp.state import Iterate, Workspace
+from modnlp.subproblem import initial_bound_multipliers, push_to_interior
 
 INF = np.inf
 
@@ -191,7 +192,8 @@ class TestRestoration:
 
     def test_elastic_fqp_never_infeasible(self):
         rng = np.random.RandomState(3)
-        from modnlp.subproblem import build_sqp_qp, extend_with_elastics
+        from modnlp.linalg import extend_with_elastics
+        from modnlp.subproblem import build_sqp_qp
 
         for _ in range(25):
             n, m = 3, 2
@@ -205,3 +207,15 @@ class TestRestoration:
             )
             sol = qp_solve(extend_with_elastics(qp))
             assert sol.status == OPTIMAL
+
+
+def test_ipm_elastic_direction_curvature_is_base_hessian():
+    ws, it, relaxation, _ = prepared("hs071", preset="ipopt")
+    it.x = push_to_interior(it.x, ws.lower, ws.upper)
+    it.zl, it.zu = initial_bound_multipliers(ws.lower, ws.upper)
+    it.evals = evaluate(ws.model, it.x)
+    for rho in (0.0, 0.37, 1.0):
+        relaxation.elastic.set_rho(rho)
+        direction = relaxation.subproblem.elastic_direction(ws, relaxation.elastic, it)
+        W = ws.model.eval_lagrangian_hessian(it.x, rho, it.y)
+        assert direction.dwd == pytest.approx(float(direction.dx @ W @ direction.dx), rel=1e-12)

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from modnlp.corpus import corpus_get
-from modnlp.linalg import RegularizationSchedule
+from modnlp.linalg import RegularizationSchedule, extend_with_elastics
 from modnlp.model import Evaluations, evaluate
 from modnlp.reformulation import to_equality_form
 from modnlp.subproblem import (
     BarrierState,
     build_sqp_qp,
-    extend_with_elastics,
     fraction_to_boundary,
     fraction_to_boundary_dual,
     ipm_solve_step,

@@ -206,6 +206,13 @@ def preset_options(name: str) -> Options:
 
 # (option, admits its value, the admitted range)
 _RANGES = (
+    ("tolerance", lambda v: v > 0.0, "> 0"),
+    ("max_iterations", lambda v: v >= 1, ">= 1"),
+    ("mu_initial", lambda v: v > 0.0, "> 0"),
+    ("kappa_epsilon", lambda v: v > 0.0, "> 0"),
+    ("kappa_mu", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ("theta_mu", lambda v: 1.0 < v < 2.0, "in (1, 2)"),
+    ("tau_min", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     ("backtrack_factor", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     ("alpha_min", lambda v: v >= np.finfo(float).eps, ">= machine epsilon"),
     ("radius_initial", lambda v: v > 0.0, "> 0"),
@@ -606,7 +613,10 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
             )
             message = str(exc)
             break
-        except (InnerIterationLimitError, QPFailureError, RegularizationFailedError) as exc:
+        except (
+            InnerIterationLimitError, QPFailureError, RegularizationFailedError,
+            SingularMatrixError,
+        ) as exc:
             status, message = ITERATION_LIMIT, str(exc)
             break
         if not new_iterate.evals.is_finite:

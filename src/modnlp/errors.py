@@ -18,7 +18,8 @@ class InconsistentBoundsError(ModNLPError):
 
 
 class SingularMatrixError(ModNLPError):
-    """A factorized matrix is singular and cannot be used for a solve."""
+    """A matrix is singular or non-finite and cannot be factorized or used
+    for a solve."""
 
 
 class RegularizationFailedError(ModNLPError):

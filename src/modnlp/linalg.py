@@ -1,5 +1,6 @@
-"""Self-contained dense linear algebra: symmetric-indefinite LDL^T factorization
-with inertia, inertia correction of saddle-point matrices, and a primal
+"""Self-contained dense linear algebra: inertia and solves of symmetric
+indefinite matrices on LAPACK (eigenvalues for the inertia, LU for the
+solves), inertia correction of saddle-point matrices, and a primal
 active-set solver for (possibly nonconvex) QPs with equality constraints and
 box bounds.
 """
@@ -11,170 +12,75 @@ import numpy as np
 
 from .errors import QPFailureError, RegularizationFailedError, SingularMatrixError
 
-_ALPHA = (1.0 + np.sqrt(17.0)) / 8.0  # Bunch-Kaufman pivot threshold
-
 
 @dataclass
 class Factorization:
-    """P-symmetric LDL^T factorization: M[perm][:, perm] = L D L^T.
+    """A symmetric matrix with its eigenvalues and inertia, ready to solve.
 
-    D is block diagonal with 1x1 and 2x2 blocks; a 2x2 block starting at k is
-    flagged by is_2x2[k] and stores its off-diagonal entry in d_sub[k].
-    When row_scaling is set, the factorization is of diag(s) M diag(s)
+    The inertia counts the eigenvalues above zero_tol, below -zero_tol and
+    in between. When row_scaling is set, matrix is diag(s) M diag(s)
     (congruent, hence same inertia) and solves undo the scaling.
     """
 
-    L: np.ndarray
-    d_diag: np.ndarray
-    d_sub: np.ndarray
-    is_2x2: np.ndarray
-    permutation: np.ndarray
+    matrix: np.ndarray
+    eigenvalues: np.ndarray
     inertia: tuple[int, int, int]
     zero_tol: float
     row_scaling: np.ndarray | None = None
 
     @property
     def n(self) -> int:
-        return self.L.shape[0]
+        return self.matrix.shape[0]
 
     @property
     def n_zero(self) -> int:
         return self.inertia[2]
 
-    def block_diagonal(self) -> np.ndarray:
-        D = np.diag(self.d_diag.copy())
-        for k in np.flatnonzero(self.is_2x2):
-            D[k + 1, k] = D[k, k + 1] = self.d_sub[k]
-        return D
 
-    def reconstruct(self) -> np.ndarray:
-        n = self.n
-        M_p = self.L @ self.block_diagonal() @ self.L.T
-        M = np.empty_like(M_p)
-        p = self.permutation
-        M[np.ix_(p, p)] = M_p
-        return M
+def _zero_tol(max_abs: float, n: int) -> float:
+    """Eigenvalues within this of zero count as zero: wide enough to absorb
+    roundoff on exactly singular input, far below any meaningful eigenvalue
+    at desk scale."""
+    return max(1.0, max_abs) * np.finfo(float).eps * 1000.0 * max(10.0, float(n))
 
 
-def _block_inertia(d_diag, d_sub, is_2x2, zero_tol):
-    n_plus = n_minus = n_zero = 0
-    n = d_diag.size
-    k = 0
-    while k < n:
-        if is_2x2[k]:
-            a, b, c = d_diag[k], d_sub[k], d_diag[k + 1]
-            half_tr = 0.5 * (a + c)
-            disc = np.sqrt(max((0.5 * (a - c)) ** 2 + b * b, 0.0))
-            for eig in (half_tr + disc, half_tr - disc):
-                if eig > zero_tol:
-                    n_plus += 1
-                elif eig < -zero_tol:
-                    n_minus += 1
-                else:
-                    n_zero += 1
-            k += 2
-        else:
-            d = d_diag[k]
-            if d > zero_tol:
-                n_plus += 1
-            elif d < -zero_tol:
-                n_minus += 1
-            else:
-                n_zero += 1
-            k += 1
-    return n_plus, n_minus, n_zero
+def _eigenvalues(A: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix A (LAPACK syevd);
+    non-finite input raises SingularMatrixError."""
+    if not np.all(np.isfinite(A)):
+        raise SingularMatrixError("matrix has non-finite entries")
+    try:
+        return np.linalg.eigvalsh(A)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("eigenvalues did not converge") from exc
 
 
 def ldlt_factorize(M: np.ndarray) -> Factorization:
-    """Bunch-Kaufman factorization of a dense symmetric matrix.
+    """Inertia of a dense symmetric matrix from its eigenvalues, kept with
+    the matrix for an LU solve by solve_factorized.
 
-    Singular matrices are handled: near-zero pivots are recorded as zero
-    eigenvalues rather than raised.
+    Singular matrices are handled: eigenvalues within zero_tol are recorded
+    as zero rather than raised. Non-finite entries raise
+    SingularMatrixError.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError("matrix must be square")
     A = 0.5 * (M + M.T)  # work on an exactly symmetric copy
-    scale = max(1.0, float(np.max(np.abs(A))) if n else 1.0)
-    # wide enough to absorb elimination roundoff on exactly singular input,
-    # far below any meaningful pivot at desk scale
-    zero_tol = scale * np.finfo(float).eps * 1000.0 * max(10.0, float(n))
-
-    L = np.eye(n)
-    perm = np.arange(n)
-    d_diag = np.zeros(n)
-    d_sub = np.zeros(n)
-    is_2x2 = np.zeros(n, dtype=bool)
-
-    def swap(r, s, k):
-        if r == s:
-            return
-        A[[r, s], :] = A[[s, r], :]
-        A[:, [r, s]] = A[:, [s, r]]
-        L[[r, s], :k] = L[[s, r], :k]  # only columns already eliminated
-        perm[[r, s]] = perm[[s, r]]
-
-    k = 0
-    while k < n:
-        absakk = abs(A[k, k])
-        if k + 1 < n:
-            col = np.abs(A[k + 1:, k])
-            imax = k + 1 + int(np.argmax(col))
-            colmax = float(col[imax - k - 1])
-        else:
-            imax, colmax = k, 0.0
-
-        if max(absakk, colmax) <= zero_tol:
-            d_diag[k] = A[k, k]
-            k += 1
-            continue
-
-        k_step = 1
-        if absakk >= _ALPHA * colmax:
-            pass  # 1x1 pivot at k
-        else:
-            row = np.abs(A[imax, k:imax])
-            rowmax = float(np.max(row)) if row.size else 0.0
-            if imax + 1 < n:
-                rowmax = max(rowmax, float(np.max(np.abs(A[imax + 1:, imax]))))
-            if absakk * rowmax >= _ALPHA * colmax * colmax:
-                pass  # 1x1 pivot at k
-            elif abs(A[imax, imax]) >= _ALPHA * rowmax:
-                swap(k, imax, k)  # 1x1 pivot after interchange
-            else:
-                swap(k + 1, imax, k)  # 2x2 pivot
-                k_step = 2
-
-        if k_step == 1:
-            d = A[k, k]
-            d_diag[k] = d
-            if k + 1 < n and abs(d) > zero_tol:
-                l = A[k + 1:, k] / d
-                L[k + 1:, k] = l
-                A[k + 1:, k + 1:] -= np.outer(l, A[k + 1:, k])
-            k += 1
-        else:
-            a, b, c = A[k, k], A[k + 1, k], A[k + 1, k + 1]
-            d_diag[k], d_sub[k], d_diag[k + 1] = a, b, c
-            is_2x2[k] = True
-            if k + 2 < n:
-                det = a * c - b * b
-                B = A[k + 2:, k:k + 2]
-                inv = np.array([[c, -b], [-b, a]]) / det
-                Lk = B @ inv
-                L[k + 2:, k:k + 2] = Lk
-                A[k + 2:, k + 2:] -= Lk @ B.T
-            k += 2
-
-    inertia = _block_inertia(d_diag, d_sub, is_2x2, zero_tol)
-    return Factorization(L, d_diag, d_sub, is_2x2, perm, inertia, zero_tol)
+    eigenvalues = _eigenvalues(A)
+    zero_tol = _zero_tol(float(np.max(np.abs(A), initial=0.0)), n)
+    n_plus = int(np.count_nonzero(eigenvalues > zero_tol))
+    n_minus = int(np.count_nonzero(eigenvalues < -zero_tol))
+    inertia = (n_plus, n_minus, n - n_plus - n_minus)
+    return Factorization(A, eigenvalues, inertia, zero_tol)
 
 
 def ldlt_factorize_scaled(M: np.ndarray) -> Factorization:
     """Factorize after symmetric equilibration diag(s) M diag(s), s_i =
     1/sqrt(max |row i|). Congruence preserves the inertia while making the
-    zero-pivot classification meaningful on badly scaled saddle systems."""
+    zero-eigenvalue classification meaningful on badly scaled saddle
+    systems."""
     M = np.asarray(M, dtype=float)
     row_max = np.max(np.abs(M), axis=1, initial=0.0)
     s = 1.0 / np.sqrt(np.maximum(row_max, 1e-300))
@@ -184,38 +90,20 @@ def ldlt_factorize_scaled(M: np.ndarray) -> Factorization:
 
 
 def solve_factorized(fact: Factorization, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs given the LDL^T factorization of M."""
+    """Solve M x = rhs by LU with partial pivoting (LAPACK gesv) on the
+    matrix of fact; a zero eigenvalue or an exactly zero LU pivot raises
+    SingularMatrixError."""
     if fact.n_zero > 0:
-        raise SingularMatrixError("matrix is singular (%d zero pivots)" % fact.n_zero)
+        raise SingularMatrixError("matrix is singular (%d zero eigenvalues)" % fact.n_zero)
     rhs = np.asarray(rhs, dtype=float)
-    if fact.row_scaling is not None:
-        rhs = rhs * fact.row_scaling
-    n = fact.n
-    y = rhs[fact.permutation].astype(float)
-
-    L = fact.L
-    for j in range(n - 1):  # forward substitution, unit lower triangular
-        y[j + 1:] -= L[j + 1:, j] * y[j]
-
-    k = 0
-    while k < n:  # block-diagonal solve
-        if fact.is_2x2[k]:
-            a, b, c = fact.d_diag[k], fact.d_sub[k], fact.d_diag[k + 1]
-            det = a * c - b * b
-            y[k], y[k + 1] = (c * y[k] - b * y[k + 1]) / det, (a * y[k + 1] - b * y[k]) / det
-            k += 2
-        else:
-            y[k] /= fact.d_diag[k]
-            k += 1
-
-    for j in range(n - 1, 0, -1):  # backward substitution with L^T
-        y[:j] -= L[j, :j] * y[j]
-
-    x = np.empty(n)
-    x[fact.permutation] = y
-    if fact.row_scaling is not None:
-        x = x * fact.row_scaling
-    return x
+    s = fact.row_scaling
+    if s is not None:
+        rhs = rhs * s
+    try:
+        x = np.linalg.solve(fact.matrix, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("matrix is singular (zero LU pivot)") from exc
+    return x * s if s is not None else x
 
 
 @dataclass
@@ -266,7 +154,7 @@ def inertia_correct(
     """Regularize the KKT matrix [[H + dw I, A^T], [A, -dc I]] until its
     inertia is exactly (n, m, 0).
 
-    dc is switched on only when zero pivots indicate a rank-deficient A.
+    dc is switched on only when zero eigenvalues indicate a rank-deficient A.
     """
     n = H.shape[0]
     m = A.shape[0]
@@ -291,12 +179,20 @@ def make_positive_definite(
 ) -> tuple[np.ndarray, float]:
     """Return (W + delta_w I, delta_w) with the first scheduled delta_w that
     makes the matrix positive definite, tightened by a short bisection so the
-    shift does not overshoot the schedule's growth factor."""
+    shift does not overshoot the schedule's growth factor.
+
+    One eigenvalue computation answers every probe: W + delta I passes
+    ldlt_factorize's inertia test when lambda_min(W) + delta exceeds the
+    zero tolerance of the shifted matrix."""
     n = W.shape[0]
+    A = 0.5 * (W + W.T)
+    lambda_min = float(_eigenvalues(A)[0]) if n else np.inf
+    diagonal = np.diag(A)
+    off_diagonal = float(np.max(np.abs(A - np.diag(diagonal)), initial=0.0))
 
     def is_pd(delta):
-        shifted = W + delta * np.eye(n) if delta else W
-        return ldlt_factorize(shifted).inertia == (n, 0, 0)
+        max_abs = max(off_diagonal, float(np.max(np.abs(diagonal + delta), initial=0.0)))
+        return lambda_min + delta > _zero_tol(max_abs, n)
 
     previous = 0.0
     for delta_w in schedule.candidates():
@@ -374,10 +270,13 @@ def central_elastics(c_values: np.ndarray, mu: float) -> tuple[np.ndarray, np.nd
     solution of u+ - u- = c, mu/u+ + mu/u- = 2 (the bound multipliers of a
     stationary elastic pair sum to its unit weights twice), i.e.
     u- = ((mu - c) + sqrt(c^2 + mu^2)) / 2 and u+ = c + u- (Waechter &
-    Biegler, Math. Prog. 106, 2006, restoration phase)."""
+    Biegler, Math. Prog. 106, 2006, restoration phase). The smaller of the
+    pair is evaluated as (mu + mu^2 / (sqrt(c^2 + mu^2) + |c|)) / 2, which
+    does not cancel when |c| >> mu; the larger is that plus |c|."""
     c = np.asarray(c_values, dtype=float)
-    u_minus = 0.5 * ((mu - c) + np.sqrt(c * c + mu * mu))
-    return c + u_minus, u_minus
+    small = 0.5 * (mu + mu * mu / (np.sqrt(c * c + mu * mu) + np.abs(c)))
+    large = small + np.abs(c)
+    return np.where(c >= 0.0, large, small), np.where(c >= 0.0, small, large)
 
 
 @dataclass

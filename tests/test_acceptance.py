@@ -161,7 +161,7 @@ def test_criterion_5_inertia_oracle():
         if fact.inertia != sign_counts(jacobi_eigenvalues(M), fact.zero_tol):
             mismatches += 1
     report(5, mismatches == 0,
-           "LDL^T inertia equals eigensolver sign counts on 200 matrices "
+           "eigvalsh inertia equals Jacobi sign counts on 200 matrices "
            "(%d mismatches)" % mismatches)
 
 

@@ -65,6 +65,11 @@ class TestCLI:
         assert code == 2
         assert "tolerance" in capsys.readouterr().err
 
+    def test_out_of_range_ipm_option_exit_two(self, capsys):
+        code = main(["-preset", "ipopt", "-option", "mu_initial=0", "hs071", "--quiet"])
+        assert code == 2
+        assert "mu_initial" in capsys.readouterr().err
+
     def test_out_of_range_option_exit_two_under_optimize(self):
         # python -O strips asserts: the range check must not be one
         src = str(Path(modnlp.__file__).resolve().parents[1])

@@ -187,6 +187,9 @@ class TestOptions:
         ("backtrack_factor", 2.0), ("backtrack_factor", 0.0), ("alpha_min", 1e-20),
         ("radius_initial", -1.0), ("radius_increase_factor", 1.0),
         ("radius_decrease_factor", 1.0), ("filter_capacity", 0),
+        ("tolerance", 0.0), ("max_iterations", 0), ("mu_initial", 0.0),
+        ("kappa_epsilon", -1.0), ("kappa_mu", 1.0), ("kappa_mu", 0.0),
+        ("theta_mu", 1.0), ("theta_mu", 2.0), ("tau_min", 1.0), ("tau_min", 0.0),
     ])
     def test_out_of_range_value(self, key, value):
         opts = Options().updated({key: value})
@@ -296,3 +299,13 @@ class TestSolve:
         result = solve(corpus_get("genhs28"), opts)
         assert isinstance(result, SolveResult)
         assert result.status in STATUSES
+
+    def test_non_finite_kkt_matrix_ends_in_a_status(self, monkeypatch):
+        # mu = 0 (let past the range check) puts NaN into the barrier KKT
+        # matrix; the factorization's typed error becomes a status
+        monkeypatch.setattr("modnlp.driver.validate_options", lambda opts: opts)
+        opts = preset_options("ipopt").updated({"mu_initial": 0.0})
+        with np.errstate(all="ignore"):
+            result = solve(corpus_get("hs071"), opts)
+        assert result.status == ITERATION_LIMIT
+        assert "non-finite" in result.message

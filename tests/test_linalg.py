@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from modnlp.linalg import (
     central_elastics,
     inertia_correct,
     ldlt_factorize,
+    ldlt_factorize_scaled,
     make_positive_definite,
     qp_solve,
     solve_factorized,
@@ -57,14 +60,52 @@ class TestLDLT:
         fact = ldlt_factorize(np.diag([2.0, 3.0, 0.0]))
         assert fact.inertia == (2, 0, 1)
 
-    def test_reconstruction(self):
+    def test_solve_residual_saddle(self):
+        # random saddle-point K = [[H, A^T], [A, 0]], then the same with
+        # rows and columns scaled by up to 1e6 either way
         rng = np.random.RandomState(7)
-        for n in (1, 2, 3, 5, 8, 12):
-            M = rng.randn(n, n)
-            M = M + M.T
-            fact = ldlt_factorize(M)
-            err = np.linalg.norm(fact.reconstruct() - M) / max(1.0, np.linalg.norm(M))
-            assert err <= 1e-10
+        for size in (1, 2, 3, 5, 8, 12):
+            m = size // 3
+            n = size - m
+            H = rng.randn(n, n)
+            A = rng.randn(m, n)
+            K = np.block([[H + H.T, A.T], [A, np.zeros((m, m))]])
+            for D in (np.ones(size), 10.0 ** rng.uniform(-6.0, 6.0, size)):
+                KD = K * np.outer(D, D)
+                rhs = rng.randn(size)
+                x = solve_factorized(ldlt_factorize_scaled(KD), rhs)
+                # componentwise backward error of the scaled system
+                bound = np.abs(KD) @ np.abs(x) + np.abs(rhs)
+                assert np.all(np.abs(KD @ x - rhs) <= 1e-10 * bound)
+
+    def test_non_finite_matrix_is_a_typed_error(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            M = np.eye(3)
+            M[1, 2] = bad
+            with pytest.raises(SingularMatrixError, match="non-finite"):
+                ldlt_factorize(M)
+            with pytest.raises(SingularMatrixError, match="non-finite"), \
+                    np.errstate(invalid="ignore"):  # the scaling turns inf into NaN
+                ldlt_factorize_scaled(M)
+            with pytest.raises(SingularMatrixError, match="non-finite"):
+                make_positive_definite(M, RegularizationSchedule())
+
+    def test_lu_failure_is_singular(self):
+        # a record whose inertia claims a regular matrix that LU finds
+        # exactly singular
+        fact = dataclasses.replace(ldlt_factorize(np.eye(2)), matrix=np.ones((2, 2)))
+        assert fact.n_zero == 0
+        with pytest.raises(SingularMatrixError, match="LU"):
+            solve_factorized(fact, np.ones(2))
+
+    def test_empty_matrix(self):
+        fact = ldlt_factorize(np.zeros((0, 0)))
+        assert fact.inertia == (0, 0, 0)
+        assert solve_factorized(fact, np.zeros(0)).shape == (0,)
+        fact = ldlt_factorize_scaled(np.zeros((0, 0)))
+        assert solve_factorized(fact, np.zeros(0)).shape == (0,)
+        shifted, dw = make_positive_definite(np.zeros((0, 0)), RegularizationSchedule())
+        assert shifted.shape == (0, 0) and dw == 0.0
 
     def test_inertia_against_jacobi_oracle(self):
         rng = np.random.RandomState(123)
@@ -181,6 +222,39 @@ class TestInertiaCorrection:
         shifted, dw = make_positive_definite(W, RegularizationSchedule())
         assert dw > 1.0
         assert ldlt_factorize(shifted).inertia == (1, 0, 0)
+
+    def test_make_positive_definite_matches_factorized_probes(self):
+        # the eigenvalue shortcut gives the shift that testing every probe
+        # W + delta I with ldlt_factorize gives
+        def probed(W, schedule):
+            n = W.shape[0]
+
+            def is_pd(delta):
+                return ldlt_factorize(W + delta * np.eye(n)).inertia == (n, 0, 0)
+
+            previous = 0.0
+            for delta_w in schedule.candidates():
+                if is_pd(delta_w):
+                    if delta_w > 0.0:
+                        lo, hi = previous, delta_w
+                        for _ in range(8):
+                            mid = 0.5 * (lo + hi)
+                            lo, hi = (lo, mid) if is_pd(mid) else (mid, hi)
+                        delta_w = hi
+                    schedule.record_success(delta_w)
+                    return delta_w
+                previous = delta_w
+
+        rng = np.random.RandomState(31)
+        fast, slow = RegularizationSchedule(), RegularizationSchedule()
+        for trial in range(100):
+            n = rng.randint(2, 9)
+            B = rng.randn(n, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            # indefinite, or semidefinite with a zero eigenvalue
+            W = B + B.T if trial % 3 else B[:, 1:] @ B[:, 1:].T
+            shifted, dw = make_positive_definite(W, fast)
+            assert dw == probed(W, slow)
+            assert ldlt_factorize(shifted).inertia == (n, 0, 0)
 
 
 def enumerate_qp_oracle(qp: QPData):
@@ -361,6 +435,16 @@ def test_central_elastics_on_the_central_path():
         assert np.all(u_plus > 0.0) and np.all(u_minus > 0.0)
         np.testing.assert_allclose(u_plus - u_minus, c, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(mu / u_plus + mu / u_minus, 2.0, rtol=1e-9)
+
+
+def test_central_elastics_without_cancellation():
+    # |c| >> mu: the smaller elastic must not cancel to 0 or lose digits
+    c = np.array([1e3, -1e3, 1e8, -1e8])
+    mu = 1e-9
+    u_plus, u_minus = central_elastics(c, mu)
+    assert np.all(u_plus > 0.0) and np.all(u_minus > 0.0)
+    np.testing.assert_allclose(u_plus - u_minus, c, rtol=1e-15)
+    np.testing.assert_allclose(mu / u_plus + mu / u_minus, 2.0, rtol=1e-12)
 
 
 def test_kkt_contract_violation_is_a_typed_error():

@@ -219,6 +219,20 @@ _RANGES = (
     ("radius_increase_factor", lambda v: v > 1.0, "> 1"),
     ("radius_decrease_factor", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     ("filter_capacity", lambda v: v >= 1, ">= 1"),
+    ("filter_sigma", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ("filter_beta", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ("filter_gamma", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ("filter_delta", lambda v: v > 0.0, "> 0"),
+    ("armijo_sigma", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ("restoration_exit_factor", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    ("steering_epsilon1", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ("steering_epsilon2", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ("rho_initial", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    ("rho_decrease_factor", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ("rho_min", lambda v: v > 0.0, "> 0"),
+    ("y_max", lambda v: v >= 0.0, ">= 0"),
+    ("s_max", lambda v: v > 0.0, "> 0"),
+    ("multiplier_scaling_cap", lambda v: v > 0.0, "> 0"),
 )
 
 
@@ -389,7 +403,6 @@ class TerminationState:
     epsilon: float
     loose_factor: float = 100.0
     loose_window: int = 15
-    rho_min: float = 1e-14
     consecutive_loose: int = 0
 
     def check(self, res: Residuals, rho: float, steered_to_zero: bool) -> str | None:
@@ -418,7 +431,7 @@ class TerminationState:
         return None
 
 
-def check_termination(ws, iterate, rho, epsilon, state: TerminationState,
+def check_termination(ws, iterate, rho, state: TerminationState,
                       scaling_cap: float = 100.0, steered_to_zero: bool = False):
     res = compute_residuals(ws, iterate, rho, scaling_cap)
     return state.check(res, rho, steered_to_zero), res
@@ -582,7 +595,6 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
         epsilon=opts.tolerance,
         loose_factor=opts.loose_tolerance_factor,
         loose_window=opts.loose_tolerance_window,
-        rho_min=opts.rho_min,
     )
 
     status = None
@@ -592,11 +604,9 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
     zero_steps = 0
     for k in range(opts.max_iterations):
         ws.ensure_derivatives(iterate)
-        rho_report = _reporting_rho(relaxation)
-        steered_to_zero = _steered_to_zero(relaxation)
         status, res = check_termination(
-            ws, iterate, rho_report, opts.tolerance, termination,
-            opts.multiplier_scaling_cap, steered_to_zero,
+            ws, iterate, relaxation.measure_rho(), termination,
+            opts.multiplier_scaling_cap, relaxation.steered_to_zero(),
         )
         if status is not None:
             break
@@ -637,10 +647,8 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
         status, message = ITERATION_LIMIT, message or "outer iteration limit reached"
         ws.ensure_derivatives(iterate)
     if res is None:
-        res = compute_residuals(
-            ws, iterate, _reporting_rho(relaxation), opts.multiplier_scaling_cap
-        )
-    rho_final = 0.0 if status == INFEASIBLE_STATIONARY else _reporting_rho(relaxation)
+        res = compute_residuals(ws, iterate, relaxation.measure_rho(), opts.multiplier_scaling_cap)
+    rho_final = 0.0 if status == INFEASIBLE_STATIONARY else relaxation.measure_rho()
     return result(status, iterate, res, rho_final, k, message=message, s_f=s_f)
 
 
@@ -649,37 +657,18 @@ def _with_derivatives(ws, iterate):
     return iterate
 
 
-def _reporting_rho(relaxation) -> float:
-    if isinstance(relaxation, L1Relaxation):
-        return relaxation.steering.rho
-    return 1.0
-
-
-def _steered_to_zero(relaxation) -> bool:
-    return (
-        isinstance(relaxation, L1Relaxation)
-        and relaxation.steering.rho <= relaxation.steering.rho_min
-    )
-
-
 def _log_record(k, mechanism, relaxation, iterate) -> dict:
     measures = relaxation.measures_from(iterate)
     record = {
         "iteration": k,
         "eta": measures.eta,
         "objective": iterate.evals.f,
-        "rho": _reporting_rho(relaxation),
+        "rho": relaxation.measure_rho(),
     }
     if relaxation.strategy.uses_fixed_rho_one:
         record["phi"] = measures.phi
     else:
         record["merit"] = measures.merit
-    if isinstance(mechanism, TrustRegionMethod):
-        record["radius"] = mechanism.radius
-    else:
-        record["step_length"] = mechanism.last_step_length
-    if relaxation.subproblem.is_interior:
-        record["mu"] = relaxation.subproblem.barrier.mu
-    if isinstance(relaxation, FeasibilityRestoration):
-        record["phase"] = relaxation.phase
+    record.update(mechanism.log_fields())
+    record.update(relaxation.log_fields())
     return record

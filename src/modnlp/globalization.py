@@ -266,8 +266,20 @@ class GlobalizationStrategy:
     #: filter strategies measure omega with rho = 1
     uses_fixed_rho_one = False
 
+    def initialize(self, eta0: float) -> None:
+        """Anchor the strategy at the initial infeasibility."""
+
     def check_acceptance(self, current, trial, models, step) -> bool:
         raise NotImplementedError
+
+    def admits(self, measures: ProgressMeasures) -> bool:
+        """Whether the strategy's memory admits the pair (none: always)."""
+        return True
+
+    def least_infeasibility(self, reference: ProgressMeasures) -> float:
+        """Least infeasibility the strategy remembers; without a memory, the
+        reference's."""
+        return reference.eta
 
     def register_current(self, measures: ProgressMeasures) -> None:
         """Record the current pair (used when entering restoration)."""
@@ -327,6 +339,12 @@ class FilterMethod(GlobalizationStrategy):
         if add_current:
             self.filter.add(current.eta, current.phi)
         return accepted
+
+    def admits(self, measures: ProgressMeasures) -> bool:
+        return self.filter.acceptable(measures.eta, measures.phi)
+
+    def least_infeasibility(self, reference: ProgressMeasures) -> float:
+        return self.filter.eta_min()
 
     def register_current(self, measures: ProgressMeasures) -> None:
         self.filter.add(measures.eta, measures.phi)

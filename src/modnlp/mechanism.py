@@ -63,13 +63,10 @@ def line_search_iterate(
     one; signals StepTooSmall below alpha_min so the caller can enter
     restoration or declare failure."""
     alpha = direction.alpha_max
-    previous = np.inf
     for _ in range(cfg.max_inner):
         trial = assemble_trial(ws, iterate, direction, alpha)
         if trial.evals.is_finite and acceptance(trial, alpha):
             return trial, alpha
-        assert alpha < previous
-        previous = alpha
         alpha *= cfg.backtrack_factor
         if alpha < cfg.alpha_min:
             raise StepTooSmallError("step length fell below %g" % cfg.alpha_min)
@@ -125,6 +122,9 @@ class BacktrackingLineSearch:
         self.cfg = cfg or LineSearchConfig()
         self.last_step_length = 1.0
 
+    def log_fields(self) -> dict:
+        return {"step_length": self.last_step_length}
+
     def compute_acceptable_iterate(self, iterate: Iterate) -> Iterate:
         ws = self.relaxation.ws
         recoveries = 4
@@ -163,6 +163,9 @@ class TrustRegionMethod:
         self.relaxation = relaxation
         self.cfg = cfg or TrustRegionConfig()
         self.radius = self.cfg.radius
+
+    def log_fields(self) -> dict:
+        return {"radius": self.radius}
 
     def compute_acceptable_iterate(self, iterate: Iterate) -> Iterate:
         try:

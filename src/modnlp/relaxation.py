@@ -1,16 +1,20 @@
-"""Constraint relaxation strategies: l1 relaxation with penalty steering and
-feasibility restoration with phase switching. Both own the progress-measure
-definitions and produce feasible directions through a subproblem method.
+"""Subproblem methods and constraint relaxation strategies.
+
+The QP, LP and interior-point subproblems answer the same calls: an
+optimality direction, a feasibility (elastic) direction at a given rho, and
+the barrier questions. Each evaluates the Hessian it needs and returns a
+finished direction. The l1 relaxation with penalty steering and feasibility
+restoration with phase switching own the progress-measure definitions and
+drive a subproblem without knowing which one it is.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import QPFailureError, SingularMatrixError
 from .globalization import (
-    FilterMethod,
     GlobalizationStrategy,
     ProgressMeasures,
     ReductionModels,
@@ -104,7 +108,13 @@ def error_measure(
 
 
 class QPSubproblem:
-    """Inequality-constrained QP subproblem solved by the active-set solver."""
+    """Inequality-constrained QP subproblem solved by the active-set solver.
+
+    Both calls evaluate the Lagrangian Hessian W_rho they need and return a
+    direction with gtd = grad_f'dx and dwd = dx'W_rho dx. There is no
+    barrier: mu never changes, the barrier term is 0 and restoration starts
+    from zero multipliers.
+    """
 
     name = "QP"
     second_order = True
@@ -116,40 +126,52 @@ class QPSubproblem:
         self.warm_optimality = None
         self.warm_elastic = None
 
-    def optimality_direction(self, ws, evals, iterate, trust_radius):
-        qp, delta_w, tr_masks = build_sqp_qp(
-            evals, iterate.x, 1.0, ws.lower, ws.upper,
+    def _build(self, ws, iterate, rho, trust_radius):
+        """The QP at rho and the Hessian W_rho it is built from."""
+        W = np.asarray(ws.model.eval_lagrangian_hessian(iterate.x, rho, iterate.y), dtype=float)
+        qp, _, tr_masks = build_sqp_qp(
+            replace(iterate.evals, hessian=W), iterate.x, rho, ws.lower, ws.upper,
             trust_radius=trust_radius,
             regularize=self.regularize,
             schedule=self.schedule,
             second_order=self.second_order,
         )
+        return qp, W, tr_masks
+
+    def optimality_direction(self, ws, iterate, trust_radius) -> Direction:
+        qp, W, tr_masks = self._build(ws, iterate, 1.0, trust_radius)
         ws.subproblem_solves += 1
         sol = qp_solve(qp, warm_start=self.warm_optimality)
         if sol.status == OPTIMAL:
             self.warm_optimality = sol.active_set
-        return sol, _qp_direction(sol, iterate, trust_radius, tr_masks), qp
+        return _qp_direction(sol, iterate, W, trust_radius, tr_masks)
 
-    def elastic_direction(self, ws, evals, iterate, rho, trust_radius, start_dx=None):
-        """Solve the elastic QP (rho possibly 0: the feasibility QP)."""
-        qp, delta_w, tr_masks = build_sqp_qp(
-            evals, iterate.x, rho, ws.lower, ws.upper,
-            trust_radius=trust_radius,
-            regularize=self.regularize,
-            schedule=self.schedule,
-            second_order=self.second_order,
-        )
-        eqp = extend_with_elastics(qp)
-        n, m = qp.n, qp.m
-        dx0 = np.zeros(n) if start_dx is None else np.clip(start_dx, qp.d_lower, qp.d_upper)
-        u_plus, u_minus = elastic_init(evals.c + evals.jac_c @ dx0)
+    def feasibility_direction(self, ws, elastic, iterate, rho, trust_radius,
+                              start_dx=None) -> Direction:
+        """Solve the elastic QP (rho possibly 0: the feasibility QP), started
+        from start_dx clipped to the step bounds. The elastic block is built
+        from the linearization, so the elastic model is not read."""
+        qp, W, tr_masks = self._build(ws, iterate, rho, trust_radius)
+        dx0 = np.zeros(qp.n) if start_dx is None else np.clip(start_dx, qp.d_lower, qp.d_upper)
+        u_plus, u_minus = elastic_init(iterate.evals.c + iterate.evals.jac_c @ dx0)
         start = np.concatenate([dx0, u_plus, u_minus])
         ws.subproblem_solves += 1
-        sol = qp_solve(eqp, warm_start=self.warm_elastic, start=start)
+        sol = qp_solve(extend_with_elastics(qp), warm_start=self.warm_elastic, start=start)
         if sol.status == OPTIMAL:
             self.warm_elastic = sol.active_set
-        direction = _qp_direction(sol, iterate, trust_radius, tr_masks, n_base=n)
-        return sol, direction
+        return _qp_direction(sol, iterate, W, trust_radius, tr_masks)
+
+    def maybe_update_mu(self, ws, iterate, elastic=None) -> bool:
+        return False
+
+    def barrier_term(self, ws, x) -> float:
+        return 0.0
+
+    def restoration_multipliers(self, ws, elastic, iterate) -> np.ndarray:
+        return np.zeros_like(iterate.y)
+
+    def log_fields(self) -> dict:
+        return {}
 
 
 class LPSubproblem(QPSubproblem):
@@ -163,7 +185,8 @@ class LPSubproblem(QPSubproblem):
 
 
 class IPMSubproblem:
-    """Primal-dual interior-point subproblem on the symmetrized system."""
+    """Primal-dual interior-point subproblem on the symmetrized system, with
+    the same calls as QPSubproblem; it also owns the barrier parameter."""
 
     name = "primal_dual_IPM"
     second_order = True
@@ -192,10 +215,17 @@ class IPMSubproblem:
         _, changed = update_barrier_parameter(self.barrier, error, self.epsilon)
         return changed
 
-    def base_direction(self, ws, evals, iterate) -> Direction:
+    def barrier_term(self, ws, x) -> float:
+        return barrier_value(x, ws.lower, ws.upper, self.barrier.mu)
+
+    def log_fields(self) -> dict:
+        return {"mu": self.barrier.mu}
+
+    def optimality_direction(self, ws, iterate, trust_radius) -> Direction:
+        W = np.asarray(ws.model.eval_lagrangian_hessian(iterate.x, 1.0, iterate.y), dtype=float)
         ws.subproblem_solves += 1
         return ipm_solve_step(
-            evals, iterate.x, iterate.y, iterate.zl, iterate.zu,
+            replace(iterate.evals, hessian=W), iterate.x, iterate.y, iterate.zl, iterate.zu,
             ws.lower, ws.upper, self.barrier, self.schedule,
         )
 
@@ -213,11 +243,13 @@ class IPMSubproblem:
         zu_full = np.concatenate([iterate.zu, np.zeros(u.size)])
         return w, zl_full, zu_full
 
-    def elastic_direction(self, ws, elastic: ElasticModel, iterate) -> Direction:
-        """Step of the barrier problem on the elastic model, with gtd and dwd
-        of the base model: the x-block of the elastic Hessian is the base W
-        at the elastic rho."""
+    def feasibility_direction(self, ws, elastic: ElasticModel, iterate, rho, trust_radius,
+                              start_dx=None) -> Direction:
+        """Step of the barrier problem on the elastic model at rho, with gtd
+        and dwd of the base model: the x-block of the elastic Hessian is the
+        base W at rho. An interior step has no trust region or start."""
         n = ws.model.n
+        elastic.set_rho(rho)
         w, zl_full, zu_full = self._elastic_point(ws, iterate)
         eev = evaluate(elastic, w, rho=1.0, y=iterate.y, with_hessian=True)
         ws.subproblem_solves += 1
@@ -235,23 +267,47 @@ class IPMSubproblem:
             status=full.status,
             alpha_max=full.alpha_max,
             dual_scale=full.dual_scale,
-            subproblem_objective=full.subproblem_objective,
             gtd=float(np.asarray(iterate.evals.grad_f) @ dx),
             dwd=float(dx @ eev.hessian[:n, :n] @ dx),
         )
 
+    def restoration_multipliers(self, ws, elastic: ElasticModel, iterate) -> np.ndarray:
+        """Least-squares multipliers of the elastic problem: without them the
+        restoration Hessian has no curvature in the unbounded primal block."""
+        w, zl_full, zu_full = self._elastic_point(ws, iterate)
+        eev = evaluate(elastic, w, rho=1.0)
+        J = np.asarray(eev.jac_c)
+        ne, m = elastic.n, elastic.m
+        K = np.zeros((ne + m, ne + m))
+        K[:ne, :ne] = np.eye(ne)
+        K[:ne, ne:] = J.T
+        K[ne:, :ne] = J
+        rhs = np.concatenate([np.asarray(eev.grad_f) - (zl_full - zu_full), np.zeros(m)])
+        try:
+            y = solve_factorized(ldlt_factorize(K), rhs)[ne:]
+        except SingularMatrixError:
+            return np.zeros(m)
+        if not np.all(np.isfinite(y)):
+            return np.zeros(m)
+        # elastic multipliers live in [-1, 1]
+        return np.clip(y, -1.0, 1.0)
 
-def _qp_direction(sol, iterate, trust_radius, tr_masks, n_base=None) -> Direction:
-    n = iterate.x.size if n_base is None else n_base
+
+def _qp_direction(sol, iterate, W, trust_radius, tr_masks) -> Direction:
+    dx = sol.d[:iterate.x.size].copy()
+    gtd = float(np.asarray(iterate.evals.grad_f) @ dx)
+    dwd = float(dx @ W @ dx)
     if sol.status != OPTIMAL:
         return Direction(
-            dx=sol.d[:n].copy(),
+            dx=dx,
             dy=np.zeros_like(iterate.y),
             dzl=np.zeros_like(iterate.zl),
             dzu=np.zeros_like(iterate.zu),
             status=sol.status,
+            gtd=gtd,
+            dwd=dwd,
         )
-    dx = sol.d[:n].copy()
+    n = dx.size
     z_hat = sol.multipliers_bounds[:n]
     zl_hat = np.maximum(z_hat, 0.0)
     zu_hat = np.maximum(-z_hat, 0.0)
@@ -267,7 +323,8 @@ def _qp_direction(sol, iterate, trust_radius, tr_masks, n_base=None) -> Directio
         dzl=zl_hat - iterate.zl,
         dzu=zu_hat - iterate.zu,
         status=OPTIMAL,
-        subproblem_objective=sol.objective_value,
+        gtd=gtd,
+        dwd=dwd,
         tr_active=tr_active,
     )
 
@@ -309,16 +366,19 @@ class ConstraintRelaxationStrategy:
     def measure_rho(self) -> float:
         return 1.0
 
-    def auxiliary_term(self, x: np.ndarray) -> float:
-        if self.subproblem.is_interior:
-            return barrier_value(x, self.ws.lower, self.ws.upper, self.subproblem.barrier.mu)
-        return 0.0
+    def steered_to_zero(self) -> bool:
+        """Whether the objective multiplier was driven to its floor (the
+        limit is then a Fritz John point)."""
+        return False
+
+    def log_fields(self) -> dict:
+        return self.subproblem.log_fields()
 
     def measures_from(self, iterate: Iterate) -> ProgressMeasures:
         rho = 1.0 if self.strategy.uses_fixed_rho_one else self.measure_rho()
         return compute_measures(
             iterate.evals.f, iterate.evals.c, rho=rho,
-            barrier_term=self.auxiliary_term(iterate.x),
+            barrier_term=self.subproblem.barrier_term(self.ws, iterate.x),
         )
 
     def reduction_models(self, iterate: Iterate, direction: Direction) -> ReductionModels:
@@ -326,7 +386,7 @@ class ConstraintRelaxationStrategy:
         return ReductionModels(
             c=np.asarray(iterate.evals.c, dtype=float),
             jd=np.asarray(iterate.evals.jac_c, dtype=float) @ direction.dx,
-            gtd=float(np.asarray(iterate.evals.grad_f) @ direction.dx),
+            gtd=direction.gtd,
             dwd=direction.dwd,
             rho=rho,
             btd=direction.btd,
@@ -342,18 +402,15 @@ class ConstraintRelaxationStrategy:
         elastic one for relaxation/restoration steps)."""
         return None
 
-    def _maybe_update_barrier(self, iterate: Iterate) -> None:
-        if not self.subproblem.is_interior:
-            return
-        if self.subproblem.maybe_update_mu(self.ws, iterate, self._barrier_reference_model()):
-            # filter entries depend on mu through xi: flush on every update
-            eta = float(np.sum(np.abs(iterate.evals.c)))
-            self.strategy.reset(eta)
+    def _maybe_update_barrier(self, iterate: Iterate) -> bool:
+        if not self.subproblem.maybe_update_mu(self.ws, iterate, self._barrier_reference_model()):
+            return False
+        # filter entries depend on mu through xi: flush on every update
+        self.strategy.reset(float(np.sum(np.abs(iterate.evals.c))))
+        return True
 
     def initialize(self, iterate: Iterate) -> None:
-        eta0 = float(np.sum(np.abs(iterate.evals.c)))
-        if isinstance(self.strategy, FilterMethod):
-            self.strategy.initialize(eta0)
+        self.strategy.initialize(float(np.sum(np.abs(iterate.evals.c))))
 
     # -- interface used by the mechanisms ------------------------------------
 
@@ -382,8 +439,11 @@ class L1Relaxation(ConstraintRelaxationStrategy):
     def measure_rho(self) -> float:
         return self.steering.rho
 
+    def steered_to_zero(self) -> bool:
+        return self.steering.rho <= self.steering.rho_min
+
     def _barrier_reference_model(self):
-        return self.elastic if self.subproblem.is_interior else None
+        return self.elastic
 
     def _set_rho(self, rho: float, iterate: Iterate) -> None:
         self.steering.rho = rho
@@ -391,22 +451,12 @@ class L1Relaxation(ConstraintRelaxationStrategy):
         iterate.rho = rho
 
     def _solve_at(self, iterate: Iterate, rho: float, trust_radius):
-        """Direction of the elastic subproblem at the given rho, with the
-        base-model reduction ingredients attached."""
-        if self.subproblem.is_interior:
-            self.elastic.set_rho(rho)
-            direction = self.subproblem.elastic_direction(self.ws, self.elastic, iterate)
-        else:
-            evals = iterate.evals
-            W = self.ws.hessian_at(iterate.x, rho, iterate.y)
-            evals = Evaluations(evals.f, evals.c, evals.grad_f, evals.jac_c, W)
-            sol, direction = self.subproblem.elastic_direction(
-                self.ws, evals, iterate, rho, trust_radius
-            )
-            if direction.status in (UNBOUNDED, ITERATION_LIMIT):
-                raise QPFailureError("elastic QP failed with status " + direction.status)
-            direction.gtd = float(np.asarray(iterate.evals.grad_f) @ direction.dx)
-            direction.dwd = float(direction.dx @ W @ direction.dx)
+        """Direction of the elastic subproblem at the given rho."""
+        direction = self.subproblem.feasibility_direction(
+            self.ws, self.elastic, iterate, rho, trust_radius
+        )
+        if direction.status in (UNBOUNDED, ITERATION_LIMIT):
+            raise QPFailureError("elastic QP failed with status " + direction.status)
         return direction
 
     def _merit_model_reduction(self, iterate, direction, rho) -> float:
@@ -528,11 +578,13 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
         self.restoration_exit_factor = restoration_exit_factor
         self.elastic = ElasticModel(ws.model, 0.0)
         self._optimality_feasible = False
-        self._last_restoration_mu = np.inf
 
     @property
     def phase(self) -> str:
         return self.state.phase
+
+    def log_fields(self) -> dict:
+        return {**super().log_fields(), "phase": self.phase}
 
     def _barrier_reference_model(self):
         return self.elastic if self.state.phase == RESTORATION else None
@@ -543,91 +595,39 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
         self.strategy.register_current(self.state.reference)
         # the restoration problem has its own multipliers; carrying over
         # (possibly diverging) optimality multipliers poisons its Hessian
-        iterate.y = np.zeros_like(iterate.y)
-        if self.subproblem.is_interior:
-            # without multipliers the restoration Hessian has no curvature in
-            # the unbounded primal block; seed them with the least-squares
-            # estimate for the elastic problem instead
-            iterate.y = self._restoration_multiplier_estimate(iterate)
-
-    def _restoration_multiplier_estimate(self, iterate: Iterate) -> np.ndarray:
-        w, zl_full, zu_full = self.subproblem._elastic_point(self.ws, iterate)
-        eev = evaluate(self.elastic, w, rho=1.0, y=iterate.y)
-        J = np.asarray(eev.jac_c)
-        ne, m = self.elastic.n, self.elastic.m
-        K = np.zeros((ne + m, ne + m))
-        K[:ne, :ne] = np.eye(ne)
-        K[:ne, ne:] = J.T
-        K[ne:, :ne] = J
-        rhs = np.concatenate([np.asarray(eev.grad_f) - (zl_full - zu_full), np.zeros(m)])
-        try:
-            y = solve_factorized(ldlt_factorize(K), rhs)[ne:]
-        except SingularMatrixError:
-            return np.zeros(m)
-        if not np.all(np.isfinite(y)):
-            return np.zeros(m)
-        # elastic multipliers live in [-1, 1]
-        return np.clip(y, -1.0, 1.0)
+        iterate.y = self.subproblem.restoration_multipliers(self.ws, self.elastic, iterate)
 
     def _exit_restoration(self, iterate_measures: ProgressMeasures) -> None:
         self.state.phase = OPTIMALITY
         self.strategy.register_current(iterate_measures)
 
-    def _with_hessian(self, iterate: Iterate, rho: float) -> Evaluations:
-        ev = iterate.evals
-        W = self.ws.hessian_at(iterate.x, rho, iterate.y)
-        return Evaluations(ev.f, ev.c, ev.grad_f, ev.jac_c, W)
-
     def compute_direction(self, iterate: Iterate, trust_radius=None) -> Direction:
         self._maybe_update_barrier(iterate)
         self.ws.ensure_derivatives(iterate)
-        if self.subproblem.is_interior:
-            if self.state.phase == OPTIMALITY:
-                evals = self._with_hessian(iterate, 1.0)
-                direction = self.subproblem.base_direction(self.ws, evals, iterate)
-                direction.dwd = float(direction.dx @ evals.hessian @ direction.dx)
-                return direction
-            self._last_restoration_mu = self.subproblem.barrier.mu
-            return self.subproblem.elastic_direction(self.ws, self.elastic, iterate)
-
-        # QP/LP flavor
-        if self.state.phase == OPTIMALITY:
-            evals = self._with_hessian(iterate, 1.0)
-            sol, direction, _ = self.subproblem.optimality_direction(
-                self.ws, evals, iterate, trust_radius
-            )
-            if direction.status == OPTIMAL:
-                direction.gtd = float(np.asarray(evals.grad_f) @ direction.dx)
-                direction.dwd = float(direction.dx @ evals.hessian @ direction.dx) \
-                    if evals.hessian is not None else 0.0
-                return direction
-            if direction.status in (UNBOUNDED, ITERATION_LIMIT):
-                raise QPFailureError("optimality QP failed with status " + direction.status)
-            # infeasible linearization: switch to restoration
-            self._enter_restoration(iterate)
-            partial_dx = direction.dx
-            return self._restoration_direction(iterate, trust_radius, start_dx=partial_dx)
-        return self._restoration_direction(iterate, trust_radius)
+        if self.state.phase == RESTORATION:
+            return self._restoration_direction(iterate, trust_radius)
+        direction = self.subproblem.optimality_direction(self.ws, iterate, trust_radius)
+        if direction.status == OPTIMAL:
+            return direction
+        if direction.status in (UNBOUNDED, ITERATION_LIMIT):
+            raise QPFailureError("optimality QP failed with status " + direction.status)
+        # infeasible linearization: switch to restoration
+        self._enter_restoration(iterate)
+        return self._restoration_direction(iterate, trust_radius, start_dx=direction.dx)
 
     def _restoration_direction(self, iterate, trust_radius, start_dx=None) -> Direction:
-        # the switch back to optimality needs to know whether the optimality
-        # subproblem is feasible at the current point and radius
-        evals1 = self._with_hessian(iterate, 1.0)
-        sol_probe, probe, _ = self.subproblem.optimality_direction(
-            self.ws, evals1, iterate, trust_radius
-        )
-        self._optimality_feasible = probe.status == OPTIMAL
-
-        evals0 = self._with_hessian(iterate, 0.0)
-        sol, direction = self.subproblem.elastic_direction(
-            self.ws, evals0, iterate, 0.0, trust_radius, start_dx=start_dx
+        if not self.subproblem.is_interior:
+            # the trust-region switch back to optimality needs to know whether
+            # the optimality subproblem is feasible at this point and radius
+            probe = self.subproblem.optimality_direction(self.ws, iterate, trust_radius)
+            self._optimality_feasible = probe.status == OPTIMAL
+        direction = self.subproblem.feasibility_direction(
+            self.ws, self.elastic, iterate, 0.0, trust_radius, start_dx=start_dx
         )
         if direction.status != OPTIMAL:
             raise QPFailureError(
                 "feasibility QP unexpectedly failed with status " + direction.status
             )
-        direction.gtd = float(np.asarray(iterate.evals.grad_f) @ direction.dx)
-        direction.dwd = float(direction.dx @ evals0.hessian @ direction.dx)
         return direction
 
     def is_acceptable(self, iterate, trial, direction, alpha) -> bool:
@@ -636,33 +636,33 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
         current = self.measures_from(iterate)
         trial_m = self.measures_from(trial)
         models = self.reduction_models(iterate, direction)
+        if self.state.phase == OPTIMALITY:
+            return self.strategy.check_acceptance(current, trial_m, models, alpha)
 
-        if self.state.phase == RESTORATION and not self.subproblem.is_interior:
+        if not self.subproblem.is_interior:
             # trust-region flavor: return to optimality before the acceptance
             # test once the optimality subproblem is feasible and the trial
-            # beats the least-infeasible filter entry
-            eta_min = self._filter_eta_min()
-            if self._optimality_feasible and trial_m.eta < eta_min:
+            # beats the least infeasibility the strategy remembers
+            least = self.strategy.least_infeasibility(self.state.reference)
+            if self._optimality_feasible and trial_m.eta < least:
                 self._exit_restoration(current)
+                return self.strategy.check_acceptance(current, trial_m, models, alpha)
+            return infeasibility_armijo(current, trial_m, models, alpha, self.restoration_sigma)
 
-        if self.state.phase == RESTORATION:
-            accepted = infeasibility_armijo(
-                current, trial_m, models, alpha, self.restoration_sigma
-            )
-            if not accepted and self.subproblem.is_interior:
-                # an interior restoration step targets the barrier-smoothed
-                # infeasibility, which can move raw eta the wrong way near an
-                # l1 kink; accept on sufficient smoothed decrease instead
-                accepted = self._smoothed_infeasibility_armijo(iterate, trial, direction, alpha)
-            if accepted and self.subproblem.is_interior:
-                # line-search flavor switch-back
-                if (
-                    self._filter_accepts(trial_m)
-                    and trial_m.eta <= self.restoration_exit_factor * current.eta
-                ):
-                    self._exit_restoration(current)
-            return accepted
-        return self.strategy.check_acceptance(current, trial_m, models, alpha)
+        # an interior restoration step targets the barrier-smoothed
+        # infeasibility, which can move raw eta the wrong way near an l1
+        # kink; accept on sufficient smoothed decrease too
+        accepted = infeasibility_armijo(
+            current, trial_m, models, alpha, self.restoration_sigma
+        ) or self._smoothed_infeasibility_armijo(iterate, trial, direction, alpha)
+        if (
+            accepted
+            and self.strategy.admits(trial_m)
+            and trial_m.eta <= self.restoration_exit_factor * current.eta
+        ):
+            # line-search flavor switch-back
+            self._exit_restoration(current)
+        return accepted
 
     def _smoothed_infeasibility(self, x: np.ndarray, c: np.ndarray) -> float:
         """Elastic barrier objective with the elastic block eliminated at its
@@ -692,30 +692,11 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
         return decrease + slack >= self.restoration_sigma * (-slope) * alpha
 
     def handle_small_step(self, iterate: Iterate) -> Direction | None:
-        if self.state.phase == RESTORATION:
+        if self.state.phase == OPTIMALITY:
+            self._enter_restoration(iterate)
+            self._maybe_update_barrier(iterate)
+        elif not self._maybe_update_barrier(iterate):
             # the restoration barrier problem may simply be over-smoothed for
             # the current point: retry after a barrier decrease, fail otherwise
-            if self.subproblem.is_interior:
-                self._maybe_update_barrier(iterate)
-                if self.subproblem.barrier.mu < self._last_restoration_mu:
-                    self._last_restoration_mu = self.subproblem.barrier.mu
-                    return self.subproblem.elastic_direction(self.ws, self.elastic, iterate)
             return None
-        self._enter_restoration(iterate)
-        if self.subproblem.is_interior:
-            self._maybe_update_barrier(iterate)
-            self._last_restoration_mu = self.subproblem.barrier.mu
-            return self.subproblem.elastic_direction(self.ws, self.elastic, iterate)
         return self._restoration_direction(iterate, None)
-
-    def _filter_eta_min(self) -> float:
-        if isinstance(self.strategy, FilterMethod):
-            return self.strategy.filter.eta_min()
-        if self.state.reference is not None:
-            return self.state.reference.eta
-        return np.inf
-
-    def _filter_accepts(self, trial_m: ProgressMeasures) -> bool:
-        if isinstance(self.strategy, FilterMethod):
-            return self.strategy.filter.acceptable(trial_m.eta, trial_m.phi)
-        return True

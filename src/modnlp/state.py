@@ -50,6 +50,3 @@ class Workspace:
             iterate.evals = Evaluations(
                 f=iterate.evals.f, c=iterate.evals.c, grad_f=ev.grad_f, jac_c=ev.jac_c
             )
-
-    def hessian_at(self, x: np.ndarray, rho: float, y: np.ndarray) -> np.ndarray:
-        return np.asarray(self.model.eval_lagrangian_hessian(x, rho, y), dtype=float)

@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import NonFiniteEvaluationError
 from .linalg import (
+    OPTIMAL,
     QPData,
     RegularizationSchedule,
     inertia_correct,
@@ -17,10 +18,6 @@ from .linalg import (
     solve_factorized,
 )
 from .model import Evaluations
-
-OPTIMAL = "Optimal"
-INFEASIBLE = "Infeasible"
-UNBOUNDED = "Unbounded"
 
 
 @dataclass
@@ -41,21 +38,12 @@ class Direction:
     status: str
     alpha_max: float = 1.0
     dual_scale: float = 1.0
-    subproblem_objective: float = 0.0
     gtd: float = 0.0
     dwd: float = 0.0
     btd: float = 0.0
     dbd: float = 0.0
     tr_active: np.ndarray | None = None  # mask: trust region binds this component
     info: dict = field(default_factory=dict)
-
-    @property
-    def dz(self) -> np.ndarray:
-        return self.dzl - self.dzu
-
-    @property
-    def is_zero_step(self) -> bool:
-        return float(np.max(np.abs(self.dx), initial=0.0)) == 0.0
 
 
 @dataclass
@@ -274,7 +262,6 @@ def ipm_solve_step(
         status=OPTIMAL,
         alpha_max=alpha_x,
         dual_scale=alpha_z,
-        subproblem_objective=float(0.5 * dx @ H @ dx + (grad + barrier_gradient_terms(x, lower, upper, mu)) @ dx),
         gtd=gtd,
         dwd=dwd,
         btd=btd,

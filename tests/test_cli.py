@@ -70,6 +70,17 @@ class TestCLI:
         assert code == 2
         assert "mu_initial" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        # rho *= 1 used to steer forever
+        ["-preset", "byrd", "-option", "rho_decrease_factor=1", "maratos"],
+        # both used to end in a ZeroDivisionError traceback
+        ["-preset", "filtersqp", "-option", "multiplier_scaling_cap=0", "hs071"],
+        ["-preset", "ipopt", "-option", "s_max=0", "hs071"],
+    ])
+    def test_former_crash_options_exit_two(self, args, capsys):
+        assert main(args + ["--quiet"]) == 2
+        assert args[3].split("=")[0] in capsys.readouterr().err
+
     def test_out_of_range_option_exit_two_under_optimize(self):
         # python -O strips asserts: the range check must not be one
         src = str(Path(modnlp.__file__).resolve().parents[1])

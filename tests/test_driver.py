@@ -10,6 +10,7 @@ from modnlp.driver import (
     ITERATION_LIMIT,
     LOOSE_KKT,
     SMALL_TRUST_REGION,
+    PRESETS,
     Options,
     Residuals,
     SolveResult,
@@ -190,6 +191,13 @@ class TestOptions:
         ("tolerance", 0.0), ("max_iterations", 0), ("mu_initial", 0.0),
         ("kappa_epsilon", -1.0), ("kappa_mu", 1.0), ("kappa_mu", 0.0),
         ("theta_mu", 1.0), ("theta_mu", 2.0), ("tau_min", 1.0), ("tau_min", 0.0),
+        ("filter_sigma", 0.0), ("filter_sigma", 1.0), ("filter_beta", 1.0),
+        ("filter_gamma", 0.0), ("filter_delta", 0.0), ("armijo_sigma", 1.0),
+        ("restoration_exit_factor", 0.0), ("restoration_exit_factor", 1.5),
+        ("steering_epsilon1", 0.0), ("steering_epsilon2", 1.0),
+        ("rho_initial", 0.0), ("rho_initial", np.inf), ("rho_decrease_factor", 1.0),
+        ("rho_decrease_factor", 0.0), ("rho_min", 0.0), ("y_max", -1.0), ("s_max", 0.0),
+        ("multiplier_scaling_cap", 0.0), ("filter_beta", np.nan),
     ])
     def test_out_of_range_value(self, key, value):
         opts = Options().updated({key: value})
@@ -197,6 +205,10 @@ class TestOptions:
             validate_options(opts)
         with pytest.raises(ConfigurationError, match=key):
             solve(corpus_get("booth"), opts)
+
+    def test_every_range_admits_defaults_and_presets(self):
+        for opts in [Options()] + [preset_options(name) for name in PRESETS]:
+            validate_options(opts)
 
     def test_prohibited_combination(self):
         opts = Options(subproblem="primal_dual_IPM", globalization_mechanism="TR")

@@ -47,20 +47,13 @@ def compute_measures(
 
 def barrier_value(x, lower, upper, mu) -> float:
     """-mu * sum of log distances to the finite bounds (the IPM auxiliary
-    measure). Returns +inf at or outside the bounds."""
-    total = 0.0
-    for xi, lo, hi in zip(x, lower, upper):
-        if np.isfinite(lo):
-            gap = xi - lo
-            if gap <= 0.0:
-                return np.inf
-            total -= np.log(gap)
-        if np.isfinite(hi):
-            gap = hi - xi
-            if gap <= 0.0:
-                return np.inf
-            total -= np.log(gap)
-    return mu * total
+    measure). Returns +inf at or outside the bounds. The logs are summed in
+    sequence, each component's lower bound before its upper bound."""
+    bounds = np.array([lower, upper]).T
+    gaps = np.array([x - lower, upper - x]).T[np.isfinite(bounds)]
+    if (gaps <= 0.0).any():
+        return np.inf
+    return mu * np.cumsum(np.concatenate(([0.0], -np.log(gaps))))[-1]
 
 
 @dataclass(frozen=True)

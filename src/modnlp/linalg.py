@@ -1,8 +1,9 @@
 """Self-contained dense linear algebra: inertia and solves of symmetric
-indefinite matrices on LAPACK (eigenvalues for the inertia, LU for the
-solves), inertia correction of saddle-point matrices, and a primal
-active-set solver for (possibly nonconvex) QPs with equality constraints and
-box bounds.
+indefinite matrices on LAPACK (the inertia from eigenvalues, or from
+Cholesky factorizations when the blocks of a saddle-point matrix decide it;
+LU for the solves), inertia correction of saddle-point matrices, and a
+primal active-set solver for (possibly nonconvex) QPs with equality
+constraints and box bounds.
 """
 from __future__ import annotations
 
@@ -15,15 +16,16 @@ from .errors import QPFailureError, RegularizationFailedError, SingularMatrixErr
 
 @dataclass
 class Factorization:
-    """A symmetric matrix with its eigenvalues and inertia, ready to solve.
+    """A symmetric matrix with its inertia, ready to solve.
 
     The inertia counts the eigenvalues above zero_tol, below -zero_tol and
-    in between. When row_scaling is set, matrix is diag(s) M diag(s)
-    (congruent, hence same inertia) and solves undo the scaling.
+    in between: from the eigenvalues, or, for a KKT matrix whose blocks
+    prove it, from Cholesky factorizations (_blocks_prove_inertia). When
+    row_scaling is set, matrix is diag(s) M diag(s) (congruent, hence same
+    inertia) and solves undo the scaling.
     """
 
     matrix: np.ndarray
-    eigenvalues: np.ndarray
     inertia: tuple[int, int, int]
     zero_tol: float
     row_scaling: np.ndarray | None = None
@@ -55,6 +57,33 @@ def _eigenvalues(A: np.ndarray) -> np.ndarray:
         raise SingularMatrixError("eigenvalues did not converge") from exc
 
 
+def _max_abs(M: np.ndarray, axis: int | None = None):
+    """max |M| (0 when empty), along axis if given, without allocating |M|:
+    a fresh matrix-sized temporary per call is measurable at KKT sizes."""
+    return np.maximum(M.max(axis=axis, initial=0.0), -M.min(axis=axis, initial=0.0))
+
+
+def _symmetrized(M: np.ndarray) -> tuple[np.ndarray, float]:
+    """An exactly symmetric copy 0.5 (M + M^T) of the square matrix M, and
+    its zero_tol."""
+    M = np.asarray(M, dtype=float)
+    n = M.shape[0]
+    if M.shape != (n, n):
+        raise ValueError("matrix must be square")
+    A = M + M.T
+    A *= 0.5
+    return A, _zero_tol(float(_max_abs(A)), n)
+
+
+def _equilibrated(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """diag(s) M diag(s) with s_i = 1/sqrt(max |row i|), and s."""
+    M = np.asarray(M, dtype=float)
+    s = 1.0 / np.sqrt(np.maximum(_max_abs(M, axis=1), 1e-300))
+    scaled = s[:, None] * s
+    scaled *= M
+    return scaled, s
+
+
 def ldlt_factorize(M: np.ndarray) -> Factorization:
     """Inertia of a dense symmetric matrix from its eigenvalues, kept with
     the matrix for an LU solve by solve_factorized.
@@ -63,17 +92,11 @@ def ldlt_factorize(M: np.ndarray) -> Factorization:
     as zero rather than raised. Non-finite entries raise
     SingularMatrixError.
     """
-    M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    if M.shape != (n, n):
-        raise ValueError("matrix must be square")
-    A = 0.5 * (M + M.T)  # work on an exactly symmetric copy
+    A, zero_tol = _symmetrized(M)
     eigenvalues = _eigenvalues(A)
-    zero_tol = _zero_tol(float(np.max(np.abs(A), initial=0.0)), n)
     n_plus = int(np.count_nonzero(eigenvalues > zero_tol))
     n_minus = int(np.count_nonzero(eigenvalues < -zero_tol))
-    inertia = (n_plus, n_minus, n - n_plus - n_minus)
-    return Factorization(A, eigenvalues, inertia, zero_tol)
+    return Factorization(A, (n_plus, n_minus, A.shape[0] - n_plus - n_minus), zero_tol)
 
 
 def ldlt_factorize_scaled(M: np.ndarray) -> Factorization:
@@ -81,10 +104,81 @@ def ldlt_factorize_scaled(M: np.ndarray) -> Factorization:
     1/sqrt(max |row i|). Congruence preserves the inertia while making the
     zero-eigenvalue classification meaningful on badly scaled saddle
     systems."""
-    M = np.asarray(M, dtype=float)
-    row_max = np.max(np.abs(M), axis=1, initial=0.0)
-    s = 1.0 / np.sqrt(np.maximum(row_max, 1e-300))
-    fact = ldlt_factorize(M * np.outer(s, s))
+    scaled, s = _equilibrated(M)
+    fact = ldlt_factorize(scaled)
+    fact.row_scaling = s
+    return fact
+
+
+def _shifted(M: np.ndarray, t: float) -> np.ndarray:
+    """A new array M + t I."""
+    shifted = np.array(M)
+    shifted.flat[:: M.shape[0] + 1] += t
+    return shifted
+
+
+def _blocks_prove_inertia(A: np.ndarray, n: int, zero_tol: float) -> bool:
+    """Whether the blocks of the symmetric A = [[H, B^T], [B, C]], H of
+    order n, prove that no eigenvalue of A lies in [-t, t], t = zero_tol,
+    so that the eigenvalue count gives the inertia (n, m, 0).
+
+    In exact arithmetic: let H - tI and S - tI, S = B (H + tI)^-1 B^T - C,
+    be positive definite. The Schur complement of A + tI is tI - S < 0, so
+    A has m eigenvalues below -t; that of A - tI is
+    C - tI - B (H - tI)^-1 B^T <= -S - tI < 0, so A has n above t
+    (Haynsworth additivity). The converse fails: an indefinite H can give
+    the same inertia.
+
+    In floating point each test is shifted past a bound on its own
+    roundoff, so that rounding can only refuse: H is factorized at
+    H -/+ (t + eta) I with eta the backward error of the Cholesky
+    factorization and the solve in norm (about n^2 eps max |H|); S is
+    formed as Y^T Y - C with Y = L^-1 B^T, exact for an H perturbed by at
+    most eta, and factorized at S - (t + margin) I, margin bounding the
+    roundoff of the product and of the factorization in norm (about
+    m (n + m) eps max |S|). The margin matters when H is small and S
+    large: at H = 1e-6 I, n = 50 and m = 10 with a dependent row of B, S
+    has entries near 2e8, and its zero eigenvalue computes as up to
+    +-1.6e-7 against t = 1.3e-11. Non-finite entries prove nothing
+    (LAPACK's Cholesky does not fail on them).
+    """
+    if not np.all(np.isfinite(A)):
+        return False
+    H, B, C = A[:n, :n], A[n:, :n], A[n:, n:]
+    m = B.shape[0]
+    eps = np.finfo(float).eps
+    shift = zero_tol + 4.0 * (n + 1) * n * eps * (float(_max_abs(H)) + zero_tol)
+    try:
+        np.linalg.cholesky(_shifted(H, -shift))
+        if m:
+            Y = np.linalg.solve(np.linalg.cholesky(_shifted(H, shift)), B.T)
+            S = Y.T @ Y
+            S -= C
+            scale = float(_max_abs(S)) + float(_max_abs(C)) + zero_tol
+            margin = 2.0 * m * (n + m + 2) * eps * scale
+            np.linalg.cholesky(_shifted(S, -(zero_tol + margin)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+# Below this order the eigenvalues of a KKT matrix cost less than the three
+# Cholesky factorizations and the solve of the block certificate: numpy's
+# fixed cost per LAPACK call dominates both (crossover near 40 rows on a
+# 2-core Xeon, one BLAS thread).
+_CERTIFY_MIN_ORDER = 40
+
+
+def _kkt_factorization(K: np.ndarray, n: int) -> Factorization:
+    """The record ldlt_factorize_scaled(K) returns for K = [[H, B^T],
+    [B, C]] with H of order n, without eigenvalues when the blocks of the
+    equilibrated matrix prove the inertia (n, m, 0)."""
+    scaled, s = _equilibrated(K)
+    if K.shape[0] >= _CERTIFY_MIN_ORDER:
+        A, zero_tol = _symmetrized(scaled)
+        if _blocks_prove_inertia(A, n, zero_tol):
+            return Factorization(A, (n, A.shape[0] - n, 0), zero_tol, s)
+    fact = ldlt_factorize(scaled)
     fact.row_scaling = s
     return fact
 
@@ -155,19 +249,25 @@ def inertia_correct(
     inertia is exactly (n, m, 0).
 
     dc is switched on only when zero eigenvalues indicate a rank-deficient A.
+    Eigenvalues are computed only for small matrices and where the blocks
+    cannot certify the target (_kkt_factorization).
     """
     n = H.shape[0]
     m = A.shape[0]
     target = (n, m, 0)
+
+    def factorize(delta_w, delta_c):
+        return _kkt_factorization(assemble_kkt(H, A, delta_w, delta_c), n)
+
     delta_c = 0.0
     for delta_w in schedule.candidates():
-        fact = ldlt_factorize_scaled(assemble_kkt(H, A, delta_w, delta_c))
+        fact = factorize(delta_w, delta_c)
         if fact.inertia == target:
             schedule.record_success(delta_w)
             return fact, delta_w, delta_c
         if fact.n_zero > 0 and delta_c == 0.0 and m > 0:
             delta_c = delta_c_value
-            fact = ldlt_factorize_scaled(assemble_kkt(H, A, delta_w, delta_c))
+            fact = factorize(delta_w, delta_c)
             if fact.inertia == target:
                 schedule.record_success(delta_w)
                 return fact, delta_w, delta_c
@@ -317,7 +417,12 @@ def _eqp_solve(W, g, A, b, d, codes, schedule):
     A_f = A[:, free] if m else np.zeros((0, nf))
     W_ff = W[np.ix_(free, free)]
 
-    for delta_w in schedule.candidates():
+    candidates = schedule.candidates()
+    if nf > m and not W_ff.any():
+        # [[0, A_f^T], [A_f, 0]] has rank at most 2m < nf + m: delta_w = 0
+        # can give neither the target inertia nor the least-squares branch
+        next(candidates)
+    for delta_w in candidates:
         K = assemble_kkt(W_ff, A_f, delta_w, 0.0)
         fact = ldlt_factorize_scaled(K)
         if fact.inertia == (nf, m, 0):
@@ -336,6 +441,27 @@ def _eqp_solve(W, g, A, b, d, codes, schedule):
             schedule.record_success(delta_w)
             return sol[:nf], -sol[nf:], delta_w
     raise RegularizationFailedError("EQP regularization failed")
+
+
+def _ratio_test(d, p, lb, ub, step_tol):
+    """Maximum feasible step t_block along p from d within [lb, ub], and
+    the (index, side) of the bound that blocks it ((-1, _LOWER) if none).
+
+    Only variables moving by more than step_tol toward a finite bound
+    count. In index order, a ratio takes the block only when below the
+    current one by 1e-15, so only ratios below every earlier one (strict
+    running minima) can; a NaN ratio never does.
+    """
+    up = (p > step_tol) & np.isfinite(ub)
+    moving = np.flatnonzero(up | ((p < -step_tol) & np.isfinite(lb)))
+    ratios = (np.where(up, ub, lb)[moving] - d[moving]) / p[moving]
+    t_block, blocker = np.inf, -1
+    earlier_min = np.fmin.accumulate(np.concatenate([[np.inf], ratios[:-1]]))
+    for k in np.flatnonzero(ratios < earlier_min):
+        if ratios[k] < t_block - 1e-15:
+            t_block, blocker = ratios[k], moving[k]
+    side = _UPPER if blocker >= 0 and up[blocker] else _LOWER
+    return max(t_block, 0.0), blocker, side
 
 
 def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol):
@@ -383,20 +509,8 @@ def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol)
             codes[leave] = _FREE
             continue
 
-        # Maximum feasible step along p.
-        t_block = np.inf
-        blocker = -1
-        blocker_side = _LOWER
-        for i in free:
-            if p[i] > step_tol and np.isfinite(ub[i]):
-                t = (ub[i] - d[i]) / p[i]
-                if t < t_block - 1e-15:
-                    t_block, blocker, blocker_side = t, i, _UPPER
-            elif p[i] < -step_tol and np.isfinite(lb[i]):
-                t = (lb[i] - d[i]) / p[i]
-                if t < t_block - 1e-15:
-                    t_block, blocker, blocker_side = t, i, _LOWER
-        t_block = max(t_block, 0.0)
+        # p is zero on the fixed variables: only free ones can block
+        t_block, blocker, blocker_side = _ratio_test(d, p, lb, ub, step_tol)
 
         if delta_w == 0.0:
             t_full = 1.0

@@ -131,13 +131,11 @@ def fraction_to_boundary(
 ) -> float:
     """Largest alpha in (0, 1] with x + alpha dx >= l + (1 - tau)(x - l) and
     x + alpha dx <= u - (1 - tau)(u - x) componentwise."""
-    alpha = 1.0
-    for xi, di, lo, hi in zip(x, dx, lower, upper):
-        if di < 0.0 and np.isfinite(lo):
-            alpha = min(alpha, -tau * (xi - lo) / di)
-        elif di > 0.0 and np.isfinite(hi):
-            alpha = min(alpha, tau * (hi - xi) / di)
-    return max(min(alpha, 1.0), 0.0)
+    up = dx > 0.0
+    bound = np.where(up, upper, lower)
+    moving = np.flatnonzero((up | (dx < 0.0)) & np.isfinite(bound))
+    ratios = tau * (bound[moving] - x[moving]) / dx[moving]
+    return max(float(np.fmin.reduce(ratios, initial=1.0)), 0.0)  # fmin skips NaN
 
 
 def fraction_to_boundary_dual(zl, dzl, zu, dzu, tau) -> float:

@@ -41,6 +41,45 @@ class TestMeasures:
     def test_barrier_infinite_outside(self):
         assert barrier_value(np.array([0.0]), np.array([0.0]), np.array([np.inf]), 0.1) == np.inf
 
+    def test_barrier_matches_loop_bitwise(self):
+        def loop(x, lower, upper, mu):
+            total = 0.0
+            for xi, lo, hi in zip(x, lower, upper):
+                if np.isfinite(lo):
+                    gap = xi - lo
+                    if gap <= 0.0:
+                        return np.inf
+                    total -= np.log(gap)
+                if np.isfinite(hi):
+                    gap = hi - xi
+                    if gap <= 0.0:
+                        return np.inf
+                    total -= np.log(gap)
+            return mu * total
+
+        rng = np.random.RandomState(5)
+        outside = 0
+        for trial in range(300):
+            n = rng.randint(0, 30)
+            lower = rng.randn(n)
+            upper = lower + 0.1 + 3.0 * rng.rand(n)
+            x = lower + (upper - lower) * rng.uniform(0.01, 0.99, n)
+            lower[rng.rand(n) < 0.3] = -np.inf
+            upper[rng.rand(n) < 0.3] = np.inf
+            if trial % 3 == 0 and n:  # one component on or beyond a finite bound
+                i = rng.randint(n)
+                step = 0.0 if trial % 2 else 0.3
+                if np.isfinite(lower[i]):
+                    x[i] = lower[i] - step
+                elif np.isfinite(upper[i]):
+                    x[i] = upper[i] + step
+            mu = 10.0 ** rng.uniform(-9.0, 0.0)
+            expected = loop(x, lower, upper, mu)
+            outside += expected == np.inf
+            assert np.float64(barrier_value(x, lower, upper, mu)).tobytes() == \
+                np.float64(expected).tobytes()
+        assert outside > 20
+
 
 class TestReductionModels:
     def test_eta_model(self):

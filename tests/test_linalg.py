@@ -11,7 +11,11 @@ from modnlp.linalg import (
     QPData,
     QPSolution,
     RegularizationSchedule,
+    _blocks_prove_inertia,
+    _kkt_factorization,
+    _ratio_test,
     _verify_kkt,
+    assemble_kkt,
     central_elastics,
     inertia_correct,
     ldlt_factorize,
@@ -257,6 +261,148 @@ class TestInertiaCorrection:
             assert ldlt_factorize(shifted).inertia == (n, 0, 0)
 
 
+class TestBlockCertificate:
+    """The block certificate of _kkt_factorization against
+    ldlt_factorize_scaled and the Jacobi oracle."""
+
+    def check(self, H, A, delta_c=0.0):
+        """Whether the blocks of the equilibrated [[H, A^T], [A, -dc I]]
+        certify its inertia; when they do, it must be (n, m, 0) by both
+        other counts."""
+        n, m = H.shape[0], A.shape[0]
+        reference = ldlt_factorize_scaled(assemble_kkt(H, A, 0.0, delta_c))
+        certified = _blocks_prove_inertia(reference.matrix, n, reference.zero_tol)
+        if certified:
+            assert reference.inertia == (n, m, 0)
+            eigs = jacobi_eigenvalues(reference.matrix)
+            assert sign_counts(eigs, reference.zero_tol) == (n, m, 0)
+        return certified
+
+    def test_certified_record_is_the_eigenvalue_record(self):
+        # above the size where the certificate is tried, a certified record
+        # equals ldlt_factorize_scaled's, so solves give the same bits
+        rng = np.random.RandomState(1)
+        for n, m, delta_c in ((28, 14, 0.0), (40, 38, 0.0), (30, 20, 1e-6), (44, 0, 0.0)):
+            B = rng.randn(n, n)
+            D = 10.0 ** rng.uniform(-2.0, 2.0, n)
+            H = D[:, None] * (B @ B.T + 0.1 * np.eye(n)) * D
+            K = assemble_kkt(H, rng.randn(m, n), 0.0, delta_c)
+            fact = _kkt_factorization(K, n)
+            reference = ldlt_factorize_scaled(K)
+            assert _blocks_prove_inertia(fact.matrix, n, fact.zero_tol)
+            assert fact.inertia == reference.inertia == (n, m, 0)
+            assert np.array_equal(fact.matrix, reference.matrix)
+            assert np.array_equal(fact.row_scaling, reference.row_scaling)
+            assert fact.zero_tol == reference.zero_tol
+            rhs = rng.randn(n + m)
+            assert np.array_equal(solve_factorized(fact, rhs), solve_factorized(reference, rhs))
+
+    def test_positive_definite_up_to_condition_1e12(self):
+        rng = np.random.RandomState(2)
+        certified = 0
+        for trial in range(60):
+            n = rng.randint(1, 9)
+            m = rng.randint(0, n + 1)
+            condition = 10.0 ** (12.0 * (trial % 7) / 6.0)
+            Q = np.linalg.qr(rng.randn(n, n))[0]
+            H = Q @ np.diag(np.geomspace(1.0, 1.0 / condition, n)) @ Q.T
+            A = rng.randn(m, n)
+            certified += self.check(H * 10.0 ** rng.uniform(-3.0, 3.0), A)
+        assert certified >= 40
+
+    def test_delta_c(self):
+        rng = np.random.RandomState(3)
+        certified = 0
+        for _ in range(30):
+            n = rng.randint(1, 8)
+            m = rng.randint(1, 6)
+            B = rng.randn(n, n)
+            A = rng.randn(m, n)
+            if m > 1:
+                A[-1] = A[0]  # rank deficient: dc > 0 makes it regular
+            certified += self.check(B @ B.T + 0.1 * np.eye(n), A, delta_c=1e-6)
+        assert certified == 30
+
+    def test_no_constraints(self):
+        rng = np.random.RandomState(4)
+        for _ in range(20):
+            n = rng.randint(1, 10)
+            B = rng.randn(n, n)
+            assert self.check(B @ B.T + 0.1 * np.eye(n), np.zeros((0, n)))
+        assert not self.check(-np.eye(3), np.zeros((0, 3)))
+
+    def test_no_variables(self):
+        # n = 0: only C is left, and it must be negative definite
+        assert _blocks_prove_inertia(-np.eye(2), 0, 1e-12)
+        assert not _blocks_prove_inertia(np.zeros((2, 2)), 0, 1e-12)
+
+    def test_rank_deficient_jacobian_is_not_certified(self):
+        rng = np.random.RandomState(5)
+        for _ in range(20):
+            n = rng.randint(2, 8)
+            m = rng.randint(2, n + 1)
+            A = rng.randn(m, n)
+            A[-1] = A[:-1].T @ rng.randn(m - 1)  # a combination of the others
+            B = rng.randn(n, n)
+            H = B @ B.T + 0.1 * np.eye(n)
+            assert not self.check(H, A)
+            assert ldlt_factorize_scaled(assemble_kkt(H, A, 0.0, 0.0)).n_zero > 0
+
+    def test_schur_roundoff_does_not_certify(self):
+        # a tiny (1,1) block, as z/x on inactive bounds with W = 0 in the
+        # IPM, and an exactly dependent Jacobian row: the KKT matrix is
+        # singular, S = B H^-1 B^T has entries near 1e8, and the roundoff
+        # of its zero eigenvalue is far above zero_tol; without a margin
+        # for it, about a third of these were certified (n, m, 0)
+        rng = np.random.RandomState(7)
+        for trial in range(20):
+            n, m = 40 + trial, 10
+            A = rng.randint(-8, 9, size=(m, n)).astype(float)
+            A[2] = A[0] + A[1]  # exact in floating point
+            H = np.diag(10.0 ** rng.uniform(-7.0, -5.0, n))
+            K = assemble_kkt(H, A, 0.0, 0.0)
+            assert ldlt_factorize_scaled(K).inertia == (n, m - 1, 1)
+            assert _kkt_factorization(K, n).inertia == (n, m - 1, 1)
+            fact, dw, dc = inertia_correct(H, A, RegularizationSchedule())
+            assert fact.inertia == (n, m, 0) and dw == 0.0 and dc > 0.0
+
+    def test_pivots_above_zero_tol_do_not_certify(self):
+        # H = I - (1 - eps) v v^T, v = ones/sqrt(n): eigenvalue eps on v,
+        # yet every Cholesky pivot is at least about n * eps; with eps
+        # below zero_tol the eigenvalue count finds a zero eigenvalue
+        n = 10
+        v = np.full(n, 1.0 / np.sqrt(n))
+        zero_tol = ldlt_factorize_scaled(np.eye(n)).zero_tol
+        for eps in (0.3 * zero_tol, 0.6 * zero_tol):
+            fact = ldlt_factorize_scaled(np.eye(n) - (1.0 - eps) * np.outer(v, v))
+            pivots = np.diag(np.linalg.cholesky(fact.matrix)) ** 2
+            assert np.all(pivots > fact.zero_tol)
+            assert fact.n_zero == 1
+            assert not _blocks_prove_inertia(fact.matrix, n, fact.zero_tol)
+
+    def test_indefinite_hessian_falls_back(self):
+        # H is indefinite but positive definite on null(A): not certified,
+        # and inertia_correct still reaches (n, m, 0) without a shift
+        rng = np.random.RandomState(6)
+        for trial in range(20):
+            n = rng.randint(2, 8) if trial else 40  # one above the certificate's size
+            m = rng.randint(1, n)
+            A = rng.randn(m, n)
+            V = np.linalg.svd(A)[2].T  # columns m: span null(A)
+            H = V[:, m:] @ V[:, m:].T - 5.0 * (V[:, :m] @ V[:, :m].T)
+            assert not self.check(H, A)
+            fact, dw, dc = inertia_correct(H, A, RegularizationSchedule())
+            assert fact.inertia == (n, m, 0) and dw == 0.0 and dc == 0.0
+
+    def test_non_finite_is_not_certified(self):
+        H = np.eye(40)
+        H[0, 1] = np.nan
+        K = assemble_kkt(H, np.ones((1, 40)), 0.0, 0.0)
+        assert not _blocks_prove_inertia(K, 40, 1e-12)
+        with pytest.raises(SingularMatrixError, match="non-finite"):
+            _kkt_factorization(K, 40)
+
+
 def enumerate_qp_oracle(qp: QPData):
     """Exhaustive active-set enumeration for small QPs (independent oracle)."""
     n, m = qp.n, qp.m
@@ -404,6 +550,83 @@ class TestQPSolve:
             np.testing.assert_allclose(sol.d, expected_d, atol=1e-6)
             solved += 1
         assert solved == 200
+
+    def test_zero_hessian_eqp_factorizes_once(self, monkeypatch):
+        # with W_ff = 0 and nf > m, [[0, A_f^T], [A_f, 0]] is singular by
+        # rank: the delta_w = 0 probe is skipped, each EQP solve factorizes
+        # once, and the skipped probe is checked to fail its inertia test
+        # (so the result is the one the probe-first order gives)
+        import modnlp.linalg as linalg
+
+        eqp_solve, factorize = linalg._eqp_solve, linalg.ldlt_factorize_scaled
+        calls, per_solve = [0], []
+
+        def counted_factorize(M):
+            calls[0] += 1
+            return factorize(M)
+
+        def checked_eqp_solve(W, g, A, b, d, codes, schedule):
+            free = np.flatnonzero(codes == 0)
+            nf, m = free.size, b.size
+            probe = nf > m and not W[np.ix_(free, free)].any()
+            if probe:
+                K = assemble_kkt(np.zeros((nf, nf)), A[:, free], 0.0, 0.0)
+                assert factorize(K).inertia != (nf, m, 0)
+            calls[0] = 0
+            result = eqp_solve(W, g, A, b, d, codes, schedule)
+            if probe:
+                per_solve.append(calls[0])
+            return result
+
+        monkeypatch.setattr(linalg, "ldlt_factorize_scaled", counted_factorize)
+        monkeypatch.setattr(linalg, "_eqp_solve", checked_eqp_solve)
+        rng = np.random.RandomState(9)
+        for _ in range(40):
+            qp = random_convex_qp(rng)
+            lp = QPData(np.zeros((qp.n, qp.n)), qp.g, qp.A, qp.b, qp.d_lower, qp.d_upper)
+            for problem in (qp, lp):  # the QP's phase I is an LP too
+                expected_obj, _ = enumerate_qp_oracle(problem)
+                sol = qp_solve(problem)
+                assert sol.status == OPTIMAL
+                assert abs(sol.objective_value - expected_obj) <= 1e-8 * (1 + abs(expected_obj))
+        assert len(per_solve) > 100 and set(per_solve) == {1}
+
+    def test_ratio_test_matches_loop(self):
+        # the sequential scan: a later ratio blocks only when below the
+        # current one by 1e-15; ties and near-ties planted
+        def loop(d, p, lb, ub, step_tol):
+            t_block, blocker, side = np.inf, -1, 1
+            for i in range(d.size):
+                if p[i] > step_tol and np.isfinite(ub[i]):
+                    t = (ub[i] - d[i]) / p[i]
+                    if t < t_block - 1e-15:
+                        t_block, blocker, side = t, i, 2
+                elif p[i] < -step_tol and np.isfinite(lb[i]):
+                    t = (lb[i] - d[i]) / p[i]
+                    if t < t_block - 1e-15:
+                        t_block, blocker, side = t, i, 1
+            return max(t_block, 0.0), blocker, side
+
+        rng = np.random.RandomState(13)
+        for trial in range(500):
+            n = rng.randint(0, 25)
+            lb = np.where(rng.rand(n) < 0.2, -np.inf, -rng.rand(n))
+            ub = np.where(rng.rand(n) < 0.2, np.inf, rng.rand(n))
+            d = np.where(rng.rand(n) < 0.2, lb, 0.0)  # some on a bound
+            d = np.where(np.isfinite(d), d, 0.0)
+            p = rng.randn(n)
+            p[rng.rand(n) < 0.2] = 0.0
+            movers = np.flatnonzero(p != 0.0)
+            if movers.size:  # plant ratios equal or within 2e-15 of one mover's
+                i = rng.choice(movers)
+                t = ((ub[i] if p[i] > 0 else lb[i]) - d[i]) / p[i]
+                for j in movers[rng.rand(movers.size) < 0.4]:
+                    if np.isfinite(t):
+                        shift = rng.choice([0.0, 5e-16, 2e-15, -5e-16, -2e-15])
+                        (ub if p[j] > 0 else lb)[j] = d[j] + (t + shift) * p[j]
+            expected = loop(d, p, lb, ub, 1e-13)
+            t_block, blocker, side = _ratio_test(d, p, lb, ub, 1e-13)
+            assert (t_block, blocker, side) == expected
 
     def test_warm_start(self):
         rng = np.random.RandomState(3)

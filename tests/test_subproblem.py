@@ -95,6 +95,34 @@ class TestFractionToBoundary:
         )
         assert alpha == 1.0
 
+    def test_matches_loop_bitwise(self):
+        def loop(x, dx, lower, upper, tau):
+            alpha = 1.0
+            for xi, di, lo, hi in zip(x, dx, lower, upper):
+                if di < 0.0 and np.isfinite(lo):
+                    alpha = min(alpha, -tau * (xi - lo) / di)
+                elif di > 0.0 and np.isfinite(hi):
+                    alpha = min(alpha, tau * (hi - xi) / di)
+            return max(min(alpha, 1.0), 0.0)
+
+        rng = np.random.RandomState(8)
+        capped = 0
+        for _ in range(300):
+            n = rng.randint(0, 30)
+            lower = rng.randn(n)
+            upper = lower + 0.1 + 3.0 * rng.rand(n)
+            x = lower + (upper - lower) * rng.uniform(0.01, 0.99, n)
+            lower[rng.rand(n) < 0.3] = -INF
+            upper[rng.rand(n) < 0.3] = INF
+            dx = rng.randn(n) * 10.0 ** rng.uniform(-2.0, 2.0)
+            dx[rng.rand(n) < 0.1] = 0.0
+            tau = rng.uniform(0.9, 1.0)
+            expected = loop(x, dx, lower, upper, tau)
+            capped += expected < 1.0
+            assert np.float64(fraction_to_boundary(x, dx, lower, upper, tau)).tobytes() == \
+                np.float64(expected).tobytes()
+        assert capped > 100
+
     def test_dual_side(self):
         alpha = fraction_to_boundary_dual(
             np.array([1.0]), np.array([-4.0]), np.zeros(0), np.zeros(0), 0.5

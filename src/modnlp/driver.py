@@ -23,13 +23,16 @@ from .errors import (
     UnknownPresetError,
 )
 from .globalization import FilterMethod, MeritL1
-from .linalg import INFEASIBLE, OPTIMAL, QPData, ldlt_factorize, qp_solve, solve_factorized
-from .mechanism import (
-    BacktrackingLineSearch,
-    LineSearchConfig,
-    TrustRegionConfig,
-    TrustRegionMethod,
+from .linalg import (
+    INFEASIBLE,
+    OPTIMAL,
+    QPData,
+    assemble_kkt,
+    ldlt_factorize,
+    qp_solve,
+    solve_factorized,
 )
+from .mechanism import BacktrackingLineSearch, TrustRegionMethod
 from .model import Model, evaluate, instrument
 from .reformulation import scale_functions, to_equality_form
 from .relaxation import (
@@ -38,16 +41,19 @@ from .relaxation import (
     L1Relaxation,
     LPSubproblem,
     QPSubproblem,
-    SteeringState,
     l1_sign_residual,
 )
 from .state import Iterate, Workspace
-from .subproblem import BarrierState, initial_bound_multipliers, push_to_interior
 
-RELAXATIONS = ("feasibility_restoration", "l1_relaxation")
-SUBPROBLEMS = ("QP", "LP", "primal_dual_IPM")
-STRATEGIES = ("leyffer_filter_method", "waechter_filter_method", "l1_merit")
-MECHANISMS = ("LS", "TR")
+# each option value names the part class that implements it
+RELAXATIONS = {"feasibility_restoration": FeasibilityRestoration, "l1_relaxation": L1Relaxation}
+SUBPROBLEMS = {"QP": QPSubproblem, "LP": LPSubproblem, "primal_dual_IPM": IPMSubproblem}
+STRATEGIES = {
+    "leyffer_filter_method": FilterMethod,
+    "waechter_filter_method": FilterMethod,
+    "l1_merit": MeritL1,
+}
+MECHANISMS = {"LS": BacktrackingLineSearch, "TR": TrustRegionMethod}
 PRESETS = ("filtersqp", "ipopt", "byrd")
 
 # terminal statuses
@@ -64,9 +70,10 @@ SUCCESS_STATUSES = (FEASIBLE_KKT, LOOSE_KKT)
 
 @dataclass
 class Options:
-    """Every hyperparameter of the solver; loadable from file and overridable
-    on the command line (command line beats file beats preset beats these
-    defaults)."""
+    """Every hyperparameter of the solver, and the only place that gives one
+    a default: each part takes this object and reads its own constants from
+    it. Loadable from file and overridable on the command line (command line
+    beats file beats preset beats these defaults)."""
 
     constraint_relaxation_strategy: str = "feasibility_restoration"
     subproblem: str = "QP"
@@ -348,10 +355,7 @@ def estimate_initial_multipliers(
     J = np.asarray(model.eval_constraint_jacobian(x0), dtype=float).reshape(m, n)
     if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(J))):
         return np.zeros(m)
-    K = np.zeros((n + m, n + m))
-    K[:n, :n] = np.eye(n)
-    K[:n, n:] = J.T
-    K[n:, :n] = J
+    K = assemble_kkt(np.eye(n), J, 0.0, 0.0)
     rhs = np.concatenate([grad - z0, np.zeros(m)])
     try:
         y0 = solve_factorized(ldlt_factorize(K), rhs)[n:]
@@ -398,15 +402,16 @@ def compute_residuals(ws: Workspace, iterate: Iterate, rho: float, scaling_cap: 
     return Residuals(stat, stat0, feas, comp, sign_res)
 
 
-@dataclass
 class TerminationState:
-    epsilon: float
-    loose_factor: float = 100.0
-    loose_window: int = 15
-    consecutive_loose: int = 0
+    """Termination tests at opts.tolerance, and the count of consecutive
+    iterates that meet the loose tolerance."""
+
+    def __init__(self, opts: Options):
+        self.opts = opts
+        self.consecutive_loose = 0
 
     def check(self, res: Residuals, rho: float, steered_to_zero: bool) -> str | None:
-        eps = self.epsilon
+        eps = self.opts.tolerance
         if res.feasibility <= eps:
             if res.stationarity <= eps and res.complementarity <= eps and rho > 0.0:
                 if steered_to_zero:
@@ -417,24 +422,18 @@ class TerminationState:
         else:
             if res.stationarity_rho0 <= eps and res.sign_residual <= 10.0 * eps:
                 return INFEASIBLE_STATIONARY
-        loose = self.loose_factor * eps
+        loose = self.opts.loose_tolerance_factor * eps
         if (
             res.feasibility <= loose
             and res.stationarity <= loose
             and res.complementarity <= loose
         ):
             self.consecutive_loose += 1
-            if self.consecutive_loose >= self.loose_window:
+            if self.consecutive_loose >= self.opts.loose_tolerance_window:
                 return LOOSE_KKT
         else:
             self.consecutive_loose = 0
         return None
-
-
-def check_termination(ws, iterate, rho, state: TerminationState,
-                      scaling_cap: float = 100.0, steered_to_zero: bool = False):
-    res = compute_residuals(ws, iterate, rho, scaling_cap)
-    return state.check(res, rho, steered_to_zero), res
 
 
 # ---------------------------------------------------------------------------
@@ -443,71 +442,12 @@ def check_termination(ws, iterate, rho, state: TerminationState,
 
 
 def _build_ingredients(ws: Workspace, opts: Options):
-    mechanism_is_ls = opts.globalization_mechanism == "LS"
-    if opts.subproblem == "QP":
-        sub = QPSubproblem(regularize=mechanism_is_ls)
-    elif opts.subproblem == "LP":
-        sub = LPSubproblem(regularize=False)
-    else:
-        barrier = BarrierState(
-            mu=opts.mu_initial,
-            tau_min=opts.tau_min,
-            kappa_epsilon=opts.kappa_epsilon,
-            kappa_mu=opts.kappa_mu,
-            theta_mu=opts.theta_mu,
-        )
-        sub = IPMSubproblem(barrier, opts.tolerance)
-
-    if opts.globalization_strategy == "l1_merit":
-        strategy = MeritL1(sigma=opts.armijo_sigma)
-        restoration_sigma = opts.armijo_sigma
-    else:
-        variant = "leyffer" if opts.globalization_strategy == "leyffer_filter_method" else "waechter"
-        strategy = FilterMethod(
-            variant=variant,
-            sigma=opts.filter_sigma,
-            delta=opts.filter_delta,
-            beta=opts.filter_beta,
-            gamma=opts.filter_gamma,
-            capacity=opts.filter_capacity,
-            eta_max_factor=opts.eta_max_factor,
-            theta_min_factor=opts.theta_min_factor,
-        )
-        restoration_sigma = opts.filter_sigma
-
-    if opts.constraint_relaxation_strategy == "l1_relaxation":
-        steering = SteeringState(
-            rho=opts.rho_initial,
-            epsilon1=opts.steering_epsilon1,
-            epsilon2=opts.steering_epsilon2,
-            rho_decrease_factor=opts.rho_decrease_factor,
-            rho_min=opts.rho_min,
-        )
-        relaxation = L1Relaxation(ws, sub, strategy, steering, restoration_sigma)
-    else:
-        relaxation = FeasibilityRestoration(
-            ws, sub, strategy, restoration_sigma, opts.restoration_exit_factor
-        )
-
-    if mechanism_is_ls:
-        mechanism = BacktrackingLineSearch(
-            relaxation,
-            LineSearchConfig(opts.backtrack_factor, opts.alpha_min, opts.max_inner),
-        )
-    else:
-        mechanism = TrustRegionMethod(
-            relaxation,
-            TrustRegionConfig(
-                radius=opts.radius_initial,
-                radius_min=opts.radius_min,
-                radius_max=opts.radius_max,
-                increase_factor=opts.radius_increase_factor,
-                decrease_factor=opts.radius_decrease_factor,
-                activity_tolerance_rel=opts.activity_tolerance_rel,
-                max_inner=opts.max_inner,
-            ),
-        )
-    return relaxation, mechanism
+    """The four parts the options name; each reads its constants from opts.
+    Building them makes no callback call."""
+    subproblem = SUBPROBLEMS[opts.subproblem](opts)
+    strategy = STRATEGIES[opts.globalization_strategy](opts)
+    relaxation = RELAXATIONS[opts.constraint_relaxation_strategy](ws, subproblem, strategy, opts)
+    return relaxation, MECHANISMS[opts.globalization_mechanism](relaxation, opts)
 
 
 def solve(model: Model, options: Options | None = None, log=None) -> SolveResult:
@@ -515,16 +455,17 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
     opts = validate_options(options or Options())
     counted, counts = instrument(model)
     working = to_equality_form(counted)
+    ws, s_f = None, 1.0
 
-    def result(status, iterate, res, rho, k, message="", s_f=1.0):
-        n_orig = model.n
+    def result(status, x, evals, k=0, y=None, z=None, res=None, rho=1.0, message=""):
+        """The result at x with its evaluations; multipliers default to zero."""
         return SolveResult(
             status=status,
-            x=iterate.x[:n_orig].copy() if iterate is not None else np.array([]),
-            y=iterate.y.copy() if iterate is not None else np.array([]),
-            z=iterate.z[:n_orig].copy() if iterate is not None else np.array([]),
+            x=x[:model.n].copy(),
+            y=np.zeros(model.m) if y is None else y.copy(),
+            z=np.zeros(model.n) if z is None else z[:model.n].copy(),
             rho=rho,
-            objective_value=(iterate.evals.f / s_f) if iterate is not None else np.nan,
+            objective_value=evals.f / s_f,
             iterations=k,
             objective_evaluations=counts.objective,
             constraint_evaluations=counts.constraints,
@@ -535,67 +476,41 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
             message=message,
         )
 
-    ws = None
-    ev0 = evaluate(working, working.initial_point)
+    x0 = working.initial_point
+    ev0 = evaluate(working, x0)
     if not ev0.is_finite:
-        ws = Workspace(working)
-        dummy = Iterate(
-            working.initial_point, np.zeros(working.m),
-            np.zeros(working.n), np.zeros(working.n), 1.0, ev0,
-        )
-        return result(
-            EVALUATION_ERROR, dummy, None, 1.0, 0,
-            message="IEEE exception at the initial point", s_f=1.0,
-        )
+        return result(EVALUATION_ERROR, x0, ev0, message="IEEE exception at the initial point")
 
-    s_f = 1.0
     if opts.scale_functions:
-        working, factors = scale_functions(working, working.initial_point, opts.s_max)
+        working, factors = scale_functions(working, x0, opts.s_max)
         s_f = factors.s_f
 
     ws = Workspace(working)
+    relaxation, mechanism = _build_ingredients(ws, opts)
     try:
         x0 = preprocess_initial_point(working, working.initial_point)
     except InfeasibleLinearConstraintsError as exc:
-        dummy = Iterate(
-            working.initial_point, np.zeros(working.m),
-            np.zeros(working.n), np.zeros(working.n), 0.0,
-            evaluate(working, working.initial_point, with_derivatives=False),
-        )
-        res = compute_residuals(ws, _with_derivatives(ws, dummy), 0.0, opts.multiplier_scaling_cap)
-        return result(INFEASIBLE_STATIONARY, dummy, res, 0.0, 0, message=str(exc), s_f=s_f)
+        # the certificate's residuals: zero multipliers at rho = 0
+        zeros = np.zeros(working.n)
+        start = Iterate(x0, np.zeros(working.m), zeros, zeros, 0.0, ws.eval_fc(x0))
+        ws.ensure_derivatives(start)
+        res = compute_residuals(ws, start, 0.0, opts.multiplier_scaling_cap)
+        return result(INFEASIBLE_STATIONARY, x0, start.evals, res=res, rho=0.0,
+                      message=str(exc))
 
-    is_ipm = opts.subproblem == "primal_dual_IPM"
-    if is_ipm:
-        if not working.is_equality_form:
-            raise ConfigurationError("interior-point methods require the equality form")
-        x0 = push_to_interior(x0, working.variable_lower, working.variable_upper,
-                              opts.interior_push)
-        zl, zu = initial_bound_multipliers(working.variable_lower, working.variable_upper)
-    else:
-        zl = np.zeros(working.n)
-        zu = np.zeros(working.n)
-
+    x0, zl, zu = relaxation.subproblem.initial_point(ws, x0)
     y0 = estimate_initial_multipliers(working, x0, zl - zu, opts.y_max)
     if opts.scale_functions or not np.array_equal(x0, working.initial_point):
         ev = evaluate(working, x0)
     else:
         ev = ev0
     if not ev.is_finite:
-        dummy = Iterate(x0, y0, zl, zu, 1.0, ev)
-        return result(EVALUATION_ERROR, dummy, None, 1.0, 0,
-                      message="IEEE exception at the preprocessed initial point", s_f=s_f)
+        return result(EVALUATION_ERROR, x0, ev, y=y0, z=zl - zu,
+                      message="IEEE exception at the preprocessed initial point")
 
-    relaxation, mechanism = _build_ingredients(ws, opts)
-    rho0 = opts.rho_initial if opts.constraint_relaxation_strategy == "l1_relaxation" else 1.0
-    iterate = Iterate(x=x0, y=y0, zl=zl, zu=zu, rho=rho0, evals=ev)
+    iterate = Iterate(x=x0, y=y0, zl=zl, zu=zu, rho=relaxation.measure_rho(), evals=ev)
     relaxation.initialize(iterate)
-
-    termination = TerminationState(
-        epsilon=opts.tolerance,
-        loose_factor=opts.loose_tolerance_factor,
-        loose_window=opts.loose_tolerance_window,
-    )
+    termination = TerminationState(opts)
 
     status = None
     res = None
@@ -604,10 +519,9 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
     zero_steps = 0
     for k in range(opts.max_iterations):
         ws.ensure_derivatives(iterate)
-        status, res = check_termination(
-            ws, iterate, relaxation.measure_rho(), termination,
-            opts.multiplier_scaling_cap, relaxation.steered_to_zero(),
-        )
+        rho = relaxation.measure_rho()
+        res = compute_residuals(ws, iterate, rho, opts.multiplier_scaling_cap)
+        status = termination.check(res, rho, relaxation.steered_to_zero())
         if status is not None:
             break
         try:
@@ -649,12 +563,8 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
     if res is None:
         res = compute_residuals(ws, iterate, relaxation.measure_rho(), opts.multiplier_scaling_cap)
     rho_final = 0.0 if status == INFEASIBLE_STATIONARY else relaxation.measure_rho()
-    return result(status, iterate, res, rho_final, k, message=message, s_f=s_f)
-
-
-def _with_derivatives(ws, iterate):
-    ws.ensure_derivatives(iterate)
-    return iterate
+    return result(status, iterate.x, iterate.evals, k, iterate.y, iterate.z, res, rho_final,
+                  message)
 
 
 def _log_record(k, mechanism, relaxation, iterate) -> dict:

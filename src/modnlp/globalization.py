@@ -5,7 +5,7 @@ lineage) variants.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,16 +132,18 @@ def infeasibility_armijo(
     return current.eta - trial.eta + slack >= sigma * models.eta(step)
 
 
-@dataclass
 class Filter:
-    """Non-dominated list of (eta, phi) pairs with envelope parameters."""
+    """Non-dominated list of (eta, phi) pairs with envelope parameters, read
+    from the options' filter_beta, filter_gamma, filter_capacity and
+    eta_max_factor."""
 
-    beta: float = 0.999
-    gamma: float = 1e-3
-    eta_max: float = np.inf
-    eta_max_factor: float = 1e4
-    capacity: int = 200
-    entries: list[tuple[float, float]] = field(default_factory=list)
+    def __init__(self, opts, eta_max: float = np.inf):
+        self.beta = opts.filter_beta
+        self.gamma = opts.filter_gamma
+        self.capacity = opts.filter_capacity
+        self.eta_max_factor = opts.eta_max_factor
+        self.eta_max = eta_max
+        self.entries: list[tuple[float, float]] = []
 
     def acceptable(self, eta: float, phi: float) -> bool:
         if eta > self.eta_max:
@@ -282,41 +284,33 @@ class GlobalizationStrategy:
 
 
 class MeritL1(GlobalizationStrategy):
-    def __init__(self, sigma: float = 1e-4):
-        self.sigma = sigma
+    def __init__(self, opts):
+        self.sigma = opts.armijo_sigma
 
     def check_acceptance(self, current, trial, models, step) -> bool:
         return merit_is_acceptable(current, trial, models, step, self.sigma)
 
 
 class FilterMethod(GlobalizationStrategy):
-    uses_fixed_rho_one = True
+    """The filter of opts.globalization_strategy, in its Fletcher-Leyffer
+    or Waechter-Biegler variant."""
 
-    def __init__(
-        self,
-        variant: str = "leyffer",
-        sigma: float = 1e-8,
-        delta: float = 1.0,
-        beta: float = 0.999,
-        gamma: float = 1e-3,
-        theta_min: float = np.inf,
-        capacity: int = 200,
-        eta_max_factor: float = 1e4,
-        theta_min_factor: float = 1e-4,
-    ):
-        if variant not in ("leyffer", "waechter"):
-            raise ValueError("unknown filter variant %r" % variant)
-        self.variant = variant
-        self.sigma = sigma
-        self.delta = delta
-        self.theta_min = theta_min
-        self.theta_min_factor = theta_min_factor
-        self.filter = Filter(beta=beta, gamma=gamma, capacity=capacity,
-                             eta_max_factor=eta_max_factor)
+    uses_fixed_rho_one = True
+    VARIANTS = {"leyffer_filter_method": "leyffer", "waechter_filter_method": "waechter"}
+
+    def __init__(self, opts):
+        if opts.globalization_strategy not in self.VARIANTS:
+            raise ValueError("unknown filter variant %r" % opts.globalization_strategy)
+        self.variant = self.VARIANTS[opts.globalization_strategy]
+        self.sigma = opts.filter_sigma
+        self.delta = opts.filter_delta
+        self.theta_min = np.inf
+        self.theta_min_factor = opts.theta_min_factor
+        self.filter = Filter(opts)
 
     def initialize(self, eta0: float) -> None:
         self.filter.eta_max = self.filter.eta_max_factor * max(1.0, eta0)
-        if self.variant == "waechter" and not np.isfinite(self.theta_min):
+        if self.variant == "waechter":
             self.theta_min = self.theta_min_factor * max(1.0, eta0)
 
     def check_acceptance(self, current, trial, models, step) -> bool:

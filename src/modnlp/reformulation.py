@@ -87,10 +87,9 @@ def to_equality_form(model: Model) -> Model:
 class ScalingFactors:
     s_f: float
     s_c: np.ndarray
-    s_max: float = 100.0
 
 
-def scale_functions(model: Model, x0: np.ndarray, s_max: float = 100.0):
+def scale_functions(model: Model, x0: np.ndarray, s_max: float):
     """Scale f and each c_j by min(1, s_max / ||gradient at x0||_inf).
 
     Applied once at the initial point and never rescaled.
@@ -107,7 +106,7 @@ def scale_functions(model: Model, x0: np.ndarray, s_max: float = 100.0):
     s_c = np.array(
         [factor(float(np.max(np.abs(jac0[j]), initial=0.0))) for j in range(model.m)]
     )
-    factors = ScalingFactors(s_f=s_f, s_c=s_c, s_max=s_max)
+    factors = ScalingFactors(s_f=s_f, s_c=s_c)
 
     base_f = model.eval_objective
     base_grad = model.eval_objective_gradient

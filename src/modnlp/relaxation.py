@@ -27,6 +27,7 @@ from .linalg import (
     OPTIMAL,
     UNBOUNDED,
     RegularizationSchedule,
+    assemble_kkt,
     central_elastics,
     elastic_init,
     extend_with_elastics,
@@ -38,11 +39,14 @@ from .model import Evaluations, evaluate
 from .reformulation import ElasticModel
 from .state import Iterate, Workspace
 from .subproblem import (
+    BarrierState,
     Direction,
     barrier_gradient_terms,
     barrier_kkt_error,
     build_sqp_qp,
+    initial_bound_multipliers,
     ipm_solve_step,
+    push_to_interior,
     update_barrier_parameter,
 )
 
@@ -112,16 +116,17 @@ class QPSubproblem:
 
     Both calls evaluate the Lagrangian Hessian W_rho they need and return a
     direction with gtd = grad_f'dx and dwd = dx'W_rho dx. There is no
-    barrier: mu never changes, the barrier term is 0 and restoration starts
-    from zero multipliers.
+    barrier: mu never changes, the barrier term is 0, and both the start and
+    restoration keep the given point with zero multipliers.
     """
 
     name = "QP"
     second_order = True
     is_interior = False
 
-    def __init__(self, regularize: bool):
-        self.regularize = regularize
+    def __init__(self, opts):
+        # the line-search lineage needs a positive definite Hessian
+        self.regularize = opts.globalization_mechanism == "LS"
         self.schedule = RegularizationSchedule()
         self.warm_optimality = None
         self.warm_elastic = None
@@ -161,6 +166,10 @@ class QPSubproblem:
             self.warm_elastic = sol.active_set
         return _qp_direction(sol, iterate, W, trust_radius, tr_masks)
 
+    def initial_point(self, ws, x0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The starting point and its lower/upper bound multipliers."""
+        return x0, np.zeros(ws.model.n), np.zeros(ws.model.n)
+
     def maybe_update_mu(self, ws, iterate, elastic=None) -> bool:
         return False
 
@@ -180,30 +189,37 @@ class LPSubproblem(QPSubproblem):
     name = "LP"
     second_order = False
 
-    def __init__(self, regularize: bool):
-        super().__init__(regularize=False)
-
 
 class IPMSubproblem:
     """Primal-dual interior-point subproblem on the symmetrized system, with
-    the same calls as QPSubproblem; it also owns the barrier parameter."""
+    the same calls as QPSubproblem; it also owns the barrier parameter. Reads
+    mu_initial, tau_min, kappa_epsilon, kappa_mu, theta_mu, tolerance,
+    interior_push and multiplier_scaling_cap from the options."""
 
     name = "primal_dual_IPM"
     second_order = True
     is_interior = True
 
-    def __init__(self, barrier: BarrierState, epsilon: float):
-        self.barrier = barrier
-        self.epsilon = epsilon
+    def __init__(self, opts):
+        self.opts = opts
+        self.barrier = BarrierState(mu=opts.mu_initial)
         self.schedule = RegularizationSchedule()
+
+    def initial_point(self, ws, x0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """x0 pushed strictly inside its bounds, with unit multipliers on the
+        finite bounds."""
+        x0 = push_to_interior(x0, ws.lower, ws.upper, self.opts.interior_push)
+        zl, zu = initial_bound_multipliers(ws.lower, ws.upper)
+        return x0, zl, zu
 
     def maybe_update_mu(self, ws, iterate, elastic: ElasticModel | None = None) -> bool:
         """Decrease mu when the barrier problem being solved (the elastic one
         during restoration) is converged to its mu-tolerance."""
+        opts = self.opts
         if elastic is None:
             error = barrier_kkt_error(
                 iterate.evals, iterate.x, iterate.y, iterate.zl, iterate.zu,
-                ws.lower, ws.upper, self.barrier.mu,
+                ws.lower, ws.upper, self.barrier.mu, opts.multiplier_scaling_cap,
             )
         else:
             w, zl_full, zu_full = self._elastic_point(ws, iterate)
@@ -211,8 +227,11 @@ class IPMSubproblem:
             error = barrier_kkt_error(
                 eev, w, iterate.y, zl_full, zu_full,
                 elastic.variable_lower, elastic.variable_upper, self.barrier.mu,
+                opts.multiplier_scaling_cap,
             )
-        _, changed = update_barrier_parameter(self.barrier, error, self.epsilon)
+        _, changed = update_barrier_parameter(
+            self.barrier, error, opts.tolerance, opts.kappa_epsilon, opts.kappa_mu, opts.theta_mu
+        )
         return changed
 
     def barrier_term(self, ws, x) -> float:
@@ -226,7 +245,7 @@ class IPMSubproblem:
         ws.subproblem_solves += 1
         return ipm_solve_step(
             replace(iterate.evals, hessian=W), iterate.x, iterate.y, iterate.zl, iterate.zu,
-            ws.lower, ws.upper, self.barrier, self.schedule,
+            ws.lower, ws.upper, self.barrier, self.schedule, self.opts.tau_min,
         )
 
     def _elastic_point(self, ws, iterate):
@@ -256,7 +275,7 @@ class IPMSubproblem:
         full = ipm_solve_step(
             eev, w, iterate.y, zl_full, zu_full,
             elastic.variable_lower, elastic.variable_upper,
-            self.barrier, self.schedule,
+            self.barrier, self.schedule, self.opts.tau_min,
         )
         dx = full.dx[:n]
         return Direction(
@@ -276,12 +295,8 @@ class IPMSubproblem:
         restoration Hessian has no curvature in the unbounded primal block."""
         w, zl_full, zu_full = self._elastic_point(ws, iterate)
         eev = evaluate(elastic, w, rho=1.0)
-        J = np.asarray(eev.jac_c)
         ne, m = elastic.n, elastic.m
-        K = np.zeros((ne + m, ne + m))
-        K[:ne, :ne] = np.eye(ne)
-        K[:ne, ne:] = J.T
-        K[ne:, :ne] = J
+        K = assemble_kkt(np.eye(ne), np.asarray(eev.jac_c), 0.0, 0.0)
         rhs = np.concatenate([np.asarray(eev.grad_f) - (zl_full - zu_full), np.zeros(m)])
         try:
             y = solve_factorized(ldlt_factorize(K), rhs)[ne:]
@@ -335,15 +350,6 @@ def _qp_direction(sol, iterate, W, trust_radius, tr_masks) -> Direction:
 
 
 @dataclass
-class SteeringState:
-    rho: float = 1.0
-    epsilon1: float = 0.1
-    epsilon2: float = 0.1
-    rho_decrease_factor: float = 0.1
-    rho_min: float = 1e-14
-
-
-@dataclass
 class PhaseState:
     phase: str = OPTIMALITY
     reference: ProgressMeasures | None = None
@@ -353,12 +359,10 @@ class ConstraintRelaxationStrategy:
     """Base: owns the subproblem method and the globalization strategy; builds
     the progress measures and reduction models its strategy reads."""
 
-    def __init__(self, ws: Workspace, subproblem, strategy: GlobalizationStrategy,
-                 restoration_sigma: float = 1e-8):
+    def __init__(self, ws: Workspace, subproblem, strategy: GlobalizationStrategy):
         self.ws = ws
         self.subproblem = subproblem
         self.strategy = strategy
-        self.restoration_sigma = restoration_sigma
         self._zero_tol = 5e-15
 
     # -- measures -----------------------------------------------------------
@@ -427,26 +431,27 @@ class ConstraintRelaxationStrategy:
 class L1Relaxation(ConstraintRelaxationStrategy):
     """Penalty steering on the smooth elastic l1 relaxation (inverse penalty
     parameter rho decreases until the step makes sufficient progress on the
-    linearized infeasibility and the merit model)."""
+    linearized infeasibility and the merit model). Reads rho_initial,
+    rho_min, rho_decrease_factor and steering_epsilon1/2 from the options."""
 
-    def __init__(self, ws, subproblem, strategy, steering: SteeringState | None = None,
-                 restoration_sigma: float = 1e-8):
-        super().__init__(ws, subproblem, strategy, restoration_sigma)
-        self.steering = steering or SteeringState()
-        self.elastic = ElasticModel(ws.model, self.steering.rho)
+    def __init__(self, ws, subproblem, strategy, opts):
+        super().__init__(ws, subproblem, strategy)
+        self.opts = opts
+        self.rho = opts.rho_initial
+        self.elastic = ElasticModel(ws.model, self.rho)
         self._feas_tol = 1e-9
 
     def measure_rho(self) -> float:
-        return self.steering.rho
+        return self.rho
 
     def steered_to_zero(self) -> bool:
-        return self.steering.rho <= self.steering.rho_min
+        return self.rho <= self.opts.rho_min
 
     def _barrier_reference_model(self):
         return self.elastic
 
     def _set_rho(self, rho: float, iterate: Iterate) -> None:
-        self.steering.rho = rho
+        self.rho = rho
         self.elastic.set_rho(rho)
         iterate.rho = rho
 
@@ -472,18 +477,18 @@ class L1Relaxation(ConstraintRelaxationStrategy):
     def compute_direction(self, iterate: Iterate, trust_radius=None) -> Direction:
         self._maybe_update_barrier(iterate)
         self.ws.ensure_derivatives(iterate)
-        st = self.steering
+        opts = self.opts
         c = np.asarray(iterate.evals.c, dtype=float)
         jac = np.asarray(iterate.evals.jac_c, dtype=float)
         l0 = float(np.sum(np.abs(c)))
         feas_tol = self._feas_tol * (1.0 + l0)
 
-        direction = self._solve_at(iterate, st.rho, trust_radius)
+        direction = self._solve_at(iterate, self.rho, trust_radius)
         l_d = linearized_infeasibility(c, jac, direction.dx)
-        info = {"steered": False, "rho": st.rho, "l0": l0, "l_d": l_d}
+        info = {"steered": False, "rho": self.rho, "l0": l0, "l_d": l_d}
         if l_d <= feas_tol:
             direction.info = info
-            self._set_rho(st.rho, iterate)
+            self._set_rho(self.rho, iterate)
             return direction
 
         # Steering (the penalty update may involve several subproblem solves).
@@ -496,29 +501,29 @@ class L1Relaxation(ConstraintRelaxationStrategy):
             # penalty alone and let the globalization mechanism recover
             info.update(steered=False, skipped="feasibility step made no progress")
             direction.info = info
-            self._set_rho(st.rho, iterate)
+            self._set_rho(self.rho, iterate)
             return direction
         dm0_bar = self._merit_model_reduction(iterate, d_bar, 0.0)
-        rho = st.rho
+        rho = self.rho
 
         def conditions_hold(direction, rho):
             l_d = linearized_infeasibility(c, jac, direction.dx)
             if l_bar <= feas_tol:
                 cond1 = l_d <= feas_tol
             else:
-                cond1 = l0 - l_d >= st.epsilon1 * (l0 - l_bar) - 1e-12 * (1.0 + l0)
+                cond1 = l0 - l_d >= opts.steering_epsilon1 * (l0 - l_bar) - 1e-12 * (1.0 + l0)
             dm = self._merit_model_reduction(iterate, direction, rho)
-            cond2 = dm >= st.epsilon2 * dm0_bar - 1e-12 * (1.0 + abs(dm0_bar))
+            cond2 = dm >= opts.steering_epsilon2 * dm0_bar - 1e-12 * (1.0 + abs(dm0_bar))
             return cond1, cond2, l_d
 
-        rho_entry = st.rho
+        rho_entry = self.rho
         cond1, cond2, l_d = conditions_hold(direction, rho)
-        while not cond1 and rho > st.rho_min:
-            rho *= st.rho_decrease_factor
+        while not cond1 and rho > opts.rho_min:
+            rho *= opts.rho_decrease_factor
             direction = self._solve_at(iterate, rho, trust_radius)
             cond1, cond2, l_d = conditions_hold(direction, rho)
-        while cond1 and not cond2 and rho > st.rho_min:
-            rho *= st.rho_decrease_factor
+        while cond1 and not cond2 and rho > opts.rho_min:
+            rho *= opts.rho_decrease_factor
             direction = self._solve_at(iterate, rho, trust_radius)
             cond1, cond2, l_d = conditions_hold(direction, rho)
         if not (cond1 and cond2) and d_bar.status == OPTIMAL:
@@ -539,11 +544,11 @@ class L1Relaxation(ConstraintRelaxationStrategy):
         e0 = error_measure(iterate.evals, iterate.x, y_bar, 0.0, self.ws.lower, self.ws.upper)
         cap = (e0 / max(1.0, l0)) ** 2 if l_bar > feas_tol else np.inf
         if cap < rho:
-            rho = max(cap, st.rho_min)
+            rho = max(cap, opts.rho_min)
             direction = self._solve_at(iterate, rho, trust_radius)
             cond1, cond2, l_d = conditions_hold(direction, rho)
-            while not (cond1 and cond2) and rho > st.rho_min:
-                rho *= st.rho_decrease_factor
+            while not (cond1 and cond2) and rho > opts.rho_min:
+                rho *= opts.rho_decrease_factor
                 direction = self._solve_at(iterate, rho, trust_radius)
                 cond1, cond2, l_d = conditions_hold(direction, rho)
 
@@ -569,13 +574,14 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
     """Optimality phase on the original problem; on subproblem infeasibility
     (or a collapsed line-search step for interior methods) temporarily
     minimize the l1 infeasibility through the elastic feasibility subproblem.
+    Restoration steps are accepted on the strategy's own sigma; the
+    line-search flavor returns once eta falls by opts.restoration_exit_factor.
     """
 
-    def __init__(self, ws, subproblem, strategy, restoration_sigma: float = 1e-8,
-                 restoration_exit_factor: float = 0.9):
-        super().__init__(ws, subproblem, strategy, restoration_sigma)
+    def __init__(self, ws, subproblem, strategy, opts):
+        super().__init__(ws, subproblem, strategy)
         self.state = PhaseState()
-        self.restoration_exit_factor = restoration_exit_factor
+        self.restoration_exit_factor = opts.restoration_exit_factor
         self.elastic = ElasticModel(ws.model, 0.0)
         self._optimality_feasible = False
 
@@ -647,13 +653,13 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
             if self._optimality_feasible and trial_m.eta < least:
                 self._exit_restoration(current)
                 return self.strategy.check_acceptance(current, trial_m, models, alpha)
-            return infeasibility_armijo(current, trial_m, models, alpha, self.restoration_sigma)
+            return infeasibility_armijo(current, trial_m, models, alpha, self.strategy.sigma)
 
         # an interior restoration step targets the barrier-smoothed
         # infeasibility, which can move raw eta the wrong way near an l1
         # kink; accept on sufficient smoothed decrease too
         accepted = infeasibility_armijo(
-            current, trial_m, models, alpha, self.restoration_sigma
+            current, trial_m, models, alpha, self.strategy.sigma
         ) or self._smoothed_infeasibility_armijo(iterate, trial, direction, alpha)
         if (
             accepted
@@ -689,7 +695,7 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
         trial_value = self._smoothed_infeasibility(trial.x, np.asarray(trial.evals.c))
         decrease = current_value - trial_value
         slack = 10.0 * np.finfo(float).eps * max(1.0, abs(current_value))
-        return decrease + slack >= self.restoration_sigma * (-slope) * alpha
+        return decrease + slack >= self.strategy.sigma * (-slope) * alpha
 
     def handle_small_step(self, iterate: Iterate) -> Direction | None:
         if self.state.phase == OPTIMALITY:

@@ -48,32 +48,31 @@ class Direction:
 
 @dataclass
 class BarrierState:
-    """Monotone (Fiacco-McCormick) barrier parameter state."""
+    """Monotone (Fiacco-McCormick) barrier parameter and the inertia
+    corrections of the last step."""
 
-    mu: float = 0.1
-    tau_min: float = 0.99
-    kappa_epsilon: float = 10.0
-    kappa_mu: float = 0.2
-    theta_mu: float = 1.5
+    mu: float
     delta_w: float = 0.0
     delta_c: float = 0.0
 
-    @property
-    def tau(self) -> float:
-        return max(self.tau_min, 1.0 - self.mu)
+    def tau(self, tau_min: float) -> float:
+        """Fraction-to-boundary parameter."""
+        return max(tau_min, 1.0 - self.mu)
 
 
 def update_barrier_parameter(
-    barrier: BarrierState, kkt_error: float, epsilon: float
+    barrier: BarrierState,
+    kkt_error: float,
+    epsilon: float,
+    kappa_epsilon: float,
+    kappa_mu: float,
+    theta_mu: float,
 ) -> tuple[BarrierState, bool]:
     """Decrease mu once the barrier-problem KKT error is below
     kappa_epsilon * mu; the caller must flush the filter on change."""
-    if kkt_error > barrier.kappa_epsilon * barrier.mu:
+    if kkt_error > kappa_epsilon * barrier.mu:
         return barrier, False
-    new_mu = max(
-        epsilon / 10.0,
-        min(barrier.kappa_mu * barrier.mu, barrier.mu**barrier.theta_mu),
-    )
+    new_mu = max(epsilon / 10.0, min(kappa_mu * barrier.mu, barrier.mu**theta_mu))
     if new_mu >= barrier.mu:
         return barrier, False
     barrier.mu = new_mu
@@ -147,7 +146,7 @@ def fraction_to_boundary_dual(zl, dzl, zu, dzu, tau) -> float:
     return max(min(alpha, 1.0), 0.0)
 
 
-def push_to_interior(x, lower, upper, kappa: float = 1e-2) -> np.ndarray:
+def push_to_interior(x, lower, upper, kappa: float) -> np.ndarray:
     """Move x strictly inside its finite bounds (at least kappa-relative)."""
     x = np.asarray(x, dtype=float).copy()
     for i in range(x.size):
@@ -201,6 +200,7 @@ def ipm_solve_step(
     upper: np.ndarray,
     barrier: BarrierState,
     schedule: RegularizationSchedule,
+    tau_min: float,
     delta_c_scale: float = 1e-8,
 ) -> Direction:
     """One primal-dual interior-point step: assemble and solve the
@@ -210,7 +210,8 @@ def ipm_solve_step(
 
     with r_d = grad_f - J^T y - barrier gradient terms, recover the bound
     dual directions, and apply the fraction-to-boundary rule. The system is
-    inertia-corrected to (n, m, 0).
+    inertia-corrected to (n, m, 0). The fraction-to-boundary parameter is
+    max(tau_min, 1 - mu).
     """
     if not evals.is_finite:
         raise NonFiniteEvaluationError("IPM step requires finite evaluations")
@@ -244,7 +245,7 @@ def ipm_solve_step(
     dzl[finite_lo] = (mu - zl[finite_lo] * dx[finite_lo]) / gap_lo - zl[finite_lo]
     dzu[finite_hi] = (mu + zu[finite_hi] * dx[finite_hi]) / gap_hi - zu[finite_hi]
 
-    tau = barrier.tau
+    tau = barrier.tau(tau_min)
     alpha_x = fraction_to_boundary(x, dx, lower, upper, tau)
     alpha_z = fraction_to_boundary_dual(zl[finite_lo], dzl[finite_lo], zu[finite_hi], dzu[finite_hi], tau)
 
@@ -276,7 +277,7 @@ def barrier_kkt_error(
     lower: np.ndarray,
     upper: np.ndarray,
     mu: float,
-    scaling_cap: float = 100.0,
+    scaling_cap: float,
 ) -> float:
     """Scaled KKT error of the barrier problem (drives the mu update)."""
     n, m = x.size, y.size

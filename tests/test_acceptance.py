@@ -169,7 +169,7 @@ def test_criterion_6_filter_properties():
     rng = np.random.RandomState(2024)
     violations = 0
     for _ in range(1000):
-        flt = Filter(beta=0.999, gamma=1e-3, eta_max=np.inf)
+        flt = Filter(replace(Options(), filter_beta=0.999, filter_gamma=1e-3), eta_max=np.inf)
         for _ in range(rng.randint(1, 20)):
             flt.add(float(rng.rand() * 2), float(rng.randn()))
         entries = flt.entries
@@ -179,7 +179,8 @@ def test_criterion_6_filter_properties():
                     violations += 1
         probe = (float(rng.rand() * 2), float(rng.randn()))
         if flt.acceptable(*probe) and entries:
-            shrunk = Filter(beta=flt.beta, gamma=flt.gamma, eta_max=flt.eta_max)
+            shrunk = Filter(replace(Options(), filter_beta=0.999, filter_gamma=1e-3),
+                            eta_max=flt.eta_max)
             keep = rng.rand(len(entries)) < 0.5
             shrunk.entries = [e for e, k in zip(entries, keep) if k]
             if not shrunk.acceptable(*probe):
@@ -200,9 +201,8 @@ def test_criterion_7_barrier_invariants():
     def spy(self, iterate, trial, direction, alpha):
         accepted = original(self, iterate, trial, direction, alpha)
         if accepted and self.subproblem.is_interior:
-            records.append(
-                (iterate, trial, direction, alpha, self.subproblem.barrier.tau, self.ws)
-            )
+            tau = self.subproblem.barrier.tau(self.subproblem.opts.tau_min)
+            records.append((iterate, trial, direction, alpha, tau, self.ws))
         return accepted
 
     FeasibilityRestoration.is_acceptable = spy
@@ -249,7 +249,7 @@ def test_criterion_7_barrier_invariants():
         mu = 0.03
         d = ipm_solve_step(ev, x, rng.randn(m), zl, np.zeros(n),
                            np.zeros(n), np.full(n, np.inf),
-                           BarrierState(mu=mu), RegularizationSchedule())
+                           BarrierState(mu=mu), RegularizationSchedule(), Options().tau_min)
         resid = x * (zl + d.dzl) + zl * d.dx - mu
         worst = max(worst, float(np.max(np.abs(resid))))
     ok = violations == 0 and worst <= 1e-10
@@ -295,9 +295,9 @@ def test_criterion_9_steering_postconditions():
                 cond1 = l_d <= feas_tol * 10
             else:
                 cond1 = l0 - l_d >= 0.1 * (l0 - info["l_bar"]) - 1e-10 * (1 + l0)
-            dm = self._merit_model_reduction(iterate, direction, self.steering.rho)
+            dm = self._merit_model_reduction(iterate, direction, self.rho)
             cond2 = dm >= 0.1 * info["dm0_bar"] - 1e-10 * (1 + abs(info["dm0_bar"]))
-            cond3 = self.steering.rho <= info["cap"] * (1 + 1e-12) or info["cap"] == np.inf
+            cond3 = self.rho <= info["cap"] * (1 + 1e-12) or info["cap"] == np.inf
             if not (cond1 and cond2 and cond3):
                 violations.append((iterate.x.copy(), info, l_d, dm))
         return direction

@@ -4,15 +4,26 @@ The 30 legal combinations run on maratos, and the 15 feasibility_restoration
 ones also on infeasible1, where QP, LP and interior-point restoration all
 run. Each solve must return, with the status, iteration count, the five
 callback counts (objective, constraints, gradient, Jacobian, Hessian) and
-the subproblem solves recorded here.
+the subproblem solves recorded here. The four presets run again on hs071
+and maratos with every numeric option off its default.
 """
 import itertools
 import warnings
+from dataclasses import fields, replace
 
 import pytest
 
 from modnlp.corpus import corpus_get
-from modnlp.driver import MECHANISMS, RELAXATIONS, STRATEGIES, SUBPROBLEMS, Options, solve
+from modnlp.driver import (
+    MECHANISMS,
+    RELAXATIONS,
+    STRATEGIES,
+    SUBPROBLEMS,
+    Options,
+    preset_options,
+    solve,
+    validate_options,
+)
 from modnlp.model import instrument
 
 SHORT = {
@@ -116,3 +127,89 @@ def test_combination_pinned(problem, combo):
         result.subproblem_solves,
     )
     assert observed == PINNED[problem][short(combo)]
+
+
+# Every numeric option moved off its default to a legal value, in two sets,
+# so an option wired to the wrong part, or not wired at all, moves a pin
+# below. "strong" scales every function hard (s_max = 1) and discards the
+# multiplier estimate (y_max = 0.01); the two sets exercise different
+# options. multiplier_scaling_cap keeps its default: test_driver pins it.
+PERTURBED = {
+    "mild": dict(
+        tolerance=1e-7, max_iterations=100, loose_tolerance_factor=50.0,
+        loose_tolerance_window=10, armijo_sigma=1e-3, filter_sigma=1e-6, filter_delta=0.5,
+        filter_beta=0.99, filter_gamma=1e-4, filter_capacity=50, theta_min_factor=1e-3,
+        eta_max_factor=1e3, restoration_exit_factor=0.8, steering_epsilon1=0.2,
+        steering_epsilon2=0.3, rho_initial=0.5, rho_decrease_factor=0.2, rho_min=1e-12,
+        mu_initial=0.05, kappa_epsilon=5.0, kappa_mu=0.3, theta_mu=1.3, tau_min=0.95,
+        interior_push=5e-3, backtrack_factor=0.6, alpha_min=1e-8, max_inner=40,
+        radius_initial=5.0, radius_min=1e-14, radius_max=1e20, radius_increase_factor=3.0,
+        radius_decrease_factor=0.4, activity_tolerance_rel=1e-9, y_max=500.0, s_max=50.0,
+    ),
+    "strong": dict(
+        tolerance=1e-7, max_iterations=100, loose_tolerance_factor=50.0,
+        loose_tolerance_window=10, armijo_sigma=0.3, filter_sigma=0.3, filter_delta=10.0,
+        filter_beta=0.9, filter_gamma=0.1, filter_capacity=2, theta_min_factor=10.0,
+        eta_max_factor=2.0, restoration_exit_factor=0.5, steering_epsilon1=0.9,
+        steering_epsilon2=0.9, rho_initial=0.5, rho_decrease_factor=0.5, rho_min=1e-3,
+        mu_initial=0.05, kappa_epsilon=5.0, kappa_mu=0.3, theta_mu=1.3, tau_min=0.95,
+        interior_push=5e-3, backtrack_factor=0.6, alpha_min=1e-3, max_inner=8,
+        radius_initial=5.0, radius_min=1e-6, radius_max=8.0, radius_increase_factor=3.0,
+        radius_decrease_factor=0.4, activity_tolerance_rel=0.1, y_max=1e-2, s_max=1.0,
+    ),
+}
+
+PRESET_CONFIGS = {
+    "filtersqp": lambda: preset_options("filtersqp"),
+    "ipopt": lambda: preset_options("ipopt"),
+    "byrd": lambda: preset_options("byrd"),
+    "byrd_TR": lambda: replace(preset_options("byrd"), globalization_mechanism="TR"),
+}
+
+# (status, iterations, (f, c, gradient, Jacobian, Hessian) calls, subproblem solves)
+PERTURBED_PINNED = {
+    ("mild", "hs071", "filtersqp"): ("FeasibleKKT", 5, (12, 13, 9, 9, 5), 5),
+    ("mild", "hs071", "ipopt"): ("FeasibleKKT", 11, (24, 25, 15, 15, 11), 11),
+    ("mild", "hs071", "byrd"): ("LooseToleranceKKT", 41, (84, 85, 45, 45, 41), 41),
+    ("mild", "hs071", "byrd_TR"): ("FeasibleKKT", 5, (12, 13, 9, 9, 5), 5),
+    ("mild", "maratos", "filtersqp"): ("FeasibleKKT", 25, (77, 77, 29, 29, 50), 50),
+    ("mild", "maratos", "ipopt"): ("FeasibleKKT", 5, (15, 15, 9, 9, 5), 5),
+    ("mild", "maratos", "byrd"): ("IterationLimit", 100, (1910, 1910, 104, 104, 100), 100),
+    ("mild", "maratos", "byrd_TR"): ("FeasibleKKT", 26, (83, 83, 30, 30, 56), 56),
+    ("strong", "hs071", "filtersqp"): ("FeasibleKKT", 5, (12, 13, 9, 9, 5), 5),
+    ("strong", "hs071", "ipopt"): ("FeasibleKKT", 10, (22, 23, 14, 14, 10), 10),
+    ("strong", "hs071", "byrd"): ("LooseToleranceKKT", 34, (70, 71, 38, 38, 34), 34),
+    ("strong", "hs071", "byrd_TR"): ("FeasibleKKT", 5, (12, 13, 9, 9, 5), 5),
+    ("strong", "maratos", "filtersqp"): ("FeasibleKKT", 26, (79, 79, 30, 30, 51), 51),
+    ("strong", "maratos", "ipopt"): ("FeasibleKKT", 7, (22, 22, 11, 11, 7), 7),
+    ("strong", "maratos", "byrd"): ("FeasibleKKT", 10, (34, 34, 14, 14, 10), 10),
+    ("strong", "maratos", "byrd_TR"): ("SmallTrustRegion", 57, (197, 197, 61, 61, 138), 138),
+}
+
+
+@pytest.mark.parametrize("perturbation", list(PERTURBED))
+def test_perturbed_options_cover_every_numeric_option(perturbation):
+    values = PERTURBED[perturbation]
+    numeric = {f.name for f in fields(Options)
+               if f.type in ("int", "float") and f.name != "multiplier_scaling_cap"}
+    assert set(values) == numeric
+    for name, value in values.items():
+        for config in PRESET_CONFIGS.values():
+            assert value != getattr(config(), name)
+    validate_options(replace(Options(), **values))
+
+
+@pytest.mark.parametrize("perturbation, problem, config", list(PERTURBED_PINNED),
+                         ids=["-".join(key) for key in PERTURBED_PINNED])
+def test_perturbed_options_pinned(perturbation, problem, config):
+    options = replace(PRESET_CONFIGS[config](), **PERTURBED[perturbation])
+    model, counts = instrument(corpus_get(problem))
+    result = solve(model, options)
+    observed = (
+        result.status,
+        result.iterations,
+        (counts.objective, counts.constraints, counts.objective_gradient,
+         counts.constraint_jacobian, counts.hessian),
+        result.subproblem_solves,
+    )
+    assert observed == PERTURBED_PINNED[(perturbation, problem, config)]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from modnlp.errors import (
     UnknownOptionError,
     UnknownPresetError,
 )
-from modnlp.model import Model, evaluate
+from modnlp.model import Model, evaluate, instrument
 from modnlp.reformulation import to_equality_form
 
 INF = np.inf
@@ -100,28 +102,29 @@ class TestTermination:
         return Residuals(stat, stat0, feas, comp, sign)
 
     def test_feasible_kkt(self):
-        state = TerminationState(epsilon=1e-6)
+        state = TerminationState(replace(Options(), tolerance=1e-6))
         assert state.check(self.residuals(), rho=1.0, steered_to_zero=False) == "FeasibleKKT"
 
     def test_feasible_fj(self):
-        state = TerminationState(epsilon=1e-6)
+        state = TerminationState(replace(Options(), tolerance=1e-6))
         res = self.residuals(stat=1.0, stat0=0.0)
         assert state.check(res, rho=1e-15, steered_to_zero=True) == "FeasibleFJ"
 
     def test_infeasible_stationary(self):
-        state = TerminationState(epsilon=1e-6)
+        state = TerminationState(replace(Options(), tolerance=1e-6))
         res = self.residuals(stat=5.0, stat0=0.0, feas=1.0, sign=1e-6)
         assert state.check(res, rho=0.0, steered_to_zero=False) == "InfeasibleStationary"
 
     def test_loose_window(self):
-        state = TerminationState(epsilon=1e-6, loose_factor=100.0, loose_window=15)
+        state = TerminationState(replace(
+            Options(), tolerance=1e-6, loose_tolerance_factor=100.0, loose_tolerance_window=15))
         res = self.residuals(stat=5e-5, stat0=1.0, feas=5e-5, comp=0.0, sign=1.0)
         for k in range(14):
             assert state.check(res, 1.0, False) is None
         assert state.check(res, 1.0, False) == "LooseToleranceKKT"
 
     def test_loose_window_resets(self):
-        state = TerminationState(epsilon=1e-6, loose_window=15)
+        state = TerminationState(replace(Options(), tolerance=1e-6, loose_tolerance_window=15))
         good = self.residuals(stat=5e-5)
         bad = self.residuals(stat=1.0)
         for _ in range(10):
@@ -250,6 +253,50 @@ class TestSolve:
         result = solve(model, preset_options("filtersqp"))
         assert result.status == "InfeasibleStationary"
         assert "inconsistent" in result.message
+
+    @pytest.mark.parametrize("case, pinned", [
+        ("nan start", ("EvaluationError", (1, 1, 1, 1, 0))),
+        ("inconsistent rows", ("InfeasibleStationary", (3, 4, 3, 4, 0))),
+        ("pole at the preprocessed point", ("EvaluationError", (2, 3, 4, 5, 0))),
+    ])
+    def test_early_exits_pinned(self, case, pinned):
+        # each exit before the first iteration keeps its callback calls
+        pole = replace(
+            linear_model([[1.0]], [1.0]),  # preprocessing moves x0 = 0 onto x = 1
+            eval_objective=lambda x: 1.0 / (x[0] - 1.0),
+            eval_objective_gradient=lambda x: -1.0 / (x[:1] - 1.0) ** 2,
+        )
+        model = {
+            "nan start": replace(corpus_get("hs007"), initial_point=np.array([np.nan, 1.0])),
+            "inconsistent rows": linear_model([[1.0], [1.0]], [1.0, 2.0]),
+            "pole at the preprocessed point": pole,
+        }[case]
+        counted, counts = instrument(model)
+        with np.errstate(all="ignore"):
+            result = solve(counted, preset_options("filtersqp"))
+        observed = (counts.objective, counts.constraints, counts.objective_gradient,
+                    counts.constraint_jacobian, counts.hessian)
+        assert (result.status, observed) == pinned
+        assert result.iterations == 0 and result.subproblem_solves == 0
+        assert np.all(result.y == 0.0) and np.all(result.z == 0.0)
+        if case == "inconsistent rows":
+            assert (result.stationarity, result.feasibility, result.complementarity) == (
+                0.0, 2.0, 0.0)
+            assert result.rho == 0.0
+
+    def test_multiplier_scaling_cap_reaches_the_barrier_update(self):
+        # the cap scales the barrier KKT error that decides each mu decrease,
+        # as it scales the termination residuals
+        opts = replace(preset_options("ipopt"), multiplier_scaling_cap=1e-3)
+        records = []
+        result = solve(corpus_get("hs071"), opts, log=records.append)
+        mus = [record["mu"] for record in records]
+        assert mus[:3] == pytest.approx([0.1, 0.02, 0.02**1.5])
+        assert (result.status, result.iterations, result.objective_evaluations) == (
+            "FeasibleKKT", 7, 16)
+        default = []
+        solve(corpus_get("hs071"), preset_options("ipopt"), log=default.append)
+        assert [record["mu"] for record in default][:3] == pytest.approx([0.1, 0.1, 0.02])
 
     def test_determinism(self):
         runs = []

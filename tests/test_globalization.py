@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from modnlp.driver import Options
 from modnlp.globalization import (
     Filter,
     FilterMethod,
@@ -14,6 +17,9 @@ from modnlp.globalization import (
     infeasibility_armijo,
     merit_is_acceptable,
 )
+
+
+OPTS = Options()
 
 
 def models_for(c=(0.0,), jd=(0.0,), gtd=0.0, dwd=0.0, rho=1.0, btd=0.0, dbd=0.0):
@@ -128,33 +134,33 @@ class TestMerit:
 
 class TestFilter:
     def test_insert_mutually_nondominated(self):
-        f = Filter(eta_max=np.inf)
+        f = Filter(OPTS, eta_max=np.inf)
         for eta, phi in ((2.0, 0.5), (0.5, 2.0)):
             f.add(eta, phi)
         f.add(1.0, 1.0)
         assert sorted(f.entries) == [(0.5, 2.0), (1.0, 1.0), (2.0, 0.5)]
 
     def test_dominance_pruning(self):
-        f = Filter(eta_max=np.inf)
+        f = Filter(OPTS, eta_max=np.inf)
         for eta, phi in ((1.0, 1.0), (2.0, 0.5)):
             f.add(eta, phi)
         f.add(0.1, 0.1)
         assert f.entries == [(0.1, 0.1)]
 
     def test_eta_max_blocks_insert(self):
-        f = Filter(eta_max=10.0)
+        f = Filter(OPTS, eta_max=10.0)
         f.add(11.0, 0.0)
         assert f.entries == []
 
     def test_envelope_acceptability(self):
-        f = Filter(beta=0.99, gamma=1e-5, eta_max=np.inf)
+        f = Filter(replace(OPTS, filter_beta=0.99, filter_gamma=1e-5), eta_max=np.inf)
         f.add(1.0, 5.0)
         assert f.acceptable(0.5, 10.0)  # eta branch
         assert f.acceptable(2.0, 4.0)  # phi branch
         assert not f.acceptable(2.0, 10.0)
 
     def test_reset(self):
-        f = Filter(beta=0.9, gamma=0.1)
+        f = Filter(replace(OPTS, filter_beta=0.9, filter_gamma=0.1))
         f.add(1.0, 1.0)
         f.reset(eta_reference=2.0)
         assert f.entries == []
@@ -165,7 +171,7 @@ class TestFilter:
     def test_dominance_invariant_random_inserts(self):
         rng = np.random.RandomState(77)
         for _ in range(1000):
-            f = Filter(eta_max=np.inf)
+            f = Filter(OPTS, eta_max=np.inf)
             for _ in range(rng.randint(1, 25)):
                 f.add(float(rng.rand()), float(rng.randn()))
             entries = f.entries
@@ -179,18 +185,18 @@ class TestFilter:
     def test_acceptability_monotone_under_shrinking(self):
         rng = np.random.RandomState(78)
         for _ in range(200):
-            f = Filter(eta_max=np.inf)
+            f = Filter(OPTS, eta_max=np.inf)
             for _ in range(rng.randint(1, 15)):
                 f.add(float(rng.rand()), float(rng.randn()))
             probe = (float(rng.rand()), float(rng.randn()))
             accepted = f.acceptable(*probe)
             if accepted and f.entries:
-                smaller = Filter(beta=f.beta, gamma=f.gamma, eta_max=f.eta_max)
+                smaller = Filter(OPTS, eta_max=f.eta_max)
                 smaller.entries = f.entries[1:]
                 assert smaller.acceptable(*probe)
 
     def test_eta_min(self):
-        f = Filter()
+        f = Filter(OPTS)
         assert f.eta_min() == np.inf
         f.add(0.7, 1.0)
         f.add(0.3, 2.0)
@@ -199,7 +205,7 @@ class TestFilter:
 
 class TestFilterAcceptance:
     def test_empty_filter_f_type(self):
-        f = Filter(eta_max=np.inf)
+        f = Filter(OPTS, eta_max=np.inf)
         cur = ProgressMeasures(eta=0.0, omega=2.0)
         tri = ProgressMeasures(eta=0.0, omega=1.0)
         m = models_for(gtd=-1.0)  # predicted phi decrease 1
@@ -207,7 +213,7 @@ class TestFilterAcceptance:
         assert accepted and not add  # f-type at a feasible point: no entry added
 
     def test_envelope_branch(self):
-        f = Filter(beta=0.99, gamma=1e-5, eta_max=np.inf)
+        f = Filter(replace(OPTS, filter_beta=0.99, filter_gamma=1e-5), eta_max=np.inf)
         f.add(1.0, 5.0)
         cur = ProgressMeasures(eta=1.0, omega=5.0)
         tri = ProgressMeasures(eta=0.5, omega=10.0)
@@ -216,7 +222,7 @@ class TestFilterAcceptance:
         assert accepted and add
 
     def test_dominated_trial_rejected(self):
-        f = Filter(beta=0.999, gamma=1e-5, eta_max=np.inf)
+        f = Filter(replace(OPTS, filter_beta=0.999, filter_gamma=1e-5), eta_max=np.inf)
         f.add(0.1, 1.0)
         cur = ProgressMeasures(eta=0.1, omega=1.0)
         tri = ProgressMeasures(eta=0.2, omega=2.0)
@@ -228,8 +234,8 @@ class TestFilterAcceptance:
         # Armijo condition failing: Fletcher-Leyffer insists on the f-type
         # Armijo test and rejects; the Waechter gate diverts to the envelope
         # branch, which accepts
-        f1 = Filter(beta=0.999, gamma=1e-5, eta_max=np.inf)
-        f2 = Filter(beta=0.999, gamma=1e-5, eta_max=np.inf)
+        f1 = Filter(replace(OPTS, filter_beta=0.999, filter_gamma=1e-5), eta_max=np.inf)
+        f2 = Filter(replace(OPTS, filter_beta=0.999, filter_gamma=1e-5), eta_max=np.inf)
         cur = ProgressMeasures(eta=0.5, omega=10.0)
         tri = ProgressMeasures(eta=0.6, omega=8.0)
         m = models_for(gtd=-9.0)  # predicted phi decrease 9, actual only 2
@@ -250,11 +256,11 @@ def test_infeasibility_armijo():
 
 
 def test_strategy_classes():
-    merit = MeritL1(sigma=0.1)
+    merit = MeritL1(replace(OPTS, armijo_sigma=0.1))
     assert not merit.uses_fixed_rho_one
-    flt = FilterMethod(variant="waechter")
+    flt = FilterMethod(replace(OPTS, globalization_strategy="waechter_filter_method"))
     flt.initialize(eta0=2.0)
     assert flt.filter.eta_max == pytest.approx(2e4)
     assert flt.theta_min == pytest.approx(2e-4)
     with pytest.raises(ValueError):
-        FilterMethod(variant="bogus")
+        FilterMethod(replace(OPTS, globalization_strategy="bogus"))

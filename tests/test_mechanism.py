@@ -1,12 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from modnlp.corpus import corpus_get
+from modnlp.driver import Options
 from modnlp.errors import StepTooSmallError, TinyRadiusError
 from modnlp.mechanism import (
     BacktrackingLineSearch,
-    LineSearchConfig,
-    TrustRegionConfig,
     TrustRegionMethod,
     assemble_trial,
 )
@@ -65,7 +66,7 @@ class TestLineSearch:
         it = make_iterate(ws)
         relax = StubRelaxation(ws, simple_direction(ws.model.n, ws.model.m),
                                lambda t, a, k: True)
-        ls = BacktrackingLineSearch(relax, LineSearchConfig())
+        ls = BacktrackingLineSearch(relax, Options())
         trial = ls.compute_acceptable_iterate(it)
         assert relax.trials == [1.0]
         np.testing.assert_allclose(trial.x, it.x + 0.1)
@@ -75,7 +76,7 @@ class TestLineSearch:
         it = make_iterate(ws)
         relax = StubRelaxation(ws, simple_direction(ws.model.n, ws.model.m),
                                lambda t, a, k: k == 3)
-        ls = BacktrackingLineSearch(relax, LineSearchConfig(backtrack_factor=0.5))
+        ls = BacktrackingLineSearch(relax, replace(Options(), backtrack_factor=0.5))
         ls.compute_acceptable_iterate(it)
         assert relax.trials == [1.0, 0.5, 0.25]
         assert ls.last_step_length == 0.25
@@ -85,7 +86,7 @@ class TestLineSearch:
         it = make_iterate(ws)
         relax = StubRelaxation(ws, simple_direction(ws.model.n, ws.model.m),
                                lambda t, a, k: k == 10)
-        ls = BacktrackingLineSearch(relax, LineSearchConfig())
+        ls = BacktrackingLineSearch(relax, Options())
         ls.compute_acceptable_iterate(it)
         assert all(b < a for a, b in zip(relax.trials, relax.trials[1:]))
 
@@ -94,8 +95,8 @@ class TestLineSearch:
         it = make_iterate(ws)
         relax = StubRelaxation(ws, simple_direction(ws.model.n, ws.model.m),
                                lambda t, a, k: False)
-        ls = BacktrackingLineSearch(relax, LineSearchConfig(alpha_min=1e-7,
-                                                            backtrack_factor=0.5))
+        ls = BacktrackingLineSearch(relax, replace(Options(), alpha_min=1e-7,
+                                                           backtrack_factor=0.5))
         with pytest.raises(StepTooSmallError):
             ls.compute_acceptable_iterate(it)
         # ceil(log2(1e7)) = 24 trials before the threshold is crossed
@@ -112,7 +113,7 @@ class TestLineSearch:
 
         bad = simple_direction(ws.model.n, ws.model.m, dx_value=np.inf)
         relax = StubRelaxation(ws, bad, rule)
-        ls = BacktrackingLineSearch(relax, LineSearchConfig(max_inner=5))
+        ls = BacktrackingLineSearch(relax, replace(Options(), max_inner=5))
         from modnlp.errors import InnerIterationLimitError
 
         with pytest.raises((StepTooSmallError, InnerIterationLimitError)):
@@ -126,7 +127,7 @@ class TestTrustRegion:
         it = make_iterate(ws)
         relax = StubRelaxation(ws, simple_direction(ws.model.n, ws.model.m, 0.1),
                                lambda t, a, k: True)
-        tr = TrustRegionMethod(relax, TrustRegionConfig(radius=10.0))
+        tr = TrustRegionMethod(relax, replace(Options(), radius_initial=10.0))
         tr.compute_acceptable_iterate(it)
         assert tr.radius == 10.0
 
@@ -140,7 +141,7 @@ class TestTrustRegion:
             return d
 
         relax = StubRelaxation(ws, direction, lambda t, a, k: True)
-        tr = TrustRegionMethod(relax, TrustRegionConfig(radius=1.0, increase_factor=2.0))
+        tr = TrustRegionMethod(relax, replace(Options(), radius_initial=1.0, radius_increase_factor=2.0))
         trial = tr.compute_acceptable_iterate(it)
         assert tr.radius == 2.0
         assert np.all(trial.zl == 0.0) and np.all(trial.zu == 0.0)
@@ -155,7 +156,7 @@ class TestTrustRegion:
             return simple_direction(ws.model.n, ws.model.m, 0.3)
 
         relax = StubRelaxation(ws, direction, lambda t, a, k: k >= 2)
-        tr = TrustRegionMethod(relax, TrustRegionConfig(radius=1.0, decrease_factor=0.5))
+        tr = TrustRegionMethod(relax, replace(Options(), radius_initial=1.0, radius_decrease_factor=0.5))
         tr.compute_acceptable_iterate(it)
         assert seen == [1.0, 0.15]  # 0.5 * min(1.0, 0.3)
 
@@ -166,7 +167,7 @@ class TestTrustRegion:
             ws, lambda r: simple_direction(ws.model.n, ws.model.m, min(r, 0.5)),
             lambda t, a, k: k >= 6,
         )
-        tr = TrustRegionMethod(relax, TrustRegionConfig(radius=4.0))
+        tr = TrustRegionMethod(relax, replace(Options(), radius_initial=4.0))
         tr.compute_acceptable_iterate(it)
         rejected = relax.radii
         assert all(b < a for a, b in zip(rejected, rejected[1:]))
@@ -178,7 +179,7 @@ class TestTrustRegion:
             ws, lambda r: simple_direction(ws.model.n, ws.model.m, min(r, 1.0)),
             lambda t, a, k: False,
         )
-        tr = TrustRegionMethod(relax, TrustRegionConfig(radius=1.0, max_inner=500))
+        tr = TrustRegionMethod(relax, replace(Options(), radius_initial=1.0, max_inner=500))
         with pytest.raises(TinyRadiusError):
             tr.compute_acceptable_iterate(it)
 
@@ -196,7 +197,7 @@ class TestTrustRegion:
         relax = StubRelaxation(
             ws, lambda r: simple_direction(ws.model.n, ws.model.m, min(r, 0.4)), rule
         )
-        tr = TrustRegionMethod(relax, TrustRegionConfig(radius=2.0))
+        tr = TrustRegionMethod(relax, replace(Options(), radius_initial=2.0))
         trial = tr.compute_acceptable_iterate(it)
         assert trial is accepted[-1]
 

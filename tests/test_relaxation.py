@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from modnlp.relaxation import (
     OPTIMALITY,
     RESTORATION,
     QPSubproblem,
-    SteeringState,
     error_measure,
     l1_sign_residual,
     linearized_infeasibility,
@@ -88,7 +89,7 @@ class TestSteering:
         ws.ensure_derivatives(it)
         d = relaxation.compute_direction(it)
         assert not d.info["steered"]
-        assert relaxation.steering.rho == 1.0
+        assert relaxation.rho == 1.0
 
     def test_steering_reduces_rho_until_linearized_feasible(self):
         # maratos at its on-circle start needs |y| approx 1.5 > 1: the elastic
@@ -98,7 +99,7 @@ class TestSteering:
         d = relaxation.compute_direction(it)
         info = d.info
         assert info["steered"]
-        assert relaxation.steering.rho < 1.0
+        assert relaxation.rho < 1.0
         c = np.asarray(it.evals.c)
         jac = np.asarray(it.evals.jac_c)
         assert linearized_infeasibility(c, jac, d.dx) <= 1e-9 * (1.0 + info["l0"])
@@ -109,15 +110,15 @@ class TestSteering:
         ws, it, relaxation, _ = prepared("maratos")
         ws.ensure_derivatives(it)
         d = relaxation.compute_direction(it)
-        rho_star = relaxation.steering.rho
+        rho_star = relaxation.rho
         c = np.asarray(it.evals.c)
         jac = np.asarray(it.evals.jac_c)
         l0 = float(np.sum(np.abs(c)))
 
         def l_at(rho):
             probe = L1Relaxation(
-                ws, QPSubproblem(regularize=True), relaxation.strategy,
-                SteeringState(rho=rho),
+                ws, QPSubproblem(relaxation.opts), relaxation.strategy,
+                replace(relaxation.opts, rho_initial=rho),
             )
             direction = probe._solve_at(it, rho, None)
             return linearized_infeasibility(c, jac, direction.dx)
@@ -126,7 +127,7 @@ class TestSteering:
         rho = 1.0
         while rho > rho_star * 1.001:
             assert l_at(rho) > 1e-9 * (1.0 + l0)  # cond1 fails above rho*
-            rho *= relaxation.steering.rho_decrease_factor
+            rho *= relaxation.opts.rho_decrease_factor
 
     def test_cap_no_decrease_at_feasible_points(self):
         # at a feasible point whose feasibility step stays linearized-feasible
@@ -134,7 +135,7 @@ class TestSteering:
         ws, it, relaxation, _ = prepared("hs048")
         ws.ensure_derivatives(it)
         relaxation.compute_direction(it)
-        assert relaxation.steering.rho > 1e-3
+        assert relaxation.rho > 1e-3
 
     def test_rho_nonincreasing_over_solve(self):
         from modnlp.driver import solve
@@ -211,7 +212,7 @@ class TestRestoration:
 
 def test_ipm_elastic_direction_curvature_is_base_hessian():
     ws, it, relaxation, _ = prepared("hs071", preset="ipopt")
-    it.x = push_to_interior(it.x, ws.lower, ws.upper)
+    it.x = push_to_interior(it.x, ws.lower, ws.upper, relaxation.subproblem.opts.interior_push)
     it.zl, it.zu = initial_bound_multipliers(ws.lower, ws.upper)
     it.evals = evaluate(ws.model, it.x)
     for rho in (0.0, 0.37, 1.0):

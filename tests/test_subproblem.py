@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from modnlp.corpus import corpus_get
+from modnlp.driver import Options
 from modnlp.linalg import RegularizationSchedule, extend_with_elastics
 from modnlp.model import Evaluations, evaluate
 from modnlp.reformulation import to_equality_form
@@ -16,6 +17,9 @@ from modnlp.subproblem import (
 )
 
 INF = np.inf
+OPTS = Options()
+TAU_MIN = OPTS.tau_min
+MU_UPDATE = dict(kappa_epsilon=OPTS.kappa_epsilon, kappa_mu=OPTS.kappa_mu, theta_mu=OPTS.theta_mu)
 
 
 def scalar_model_evals(W, g, c, J):
@@ -132,24 +136,28 @@ class TestFractionToBoundary:
 
 class TestBarrierUpdate:
     def test_decrease_formula(self):
-        barrier = BarrierState(mu=0.1, kappa_mu=0.2, theta_mu=1.5)
-        barrier, changed = update_barrier_parameter(barrier, kkt_error=0.5, epsilon=1e-6)
+        barrier = BarrierState(mu=0.1)
+        barrier, changed = update_barrier_parameter(
+            barrier, kkt_error=0.5, epsilon=1e-6, kappa_epsilon=10.0, kappa_mu=0.2, theta_mu=1.5
+        )
         assert changed
         assert barrier.mu == pytest.approx(min(0.02, 0.1**1.5))
 
     def test_not_triggered_when_error_large(self):
         barrier = BarrierState(mu=0.1)
-        barrier, changed = update_barrier_parameter(barrier, kkt_error=10.0, epsilon=1e-6)
+        barrier, changed = update_barrier_parameter(barrier, kkt_error=10.0, epsilon=1e-6,
+                                                    **MU_UPDATE)
         assert not changed and barrier.mu == 0.1
 
     def test_floor_clamp(self):
         barrier = BarrierState(mu=2e-7)
-        barrier, changed = update_barrier_parameter(barrier, kkt_error=0.0, epsilon=1e-6)
+        barrier, changed = update_barrier_parameter(barrier, kkt_error=0.0, epsilon=1e-6,
+                                                    **MU_UPDATE)
         assert changed and barrier.mu == pytest.approx(1e-7)
 
     def test_tau_close_to_one(self):
-        assert BarrierState(mu=0.1).tau == 0.99
-        assert BarrierState(mu=1e-4).tau == pytest.approx(1.0 - 1e-4)
+        assert BarrierState(mu=0.1).tau(TAU_MIN) == 0.99
+        assert BarrierState(mu=1e-4).tau(TAU_MIN) == pytest.approx(1.0 - 1e-4)
 
 
 class TestIPMStep:
@@ -159,7 +167,7 @@ class TestIPMStep:
         d = ipm_solve_step(
             ev, np.array([1.0]), np.zeros(0), np.array([1.0]), np.array([0.0]),
             np.array([0.0]), np.array([INF]), BarrierState(mu=0.1),
-            RegularizationSchedule(),
+            RegularizationSchedule(), TAU_MIN,
         )
         np.testing.assert_allclose(d.dx, [-0.9], atol=1e-12)
 
@@ -184,7 +192,7 @@ class TestIPMStep:
             barrier = BarrierState(mu=mu)
             d = ipm_solve_step(
                 ev, x, y, zl, np.zeros(n), lower, upper, barrier,
-                RegularizationSchedule(),
+                RegularizationSchedule(), TAU_MIN,
             )
             if barrier.delta_w != 0.0 or barrier.delta_c != 0.0:
                 continue  # the identity holds for the unregularized system
@@ -208,7 +216,7 @@ class TestIPMStep:
         mu = 0.02
         d = ipm_solve_step(
             ev, x, np.zeros(m), zl, np.zeros(n), np.zeros(n), np.full(n, INF),
-            BarrierState(mu=mu), RegularizationSchedule(),
+            BarrierState(mu=mu), RegularizationSchedule(), TAU_MIN,
         )
         resid = x * (zl + d.dzl) + zl * d.dx - mu
         assert np.max(np.abs(resid)) <= 1e-10
@@ -223,10 +231,10 @@ class TestIPMStep:
             W = W + W.T
             ev = scalar_model_evals(W, rng.randn(n), rng.randn(m), rng.randn(m, n))
             barrier = BarrierState(mu=0.05)
-            tau = barrier.tau
+            tau = barrier.tau(TAU_MIN)
             d = ipm_solve_step(
                 ev, x, rng.randn(m), zl, np.zeros(n), np.zeros(n), np.full(n, INF),
-                barrier, RegularizationSchedule(),
+                barrier, RegularizationSchedule(), TAU_MIN,
             )
             assert 0.0 < d.alpha_max <= 1.0
             x_new = x + d.alpha_max * d.dx
@@ -254,7 +262,7 @@ def test_ipm_on_equality_model_matches_newton():
     d = ipm_solve_step(
         ev, x, y, np.zeros(model.n), np.zeros(model.n),
         model.variable_lower, model.variable_upper,
-        BarrierState(mu=0.1), RegularizationSchedule(),
+        BarrierState(mu=0.1), RegularizationSchedule(), TAU_MIN,
     )
     K = np.block([[ev.hessian, ev.jac_c.T], [ev.jac_c, np.zeros((model.m, model.m))]])
     rhs = np.concatenate([-(ev.grad_f), -ev.c])

@@ -492,8 +492,7 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
     except InfeasibleLinearConstraintsError as exc:
         # the certificate's residuals: zero multipliers at rho = 0
         zeros = np.zeros(working.n)
-        start = Iterate(x0, np.zeros(working.m), zeros, zeros, 0.0, ws.eval_fc(x0))
-        ws.ensure_derivatives(start)
+        start = Iterate(x0, np.zeros(working.m), zeros, zeros, 0.0, evaluate(working, x0))
         res = compute_residuals(ws, start, 0.0, opts.multiplier_scaling_cap)
         return result(INFEASIBLE_STATIONARY, x0, start.evals, res=res, rho=0.0,
                       message=str(exc))

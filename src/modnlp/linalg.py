@@ -3,7 +3,11 @@ indefinite matrices on LAPACK (the inertia from eigenvalues, or from
 Cholesky factorizations when the blocks of a saddle-point matrix decide it;
 LU for the solves), inertia correction of saddle-point matrices, and a
 primal active-set solver for (possibly nonconvex) QPs with equality
-constraints and box bounds.
+constraints and box bounds. The solver's elastic phase I is an LP: its
+steps come from the range space of the free constraint columns (a QR
+factorization, certified by one Cholesky factorization of the Schur
+complement) and fall back to the eigenvalues when the blocks do not prove
+the inertia.
 """
 from __future__ import annotations
 
@@ -230,12 +234,12 @@ def assemble_kkt(H: np.ndarray, A: np.ndarray, delta_w: float, delta_c: float) -
     K = np.zeros((n + m, n + m))
     K[:n, :n] = H
     if delta_w:
-        K[:n, :n] += delta_w * np.eye(n)
+        K.flat[: n * (n + m + 1) : n + m + 1] += delta_w
     if m:
         K[n:, :n] = A
         K[:n, n:] = A.T
         if delta_c:
-            K[n:, n:] = -delta_c * np.eye(m)
+            K.flat[n * (n + m + 1) :: n + m + 1] = -delta_c
     return K
 
 
@@ -287,8 +291,9 @@ def make_positive_definite(
     n = W.shape[0]
     A = 0.5 * (W + W.T)
     lambda_min = float(_eigenvalues(A)[0]) if n else np.inf
-    diagonal = np.diag(A)
-    off_diagonal = float(np.max(np.abs(A - np.diag(diagonal)), initial=0.0))
+    diagonal = A.diagonal().copy()
+    A.flat[:: n + 1] = 0.0
+    off_diagonal = float(_max_abs(A))
 
     def is_pd(delta):
         max_abs = max(off_diagonal, float(np.max(np.abs(diagonal + delta), initial=0.0)))
@@ -307,7 +312,7 @@ def make_positive_definite(
                         lo = mid
                 delta_w = hi
             schedule.record_success(delta_w)
-            return W + delta_w * np.eye(n) if delta_w else W, delta_w
+            return _shifted(W, delta_w) if delta_w else W, delta_w
         previous = delta_w
     raise RegularizationFailedError("could not make Hessian positive definite")
 
@@ -326,9 +331,11 @@ _FREE, _LOWER, _UPPER = 0, 1, 2
 
 @dataclass
 class QPData:
-    """min 1/2 d^T W d + g^T d  s.t.  A d = b,  d_lower <= d <= d_upper."""
+    """min 1/2 d^T W d + g^T d  s.t.  A d = b,  d_lower <= d <= d_upper.
 
-    W: np.ndarray
+    W is None only inside qp_solve, for phase I's LP."""
+
+    W: np.ndarray | None
     g: np.ndarray
     A: np.ndarray
     b: np.ndarray
@@ -347,11 +354,14 @@ class QPData:
 def extend_with_elastics(qp: QPData) -> QPData:
     """Append elastic columns: constraints become c + Jd - u+ + u- = 0 with
     u+,u- >= 0 and unit objective weight; the extension is always feasible.
-    This is the solver's one elastic layout, columns ordered (d, u+, u-)."""
+    This is the solver's one elastic layout, columns ordered (d, u+, u-).
+    A W of None (phase I's LP) stays None."""
     n, m = qp.n, qp.m
     ne = n + 2 * m
-    W = np.zeros((ne, ne))
-    W[:n, :n] = qp.W
+    W = None
+    if qp.W is not None:
+        W = np.zeros((ne, ne))
+        W[:n, :n] = qp.W
     g = np.concatenate([qp.g, np.ones(2 * m)])
     A = np.hstack([qp.A, -np.eye(m), np.eye(m)])
     lb = np.concatenate([qp.d_lower, np.zeros(2 * m)])
@@ -390,6 +400,71 @@ class QPSolution:
     iterations: int = 0
 
 
+# Below this order eigvalsh plus an LU of the phase-I KKT matrix cost less
+# than the range-space step, whose 30-odd numpy calls each have a fixed
+# cost (crossover near 28 rows on a 2-core Xeon, one BLAS thread).
+_RANGE_SPACE_MIN_ORDER = 28
+
+
+def _range_space_step(A_f, delta, r1, r2):
+    """Solve [[delta I, A_f^T], [A_f, 0]] [q; lam] = [r1; r2], delta > 0,
+    in the range space of A_f, or return None (refuse) unless the blocks of
+    the equilibrated matrix prove its inertia (nf, m, 0).
+
+    The certificate is _blocks_prove_inertia's on the matrix that
+    ldlt_factorize_scaled factorizes, with every entry at most 1, so
+    t = _zero_tol(1, nf + m): its (1,1) block is diagonal, h = delta /
+    max(delta, max |column of A_f|), and must exceed t + eta; the Schur
+    complement S = B (H + (t + eta) I)^-1 B^T, B the equilibrated A_f, must
+    pass Cholesky at S - (t + margin) I. Non-finite entries in A_f make
+    h NaN or 0 and refuse.
+
+    The step uses orthogonal factors, A_f^T = QR, not A_f A_f^T, whose
+    condition number is that of A_f squared: u = R^-T r2, v = Q^T r1,
+    q = r1 / delta + Q (u - v / delta), lam = R^-1 (v - delta u), followed
+    by one step of refinement on the residual of the full system.
+    """
+    m, nf = A_f.shape
+    if m == 0 or nf < m:
+        return None
+    eps = np.finfo(float).eps
+    t = _zero_tol(1.0, nf + m)
+    shift = t + 4.0 * (nf + 1) * nf * eps * (1.0 + t)  # eta with max |H| <= 1
+    magnitude = np.abs(A_f)
+    columns = np.maximum(magnitude.max(axis=0), delta)
+    if not delta > shift * float(columns.max()):  # min h > t + eta; NaN refuses
+        return None
+    # B (H + shift I)^-1 B^T = Y Y^T: h_i + shift = delta s_i^2 + shift with
+    # s_i^2 = 1 / max(delta, column i), and the rows scaled by their max
+    Y = np.outer(1.0 / np.sqrt(np.maximum(magnitude.max(axis=1), 1e-300)),
+                 1.0 / np.sqrt(delta + shift * columns))
+    Y *= A_f
+    S = Y @ Y.T
+    # a Gram matrix's largest entry lies on its diagonal
+    margin = 2.0 * m * (nf + m + 2) * eps * (float(S.diagonal().max()) + t)
+    S.flat[:: m + 1] -= t + margin
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return None
+
+    Q, R = np.linalg.qr(A_f.T)
+    R_inv = np.linalg.inv(R)
+
+    def solve(r1, r2):
+        u = r2 @ R_inv
+        v = r1 @ Q
+        q = Q @ (u - v / delta)
+        q += r1 / delta
+        return q, R_inv @ (v - delta * u)
+
+    q, lam = solve(r1, r2)
+    dq, dlam = solve(r1 - delta * q - lam @ A_f, r2 - A_f @ q)
+    q += dq
+    lam += dlam
+    return q, lam
+
+
 def _eqp_solve(W, g, A, b, d, codes, schedule):
     """Solve the equality-constrained QP on the current working set.
 
@@ -397,6 +472,13 @@ def _eqp_solve(W, g, A, b, d, codes, schedule):
     delta_w) where q_free is the subproblem minimizer over the free variables
     (proximal regularization by delta_w about the current point when the
     reduced Hessian is not positive definite).
+
+    W None is phase I's zero Hessian: every product with it is skipped, and
+    at delta_w > 0 the step comes from the range space of A_f
+    (_range_space_step) when its blocks prove the inertia, with no
+    eigenvalues. Otherwise, and for every W given, the eigenvalues of the
+    equilibrated KKT matrix decide: an LU solve at inertia (nf, m, 0), least
+    squares when A_f is row rank deficient.
     """
     n = g.size
     m = b.size
@@ -405,17 +487,19 @@ def _eqp_solve(W, g, A, b, d, codes, schedule):
     nf = free.size
 
     rhs2 = b - (A[:, fixed] @ d[fixed] if (m and fixed.size) else np.zeros(m))
-    g_eff = g[free] + (W[np.ix_(free, fixed)] @ d[fixed] if fixed.size else 0.0)
+    g_eff = g[free]
+    if W is not None and fixed.size:
+        g_eff = g_eff + W[np.ix_(free, fixed)] @ d[fixed]
 
     if nf == 0:
         if m:
-            y, *_ = np.linalg.lstsq(A.T, W @ d + g, rcond=None)
+            y, *_ = np.linalg.lstsq(A.T, g if W is None else W @ d + g, rcond=None)
         else:
             y = np.zeros(0)
         return d[free], y, 0.0
 
     A_f = A[:, free] if m else np.zeros((0, nf))
-    W_ff = W[np.ix_(free, free)]
+    W_ff = np.zeros((nf, nf)) if W is None else W[np.ix_(free, free)]
 
     candidates = schedule.candidates()
     if nf > m and not W_ff.any():
@@ -423,11 +507,16 @@ def _eqp_solve(W, g, A, b, d, codes, schedule):
         # can give neither the target inertia nor the least-squares branch
         next(candidates)
     for delta_w in candidates:
+        rhs1 = -g_eff + delta_w * d[free]
+        if W is None and delta_w > 0.0 and nf + m >= _RANGE_SPACE_MIN_ORDER:
+            step = _range_space_step(A_f, delta_w, rhs1, rhs2)
+            if step is not None:
+                schedule.record_success(delta_w)
+                return step[0], -step[1], delta_w
         K = assemble_kkt(W_ff, A_f, delta_w, 0.0)
         fact = ldlt_factorize_scaled(K)
         if fact.inertia == (nf, m, 0):
-            rhs = np.concatenate([-g_eff + delta_w * d[free], rhs2])
-            sol = solve_factorized(fact, rhs)
+            sol = solve_factorized(fact, np.concatenate([rhs1, rhs2]))
             schedule.record_success(delta_w)
             return sol[:nf], -sol[nf:], delta_w
         if fact.n_zero > 0 and delta_w > 0.0:
@@ -435,7 +524,7 @@ def _eqp_solve(W, g, A, b, d, codes, schedule):
             # current point is feasible, so take the least-squares solution
             # (of the equilibrated system, for accuracy).
             s = fact.row_scaling
-            rhs = np.concatenate([-g_eff + delta_w * d[free], rhs2])
+            rhs = np.concatenate([rhs1, rhs2])
             sol, *_ = np.linalg.lstsq(K * np.outer(s, s), s * rhs, rcond=None)
             sol = s * sol
             schedule.record_success(delta_w)
@@ -465,7 +554,8 @@ def _ratio_test(d, p, lb, ub, step_tol):
 
 
 def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol):
-    """Primal active-set iteration from a feasible point d with working set codes."""
+    """Primal active-set iteration from a feasible point d with working set
+    codes; W None is a zero Hessian, with every product by it skipped."""
     n = g.size
     m = b.size
     step_tol = 1e-13
@@ -475,7 +565,7 @@ def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol)
     stall = 0
 
     def objective(v):
-        return 0.5 * v @ W @ v + g @ v
+        return g @ v if W is None else 0.5 * v @ W @ v + g @ v
 
     last_obj = objective(d)
     for iteration in range(max_iter):
@@ -489,15 +579,16 @@ def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol)
         # is (W + delta I) p on the free variables; regularized solves can
         # carry p-noise of order 1/delta, so test the residual, not p
         if free.size:
-            stat_res = float(
-                np.max(np.abs(W[np.ix_(free, free)] @ p[free] + delta_w * p[free]))
-            )
+            residual = delta_w * p[free]
+            if W is not None:
+                residual = W[np.ix_(free, free)] @ p[free] + residual
+            stat_res = float(np.max(np.abs(residual)))
         else:
             stat_res = 0.0
         d_scale = 1.0 + (float(np.max(np.abs(d))) if n else 0.0)
         if p_norm <= step_tol * d_scale or stat_res <= 0.1 * opt_tol:
             # Stationary on the working set: price the active bounds.
-            z = W @ d + g - (A.T @ y if m else 0.0)
+            z = (g if W is None else W @ d + g) - (A.T @ y if m else 0.0)
             signed = np.where(codes == _LOWER, z, np.where(codes == _UPPER, -z, np.inf))
             candidates = np.flatnonzero(signed < -opt_tol)
             if candidates.size == 0:
@@ -514,6 +605,8 @@ def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol)
 
         if delta_w == 0.0:
             t_full = 1.0
+        elif W is None:
+            t_full = np.inf  # no curvature: the step stops only at a bound
         else:
             kappa = float(p @ W @ p)
             if kappa > step_tol * float(p @ p):
@@ -553,7 +646,12 @@ def qp_solve(
 
     Phase I minimizes the elastic infeasibility of the equalities, so
     inconsistent constraints are reported as Infeasible (with the partial
-    point) rather than raised. With W = 0 the method acts as an LP solver.
+    point) rather than raised. It is an LP with no Hessian at all: from
+    order _RANGE_SPACE_MIN_ORDER on, its working-set steps are solved in the
+    range space of the free columns A_f (_range_space_step), and eigenvalues
+    are computed only where the blocks do not prove the inertia, as for a
+    rank-deficient A_f. With W = 0 the method acts as an LP solver, on the
+    eigenvalue path.
     Nonconvex QPs terminate at first-order stationary points. warm_start
     pins the given (index, side) bounds as the initial working set; start
     seeds the initial point.
@@ -586,8 +684,8 @@ def qp_solve(
     residual = (b - A @ d0) if m else np.zeros(0)
     phase1_iters = 0
     if m and float(np.max(np.abs(residual))) > feas_tol:
-        # Phase I: the elastic QP with zero W and g, from exact elastics.
-        phase1 = extend_with_elastics(QPData(np.zeros((n, n)), np.zeros(n), A, b, lb, ub))
+        # Phase I: the elastic LP (no W, zero g), from exact elastics.
+        phase1 = extend_with_elastics(QPData(None, np.zeros(n), A, b, lb, ub))
         d1 = np.concatenate([d0, *elastic_init(-residual)])
         codes1 = np.full(d1.size, _FREE, dtype=np.int8)
         codes1[np.flatnonzero(np.abs(d1 - phase1.d_lower) <= 1e-12)] = _LOWER

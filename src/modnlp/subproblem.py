@@ -224,7 +224,8 @@ def ipm_solve_step(
     grad = np.asarray(evals.grad_f, dtype=float)
 
     sigma = primal_dual_diagonal(x, lower, upper, zl, zu)
-    H = W + np.diag(sigma)
+    H = W.copy()
+    H.flat[:: n + 1] += sigma
     r_d = grad - (J.T @ y if m else 0.0) + barrier_gradient_terms(x, lower, upper, mu)
 
     fact, delta_w, delta_c = inertia_correct(

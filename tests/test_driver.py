@@ -256,7 +256,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("case, pinned", [
         ("nan start", ("EvaluationError", (1, 1, 1, 1, 0))),
-        ("inconsistent rows", ("InfeasibleStationary", (3, 4, 3, 4, 0))),
+        ("inconsistent rows", ("InfeasibleStationary", (2, 3, 3, 4, 0))),
         ("pole at the preprocessed point", ("EvaluationError", (2, 3, 4, 5, 0))),
     ])
     def test_early_exits_pinned(self, case, pinned):

@@ -13,6 +13,7 @@ from modnlp.linalg import (
     RegularizationSchedule,
     _blocks_prove_inertia,
     _kkt_factorization,
+    _range_space_step,
     _ratio_test,
     _verify_kkt,
     assemble_kkt,
@@ -403,6 +404,109 @@ class TestBlockCertificate:
             _kkt_factorization(K, 40)
 
 
+class TestRangeSpaceStep:
+    """_range_space_step against ldlt_factorize_scaled + solve_factorized
+    on phase I's A_f = [A, -I, I]."""
+
+    @staticmethod
+    def reference(A_f, delta, r1, r2):
+        """The LU's q and lam, and the condition number of the
+        equilibrated matrix."""
+        nf = A_f.shape[1]
+        fact = ldlt_factorize_scaled(assemble_kkt(np.zeros((nf, nf)), A_f, delta, 0.0))
+        assert fact.inertia == (nf, A_f.shape[0], 0)
+        sol = solve_factorized(fact, np.concatenate([r1, r2]))
+        return sol[:nf], sol[nf:], np.linalg.cond(fact.matrix)
+
+    @staticmethod
+    def backward_error(A_f, delta, r1, r2, q, lam):
+        """The componentwise relative residual of the KKT system (Oettli and
+        Prager): the smallest relative perturbation of each entry of the
+        matrix and the right-hand side that q, lam solve exactly. Rows
+        scaled over 16 orders of magnitude make a plain residual norm
+        measure the largest rows only."""
+        e1 = r1 - delta * q - A_f.T @ lam
+        e2 = r2 - A_f @ q
+        d1 = delta * np.abs(q) + np.abs(A_f.T) @ np.abs(lam) + np.abs(r1)
+        d2 = np.abs(A_f) @ np.abs(q) + np.abs(r2)
+        return max(np.max(np.abs(e1) / d1), np.max(np.abs(e2) / d2))
+
+    @pytest.mark.parametrize("rows", [
+        "well scaled", "scaled 1e-8 to 1e8", "nearly dependent", "nearly dependent, u+ of row 0",
+    ])
+    def test_matches_lu(self, rows):
+        # the same solution as the LU, and a residual within 10x the LU's.
+        # "nearly dependent" fixes the elastics at zero, as late in phase
+        # I (all of them, or all but one): A_f has condition numbers up to
+        # about 1e7, where solving with A_f A_f^T loses accuracy that one
+        # refinement step does not restore, and where the step without
+        # refinement has a residual up to 100x the LU's
+        rng = np.random.RandomState(4)
+        eps = np.finfo(float).eps
+        solved = 0
+        for trial in range(60):
+            n, m = rng.randint(10, 30), rng.randint(3, 10)
+            A = rng.randn(m, n)
+            if rows == "scaled 1e-8 to 1e8":
+                A *= 10.0 ** rng.uniform(-8.0, 8.0, m)[:, None]
+            if rows.startswith("nearly dependent"):
+                noise = 10.0 ** -(5 + trial % 2)
+                A_f = rng.randn(m, m - 1) @ rng.randn(m - 1, n) + noise * rng.randn(m, n)
+                if rows.endswith("row 0"):
+                    A_f = np.hstack([A_f, -np.eye(m)[:, :1]])
+            else:
+                A_f = np.hstack([A, -np.eye(m), np.eye(m)])
+            for delta in (1.0, 1e-4, 1e-8):
+                r1, r2 = rng.randn(A_f.shape[1]), rng.randn(m)
+                step = _range_space_step(A_f, delta, r1, r2)
+                if step is None:  # not proved: the eigenvalues decide
+                    assert rows != "well scaled"
+                    continue
+                q, lam = step
+                q_lu, lam_lu, cond = self.reference(A_f, delta, r1, r2)
+                tol = 100.0 * eps * cond  # both solutions are that close to the exact one
+                assert np.max(np.abs(q - q_lu)) <= tol * np.max(np.abs(q_lu))
+                assert np.max(np.abs(lam - lam_lu)) <= tol * np.max(np.abs(lam_lu))
+                lu = self.backward_error(A_f, delta, r1, r2, q_lu, lam_lu)
+                assert self.backward_error(A_f, delta, r1, r2, q, lam) <= 10.0 * max(lu, eps)
+                solved += 1
+        assert solved >= 100
+
+    def test_refuses_a_repeated_row(self):
+        rng = np.random.RandomState(5)
+        for m in range(2, 12):
+            A_f = np.hstack([rng.randn(m, 20), -np.eye(m)])  # u- fixed at zero
+            A_f[-1] = A_f[0]
+            assert _range_space_step(A_f, 1e-4, rng.randn(20 + m), rng.randn(m)) is None
+            assert ldlt_factorize_scaled(
+                assemble_kkt(np.zeros((20 + m, 20 + m)), A_f, 1e-4, 0.0)).n_zero == 1
+
+    def test_dependent_row_with_tiny_delta_is_refused(self):
+        # the analogue of test_schur_roundoff_does_not_certify: h near 1e-9,
+        # S has entries near 1e10, and the roundoff of its zero eigenvalue
+        # is far above t; without a margin for it, the kernel would solve
+        # a singular system
+        rng = np.random.RandomState(7)
+        for trial in range(20):
+            n, m = 40 + trial, 10
+            A = rng.randint(-8, 9, size=(m, n)).astype(float)
+            A[2] = A[0] + A[1]  # exact in floating point
+            K = assemble_kkt(np.zeros((n, n)), A, 1e-8, 0.0)
+            assert ldlt_factorize_scaled(K).inertia == (n, m - 1, 1)
+            assert _range_space_step(A, 1e-8, rng.randn(n), np.zeros(m)) is None
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_entries(self, value):
+        rng = np.random.RandomState(8)
+        A_f = np.hstack([rng.randn(6, 20), -np.eye(6), np.eye(6)])
+        assert _range_space_step(A_f, 1e-4, rng.randn(32), rng.randn(6)) is not None
+        A_f[3, 5] = value
+        assert _range_space_step(A_f, 1e-4, rng.randn(32), rng.randn(6)) is None
+
+    def test_refuses_without_constraints(self):
+        assert _range_space_step(np.zeros((0, 30)), 1e-4, np.ones(30), np.zeros(0)) is None
+
+
 def enumerate_qp_oracle(qp: QPData):
     """Exhaustive active-set enumeration for small QPs (independent oracle)."""
     n, m = qp.n, qp.m
@@ -553,13 +657,16 @@ class TestQPSolve:
 
     def test_zero_hessian_eqp_factorizes_once(self, monkeypatch):
         # with W_ff = 0 and nf > m, [[0, A_f^T], [A_f, 0]] is singular by
-        # rank: the delta_w = 0 probe is skipped, each EQP solve factorizes
-        # once, and the skipped probe is checked to fail its inertia test
-        # (so the result is the one the probe-first order gives)
+        # rank: the delta_w = 0 probe is skipped, and each skipped probe is
+        # checked to fail its inertia test (so the result is the one the
+        # probe-first order gives). An LP's own EQP (W = 0 given) then
+        # factorizes once, as does a phase-I EQP (no W) below the
+        # range-space order; at or above it, a phase-I EQP with A_f of full
+        # row rank computes no eigenvalues.
         import modnlp.linalg as linalg
 
-        eqp_solve, factorize = linalg._eqp_solve, linalg.ldlt_factorize_scaled
-        calls, per_solve = [0], []
+        eqp_solve, factorize = linalg._eqp_solve, linalg.ldlt_factorize
+        calls, per_solve = [0], {"LP": [], "phase I": [], "phase I range space": []}
 
         def counted_factorize(M):
             calls[0] += 1
@@ -568,17 +675,21 @@ class TestQPSolve:
         def checked_eqp_solve(W, g, A, b, d, codes, schedule):
             free = np.flatnonzero(codes == 0)
             nf, m = free.size, b.size
-            probe = nf > m and not W[np.ix_(free, free)].any()
+            probe = nf > m and (W is None or not W[np.ix_(free, free)].any())
             if probe:
                 K = assemble_kkt(np.zeros((nf, nf)), A[:, free], 0.0, 0.0)
-                assert factorize(K).inertia != (nf, m, 0)
+                assert ldlt_factorize_scaled(K).inertia != (nf, m, 0)
             calls[0] = 0
             result = eqp_solve(W, g, A, b, d, codes, schedule)
-            if probe:
-                per_solve.append(calls[0])
+            if probe and W is not None:
+                per_solve["LP"].append((nf + m, calls[0]))
+            elif probe and nf + m < linalg._RANGE_SPACE_MIN_ORDER:
+                per_solve["phase I"].append(calls[0])
+            elif probe and np.linalg.matrix_rank(A[:, free]) == m:
+                per_solve["phase I range space"].append(calls[0])
             return result
 
-        monkeypatch.setattr(linalg, "ldlt_factorize_scaled", counted_factorize)
+        monkeypatch.setattr(linalg, "ldlt_factorize", counted_factorize)
         monkeypatch.setattr(linalg, "_eqp_solve", checked_eqp_solve)
         rng = np.random.RandomState(9)
         for _ in range(40):
@@ -589,7 +700,21 @@ class TestQPSolve:
                 sol = qp_solve(problem)
                 assert sol.status == OPTIMAL
                 assert abs(sol.objective_value - expected_obj) <= 1e-8 * (1 + abs(expected_obj))
-        assert len(per_solve) > 100 and set(per_solve) == {1}
+        for _ in range(10):  # phase-I EQPs of order up to 52, the LP's up to 36
+            n, m = rng.randint(24, 33), rng.randint(4, 8)
+            A = rng.randn(m, n)
+            lb, ub = -rng.rand(n) - 0.5, rng.rand(n) + 0.5
+            b = A @ (lb + (ub - lb) * rng.rand(n)) + 0.5  # x = 0 is infeasible
+            lp = QPData(np.zeros((n, n)), rng.randn(n), A, b, lb, ub)
+            sol = qp_solve(lp)
+            assert sol.status == OPTIMAL
+            np.testing.assert_allclose(A @ sol.d, b, atol=1e-9)
+        assert len(per_solve["LP"]) > 60 and {c for _, c in per_solve["LP"]} == {1}
+        large = [order for order, _ in per_solve["LP"] if order >= linalg._RANGE_SPACE_MIN_ORDER]
+        assert len(large) > 20
+        assert len(per_solve["phase I"]) > 40 and set(per_solve["phase I"]) == {1}
+        assert len(per_solve["phase I range space"]) > 40
+        assert set(per_solve["phase I range space"]) == {0}
 
     def test_ratio_test_matches_loop(self):
         # the sequential scan: a later ratio blocks only when below the

@@ -1,5 +1,6 @@
 """Rules on the library source itself."""
 import ast
+import sys
 from pathlib import Path
 
 import modnlp
@@ -15,4 +16,25 @@ def test_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
+    assert SOURCES and not found
+
+
+def test_imports_only_numpy_and_stdlib():
+    # numpy is the only runtime dependency; scipy may be importable where
+    # the tests run, so only this rule keeps it out of the library
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # relative imports stay inside the package
+            found += [
+                "%s:%d %s" % (path.name, node.lineno, name)
+                for name in names
+                if name.split(".")[0] not in allowed
+            ]
     assert SOURCES and not found

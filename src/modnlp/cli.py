@@ -14,6 +14,8 @@ import numpy as np
 
 from .corpus import INFEASIBLE_PROBLEMS, corpus_get, corpus_names
 from .driver import (
+    PRESETS,
+    SUCCESS_STATUSES,
     Options,
     load_options_file,
     preset_options,
@@ -21,8 +23,6 @@ from .driver import (
     validate_options,
 )
 from .errors import ConfigurationError, ModNLPError, UnknownProblemError
-
-SUCCESS_FOR_PROFILE = ("FeasibleKKT", "LooseToleranceKKT")
 
 TAU_GRID = np.logspace(0.0, np.log10(1024.0), 64)
 
@@ -42,7 +42,7 @@ class RunRecord:
     def is_success(self) -> bool:
         if self.problem in INFEASIBLE_PROBLEMS:
             return self.status == "InfeasibleStationary"
-        return self.status in SUCCESS_FOR_PROFILE
+        return self.status in SUCCESS_STATUSES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="modnlp",
         description="Composable solver for nonlinearly constrained nonconvex optimization",
     )
-    parser.add_argument("-preset", choices=("filtersqp", "ipopt", "byrd"))
+    parser.add_argument("-preset", choices=PRESETS)
     parser.add_argument("-constraint_relaxation_strategy")
     parser.add_argument("-subproblem")
     parser.add_argument("-globalization_strategy")

@@ -61,12 +61,6 @@ def _eigenvalues(A: np.ndarray) -> np.ndarray:
         raise SingularMatrixError("eigenvalues did not converge") from exc
 
 
-def _max_abs(M: np.ndarray, axis: int | None = None):
-    """max |M| (0 when empty), along axis if given, without allocating |M|:
-    a fresh matrix-sized temporary per call is measurable at KKT sizes."""
-    return np.maximum(M.max(axis=axis, initial=0.0), -M.min(axis=axis, initial=0.0))
-
-
 def _symmetrized(M: np.ndarray) -> tuple[np.ndarray, float]:
     """An exactly symmetric copy 0.5 (M + M^T) of the square matrix M, and
     its zero_tol."""
@@ -76,13 +70,13 @@ def _symmetrized(M: np.ndarray) -> tuple[np.ndarray, float]:
         raise ValueError("matrix must be square")
     A = M + M.T
     A *= 0.5
-    return A, _zero_tol(float(_max_abs(A)), n)
+    return A, _zero_tol(float(np.abs(A).max(initial=0.0)), n)
 
 
 def _equilibrated(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """diag(s) M diag(s) with s_i = 1/sqrt(max |row i|), and s."""
     M = np.asarray(M, dtype=float)
-    s = 1.0 / np.sqrt(np.maximum(_max_abs(M, axis=1), 1e-300))
+    s = 1.0 / np.sqrt(np.maximum(np.abs(M).max(axis=1, initial=0.0), 1e-300))
     scaled = s[:, None] * s
     scaled *= M
     return scaled, s
@@ -151,14 +145,14 @@ def _blocks_prove_inertia(A: np.ndarray, n: int, zero_tol: float) -> bool:
     H, B, C = A[:n, :n], A[n:, :n], A[n:, n:]
     m = B.shape[0]
     eps = np.finfo(float).eps
-    shift = zero_tol + 4.0 * (n + 1) * n * eps * (float(_max_abs(H)) + zero_tol)
+    shift = zero_tol + 4.0 * (n + 1) * n * eps * (float(np.abs(H).max(initial=0.0)) + zero_tol)
     try:
         np.linalg.cholesky(_shifted(H, -shift))
         if m:
             Y = np.linalg.solve(np.linalg.cholesky(_shifted(H, shift)), B.T)
             S = Y.T @ Y
             S -= C
-            scale = float(_max_abs(S)) + float(_max_abs(C)) + zero_tol
+            scale = np.abs(S).max(initial=0.0) + np.abs(C).max(initial=0.0) + zero_tol
             margin = 2.0 * m * (n + m + 2) * eps * scale
             np.linalg.cholesky(_shifted(S, -(zero_tol + margin)))
     except np.linalg.LinAlgError:
@@ -293,7 +287,7 @@ def make_positive_definite(
     lambda_min = float(_eigenvalues(A)[0]) if n else np.inf
     diagonal = A.diagonal().copy()
     A.flat[:: n + 1] = 0.0
-    off_diagonal = float(_max_abs(A))
+    off_diagonal = float(np.abs(A).max(initial=0.0))
 
     def is_pd(delta):
         max_abs = max(off_diagonal, float(np.max(np.abs(diagonal + delta), initial=0.0)))

@@ -1,6 +1,5 @@
-"""Automatic model transformations: slack reformulation to equality form,
-gradient-based function scaling, and the smooth elastic reformulation of the
-l1 relaxed / l1 feasibility problems.
+"""Automatic model transformations: slack reformulation to equality form and
+gradient-based function scaling.
 """
 from __future__ import annotations
 
@@ -126,59 +125,3 @@ def scale_functions(model: Model, x0: np.ndarray, s_max: float):
     )
     return scaled, factors
 
-
-class ElasticModel:
-    """Smooth elastic reformulation over variables (x, u+, u-), in the
-    elastic layout of linalg.extend_with_elastics:
-
-        min  rho * f(x) + e^T u+ + e^T u-
-        s.t. c(x) - u+ + u- = 0,  u+ >= 0,  u- >= 0  (plus the x bounds).
-
-    rho = 0 is the l1 feasibility problem. rho is mutable in place (penalty
-    steering updates it without rebuilding). The elastic identity blocks make
-    the constraint Jacobian full row rank everywhere.
-    """
-
-    def __init__(self, base: Model, rho: float):
-        if not base.is_equality_form:
-            raise ValueError("elastic reformulation requires an equality-form model")
-        self.base = base
-        self.rho = float(rho)
-        n, m = base.n, base.m
-        self.n = n + 2 * m
-        self.m = m
-        self.variable_lower = np.concatenate([base.variable_lower, np.zeros(2 * m)])
-        self.variable_upper = np.concatenate([base.variable_upper, np.full(2 * m, np.inf)])
-
-        def objective(w):
-            return self.rho * base.eval_objective(w[:n]) + float(np.sum(w[n:]))
-
-        def constraints(w):
-            return (
-                np.asarray(base.eval_constraints(w[:n]))
-                - w[n:n + m]
-                + w[n + m:]
-            )
-
-        def gradient(w):
-            return np.concatenate(
-                [self.rho * np.asarray(base.eval_objective_gradient(w[:n])), np.ones(2 * m)]
-            )
-
-        def jacobian(w):
-            J = np.asarray(base.eval_constraint_jacobian(w[:n]))
-            return np.hstack([J, -np.eye(m), np.eye(m)])
-
-        def hessian(w, rho_outer, y):
-            W = np.zeros((self.n, self.n))
-            W[:n, :n] = base.eval_lagrangian_hessian(w[:n], rho_outer * self.rho, y)
-            return W
-
-        self.eval_objective = objective
-        self.eval_constraints = constraints
-        self.eval_objective_gradient = gradient
-        self.eval_constraint_jacobian = jacobian
-        self.eval_lagrangian_hessian = hessian
-
-    def set_rho(self, rho: float) -> None:
-        self.rho = float(rho)

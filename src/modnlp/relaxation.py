@@ -3,13 +3,15 @@
 The QP, LP and interior-point subproblems answer the same calls: an
 optimality direction, a feasibility (elastic) direction at a given rho, and
 the barrier questions. Each evaluates the Hessian it needs and returns a
-finished direction. The l1 relaxation with penalty steering and feasibility
-restoration with phase switching own the progress-measure definitions and
-drive a subproblem without knowing which one it is.
+finished direction; the interior-point one owns the elastic barrier problem
+(elastic_evaluations) and its smoothed infeasibility. The l1 relaxation with
+penalty steering and feasibility restoration with phase switching own the
+progress-measure definitions and drive a subproblem through these calls
+alone, without knowing which one it is.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .linalg import (
     ITERATION_LIMIT,
     OPTIMAL,
     UNBOUNDED,
+    QPData,
     RegularizationSchedule,
     assemble_kkt,
     central_elastics,
@@ -36,7 +39,6 @@ from .linalg import (
     solve_factorized,
 )
 from .model import Evaluations, evaluate
-from .reformulation import ElasticModel
 from .state import Iterate, Workspace
 from .subproblem import (
     BarrierState,
@@ -125,19 +127,18 @@ class QPSubproblem:
     is_interior = False
 
     def __init__(self, opts):
-        # the line-search lineage needs a positive definite Hessian
-        self.regularize = opts.globalization_mechanism == "LS"
         self.schedule = RegularizationSchedule()
         self.warm_optimality = None
         self.warm_elastic = None
 
     def _build(self, ws, iterate, rho, trust_radius):
-        """The QP at rho and the Hessian W_rho it is built from."""
+        """The QP at rho and the Hessian W_rho it is built from. Without a
+        trust radius (the line search) W_rho is made positive definite."""
         W = np.asarray(ws.model.eval_lagrangian_hessian(iterate.x, rho, iterate.y), dtype=float)
         qp, _, tr_masks = build_sqp_qp(
             replace(iterate.evals, hessian=W), iterate.x, rho, ws.lower, ws.upper,
             trust_radius=trust_radius,
-            regularize=self.regularize,
+            regularize=trust_radius is None,
             schedule=self.schedule,
             second_order=self.second_order,
         )
@@ -151,11 +152,9 @@ class QPSubproblem:
             self.warm_optimality = sol.active_set
         return _qp_direction(sol, iterate, W, trust_radius, tr_masks)
 
-    def feasibility_direction(self, ws, elastic, iterate, rho, trust_radius,
-                              start_dx=None) -> Direction:
+    def feasibility_direction(self, ws, iterate, rho, trust_radius, start_dx=None) -> Direction:
         """Solve the elastic QP (rho possibly 0: the feasibility QP), started
-        from start_dx clipped to the step bounds. The elastic block is built
-        from the linearization, so the elastic model is not read."""
+        from start_dx clipped to the step bounds."""
         qp, W, tr_masks = self._build(ws, iterate, rho, trust_radius)
         dx0 = np.zeros(qp.n) if start_dx is None else np.clip(start_dx, qp.d_lower, qp.d_upper)
         u_plus, u_minus = elastic_init(iterate.evals.c + iterate.evals.jac_c @ dx0)
@@ -170,13 +169,13 @@ class QPSubproblem:
         """The starting point and its lower/upper bound multipliers."""
         return x0, np.zeros(ws.model.n), np.zeros(ws.model.n)
 
-    def maybe_update_mu(self, ws, iterate, elastic=None) -> bool:
+    def maybe_update_mu(self, ws, iterate, elastic_rho=None) -> bool:
         return False
 
     def barrier_term(self, ws, x) -> float:
         return 0.0
 
-    def restoration_multipliers(self, ws, elastic, iterate) -> np.ndarray:
+    def restoration_multipliers(self, ws, iterate) -> np.ndarray:
         return np.zeros_like(iterate.y)
 
     def log_fields(self) -> dict:
@@ -190,11 +189,33 @@ class LPSubproblem(QPSubproblem):
     second_order = False
 
 
+def elastic_evaluations(ws, x, y, u, rho, with_hessian=False):
+    """The elastic problem over (x, u+, u-), u = (u+, u-):
+
+        min  rho f(x) + sum(u+) + sum(u-)
+        s.t. c(x) - u+ + u- = 0,  u+ >= 0,  u- >= 0  (plus the bounds on x),
+
+    evaluated at (x, u) in the elastic layout of linalg.extend_with_elastics,
+    with one evaluation of the model at x (the Hessian W_rho at y on
+    request). rho = 0 is the l1 feasibility problem; the elastic identity
+    blocks make the constraint Jacobian full row rank everywhere. Returns the
+    evaluations and the lower and upper bounds of (x, u)."""
+    m = u.size // 2
+    ev = evaluate(ws.model, x, rho=rho, y=y, with_hessian=with_hessian)
+    layout = extend_with_elastics(
+        QPData(ev.hessian, rho * ev.grad_f, ev.jac_c, -ev.c, ws.lower, ws.upper)
+    )
+    f = rho * ev.f + float(np.sum(u))
+    evals = Evaluations(f, ev.c - u[:m] + u[m:], layout.g, layout.A, layout.W)
+    return evals, layout.d_lower, layout.d_upper
+
+
 class IPMSubproblem:
     """Primal-dual interior-point subproblem on the symmetrized system, with
-    the same calls as QPSubproblem; it also owns the barrier parameter. Reads
-    mu_initial, tau_min, kappa_epsilon, kappa_mu, theta_mu, tolerance,
-    interior_push and multiplier_scaling_cap from the options."""
+    the same calls as QPSubproblem; it also owns the barrier parameter and
+    the elastic barrier problem of its feasibility steps. Reads mu_initial,
+    tau_min, kappa_epsilon, kappa_mu, theta_mu, tolerance, interior_push and
+    multiplier_scaling_cap from the options."""
 
     name = "primal_dual_IPM"
     second_order = True
@@ -212,23 +233,19 @@ class IPMSubproblem:
         zl, zu = initial_bound_multipliers(ws.lower, ws.upper)
         return x0, zl, zu
 
-    def maybe_update_mu(self, ws, iterate, elastic: ElasticModel | None = None) -> bool:
+    def maybe_update_mu(self, ws, iterate, elastic_rho=None) -> bool:
         """Decrease mu when the barrier problem being solved (the elastic one
-        during restoration) is converged to its mu-tolerance."""
+        at elastic_rho during relaxation or restoration) is converged to its
+        mu-tolerance."""
         opts = self.opts
-        if elastic is None:
-            error = barrier_kkt_error(
-                iterate.evals, iterate.x, iterate.y, iterate.zl, iterate.zu,
-                ws.lower, ws.upper, self.barrier.mu, opts.multiplier_scaling_cap,
-            )
+        if elastic_rho is None:
+            problem = (iterate.evals, iterate.x, iterate.zl, iterate.zu, ws.lower, ws.upper)
         else:
-            w, zl_full, zu_full = self._elastic_point(ws, iterate)
-            eev = evaluate(elastic, w, rho=1.0, y=iterate.y)
-            error = barrier_kkt_error(
-                eev, w, iterate.y, zl_full, zu_full,
-                elastic.variable_lower, elastic.variable_upper, self.barrier.mu,
-                opts.multiplier_scaling_cap,
-            )
+            problem = self._elastic_problem(ws, iterate, elastic_rho)
+        evals, x, zl, zu, lower, upper = problem
+        error = barrier_kkt_error(
+            evals, x, iterate.y, zl, zu, lower, upper, self.barrier.mu, opts.multiplier_scaling_cap
+        )
         _, changed = update_barrier_parameter(
             self.barrier, error, opts.tolerance, opts.kappa_epsilon, opts.kappa_mu, opts.theta_mu
         )
@@ -248,34 +265,29 @@ class IPMSubproblem:
             ws.lower, ws.upper, self.barrier, self.schedule, self.opts.tau_min,
         )
 
-    def _elastic_point(self, ws, iterate):
-        """Current iterate lifted to the elastic space (re-seeded every step).
-
-        The elastic values are on the central path (central_elastics), so
-        the lifted point is strictly interior with exact equality residuals
-        and mu-consistent complementarity.
-        """
+    def _elastic_problem(self, ws, iterate, rho, with_hessian=False):
+        """The elastic problem at rho at the iterate lifted to the elastic
+        space (re-seeded every step): its evaluations, the lifted point w, the
+        bound multipliers of w and the bounds of w. The elastic values are on
+        the central path (central_elastics), so w is strictly interior with
+        exact equality residuals and mu-consistent complementarity."""
         mu = self.barrier.mu
         u = np.concatenate(central_elastics(iterate.evals.c, mu))
+        eev, lower, upper = elastic_evaluations(ws, iterate.x, iterate.y, u, rho, with_hessian)
         w = np.concatenate([iterate.x, u])
         zl_full = np.concatenate([iterate.zl, mu / u])
         zu_full = np.concatenate([iterate.zu, np.zeros(u.size)])
-        return w, zl_full, zu_full
+        return eev, w, zl_full, zu_full, lower, upper
 
-    def feasibility_direction(self, ws, elastic: ElasticModel, iterate, rho, trust_radius,
-                              start_dx=None) -> Direction:
-        """Step of the barrier problem on the elastic model at rho, with gtd
+    def feasibility_direction(self, ws, iterate, rho, trust_radius, start_dx=None) -> Direction:
+        """Step of the barrier problem on the elastic problem at rho, with gtd
         and dwd of the base model: the x-block of the elastic Hessian is the
         base W at rho. An interior step has no trust region or start."""
         n = ws.model.n
-        elastic.set_rho(rho)
-        w, zl_full, zu_full = self._elastic_point(ws, iterate)
-        eev = evaluate(elastic, w, rho=1.0, y=iterate.y, with_hessian=True)
+        eev, w, zl, zu, lower, upper = self._elastic_problem(ws, iterate, rho, with_hessian=True)
         ws.subproblem_solves += 1
         full = ipm_solve_step(
-            eev, w, iterate.y, zl_full, zu_full,
-            elastic.variable_lower, elastic.variable_upper,
-            self.barrier, self.schedule, self.opts.tau_min,
+            eev, w, iterate.y, zl, zu, lower, upper, self.barrier, self.schedule, self.opts.tau_min
         )
         dx = full.dx[:n]
         return Direction(
@@ -290,14 +302,14 @@ class IPMSubproblem:
             dwd=float(dx @ eev.hessian[:n, :n] @ dx),
         )
 
-    def restoration_multipliers(self, ws, elastic: ElasticModel, iterate) -> np.ndarray:
-        """Least-squares multipliers of the elastic problem: without them the
-        restoration Hessian has no curvature in the unbounded primal block."""
-        w, zl_full, zu_full = self._elastic_point(ws, iterate)
-        eev = evaluate(elastic, w, rho=1.0)
-        ne, m = elastic.n, elastic.m
+    def restoration_multipliers(self, ws, iterate) -> np.ndarray:
+        """Least-squares multipliers of the l1 feasibility problem (the
+        elastic problem at rho = 0): without them the restoration Hessian has
+        no curvature in the unbounded primal block."""
+        eev, w, zl, zu, _, _ = self._elastic_problem(ws, iterate, 0.0)
+        ne, m = w.size, iterate.y.size
         K = assemble_kkt(np.eye(ne), np.asarray(eev.jac_c), 0.0, 0.0)
-        rhs = np.concatenate([np.asarray(eev.grad_f) - (zl_full - zu_full), np.zeros(m)])
+        rhs = np.concatenate([np.asarray(eev.grad_f) - (zl - zu), np.zeros(m)])
         try:
             y = solve_factorized(ldlt_factorize(K), rhs)[ne:]
         except SingularMatrixError:
@@ -306,6 +318,35 @@ class IPMSubproblem:
             return np.zeros(m)
         # elastic multipliers live in [-1, 1]
         return np.clip(y, -1.0, 1.0)
+
+    def smoothed_infeasibility_armijo(self, ws, iterate, trial, direction, alpha, sigma) -> bool:
+        """Sufficient decrease of the barrier-smoothed infeasibility, the
+        elastic barrier objective at rho = 0 with the elastic block
+        eliminated at its central values: sum(u+ + u- - mu log(u+ u-)) plus
+        the x-block barrier. An interior restoration step targets it, and it
+        can fall where raw eta rises near an l1 kink."""
+        mu = self.barrier.mu
+
+        def smoothed(x, c):
+            u_plus, u_minus = central_elastics(c, mu)
+            if np.any(u_plus <= 0.0) or np.any(u_minus <= 0.0):
+                return np.inf
+            value = float(np.sum(u_plus + u_minus) - mu * np.sum(np.log(u_plus) + np.log(u_minus)))
+            return value + barrier_value(x, ws.lower, ws.upper, mu)
+
+        c = np.asarray(iterate.evals.c, dtype=float)
+        u_plus, _ = central_elastics(c, mu)
+        y_central = mu / u_plus - 1.0
+        grad = -(np.asarray(iterate.evals.jac_c).T @ y_central) + barrier_gradient_terms(
+            iterate.x, ws.lower, ws.upper, mu
+        )
+        slope = float(grad @ direction.dx)
+        if slope >= 0.0:
+            return False
+        current_value = smoothed(iterate.x, c)
+        decrease = current_value - smoothed(trial.x, np.asarray(trial.evals.c))
+        slack = 10.0 * np.finfo(float).eps * max(1.0, abs(current_value))
+        return decrease + slack >= sigma * (-slope) * alpha
 
 
 def _qp_direction(sol, iterate, W, trust_radius, tr_masks) -> Direction:
@@ -347,12 +388,6 @@ def _qp_direction(sol, iterate, W, trust_radius, tr_masks) -> Direction:
 # ---------------------------------------------------------------------------
 # Relaxation strategies
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class PhaseState:
-    phase: str = OPTIMALITY
-    reference: ProgressMeasures | None = None
 
 
 class ConstraintRelaxationStrategy:
@@ -401,13 +436,13 @@ class ConstraintRelaxationStrategy:
         scale = 1.0 + float(np.max(np.abs(iterate.x), initial=0.0))
         return float(np.max(np.abs(direction.dx), initial=0.0)) <= self._zero_tol * scale
 
-    def _barrier_reference_model(self):
-        """The model whose barrier problem is currently being solved (the
-        elastic one for relaxation/restoration steps)."""
+    def _barrier_elastic_rho(self):
+        """The rho of the elastic problem whose barrier problem is currently
+        being solved, or None for the original problem."""
         return None
 
     def _maybe_update_barrier(self, iterate: Iterate) -> bool:
-        if not self.subproblem.maybe_update_mu(self.ws, iterate, self._barrier_reference_model()):
+        if not self.subproblem.maybe_update_mu(self.ws, iterate, self._barrier_elastic_rho()):
             return False
         # filter entries depend on mu through xi: flush on every update
         self.strategy.reset(float(np.sum(np.abs(iterate.evals.c))))
@@ -438,7 +473,6 @@ class L1Relaxation(ConstraintRelaxationStrategy):
         super().__init__(ws, subproblem, strategy)
         self.opts = opts
         self.rho = opts.rho_initial
-        self.elastic = ElasticModel(ws.model, self.rho)
         self._feas_tol = 1e-9
 
     def measure_rho(self) -> float:
@@ -447,19 +481,16 @@ class L1Relaxation(ConstraintRelaxationStrategy):
     def steered_to_zero(self) -> bool:
         return self.rho <= self.opts.rho_min
 
-    def _barrier_reference_model(self):
-        return self.elastic
+    def _barrier_elastic_rho(self):
+        return self.rho
 
     def _set_rho(self, rho: float, iterate: Iterate) -> None:
         self.rho = rho
-        self.elastic.set_rho(rho)
         iterate.rho = rho
 
     def _solve_at(self, iterate: Iterate, rho: float, trust_radius):
         """Direction of the elastic subproblem at the given rho."""
-        direction = self.subproblem.feasibility_direction(
-            self.ws, self.elastic, iterate, rho, trust_radius
-        )
+        direction = self.subproblem.feasibility_direction(self.ws, iterate, rho, trust_radius)
         if direction.status in (UNBOUNDED, ITERATION_LIMIT):
             raise QPFailureError("elastic QP failed with status " + direction.status)
         return direction
@@ -580,37 +611,34 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
 
     def __init__(self, ws, subproblem, strategy, opts):
         super().__init__(ws, subproblem, strategy)
-        self.state = PhaseState()
+        self.phase = OPTIMALITY
+        self.reference: ProgressMeasures | None = None  # measures on entering restoration
         self.restoration_exit_factor = opts.restoration_exit_factor
-        self.elastic = ElasticModel(ws.model, 0.0)
         self._optimality_feasible = False
-
-    @property
-    def phase(self) -> str:
-        return self.state.phase
 
     def log_fields(self) -> dict:
         return {**super().log_fields(), "phase": self.phase}
 
-    def _barrier_reference_model(self):
-        return self.elastic if self.state.phase == RESTORATION else None
+    def _barrier_elastic_rho(self):
+        # restoration solves the l1 feasibility problem: the elastic one at rho = 0
+        return 0.0 if self.phase == RESTORATION else None
 
     def _enter_restoration(self, iterate: Iterate) -> None:
-        self.state.phase = RESTORATION
-        self.state.reference = self.measures_from(iterate)
-        self.strategy.register_current(self.state.reference)
+        self.phase = RESTORATION
+        self.reference = self.measures_from(iterate)
+        self.strategy.register_current(self.reference)
         # the restoration problem has its own multipliers; carrying over
         # (possibly diverging) optimality multipliers poisons its Hessian
-        iterate.y = self.subproblem.restoration_multipliers(self.ws, self.elastic, iterate)
+        iterate.y = self.subproblem.restoration_multipliers(self.ws, iterate)
 
     def _exit_restoration(self, iterate_measures: ProgressMeasures) -> None:
-        self.state.phase = OPTIMALITY
+        self.phase = OPTIMALITY
         self.strategy.register_current(iterate_measures)
 
     def compute_direction(self, iterate: Iterate, trust_radius=None) -> Direction:
         self._maybe_update_barrier(iterate)
         self.ws.ensure_derivatives(iterate)
-        if self.state.phase == RESTORATION:
+        if self.phase == RESTORATION:
             return self._restoration_direction(iterate, trust_radius)
         direction = self.subproblem.optimality_direction(self.ws, iterate, trust_radius)
         if direction.status == OPTIMAL:
@@ -628,7 +656,7 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
             probe = self.subproblem.optimality_direction(self.ws, iterate, trust_radius)
             self._optimality_feasible = probe.status == OPTIMAL
         direction = self.subproblem.feasibility_direction(
-            self.ws, self.elastic, iterate, 0.0, trust_radius, start_dx=start_dx
+            self.ws, iterate, 0.0, trust_radius, start_dx=start_dx
         )
         if direction.status != OPTIMAL:
             raise QPFailureError(
@@ -642,14 +670,14 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
         current = self.measures_from(iterate)
         trial_m = self.measures_from(trial)
         models = self.reduction_models(iterate, direction)
-        if self.state.phase == OPTIMALITY:
+        if self.phase == OPTIMALITY:
             return self.strategy.check_acceptance(current, trial_m, models, alpha)
 
         if not self.subproblem.is_interior:
             # trust-region flavor: return to optimality before the acceptance
             # test once the optimality subproblem is feasible and the trial
             # beats the least infeasibility the strategy remembers
-            least = self.strategy.least_infeasibility(self.state.reference)
+            least = self.strategy.least_infeasibility(self.reference)
             if self._optimality_feasible and trial_m.eta < least:
                 self._exit_restoration(current)
                 return self.strategy.check_acceptance(current, trial_m, models, alpha)
@@ -658,9 +686,11 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
         # an interior restoration step targets the barrier-smoothed
         # infeasibility, which can move raw eta the wrong way near an l1
         # kink; accept on sufficient smoothed decrease too
-        accepted = infeasibility_armijo(
-            current, trial_m, models, alpha, self.strategy.sigma
-        ) or self._smoothed_infeasibility_armijo(iterate, trial, direction, alpha)
+        sigma = self.strategy.sigma
+        accepted = infeasibility_armijo(current, trial_m, models, alpha, sigma) or (
+            self.subproblem.smoothed_infeasibility_armijo(
+                self.ws, iterate, trial, direction, alpha, sigma)
+        )
         if (
             accepted
             and self.strategy.admits(trial_m)
@@ -670,35 +700,8 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
             self._exit_restoration(current)
         return accepted
 
-    def _smoothed_infeasibility(self, x: np.ndarray, c: np.ndarray) -> float:
-        """Elastic barrier objective with the elastic block eliminated at its
-        central values: sum(u+ + u- - mu log(u+ u-)) plus the x-block barrier."""
-        mu = self.subproblem.barrier.mu
-        u_plus, u_minus = central_elastics(c, mu)
-        if np.any(u_plus <= 0.0) or np.any(u_minus <= 0.0):
-            return np.inf
-        value = float(np.sum(u_plus + u_minus) - mu * np.sum(np.log(u_plus) + np.log(u_minus)))
-        return value + barrier_value(x, self.ws.lower, self.ws.upper, mu)
-
-    def _smoothed_infeasibility_armijo(self, iterate, trial, direction, alpha) -> bool:
-        mu = self.subproblem.barrier.mu
-        c = np.asarray(iterate.evals.c, dtype=float)
-        u_plus, _ = central_elastics(c, mu)
-        y_central = mu / u_plus - 1.0
-        grad = -(np.asarray(iterate.evals.jac_c).T @ y_central) + barrier_gradient_terms(
-            iterate.x, self.ws.lower, self.ws.upper, mu
-        )
-        slope = float(grad @ direction.dx)
-        if slope >= 0.0:
-            return False
-        current_value = self._smoothed_infeasibility(iterate.x, c)
-        trial_value = self._smoothed_infeasibility(trial.x, np.asarray(trial.evals.c))
-        decrease = current_value - trial_value
-        slack = 10.0 * np.finfo(float).eps * max(1.0, abs(current_value))
-        return decrease + slack >= self.strategy.sigma * (-slope) * alpha
-
     def handle_small_step(self, iterate: Iterate) -> Direction | None:
-        if self.state.phase == OPTIMALITY:
+        if self.phase == OPTIMALITY:
             self._enter_restoration(iterate)
             self._maybe_update_barrier(iterate)
         elif not self._maybe_update_barrier(iterate):

@@ -5,11 +5,9 @@ from modnlp.corpus import corpus_get
 from modnlp.errors import InconsistentBoundsError
 from modnlp.linalg import elastic_init, ldlt_factorize
 from modnlp.model import evaluate
-from modnlp.reformulation import (
-    ElasticModel,
-    scale_functions,
-    to_equality_form,
-)
+from modnlp.reformulation import scale_functions, to_equality_form
+from modnlp.relaxation import elastic_evaluations
+from modnlp.state import Workspace
 
 
 def test_inequality_gets_slack():
@@ -103,40 +101,39 @@ def test_elastic_init():
         np.testing.assert_allclose(c - up + um, np.zeros(6), atol=1e-14)
 
 
+def elastic_at(base, x, rho):
+    """The elastic problem at rho, at x with exact elastics (u+, u-) = (c+, c-)."""
+    u = np.concatenate(elastic_init(evaluate(base, x, with_derivatives=False).c))
+    return elastic_evaluations(Workspace(base), x, np.zeros(base.m), u, rho)
+
+
 def test_elastic_model_objective_and_residual():
     base = to_equality_form(corpus_get("rosenbrock_ring"))
     rng = np.random.RandomState(2)
     for rho in (0.0, 0.37, 1.0):
-        elastic = ElasticModel(base, rho)
         for _ in range(5):
             x = rng.uniform(-2.0, 2.0, size=base.n)
             ev = evaluate(base, x, with_derivatives=False)
-            w = np.concatenate([x, *elastic_init(ev.c)])
-            eev = evaluate(elastic, w, with_derivatives=False)
+            eev, _, _ = elastic_at(base, x, rho)
             np.testing.assert_allclose(eev.c, np.zeros(base.m), atol=1e-14)
             assert eev.f == pytest.approx(rho * ev.f + np.sum(np.abs(ev.c)))
 
 
 def test_elastic_rho_zero_is_feasibility_objective():
     base = to_equality_form(corpus_get("hs006"))
-    elastic = ElasticModel(base, 0.0)
     x = np.array([0.5, -1.0])
     ev = evaluate(base, x, with_derivatives=False)
-    w = np.concatenate([x, *elastic_init(ev.c)])
-    assert elastic.eval_objective(w) == pytest.approx(np.sum(np.abs(ev.c)))
-    elastic.set_rho(2.0)
-    assert elastic.eval_objective(w) == pytest.approx(2.0 * ev.f + np.sum(np.abs(ev.c)))
+    assert elastic_at(base, x, 0.0)[0].f == pytest.approx(np.sum(np.abs(ev.c)))
+    assert elastic_at(base, x, 2.0)[0].f == pytest.approx(2.0 * ev.f + np.sum(np.abs(ev.c)))
 
 
 def test_elastic_jacobian_full_row_rank():
     rng = np.random.RandomState(3)
     for name in ("hs071", "infeasible1", "hs048"):
         base = to_equality_form(corpus_get(name))
-        elastic = ElasticModel(base, 1.0)
         for _ in range(10):
             x = rng.uniform(-2.0, 2.0, size=base.n)
-            w = np.concatenate([x, *elastic_init(evaluate(base, x, with_derivatives=False).c)])
-            J = elastic.eval_constraint_jacobian(w)
+            J = elastic_at(base, x, 1.0)[0].jac_c
             # rank via factorization of J J^T
             fact = ldlt_factorize(J @ J.T)
             assert fact.inertia == (base.m, 0, 0)
@@ -144,8 +141,9 @@ def test_elastic_jacobian_full_row_rank():
 
 def test_elastic_structure_sizes():
     base = to_equality_form(corpus_get("booth"))
-    elastic = ElasticModel(base, 1.0)
-    assert elastic.n == base.n + 4
-    assert elastic.m == 2
-    g = elastic.eval_objective_gradient(np.zeros(elastic.n))
-    np.testing.assert_allclose(g[base.n:], np.ones(4))
+    eev, lower, upper = elastic_evaluations(
+        Workspace(base), np.zeros(base.n), np.zeros(base.m), np.zeros(4), 1.0
+    )
+    assert lower.size == upper.size == base.n + 4
+    assert eev.c.size == 2
+    np.testing.assert_allclose(eev.grad_f[base.n:], np.ones(4))

@@ -216,9 +216,6 @@ def test_ipm_elastic_direction_curvature_is_base_hessian():
     it.zl, it.zu = initial_bound_multipliers(ws.lower, ws.upper)
     it.evals = evaluate(ws.model, it.x)
     for rho in (0.0, 0.37, 1.0):
-        relaxation.elastic.set_rho(rho)
-        direction = relaxation.subproblem.feasibility_direction(
-            ws, relaxation.elastic, it, rho, None
-        )
+        direction = relaxation.subproblem.feasibility_direction(ws, it, rho, None)
         W = ws.model.eval_lagrangian_hessian(it.x, rho, it.y)
         assert direction.dwd == pytest.approx(float(direction.dx @ W @ direction.dx), rel=1e-12)

@@ -38,3 +38,26 @@ def test_imports_only_numpy_and_stdlib():
                 if name.split(".")[0] not in allowed
             ]
     assert SOURCES and not found
+
+
+def test_relaxations_call_only_subproblem_methods():
+    # a relaxation drives its subproblem through the subproblem calls alone:
+    # reading the subproblem's state ties it to one kind of subproblem
+    from modnlp.driver import SUBPROBLEMS
+
+    allowed = {"is_interior"} | {
+        name for cls in SUBPROBLEMS.values() for name in dir(cls)
+        if not name.startswith("__") and callable(getattr(cls, name))
+    }
+    relaxations = {"ConstraintRelaxationStrategy", "L1Relaxation", "FeasibilityRestoration"}
+    tree = ast.parse((SOURCES[0].parent / "relaxation.py").read_text(encoding="utf-8"))
+    found = [
+        "%s:%d %s" % (cls.name, node.lineno, node.attr)
+        for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name in relaxations
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "subproblem"
+        and isinstance(node.value.value, ast.Name) and node.value.value.id == "self"
+        and node.attr not in allowed
+    ]
+    assert not found

@@ -1,0 +1,145 @@
+"""Identity check of the solver between two checkouts.
+
+    python3 tools/identity_grid.py OUT.json [--root CHECKOUT] [--benchmark]
+    python3 tools/identity_grid.py --compare A.json B.json
+
+The first form imports modnlp from CHECKOUT/src (default: this checkout)
+and solves the default-start grid: every legal combination of the four
+parts (30) on every corpus problem (28), through ``instrument``. With
+--benchmark it also solves the task lists of the benchmark's corpus seeds
+1 and 2, scaled_qp seed 1 and scaled_ipm seed 1, built by
+CHECKOUT/perfbench/workloads.py. For each solve it writes the status,
+iterations, the five callback counts (objective, constraints, gradient,
+Jacobian, Hessian), subproblem_solves and x to OUT.json; a solve that
+raises is recorded as "crash:<ExceptionType>". JSON floats round-trip
+exactly, so equal x in the file means bit-identical x.
+
+--compare lists every solve whose record differs between two files, and
+the largest |dx| over the solves whose x has the same shape. It exits 1
+when any solve differs.
+"""
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import sys
+import warnings
+from pathlib import Path
+
+BENCHMARK_RUNS = (("corpus", 1), ("corpus", 2), ("scaled_qp", 1), ("scaled_ipm", 1))
+
+
+def record(modnlp, model, options) -> dict:
+    counted, counts = modnlp.model.instrument(model)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            result = modnlp.solve(counted, options)
+    except Exception as exc:  # noqa: BLE001 - a raising solve is a result to compare
+        return {"status": "crash:" + type(exc).__name__}
+    return {
+        "status": result.status,
+        "iterations": result.iterations,
+        "counts": [counts.objective, counts.constraints, counts.objective_gradient,
+                   counts.constraint_jacobian, counts.hessian],
+        "subproblem_solves": result.subproblem_solves,
+        "x": [float(v) for v in result.x],
+    }
+
+
+def grid(modnlp) -> dict:
+    from modnlp.driver import MECHANISMS, RELAXATIONS, STRATEGIES, SUBPROBLEMS, validate_options
+    from modnlp.errors import ConfigurationError
+
+    legal = []
+    for combo in itertools.product(RELAXATIONS, SUBPROBLEMS, STRATEGIES, MECHANISMS):
+        options = modnlp.Options(
+            constraint_relaxation_strategy=combo[0], subproblem=combo[1],
+            globalization_strategy=combo[2], globalization_mechanism=combo[3],
+        )
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                validate_options(options)
+        except ConfigurationError:
+            continue
+        legal.append((" ".join(combo), options))
+    return {
+        "grid %s %s" % (problem, label): record(modnlp, modnlp.corpus_get(problem), options)
+        for label, options in legal
+        for problem in modnlp.corpus_names()
+    }
+
+
+def benchmark(modnlp, root: Path) -> dict:
+    import numpy as np
+
+    sys.path.insert(0, str(root / "perfbench"))
+    import workloads
+
+    out = {}
+    for workload, seed in BENCHMARK_RUNS:
+        tasks = workloads.WORKLOADS[workload](np.random.default_rng(seed))
+        for k, task in enumerate(tasks):
+            key = "%s seed %d #%d %s %s" % (workload, seed, k, task.problem, task.config)
+            out[key] = record(modnlp, task.model, task.options)
+    return out
+
+
+def compare(path_a: str, path_b: str) -> int:
+    a = json.loads(Path(path_a).read_text())
+    b = json.loads(Path(path_b).read_text())
+    differ = 0
+    max_dx = 0.0
+    for key in sorted(set(a) | set(b)):
+        ra, rb = a.get(key), b.get(key)
+        if ra is None or rb is None:
+            print("%s: only in %s" % (key, path_a if rb is None else path_b))
+            differ += 1
+            continue
+        xa, xb = ra.get("x"), rb.get("x")
+        if xa is not None and xb is not None and len(xa) == len(xb):
+            dx = max((abs(u - v) for u, v in zip(xa, xb)), default=0.0)
+            max_dx = max(max_dx, dx)
+        fields = [name for name in sorted(set(ra) | set(rb)) if ra.get(name) != rb.get(name)]
+        if fields:
+            differ += 1
+            print("%s: %s" % (key, "; ".join(
+                "%s %s -> %s" % (name, ra.get(name), rb.get(name)) if name != "x"
+                else "x differs" for name in fields)))
+    print("%d solves, %d differ, max |dx| %.3g" % (len(set(a) | set(b)), differ, max_dx))
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", nargs="?", help="JSON file to write")
+    parser.add_argument("--root", default=str(Path(__file__).resolve().parent.parent),
+                        help="checkout whose src/ and perfbench/ are used")
+    parser.add_argument("--benchmark", action="store_true",
+                        help="also solve the benchmark's task lists")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.out is None:
+        parser.error("give OUT.json or --compare A B")
+    root = Path(args.root).resolve()
+    # the solver's dense kernels are small: one BLAS thread, as in the benchmark
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    sys.path.insert(0, str(root / "src"))
+    import modnlp
+
+    results = grid(modnlp)
+    if args.benchmark:
+        results.update(benchmark(modnlp, root))
+    Path(args.out).write_text(json.dumps(results, indent=0))
+    print("%d solves written to %s" % (len(results), args.out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,10 +27,10 @@ from .linalg import (
     INFEASIBLE,
     OPTIMAL,
     QPData,
-    assemble_kkt,
-    ldlt_factorize,
+    ldlt_factorize,  # noqa: F401 -- bound here for perfbench/layers.py
+    least_squares_multipliers,
     qp_solve,
-    solve_factorized,
+    solve_factorized,  # noqa: F401 -- bound here for perfbench/layers.py
 )
 from .mechanism import BacktrackingLineSearch, TrustRegionMethod
 from .model import Model, evaluate, instrument
@@ -355,13 +355,8 @@ def estimate_initial_multipliers(
     J = np.asarray(model.eval_constraint_jacobian(x0), dtype=float).reshape(m, n)
     if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(J))):
         return np.zeros(m)
-    K = assemble_kkt(np.eye(n), J, 0.0, 0.0)
-    rhs = np.concatenate([grad - z0, np.zeros(m)])
-    try:
-        y0 = solve_factorized(ldlt_factorize(K), rhs)[n:]
-    except SingularMatrixError:
-        return np.zeros(m)
-    if not np.all(np.isfinite(y0)) or float(np.max(np.abs(y0), initial=0.0)) > y_max:
+    y0 = least_squares_multipliers(J, grad - z0)
+    if float(np.max(np.abs(y0), initial=0.0)) > y_max:
         return np.zeros(m)
     return y0
 

@@ -1,7 +1,7 @@
 """Self-contained dense linear algebra: inertia and solves of symmetric
-indefinite matrices on LAPACK (the inertia from eigenvalues, or from
-Cholesky factorizations when the blocks of a saddle-point matrix decide it;
-LU for the solves), inertia correction of saddle-point matrices, and a
+indefinite matrices on LAPACK (the inertia from eigenvalues and the solves
+by LU, or both from the Cholesky factors of the blocks of a KKT matrix that
+prove its inertia), inertia correction of saddle-point matrices, and a
 primal active-set solver for (possibly nonconvex) QPs with equality
 constraints and box bounds. The solver's elastic phase I is an LP: its
 steps come from the range space of the free constraint columns (a QR
@@ -11,6 +11,7 @@ the inertia.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,20 +24,17 @@ class Factorization:
     """A symmetric matrix with its inertia, ready to solve.
 
     The inertia counts the eigenvalues above zero_tol, below -zero_tol and
-    in between: from the eigenvalues, or, for a KKT matrix whose blocks
-    prove it, from Cholesky factorizations (_blocks_prove_inertia). When
-    row_scaling is set, matrix is diag(s) M diag(s) (congruent, hence same
-    inertia) and solves undo the scaling.
+    in between: from the eigenvalues of matrix, or from the Cholesky factors
+    that prove it for a KKT matrix, which then solve (block_solve; matrix
+    None). With row_scaling s, matrix is diag(s) M diag(s) (congruent, hence
+    same inertia) and solves undo the scaling.
     """
 
-    matrix: np.ndarray
+    matrix: np.ndarray | None
     inertia: tuple[int, int, int]
     zero_tol: float
     row_scaling: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+    block_solve: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def n_zero(self) -> int:
@@ -73,15 +71,6 @@ def _symmetrized(M: np.ndarray) -> tuple[np.ndarray, float]:
     return A, _zero_tol(float(np.abs(A).max(initial=0.0)), n)
 
 
-def _equilibrated(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """diag(s) M diag(s) with s_i = 1/sqrt(max |row i|), and s."""
-    M = np.asarray(M, dtype=float)
-    s = 1.0 / np.sqrt(np.maximum(np.abs(M).max(axis=1, initial=0.0), 1e-300))
-    scaled = s[:, None] * s
-    scaled *= M
-    return scaled, s
-
-
 def ldlt_factorize(M: np.ndarray) -> Factorization:
     """Inertia of a dense symmetric matrix from its eigenvalues, kept with
     the matrix for an LU solve by solve_factorized.
@@ -102,7 +91,10 @@ def ldlt_factorize_scaled(M: np.ndarray) -> Factorization:
     1/sqrt(max |row i|). Congruence preserves the inertia while making the
     zero-eigenvalue classification meaningful on badly scaled saddle
     systems."""
-    scaled, s = _equilibrated(M)
+    M = np.asarray(M, dtype=float)
+    s = 1.0 / np.sqrt(np.maximum(np.abs(M).max(axis=1, initial=0.0), 1e-300))
+    scaled = s[:, None] * s
+    scaled *= M
     fact = ldlt_factorize(scaled)
     fact.row_scaling = s
     return fact
@@ -115,10 +107,23 @@ def _shifted(M: np.ndarray, t: float) -> np.ndarray:
     return shifted
 
 
-def _blocks_prove_inertia(A: np.ndarray, n: int, zero_tol: float) -> bool:
-    """Whether the blocks of the symmetric A = [[H, B^T], [B, C]], H of
-    order n, prove that no eigenvalue of A lies in [-t, t], t = zero_tol,
-    so that the eigenvalue count gives the inertia (n, m, 0).
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """L^-1 for a lower triangular L by halves, [[A, 0], [C, D]]^-1 =
+    [[A^-1, 0], [-D^-1 C A^-1, D^-1]]: n^3/3 flops in matrix products,
+    where np.linalg.inv (an LU) spends 8n^3/3; it takes blocks up to 48."""
+    n = L.shape[0]
+    if n <= 48:
+        return np.linalg.inv(L)
+    k = n // 2
+    A, D = _lower_inverse(L[:k, :k]), _lower_inverse(L[k:, k:])
+    return np.block([[A, np.zeros((k, n - k))], [-(D @ (L[k:, :k] @ A)), D]])
+
+
+def _certified_factorization(H, B, c, zero_tol: float, row_scaling=None) -> Factorization | None:
+    """The record of the symmetric A = [[H, B^T], [B, diag(c)]], H of order
+    n, solved with the Cholesky factors that prove that no eigenvalue of A
+    lies in [-t, t], t = zero_tol, so that its inertia is (n, m, 0); None
+    (refuse) when they do not prove it.
 
     In exact arithmetic: let H - tI and S - tI, S = B (H + tI)^-1 B^T - C,
     be positive definite. The Schur complement of A + tI is tI - S < 0, so
@@ -139,52 +144,90 @@ def _blocks_prove_inertia(A: np.ndarray, n: int, zero_tol: float) -> bool:
     has entries near 2e8, and its zero eigenvalue computes as up to
     +-1.6e-7 against t = 1.3e-11. Non-finite entries prove nothing
     (LAPACK's Cholesky does not fail on them).
+
+    Solves eliminate with L L^T = H + (t + eta) I and R R^T = S, exact for
+    A_eta = A + diag((t + eta) I, 0), and refine on A's residual: each step
+    cuts the error by (t + eta) / (lambda_min(H) + t + eta) < 1/2 or less,
+    estimated from the last two corrections (the first over the solution),
+    until the next one would be below roundoff. (Solving with S - (t +
+    margin) I instead could make that factor exceed 1.)
     """
-    if not np.all(np.isfinite(A)):
-        return False
-    H, B, C = A[:n, :n], A[n:, :n], A[n:, n:]
-    m = B.shape[0]
+    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(B)) and np.all(np.isfinite(c))):
+        return None
+    n, m = H.shape[0], c.size
     eps = np.finfo(float).eps
     shift = zero_tol + 4.0 * (n + 1) * n * eps * (float(np.abs(H).max(initial=0.0)) + zero_tol)
     try:
         np.linalg.cholesky(_shifted(H, -shift))
-        if m:
-            Y = np.linalg.solve(np.linalg.cholesky(_shifted(H, shift)), B.T)
-            S = Y.T @ Y
-            S -= C
-            scale = np.abs(S).max(initial=0.0) + np.abs(C).max(initial=0.0) + zero_tol
-            margin = 2.0 * m * (n + m + 2) * eps * scale
-            np.linalg.cholesky(_shifted(S, -(zero_tol + margin)))
+        L_inv = _lower_inverse(np.linalg.cholesky(_shifted(H, shift)))
+        Y = L_inv @ B.T
+        S = Y.T @ Y
+        S.flat[:: m + 1] -= c
+        scale = np.abs(S).max(initial=0.0) + np.abs(c).max(initial=0.0) + zero_tol
+        margin = 2.0 * m * (n + m + 2) * eps * scale
+        np.linalg.cholesky(_shifted(S, -(zero_tol + margin)))
+        R_inv = _lower_inverse(np.linalg.cholesky(S))
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return None
+
+    def shifted_solve(r1, r2):  # with A_eta: z2 = S^-1 (Y^T w - r2), w = L^-1 r1
+        w = L_inv @ r1
+        z2 = (R_inv @ (w @ Y - r2)) @ R_inv
+        return np.concatenate([(w - Y @ z2) @ L_inv, z2])
+
+    def solve(rhs):
+        z = shifted_solve(rhs[:n], rhs[n:])
+        last = float(np.abs(z).max())
+        for _ in range(10):
+            dz = shifted_solve(rhs[:n] - H @ z[:n] - z[n:] @ B, rhs[n:] - B @ z[:n] - c * z[n:])
+            z += dz
+            step = float(np.abs(dz).max())
+            if not (step * step > eps * last * np.abs(z).max() and step < 0.5 * last):
+                break
+            last = step
+        return z
+
+    return Factorization(None, (n, m, 0), zero_tol, row_scaling, solve)
 
 
-# Below this order the eigenvalues of a KKT matrix cost less than the three
-# Cholesky factorizations and the solve of the block certificate: numpy's
-# fixed cost per LAPACK call dominates both (crossover near 40 rows on a
-# 2-core Xeon, one BLAS thread).
-_CERTIFY_MIN_ORDER = 40
+# Below this order the eigenvalues and an LU of a KKT matrix cost less than
+# the block factors and their solve, whose numpy calls each have a fixed
+# cost. timeit, random KKT systems with H positive definite, m/N 0.2 and 0.5,
+# one BLAS thread on a 2-core Xeon: the kernel takes 2.5x their time at
+# order 16, 1.3-1.7x at 40, 1.0-1.1x at 56 and 0.9x at 64.
+_CERTIFY_MIN_ORDER = 64
 
 
-def _kkt_factorization(K: np.ndarray, n: int) -> Factorization:
-    """The record ldlt_factorize_scaled(K) returns for K = [[H, B^T],
-    [B, C]] with H of order n, without eigenvalues when the blocks of the
-    equilibrated matrix prove the inertia (n, m, 0)."""
-    scaled, s = _equilibrated(K)
-    if K.shape[0] >= _CERTIFY_MIN_ORDER:
-        A, zero_tol = _symmetrized(scaled)
-        if _blocks_prove_inertia(A, n, zero_tol):
-            return Factorization(A, (n, A.shape[0] - n, 0), zero_tol, s)
-    fact = ldlt_factorize(scaled)
-    fact.row_scaling = s
-    return fact
+def _kkt_factorization(H, A, delta_w: float, delta_c: float) -> Factorization:
+    """The record ldlt_factorize_scaled(assemble_kkt(H, A, delta_w,
+    delta_c)) gives; from order _CERTIFY_MIN_ORDER on, solved with the
+    Cholesky factors of the equilibrated blocks when they prove the inertia
+    (n, m, 0), and then with no matrix of order n + m. The blocks and s are
+    those of ldlt_factorize_scaled's matrix, entry for entry."""
+    n, m = H.shape[0], A.shape[0]
+    if n + m >= _CERTIFY_MIN_ORDER:
+        W = _shifted(H, delta_w)
+        magnitude = np.abs(A)
+        s = 1.0 / np.sqrt(np.maximum(np.concatenate([
+            np.maximum(np.abs(W).max(axis=1, initial=0.0), magnitude.max(axis=0, initial=0.0)),
+            np.maximum(magnitude.max(axis=1, initial=0.0), delta_c),
+        ]), 1e-300))
+        s_H, s_A = s[:n], s[n:]
+        W *= s_H[:, None] * s_H
+        W = 0.5 * (W + W.T)
+        B = (s_A[:, None] * s_H) * A
+        c = -delta_c * (s_A * s_A) if delta_c else np.zeros(m)
+        zero_tol = _zero_tol(max(float(np.abs(X).max(initial=0.0)) for X in (W, B, c)), n + m)
+        fact = _certified_factorization(W, B, c, zero_tol, s)
+        if fact is not None:
+            return fact
+    return ldlt_factorize_scaled(assemble_kkt(H, A, delta_w, delta_c))
 
 
 def solve_factorized(fact: Factorization, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs by LU with partial pivoting (LAPACK gesv) on the
-    matrix of fact; a zero eigenvalue or an exactly zero LU pivot raises
-    SingularMatrixError."""
+    """Solve M x = rhs with the block factors of fact, or else by LU with
+    partial pivoting (LAPACK gesv) on its matrix; a zero eigenvalue or an
+    exactly zero LU pivot raises SingularMatrixError."""
     if fact.n_zero > 0:
         raise SingularMatrixError("matrix is singular (%d zero eigenvalues)" % fact.n_zero)
     rhs = np.asarray(rhs, dtype=float)
@@ -192,7 +235,7 @@ def solve_factorized(fact: Factorization, rhs: np.ndarray) -> np.ndarray:
     if s is not None:
         rhs = rhs * s
     try:
-        x = np.linalg.solve(fact.matrix, rhs)
+        x = fact.block_solve(rhs) if fact.block_solve else np.linalg.solve(fact.matrix, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("matrix is singular (zero LU pivot)") from exc
     return x * s if s is not None else x
@@ -252,24 +295,34 @@ def inertia_correct(
     """
     n = H.shape[0]
     m = A.shape[0]
-    target = (n, m, 0)
-
-    def factorize(delta_w, delta_c):
-        return _kkt_factorization(assemble_kkt(H, A, delta_w, delta_c), n)
-
     delta_c = 0.0
     for delta_w in schedule.candidates():
-        fact = factorize(delta_w, delta_c)
-        if fact.inertia == target:
-            schedule.record_success(delta_w)
-            return fact, delta_w, delta_c
+        fact = _kkt_factorization(H, A, delta_w, delta_c)
         if fact.n_zero > 0 and delta_c == 0.0 and m > 0:
             delta_c = delta_c_value
-            fact = factorize(delta_w, delta_c)
-            if fact.inertia == target:
-                schedule.record_success(delta_w)
-                return fact, delta_w, delta_c
+            fact = _kkt_factorization(H, A, delta_w, delta_c)
+        if fact.inertia == (n, m, 0):
+            schedule.record_success(delta_w)
+            return fact, delta_w, delta_c
     raise RegularizationFailedError("regularization schedule exhausted")
+
+
+def least_squares_multipliers(J: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """y of [[I, J^T], [J, 0]] (p, y) = (r, 0), the least-squares solution
+    of J^T y = r: from the blocks (I, J) when they prove the inertia, from
+    order _CERTIFY_MIN_ORDER on; else by ldlt_factorize and LU. Zeros when
+    that finds the matrix singular or y is not finite."""
+    m, n = J.shape
+    fact = None
+    if n + m >= _CERTIFY_MIN_ORDER:
+        zero_tol = _zero_tol(float(np.abs(J).max(initial=0.0)), n + m)
+        fact = _certified_factorization(np.eye(n), J, np.zeros(m), zero_tol)
+    try:
+        fact = fact or ldlt_factorize(assemble_kkt(np.eye(n), J, 0.0, 0.0))
+        y = solve_factorized(fact, np.concatenate([r, np.zeros(m)]))[n:]
+    except SingularMatrixError:
+        return np.zeros(m)
+    return y if np.all(np.isfinite(y)) else np.zeros(m)
 
 
 def make_positive_definite(
@@ -405,7 +458,7 @@ def _range_space_step(A_f, delta, r1, r2):
     in the range space of A_f, or return None (refuse) unless the blocks of
     the equilibrated matrix prove its inertia (nf, m, 0).
 
-    The certificate is _blocks_prove_inertia's on the matrix that
+    The certificate is _certified_factorization's on the matrix that
     ldlt_factorize_scaled factorizes, with every entry at most 1, so
     t = _zero_tol(1, nf + m): its (1,1) block is diagonal, h = delta /
     max(delta, max |column of A_f|), and must exceed t + eta; the Schur
@@ -722,35 +775,36 @@ def _verify_kkt(qp: QPData, sol: QPSolution) -> None:
 
     The stated tolerances apply to well-scaled data; a backward-error term
     covers the floating-point floor of badly scaled instances (it is
-    negligible when the data is O(1))."""
+    negligible when the data is O(1)). NaN fails every test."""
     W, g, A, b = qp.W, qp.g, np.atleast_2d(qp.A), qp.b
     d, y, z = sol.d, sol.multipliers_eq, sol.multipliers_bounds
     eps = np.finfo(float).eps
-    d_norm = float(np.max(np.abs(d), initial=0.0))
-    y_norm = float(np.max(np.abs(y), initial=0.0))
-    w_norm = float(np.max(np.abs(W), initial=0.0))
-    a_norm = float(np.max(np.abs(A), initial=0.0))
+    d_norm = float(np.abs(d).max(initial=0.0))
+    y_norm = float(np.abs(y).max(initial=0.0))
+    w_norm = float(np.abs(W).max(initial=0.0))
+    a_norm = float(np.abs(A).max(initial=0.0))
     n = qp.n
     floor_stat = 100.0 * eps * n * (w_norm * d_norm + a_norm * y_norm)
     floor_feas = 100.0 * eps * n * a_norm * max(d_norm, 1.0)
-    tol_stat = 1e-8 * (1.0 + float(np.max(np.abs(g))) if g.size else 1.0) + floor_stat
-    tol_feas = 1e-8 * (1.0 + float(np.max(np.abs(b))) if b.size else 1.0) + floor_feas
+    tol_stat = 1e-8 * (1.0 + float(np.abs(g).max(initial=0.0))) + floor_stat
+    tol_feas = 1e-8 * (1.0 + float(np.abs(b).max(initial=0.0))) + floor_feas
     stat = W @ d + g - (A.T @ y if qp.m else 0.0) - z
-    if not float(np.max(np.abs(stat), initial=0.0)) <= tol_stat:  # NaN fails too
+    if not float(np.abs(stat).max(initial=0.0)) <= tol_stat:
         raise QPFailureError("QP stationarity violated")
-    if qp.m and not float(np.max(np.abs(A @ d - b))) <= tol_feas:
+    if qp.m and not float(np.abs(A @ d - b).max()) <= tol_feas:
         raise QPFailureError("QP feasibility violated")
-    if not (np.all(d >= qp.d_lower - 1e-9) and np.all(d <= qp.d_upper + 1e-9)):
+    if not ((d >= qp.d_lower - 1e-9).all() and (d <= qp.d_upper + 1e-9).all()):
         raise QPFailureError("QP bounds violated")
     gap_l = np.where(np.isfinite(qp.d_lower), d - qp.d_lower, np.inf)
     gap_u = np.where(np.isfinite(qp.d_upper), qp.d_upper - d, np.inf)
     gap = np.minimum(gap_l, gap_u)
-    comp = np.where(z == 0.0, 0.0, np.abs(z) * np.where(np.isfinite(gap), gap, 0.0))
-    if not float(np.max(comp, initial=0.0)) <= 1e-8 * (1.0 + float(np.max(np.abs(z), initial=0.0))):
+    z_abs = np.abs(z)
+    comp = z_abs * np.where(np.isfinite(gap), gap, 0.0)  # 0 where z is 0
+    if not float(comp.max(initial=0.0)) <= 1e-8 * (1.0 + float(z_abs.max(initial=0.0))):
         raise QPFailureError("QP complementarity violated")
     sign_ok = np.where(
-        np.isclose(gap_l, 0.0, atol=1e-9), z >= -1e-8,
-        np.where(np.isclose(gap_u, 0.0, atol=1e-9), z <= 1e-8, np.abs(z) <= 1e-8),
+        np.abs(gap_l) <= 1e-9, z >= -1e-8,
+        np.where(np.abs(gap_u) <= 1e-9, z <= 1e-8, z_abs <= 1e-8),
     )
-    if not bool(np.all(sign_ok)):
+    if not sign_ok.all():
         raise QPFailureError("QP bound multiplier signs violated")

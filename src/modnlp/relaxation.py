@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import QPFailureError, SingularMatrixError
+from .errors import QPFailureError
 from .globalization import (
     GlobalizationStrategy,
     ProgressMeasures,
@@ -30,13 +30,13 @@ from .linalg import (
     UNBOUNDED,
     QPData,
     RegularizationSchedule,
-    assemble_kkt,
     central_elastics,
     elastic_init,
     extend_with_elastics,
-    ldlt_factorize,
+    ldlt_factorize,  # noqa: F401 -- bound here for perfbench/layers.py
+    least_squares_multipliers,
     qp_solve,
-    solve_factorized,
+    solve_factorized,  # noqa: F401 -- bound here for perfbench/layers.py
 )
 from .model import Evaluations, evaluate
 from .state import Iterate, Workspace
@@ -306,18 +306,9 @@ class IPMSubproblem:
         """Least-squares multipliers of the l1 feasibility problem (the
         elastic problem at rho = 0): without them the restoration Hessian has
         no curvature in the unbounded primal block."""
-        eev, w, zl, zu, _, _ = self._elastic_problem(ws, iterate, 0.0)
-        ne, m = w.size, iterate.y.size
-        K = assemble_kkt(np.eye(ne), np.asarray(eev.jac_c), 0.0, 0.0)
-        rhs = np.concatenate([np.asarray(eev.grad_f) - (zl - zu), np.zeros(m)])
-        try:
-            y = solve_factorized(ldlt_factorize(K), rhs)[ne:]
-        except SingularMatrixError:
-            return np.zeros(m)
-        if not np.all(np.isfinite(y)):
-            return np.zeros(m)
-        # elastic multipliers live in [-1, 1]
-        return np.clip(y, -1.0, 1.0)
+        eev, _, zl, zu, _, _ = self._elastic_problem(ws, iterate, 0.0)
+        y = least_squares_multipliers(np.asarray(eev.jac_c), np.asarray(eev.grad_f) - (zl - zu))
+        return np.clip(y, -1.0, 1.0)  # elastic multipliers live in [-1, 1]
 
     def smoothed_infeasibility_armijo(self, ws, iterate, trial, direction, alpha, sigma) -> bool:
         """Sufficient decrease of the barrier-smoothed infeasibility, the

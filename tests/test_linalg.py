@@ -11,7 +11,8 @@ from modnlp.linalg import (
     QPData,
     QPSolution,
     RegularizationSchedule,
-    _blocks_prove_inertia,
+    _CERTIFY_MIN_ORDER,
+    _certified_factorization,
     _kkt_factorization,
     _range_space_step,
     _ratio_test,
@@ -21,6 +22,7 @@ from modnlp.linalg import (
     inertia_correct,
     ldlt_factorize,
     ldlt_factorize_scaled,
+    least_squares_multipliers,
     make_positive_definite,
     qp_solve,
     solve_factorized,
@@ -262,6 +264,44 @@ class TestInertiaCorrection:
             assert ldlt_factorize(shifted).inertia == (n, 0, 0)
 
 
+def blocks_prove_inertia(A, n, zero_tol):
+    """The block certificate as it was before it kept its factors for the
+    solve (Y from np.linalg.solve): the oracle of _certified_factorization's
+    decisions."""
+    if not np.all(np.isfinite(A)):
+        return False
+    H, B, C = A[:n, :n], A[n:, :n], A[n:, n:]
+    m = B.shape[0]
+    eps = np.finfo(float).eps
+    shift = zero_tol + 4.0 * (n + 1) * n * eps * (float(np.abs(H).max(initial=0.0)) + zero_tol)
+    try:
+        np.linalg.cholesky(H - shift * np.eye(n))
+        if m:
+            Y = np.linalg.solve(np.linalg.cholesky(H + shift * np.eye(n)), B.T)
+            S = Y.T @ Y
+            S -= C
+            scale = np.abs(S).max(initial=0.0) + np.abs(C).max(initial=0.0) + zero_tol
+            margin = 2.0 * m * (n + m + 2) * eps * scale
+            np.linalg.cholesky(S - (zero_tol + margin) * np.eye(m))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def certifies(A, n, zero_tol):
+    """Whether _certified_factorization proves the inertia of the symmetric
+    A = [[H, B^T], [B, C]], C diagonal; its decision must be the oracle's."""
+    certified = _certified_factorization(A[:n, :n], A[n:, :n], np.diag(A[n:, n:]).copy(),
+                                         zero_tol) is not None
+    assert certified == blocks_prove_inertia(A, n, zero_tol)
+    return certified
+
+
+def backward_error(M, x, rhs):
+    """Componentwise backward error of x as a solution of M x = rhs."""
+    return float(np.max(np.abs(M @ x - rhs) / (np.abs(M) @ np.abs(x) + np.abs(rhs))))
+
+
 class TestBlockCertificate:
     """The block certificate of _kkt_factorization against
     ldlt_factorize_scaled and the Jacobi oracle."""
@@ -272,7 +312,7 @@ class TestBlockCertificate:
         other counts."""
         n, m = H.shape[0], A.shape[0]
         reference = ldlt_factorize_scaled(assemble_kkt(H, A, 0.0, delta_c))
-        certified = _blocks_prove_inertia(reference.matrix, n, reference.zero_tol)
+        certified = certifies(reference.matrix, n, reference.zero_tol)
         if certified:
             assert reference.inertia == (n, m, 0)
             eigs = jacobi_eigenvalues(reference.matrix)
@@ -281,22 +321,24 @@ class TestBlockCertificate:
 
     def test_certified_record_is_the_eigenvalue_record(self):
         # above the size where the certificate is tried, a certified record
-        # equals ldlt_factorize_scaled's, so solves give the same bits
+        # has the inertia, scaling and zero_tol of ldlt_factorize_scaled's
+        # and no matrix; its solves are as accurate as the LU's
         rng = np.random.RandomState(1)
-        for n, m, delta_c in ((28, 14, 0.0), (40, 38, 0.0), (30, 20, 1e-6), (44, 0, 0.0)):
+        for n, m, delta_c in ((56, 14, 0.0), (40, 38, 0.0), (50, 20, 1e-6), (70, 0, 0.0)):
             B = rng.randn(n, n)
             D = 10.0 ** rng.uniform(-2.0, 2.0, n)
             H = D[:, None] * (B @ B.T + 0.1 * np.eye(n)) * D
-            K = assemble_kkt(H, rng.randn(m, n), 0.0, delta_c)
-            fact = _kkt_factorization(K, n)
+            A = rng.randn(m, n)
+            K = assemble_kkt(H, A, 0.0, delta_c)
+            fact = _kkt_factorization(H, A, 0.0, delta_c)
             reference = ldlt_factorize_scaled(K)
-            assert _blocks_prove_inertia(fact.matrix, n, fact.zero_tol)
+            assert fact.matrix is None and fact.block_solve is not None
             assert fact.inertia == reference.inertia == (n, m, 0)
-            assert np.array_equal(fact.matrix, reference.matrix)
             assert np.array_equal(fact.row_scaling, reference.row_scaling)
             assert fact.zero_tol == reference.zero_tol
             rhs = rng.randn(n + m)
-            assert np.array_equal(solve_factorized(fact, rhs), solve_factorized(reference, rhs))
+            lu = backward_error(K, solve_factorized(reference, rhs), rhs)
+            assert backward_error(K, solve_factorized(fact, rhs), rhs) <= 10.0 * max(lu, 1e-16)
 
     def test_positive_definite_up_to_condition_1e12(self):
         rng = np.random.RandomState(2)
@@ -334,8 +376,8 @@ class TestBlockCertificate:
 
     def test_no_variables(self):
         # n = 0: only C is left, and it must be negative definite
-        assert _blocks_prove_inertia(-np.eye(2), 0, 1e-12)
-        assert not _blocks_prove_inertia(np.zeros((2, 2)), 0, 1e-12)
+        assert certifies(-np.eye(2), 0, 1e-12)
+        assert not certifies(np.zeros((2, 2)), 0, 1e-12)
 
     def test_rank_deficient_jacobian_is_not_certified(self):
         rng = np.random.RandomState(5)
@@ -357,13 +399,13 @@ class TestBlockCertificate:
         # for it, about a third of these were certified (n, m, 0)
         rng = np.random.RandomState(7)
         for trial in range(20):
-            n, m = 40 + trial, 10
+            n, m = 54 + trial, 10
             A = rng.randint(-8, 9, size=(m, n)).astype(float)
             A[2] = A[0] + A[1]  # exact in floating point
             H = np.diag(10.0 ** rng.uniform(-7.0, -5.0, n))
             K = assemble_kkt(H, A, 0.0, 0.0)
             assert ldlt_factorize_scaled(K).inertia == (n, m - 1, 1)
-            assert _kkt_factorization(K, n).inertia == (n, m - 1, 1)
+            assert _kkt_factorization(H, A, 0.0, 0.0).inertia == (n, m - 1, 1)
             fact, dw, dc = inertia_correct(H, A, RegularizationSchedule())
             assert fact.inertia == (n, m, 0) and dw == 0.0 and dc > 0.0
 
@@ -379,14 +421,14 @@ class TestBlockCertificate:
             pivots = np.diag(np.linalg.cholesky(fact.matrix)) ** 2
             assert np.all(pivots > fact.zero_tol)
             assert fact.n_zero == 1
-            assert not _blocks_prove_inertia(fact.matrix, n, fact.zero_tol)
+            assert not certifies(fact.matrix, n, fact.zero_tol)
 
     def test_indefinite_hessian_falls_back(self):
         # H is indefinite but positive definite on null(A): not certified,
         # and inertia_correct still reaches (n, m, 0) without a shift
         rng = np.random.RandomState(6)
         for trial in range(20):
-            n = rng.randint(2, 8) if trial else 40  # one above the certificate's size
+            n = rng.randint(2, 8) if trial else 64  # one above the certificate's size
             m = rng.randint(1, n)
             A = rng.randn(m, n)
             V = np.linalg.svd(A)[2].T  # columns m: span null(A)
@@ -396,12 +438,119 @@ class TestBlockCertificate:
             assert fact.inertia == (n, m, 0) and dw == 0.0 and dc == 0.0
 
     def test_non_finite_is_not_certified(self):
-        H = np.eye(40)
+        H = np.eye(64)
         H[0, 1] = np.nan
-        K = assemble_kkt(H, np.ones((1, 40)), 0.0, 0.0)
-        assert not _blocks_prove_inertia(K, 40, 1e-12)
+        K = assemble_kkt(H, np.ones((1, 64)), 0.0, 0.0)
+        assert not certifies(K, 64, 1e-12)
         with pytest.raises(SingularMatrixError, match="non-finite"):
-            _kkt_factorization(K, 40)
+            _kkt_factorization(H, np.ones((1, 64)), 0.0, 0.0)
+
+
+def ipm_like(rng, n, m):
+    """An interior-point KKT block pair: a positive definite Hessian plus a
+    barrier diagonal from 1e-10 to 1e2, and a Jacobian whose rows are
+    scaled by 10^-6 to 10^6."""
+    W = rng.randn(n, n)
+    H = W @ W.T / n + np.diag(10.0 ** rng.uniform(-10.0, 2.0, n))
+    return H, rng.randn(m, n) * 10.0 ** rng.uniform(-6.0, 6.0, (m, 1))
+
+
+class TestBlockKernel:
+    """The block factors of _kkt_factorization and their solves against
+    ldlt_factorize_scaled plus solve_factorized, from order
+    _CERTIFY_MIN_ORDER = 64 on."""
+
+    def test_ipm_backward_error_within_ten_times_the_lu(self):
+        rng = np.random.RandomState(8)
+        certified = 0
+        for trial in range(60):
+            n = rng.randint(33, 70)
+            m = n - 2
+            delta_c = 1e-8 if trial % 2 else 0.0
+            H, A = ipm_like(rng, n, m)
+            K = assemble_kkt(H, A, 0.0, delta_c)
+            fact = _kkt_factorization(H, A, 0.0, delta_c)
+            reference = ldlt_factorize_scaled(K)
+            assert fact.inertia == reference.inertia
+            if fact.block_solve is None:
+                continue
+            certified += 1
+            rhs = rng.randn(n + m) * 10.0 ** rng.uniform(-3.0, 3.0, n + m)
+            lu = backward_error(K, solve_factorized(reference, rhs), rhs)
+            assert backward_error(K, solve_factorized(fact, rhs), rhs) <= 10.0 * max(lu, 1e-16)
+        assert certified >= 15  # the rest have an equilibrated H with eigenvalues below t
+
+    def test_decisions_are_the_certificates(self):
+        # the kernel accepts exactly what the certificate on
+        # ldlt_factorize_scaled's matrix accepts
+        rng = np.random.RandomState(9)
+        decisions = set()
+        for trial in range(60):
+            n = rng.randint(64, 80)
+            m = rng.randint(1, n)
+            H, A = ipm_like(rng, n, m)
+            if trial % 3 == 1:
+                A[-1] = A[0]  # rank deficient
+            if trial % 3 == 2:
+                H -= 1e-3 * np.eye(n)  # indefinite where the barrier diagonal is tiny
+            delta_c = 1e-8 if trial % 2 else 0.0
+            fact = _kkt_factorization(H, A, 0.0, delta_c)
+            reference = ldlt_factorize_scaled(assemble_kkt(H, A, 0.0, delta_c))
+            decision = fact.block_solve is not None
+            assert decision == blocks_prove_inertia(reference.matrix, n, reference.zero_tol)
+            decisions.add(decision)
+        assert decisions == {True, False}
+
+    def test_refusal_record_is_the_eigenvalue_record(self):
+        rng = np.random.RandomState(10)
+        for n, m, delta_c in ((64, 10, 0.0), (46, 20, 1e-6), (50, 49, 0.0)):
+            A = rng.randn(m, n)
+            V = np.linalg.svd(A)[2].T
+            H = V[:, m:] @ V[:, m:].T - 5.0 * (V[:, :m] @ V[:, :m].T)  # indefinite
+            fact = _kkt_factorization(H, A, 0.0, delta_c)
+            reference = ldlt_factorize_scaled(assemble_kkt(H, A, 0.0, delta_c))
+            assert fact.block_solve is None
+            assert np.array_equal(fact.matrix, reference.matrix)
+            assert fact.inertia == reference.inertia
+            assert fact.zero_tol == reference.zero_tol
+            assert np.array_equal(fact.row_scaling, reference.row_scaling)
+            rhs = rng.randn(n + m)
+            assert np.array_equal(solve_factorized(fact, rhs), solve_factorized(reference, rhs))
+
+    def test_non_finite_input_is_a_typed_error(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            for block in ("H", "A"):
+                H, A = np.eye(64), np.ones((2, 64))
+                A[1, 0] = 2.0
+                {"H": H, "A": A}[block][1, 1] = bad
+                with pytest.raises(SingularMatrixError, match="non-finite"), \
+                        np.errstate(invalid="ignore"):
+                    _kkt_factorization(H, A, 0.0, 0.0)
+            assert np.array_equal(least_squares_multipliers(A, np.ones(64)), np.zeros(2))
+
+    def test_no_constraints(self):
+        rng = np.random.RandomState(11)
+        H, _ = ipm_like(rng, 70, 0)
+        fact = _kkt_factorization(H, np.zeros((0, 70)), 1e-4, 0.0)
+        assert fact.block_solve is not None and fact.inertia == (70, 0, 0)
+        rhs = rng.randn(70)
+        K = H + 1e-4 * np.eye(70)
+        lu = backward_error(K, np.linalg.solve(K, rhs), rhs)
+        assert backward_error(K, solve_factorized(fact, rhs), rhs) <= 10.0 * max(lu, 1e-16)
+
+    def test_least_squares_multipliers(self):
+        rng = np.random.RandomState(12)
+        for n, m in ((50, 30), (12, 5)):  # above and below the gate
+            J, r = rng.randn(m, n) * 10.0 ** rng.uniform(-2.0, 2.0, (m, 1)), rng.randn(n)
+            y = least_squares_multipliers(J, r)
+            np.testing.assert_allclose(y, np.linalg.lstsq(J.T, r, rcond=None)[0], rtol=1e-10)
+            if n + m < _CERTIFY_MIN_ORDER:  # below the gate: the eigenvalues and the LU, bit for bit
+                rhs = np.concatenate([r, np.zeros(m)])
+                old = solve_factorized(ldlt_factorize(assemble_kkt(np.eye(n), J, 0.0, 0.0)), rhs)
+                assert np.array_equal(y, old[n:])
+            J[-1] = J[0]  # rank deficient: zeros, on both paths
+            assert np.array_equal(least_squares_multipliers(J, r), np.zeros(m))
+        assert least_squares_multipliers(np.zeros((0, 70)), rng.randn(70)).shape == (0,)
 
 
 class TestRangeSpaceStep:
@@ -803,3 +952,81 @@ def test_kkt_contract_violation_is_a_typed_error():
     infeasible = QPSolution(OPTIMAL, np.zeros(2), np.zeros(1), np.zeros(2), (), 0.0)
     with pytest.raises(QPFailureError, match="feasibility"):
         _verify_kkt(qp, infeasible)
+
+
+def verify_kkt_oracle(qp, sol):
+    """_verify_kkt as it was before it took fewer numpy passes (np.isclose
+    for the active-bound tests): the oracle of its decisions."""
+    W, g, A, b = qp.W, qp.g, np.atleast_2d(qp.A), qp.b
+    d, y, z = sol.d, sol.multipliers_eq, sol.multipliers_bounds
+    eps = np.finfo(float).eps
+    d_norm = float(np.max(np.abs(d), initial=0.0))
+    y_norm = float(np.max(np.abs(y), initial=0.0))
+    w_norm = float(np.max(np.abs(W), initial=0.0))
+    a_norm = float(np.max(np.abs(A), initial=0.0))
+    n = qp.n
+    floor_stat = 100.0 * eps * n * (w_norm * d_norm + a_norm * y_norm)
+    floor_feas = 100.0 * eps * n * a_norm * max(d_norm, 1.0)
+    tol_stat = 1e-8 * (1.0 + float(np.max(np.abs(g))) if g.size else 1.0) + floor_stat
+    tol_feas = 1e-8 * (1.0 + float(np.max(np.abs(b))) if b.size else 1.0) + floor_feas
+    stat = W @ d + g - (A.T @ y if qp.m else 0.0) - z
+    if not float(np.max(np.abs(stat), initial=0.0)) <= tol_stat:
+        raise QPFailureError("QP stationarity violated")
+    if qp.m and not float(np.max(np.abs(A @ d - b))) <= tol_feas:
+        raise QPFailureError("QP feasibility violated")
+    if not (np.all(d >= qp.d_lower - 1e-9) and np.all(d <= qp.d_upper + 1e-9)):
+        raise QPFailureError("QP bounds violated")
+    gap_l = np.where(np.isfinite(qp.d_lower), d - qp.d_lower, np.inf)
+    gap_u = np.where(np.isfinite(qp.d_upper), qp.d_upper - d, np.inf)
+    gap = np.minimum(gap_l, gap_u)
+    comp = np.where(z == 0.0, 0.0, np.abs(z) * np.where(np.isfinite(gap), gap, 0.0))
+    if not float(np.max(comp, initial=0.0)) <= 1e-8 * (1.0 + float(np.max(np.abs(z), initial=0.0))):
+        raise QPFailureError("QP complementarity violated")
+    sign_ok = np.where(
+        np.isclose(gap_l, 0.0, atol=1e-9), z >= -1e-8,
+        np.where(np.isclose(gap_u, 0.0, atol=1e-9), z <= 1e-8, np.abs(z) <= 1e-8),
+    )
+    if not bool(np.all(sign_ok)):
+        raise QPFailureError("QP bound multiplier signs violated")
+
+
+def test_verify_kkt_decisions_equal_the_oracle():
+    # min 1/2 |d|^2 + g'd, d0 >= 0 active, d1 <= 0 active, d2 = -0.5 by
+    # the equality: optimal with z = (1, -1, 0) and y = 0; then each entry
+    # of each array is planted with NaN, +-inf and values at the edges of
+    # the 1e-9 bound and gap tolerances and the 1e-8 sign tolerance
+    qp = QPData(np.eye(3), np.array([1.0, -1.0, 0.5]), np.array([[0.0, 0.0, 1.0]]),
+                np.array([-0.5]), np.array([0.0, -np.inf, -1.0]), np.array([np.inf, 0.0, 1.0]))
+    sol = QPSolution(OPTIMAL, np.array([0.0, 0.0, -0.5]), np.zeros(1),
+                     np.array([1.0, -1.0, 0.0]), (), -0.125)
+
+    def outcome(check, qp, sol):
+        try:
+            with np.errstate(all="ignore"):
+                check(qp, sol)
+        except QPFailureError as exc:
+            return str(exc)
+        return "pass"
+
+    planted = (np.nan, np.inf, -np.inf, 1e-9, -1e-9, 1.0000001e-9, 2e-9, 1e-8, -1e-8, -1.5e-8,
+               0.0, -1.0)
+    outcomes = set()
+    cases = 0
+    for owner, field in ((qp, "W"), (qp, "g"), (qp, "A"), (qp, "b"), (qp, "d_lower"),
+                         (qp, "d_upper"), (sol, "d"), (sol, "multipliers_eq"),
+                         (sol, "multipliers_bounds")):
+        array = getattr(owner, field)
+        for index in range(array.size):
+            for value in planted:
+                changed = array.copy()
+                changed.flat[index] = value
+                q, s = qp, sol
+                if owner is qp:
+                    q = dataclasses.replace(qp, **{field: changed})
+                else:
+                    s = dataclasses.replace(sol, **{field: changed})
+                expected = outcome(verify_kkt_oracle, q, s)
+                assert outcome(_verify_kkt, q, s) == expected, (field, index, value)
+                outcomes.add(expected)
+                cases += 1
+    assert cases > 300 and len(outcomes) == 6  # every test decides somewhere

@@ -1,7 +1,7 @@
 """Identity check of the solver between two checkouts.
 
     python3 tools/identity_grid.py OUT.json [--root CHECKOUT] [--benchmark]
-    python3 tools/identity_grid.py --compare A.json B.json
+    python3 tools/identity_grid.py --compare A.json B.json [--x-tol TOL]
 
 The first form imports modnlp from CHECKOUT/src (default: this checkout)
 and solves the default-start grid: every legal combination of the four
@@ -16,7 +16,9 @@ exactly, so equal x in the file means bit-identical x.
 
 --compare lists every solve whose record differs between two files, and
 the largest |dx| over the solves whose x has the same shape. It exits 1
-when any solve differs.
+when any solve differs. With --x-tol, x may differ by up to TOL in every
+component (such solves are counted, not listed); status, iterations, the
+callback counts and subproblem_solves must still match exactly.
 """
 from __future__ import annotations
 
@@ -88,10 +90,11 @@ def benchmark(modnlp, root: Path) -> dict:
     return out
 
 
-def compare(path_a: str, path_b: str) -> int:
+def compare(path_a: str, path_b: str, x_tol: float = 0.0) -> int:
     a = json.loads(Path(path_a).read_text())
     b = json.loads(Path(path_b).read_text())
     differ = 0
+    x_within = 0
     max_dx = 0.0
     for key in sorted(set(a) | set(b)):
         ra, rb = a.get(key), b.get(key)
@@ -100,16 +103,21 @@ def compare(path_a: str, path_b: str) -> int:
             differ += 1
             continue
         xa, xb = ra.get("x"), rb.get("x")
+        x_close = False
         if xa is not None and xb is not None and len(xa) == len(xb):
             dx = max((abs(u - v) for u, v in zip(xa, xb)), default=0.0)
             max_dx = max(max_dx, dx)
+            x_close = all(abs(u - v) <= x_tol for u, v in zip(xa, xb))  # NaN is not close
         fields = [name for name in sorted(set(ra) | set(rb)) if ra.get(name) != rb.get(name)]
-        if fields:
+        if fields == ["x"] and x_close:
+            x_within += 1
+        elif fields:
             differ += 1
             print("%s: %s" % (key, "; ".join(
                 "%s %s -> %s" % (name, ra.get(name), rb.get(name)) if name != "x"
                 else "x differs" for name in fields)))
-    print("%d solves, %d differ, max |dx| %.3g" % (len(set(a) | set(b)), differ, max_dx))
+    print("%d solves, %d differ, %d differ in x by at most %g, max |dx| %.3g"
+          % (len(set(a) | set(b)), differ, x_within, x_tol, max_dx))
     return 1 if differ else 0
 
 
@@ -121,9 +129,11 @@ def main(argv=None) -> int:
     parser.add_argument("--benchmark", action="store_true",
                         help="also solve the benchmark's task lists")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    parser.add_argument("--x-tol", type=float, default=0.0, metavar="TOL",
+                        help="with --compare: largest |dx| per component counted as equal")
     args = parser.parse_args(argv)
     if args.compare:
-        return compare(*args.compare)
+        return compare(*args.compare, x_tol=args.x_tol)
     if args.out is None:
         parser.error("give OUT.json or --compare A B")
     root = Path(args.root).resolve()

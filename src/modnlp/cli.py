@@ -14,6 +14,7 @@ import numpy as np
 
 from .corpus import INFEASIBLE_PROBLEMS, corpus_get, corpus_names
 from .driver import (
+    PARTS,
     PRESETS,
     SUCCESS_STATUSES,
     Options,
@@ -51,10 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Composable solver for nonlinearly constrained nonconvex optimization",
     )
     parser.add_argument("-preset", choices=PRESETS)
-    parser.add_argument("-constraint_relaxation_strategy")
-    parser.add_argument("-subproblem")
-    parser.add_argument("-globalization_strategy")
-    parser.add_argument("-globalization_mechanism")
+    for name in PARTS:
+        parser.add_argument("-" + name)
     parser.add_argument(
         "-option", action="append", default=[], metavar="KEY=VALUE",
         help="override a single option (repeatable)",
@@ -86,34 +85,14 @@ def resolve_options(args) -> Options:
             raise ConfigurationError("-option expects KEY=VALUE, got %r" % pair)
         key, value = pair.split("=", 1)
         opts = opts.updated({key.strip(): value.strip()})
-    selectors = {}
-    for name in (
-        "constraint_relaxation_strategy",
-        "subproblem",
-        "globalization_strategy",
-        "globalization_mechanism",
-    ):
-        value = getattr(args, name)
-        if value is not None:
-            selectors[name] = value
-    if selectors:
-        opts = opts.updated(selectors)
-    return opts
+    selectors = {name: getattr(args, name) for name in PARTS if getattr(args, name) is not None}
+    return opts.updated(selectors)
 
 
 def config_label(args) -> str:
-    parts = []
-    if args.preset:
-        parts.append(args.preset)
-    for name in (
-        "constraint_relaxation_strategy",
-        "subproblem",
-        "globalization_strategy",
-        "globalization_mechanism",
-    ):
-        value = getattr(args, name)
-        if value is not None:
-            parts.append("%s=%s" % (name, value))
+    parts = [args.preset] if args.preset else []
+    parts += ["%s=%s" % (name, getattr(args, name)) for name in PARTS
+              if getattr(args, name) is not None]
     return "+".join(parts) if parts else "defaults"
 
 

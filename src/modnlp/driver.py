@@ -22,7 +22,7 @@ from .errors import (
     UnknownOptionError,
     UnknownPresetError,
 )
-from .globalization import FilterMethod, MeritL1
+from .globalization import FilterMethod, MeritL1, WaechterFilter
 from .linalg import (
     INFEASIBLE,
     OPTIMAL,
@@ -50,11 +50,34 @@ RELAXATIONS = {"feasibility_restoration": FeasibilityRestoration, "l1_relaxation
 SUBPROBLEMS = {"QP": QPSubproblem, "LP": LPSubproblem, "primal_dual_IPM": IPMSubproblem}
 STRATEGIES = {
     "leyffer_filter_method": FilterMethod,
-    "waechter_filter_method": FilterMethod,
+    "waechter_filter_method": WaechterFilter,
     "l1_merit": MeritL1,
 }
 MECHANISMS = {"LS": BacktrackingLineSearch, "TR": TrustRegionMethod}
-PRESETS = ("filtersqp", "ipopt", "byrd")
+# the options that select a part, each with its table; validate_options and
+# the CLI read them from here
+PARTS = {
+    "constraint_relaxation_strategy": RELAXATIONS,
+    "subproblem": SUBPROBLEMS,
+    "globalization_strategy": STRATEGIES,
+    "globalization_mechanism": MECHANISMS,
+}
+# named part combinations, with the lineage constants that differ from Options
+PRESETS = {
+    "filtersqp": dict(
+        constraint_relaxation_strategy="feasibility_restoration", subproblem="QP",
+        globalization_strategy="leyffer_filter_method", globalization_mechanism="TR",
+    ),
+    "ipopt": dict(
+        constraint_relaxation_strategy="feasibility_restoration", subproblem="primal_dual_IPM",
+        globalization_strategy="waechter_filter_method", globalization_mechanism="LS",
+        filter_beta=1.0 - 1e-5, filter_gamma=1e-5,
+    ),
+    "byrd": dict(
+        constraint_relaxation_strategy="l1_relaxation", subproblem="QP",
+        globalization_strategy="l1_merit", globalization_mechanism="LS",
+    ),
+}
 
 # terminal statuses
 FEASIBLE_KKT = "FeasibleKKT"
@@ -152,7 +175,7 @@ def _coerce(raw, current):
         if isinstance(current, float):
             return float(raw)
         return raw
-    return type(current)(raw) if current is not None else raw
+    return type(current)(raw)
 
 
 def load_options_file(path: str) -> dict:
@@ -173,42 +196,10 @@ def load_options_file(path: str) -> dict:
 
 
 def preset_options(name: str) -> Options:
-    """Named ingredient combinations with their lineage constants."""
-    base = Options()
-    if name == "filtersqp":
-        return replace(
-            base,
-            constraint_relaxation_strategy="feasibility_restoration",
-            subproblem="QP",
-            globalization_strategy="leyffer_filter_method",
-            globalization_mechanism="TR",
-            filter_beta=0.999,
-            filter_gamma=1e-3,
-            filter_sigma=1e-8,
-            filter_delta=1.0,
-        )
-    if name == "ipopt":
-        return replace(
-            base,
-            constraint_relaxation_strategy="feasibility_restoration",
-            subproblem="primal_dual_IPM",
-            globalization_strategy="waechter_filter_method",
-            globalization_mechanism="LS",
-            filter_beta=1.0 - 1e-5,
-            filter_gamma=1e-5,
-            filter_sigma=1e-8,
-            filter_delta=1.0,
-        )
-    if name == "byrd":
-        return replace(
-            base,
-            constraint_relaxation_strategy="l1_relaxation",
-            subproblem="QP",
-            globalization_strategy="l1_merit",
-            globalization_mechanism="LS",
-            armijo_sigma=1e-4,
-        )
-    raise UnknownPresetError("unknown preset %r; known: %s" % (name, ", ".join(PRESETS)))
+    """The Options of a named preset."""
+    if name not in PRESETS:
+        raise UnknownPresetError("unknown preset %r; known: %s" % (name, ", ".join(PRESETS)))
+    return replace(Options(), **PRESETS[name])
 
 
 # (option, admits its value, the admitted range)
@@ -248,20 +239,10 @@ def validate_options(opts: Options) -> Options:
         value = getattr(opts, key)
         if not admits(value):
             raise ConfigurationError("option %s must be %s, got %r" % (key, bounds, value))
-    if opts.constraint_relaxation_strategy not in RELAXATIONS:
-        raise ConfigurationError(
-            "unknown constraint_relaxation_strategy %r" % opts.constraint_relaxation_strategy
-        )
-    if opts.subproblem not in SUBPROBLEMS:
-        raise ConfigurationError("unknown subproblem %r" % opts.subproblem)
-    if opts.globalization_strategy not in STRATEGIES:
-        raise ConfigurationError(
-            "unknown globalization_strategy %r" % opts.globalization_strategy
-        )
-    if opts.globalization_mechanism not in MECHANISMS:
-        raise ConfigurationError(
-            "unknown globalization_mechanism %r" % opts.globalization_mechanism
-        )
+    for option, table in PARTS.items():
+        value = getattr(opts, option)
+        if value not in table:
+            raise ConfigurationError("unknown %s %r" % (option, value))
     if opts.subproblem == "primal_dual_IPM" and opts.globalization_mechanism == "TR":
         raise ConfigurationError(
             "the combination primal_dual_IPM + TR is prohibited: a box trust "

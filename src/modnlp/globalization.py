@@ -1,7 +1,8 @@
 """Globalization strategies: progress measures and their reduction models,
-the l1 merit function with Armijo acceptance, and filter methods in the
-Fletcher-Leyffer (trust-region lineage) and Waechter-Biegler (line-search
-lineage) variants.
+and one class per strategy: MeritL1 (Armijo acceptance on the l1 merit
+function), FilterMethod (the Fletcher-Leyffer rule, trust-region lineage)
+and WaechterFilter (the Waechter-Biegler rule, line-search lineage). The
+two filter methods share one Filter and differ only in their `rule`.
 """
 from __future__ import annotations
 
@@ -60,8 +61,8 @@ def barrier_value(x, lower, upper, mu) -> float:
 class ReductionModels:
     """Predicted reductions of the progress measures for a step alpha * d.
 
-    The linear/quadratic objective variants coexist: filter strategies read
-    the linear model, the merit strategy reads the quadratic one. c and jd
+    Filter strategies read the linear models of omega and xi (phi_reduction),
+    the merit strategy the quadratic ones (merit_reduction). c and jd
     are the constraint values and J d, gtd is grad_f . d (unscaled), dwd is
     d^T W_rho d, btd and dbd are the barrier analogues.
     """
@@ -77,46 +78,15 @@ class ReductionModels:
     def eta(self, alpha: float) -> float:
         return float(np.sum(np.abs(self.c)) - np.sum(np.abs(self.c + alpha * self.jd)))
 
-    def omega_linear(self, alpha: float, rho: float | None = None) -> float:
-        r = self.rho if rho is None else rho
-        return -r * alpha * self.gtd
-
-    def omega_quadratic(self, alpha: float, rho: float | None = None) -> float:
-        r = self.rho if rho is None else rho
-        return -r * alpha * self.gtd - 0.5 * alpha * alpha * self.dwd
-
-    def xi_linear(self, alpha: float) -> float:
-        return alpha * self.btd
-
-    def xi_quadratic(self, alpha: float) -> float:
-        return alpha * self.btd - 0.5 * alpha * alpha * self.dbd
-
     def merit_reduction(self, alpha: float) -> float:
-        return self.omega_quadratic(alpha) + self.eta(alpha) + self.xi_quadratic(alpha)
+        # quadratic models of omega_rho and xi, and the model of eta
+        omega = -self.rho * alpha * self.gtd - 0.5 * alpha * alpha * self.dwd
+        xi = alpha * self.btd - 0.5 * alpha * alpha * self.dbd
+        return omega + self.eta(alpha) + xi
 
     def phi_reduction(self, alpha: float) -> float:
-        # filter objective model: linear omega at rho = 1 plus linear barrier
-        return self.omega_linear(alpha, rho=1.0) + self.xi_linear(alpha)
-
-
-def merit_is_acceptable(
-    current: ProgressMeasures,
-    trial: ProgressMeasures,
-    models: ReductionModels,
-    step: float,
-    sigma: float,
-    zero_step: bool = False,
-) -> bool:
-    """Armijo condition on the merit function phi_rho = omega_rho + eta + xi.
-
-    A zero-length direction is accepted unconditionally.
-    """
-    if zero_step:
-        return True
-    actual = current.merit - trial.merit
-    predicted = models.merit_reduction(step)
-    slack = 10.0 * _EPS * max(1.0, abs(current.merit))
-    return actual + slack >= sigma * predicted
+        # linear models of omega and xi; a filter's models carry rho = 1
+        return -self.rho * alpha * self.gtd + alpha * self.btd
 
 
 def infeasibility_armijo(
@@ -171,88 +141,14 @@ class Filter:
         self.entries = kept
 
     def reset(self, eta_reference: float) -> None:
-        """Flush all entries (required whenever the barrier parameter
-        changes); parameters are retained and the upper bound is re-anchored
-        at the current infeasibility."""
+        """Flush all entries and anchor the upper bound at the reference
+        infeasibility: at the start, and whenever the barrier parameter
+        changes. The envelope parameters are retained."""
         self.entries.clear()
         self.eta_max = self.eta_max_factor * max(1.0, eta_reference)
 
     def eta_min(self) -> float:
         return min((e for e, _ in self.entries), default=np.inf)
-
-
-def filter_is_acceptable(
-    flt: Filter,
-    current: ProgressMeasures,
-    trial: ProgressMeasures,
-    models: ReductionModels,
-    step: float,
-    sigma: float,
-    delta: float,
-) -> tuple[bool, bool]:
-    """Fletcher-Leyffer filter acceptance.
-
-    Returns (accepted, add_current_to_filter). The trial must be acceptable
-    to the filter and improve upon the current point; an f-type step must
-    additionally satisfy the Armijo condition on phi when the switching
-    condition holds.
-    """
-    if not flt.acceptable(trial.eta, trial.phi):
-        return False, False
-    improves = (
-        trial.phi <= current.phi - flt.gamma * trial.eta
-        or trial.eta < flt.beta * current.eta
-    )
-    if not improves:
-        return False, False
-    dm_phi = models.phi_reduction(step)
-    switching = dm_phi >= delta * current.eta**2
-    if switching:
-        slack = 10.0 * _EPS * max(1.0, abs(current.phi))
-        if current.phi - trial.phi + slack >= sigma * dm_phi:
-            return True, current.eta > 0.0  # f-type
-        return False, False
-    return True, True  # h-type
-
-
-def filter_is_acceptable_waechter(
-    flt: Filter,
-    current: ProgressMeasures,
-    trial: ProgressMeasures,
-    models: ReductionModels,
-    step: float,
-    sigma: float,
-    delta: float,
-    theta_min: float,
-) -> tuple[bool, bool]:
-    """Waechter-Biegler filter acceptance (line-search lineage).
-
-    The theta_min gate and the positivity of the predicted phi reduction are
-    applied before the switching condition; the current pair is recorded into
-    the filter whenever the switching condition fails.
-    """
-    if not flt.acceptable(trial.eta, trial.phi):
-        return False, False
-    accepted = False
-    add_current = False
-    dm_phi = models.phi_reduction(step)
-    switching_tail = dm_phi > 0.0 and dm_phi >= delta * current.eta**2
-    if current.eta <= theta_min and switching_tail:
-        slack = 10.0 * _EPS * max(1.0, abs(current.phi))
-        if current.phi - trial.phi + slack >= sigma * dm_phi:
-            accepted = True
-        else:
-            add_current = True
-    else:
-        improves = (
-            trial.phi <= current.phi - flt.gamma * trial.eta
-            or trial.eta < flt.beta * current.eta
-        )
-        if improves:
-            accepted = True
-    if not switching_tail:
-        add_current = True
-    return accepted, add_current
 
 
 class GlobalizationStrategy:
@@ -288,44 +184,58 @@ class MeritL1(GlobalizationStrategy):
         self.sigma = opts.armijo_sigma
 
     def check_acceptance(self, current, trial, models, step) -> bool:
-        return merit_is_acceptable(current, trial, models, step, self.sigma)
+        """Armijo condition on the merit function phi_rho = omega_rho + eta + xi."""
+        actual = current.merit - trial.merit
+        predicted = models.merit_reduction(step)
+        slack = 10.0 * _EPS * max(1.0, abs(current.merit))
+        return actual + slack >= self.sigma * predicted
 
 
 class FilterMethod(GlobalizationStrategy):
-    """The filter of opts.globalization_strategy, in its Fletcher-Leyffer
-    or Waechter-Biegler variant."""
+    """Filter method with the Fletcher-Leyffer acceptance rule (trust-region
+    lineage); `rule` is the hook its variants replace."""
 
     uses_fixed_rho_one = True
-    VARIANTS = {"leyffer_filter_method": "leyffer", "waechter_filter_method": "waechter"}
 
     def __init__(self, opts):
-        if opts.globalization_strategy not in self.VARIANTS:
-            raise ValueError("unknown filter variant %r" % opts.globalization_strategy)
-        self.variant = self.VARIANTS[opts.globalization_strategy]
         self.sigma = opts.filter_sigma
         self.delta = opts.filter_delta
-        self.theta_min = np.inf
-        self.theta_min_factor = opts.theta_min_factor
         self.filter = Filter(opts)
 
     def initialize(self, eta0: float) -> None:
-        self.filter.eta_max = self.filter.eta_max_factor * max(1.0, eta0)
-        if self.variant == "waechter":
-            self.theta_min = self.theta_min_factor * max(1.0, eta0)
+        self.filter.reset(eta0)
 
     def check_acceptance(self, current, trial, models, step) -> bool:
-        if self.variant == "leyffer":
-            accepted, add_current = filter_is_acceptable(
-                self.filter, current, trial, models, step, self.sigma, self.delta
-            )
-        else:
-            accepted, add_current = filter_is_acceptable_waechter(
-                self.filter, current, trial, models, step,
-                self.sigma, self.delta, self.theta_min,
-            )
+        accepted, add_current = self.rule(current, trial, models, step)
         if add_current:
             self.filter.add(current.eta, current.phi)
         return accepted
+
+    def rule(self, current, trial, models, step) -> tuple[bool, bool]:
+        """Returns (accepted, add_current_to_filter). The trial must be
+        acceptable to the filter and improve upon the current point; when
+        the switching condition holds, it is an f-type step and must also
+        satisfy the Armijo condition on phi."""
+        if not (self.filter.acceptable(trial.eta, trial.phi) and self.improves(current, trial)):
+            return False, False
+        dm_phi = models.phi_reduction(step)
+        if dm_phi >= self.delta * current.eta**2:
+            if self.armijo(current, trial, dm_phi):
+                return True, current.eta > 0.0  # f-type
+            return False, False
+        return True, True  # h-type
+
+    def improves(self, current, trial) -> bool:
+        """The filter's envelope test of the trial against the current pair."""
+        return (
+            trial.phi <= current.phi - self.filter.gamma * trial.eta
+            or trial.eta < self.filter.beta * current.eta
+        )
+
+    def armijo(self, current, trial, dm_phi: float) -> bool:
+        """Armijo condition on phi against its predicted reduction dm_phi."""
+        slack = 10.0 * _EPS * max(1.0, abs(current.phi))
+        return current.phi - trial.phi + slack >= self.sigma * dm_phi
 
     def admits(self, measures: ProgressMeasures) -> bool:
         return self.filter.acceptable(measures.eta, measures.phi)
@@ -338,3 +248,30 @@ class FilterMethod(GlobalizationStrategy):
 
     def reset(self, eta_reference: float) -> None:
         self.filter.reset(eta_reference)
+
+
+class WaechterFilter(FilterMethod):
+    """Filter method with the Waechter-Biegler acceptance rule (line-search
+    lineage), gated at theta_min = theta_min_factor * max(1, eta0)."""
+
+    def __init__(self, opts):
+        super().__init__(opts)
+        self.theta_min_factor = opts.theta_min_factor
+        self.theta_min = np.inf
+
+    def initialize(self, eta0: float) -> None:
+        super().initialize(eta0)
+        self.theta_min = self.theta_min_factor * max(1.0, eta0)
+
+    def rule(self, current, trial, models, step) -> tuple[bool, bool]:
+        """The theta_min gate and the positivity of the predicted phi
+        reduction come before the switching condition; the current pair is
+        recorded into the filter whenever the switching condition fails."""
+        if not self.filter.acceptable(trial.eta, trial.phi):
+            return False, False
+        dm_phi = models.phi_reduction(step)
+        switching = dm_phi > 0.0 and dm_phi >= self.delta * current.eta**2
+        if current.eta <= self.theta_min and switching:
+            accepted = self.armijo(current, trial, dm_phi)  # f-type
+            return accepted, not accepted
+        return self.improves(current, trial), not switching

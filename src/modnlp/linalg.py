@@ -119,6 +119,20 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
     return np.block([[A, np.zeros((k, n - k))], [-(D @ (L[k:, :k] @ A)), D]])
 
 
+def _cholesky_shift(n: int, h_max: float, t: float) -> float:
+    """t + eta, eta a bound in norm on the backward error of the Cholesky
+    factorization and solve of an order-n matrix with entries at most h_max,
+    shifted by t."""
+    return t + 4.0 * (n + 1) * n * np.finfo(float).eps * (h_max + t)
+
+
+def _schur_margin(n: int, m: int, scale: float) -> float:
+    """Bound, in norm, on the roundoff of forming the order-m Schur
+    complement of an order-n block and of factorizing it, for a Schur
+    complement whose entries are at most scale."""
+    return 2.0 * m * (n + m + 2) * np.finfo(float).eps * scale
+
+
 def _certified_factorization(H, B, c, zero_tol: float, row_scaling=None) -> Factorization | None:
     """The record of the symmetric A = [[H, B^T], [B, diag(c)]], H of order
     n, solved with the Cholesky factors that prove that no eigenvalue of A
@@ -156,7 +170,7 @@ def _certified_factorization(H, B, c, zero_tol: float, row_scaling=None) -> Fact
         return None
     n, m = H.shape[0], c.size
     eps = np.finfo(float).eps
-    shift = zero_tol + 4.0 * (n + 1) * n * eps * (float(np.abs(H).max(initial=0.0)) + zero_tol)
+    shift = _cholesky_shift(n, float(np.abs(H).max(initial=0.0)), zero_tol)
     try:
         np.linalg.cholesky(_shifted(H, -shift))
         L_inv = _lower_inverse(np.linalg.cholesky(_shifted(H, shift)))
@@ -164,7 +178,7 @@ def _certified_factorization(H, B, c, zero_tol: float, row_scaling=None) -> Fact
         S = Y.T @ Y
         S.flat[:: m + 1] -= c
         scale = np.abs(S).max(initial=0.0) + np.abs(c).max(initial=0.0) + zero_tol
-        margin = 2.0 * m * (n + m + 2) * eps * scale
+        margin = _schur_margin(n, m, scale)
         np.linalg.cholesky(_shifted(S, -(zero_tol + margin)))
         R_inv = _lower_inverse(np.linalg.cholesky(S))
     except np.linalg.LinAlgError:
@@ -474,9 +488,8 @@ def _range_space_step(A_f, delta, r1, r2):
     m, nf = A_f.shape
     if m == 0 or nf < m:
         return None
-    eps = np.finfo(float).eps
     t = _zero_tol(1.0, nf + m)
-    shift = t + 4.0 * (nf + 1) * nf * eps * (1.0 + t)  # eta with max |H| <= 1
+    shift = _cholesky_shift(nf, 1.0, t)  # every entry of H is at most 1
     magnitude = np.abs(A_f)
     columns = np.maximum(magnitude.max(axis=0), delta)
     if not delta > shift * float(columns.max()):  # min h > t + eta; NaN refuses
@@ -488,7 +501,7 @@ def _range_space_step(A_f, delta, r1, r2):
     Y *= A_f
     S = Y @ Y.T
     # a Gram matrix's largest entry lies on its diagonal
-    margin = 2.0 * m * (nf + m + 2) * eps * (float(S.diagonal().max()) + t)
+    margin = _schur_margin(nf, m, float(S.diagonal().max()) + t)
     S.flat[:: m + 1] -= t + margin
     try:
         np.linalg.cholesky(S)

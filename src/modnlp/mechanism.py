@@ -38,8 +38,6 @@ class BacktrackingLineSearch:
     computation breaks down numerically. Reads backtrack_factor, alpha_min
     and max_inner from the options."""
 
-    mechanism_name = "LS"
-
     def __init__(self, relaxation, opts):
         self.relaxation = relaxation
         self.opts = opts
@@ -92,8 +90,6 @@ class TrustRegionMethod:
     """Trust-region mechanism over the relaxation strategy; the radius is
     carried between outer iterations. Reads the radius_* constants,
     activity_tolerance_rel and max_inner from the options."""
-
-    mechanism_name = "TR"
 
     def __init__(self, relaxation, opts):
         self.relaxation = relaxation

@@ -122,7 +122,6 @@ class QPSubproblem:
     restoration keep the given point with zero multipliers.
     """
 
-    name = "QP"
     second_order = True
     is_interior = False
 
@@ -185,7 +184,6 @@ class QPSubproblem:
 class LPSubproblem(QPSubproblem):
     """Sequential linear programming: no second-order information."""
 
-    name = "LP"
     second_order = False
 
 
@@ -217,7 +215,6 @@ class IPMSubproblem:
     tau_min, kappa_epsilon, kappa_mu, theta_mu, tolerance, interior_push and
     multiplier_scaling_cap from the options."""
 
-    name = "primal_dual_IPM"
     second_order = True
     is_interior = True
 

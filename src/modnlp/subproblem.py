@@ -190,6 +190,11 @@ def primal_dual_diagonal(x, lower, upper, zl, zu) -> np.ndarray:
     return sigma
 
 
+# the constraint regularization dc = 1e-8 mu^(1/4) of a rank-deficient
+# Jacobian (Waechter and Biegler, 2006)
+_DELTA_C_SCALE = 1e-8
+
+
 def ipm_solve_step(
     evals: Evaluations,
     x: np.ndarray,
@@ -201,7 +206,6 @@ def ipm_solve_step(
     barrier: BarrierState,
     schedule: RegularizationSchedule,
     tau_min: float,
-    delta_c_scale: float = 1e-8,
 ) -> Direction:
     """One primal-dual interior-point step: assemble and solve the
     symmetrized system
@@ -229,7 +233,7 @@ def ipm_solve_step(
     r_d = grad - (J.T @ y if m else 0.0) + barrier_gradient_terms(x, lower, upper, mu)
 
     fact, delta_w, delta_c = inertia_correct(
-        H, J, schedule, delta_c_value=delta_c_scale * max(mu, 1e-8) ** 0.25
+        H, J, schedule, delta_c_value=_DELTA_C_SCALE * max(mu, 1e-8) ** 0.25
     )
     barrier.delta_w, barrier.delta_c = delta_w, delta_c
     rhs = np.concatenate([-r_d, -c])

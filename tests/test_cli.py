@@ -14,6 +14,7 @@ from modnlp.cli import (
     performance_profile,
     profile_rows_to_csv,
 )
+from modnlp.driver import PARTS
 
 
 def record(problem, config, evals, status="FeasibleKKT"):
@@ -43,6 +44,11 @@ class TestCLI:
                      "-globalization_mechanism", "TR", "booth", "--quiet"])
         assert code == 2
         assert "prohibited" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", list(PARTS))
+    def test_unknown_part_value_exit_two(self, key, capsys):
+        assert main(["-" + key, "bogus", "booth", "--quiet"]) == 2
+        assert "unknown %s 'bogus'" % key in capsys.readouterr().err
 
     def test_unknown_problem_exit_two(self, capsys):
         assert main(["-preset", "filtersqp", "nosuchproblem", "--quiet"]) == 2

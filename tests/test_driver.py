@@ -12,6 +12,7 @@ from modnlp.driver import (
     ITERATION_LIMIT,
     LOOSE_KKT,
     SMALL_TRUST_REGION,
+    PARTS,
     PRESETS,
     Options,
     Residuals,
@@ -208,6 +209,19 @@ class TestOptions:
             validate_options(opts)
         with pytest.raises(ConfigurationError, match=key):
             solve(corpus_get("booth"), opts)
+
+    @pytest.mark.parametrize("key", list(PARTS))
+    def test_unknown_part_value(self, key):
+        opts = Options().updated({key: "bogus"})
+        with pytest.raises(ConfigurationError, match="unknown %s 'bogus'" % key):
+            validate_options(opts)
+        with pytest.raises(ConfigurationError, match="unknown %s 'bogus'" % key):
+            solve(corpus_get("booth"), opts)
+
+    def test_presets_name_every_part(self):
+        # a preset does not inherit a part from the Options defaults
+        for overrides in PRESETS.values():
+            assert all(overrides[key] in table for key, table in PARTS.items())
 
     def test_every_range_admits_defaults_and_presets(self):
         for opts in [Options()] + [preset_options(name) for name in PRESETS]:

@@ -10,16 +10,33 @@ from modnlp.globalization import (
     MeritL1,
     ProgressMeasures,
     ReductionModels,
+    WaechterFilter,
     barrier_value,
     compute_measures,
-    filter_is_acceptable,
-    filter_is_acceptable_waechter,
     infeasibility_armijo,
-    merit_is_acceptable,
 )
+from modnlp.linalg import OPTIMAL
+from modnlp.model import Evaluations
+from modnlp.relaxation import FeasibilityRestoration, L1Relaxation, QPSubproblem
+from modnlp.state import Iterate
+from modnlp.subproblem import Direction
 
 
 OPTS = Options()
+
+
+def merit_is_acceptable(cur, tri, models, step, sigma):
+    return MeritL1(replace(OPTS, armijo_sigma=sigma)).check_acceptance(cur, tri, models, step)
+
+
+def filter_with(cls=FilterMethod, entries=(), **constants):
+    """A filter strategy on OPTS with the given constants, holding the
+    given (eta, phi) entries, initialized at eta0 = 0."""
+    strategy = cls(replace(OPTS, **constants))
+    strategy.initialize(0.0)
+    for eta, phi in entries:
+        strategy.filter.add(eta, phi)
+    return strategy
 
 
 def models_for(c=(0.0,), jd=(0.0,), gtd=0.0, dwd=0.0, rho=1.0, btd=0.0, dbd=0.0):
@@ -94,16 +111,24 @@ class TestReductionModels:
         assert m.eta(0.5) == pytest.approx(1.5)
 
     def test_omega_variants(self):
+        # merit: the quadratic omega model at the models' rho; phi: the
+        # linear one, at the rho = 1 a filter's models carry
         m = models_for(gtd=2.0, dwd=4.0, rho=0.5)
-        assert m.omega_linear(1.0) == pytest.approx(-1.0)
-        assert m.omega_linear(1.0, rho=1.0) == pytest.approx(-2.0)
-        assert m.omega_quadratic(1.0) == pytest.approx(-3.0)
-        assert m.omega_quadratic(0.5) == pytest.approx(-1.0)
+        assert m.merit_reduction(1.0) == -3.0
+        assert m.merit_reduction(0.5) == -1.0
+        assert models_for(gtd=2.0, dwd=4.0).phi_reduction(1.0) == -2.0
+        assert models_for(gtd=2.0, dwd=4.0).phi_reduction(0.5) == -1.0
 
     def test_xi_variants(self):
+        # merit: the quadratic barrier model; phi: the linear one; both add
+        # the omega model, the merit also the eta model
         m = models_for(btd=1.0, dbd=2.0)
-        assert m.xi_linear(0.5) == pytest.approx(0.5)
-        assert m.xi_quadratic(1.0) == pytest.approx(0.0)
+        assert m.merit_reduction(1.0) == 0.0
+        assert m.merit_reduction(0.5) == 0.25
+        assert m.phi_reduction(0.5) == 0.5
+        m = models_for(c=[1.0], jd=[-1.0], gtd=-1.0, dwd=2.0, btd=1.0, dbd=2.0)
+        assert m.merit_reduction(0.5) == 0.25 + 0.5 + 0.25
+        assert m.phi_reduction(0.5) == 0.5 + 0.5
 
 
 class TestMerit:
@@ -120,10 +145,21 @@ class TestMerit:
         assert not merit_is_acceptable(cur, tri, m, 1.0, sigma=0.1)
 
     def test_zero_step_accepted_unconditionally(self):
+        # the relaxations accept a zero-length direction before they ask
+        # the strategy, which rejects this trial
         cur = ProgressMeasures(eta=0.0, omega=0.0)
         tri = ProgressMeasures(eta=5.0, omega=5.0)
-        m = models_for()
-        assert merit_is_acceptable(cur, tri, m, 1.0, sigma=0.1, zero_step=True)
+        assert not merit_is_acceptable(cur, tri, models_for(), 1.0, sigma=0.1)
+        x = np.array([1.0, -2.0])
+        iterate = Iterate(x, np.zeros(1), np.zeros(2), np.zeros(2), 1.0,
+                          Evaluations(0.0, np.zeros(1)))
+        trial = Iterate(x, np.zeros(1), np.zeros(2), np.zeros(2), 1.0,
+                        Evaluations(5.0, np.array([5.0])))
+        zero = Direction(np.zeros(2), np.zeros(1), np.zeros(2), np.zeros(2), OPTIMAL)
+        merit = MeritL1(replace(OPTS, armijo_sigma=0.1))
+        for cls in (L1Relaxation, FeasibilityRestoration):
+            relaxation = cls(None, QPSubproblem(OPTS), merit, OPTS)
+            assert relaxation.is_acceptable(iterate, trial, zero, 1.0)
 
     def test_sigma_zero_accepts_non_increasing(self):
         cur = ProgressMeasures(eta=1.0, omega=1.0)
@@ -205,46 +241,59 @@ class TestFilter:
 
 class TestFilterAcceptance:
     def test_empty_filter_f_type(self):
-        f = Filter(OPTS, eta_max=np.inf)
+        flt = filter_with()
         cur = ProgressMeasures(eta=0.0, omega=2.0)
         tri = ProgressMeasures(eta=0.0, omega=1.0)
         m = models_for(gtd=-1.0)  # predicted phi decrease 1
-        accepted, add = filter_is_acceptable(f, cur, tri, m, 1.0, sigma=1e-8, delta=1.0)
+        accepted, add = flt.rule(cur, tri, m, 1.0)
         assert accepted and not add  # f-type at a feasible point: no entry added
+        assert flt.check_acceptance(cur, tri, m, 1.0) and flt.filter.entries == []
 
     def test_envelope_branch(self):
-        f = Filter(replace(OPTS, filter_beta=0.99, filter_gamma=1e-5), eta_max=np.inf)
-        f.add(1.0, 5.0)
+        flt = filter_with(entries=[(1.0, 5.0)], filter_beta=0.99, filter_gamma=1e-5)
         cur = ProgressMeasures(eta=1.0, omega=5.0)
         tri = ProgressMeasures(eta=0.5, omega=10.0)
         m = models_for(gtd=10.0)  # switching fails: h-type
-        accepted, add = filter_is_acceptable(f, cur, tri, m, 1.0, sigma=1e-8, delta=1.0)
+        accepted, add = flt.rule(cur, tri, m, 1.0)
         assert accepted and add
 
     def test_dominated_trial_rejected(self):
-        f = Filter(replace(OPTS, filter_beta=0.999, filter_gamma=1e-5), eta_max=np.inf)
-        f.add(0.1, 1.0)
+        flt = filter_with(entries=[(0.1, 1.0)], filter_beta=0.999, filter_gamma=1e-5)
         cur = ProgressMeasures(eta=0.1, omega=1.0)
         tri = ProgressMeasures(eta=0.2, omega=2.0)
-        accepted, _ = filter_is_acceptable(f, cur, tri, models_for(), 1.0, 1e-8, 1.0)
+        accepted, _ = flt.rule(cur, tri, models_for(), 1.0)
         assert not accepted
+        assert not flt.check_acceptance(cur, tri, models_for(), 1.0)
 
     def test_variants_differ_on_theta_min_gate(self):
         # eta above theta_min with the switching inequality holding but the
         # Armijo condition failing: Fletcher-Leyffer insists on the f-type
         # Armijo test and rejects; the Waechter gate diverts to the envelope
         # branch, which accepts
-        f1 = Filter(replace(OPTS, filter_beta=0.999, filter_gamma=1e-5), eta_max=np.inf)
-        f2 = Filter(replace(OPTS, filter_beta=0.999, filter_gamma=1e-5), eta_max=np.inf)
+        constants = dict(filter_beta=0.999, filter_gamma=1e-5, filter_sigma=0.9)
+        leyffer = filter_with(FilterMethod, **constants)
+        waechter = filter_with(WaechterFilter, **constants)
+        assert waechter.theta_min == 1e-4
         cur = ProgressMeasures(eta=0.5, omega=10.0)
         tri = ProgressMeasures(eta=0.6, omega=8.0)
         m = models_for(gtd=-9.0)  # predicted phi decrease 9, actual only 2
-        fl_accept, _ = filter_is_acceptable(f1, cur, tri, m, 1.0, sigma=0.9, delta=1.0)
-        wae_accept, _ = filter_is_acceptable_waechter(
-            f2, cur, tri, m, 1.0, sigma=0.9, delta=1.0, theta_min=1e-4
-        )
+        fl_accept, _ = leyffer.rule(cur, tri, m, 1.0)
+        wae_accept, _ = waechter.rule(cur, tri, m, 1.0)
         assert not fl_accept
         assert wae_accept
+        assert waechter.check_acceptance(cur, tri, m, 1.0)
+        assert not leyffer.check_acceptance(cur, tri, m, 1.0)
+
+    def test_waechter_failed_f_type_records_current(self):
+        # below theta_min a switching trial must pass the Armijo test on
+        # phi; when it fails, the current pair enters the filter
+        flt = filter_with(WaechterFilter, filter_sigma=0.9)
+        cur = ProgressMeasures(eta=0.0, omega=10.0)
+        tri = ProgressMeasures(eta=0.0, omega=8.0)
+        m = models_for(gtd=-9.0)  # predicted phi decrease 9, actual only 2
+        assert flt.rule(cur, tri, m, 1.0) == (False, True)
+        assert not flt.check_acceptance(cur, tri, m, 1.0)
+        assert flt.filter.entries == [(0.0, 10.0)]
 
 
 def test_infeasibility_armijo():
@@ -258,9 +307,12 @@ def test_infeasibility_armijo():
 def test_strategy_classes():
     merit = MeritL1(replace(OPTS, armijo_sigma=0.1))
     assert not merit.uses_fixed_rho_one
-    flt = FilterMethod(replace(OPTS, globalization_strategy="waechter_filter_method"))
+    flt = WaechterFilter(OPTS)
     flt.initialize(eta0=2.0)
     assert flt.filter.eta_max == pytest.approx(2e4)
     assert flt.theta_min == pytest.approx(2e-4)
-    with pytest.raises(ValueError):
-        FilterMethod(replace(OPTS, globalization_strategy="bogus"))
+    assert flt.uses_fixed_rho_one and isinstance(flt, FilterMethod)
+    leyffer = FilterMethod(OPTS)
+    leyffer.initialize(eta0=0.5)
+    assert leyffer.filter.eta_max == pytest.approx(1e4)
+    assert not hasattr(leyffer, "theta_min")

@@ -61,3 +61,25 @@ def test_relaxations_call_only_subproblem_methods():
         and node.attr not in allowed
     ]
     assert not found
+
+
+def test_only_driver_and_cli_read_part_selecting_options():
+    # the driver builds the parts from driver.PARTS and the CLI makes its
+    # flags from it; a part that read a selecting option would fork on a
+    # choice the table has already made
+    from modnlp.driver import PARTS
+
+    def is_options(node):
+        return (isinstance(node, ast.Name) and node.id in ("opts", "options")
+                or isinstance(node, ast.Attribute) and node.attr in ("opts", "options"))
+
+    found = [
+        "%s:%d %s" % (path.name, node.lineno, node.attr if isinstance(node, ast.Attribute)
+                      else node.value)
+        for path in SOURCES if path.name not in ("driver.py", "cli.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in PARTS and is_options(node.value)
+        or isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value in PARTS  # getattr(opts, "...") and the like
+    ]
+    assert SOURCES and not found

@@ -39,6 +39,7 @@ def test_tracer_installs_traces_and_restores():
     assert result.status == "FeasibleKKT"
     names = {span[0] for span in tracer.spans}
     assert {"driver.solve", "linalg.inertia_correct", "linalg.solve_factorized",
-            "subproblem.ipm_solve_step", "model.f"} <= names
+            "subproblem.ipm_solve_step", "globalization.check_acceptance",
+            "model.f"} <= names
     metrics = layers.layer_metrics(tracer.spans, passes=1)
     assert metrics["linalg.inertia_calls"] == result.subproblem_solves

@@ -11,8 +11,10 @@ parts (30) on every corpus problem (28), through ``instrument``. With
 CHECKOUT/perfbench/workloads.py. For each solve it writes the status,
 iterations, the five callback counts (objective, constraints, gradient,
 Jacobian, Hessian), subproblem_solves and x to OUT.json; a solve that
-raises is recorded as "crash:<ExceptionType>". JSON floats round-trip
-exactly, so equal x in the file means bit-identical x.
+raises is recorded as "crash:<ExceptionType>". It also writes every field of
+``preset_options(name)`` for each preset and of ``Options()``, so that two
+checkouts are seen to resolve the presets to the same options. JSON floats
+round-trip exactly, so equal x in the file means bit-identical x.
 
 --compare lists every solve whose record differs between two files, and
 the largest |dx| over the solves whose x has the same shape. It exits 1
@@ -23,6 +25,7 @@ callback counts and subproblem_solves must still match exactly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -73,6 +76,13 @@ def grid(modnlp) -> dict:
         for label, options in legal
         for problem in modnlp.corpus_names()
     }
+
+
+def presets(modnlp) -> dict:
+    out = {"preset %s" % name: dataclasses.asdict(modnlp.preset_options(name))
+           for name in modnlp.driver.PRESETS}
+    out["options defaults"] = dataclasses.asdict(modnlp.Options())
+    return out
 
 
 def benchmark(modnlp, root: Path) -> dict:
@@ -144,6 +154,7 @@ def main(argv=None) -> int:
     import modnlp
 
     results = grid(modnlp)
+    results.update(presets(modnlp))
     if args.benchmark:
         results.update(benchmark(modnlp, root))
     Path(args.out).write_text(json.dumps(results, indent=0))

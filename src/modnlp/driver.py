@@ -44,6 +44,7 @@ from .relaxation import (
     l1_sign_residual,
 )
 from .state import Iterate, Workspace
+from .subproblem import dual_scaling
 
 # each option value names the part class that implements it
 RELAXATIONS = {"feasibility_restoration": FeasibilityRestoration, "l1_relaxation": L1Relaxation}
@@ -362,9 +363,7 @@ def compute_residuals(ws: Workspace, iterate: Iterate, rho: float, scaling_cap: 
     J = np.asarray(ev.jac_c)
     jty = J.T @ iterate.y if iterate.y.size else np.zeros_like(grad)
     z = iterate.z
-    n, m = ws.model.n, ws.model.m
-    mass = float(np.sum(np.abs(iterate.y)) + np.sum(np.abs(iterate.zl)) + np.sum(np.abs(iterate.zu)))
-    s_d = max(1.0, mass / (scaling_cap * max(1, n + m)))
+    s_d = dual_scaling(iterate.y, iterate.zl, iterate.zu, scaling_cap)
     stat = float(np.max(np.abs(rho * grad - jty - z), initial=0.0)) / s_d
     stat0 = float(np.max(np.abs(-jty - z), initial=0.0)) / s_d
     feas = float(np.max(np.abs(ev.c), initial=0.0))

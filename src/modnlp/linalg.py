@@ -1,13 +1,16 @@
 """Self-contained dense linear algebra: inertia and solves of symmetric
-indefinite matrices on LAPACK (the inertia from eigenvalues and the solves
-by LU, or both from the Cholesky factors of the blocks of a KKT matrix that
-prove its inertia), inertia correction of saddle-point matrices, and a
-primal active-set solver for (possibly nonconvex) QPs with equality
-constraints and box bounds. The solver's elastic phase I is an LP: its
-steps come from the range space of the free constraint columns (a QR
-factorization, certified by one Cholesky factorization of the Schur
-complement) and fall back to the eigenvalues when the blocks do not prove
-the inertia.
+indefinite matrices on LAPACK, inertia correction of saddle-point matrices,
+and a primal active-set solver for (possibly nonconvex) QPs with equality
+constraints and box bounds.
+
+Every saddle-point system [[H + delta_w I, A^T], [A, -delta_c I]] goes
+through _kkt_factorization. Its one certificate, from the QR of A^T and a
+Cholesky factorization of the reduced Hessian Z^T H Z (none when H is a
+multiple of I, as in the QP's elastic phase I and the least-squares
+multipliers), proves the inertia (n, m, 0) and solves with the same factors
+by the null-space method. The eigenvalues and an LU decide elsewhere:
+below its order gates, at delta_c > 0, and where it refuses (m = 0, a
+rank-deficient A, or a reduced Hessian that is not positive definite).
 """
 from __future__ import annotations
 
@@ -24,17 +27,17 @@ class Factorization:
     """A symmetric matrix with its inertia, ready to solve.
 
     The inertia counts the eigenvalues above zero_tol, below -zero_tol and
-    in between: from the eigenvalues of matrix, or from the Cholesky factors
-    that prove it for a KKT matrix, which then solve (block_solve; matrix
-    None). With row_scaling s, matrix is diag(s) M diag(s) (congruent, hence
-    same inertia) and solves undo the scaling.
+    in between: from the eigenvalues of matrix, or from the factors that
+    prove it for a KKT matrix, which then solve (solve; matrix None). With
+    row_scaling s, matrix is diag(s) M diag(s) (congruent, hence same
+    inertia) and solves undo the scaling.
     """
 
     matrix: np.ndarray | None
     inertia: tuple[int, int, int]
     zero_tol: float
     row_scaling: np.ndarray | None = None
-    block_solve: Callable[[np.ndarray], np.ndarray] | None = None
+    solve: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def n_zero(self) -> int:
@@ -107,141 +110,190 @@ def _shifted(M: np.ndarray, t: float) -> np.ndarray:
     return shifted
 
 
-def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """L^-1 for a lower triangular L by halves, [[A, 0], [C, D]]^-1 =
-    [[A^-1, 0], [-D^-1 C A^-1, D^-1]]: n^3/3 flops in matrix products,
-    where np.linalg.inv (an LU) spends 8n^3/3; it takes blocks up to 48."""
-    n = L.shape[0]
-    if n <= 48:
-        return np.linalg.inv(L)
-    k = n // 2
-    A, D = _lower_inverse(L[:k, :k]), _lower_inverse(L[k:, k:])
-    return np.block([[A, np.zeros((k, n - k))], [-(D @ (L[k:, :k] @ A)), D]])
-
-
 def _cholesky_shift(n: int, h_max: float, t: float) -> float:
-    """t + eta, eta a bound in norm on the backward error of the Cholesky
-    factorization and solve of an order-n matrix with entries at most h_max,
-    shifted by t."""
+    """t + eta, eta a bound in norm on the backward error of a Cholesky or
+    QR factorization, its solves and the products with its factors, for an
+    order-n matrix with entries at most h_max, shifted by t."""
     return t + 4.0 * (n + 1) * n * np.finfo(float).eps * (h_max + t)
 
 
-def _schur_margin(n: int, m: int, scale: float) -> float:
-    """Bound, in norm, on the roundoff of forming the order-m Schur
-    complement of an order-n block and of factorizing it, for a Schur
-    complement whose entries are at most scale."""
-    return 2.0 * m * (n + m + 2) * np.finfo(float).eps * scale
+def _schur_margin(n: int, m: int) -> float:
+    """Bound on the roundoff of forming the order-m Gram matrix G of m rows
+    of length n and of factorizing it, relative to its diagonal: the error
+    is at most margin * D^2 with D^2 = diag(G) in the order of matrices,
+    since each entry's is at most about n eps sqrt(G_ii G_jj)."""
+    return 2.0 * m * (n + m + 2) * np.finfo(float).eps
 
 
-def _certified_factorization(H, B, c, zero_tol: float, row_scaling=None) -> Factorization | None:
-    """The record of the symmetric A = [[H, B^T], [B, diag(c)]], H of order
-    n, solved with the Cholesky factors that prove that no eigenvalue of A
-    lies in [-t, t], t = zero_tol, so that its inertia is (n, m, 0); None
-    (refuse) when they do not prove it.
+def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factorization | None:
+    """The record of K = [[H + delta_w I, A^T], [A, 0]], H of order n or a
+    scalar (a multiple of I), solved with the factors that prove that no
+    eigenvalue of its equilibrated matrix, the one ldlt_factorize_scaled
+    factorizes (or of K itself, unless equilibrate), lies in [-t, t],
+    t = zero_tol, so that the inertia is (n, m, 0); None (refuse) when they
+    do not prove it.
 
-    In exact arithmetic: let H - tI and S - tI, S = B (H + tI)^-1 B^T - C,
-    be positive definite. The Schur complement of A + tI is tI - S < 0, so
-    A has m eigenvalues below -t; that of A - tI is
-    C - tI - B (H - tI)^-1 B^T <= -S - tI < 0, so A has n above t
-    (Haynsworth additivity). The converse fails: an indefinite H can give
-    the same inertia.
+    In exact arithmetic, with W and B the blocks of that matrix and
+    B^T = [Y Z] [R; 0] a QR factorization, K is orthogonally similar to
+    [[G, C^T, R], [C, M, 0], [R^T, 0, 0]], M = Z^T W Z, C = Z^T W Y,
+    G = Y^T W Y (Gould, Math. Prog. 32, 1985). Let M > mu I with mu > t,
+    and sigma_min(R)^2 > t (|G| + t) + t |C|^2 / (mu - t). Haynsworth on
+    K - tI, eliminating the order-2m block of G and R first, leaves
+    M - tI - C (G - tI + R R^T / t)^-1 C^T > 0, so K has n eigenvalues above
+    t; on K + tI it leaves M + tI + (a positive semidefinite term) > 0, so K
+    has m below -t. A rank-deficient A, or Z^T W Z with an eigenvalue
+    below t, refuses; the eigenvalues then decide.
+
+    A scalar H gives a diagonal W = h: then M >= min(h) I, |G| <= max(h)
+    and |C| = |Z^T (W - a I) Y| <= (max(h) - min(h)) / 2, so mu = min(h) needs
+    neither Z nor a Cholesky. Otherwise |G| is bounded by the largest row
+    sum of |W|, and M = Z^T W Z and the Frobenius norm of C are formed from
+    the QR of B^T: the Cholesky factor L of M, which solves, estimates
+    lambda_min(M) >= 1 / |L^-1|_F^2, and mu is half of that, proved by a
+    Cholesky factorization of M - mu I.
 
     In floating point each test is shifted past a bound on its own
-    roundoff, so that rounding can only refuse: H is factorized at
-    H -/+ (t + eta) I with eta the backward error of the Cholesky
-    factorization and the solve in norm (about n^2 eps max |H|); S is
-    formed as Y^T Y - C with Y = L^-1 B^T, exact for an H perturbed by at
-    most eta, and factorized at S - (t + margin) I, margin bounding the
-    roundoff of the product and of the factorization in norm (about
-    m (n + m) eps max |S|). The margin matters when H is small and S
-    large: at H = 1e-6 I, n = 50 and m = 10 with a dependent row of B, S
-    has entries near 2e8, and its zero eigenvalue computes as up to
-    +-1.6e-7 against t = 1.3e-11. Non-finite entries prove nothing
-    (LAPACK's Cholesky does not fail on them).
+    roundoff, so that rounding can only refuse. The QR factors are exact
+    for a B perturbed by at most about (n + m)^2 eps max |entry|, so t
+    becomes _cholesky_shift(n + m, max |entry|, t), sigma_min(R)^2 is that
+    of the Gram matrix R^T R, |C| is computed with its roundoff added, and
+    M - mu I is factorized shifted by _cholesky_shift(n, |W|, mu). With no
+    QR (a scalar H) t stays and the Gram matrix is B B^T. The Gram matrix is
+    factorized with the bound on sigma_min^2 subtracted and its diagonal
+    reduced by the relative _schur_margin: the roundoff of a row-graded
+    Gram matrix is graded too, and a zero eigenvalue of B B^T (a dependent
+    row) computes as up to about m (n + m) eps times its diagonal, far
+    above t (max(h) + t) when h is tiny. Non-finite entries prove nothing
+    (LAPACK's Cholesky does not fail on them): they make an entry of the
+    equilibrated matrix NaN.
 
-    Solves eliminate with L L^T = H + (t + eta) I and R R^T = S, exact for
-    A_eta = A + diag((t + eta) I, 0), and refine on A's residual: each step
-    cuts the error by (t + eta) / (lambda_min(H) + t + eta) < 1/2 or less,
-    estimated from the last two corrections (the first over the solution),
-    until the next one would be below roundoff. (Solving with S - (t +
-    margin) I instead could make that factor exceed 1.)
+    The solve is the null-space method with these factors (for a scalar H,
+    the closed form q = r1 / d + Q (u - v / d), lam = R^-1 (v - d u) of the
+    unscaled blocks, with u = R^-T r2, v = Q^T r1, d = H + delta_w and
+    A^T = QR, which never forms A A^T), refined on K's residual until the
+    next correction would be below roundoff or stop shrinking by half.
     """
-    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(B)) and np.all(np.isfinite(c))):
+    m, n = A.shape
+    if m == 0 or n < m:
         return None
-    n, m = H.shape[0], c.size
-    eps = np.finfo(float).eps
-    shift = _cholesky_shift(n, float(np.abs(H).max(initial=0.0)), zero_tol)
+    scalar = not isinstance(H, np.ndarray)
+    W = H + delta_w if scalar else _shifted(H, delta_w)
+    if equilibrate:
+        magnitude = np.abs(A)
+        rows = max(abs(W), 1e-300) if scalar else np.maximum(np.abs(W).max(axis=1), 1e-300)
+        s_H = 1.0 / np.sqrt(np.maximum(rows, magnitude.max(axis=0)))
+        s_A = 1.0 / np.sqrt(np.maximum(magnitude.max(axis=1), 1e-300))
+    else:
+        s_H, s_A = np.ones(n), np.ones(m)
+    B = (s_A[:, None] * s_H) * A
+    if scalar:
+        X = (s_H * s_H) * W
+        mu, w = float(X.min()), float(X.max())
+        c, x_max = 0.5 * (w - mu), max(w, -mu)
+    else:
+        X = W * (s_H[:, None] * s_H)
+        X = 0.5 * (X + X.T)
+        w = float(np.abs(X).sum(axis=1).max())  # at least |X| >= |G|
+        x_max = float(np.abs(X).max())
+    b_max = float(np.abs(B).max())
+    if not (x_max < np.inf and b_max < np.inf):  # non-finite entries prove nothing
+        return None
+    max_abs = max(x_max, b_max)
+    zero_tol = t = _zero_tol(max_abs, n + m)
     try:
-        np.linalg.cholesky(_shifted(H, -shift))
-        L_inv = _lower_inverse(np.linalg.cholesky(_shifted(H, shift)))
-        Y = L_inv @ B.T
-        S = Y.T @ Y
-        S.flat[:: m + 1] -= c
-        scale = np.abs(S).max(initial=0.0) + np.abs(c).max(initial=0.0) + zero_tol
-        margin = _schur_margin(n, m, scale)
-        np.linalg.cholesky(_shifted(S, -(zero_tol + margin)))
-        R_inv = _lower_inverse(np.linalg.cholesky(S))
+        if not scalar:
+            t = _cholesky_shift(n + m, max_abs, zero_tol)
+            Q, R = np.linalg.qr(B.T, mode="complete")
+            Y, Z, R = Q[:, :m], Q[:, m:], R[:m]
+            XZ = X @ Z
+            M = Z.T @ XZ
+            c = float(np.linalg.norm(XZ.T @ Y)) + _cholesky_shift(n, w, 0.0)  # |C| and roundoff
+            L_inv = np.linalg.inv(np.linalg.cholesky(M))
+            mu = 0.5 / float(np.sum(L_inv * L_inv)) if n > m else np.inf
+            np.linalg.cholesky(_shifted(M, -_cholesky_shift(n, w, mu)))
+        if not mu > t:  # NaN refuses
+            return None
+        gram = B @ B.T if scalar else R.T @ R
+        gram.flat[:: m + 1] = gram.diagonal() * (1.0 - _schur_margin(n, m)) - (
+            t * (w + t) + t * c * c / (mu - t))
+        np.linalg.cholesky(gram)
+        if scalar:
+            Q, R = np.linalg.qr(A.T)
+        R_inv = np.linalg.inv(R)
     except np.linalg.LinAlgError:
         return None
 
-    def shifted_solve(r1, r2):  # with A_eta: z2 = S^-1 (Y^T w - r2), w = L^-1 r1
-        w = L_inv @ r1
-        z2 = (R_inv @ (w @ Y - r2)) @ R_inv
-        return np.concatenate([(w - Y @ z2) @ L_inv, z2])
+    if scalar:
+        def solve_once(rhs):
+            u = rhs[n:] @ R_inv
+            v = rhs[:n] @ Q
+            q = Q @ (u - v / W)
+            q += rhs[:n] / W
+            return np.concatenate([q, R_inv @ (v - W * u)])
+
+        def product(z):
+            return np.concatenate([W * z[:n] + z[n:] @ A, A @ z[:n]])
+    else:
+        def solve_once(rhs):
+            x = Y @ (rhs[n:] @ R_inv)
+            x += Z @ ((((rhs[:n] - X @ x) @ Z) @ L_inv.T) @ L_inv)
+            return np.concatenate([x, R_inv @ ((rhs[:n] - X @ x) @ Y)])
+
+        def product(z):
+            return np.concatenate([X @ z[:n] + z[n:] @ B, B @ z[:n]])
+
+    eps = np.finfo(float).eps
 
     def solve(rhs):
-        z = shifted_solve(rhs[:n], rhs[n:])
-        last = float(np.abs(z).max())
+        z = solve_once(rhs)
+        size = last = float(np.abs(z).max())
         for _ in range(10):
-            dz = shifted_solve(rhs[:n] - H @ z[:n] - z[n:] @ B, rhs[n:] - B @ z[:n] - c * z[n:])
+            dz = solve_once(rhs - product(z))
             z += dz
             step = float(np.abs(dz).max())
-            if not (step * step > eps * last * np.abs(z).max() and step < 0.5 * last):
+            if not (step * step > eps * last * size and step < 0.5 * last):
                 break
             last = step
         return z
 
+    row_scaling = np.concatenate([s_H, s_A]) if equilibrate and not scalar else None
     return Factorization(None, (n, m, 0), zero_tol, row_scaling, solve)
 
 
-# Below this order the eigenvalues and an LU of a KKT matrix cost less than
-# the block factors and their solve, whose numpy calls each have a fixed
-# cost. timeit, random KKT systems with H positive definite, m/N 0.2 and 0.5,
-# one BLAS thread on a 2-core Xeon: the kernel takes 2.5x their time at
-# order 16, 1.3-1.7x at 40, 1.0-1.1x at 56 and 0.9x at 64.
+# Below these orders the eigenvalues and an LU of a KKT matrix cost less
+# than the certificate and its solve, whose numpy calls each have a fixed
+# cost. timeit, one BLAS thread on a 2-core Xeon, certificate and one solve
+# over eigenvalues and LU: for a general H, random systems with H positive
+# definite, 1.0-1.2x at order 56, 0.8-1.1x at 64 and 0.7-1.0x at 72 (m/N
+# 0.5 to 0.2); for a scalar H, phase-I systems replayed from a pass of the
+# benchmark's scaled_qp, 1.17x at order 28, 1.05x at 32, 0.95x at 33 and
+# 0.84x at 40.
 _CERTIFY_MIN_ORDER = 64
+_SCALAR_MIN_ORDER = 33
 
 
-def _kkt_factorization(H, A, delta_w: float, delta_c: float) -> Factorization:
+def _kkt_factorization(H, A, delta_w: float, delta_c: float,
+                       equilibrate: bool = True) -> Factorization:
     """The record ldlt_factorize_scaled(assemble_kkt(H, A, delta_w,
-    delta_c)) gives; from order _CERTIFY_MIN_ORDER on, solved with the
-    Cholesky factors of the equilibrated blocks when they prove the inertia
-    (n, m, 0), and then with no matrix of order n + m. The blocks and s are
-    those of ldlt_factorize_scaled's matrix, entry for entry."""
-    n, m = H.shape[0], A.shape[0]
-    if n + m >= _CERTIFY_MIN_ORDER:
-        W = _shifted(H, delta_w)
-        magnitude = np.abs(A)
-        s = 1.0 / np.sqrt(np.maximum(np.concatenate([
-            np.maximum(np.abs(W).max(axis=1, initial=0.0), magnitude.max(axis=0, initial=0.0)),
-            np.maximum(magnitude.max(axis=1, initial=0.0), delta_c),
-        ]), 1e-300))
-        s_H, s_A = s[:n], s[n:]
-        W *= s_H[:, None] * s_H
-        W = 0.5 * (W + W.T)
-        B = (s_A[:, None] * s_H) * A
-        c = -delta_c * (s_A * s_A) if delta_c else np.zeros(m)
-        zero_tol = _zero_tol(max(float(np.abs(X).max(initial=0.0)) for X in (W, B, c)), n + m)
-        fact = _certified_factorization(W, B, c, zero_tol, s)
+    delta_c)) gives (ldlt_factorize's, unless equilibrate), H of order n or
+    a scalar (a multiple of I); at delta_c = 0 and from order
+    _CERTIFY_MIN_ORDER on (_SCALAR_MIN_ORDER for a scalar H), solved with
+    the factors of _certified_factorization when they prove the inertia
+    (n, m, 0), and then with no matrix of order n + m."""
+    m, n = A.shape
+    gate = _CERTIFY_MIN_ORDER if isinstance(H, np.ndarray) else _SCALAR_MIN_ORDER
+    if delta_c == 0.0 and n + m >= gate:
+        fact = _certified_factorization(H, A, delta_w, equilibrate)
         if fact is not None:
             return fact
-    return ldlt_factorize_scaled(assemble_kkt(H, A, delta_w, delta_c))
+    K = assemble_kkt(H, A, delta_w, delta_c)
+    return ldlt_factorize_scaled(K) if equilibrate else ldlt_factorize(K)
 
 
 def solve_factorized(fact: Factorization, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs with the block factors of fact, or else by LU with
-    partial pivoting (LAPACK gesv) on its matrix; a zero eigenvalue or an
-    exactly zero LU pivot raises SingularMatrixError."""
+    """Solve M x = rhs with the certified factors of fact (fact.solve), or
+    else by LU with partial pivoting (LAPACK gesv) on its matrix; a zero
+    eigenvalue or an exactly zero LU pivot raises SingularMatrixError."""
     if fact.n_zero > 0:
         raise SingularMatrixError("matrix is singular (%d zero eigenvalues)" % fact.n_zero)
     rhs = np.asarray(rhs, dtype=float)
@@ -249,7 +301,7 @@ def solve_factorized(fact: Factorization, rhs: np.ndarray) -> np.ndarray:
     if s is not None:
         rhs = rhs * s
     try:
-        x = fact.block_solve(rhs) if fact.block_solve else np.linalg.solve(fact.matrix, rhs)
+        x = fact.solve(rhs) if fact.solve else np.linalg.solve(fact.matrix, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("matrix is singular (zero LU pivot)") from exc
     return x * s if s is not None else x
@@ -279,11 +331,15 @@ class RegularizationSchedule:
             self.last_successful = delta
 
 
-def assemble_kkt(H: np.ndarray, A: np.ndarray, delta_w: float, delta_c: float) -> np.ndarray:
-    n = H.shape[0]
-    m = A.shape[0]
+def assemble_kkt(H, A: np.ndarray, delta_w: float, delta_c: float) -> np.ndarray:
+    """[[H + delta_w I, A^T], [A, -delta_c I]], H of order n or a scalar (a
+    multiple of I)."""
+    m, n = A.shape
     K = np.zeros((n + m, n + m))
-    K[:n, :n] = H
+    if isinstance(H, np.ndarray):
+        K[:n, :n] = H
+    else:
+        K.flat[: n * (n + m + 1) : n + m + 1] = H
     if delta_w:
         K.flat[: n * (n + m + 1) : n + m + 1] += delta_w
     if m:
@@ -304,8 +360,9 @@ def inertia_correct(
     inertia is exactly (n, m, 0).
 
     dc is switched on only when zero eigenvalues indicate a rank-deficient A.
-    Eigenvalues are computed only for small matrices and where the blocks
-    cannot certify the target (_kkt_factorization).
+    Each trial is a _kkt_factorization: eigenvalues are computed only for
+    small matrices, at dc > 0, and where the null-space certificate refuses
+    (A rank deficient, or Z^T (H + dw I) Z not positive definite).
     """
     n = H.shape[0]
     m = A.shape[0]
@@ -323,16 +380,12 @@ def inertia_correct(
 
 def least_squares_multipliers(J: np.ndarray, r: np.ndarray) -> np.ndarray:
     """y of [[I, J^T], [J, 0]] (p, y) = (r, 0), the least-squares solution
-    of J^T y = r: from the blocks (I, J) when they prove the inertia, from
-    order _CERTIFY_MIN_ORDER on; else by ldlt_factorize and LU. Zeros when
-    that finds the matrix singular or y is not finite."""
+    of J^T y = r, by _kkt_factorization on the unscaled blocks: from the QR
+    of J^T when the certificate proves the inertia, else by ldlt_factorize
+    and LU. Zeros when that finds the matrix singular or y is not finite."""
     m, n = J.shape
-    fact = None
-    if n + m >= _CERTIFY_MIN_ORDER:
-        zero_tol = _zero_tol(float(np.abs(J).max(initial=0.0)), n + m)
-        fact = _certified_factorization(np.eye(n), J, np.zeros(m), zero_tol)
     try:
-        fact = fact or ldlt_factorize(assemble_kkt(np.eye(n), J, 0.0, 0.0))
+        fact = _kkt_factorization(1.0, J, 0.0, 0.0, equilibrate=False)
         y = solve_factorized(fact, np.concatenate([r, np.zeros(m)]))[n:]
     except SingularMatrixError:
         return np.zeros(m)
@@ -461,70 +514,6 @@ class QPSolution:
     iterations: int = 0
 
 
-# Below this order eigvalsh plus an LU of the phase-I KKT matrix cost less
-# than the range-space step, whose 30-odd numpy calls each have a fixed
-# cost (crossover near 28 rows on a 2-core Xeon, one BLAS thread).
-_RANGE_SPACE_MIN_ORDER = 28
-
-
-def _range_space_step(A_f, delta, r1, r2):
-    """Solve [[delta I, A_f^T], [A_f, 0]] [q; lam] = [r1; r2], delta > 0,
-    in the range space of A_f, or return None (refuse) unless the blocks of
-    the equilibrated matrix prove its inertia (nf, m, 0).
-
-    The certificate is _certified_factorization's on the matrix that
-    ldlt_factorize_scaled factorizes, with every entry at most 1, so
-    t = _zero_tol(1, nf + m): its (1,1) block is diagonal, h = delta /
-    max(delta, max |column of A_f|), and must exceed t + eta; the Schur
-    complement S = B (H + (t + eta) I)^-1 B^T, B the equilibrated A_f, must
-    pass Cholesky at S - (t + margin) I. Non-finite entries in A_f make
-    h NaN or 0 and refuse.
-
-    The step uses orthogonal factors, A_f^T = QR, not A_f A_f^T, whose
-    condition number is that of A_f squared: u = R^-T r2, v = Q^T r1,
-    q = r1 / delta + Q (u - v / delta), lam = R^-1 (v - delta u), followed
-    by one step of refinement on the residual of the full system.
-    """
-    m, nf = A_f.shape
-    if m == 0 or nf < m:
-        return None
-    t = _zero_tol(1.0, nf + m)
-    shift = _cholesky_shift(nf, 1.0, t)  # every entry of H is at most 1
-    magnitude = np.abs(A_f)
-    columns = np.maximum(magnitude.max(axis=0), delta)
-    if not delta > shift * float(columns.max()):  # min h > t + eta; NaN refuses
-        return None
-    # B (H + shift I)^-1 B^T = Y Y^T: h_i + shift = delta s_i^2 + shift with
-    # s_i^2 = 1 / max(delta, column i), and the rows scaled by their max
-    Y = np.outer(1.0 / np.sqrt(np.maximum(magnitude.max(axis=1), 1e-300)),
-                 1.0 / np.sqrt(delta + shift * columns))
-    Y *= A_f
-    S = Y @ Y.T
-    # a Gram matrix's largest entry lies on its diagonal
-    margin = _schur_margin(nf, m, float(S.diagonal().max()) + t)
-    S.flat[:: m + 1] -= t + margin
-    try:
-        np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        return None
-
-    Q, R = np.linalg.qr(A_f.T)
-    R_inv = np.linalg.inv(R)
-
-    def solve(r1, r2):
-        u = r2 @ R_inv
-        v = r1 @ Q
-        q = Q @ (u - v / delta)
-        q += r1 / delta
-        return q, R_inv @ (v - delta * u)
-
-    q, lam = solve(r1, r2)
-    dq, dlam = solve(r1 - delta * q - lam @ A_f, r2 - A_f @ q)
-    q += dq
-    lam += dlam
-    return q, lam
-
-
 def _eqp_solve(W, g, A, b, d, codes, schedule):
     """Solve the equality-constrained QP on the current working set.
 
@@ -534,11 +523,9 @@ def _eqp_solve(W, g, A, b, d, codes, schedule):
     reduced Hessian is not positive definite).
 
     W None is phase I's zero Hessian: every product with it is skipped, and
-    at delta_w > 0 the step comes from the range space of A_f
-    (_range_space_step) when its blocks prove the inertia, with no
-    eigenvalues. Otherwise, and for every W given, the eigenvalues of the
-    equilibrated KKT matrix decide: an LU solve at inertia (nf, m, 0), least
-    squares when A_f is row rank deficient.
+    the KKT blocks are (delta_w I, A_f), a scalar H for _kkt_factorization.
+    The record of _kkt_factorization decides: a solve at inertia (nf, m, 0),
+    least squares on the equilibrated matrix when A_f is row rank deficient.
     """
     n = g.size
     m = b.size
@@ -559,36 +546,29 @@ def _eqp_solve(W, g, A, b, d, codes, schedule):
         return d[free], y, 0.0
 
     A_f = A[:, free] if m else np.zeros((0, nf))
-    W_ff = np.zeros((nf, nf)) if W is None else W[np.ix_(free, free)]
+    W_ff = 0.0 if W is None else W[np.ix_(free, free)]
 
     candidates = schedule.candidates()
-    if nf > m and not W_ff.any():
+    if nf > m and (W is None or not W_ff.any()):
         # [[0, A_f^T], [A_f, 0]] has rank at most 2m < nf + m: delta_w = 0
         # can give neither the target inertia nor the least-squares branch
         next(candidates)
     for delta_w in candidates:
-        rhs1 = -g_eff + delta_w * d[free]
-        if W is None and delta_w > 0.0 and nf + m >= _RANGE_SPACE_MIN_ORDER:
-            step = _range_space_step(A_f, delta_w, rhs1, rhs2)
-            if step is not None:
-                schedule.record_success(delta_w)
-                return step[0], -step[1], delta_w
-        K = assemble_kkt(W_ff, A_f, delta_w, 0.0)
-        fact = ldlt_factorize_scaled(K)
+        rhs = np.concatenate([-g_eff + delta_w * d[free], rhs2])
+        fact = _kkt_factorization(W_ff, A_f, delta_w, 0.0)
         if fact.inertia == (nf, m, 0):
-            sol = solve_factorized(fact, np.concatenate([rhs1, rhs2]))
-            schedule.record_success(delta_w)
-            return sol[:nf], -sol[nf:], delta_w
-        if fact.n_zero > 0 and delta_w > 0.0:
+            sol = solve_factorized(fact, rhs)
+        elif fact.n_zero > 0 and delta_w > 0.0:
             # A_f is row rank deficient; the system is consistent because the
             # current point is feasible, so take the least-squares solution
             # (of the equilibrated system, for accuracy).
             s = fact.row_scaling
-            rhs = np.concatenate([rhs1, rhs2])
-            sol, *_ = np.linalg.lstsq(K * np.outer(s, s), s * rhs, rcond=None)
+            sol, *_ = np.linalg.lstsq(fact.matrix, s * rhs, rcond=None)
             sol = s * sol
-            schedule.record_success(delta_w)
-            return sol[:nf], -sol[nf:], delta_w
+        else:
+            continue
+        schedule.record_success(delta_w)
+        return sol[:nf], -sol[nf:], delta_w
     raise RegularizationFailedError("EQP regularization failed")
 
 
@@ -706,12 +686,12 @@ def qp_solve(
 
     Phase I minimizes the elastic infeasibility of the equalities, so
     inconsistent constraints are reported as Infeasible (with the partial
-    point) rather than raised. It is an LP with no Hessian at all: from
-    order _RANGE_SPACE_MIN_ORDER on, its working-set steps are solved in the
-    range space of the free columns A_f (_range_space_step), and eigenvalues
-    are computed only where the blocks do not prove the inertia, as for a
-    rank-deficient A_f. With W = 0 the method acts as an LP solver, on the
-    eigenvalue path.
+    point) rather than raised. It is an LP with no Hessian at all: its
+    working-set steps solve KKT systems with the scalar (1,1) block
+    delta_w I, from order _SCALAR_MIN_ORDER on by the closed form of
+    _certified_factorization when A_f has full row rank. Every working-set
+    system, phase I and phase II, reaches LAPACK through _kkt_factorization.
+    With W = 0 the method acts as an LP solver.
     Nonconvex QPs terminate at first-order stationary points. warm_start
     pins the given (index, side) bounds as the initial working set; start
     seeds the initial point.

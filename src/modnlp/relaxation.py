@@ -63,36 +63,25 @@ def linearized_infeasibility(c: np.ndarray, jac: np.ndarray, dx: np.ndarray) -> 
 def l1_sign_residual(c: np.ndarray, y: np.ndarray) -> float:
     """Complementarity-type terms of the l1 error measure: |y_j c_j| on the
     satisfied rows, |(y_j + 1) c_j| where c_j > 0, |(y_j - 1) c_j| where
-    c_j < 0."""
-    total = 0.0
-    for cj, yj in zip(c, y):
-        if cj > 0.0:
-            total += abs((yj + 1.0) * cj)
-        elif cj < 0.0:
-            total += abs((yj - 1.0) * cj)
-        else:
-            total += abs(yj * cj)
-    return total
+    c_j < 0; summed in index order."""
+    c = np.asarray(c, dtype=float)
+    terms = np.abs((np.asarray(y, dtype=float) + np.sign(c)) * c)
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 def projected_stationarity_l1(
     g: np.ndarray, x: np.ndarray, lower: np.ndarray, upper: np.ndarray
 ) -> float:
     """l1 norm of the distance of g = rho grad_f - J^T y from the multiplier
-    cone allowed by the bound activities (the implicit optimal z)."""
-    total = 0.0
-    for gi, xi, lo, hi in zip(g, x, lower, upper):
-        at_lower = np.isfinite(lo) and xi - lo <= 1e-5 * (1.0 + abs(lo))
-        at_upper = np.isfinite(hi) and hi - xi <= 1e-5 * (1.0 + abs(hi))
-        if at_lower and at_upper:
-            continue
-        if at_lower:
-            total += max(-gi, 0.0)
-        elif at_upper:
-            total += max(gi, 0.0)
-        else:
-            total += abs(gi)
-    return total
+    cone allowed by the bound activities (the implicit optimal z); summed in
+    index order. An infinite bound is never active."""
+    g, x = np.asarray(g, dtype=float), np.asarray(x, dtype=float)
+    at_lower = np.isfinite(lower) & (x - lower <= 1e-5 * (1.0 + np.abs(lower)))
+    at_upper = np.isfinite(upper) & (upper - x <= 1e-5 * (1.0 + np.abs(upper)))
+    terms = np.where(at_lower, np.maximum(-g, 0.0),
+                     np.where(at_upper, np.maximum(g, 0.0), np.abs(g)))
+    terms[at_lower & at_upper] = 0.0
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 def error_measure(

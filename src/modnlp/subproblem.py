@@ -273,6 +273,15 @@ def ipm_solve_step(
     )
 
 
+def dual_scaling(y: np.ndarray, zl: np.ndarray, zu: np.ndarray, scaling_cap: float) -> float:
+    """s_d = max(1, (sum |y| + sum |zl| + sum |zu|) / (cap max(1, n + m))),
+    n = zl.size and m = y.size: the divisor of the dual residuals in the
+    termination and barrier tests (Waechter & Biegler, Math. Prog. 106,
+    2006, s_d with s_max = cap)."""
+    mass = float(np.sum(np.abs(y)) + np.sum(np.abs(zl)) + np.sum(np.abs(zu)))
+    return max(1.0, mass / (scaling_cap * max(1, zl.size + y.size)))
+
+
 def barrier_kkt_error(
     evals: Evaluations,
     x: np.ndarray,
@@ -285,7 +294,7 @@ def barrier_kkt_error(
     scaling_cap: float,
 ) -> float:
     """Scaled KKT error of the barrier problem (drives the mu update)."""
-    n, m = x.size, y.size
+    m = y.size
     grad = np.asarray(evals.grad_f, dtype=float)
     J = np.asarray(evals.jac_c, dtype=float)
     stat = grad - (J.T @ y if m else 0.0) - zl + zu
@@ -293,8 +302,7 @@ def barrier_kkt_error(
     finite_hi = np.isfinite(upper)
     comp_lo = (x[finite_lo] - lower[finite_lo]) * zl[finite_lo] - mu
     comp_hi = (upper[finite_hi] - x[finite_hi]) * zu[finite_hi] - mu
-    multiplier_mass = float(np.sum(np.abs(y)) + np.sum(np.abs(zl)) + np.sum(np.abs(zu)))
-    s_d = max(1.0, multiplier_mass / (scaling_cap * max(1, n + m)))
+    s_d = dual_scaling(y, zl, zu, scaling_cap)
     parts = [float(np.max(np.abs(stat), initial=0.0)) / s_d]
     parts.append(float(np.max(np.abs(evals.c), initial=0.0)))
     parts.append(float(np.max(np.abs(comp_lo), initial=0.0)) / s_d)

@@ -49,3 +49,28 @@ def test_compare_counts_must_match_exactly(tmp_path, capsys):
     assert compare(a, c, x_tol=1.0) == 1
     out = capsys.readouterr().out
     assert "q: status Optimal -> crash:X" in out and "r: only in" in out
+
+
+def test_compare_summarizes_each_source(tmp_path, capsys):
+    tool = load_tool()
+    keys = ["grid hs071 l1", "preset ipopt", "options defaults",
+            "corpus seed 1 #0 hs071 ipopt", "corpus seed 1 #1 hs071 byrd",
+            "scaled_ipm seed 1 #3 chain ipopt"]
+    assert [tool.source(key) for key in keys] == [
+        "grid", "presets and Options", "presets and Options",
+        "corpus seed 1", "corpus seed 1", "scaled_ipm seed 1"]
+    a = write(tmp_path / "a.json", {
+        "grid p": record([1.0]), "preset ipopt": {"mu": 0.1}, "options defaults": {"mu": 0.1},
+        "corpus seed 1 #0 p": record([1.0, 2.0]), "corpus seed 1 #1 q": record([3.0]),
+        "scaled_ipm seed 1 #0 r": record([4.0])})
+    b = write(tmp_path / "b.json", {
+        "grid p": record([1.0]), "preset ipopt": {"mu": 0.1}, "options defaults": {"mu": 0.1},
+        "corpus seed 1 #0 p": record([1.0, 2.0 + 1e-9]), "corpus seed 1 #1 q": record([3.5]),
+        "scaled_ipm seed 1 #0 r": record([4.0], iterations=7)})
+    assert tool.compare(a, b, x_tol=1e-6) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "  grid: 1 identical, 0 within 1e-06, 0 differ, max |dx| 0" in lines
+    assert "  presets and Options: 2 identical, 0 within 1e-06, 0 differ, max |dx| 0" in lines
+    assert "  corpus seed 1: 0 identical, 1 within 1e-06, 1 differ, max |dx| 0.5" in lines
+    assert "  scaled_ipm seed 1: 0 identical, 0 within 1e-06, 1 differ, max |dx| 0" in lines
+    assert lines[-1] == "6 solves, 2 differ, 1 differ in x by at most 1e-06, max |dx| 0.5"

@@ -12,9 +12,9 @@ from modnlp.linalg import (
     QPSolution,
     RegularizationSchedule,
     _CERTIFY_MIN_ORDER,
+    _SCALAR_MIN_ORDER,
     _certified_factorization,
     _kkt_factorization,
-    _range_space_step,
     _ratio_test,
     _verify_kkt,
     assemble_kkt,
@@ -264,37 +264,23 @@ class TestInertiaCorrection:
             assert ldlt_factorize(shifted).inertia == (n, 0, 0)
 
 
-def blocks_prove_inertia(A, n, zero_tol):
-    """The block certificate as it was before it kept its factors for the
-    solve (Y from np.linalg.solve): the oracle of _certified_factorization's
-    decisions."""
-    if not np.all(np.isfinite(A)):
-        return False
-    H, B, C = A[:n, :n], A[n:, :n], A[n:, n:]
-    m = B.shape[0]
-    eps = np.finfo(float).eps
-    shift = zero_tol + 4.0 * (n + 1) * n * eps * (float(np.abs(H).max(initial=0.0)) + zero_tol)
-    try:
-        np.linalg.cholesky(H - shift * np.eye(n))
-        if m:
-            Y = np.linalg.solve(np.linalg.cholesky(H + shift * np.eye(n)), B.T)
-            S = Y.T @ Y
-            S -= C
-            scale = np.abs(S).max(initial=0.0) + np.abs(C).max(initial=0.0) + zero_tol
-            margin = 2.0 * m * (n + m + 2) * eps * scale
-            np.linalg.cholesky(S - (zero_tol + margin) * np.eye(m))
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def certifies(A, n, zero_tol):
-    """Whether _certified_factorization proves the inertia of the symmetric
-    A = [[H, B^T], [B, C]], C diagonal; its decision must be the oracle's."""
-    certified = _certified_factorization(A[:n, :n], A[n:, :n], np.diag(A[n:, n:]).copy(),
-                                         zero_tol) is not None
-    assert certified == blocks_prove_inertia(A, n, zero_tol)
-    return certified
+def certified(H, A, delta_w=0.0, equilibrate=True):
+    """_certified_factorization's record of [[H + dw I, A^T], [A, 0]], or
+    None. When it certifies, the eigenvalue record of the matrix it proves
+    (ldlt_factorize_scaled's, or ldlt_factorize's unless equilibrate) must
+    have inertia (n, m, 0) and its zero_tol; up to order 16 the Jacobi
+    oracle must count the same."""
+    m, n = A.shape
+    fact = _certified_factorization(H, A, delta_w, equilibrate)
+    if fact is not None:
+        K = assemble_kkt(H, A, delta_w, 0.0)
+        reference = ldlt_factorize_scaled(K) if equilibrate else ldlt_factorize(K)
+        assert fact.matrix is None and fact.inertia == reference.inertia == (n, m, 0)
+        assert fact.zero_tol == reference.zero_tol
+        if n + m <= 16:
+            eigs = jacobi_eigenvalues(reference.matrix)
+            assert sign_counts(eigs, reference.zero_tol) == (n, m, 0)
+    return fact
 
 
 def backward_error(M, x, rhs):
@@ -302,37 +288,32 @@ def backward_error(M, x, rhs):
     return float(np.max(np.abs(M @ x - rhs) / (np.abs(M) @ np.abs(x) + np.abs(rhs))))
 
 
-class TestBlockCertificate:
-    """The block certificate of _kkt_factorization against
-    ldlt_factorize_scaled and the Jacobi oracle."""
+def nullspace_split(rng, n, m, on_null, off_null):
+    """A random A (m x n) and H = on_null P_Z + off_null P_Y, P_Z and P_Y the
+    orthogonal projections onto null(A) and its complement."""
+    A = rng.randn(m, n)
+    V = np.linalg.svd(A)[2].T  # columns m: span null(A)
+    return on_null * (V[:, m:] @ V[:, m:].T) + off_null * (V[:, :m] @ V[:, :m].T), A
 
-    def check(self, H, A, delta_c=0.0):
-        """Whether the blocks of the equilibrated [[H, A^T], [A, -dc I]]
-        certify its inertia; when they do, it must be (n, m, 0) by both
-        other counts."""
-        n, m = H.shape[0], A.shape[0]
-        reference = ldlt_factorize_scaled(assemble_kkt(H, A, 0.0, delta_c))
-        certified = certifies(reference.matrix, n, reference.zero_tol)
-        if certified:
-            assert reference.inertia == (n, m, 0)
-            eigs = jacobi_eigenvalues(reference.matrix)
-            assert sign_counts(eigs, reference.zero_tol) == (n, m, 0)
-        return certified
+
+class TestBlockCertificate:
+    """The null-space certificate of _kkt_factorization against
+    ldlt_factorize_scaled and the Jacobi oracle."""
 
     def test_certified_record_is_the_eigenvalue_record(self):
         # above the size where the certificate is tried, a certified record
         # has the inertia, scaling and zero_tol of ldlt_factorize_scaled's
         # and no matrix; its solves are as accurate as the LU's
         rng = np.random.RandomState(1)
-        for n, m, delta_c in ((56, 14, 0.0), (40, 38, 0.0), (50, 20, 1e-6), (70, 0, 0.0)):
+        for n, m in ((56, 14), (40, 38), (50, 20), (64, 64)):
             B = rng.randn(n, n)
             D = 10.0 ** rng.uniform(-2.0, 2.0, n)
             H = D[:, None] * (B @ B.T + 0.1 * np.eye(n)) * D
-            A = rng.randn(m, n)
-            K = assemble_kkt(H, A, 0.0, delta_c)
-            fact = _kkt_factorization(H, A, 0.0, delta_c)
+            A = rng.randn(m, n) if m < n else np.linalg.qr(B)[0]  # n = m: no null space
+            K = assemble_kkt(H, A, 0.0, 0.0)
+            fact = _kkt_factorization(H, A, 0.0, 0.0)
             reference = ldlt_factorize_scaled(K)
-            assert fact.matrix is None and fact.block_solve is not None
+            assert fact.matrix is None and fact.solve is not None
             assert fact.inertia == reference.inertia == (n, m, 0)
             assert np.array_equal(fact.row_scaling, reference.row_scaling)
             assert fact.zero_tol == reference.zero_tol
@@ -342,42 +323,73 @@ class TestBlockCertificate:
 
     def test_positive_definite_up_to_condition_1e12(self):
         rng = np.random.RandomState(2)
-        certified = 0
+        count = 0
         for trial in range(60):
             n = rng.randint(1, 9)
-            m = rng.randint(0, n + 1)
+            m = rng.randint(1, n + 1)
             condition = 10.0 ** (12.0 * (trial % 7) / 6.0)
             Q = np.linalg.qr(rng.randn(n, n))[0]
             H = Q @ np.diag(np.geomspace(1.0, 1.0 / condition, n)) @ Q.T
-            A = rng.randn(m, n)
-            certified += self.check(H * 10.0 ** rng.uniform(-3.0, 3.0), A)
-        assert certified >= 40
+            count += certified(H * 10.0 ** rng.uniform(-3.0, 3.0), rng.randn(m, n)) is not None
+        assert count >= 40
+
+    def test_indefinite_hessian_positive_on_the_null_space(self):
+        # H is indefinite but positive definite on null(A): certified, with
+        # the Jacobi oracle's inertia; the eigenvalues of H alone refused it
+        rng = np.random.RandomState(6)
+        for trial in range(20):
+            n = rng.randint(2, 9)
+            m = rng.randint(1, n)
+            H, A = nullspace_split(rng, n, m, 1.0, -5.0)
+            assert np.linalg.eigvalsh(H)[0] < 0.0
+            assert certified(H, A) is not None
+
+    def test_chain_shaped_indefinite_system_needs_no_eigenvalues(self, monkeypatch):
+        # a chain instance's shape, m = n - 2, above the gate, with an H that
+        # has negative eigenvalues off null(A): inertia_correct takes the
+        # certificate at dw = 0, computes no eigenvalues, and solves as
+        # accurately as the LU
+        import modnlp.linalg as linalg
+
+        calls = []
+        monkeypatch.setattr(linalg, "ldlt_factorize",
+                            lambda M: calls.append(M.shape) or ldlt_factorize(M))
+        rng = np.random.RandomState(13)
+        n = 40
+        H, A = nullspace_split(rng, n, n - 2, 1.0, -0.5)
+        H += np.diag(10.0 ** rng.uniform(-6.0, 0.0, n))
+        assert n + n - 2 >= _CERTIFY_MIN_ORDER and np.linalg.eigvalsh(H)[0] < 0.0
+        fact, dw, dc = inertia_correct(H, A, RegularizationSchedule())
+        assert fact.matrix is None and fact.inertia == (n, n - 2, 0)
+        assert dw == 0.0 and dc == 0.0 and calls == []
+        K = assemble_kkt(H, A, 0.0, 0.0)
+        rhs = rng.randn(2 * n - 2)
+        lu = backward_error(K, np.linalg.solve(K, rhs), rhs)
+        assert backward_error(K, solve_factorized(fact, rhs), rhs) <= 10.0 * max(lu, 1e-16)
 
     def test_delta_c(self):
+        # a regularized (2,2) block is never certified: its record is
+        # ldlt_factorize_scaled's
         rng = np.random.RandomState(3)
-        certified = 0
-        for _ in range(30):
-            n = rng.randint(1, 8)
-            m = rng.randint(1, 6)
-            B = rng.randn(n, n)
-            A = rng.randn(m, n)
-            if m > 1:
-                A[-1] = A[0]  # rank deficient: dc > 0 makes it regular
-            certified += self.check(B @ B.T + 0.1 * np.eye(n), A, delta_c=1e-6)
-        assert certified == 30
+        H, A = nullspace_split(rng, 60, 20, 1.0, 1.0)
+        fact = _kkt_factorization(H, A, 0.0, 1e-6)
+        reference = ldlt_factorize_scaled(assemble_kkt(H, A, 0.0, 1e-6))
+        assert fact.solve is None and np.array_equal(fact.matrix, reference.matrix)
 
     def test_no_constraints(self):
+        # m = 0 is left to the eigenvalues
         rng = np.random.RandomState(4)
         for _ in range(20):
             n = rng.randint(1, 10)
             B = rng.randn(n, n)
-            assert self.check(B @ B.T + 0.1 * np.eye(n), np.zeros((0, n)))
-        assert not self.check(-np.eye(3), np.zeros((0, 3)))
+            assert certified(B @ B.T + 0.1 * np.eye(n), np.zeros((0, n))) is None
 
     def test_no_variables(self):
-        # n = 0: only C is left, and it must be negative definite
-        assert certifies(-np.eye(2), 0, 1e-12)
-        assert not certifies(np.zeros((2, 2)), 0, 1e-12)
+        # n = 0, or any n < m: A cannot have full row rank
+        rng = np.random.RandomState(14)
+        assert certified(np.zeros((0, 0)), np.zeros((2, 0))) is None
+        for n in range(1, 8):
+            assert certified(np.eye(n), rng.randn(n + 1, n)) is None
 
     def test_rank_deficient_jacobian_is_not_certified(self):
         rng = np.random.RandomState(5)
@@ -388,15 +400,15 @@ class TestBlockCertificate:
             A[-1] = A[:-1].T @ rng.randn(m - 1)  # a combination of the others
             B = rng.randn(n, n)
             H = B @ B.T + 0.1 * np.eye(n)
-            assert not self.check(H, A)
+            assert certified(H, A) is None
             assert ldlt_factorize_scaled(assemble_kkt(H, A, 0.0, 0.0)).n_zero > 0
 
     def test_schur_roundoff_does_not_certify(self):
         # a tiny (1,1) block, as z/x on inactive bounds with W = 0 in the
         # IPM, and an exactly dependent Jacobian row: the KKT matrix is
-        # singular, S = B H^-1 B^T has entries near 1e8, and the roundoff
-        # of its zero eigenvalue is far above zero_tol; without a margin
-        # for it, about a third of these were certified (n, m, 0)
+        # singular, and the roundoff of the zero eigenvalue of the Gram
+        # matrix is far above t max|W|; without a margin for it, these
+        # would be certified (n, m, 0)
         rng = np.random.RandomState(7)
         for trial in range(20):
             n, m = 54 + trial, 10
@@ -410,38 +422,43 @@ class TestBlockCertificate:
             assert fact.inertia == (n, m, 0) and dw == 0.0 and dc > 0.0
 
     def test_pivots_above_zero_tol_do_not_certify(self):
-        # H = I - (1 - eps) v v^T, v = ones/sqrt(n): eigenvalue eps on v,
-        # yet every Cholesky pivot is at least about n * eps; with eps
-        # below zero_tol the eigenvalue count finds a zero eigenvalue
-        n = 10
-        v = np.full(n, 1.0 / np.sqrt(n))
-        zero_tol = ldlt_factorize_scaled(np.eye(n)).zero_tol
-        for eps in (0.3 * zero_tol, 0.6 * zero_tol):
-            fact = ldlt_factorize_scaled(np.eye(n) - (1.0 - eps) * np.outer(v, v))
-            pivots = np.diag(np.linalg.cholesky(fact.matrix)) ** 2
-            assert np.all(pivots > fact.zero_tol)
-            assert fact.n_zero == 1
-            assert not certifies(fact.matrix, n, fact.zero_tol)
+        # A = [I 0] and H = I - (1 - e) v v^T with v on null(A): the
+        # equilibrated K has an eigenvalue of order e inside [-t, t], yet
+        # every Cholesky pivot of Z^T H Z is above t. The eigenvalue count
+        # finds a zero eigenvalue, and the certificate must refuse
+        n, m = 12, 4
+        A = np.hstack([np.eye(m), np.zeros((m, n - m))])
+        v = np.concatenate([np.zeros(m), np.full(n - m, 1.0 / np.sqrt(n - m))])
+        zero_tol = ldlt_factorize_scaled(np.eye(n + m)).zero_tol
+        for e in (0.3 * zero_tol, 0.6 * zero_tol):
+            H = np.eye(n) - (1.0 - e) * np.outer(v, v)
+            reference = ldlt_factorize_scaled(assemble_kkt(H, A, 0.0, 0.0))
+            eigs = jacobi_eigenvalues(reference.matrix)
+            small = eigs[np.argmin(np.abs(eigs))]
+            assert 0.0 < small < reference.zero_tol and reference.n_zero == 1
+            assert sign_counts(eigs, reference.zero_tol) == (n - 1, m, 1)
+            Z_block = reference.matrix[m:n, m:n]
+            assert np.all(np.diag(np.linalg.cholesky(Z_block)) ** 2 > reference.zero_tol)
+            assert certified(H, A) is None
 
-    def test_indefinite_hessian_falls_back(self):
-        # H is indefinite but positive definite on null(A): not certified,
-        # and inertia_correct still reaches (n, m, 0) without a shift
-        rng = np.random.RandomState(6)
-        for trial in range(20):
-            n = rng.randint(2, 8) if trial else 64  # one above the certificate's size
-            m = rng.randint(1, n)
-            A = rng.randn(m, n)
-            V = np.linalg.svd(A)[2].T  # columns m: span null(A)
-            H = V[:, m:] @ V[:, m:].T - 5.0 * (V[:, :m] @ V[:, :m].T)
-            assert not self.check(H, A)
-            fact, dw, dc = inertia_correct(H, A, RegularizationSchedule())
-            assert fact.inertia == (n, m, 0) and dw == 0.0 and dc == 0.0
+    def test_coupling_of_null_space_and_range_space(self):
+        # K = [[0, 1, b], [1, 10t, 0], [b, 0, 0]]: Z^T W Z = 10t passes its
+        # own test and sigma_min(B)^2 = b^2 far exceeds t (|G| + t), but the
+        # coupling C = 1 leaves an eigenvalue near 10 t b^2 inside [-t, t]:
+        # refused
+        zero_tol = _certified_factorization(
+            np.eye(2), np.array([[1.0, 0.0]]), 0.0, False).zero_tol
+        H = np.array([[0.0, 1.0], [1.0, 10.0 * zero_tol]])
+        for b in (1e-3, 1e-2, 1e-1):
+            A = np.array([[b, 0.0]])
+            eigs = jacobi_eigenvalues(assemble_kkt(H, A, 0.0, 0.0))
+            assert sign_counts(eigs, zero_tol) == (1, 1, 1)
+            assert certified(H, A, equilibrate=False) is None
 
     def test_non_finite_is_not_certified(self):
         H = np.eye(64)
         H[0, 1] = np.nan
-        K = assemble_kkt(H, np.ones((1, 64)), 0.0, 0.0)
-        assert not certifies(K, 64, 1e-12)
+        assert _certified_factorization(H, np.ones((1, 64)), 0.0, True) is None
         with pytest.raises(SingularMatrixError, match="non-finite"):
             _kkt_factorization(H, np.ones((1, 64)), 0.0, 0.0)
 
@@ -456,33 +473,32 @@ def ipm_like(rng, n, m):
 
 
 class TestBlockKernel:
-    """The block factors of _kkt_factorization and their solves against
+    """The certified factors of _kkt_factorization and their solves against
     ldlt_factorize_scaled plus solve_factorized, from order
     _CERTIFY_MIN_ORDER = 64 on."""
 
     def test_ipm_backward_error_within_ten_times_the_lu(self):
         rng = np.random.RandomState(8)
-        certified = 0
-        for trial in range(60):
+        count = 0
+        for trial in range(30):
             n = rng.randint(33, 70)
             m = n - 2
-            delta_c = 1e-8 if trial % 2 else 0.0
             H, A = ipm_like(rng, n, m)
-            K = assemble_kkt(H, A, 0.0, delta_c)
-            fact = _kkt_factorization(H, A, 0.0, delta_c)
+            K = assemble_kkt(H, A, 0.0, 0.0)
+            fact = _kkt_factorization(H, A, 0.0, 0.0)
             reference = ldlt_factorize_scaled(K)
             assert fact.inertia == reference.inertia
-            if fact.block_solve is None:
+            if fact.solve is None:
                 continue
-            certified += 1
+            count += 1
             rhs = rng.randn(n + m) * 10.0 ** rng.uniform(-3.0, 3.0, n + m)
             lu = backward_error(K, solve_factorized(reference, rhs), rhs)
             assert backward_error(K, solve_factorized(fact, rhs), rhs) <= 10.0 * max(lu, 1e-16)
-        assert certified >= 15  # the rest have an equilibrated H with eigenvalues below t
+        assert count >= 25
 
     def test_decisions_are_the_certificates(self):
-        # the kernel accepts exactly what the certificate on
-        # ldlt_factorize_scaled's matrix accepts
+        # a certified system has the eigenvalue count's inertia (n, m, 0); a
+        # rank-deficient A and a regularized (2,2) block are refused
         rng = np.random.RandomState(9)
         decisions = set()
         for trial in range(60):
@@ -492,24 +508,26 @@ class TestBlockKernel:
             if trial % 3 == 1:
                 A[-1] = A[0]  # rank deficient
             if trial % 3 == 2:
-                H -= 1e-3 * np.eye(n)  # indefinite where the barrier diagonal is tiny
+                H -= (1e-3 if trial % 4 else 1e2) * np.eye(n)  # indefinite
             delta_c = 1e-8 if trial % 2 else 0.0
             fact = _kkt_factorization(H, A, 0.0, delta_c)
             reference = ldlt_factorize_scaled(assemble_kkt(H, A, 0.0, delta_c))
-            decision = fact.block_solve is not None
-            assert decision == blocks_prove_inertia(reference.matrix, n, reference.zero_tol)
+            decision = fact.solve is not None
+            assert fact.inertia == reference.inertia
+            if decision:
+                assert reference.inertia == (n, m, 0)
+            if delta_c or trial % 3 == 1:
+                assert not decision
             decisions.add(decision)
         assert decisions == {True, False}
 
     def test_refusal_record_is_the_eigenvalue_record(self):
         rng = np.random.RandomState(10)
         for n, m, delta_c in ((64, 10, 0.0), (46, 20, 1e-6), (50, 49, 0.0)):
-            A = rng.randn(m, n)
-            V = np.linalg.svd(A)[2].T
-            H = V[:, m:] @ V[:, m:].T - 5.0 * (V[:, :m] @ V[:, :m].T)  # indefinite
+            H, A = nullspace_split(rng, n, m, -1.0, 5.0)  # negative on null(A)
             fact = _kkt_factorization(H, A, 0.0, delta_c)
             reference = ldlt_factorize_scaled(assemble_kkt(H, A, 0.0, delta_c))
-            assert fact.block_solve is None
+            assert fact.solve is None
             assert np.array_equal(fact.matrix, reference.matrix)
             assert fact.inertia == reference.inertia
             assert fact.zero_tol == reference.zero_tol
@@ -529,10 +547,11 @@ class TestBlockKernel:
             assert np.array_equal(least_squares_multipliers(A, np.ones(64)), np.zeros(2))
 
     def test_no_constraints(self):
+        # m = 0 is refused: the eigenvalues and the LU, as accurate as ever
         rng = np.random.RandomState(11)
         H, _ = ipm_like(rng, 70, 0)
         fact = _kkt_factorization(H, np.zeros((0, 70)), 1e-4, 0.0)
-        assert fact.block_solve is not None and fact.inertia == (70, 0, 0)
+        assert fact.solve is None and fact.inertia == (70, 0, 0)
         rhs = rng.randn(70)
         K = H + 1e-4 * np.eye(70)
         lu = backward_error(K, np.linalg.solve(K, rhs), rhs)
@@ -544,25 +563,37 @@ class TestBlockKernel:
             J, r = rng.randn(m, n) * 10.0 ** rng.uniform(-2.0, 2.0, (m, 1)), rng.randn(n)
             y = least_squares_multipliers(J, r)
             np.testing.assert_allclose(y, np.linalg.lstsq(J.T, r, rcond=None)[0], rtol=1e-10)
-            if n + m < _CERTIFY_MIN_ORDER:  # below the gate: the eigenvalues and the LU, bit for bit
+            if n + m < _SCALAR_MIN_ORDER:  # below the gate: the eigenvalues and the LU, bit for bit
                 rhs = np.concatenate([r, np.zeros(m)])
                 old = solve_factorized(ldlt_factorize(assemble_kkt(np.eye(n), J, 0.0, 0.0)), rhs)
                 assert np.array_equal(y, old[n:])
+            else:  # the unscaled blocks decide, as the eigenvalues of K would
+                assert certified(1.0, J, equilibrate=False) is not None
             J[-1] = J[0]  # rank deficient: zeros, on both paths
             assert np.array_equal(least_squares_multipliers(J, r), np.zeros(m))
         assert least_squares_multipliers(np.zeros((0, 70)), rng.randn(70)).shape == (0,)
 
 
 class TestRangeSpaceStep:
-    """_range_space_step against ldlt_factorize_scaled + solve_factorized
-    on phase I's A_f = [A, -I, I]."""
+    """The certificate and closed-form step for a scalar (1,1) block,
+    delta I, against ldlt_factorize_scaled + solve_factorized on phase I's
+    A_f = [A, -I, I]."""
+
+    @staticmethod
+    def step(A_f, delta, r1, r2):
+        """(q, lam) from the certified record, or None when it refuses."""
+        fact = certified(0.0, A_f, delta)
+        if fact is None:
+            return None
+        sol = solve_factorized(fact, np.concatenate([r1, r2]))
+        return sol[:A_f.shape[1]], sol[A_f.shape[1]:]
 
     @staticmethod
     def reference(A_f, delta, r1, r2):
         """The LU's q and lam, and the condition number of the
         equilibrated matrix."""
         nf = A_f.shape[1]
-        fact = ldlt_factorize_scaled(assemble_kkt(np.zeros((nf, nf)), A_f, delta, 0.0))
+        fact = ldlt_factorize_scaled(assemble_kkt(0.0, A_f, delta, 0.0))
         assert fact.inertia == (nf, A_f.shape[0], 0)
         sol = solve_factorized(fact, np.concatenate([r1, r2]))
         return sol[:nf], sol[nf:], np.linalg.cond(fact.matrix)
@@ -607,7 +638,7 @@ class TestRangeSpaceStep:
                 A_f = np.hstack([A, -np.eye(m), np.eye(m)])
             for delta in (1.0, 1e-4, 1e-8):
                 r1, r2 = rng.randn(A_f.shape[1]), rng.randn(m)
-                step = _range_space_step(A_f, delta, r1, r2)
+                step = self.step(A_f, delta, r1, r2)
                 if step is None:  # not proved: the eigenvalues decide
                     assert rows != "well scaled"
                     continue
@@ -626,34 +657,46 @@ class TestRangeSpaceStep:
         for m in range(2, 12):
             A_f = np.hstack([rng.randn(m, 20), -np.eye(m)])  # u- fixed at zero
             A_f[-1] = A_f[0]
-            assert _range_space_step(A_f, 1e-4, rng.randn(20 + m), rng.randn(m)) is None
-            assert ldlt_factorize_scaled(
-                assemble_kkt(np.zeros((20 + m, 20 + m)), A_f, 1e-4, 0.0)).n_zero == 1
+            assert self.step(A_f, 1e-4, rng.randn(20 + m), rng.randn(m)) is None
+            assert ldlt_factorize_scaled(assemble_kkt(0.0, A_f, 1e-4, 0.0)).n_zero == 1
 
     def test_dependent_row_with_tiny_delta_is_refused(self):
         # the analogue of test_schur_roundoff_does_not_certify: h near 1e-9,
-        # S has entries near 1e10, and the roundoff of its zero eigenvalue
-        # is far above t; without a margin for it, the kernel would solve
-        # a singular system
+        # and the roundoff of the zero eigenvalue of B B^T is far above
+        # t max(h); without a margin for it, the kernel would solve a
+        # singular system
         rng = np.random.RandomState(7)
         for trial in range(20):
             n, m = 40 + trial, 10
             A = rng.randint(-8, 9, size=(m, n)).astype(float)
             A[2] = A[0] + A[1]  # exact in floating point
-            K = assemble_kkt(np.zeros((n, n)), A, 1e-8, 0.0)
+            K = assemble_kkt(0.0, A, 1e-8, 0.0)
             assert ldlt_factorize_scaled(K).inertia == (n, m - 1, 1)
-            assert _range_space_step(A, 1e-8, rng.randn(n), np.zeros(m)) is None
+            assert self.step(A, 1e-8, rng.randn(n), np.zeros(m)) is None
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_refuses_non_finite_entries(self, value):
         rng = np.random.RandomState(8)
         A_f = np.hstack([rng.randn(6, 20), -np.eye(6), np.eye(6)])
-        assert _range_space_step(A_f, 1e-4, rng.randn(32), rng.randn(6)) is not None
+        assert self.step(A_f, 1e-4, rng.randn(32), rng.randn(6)) is not None
         A_f[3, 5] = value
-        assert _range_space_step(A_f, 1e-4, rng.randn(32), rng.randn(6)) is None
+        with np.errstate(invalid="ignore"):
+            assert _certified_factorization(0.0, A_f, 1e-4, True) is None
 
     def test_refuses_without_constraints(self):
-        assert _range_space_step(np.zeros((0, 30)), 1e-4, np.ones(30), np.zeros(0)) is None
+        assert self.step(np.zeros((0, 30)), 1e-4, np.ones(30), np.zeros(0)) is None
+
+    def test_refuses_fewer_columns_than_rows(self):
+        rng = np.random.RandomState(9)
+        assert self.step(rng.randn(8, 6), 1e-4, np.ones(6), np.ones(8)) is None
+
+    def test_zero_delta_is_refused(self):
+        # [[0, A_f^T], [A_f, 0]] with nf = m is regular, but min(h) = 0
+        # proves nothing: the eigenvalues decide
+        rng = np.random.RandomState(10)
+        A_f = rng.randn(6, 6)
+        assert self.step(A_f, 0.0, np.ones(6), np.ones(6)) is None
+        assert ldlt_factorize_scaled(assemble_kkt(0.0, A_f, 0.0, 0.0)).inertia == (6, 6, 0)
 
 
 def enumerate_qp_oracle(qp: QPData):
@@ -808,14 +851,14 @@ class TestQPSolve:
         # with W_ff = 0 and nf > m, [[0, A_f^T], [A_f, 0]] is singular by
         # rank: the delta_w = 0 probe is skipped, and each skipped probe is
         # checked to fail its inertia test (so the result is the one the
-        # probe-first order gives). An LP's own EQP (W = 0 given) then
-        # factorizes once, as does a phase-I EQP (no W) below the
-        # range-space order; at or above it, a phase-I EQP with A_f of full
-        # row rank computes no eigenvalues.
+        # probe-first order gives). An LP's own EQP (W = 0 given, below the
+        # general gate) then factorizes once, as does a phase-I EQP (no W)
+        # below the scalar gate; at or above it, a phase-I EQP with A_f of
+        # full row rank computes no eigenvalues.
         import modnlp.linalg as linalg
 
         eqp_solve, factorize = linalg._eqp_solve, linalg.ldlt_factorize
-        calls, per_solve = [0], {"LP": [], "phase I": [], "phase I range space": []}
+        calls, per_solve = [0], {"LP": [], "phase I": [], "phase I certified": []}
 
         def counted_factorize(M):
             calls[0] += 1
@@ -832,10 +875,10 @@ class TestQPSolve:
             result = eqp_solve(W, g, A, b, d, codes, schedule)
             if probe and W is not None:
                 per_solve["LP"].append((nf + m, calls[0]))
-            elif probe and nf + m < linalg._RANGE_SPACE_MIN_ORDER:
+            elif probe and nf + m < linalg._SCALAR_MIN_ORDER:
                 per_solve["phase I"].append(calls[0])
             elif probe and np.linalg.matrix_rank(A[:, free]) == m:
-                per_solve["phase I range space"].append(calls[0])
+                per_solve["phase I certified"].append(calls[0])
             return result
 
         monkeypatch.setattr(linalg, "ldlt_factorize", counted_factorize)
@@ -849,8 +892,8 @@ class TestQPSolve:
                 sol = qp_solve(problem)
                 assert sol.status == OPTIMAL
                 assert abs(sol.objective_value - expected_obj) <= 1e-8 * (1 + abs(expected_obj))
-        for _ in range(10):  # phase-I EQPs of order up to 52, the LP's up to 36
-            n, m = rng.randint(24, 33), rng.randint(4, 8)
+        for _ in range(10):  # phase-I EQPs of order up to 56, the LP's up to 40
+            n, m = rng.randint(28, 37), rng.randint(4, 8)
             A = rng.randn(m, n)
             lb, ub = -rng.rand(n) - 0.5, rng.rand(n) + 0.5
             b = A @ (lb + (ub - lb) * rng.rand(n)) + 0.5  # x = 0 is infeasible
@@ -859,11 +902,11 @@ class TestQPSolve:
             assert sol.status == OPTIMAL
             np.testing.assert_allclose(A @ sol.d, b, atol=1e-9)
         assert len(per_solve["LP"]) > 60 and {c for _, c in per_solve["LP"]} == {1}
-        large = [order for order, _ in per_solve["LP"] if order >= linalg._RANGE_SPACE_MIN_ORDER]
+        large = [order for order, _ in per_solve["LP"] if order >= linalg._SCALAR_MIN_ORDER]
         assert len(large) > 20
         assert len(per_solve["phase I"]) > 40 and set(per_solve["phase I"]) == {1}
-        assert len(per_solve["phase I range space"]) > 40
-        assert set(per_solve["phase I range space"]) == {0}
+        assert len(per_solve["phase I certified"]) > 40
+        assert set(per_solve["phase I certified"]) == {0}
 
     def test_ratio_test_matches_loop(self):
         # the sequential scan: a later ratio blocks only when below the

@@ -23,6 +23,7 @@ from modnlp.relaxation import (
     error_measure,
     l1_sign_residual,
     linearized_infeasibility,
+    projected_stationarity_l1,
 )
 from modnlp.state import Iterate, Workspace
 from modnlp.subproblem import initial_bound_multipliers, push_to_interior
@@ -219,3 +220,56 @@ def test_ipm_elastic_direction_curvature_is_base_hessian():
         direction = relaxation.subproblem.feasibility_direction(ws, it, rho, None)
         W = ws.model.eval_lagrangian_hessian(it.x, rho, it.y)
         assert direction.dwd == pytest.approx(float(direction.dx @ W @ direction.dx), rel=1e-12)
+
+
+def test_l1_residuals_equal_the_component_loops():
+    # the array expressions give the component loops' sums bit for bit, on
+    # data with zero constraint values, infinite bounds and both bounds
+    # active (a fixed variable)
+    def sign_loop(c, y):
+        total = 0.0
+        for cj, yj in zip(c, y):
+            if cj > 0.0:
+                total += abs((yj + 1.0) * cj)
+            elif cj < 0.0:
+                total += abs((yj - 1.0) * cj)
+            else:
+                total += abs(yj * cj)
+        return total
+
+    def stationarity_loop(g, x, lower, upper):
+        total = 0.0
+        for gi, xi, lo, hi in zip(g, x, lower, upper):
+            at_lower = np.isfinite(lo) and xi - lo <= 1e-5 * (1.0 + abs(lo))
+            at_upper = np.isfinite(hi) and hi - xi <= 1e-5 * (1.0 + abs(hi))
+            if at_lower and at_upper:
+                continue
+            if at_lower:
+                total += max(-gi, 0.0)
+            elif at_upper:
+                total += max(gi, 0.0)
+            else:
+                total += abs(gi)
+        return total
+
+    rng = np.random.RandomState(17)
+    for trial in range(200):
+        m, n = rng.randint(0, 12), rng.randint(0, 12)
+        c = rng.randn(m) * 10.0 ** rng.uniform(-8.0, 3.0, m)
+        c[rng.rand(m) < 0.3] = 0.0
+        y = rng.randn(m) * 10.0 ** rng.uniform(-3.0, 3.0, m)
+        assert l1_sign_residual(c, y) == sign_loop(c, y)
+        lower = rng.randn(n) - 1.0
+        upper = lower + rng.rand(n) * 3.0
+        lower[rng.rand(n) < 0.3] = -INF
+        upper[rng.rand(n) < 0.3] = INF
+        x = np.clip(rng.randn(n), lower, upper)
+        x = np.where(rng.rand(n) < 0.3, lower, np.where(rng.rand(n) < 0.3, upper, x))
+        x = np.where(np.isfinite(x), x, 0.0)
+        fixed = rng.rand(n) < 0.2
+        upper[fixed] = lower[fixed] = np.where(np.isfinite(lower[fixed]), lower[fixed], 1.0)
+        x[fixed] = lower[fixed]
+        g = rng.randn(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        g[rng.rand(n) < 0.1] = 0.0
+        assert projected_stationarity_l1(g, x, lower, upper) == \
+            stationarity_loop(g, x, lower, upper)

@@ -9,6 +9,7 @@ from modnlp.reformulation import to_equality_form
 from modnlp.subproblem import (
     BarrierState,
     build_sqp_qp,
+    dual_scaling,
     fraction_to_boundary,
     fraction_to_boundary_dual,
     ipm_solve_step,
@@ -268,3 +269,11 @@ def test_ipm_on_equality_model_matches_newton():
     rhs = np.concatenate([-(ev.grad_f), -ev.c])
     expected = np.linalg.solve(K, rhs)
     np.testing.assert_allclose(d.dx, expected[: model.n], atol=1e-9)
+
+
+def test_dual_scaling():
+    # s_d = max(1, multiplier mass / (cap * max(1, n + m))), n = zl.size
+    y, zl, zu = np.array([300.0, -100.0]), np.array([50.0, 0.0, 0.0]), np.array([0.0, 0.0, 50.0])
+    assert dual_scaling(y, zl, zu, 100.0) == 500.0 / (100.0 * 5)
+    assert dual_scaling(y, zl, zu, 1000.0) == 1.0
+    assert dual_scaling(np.zeros(0), np.zeros(0), np.zeros(0), 100.0) == 1.0

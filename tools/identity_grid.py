@@ -20,7 +20,10 @@ round-trip exactly, so equal x in the file means bit-identical x.
 the largest |dx| over the solves whose x has the same shape. It exits 1
 when any solve differs. With --x-tol, x may differ by up to TOL in every
 component (such solves are counted, not listed); status, iterations, the
-callback counts and subproblem_solves must still match exactly.
+callback counts and subproblem_solves must still match exactly. Before its
+last line it prints, for each source of records (the grid, the presets and
+Options, and each benchmark run), how many are identical, how many differ
+in x within TOL, how many differ, and the largest |dx|.
 """
 from __future__ import annotations
 
@@ -100,32 +103,50 @@ def benchmark(modnlp, root: Path) -> dict:
     return out
 
 
+def source(key: str) -> str:
+    """The source of a record: the grid, the presets and Options, or the
+    benchmark run ("corpus seed 1", ...) whose task list it comes from."""
+    if key.startswith("grid "):
+        return "grid"
+    if key.startswith("preset ") or key == "options defaults":
+        return "presets and Options"
+    return key.split(" #")[0]
+
+
 def compare(path_a: str, path_b: str, x_tol: float = 0.0) -> int:
     a = json.loads(Path(path_a).read_text())
     b = json.loads(Path(path_b).read_text())
-    differ = 0
-    x_within = 0
-    max_dx = 0.0
+    # per source: identical, differ in x within x_tol, differ, max |dx|
+    summary = {}
     for key in sorted(set(a) | set(b)):
+        tally = summary.setdefault(source(key), [0, 0, 0, 0.0])
         ra, rb = a.get(key), b.get(key)
         if ra is None or rb is None:
             print("%s: only in %s" % (key, path_a if rb is None else path_b))
-            differ += 1
+            tally[2] += 1
             continue
         xa, xb = ra.get("x"), rb.get("x")
         x_close = False
         if xa is not None and xb is not None and len(xa) == len(xb):
             dx = max((abs(u - v) for u, v in zip(xa, xb)), default=0.0)
-            max_dx = max(max_dx, dx)
+            tally[3] = max(tally[3], dx)
             x_close = all(abs(u - v) <= x_tol for u, v in zip(xa, xb))  # NaN is not close
         fields = [name for name in sorted(set(ra) | set(rb)) if ra.get(name) != rb.get(name)]
         if fields == ["x"] and x_close:
-            x_within += 1
+            tally[1] += 1
         elif fields:
-            differ += 1
+            tally[2] += 1
             print("%s: %s" % (key, "; ".join(
                 "%s %s -> %s" % (name, ra.get(name), rb.get(name)) if name != "x"
                 else "x differs" for name in fields)))
+        else:
+            tally[0] += 1
+    for name, (same, within, differ, dx) in summary.items():
+        print("  %s: %d identical, %d within %g, %d differ, max |dx| %.3g"
+              % (name, same, within, x_tol, differ, dx))
+    differ = sum(tally[2] for tally in summary.values())
+    x_within = sum(tally[1] for tally in summary.values())
+    max_dx = max((tally[3] for tally in summary.values()), default=0.0)
     print("%d solves, %d differ, %d differ in x by at most %g, max |dx| %.3g"
           % (len(set(a) | set(b)), differ, x_within, x_tol, max_dx))
     return 1 if differ else 0

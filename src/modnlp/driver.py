@@ -207,21 +207,31 @@ def preset_options(name: str) -> Options:
 _RANGES = (
     ("tolerance", lambda v: v > 0.0, "> 0"),
     ("max_iterations", lambda v: v >= 1, ">= 1"),
+    ("loose_tolerance_factor", lambda v: v >= 1.0, ">= 1"),
+    ("loose_tolerance_window", lambda v: v >= 1, ">= 1"),
     ("mu_initial", lambda v: v > 0.0, "> 0"),
     ("kappa_epsilon", lambda v: v > 0.0, "> 0"),
     ("kappa_mu", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     ("theta_mu", lambda v: 1.0 < v < 2.0, "in (1, 2)"),
     ("tau_min", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ("interior_push", lambda v: v > 0.0, "> 0"),
     ("backtrack_factor", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     ("alpha_min", lambda v: v >= np.finfo(float).eps, ">= machine epsilon"),
+    ("max_inner", lambda v: v >= 1, ">= 1"),
     ("radius_initial", lambda v: v > 0.0, "> 0"),
+    ("radius_min", lambda v: v >= 0.0, ">= 0"),
+    ("radius_max", lambda v: v > 0.0, "> 0"),
     ("radius_increase_factor", lambda v: v > 1.0, "> 1"),
     ("radius_decrease_factor", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ("activity_tolerance_rel", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
     ("filter_capacity", lambda v: v >= 1, ">= 1"),
     ("filter_sigma", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     ("filter_beta", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     ("filter_gamma", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     ("filter_delta", lambda v: v > 0.0, "> 0"),
+    ("theta_min_factor", lambda v: v > 0.0, "> 0"),
+    # eta_max = factor * max(1, eta0) must admit the starting point
+    ("eta_max_factor", lambda v: v >= 1.0, ">= 1"),
     ("armijo_sigma", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     ("restoration_exit_factor", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     ("steering_epsilon1", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
@@ -294,15 +304,13 @@ def preprocess_initial_point(model: Model, x0: np.ndarray) -> np.ndarray:
     and the bounds. Raises if the linear constraints alone are infeasible."""
     x0 = np.clip(x0, model.variable_lower, model.variable_upper)
     rows = list(model.linear_rows)
+    if not rows:
+        return x0  # the clipped point is the projection onto the bounds
     n = model.n
-    if rows:
-        c0 = np.asarray(model.eval_constraints(x0), dtype=float)
-        J0 = np.asarray(model.eval_constraint_jacobian(x0), dtype=float).reshape(model.m, n)
-        A = J0[rows]
-        b = -c0[rows]
-    else:
-        A = np.zeros((0, n))
-        b = np.zeros(0)
+    c0 = np.asarray(model.eval_constraints(x0), dtype=float)
+    J0 = np.asarray(model.eval_constraint_jacobian(x0), dtype=float).reshape(model.m, n)
+    A = J0[rows]
+    b = -c0[rows]
     qp = QPData(
         W=np.eye(n),
         g=np.zeros(n),
@@ -417,12 +425,13 @@ class TerminationState:
 
 
 def _build_ingredients(ws: Workspace, opts: Options):
-    """The four parts the options name; each reads its constants from opts.
-    Building them makes no callback call."""
+    """The subproblem, the relaxation and the mechanism the options name
+    (the strategy lives inside the relaxation); each reads its constants
+    from opts. Building them makes no callback call."""
     subproblem = SUBPROBLEMS[opts.subproblem](opts)
     strategy = STRATEGIES[opts.globalization_strategy](opts)
     relaxation = RELAXATIONS[opts.constraint_relaxation_strategy](ws, subproblem, strategy, opts)
-    return relaxation, MECHANISMS[opts.globalization_mechanism](relaxation, opts)
+    return subproblem, relaxation, MECHANISMS[opts.globalization_mechanism](relaxation, opts)
 
 
 def solve(model: Model, options: Options | None = None, log=None) -> SolveResult:
@@ -461,18 +470,18 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
         s_f = factors.s_f
 
     ws = Workspace(working)
-    relaxation, mechanism = _build_ingredients(ws, opts)
+    subproblem, relaxation, mechanism = _build_ingredients(ws, opts)
     try:
         x0 = preprocess_initial_point(working, working.initial_point)
     except InfeasibleLinearConstraintsError as exc:
         # the certificate's residuals: zero multipliers at rho = 0
         zeros = np.zeros(working.n)
-        start = Iterate(x0, np.zeros(working.m), zeros, zeros, 0.0, evaluate(working, x0))
+        start = Iterate(x0, np.zeros(working.m), zeros, zeros, evaluate(working, x0))
         res = compute_residuals(ws, start, 0.0, opts.multiplier_scaling_cap)
         return result(INFEASIBLE_STATIONARY, x0, start.evals, res=res, rho=0.0,
                       message=str(exc))
 
-    x0, zl, zu = relaxation.subproblem.initial_point(ws, x0)
+    x0, zl, zu = subproblem.initial_point(ws, x0)
     y0 = estimate_initial_multipliers(working, x0, zl - zu, opts.y_max)
     if opts.scale_functions or not np.array_equal(x0, working.initial_point):
         ev = evaluate(working, x0)
@@ -482,7 +491,7 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
         return result(EVALUATION_ERROR, x0, ev, y=y0, z=zl - zu,
                       message="IEEE exception at the preprocessed initial point")
 
-    iterate = Iterate(x=x0, y=y0, zl=zl, zu=zu, rho=relaxation.measure_rho(), evals=ev)
+    iterate = Iterate(x=x0, y=y0, zl=zl, zu=zu, evals=ev)
     relaxation.initialize(iterate)
     termination = TerminationState(opts)
 
@@ -542,17 +551,5 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
 
 
 def _log_record(k, mechanism, relaxation, iterate) -> dict:
-    measures = relaxation.measures_from(iterate)
-    record = {
-        "iteration": k,
-        "eta": measures.eta,
-        "objective": iterate.evals.f,
-        "rho": relaxation.measure_rho(),
-    }
-    if relaxation.strategy.uses_fixed_rho_one:
-        record["phi"] = measures.phi
-    else:
-        record["merit"] = measures.merit
-    record.update(mechanism.log_fields())
-    record.update(relaxation.log_fields())
-    return record
+    return {"iteration": k, "objective": iterate.evals.f,
+            **relaxation.log_fields(iterate), **mechanism.log_fields()}

@@ -15,22 +15,23 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class ProgressMeasures:
-    """eta = ||c||_1 infeasibility, omega = rho * f objective measure,
-    xi = auxiliary (barrier) measure."""
+    """eta = ||c||_1 infeasibility, f the unpenalized objective, rho the
+    relaxation's objective multiplier and xi the auxiliary (barrier)
+    measure. A filter judges (eta, phi) with phi = f + xi; the l1 merit
+    function is rho f + eta + xi."""
 
     eta: float
-    omega: float
+    f: float
+    rho: float = 1.0
     xi: float = 0.0
 
     @property
     def phi(self) -> float:
-        # decrease function of filter methods; omega must be computed with
-        # rho = 1 in that context
-        return self.omega + self.xi
+        return self.f + self.xi
 
     @property
     def merit(self) -> float:
-        return self.omega + self.eta + self.xi
+        return self.rho * self.f + self.eta + self.xi
 
 
 def compute_measures(
@@ -41,7 +42,8 @@ def compute_measures(
 ) -> ProgressMeasures:
     return ProgressMeasures(
         eta=float(np.sum(np.abs(c_values))),
-        omega=rho * float(f_value),
+        f=float(f_value),
+        rho=rho,
         xi=float(barrier_term),
     )
 
@@ -61,10 +63,11 @@ def barrier_value(x, lower, upper, mu) -> float:
 class ReductionModels:
     """Predicted reductions of the progress measures for a step alpha * d.
 
-    Filter strategies read the linear models of omega and xi (phi_reduction),
-    the merit strategy the quadratic ones (merit_reduction). c and jd
-    are the constraint values and J d, gtd is grad_f . d (unscaled), dwd is
-    d^T W_rho d, btd and dbd are the barrier analogues.
+    Filter strategies read the linear models of f and xi (phi_reduction),
+    the merit strategy the quadratic models of rho f and xi
+    (merit_reduction). c and jd are the constraint values and J d, gtd is
+    grad_f . d (unscaled), dwd is d^T W_rho d, btd and dbd are the barrier
+    analogues, and rho is the relaxation's objective multiplier.
     """
 
     c: np.ndarray
@@ -79,14 +82,14 @@ class ReductionModels:
         return float(np.sum(np.abs(self.c)) - np.sum(np.abs(self.c + alpha * self.jd)))
 
     def merit_reduction(self, alpha: float) -> float:
-        # quadratic models of omega_rho and xi, and the model of eta
-        omega = -self.rho * alpha * self.gtd - 0.5 * alpha * alpha * self.dwd
+        # quadratic models of rho f and xi, and the model of eta
+        objective = -self.rho * alpha * self.gtd - 0.5 * alpha * alpha * self.dwd
         xi = alpha * self.btd - 0.5 * alpha * alpha * self.dbd
-        return omega + self.eta(alpha) + xi
+        return objective + self.eta(alpha) + xi
 
     def phi_reduction(self, alpha: float) -> float:
-        # linear models of omega and xi; a filter's models carry rho = 1
-        return -self.rho * alpha * self.gtd + alpha * self.btd
+        # linear models of f and xi
+        return -alpha * self.gtd + alpha * self.btd
 
 
 def infeasibility_armijo(
@@ -152,15 +155,18 @@ class Filter:
 
 
 class GlobalizationStrategy:
-    """Decides whether a trial iterate makes acceptable progress."""
-
-    #: filter strategies measure omega with rho = 1
-    uses_fixed_rho_one = False
+    """Decides whether a trial iterate makes acceptable progress. Each
+    strategy reads its own measure off the ProgressMeasures (the filters
+    phi, the merit strategy merit) and names it for the log."""
 
     def initialize(self, eta0: float) -> None:
         """Anchor the strategy at the initial infeasibility."""
 
     def check_acceptance(self, current, trial, models, step) -> bool:
+        raise NotImplementedError
+
+    def log_fields(self, measures: ProgressMeasures) -> dict:
+        """The strategy's measure at the given measures, for the log."""
         raise NotImplementedError
 
     def admits(self, measures: ProgressMeasures) -> bool:
@@ -183,8 +189,11 @@ class MeritL1(GlobalizationStrategy):
     def __init__(self, opts):
         self.sigma = opts.armijo_sigma
 
+    def log_fields(self, measures: ProgressMeasures) -> dict:
+        return {"merit": measures.merit}
+
     def check_acceptance(self, current, trial, models, step) -> bool:
-        """Armijo condition on the merit function phi_rho = omega_rho + eta + xi."""
+        """Armijo condition on the merit function rho f + eta + xi."""
         actual = current.merit - trial.merit
         predicted = models.merit_reduction(step)
         slack = 10.0 * _EPS * max(1.0, abs(current.merit))
@@ -195,8 +204,6 @@ class FilterMethod(GlobalizationStrategy):
     """Filter method with the Fletcher-Leyffer acceptance rule (trust-region
     lineage); `rule` is the hook its variants replace."""
 
-    uses_fixed_rho_one = True
-
     def __init__(self, opts):
         self.sigma = opts.filter_sigma
         self.delta = opts.filter_delta
@@ -204,6 +211,9 @@ class FilterMethod(GlobalizationStrategy):
 
     def initialize(self, eta0: float) -> None:
         self.filter.reset(eta0)
+
+    def log_fields(self, measures: ProgressMeasures) -> dict:
+        return {"phi": measures.phi}
 
     def check_acceptance(self, current, trial, models, step) -> bool:
         accepted, add_current = self.rule(current, trial, models, step)

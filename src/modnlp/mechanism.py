@@ -29,7 +29,7 @@ def assemble_trial(ws: Workspace, iterate: Iterate, direction: Direction, alpha:
     y = iterate.y + alpha * direction.dy
     zl = np.maximum(iterate.zl + direction.dual_scale * direction.dzl, 0.0)
     zu = np.maximum(iterate.zu + direction.dual_scale * direction.dzu, 0.0)
-    return Iterate(x=x, y=y, zl=zl, zu=zu, rho=iterate.rho, evals=ws.eval_fc(x))
+    return Iterate(x=x, y=y, zl=zl, zu=zu, evals=ws.eval_fc(x))
 
 
 class BacktrackingLineSearch:
@@ -102,9 +102,8 @@ class TrustRegionMethod:
     def compute_acceptable_iterate(self, iterate: Iterate) -> Iterate:
         """Solve-at-radius / full-step / accept-or-shrink loop.
 
-        Bound multipliers of components pinned by the trust region are reset
-        to zero; on acceptance with an active trust region the radius grows,
-        on rejection it shrinks below min(radius, ||dx||). Raises TinyRadius
+        On acceptance with an active trust region the radius grows, on
+        rejection it shrinks below min(radius, ||dx||). Raises TinyRadius
         once the radius reaches machine-epsilon scale.
         """
         opts = self.opts
@@ -113,9 +112,6 @@ class TrustRegionMethod:
         for _ in range(opts.max_inner):
             direction = self.relaxation.compute_direction(iterate, trust_radius=radius)
             trial = assemble_trial(self.relaxation.ws, iterate, direction, 1.0)
-            if direction.tr_active is not None and np.any(direction.tr_active):
-                trial.zl = np.where(direction.tr_active, 0.0, trial.zl)
-                trial.zu = np.where(direction.tr_active, 0.0, trial.zu)
             step_norm = float(np.max(np.abs(direction.dx), initial=0.0))
             activity_tol = opts.activity_tolerance_rel * radius
             if trial.evals.is_finite and self.relaxation.is_acceptable(

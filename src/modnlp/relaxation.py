@@ -5,9 +5,10 @@ optimality direction, a feasibility (elastic) direction at a given rho, and
 the barrier questions. Each evaluates the Hessian it needs and returns a
 finished direction; the interior-point one owns the elastic barrier problem
 (elastic_evaluations) and its smoothed infeasibility. The l1 relaxation with
-penalty steering and feasibility restoration with phase switching own the
-progress-measure definitions and drive a subproblem through these calls
-alone, without knowing which one it is.
+penalty steering and feasibility restoration with phase switching build the
+progress measures and reduction models at their rho (the strategy reads its
+own measure off them) and drive a subproblem through these calls alone,
+without knowing which one it is.
 """
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ from .linalg import (
 from .model import Evaluations, evaluate
 from .state import Iterate, Workspace
 from .subproblem import (
-    BarrierState,
     Direction,
     barrier_gradient_terms,
     barrier_kkt_error,
@@ -106,9 +106,11 @@ class QPSubproblem:
     """Inequality-constrained QP subproblem solved by the active-set solver.
 
     Both calls evaluate the Lagrangian Hessian W_rho they need and return a
-    direction with gtd = grad_f'dx and dwd = dx'W_rho dx. There is no
-    barrier: mu never changes, the barrier term is 0, and both the start and
-    restoration keep the given point with zero multipliers.
+    direction with gtd = grad_f'dx and dwd = dx'W_rho dx. Where the trust
+    region pins a component, the direction takes its bound multipliers to
+    zero. There is no barrier: mu never changes, the barrier term is 0, and
+    both the start and restoration keep the given point with zero
+    multipliers.
     """
 
     second_order = True
@@ -199,9 +201,10 @@ def elastic_evaluations(ws, x, y, u, rho, with_hessian=False):
 
 class IPMSubproblem:
     """Primal-dual interior-point subproblem on the symmetrized system, with
-    the same calls as QPSubproblem; it also owns the barrier parameter and
-    the elastic barrier problem of its feasibility steps. Reads mu_initial,
-    tau_min, kappa_epsilon, kappa_mu, theta_mu, tolerance, interior_push and
+    the same calls as QPSubproblem; it also owns the barrier parameter mu
+    (the one copy: each step and barrier term is given it) and the elastic
+    barrier problem of its feasibility steps. Reads mu_initial, tau_min,
+    kappa_epsilon, kappa_mu, theta_mu, tolerance, interior_push and
     multiplier_scaling_cap from the options."""
 
     second_order = True
@@ -209,7 +212,7 @@ class IPMSubproblem:
 
     def __init__(self, opts):
         self.opts = opts
-        self.barrier = BarrierState(mu=opts.mu_initial)
+        self.mu = opts.mu_initial
         self.schedule = RegularizationSchedule()
 
     def initial_point(self, ws, x0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -229,26 +232,27 @@ class IPMSubproblem:
         else:
             problem = self._elastic_problem(ws, iterate, elastic_rho)
         evals, x, zl, zu, lower, upper = problem
+        previous = self.mu
         error = barrier_kkt_error(
-            evals, x, iterate.y, zl, zu, lower, upper, self.barrier.mu, opts.multiplier_scaling_cap
+            evals, x, iterate.y, zl, zu, lower, upper, previous, opts.multiplier_scaling_cap
         )
-        _, changed = update_barrier_parameter(
-            self.barrier, error, opts.tolerance, opts.kappa_epsilon, opts.kappa_mu, opts.theta_mu
+        self.mu = update_barrier_parameter(
+            previous, error, opts.tolerance, opts.kappa_epsilon, opts.kappa_mu, opts.theta_mu
         )
-        return changed
+        return self.mu < previous
 
     def barrier_term(self, ws, x) -> float:
-        return barrier_value(x, ws.lower, ws.upper, self.barrier.mu)
+        return barrier_value(x, ws.lower, ws.upper, self.mu)
 
     def log_fields(self) -> dict:
-        return {"mu": self.barrier.mu}
+        return {"mu": self.mu}
 
     def optimality_direction(self, ws, iterate, trust_radius) -> Direction:
         W = np.asarray(ws.model.eval_lagrangian_hessian(iterate.x, 1.0, iterate.y), dtype=float)
         ws.subproblem_solves += 1
         return ipm_solve_step(
             replace(iterate.evals, hessian=W), iterate.x, iterate.y, iterate.zl, iterate.zu,
-            ws.lower, ws.upper, self.barrier, self.schedule, self.opts.tau_min,
+            ws.lower, ws.upper, self.mu, self.schedule, self.opts.tau_min,
         )
 
     def _elastic_problem(self, ws, iterate, rho, with_hessian=False):
@@ -257,7 +261,7 @@ class IPMSubproblem:
         bound multipliers of w and the bounds of w. The elastic values are on
         the central path (central_elastics), so w is strictly interior with
         exact equality residuals and mu-consistent complementarity."""
-        mu = self.barrier.mu
+        mu = self.mu
         u = np.concatenate(central_elastics(iterate.evals.c, mu))
         eev, lower, upper = elastic_evaluations(ws, iterate.x, iterate.y, u, rho, with_hessian)
         w = np.concatenate([iterate.x, u])
@@ -273,7 +277,7 @@ class IPMSubproblem:
         eev, w, zl, zu, lower, upper = self._elastic_problem(ws, iterate, rho, with_hessian=True)
         ws.subproblem_solves += 1
         full = ipm_solve_step(
-            eev, w, iterate.y, zl, zu, lower, upper, self.barrier, self.schedule, self.opts.tau_min
+            eev, w, iterate.y, zl, zu, lower, upper, self.mu, self.schedule, self.opts.tau_min
         )
         dx = full.dx[:n]
         return Direction(
@@ -302,7 +306,7 @@ class IPMSubproblem:
         eliminated at its central values: sum(u+ + u- - mu log(u+ u-)) plus
         the x-block barrier. An interior restoration step targets it, and it
         can fall where raw eta rises near an l1 kink."""
-        mu = self.barrier.mu
+        mu = self.mu
 
         def smoothed(x, c):
             u_plus, u_minus = central_elastics(c, mu)
@@ -344,12 +348,14 @@ def _qp_direction(sol, iterate, W, trust_radius, tr_masks) -> Direction:
     z_hat = sol.multipliers_bounds[:n]
     zl_hat = np.maximum(z_hat, 0.0)
     zu_hat = np.maximum(-z_hat, 0.0)
-    tr_active = None
     if trust_radius is not None and np.isfinite(trust_radius):
+        # a component the trust region pins has no bound multiplier
         tol = 1e-10 * max(1.0, trust_radius)
-        tr_active = (tr_masks[0][:n] & (dx <= -trust_radius + tol)) | (
+        pinned = (tr_masks[0][:n] & (dx <= -trust_radius + tol)) | (
             tr_masks[1][:n] & (dx >= trust_radius - tol)
         )
+        zl_hat[pinned] = 0.0
+        zu_hat[pinned] = 0.0
     return Direction(
         dx=dx,
         dy=sol.multipliers_eq - iterate.y,
@@ -358,7 +364,6 @@ def _qp_direction(sol, iterate, W, trust_radius, tr_masks) -> Direction:
         status=OPTIMAL,
         gtd=gtd,
         dwd=dwd,
-        tr_active=tr_active,
     )
 
 
@@ -387,24 +392,28 @@ class ConstraintRelaxationStrategy:
         limit is then a Fritz John point)."""
         return False
 
-    def log_fields(self) -> dict:
-        return self.subproblem.log_fields()
+    def log_fields(self, iterate: Iterate) -> dict:
+        """eta, rho, the strategy's measure and the subproblem's fields at
+        the iterate."""
+        measures = self.measures_from(iterate)
+        return {"eta": measures.eta, "rho": measures.rho,
+                **self.strategy.log_fields(measures), **self.subproblem.log_fields()}
 
     def measures_from(self, iterate: Iterate) -> ProgressMeasures:
-        rho = 1.0 if self.strategy.uses_fixed_rho_one else self.measure_rho()
         return compute_measures(
-            iterate.evals.f, iterate.evals.c, rho=rho,
+            iterate.evals.f, iterate.evals.c, rho=self.measure_rho(),
             barrier_term=self.subproblem.barrier_term(self.ws, iterate.x),
         )
 
-    def reduction_models(self, iterate: Iterate, direction: Direction) -> ReductionModels:
-        rho = 1.0 if self.strategy.uses_fixed_rho_one else self.measure_rho()
+    def reduction_models(self, iterate: Iterate, direction: Direction, rho=None) -> ReductionModels:
+        """The models of a step along the direction, at the given rho
+        (default: the relaxation's)."""
         return ReductionModels(
             c=np.asarray(iterate.evals.c, dtype=float),
             jd=np.asarray(iterate.evals.jac_c, dtype=float) @ direction.dx,
             gtd=direction.gtd,
             dwd=direction.dwd,
-            rho=rho,
+            rho=self.measure_rho() if rho is None else rho,
             btd=direction.btd,
             dbd=direction.dbd,
         )
@@ -442,8 +451,9 @@ class ConstraintRelaxationStrategy:
 
 class L1Relaxation(ConstraintRelaxationStrategy):
     """Penalty steering on the smooth elastic l1 relaxation (inverse penalty
-    parameter rho decreases until the step makes sufficient progress on the
-    linearized infeasibility and the merit model). Reads rho_initial,
+    parameter rho, held here alone, decreases until the step makes
+    sufficient progress on the linearized infeasibility and the merit
+    model). Reads rho_initial,
     rho_min, rho_decrease_factor and steering_epsilon1/2 from the options."""
 
     def __init__(self, ws, subproblem, strategy, opts):
@@ -461,10 +471,6 @@ class L1Relaxation(ConstraintRelaxationStrategy):
     def _barrier_elastic_rho(self):
         return self.rho
 
-    def _set_rho(self, rho: float, iterate: Iterate) -> None:
-        self.rho = rho
-        iterate.rho = rho
-
     def _solve_at(self, iterate: Iterate, rho: float, trust_radius):
         """Direction of the elastic subproblem at the given rho."""
         direction = self.subproblem.feasibility_direction(self.ws, iterate, rho, trust_radius)
@@ -472,19 +478,8 @@ class L1Relaxation(ConstraintRelaxationStrategy):
             raise QPFailureError("elastic QP failed with status " + direction.status)
         return direction
 
-    def _merit_model_reduction(self, iterate, direction, rho) -> float:
-        models = ReductionModels(
-            c=np.asarray(iterate.evals.c, dtype=float),
-            jd=np.asarray(iterate.evals.jac_c, dtype=float) @ direction.dx,
-            gtd=direction.gtd,
-            dwd=direction.dwd,
-            rho=rho,
-        )
-        return models.merit_reduction(1.0)
-
     def compute_direction(self, iterate: Iterate, trust_radius=None) -> Direction:
         self._maybe_update_barrier(iterate)
-        self.ws.ensure_derivatives(iterate)
         opts = self.opts
         c = np.asarray(iterate.evals.c, dtype=float)
         jac = np.asarray(iterate.evals.jac_c, dtype=float)
@@ -496,7 +491,6 @@ class L1Relaxation(ConstraintRelaxationStrategy):
         info = {"steered": False, "rho": self.rho, "l0": l0, "l_d": l_d}
         if l_d <= feas_tol:
             direction.info = info
-            self._set_rho(self.rho, iterate)
             return direction
 
         # Steering (the penalty update may involve several subproblem solves).
@@ -509,9 +503,8 @@ class L1Relaxation(ConstraintRelaxationStrategy):
             # penalty alone and let the globalization mechanism recover
             info.update(steered=False, skipped="feasibility step made no progress")
             direction.info = info
-            self._set_rho(self.rho, iterate)
             return direction
-        dm0_bar = self._merit_model_reduction(iterate, d_bar, 0.0)
+        dm0_bar = self.reduction_models(iterate, d_bar, 0.0).merit_reduction(1.0)
         rho = self.rho
 
         def conditions_hold(direction, rho):
@@ -520,11 +513,10 @@ class L1Relaxation(ConstraintRelaxationStrategy):
                 cond1 = l_d <= feas_tol
             else:
                 cond1 = l0 - l_d >= opts.steering_epsilon1 * (l0 - l_bar) - 1e-12 * (1.0 + l0)
-            dm = self._merit_model_reduction(iterate, direction, rho)
+            dm = self.reduction_models(iterate, direction, rho).merit_reduction(1.0)
             cond2 = dm >= opts.steering_epsilon2 * dm0_bar - 1e-12 * (1.0 + abs(dm0_bar))
             return cond1, cond2, l_d
 
-        rho_entry = self.rho
         cond1, cond2, l_d = conditions_hold(direction, rho)
         while not cond1 and rho > opts.rho_min:
             rho *= opts.rho_decrease_factor
@@ -541,7 +533,6 @@ class L1Relaxation(ConstraintRelaxationStrategy):
             info.update(skipped="steering conditions unattainable", l_bar=l_bar)
             direction = d_bar
             direction.info = info
-            self._set_rho(rho_entry, iterate)
             return direction
 
         # Cap by the scaled dual FJ residual at the feasibility multipliers.
@@ -560,11 +551,11 @@ class L1Relaxation(ConstraintRelaxationStrategy):
                 direction = self._solve_at(iterate, rho, trust_radius)
                 cond1, cond2, l_d = conditions_hold(direction, rho)
 
-        self._set_rho(rho, iterate)
+        self.rho = rho
         info.update(
             rho=rho, l_d=l_d, l_bar=l_bar, dm0_bar=dm0_bar, cap=cap,
             cond1=cond1, cond2=cond2,
-            dm=self._merit_model_reduction(iterate, direction, rho),
+            dm=self.reduction_models(iterate, direction, rho).merit_reduction(1.0),
         )
         direction.info = info
         return direction
@@ -593,8 +584,8 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
         self.restoration_exit_factor = opts.restoration_exit_factor
         self._optimality_feasible = False
 
-    def log_fields(self) -> dict:
-        return {**super().log_fields(), "phase": self.phase}
+    def log_fields(self, iterate: Iterate) -> dict:
+        return {**super().log_fields(iterate), "phase": self.phase}
 
     def _barrier_elastic_rho(self):
         # restoration solves the l1 feasibility problem: the elastic one at rho = 0
@@ -614,7 +605,6 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
 
     def compute_direction(self, iterate: Iterate, trust_radius=None) -> Direction:
         self._maybe_update_barrier(iterate)
-        self.ws.ensure_derivatives(iterate)
         if self.phase == RESTORATION:
             return self._restoration_direction(iterate, trust_radius)
         direction = self.subproblem.optimality_direction(self.ws, iterate, trust_radius)

@@ -14,14 +14,15 @@ class Iterate:
 
     zl and zu are the nonnegative multipliers of the lower/upper variable
     bounds; z = zl - zu is the signed bound multiplier of the Fritz John
-    system. rho is the iterate's objective multiplier.
+    system. The objective multiplier rho is the relaxation's, not the
+    point's. The driver fills the derivatives (Workspace.ensure_derivatives)
+    before the parts see the iterate.
     """
 
     x: np.ndarray
     y: np.ndarray
     zl: np.ndarray
     zu: np.ndarray
-    rho: float
     evals: Evaluations
 
     @property

@@ -42,41 +42,23 @@ class Direction:
     dwd: float = 0.0
     btd: float = 0.0
     dbd: float = 0.0
-    tr_active: np.ndarray | None = None  # mask: trust region binds this component
     info: dict = field(default_factory=dict)
 
 
-@dataclass
-class BarrierState:
-    """Monotone (Fiacco-McCormick) barrier parameter and the inertia
-    corrections of the last step."""
-
-    mu: float
-    delta_w: float = 0.0
-    delta_c: float = 0.0
-
-    def tau(self, tau_min: float) -> float:
-        """Fraction-to-boundary parameter."""
-        return max(tau_min, 1.0 - self.mu)
-
-
 def update_barrier_parameter(
-    barrier: BarrierState,
+    mu: float,
     kkt_error: float,
     epsilon: float,
     kappa_epsilon: float,
     kappa_mu: float,
     theta_mu: float,
-) -> tuple[BarrierState, bool]:
-    """Decrease mu once the barrier-problem KKT error is below
-    kappa_epsilon * mu; the caller must flush the filter on change."""
-    if kkt_error > kappa_epsilon * barrier.mu:
-        return barrier, False
-    new_mu = max(epsilon / 10.0, min(kappa_mu * barrier.mu, barrier.mu**theta_mu))
-    if new_mu >= barrier.mu:
-        return barrier, False
-    barrier.mu = new_mu
-    return barrier, True
+) -> float:
+    """The next monotone (Fiacco-McCormick) barrier parameter: mu decreases
+    once the barrier-problem KKT error is below kappa_epsilon * mu, and never
+    rises; the caller must flush the filter on a decrease."""
+    if kkt_error > kappa_epsilon * mu:
+        return mu
+    return min(mu, max(epsilon / 10.0, min(kappa_mu * mu, mu**theta_mu)))
 
 
 def build_sqp_qp(
@@ -203,7 +185,7 @@ def ipm_solve_step(
     zu: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-    barrier: BarrierState,
+    mu: float,
     schedule: RegularizationSchedule,
     tau_min: float,
 ) -> Direction:
@@ -214,14 +196,13 @@ def ipm_solve_step(
 
     with r_d = grad_f - J^T y - barrier gradient terms, recover the bound
     dual directions, and apply the fraction-to-boundary rule. The system is
-    inertia-corrected to (n, m, 0). The fraction-to-boundary parameter is
-    max(tau_min, 1 - mu).
+    inertia-corrected to (n, m, 0). mu is the barrier parameter, and the
+    fraction-to-boundary parameter is tau = max(tau_min, 1 - mu).
     """
     if not evals.is_finite:
         raise NonFiniteEvaluationError("IPM step requires finite evaluations")
     n = x.size
     m = y.size
-    mu = barrier.mu
     W = np.asarray(evals.hessian, dtype=float)
     J = np.asarray(evals.jac_c, dtype=float)
     c = np.asarray(evals.c, dtype=float)
@@ -232,10 +213,9 @@ def ipm_solve_step(
     H.flat[:: n + 1] += sigma
     r_d = grad - (J.T @ y if m else 0.0) + barrier_gradient_terms(x, lower, upper, mu)
 
-    fact, delta_w, delta_c = inertia_correct(
+    fact, _, _ = inertia_correct(
         H, J, schedule, delta_c_value=_DELTA_C_SCALE * max(mu, 1e-8) ** 0.25
     )
-    barrier.delta_w, barrier.delta_c = delta_w, delta_c
     rhs = np.concatenate([-r_d, -c])
     sol = solve_factorized(fact, rhs)
     dx = sol[:n]
@@ -250,7 +230,7 @@ def ipm_solve_step(
     dzl[finite_lo] = (mu - zl[finite_lo] * dx[finite_lo]) / gap_lo - zl[finite_lo]
     dzu[finite_hi] = (mu + zu[finite_hi] * dx[finite_hi]) / gap_hi - zu[finite_hi]
 
-    tau = barrier.tau(tau_min)
+    tau = max(tau_min, 1.0 - mu)
     alpha_x = fraction_to_boundary(x, dx, lower, upper, tau)
     alpha_z = fraction_to_boundary_dual(zl[finite_lo], dzl[finite_lo], zu[finite_hi], dzu[finite_hi], tau)
 

@@ -201,7 +201,7 @@ def test_criterion_7_barrier_invariants():
     def spy(self, iterate, trial, direction, alpha):
         accepted = original(self, iterate, trial, direction, alpha)
         if accepted and self.subproblem.is_interior:
-            tau = self.subproblem.barrier.tau(self.subproblem.opts.tau_min)
+            tau = max(self.subproblem.opts.tau_min, 1.0 - self.subproblem.mu)
             records.append((iterate, trial, direction, alpha, tau, self.ws))
         return accepted
 
@@ -235,7 +235,7 @@ def test_criterion_7_barrier_invariants():
     # dz recovery must reproduce the linearized complementarity row
     from modnlp.linalg import RegularizationSchedule
     from modnlp.model import Evaluations
-    from modnlp.subproblem import BarrierState, ipm_solve_step
+    from modnlp.subproblem import ipm_solve_step
 
     rng = np.random.RandomState(7)
     worst = 0.0
@@ -249,7 +249,7 @@ def test_criterion_7_barrier_invariants():
         mu = 0.03
         d = ipm_solve_step(ev, x, rng.randn(m), zl, np.zeros(n),
                            np.zeros(n), np.full(n, np.inf),
-                           BarrierState(mu=mu), RegularizationSchedule(), Options().tau_min)
+                           mu, RegularizationSchedule(), Options().tau_min)
         resid = x * (zl + d.dzl) + zl * d.dx - mu
         worst = max(worst, float(np.max(np.abs(resid))))
     ok = violations == 0 and worst <= 1e-10
@@ -295,7 +295,7 @@ def test_criterion_9_steering_postconditions():
                 cond1 = l_d <= feas_tol * 10
             else:
                 cond1 = l0 - l_d >= 0.1 * (l0 - info["l_bar"]) - 1e-10 * (1 + l0)
-            dm = self._merit_model_reduction(iterate, direction, self.rho)
+            dm = self.reduction_models(iterate, direction, self.rho).merit_reduction(1.0)
             cond2 = dm >= 0.1 * info["dm0_bar"] - 1e-10 * (1 + abs(info["dm0_bar"]))
             cond3 = self.rho <= info["cap"] * (1 + 1e-12) or info["cap"] == np.inf
             if not (cond1 and cond2 and cond3):

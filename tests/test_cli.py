@@ -87,6 +87,27 @@ class TestCLI:
         assert main(args + ["--quiet"]) == 2
         assert args[3].split("=")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["-preset", "byrd", "-option", "loose_tolerance_factor=0.5", "hs071"],
+        ["-preset", "byrd", "-option", "loose_tolerance_window=0", "hs071"],
+        ["-preset", "ipopt", "-option", "theta_min_factor=0", "hs071"],
+        # a false InfeasibleStationary on the convex, feasible hs035
+        ["-preset", "ipopt", "-option", "eta_max_factor=-1", "hs035"],
+        # "QP bound multiplier signs violated"
+        ["-preset", "filtersqp", "-option", "eta_max_factor=0", "hs071"],
+        # non-finite KKT entries at iteration 0
+        ["-preset", "ipopt", "-option", "interior_push=0", "hs071"],
+        # every solve stopped at iteration 0
+        ["-preset", "filtersqp", "-option", "max_inner=0", "hs071"],
+        ["-preset", "filtersqp", "-option", "radius_min=-1", "hs071"],
+        # "feasibility QP unexpectedly failed" at iteration 0
+        ["-preset", "filtersqp", "-option", "radius_max=-1", "hs071"],
+        ["-preset", "filtersqp", "-option", "activity_tolerance_rel=1", "hs071"],
+    ])
+    def test_out_of_range_solver_constant_exit_two(self, args, capsys):
+        assert main(args + ["--quiet"]) == 2
+        assert args[3].split("=")[0] in capsys.readouterr().err
+
     def test_out_of_range_option_exit_two_under_optimize(self):
         # python -O strips asserts: the range check must not be one
         src = str(Path(modnlp.__file__).resolve().parents[1])

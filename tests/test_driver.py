@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from modnlp.driver import (
     SMALL_TRUST_REGION,
     PARTS,
     PRESETS,
+    _RANGES,
     Options,
     Residuals,
     SolveResult,
@@ -76,6 +77,19 @@ class TestPreprocessing:
         model = linear_model([[1.0], [1.0]], [1.0, 2.0])
         with pytest.raises(InfeasibleLinearConstraintsError):
             preprocess_initial_point(model, np.zeros(1))
+
+    def test_no_linear_rows_clips_without_a_qp(self, monkeypatch):
+        # without linear rows the projection onto the bounds is the clipped x0
+        import modnlp.driver
+
+        def no_qp(*args, **kwargs):
+            raise AssertionError("qp_solve called")
+
+        monkeypatch.setattr(modnlp.driver, "qp_solve", no_qp)
+        model = replace(linear_model([[1.0, 1.0]], [2.0], lower=[0.0, -1.0], upper=[1.0, INF]),
+                        linear_rows=())
+        x = preprocess_initial_point(model, np.array([3.0, -5.0]))
+        assert x.tolist() == [1.0, -1.0]
 
 
 class TestMultiplierEstimate:
@@ -202,6 +216,11 @@ class TestOptions:
         ("rho_initial", 0.0), ("rho_initial", np.inf), ("rho_decrease_factor", 1.0),
         ("rho_decrease_factor", 0.0), ("rho_min", 0.0), ("y_max", -1.0), ("s_max", 0.0),
         ("multiplier_scaling_cap", 0.0), ("filter_beta", np.nan),
+        ("loose_tolerance_factor", 0.5), ("loose_tolerance_window", 0),
+        ("theta_min_factor", 0.0), ("eta_max_factor", 0.0), ("eta_max_factor", -1.0),
+        ("interior_push", 0.0), ("interior_push", -1.0), ("max_inner", 0),
+        ("radius_min", -1.0), ("radius_max", 0.0), ("radius_max", -1.0),
+        ("activity_tolerance_rel", 1.0), ("activity_tolerance_rel", -0.1),
     ])
     def test_out_of_range_value(self, key, value):
         opts = Options().updated({key: value})
@@ -222,6 +241,10 @@ class TestOptions:
         # a preset does not inherit a part from the Options defaults
         for overrides in PRESETS.values():
             assert all(overrides[key] in table for key, table in PARTS.items())
+
+    def test_every_numeric_option_has_a_range(self):
+        numeric = {f.name for f in fields(Options) if f.type in ("int", "float")}
+        assert {key for key, _, _ in _RANGES} == numeric
 
     def test_every_range_admits_defaults_and_presets(self):
         for opts in [Options()] + [preset_options(name) for name in PRESETS]:

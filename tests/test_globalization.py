@@ -55,6 +55,12 @@ class TestMeasures:
         m = compute_measures(0.0, np.array([1.0, -2.0]))
         assert m.eta == 3.0
 
+    def test_phi_is_unpenalized_and_merit_is_penalized(self):
+        m = compute_measures(2.0, np.array([1.0, -0.5]), rho=0.5, barrier_term=0.25)
+        assert (m.f, m.rho) == (2.0, 0.5)
+        assert m.phi == 2.0 + 0.25
+        assert m.merit == 0.5 * 2.0 + 1.5 + 0.25
+
     def test_barrier_term(self):
         xi = barrier_value(np.array([0.5]), np.array([0.0]), np.array([np.inf]), 0.1)
         assert xi == pytest.approx(-0.1 * np.log(0.5))
@@ -111,17 +117,18 @@ class TestReductionModels:
         assert m.eta(0.5) == pytest.approx(1.5)
 
     def test_omega_variants(self):
-        # merit: the quadratic omega model at the models' rho; phi: the
-        # linear one, at the rho = 1 a filter's models carry
+        # merit: the quadratic model of rho f at the models' rho; phi: the
+        # linear model of the unpenalized f, which reads no rho
         m = models_for(gtd=2.0, dwd=4.0, rho=0.5)
         assert m.merit_reduction(1.0) == -3.0
         assert m.merit_reduction(0.5) == -1.0
+        assert m.phi_reduction(1.0) == -2.0
+        assert m.phi_reduction(0.5) == -1.0
         assert models_for(gtd=2.0, dwd=4.0).phi_reduction(1.0) == -2.0
-        assert models_for(gtd=2.0, dwd=4.0).phi_reduction(0.5) == -1.0
 
     def test_xi_variants(self):
         # merit: the quadratic barrier model; phi: the linear one; both add
-        # the omega model, the merit also the eta model
+        # the f model, the merit also the eta model
         m = models_for(btd=1.0, dbd=2.0)
         assert m.merit_reduction(1.0) == 0.0
         assert m.merit_reduction(0.5) == 0.25
@@ -133,27 +140,27 @@ class TestReductionModels:
 
 class TestMerit:
     def test_accepts_full_predicted_decrease(self):
-        cur = ProgressMeasures(eta=1.0, omega=1.0)
-        tri = ProgressMeasures(eta=0.0, omega=1.0)
+        cur = ProgressMeasures(eta=1.0, f=1.0)
+        tri = ProgressMeasures(eta=0.0, f=1.0)
         m = models_for(c=[1.0], jd=[-1.0])
         assert merit_is_acceptable(cur, tri, m, 1.0, sigma=0.1)
 
     def test_rejects_small_actual_decrease(self):
-        cur = ProgressMeasures(eta=1.0, omega=0.0)
-        tri = ProgressMeasures(eta=0.95, omega=0.0)
+        cur = ProgressMeasures(eta=1.0, f=0.0)
+        tri = ProgressMeasures(eta=0.95, f=0.0)
         m = models_for(c=[1.0], jd=[-1.0])  # predicted decrease 1.0
         assert not merit_is_acceptable(cur, tri, m, 1.0, sigma=0.1)
 
     def test_zero_step_accepted_unconditionally(self):
         # the relaxations accept a zero-length direction before they ask
         # the strategy, which rejects this trial
-        cur = ProgressMeasures(eta=0.0, omega=0.0)
-        tri = ProgressMeasures(eta=5.0, omega=5.0)
+        cur = ProgressMeasures(eta=0.0, f=0.0)
+        tri = ProgressMeasures(eta=5.0, f=5.0)
         assert not merit_is_acceptable(cur, tri, models_for(), 1.0, sigma=0.1)
         x = np.array([1.0, -2.0])
-        iterate = Iterate(x, np.zeros(1), np.zeros(2), np.zeros(2), 1.0,
+        iterate = Iterate(x, np.zeros(1), np.zeros(2), np.zeros(2),
                           Evaluations(0.0, np.zeros(1)))
-        trial = Iterate(x, np.zeros(1), np.zeros(2), np.zeros(2), 1.0,
+        trial = Iterate(x, np.zeros(1), np.zeros(2), np.zeros(2),
                         Evaluations(5.0, np.array([5.0])))
         zero = Direction(np.zeros(2), np.zeros(1), np.zeros(2), np.zeros(2), OPTIMAL)
         merit = MeritL1(replace(OPTS, armijo_sigma=0.1))
@@ -162,8 +169,8 @@ class TestMerit:
             assert relaxation.is_acceptable(iterate, trial, zero, 1.0)
 
     def test_sigma_zero_accepts_non_increasing(self):
-        cur = ProgressMeasures(eta=1.0, omega=1.0)
-        tri = ProgressMeasures(eta=1.0, omega=1.0)
+        cur = ProgressMeasures(eta=1.0, f=1.0)
+        tri = ProgressMeasures(eta=1.0, f=1.0)
         m = models_for(c=[1.0], jd=[-1.0])
         assert merit_is_acceptable(cur, tri, m, 1.0, sigma=0.0)
 
@@ -242,8 +249,8 @@ class TestFilter:
 class TestFilterAcceptance:
     def test_empty_filter_f_type(self):
         flt = filter_with()
-        cur = ProgressMeasures(eta=0.0, omega=2.0)
-        tri = ProgressMeasures(eta=0.0, omega=1.0)
+        cur = ProgressMeasures(eta=0.0, f=2.0)
+        tri = ProgressMeasures(eta=0.0, f=1.0)
         m = models_for(gtd=-1.0)  # predicted phi decrease 1
         accepted, add = flt.rule(cur, tri, m, 1.0)
         assert accepted and not add  # f-type at a feasible point: no entry added
@@ -251,16 +258,16 @@ class TestFilterAcceptance:
 
     def test_envelope_branch(self):
         flt = filter_with(entries=[(1.0, 5.0)], filter_beta=0.99, filter_gamma=1e-5)
-        cur = ProgressMeasures(eta=1.0, omega=5.0)
-        tri = ProgressMeasures(eta=0.5, omega=10.0)
+        cur = ProgressMeasures(eta=1.0, f=5.0)
+        tri = ProgressMeasures(eta=0.5, f=10.0)
         m = models_for(gtd=10.0)  # switching fails: h-type
         accepted, add = flt.rule(cur, tri, m, 1.0)
         assert accepted and add
 
     def test_dominated_trial_rejected(self):
         flt = filter_with(entries=[(0.1, 1.0)], filter_beta=0.999, filter_gamma=1e-5)
-        cur = ProgressMeasures(eta=0.1, omega=1.0)
-        tri = ProgressMeasures(eta=0.2, omega=2.0)
+        cur = ProgressMeasures(eta=0.1, f=1.0)
+        tri = ProgressMeasures(eta=0.2, f=2.0)
         accepted, _ = flt.rule(cur, tri, models_for(), 1.0)
         assert not accepted
         assert not flt.check_acceptance(cur, tri, models_for(), 1.0)
@@ -274,8 +281,8 @@ class TestFilterAcceptance:
         leyffer = filter_with(FilterMethod, **constants)
         waechter = filter_with(WaechterFilter, **constants)
         assert waechter.theta_min == 1e-4
-        cur = ProgressMeasures(eta=0.5, omega=10.0)
-        tri = ProgressMeasures(eta=0.6, omega=8.0)
+        cur = ProgressMeasures(eta=0.5, f=10.0)
+        tri = ProgressMeasures(eta=0.6, f=8.0)
         m = models_for(gtd=-9.0)  # predicted phi decrease 9, actual only 2
         fl_accept, _ = leyffer.rule(cur, tri, m, 1.0)
         wae_accept, _ = waechter.rule(cur, tri, m, 1.0)
@@ -288,8 +295,8 @@ class TestFilterAcceptance:
         # below theta_min a switching trial must pass the Armijo test on
         # phi; when it fails, the current pair enters the filter
         flt = filter_with(WaechterFilter, filter_sigma=0.9)
-        cur = ProgressMeasures(eta=0.0, omega=10.0)
-        tri = ProgressMeasures(eta=0.0, omega=8.0)
+        cur = ProgressMeasures(eta=0.0, f=10.0)
+        tri = ProgressMeasures(eta=0.0, f=8.0)
         m = models_for(gtd=-9.0)  # predicted phi decrease 9, actual only 2
         assert flt.rule(cur, tri, m, 1.0) == (False, True)
         assert not flt.check_acceptance(cur, tri, m, 1.0)
@@ -297,21 +304,23 @@ class TestFilterAcceptance:
 
 
 def test_infeasibility_armijo():
-    cur = ProgressMeasures(eta=1.0, omega=0.0)
-    tri = ProgressMeasures(eta=0.4, omega=0.0)
+    cur = ProgressMeasures(eta=1.0, f=0.0)
+    tri = ProgressMeasures(eta=0.4, f=0.0)
     m = models_for(c=[1.0], jd=[-1.0])
     assert infeasibility_armijo(cur, tri, m, 0.5, sigma=0.5)
     assert not infeasibility_armijo(cur, tri, m, 1.0, sigma=0.99)
 
 
 def test_strategy_classes():
+    # each strategy names its own measure for the log
+    measures = ProgressMeasures(eta=1.0, f=2.0, rho=0.5, xi=0.25)
     merit = MeritL1(replace(OPTS, armijo_sigma=0.1))
-    assert not merit.uses_fixed_rho_one
+    assert merit.log_fields(measures) == {"merit": 0.5 * 2.0 + 1.0 + 0.25}
     flt = WaechterFilter(OPTS)
     flt.initialize(eta0=2.0)
     assert flt.filter.eta_max == pytest.approx(2e4)
     assert flt.theta_min == pytest.approx(2e-4)
-    assert flt.uses_fixed_rho_one and isinstance(flt, FilterMethod)
+    assert isinstance(flt, FilterMethod) and flt.log_fields(measures) == {"phi": 2.25}
     leyffer = FilterMethod(OPTS)
     leyffer.initialize(eta0=0.5)
     assert leyffer.filter.eta_max == pytest.approx(1e4)

@@ -13,9 +13,11 @@ def load_tool():
     return module
 
 
-def record(x, status="Optimal", iterations=5, counts=(6, 6, 5, 5, 4), solves=5):
+def record(x, status="Optimal", iterations=5, counts=(6, 6, 5, 5, 4), solves=5,
+           y=(0.5,), z=(0.0,), rho=1.0, message=""):
     return {"status": status, "iterations": iterations, "counts": list(counts),
-            "subproblem_solves": solves, "x": list(x)}
+            "subproblem_solves": solves, "x": list(x), "y": list(y), "z": list(z),
+            "rho": rho, "message": message}
 
 
 def write(path, records):
@@ -49,6 +51,28 @@ def test_compare_counts_must_match_exactly(tmp_path, capsys):
     assert compare(a, c, x_tol=1.0) == 1
     out = capsys.readouterr().out
     assert "q: status Optimal -> crash:X" in out and "r: only in" in out
+
+
+def test_compare_multipliers_rho_and_message(tmp_path, capsys):
+    # y, z and rho are compared like x; the message must match exactly
+    compare = load_tool().compare
+    a = write(tmp_path / "a.json", {
+        "p": record([1.0]), "q": record([1.0]), "r": record([1.0]), "s": record([1.0]),
+        "t": record([1.0])})
+    b = write(tmp_path / "b.json", {
+        "p": record([1.0], y=(0.5 + 1e-9,)), "q": record([1.0], z=(1e-9,), rho=1.0 - 1e-9),
+        "r": record([1.0], z=(0.0, 0.0)), "s": record([1.0], rho=0.1),
+        "t": record([1.0], message="stagnation")})
+    assert compare(a, b) == 1  # bit identity by default
+    out = capsys.readouterr().out
+    assert "p: y differs" in out and "q: rho 1.0 -> 0.999999999; z differs" in out
+    assert compare(a, b, x_tol=1e-6) == 1
+    out = capsys.readouterr().out
+    assert "p: y" not in out and "q: rho" not in out and "q: z" not in out
+    assert "r: z differs" in out  # a changed shape is never within the tolerance
+    assert "s: rho 1.0 -> 0.1" in out
+    assert "t: message  -> stagnation" in out
+    assert out.splitlines()[-1].startswith("5 solves, 3 differ, 2 differ in x by at most 1e-06")
 
 
 def test_compare_summarizes_each_source(tmp_path, capsys):

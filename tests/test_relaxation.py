@@ -5,6 +5,7 @@ import pytest
 
 from modnlp.corpus import corpus_get
 from modnlp.driver import (
+    Options,
     _build_ingredients,
     estimate_initial_multipliers,
     preprocess_initial_point,
@@ -39,8 +40,8 @@ def prepared(name, preset="byrd"):
     ws = Workspace(working)
     x0 = preprocess_initial_point(working, working.initial_point)
     y0 = estimate_initial_multipliers(working, x0, np.zeros(working.n), 1e3)
-    it = Iterate(x0, y0, np.zeros(working.n), np.zeros(working.n), 1.0, evaluate(working, x0))
-    relaxation, mechanism = _build_ingredients(ws, opts)
+    it = Iterate(x0, y0, np.zeros(working.n), np.zeros(working.n), evaluate(working, x0))
+    _, relaxation, mechanism = _build_ingredients(ws, opts)
     relaxation.initialize(it)
     return ws, it, relaxation, mechanism
 
@@ -209,6 +210,23 @@ class TestRestoration:
             )
             sol = qp_solve(extend_with_elastics(qp))
             assert sol.status == OPTIMAL
+
+
+@pytest.mark.parametrize("name", ["hs028", "hs035", "hs076"])
+def test_trust_region_pinned_components_have_no_bound_multipliers(name):
+    # where the trust region, not a variable bound, pins dx, the QP's
+    # multiplier belongs to the trust region: the step takes zl and zu to 0
+    ws, it, _, _ = prepared(name, preset="filtersqp")
+    it.zl, it.zu = np.ones(ws.model.n), np.ones(ws.model.n)
+    radius = 1e-2
+    d = QPSubproblem(Options()).optimality_direction(ws, it, radius)
+    assert d.status == OPTIMAL
+    tol = 1e-10
+    pinned = ((d.dx <= -radius + tol) & (ws.lower - it.x < -radius)) | (
+        (d.dx >= radius - tol) & (ws.upper - it.x > radius))
+    assert np.any(pinned)
+    assert np.all(it.zl[pinned] + d.dzl[pinned] == 0.0)
+    assert np.all(it.zu[pinned] + d.dzu[pinned] == 0.0)
 
 
 def test_ipm_elastic_direction_curvature_is_base_hessian():

@@ -63,15 +63,16 @@ def test_relaxations_call_only_subproblem_methods():
     assert not found
 
 
+def is_options(node):
+    return (isinstance(node, ast.Name) and node.id in ("opts", "options")
+            or isinstance(node, ast.Attribute) and node.attr in ("opts", "options"))
+
+
 def test_only_driver_and_cli_read_part_selecting_options():
     # the driver builds the parts from driver.PARTS and the CLI makes its
     # flags from it; a part that read a selecting option would fork on a
     # choice the table has already made
     from modnlp.driver import PARTS
-
-    def is_options(node):
-        return (isinstance(node, ast.Name) and node.id in ("opts", "options")
-                or isinstance(node, ast.Attribute) and node.attr in ("opts", "options"))
 
     found = [
         "%s:%d %s" % (path.name, node.lineno, node.attr if isinstance(node, ast.Attribute)
@@ -81,5 +82,20 @@ def test_only_driver_and_cli_read_part_selecting_options():
         if isinstance(node, ast.Attribute) and node.attr in PARTS and is_options(node.value)
         or isinstance(node, ast.Constant) and isinstance(node.value, str)
         and node.value in PARTS  # getattr(opts, "...") and the like
+    ]
+    assert SOURCES and not found
+
+
+def test_parts_inside_a_relaxation_are_read_only_by_it():
+    # the relaxation owns its subproblem and strategy: a caller that reached
+    # through it would learn what kind of part sits inside (the option of
+    # the same name, read off opts, is not a part)
+    found = [
+        "%s:%d %s" % (path.name, node.lineno, node.attr)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("subproblem", "strategy")
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+        and not is_options(node.value)
     ]
     assert SOURCES and not found

@@ -7,7 +7,6 @@ from modnlp.linalg import RegularizationSchedule, extend_with_elastics
 from modnlp.model import Evaluations, evaluate
 from modnlp.reformulation import to_equality_form
 from modnlp.subproblem import (
-    BarrierState,
     build_sqp_qp,
     dual_scaling,
     fraction_to_boundary,
@@ -137,28 +136,33 @@ class TestFractionToBoundary:
 
 class TestBarrierUpdate:
     def test_decrease_formula(self):
-        barrier = BarrierState(mu=0.1)
-        barrier, changed = update_barrier_parameter(
-            barrier, kkt_error=0.5, epsilon=1e-6, kappa_epsilon=10.0, kappa_mu=0.2, theta_mu=1.5
+        mu = update_barrier_parameter(
+            0.1, kkt_error=0.5, epsilon=1e-6, kappa_epsilon=10.0, kappa_mu=0.2, theta_mu=1.5
         )
-        assert changed
-        assert barrier.mu == pytest.approx(min(0.02, 0.1**1.5))
+        assert mu == pytest.approx(min(0.02, 0.1**1.5))
 
     def test_not_triggered_when_error_large(self):
-        barrier = BarrierState(mu=0.1)
-        barrier, changed = update_barrier_parameter(barrier, kkt_error=10.0, epsilon=1e-6,
-                                                    **MU_UPDATE)
-        assert not changed and barrier.mu == 0.1
+        assert update_barrier_parameter(0.1, kkt_error=10.0, epsilon=1e-6, **MU_UPDATE) == 0.1
 
     def test_floor_clamp(self):
-        barrier = BarrierState(mu=2e-7)
-        barrier, changed = update_barrier_parameter(barrier, kkt_error=0.0, epsilon=1e-6,
-                                                    **MU_UPDATE)
-        assert changed and barrier.mu == pytest.approx(1e-7)
+        mu = update_barrier_parameter(2e-7, kkt_error=0.0, epsilon=1e-6, **MU_UPDATE)
+        assert mu == pytest.approx(1e-7)
+
+    def test_never_increases(self):
+        # below the floor epsilon / 10 the update keeps mu
+        assert update_barrier_parameter(1e-8, kkt_error=0.0, epsilon=1e-6, **MU_UPDATE) == 1e-8
 
     def test_tau_close_to_one(self):
-        assert BarrierState(mu=0.1).tau(TAU_MIN) == 0.99
-        assert BarrierState(mu=1e-4).tau(TAU_MIN) == pytest.approx(1.0 - 1e-4)
+        # min 10 x s.t. x >= 0 at x = 1, z = 1: dx = -(10 - mu), and the
+        # step stops at the fraction tau = max(tau_min, 1 - mu) of the gap
+        ev = scalar_model_evals([[0.0]], [10.0], np.zeros(0), np.zeros((0, 1)))
+        for mu, tau in ((0.1, 0.99), (1e-4, 1.0 - 1e-4)):
+            d = ipm_solve_step(
+                ev, np.array([1.0]), np.zeros(0), np.array([1.0]), np.array([0.0]),
+                np.array([0.0]), np.array([INF]), mu, RegularizationSchedule(), TAU_MIN,
+            )
+            assert d.dx[0] == pytest.approx(-(10.0 - mu))
+            assert d.alpha_max == pytest.approx(tau / (10.0 - mu))
 
 
 class TestIPMStep:
@@ -167,7 +171,7 @@ class TestIPMStep:
         ev = scalar_model_evals([[0.0]], [1.0], np.zeros(0), np.zeros((0, 1)))
         d = ipm_solve_step(
             ev, np.array([1.0]), np.zeros(0), np.array([1.0]), np.array([0.0]),
-            np.array([0.0]), np.array([INF]), BarrierState(mu=0.1),
+            np.array([0.0]), np.array([INF]), 0.1,
             RegularizationSchedule(), TAU_MIN,
         )
         np.testing.assert_allclose(d.dx, [-0.9], atol=1e-12)
@@ -176,6 +180,7 @@ class TestIPMStep:
         # the symmetrized system plus the dz recovery must reproduce the full
         # primal-dual Newton system residual on strictly interior points
         rng = np.random.RandomState(9)
+        checked = 0
         for _ in range(20):
             n, m = 5, 2
             x = 0.5 + rng.rand(n)
@@ -190,13 +195,11 @@ class TestIPMStep:
             lower = np.zeros(n)
             upper = np.full(n, INF)
             ev = scalar_model_evals(W, g, c, J)
-            barrier = BarrierState(mu=mu)
-            d = ipm_solve_step(
-                ev, x, y, zl, np.zeros(n), lower, upper, barrier,
-                RegularizationSchedule(), TAU_MIN,
-            )
-            if barrier.delta_w != 0.0 or barrier.delta_c != 0.0:
-                continue  # the identity holds for the unregularized system
+            schedule = RegularizationSchedule()
+            d = ipm_solve_step(ev, x, y, zl, np.zeros(n), lower, upper, mu, schedule, TAU_MIN)
+            if schedule.last_successful != RegularizationSchedule.last_successful:
+                continue  # a shift dw > 0 was recorded: the identity holds without one
+            checked += 1
             dx, dy, dz = d.dx, d.dy, d.dzl
             X, Z = np.diag(x), np.diag(zl)
             r1 = W @ dx - J.T @ dy - dz + (g - J.T @ y - zl)
@@ -206,6 +209,7 @@ class TestIPMStep:
             assert np.max(np.abs(r1)) <= 1e-10 * scale
             assert np.max(np.abs(r2)) <= 1e-10 * scale
             assert np.max(np.abs(r3)) <= 1e-10 * scale
+        assert checked >= 1  # 1 of the 20 systems needs no shift
 
     def test_linearized_complementarity_row(self):
         # X(z + dz) + Z dx = mu e after one step
@@ -217,7 +221,7 @@ class TestIPMStep:
         mu = 0.02
         d = ipm_solve_step(
             ev, x, np.zeros(m), zl, np.zeros(n), np.zeros(n), np.full(n, INF),
-            BarrierState(mu=mu), RegularizationSchedule(), TAU_MIN,
+            mu, RegularizationSchedule(), TAU_MIN,
         )
         resid = x * (zl + d.dzl) + zl * d.dx - mu
         assert np.max(np.abs(resid)) <= 1e-10
@@ -231,11 +235,10 @@ class TestIPMStep:
             W = rng.randn(n, n)
             W = W + W.T
             ev = scalar_model_evals(W, rng.randn(n), rng.randn(m), rng.randn(m, n))
-            barrier = BarrierState(mu=0.05)
-            tau = barrier.tau(TAU_MIN)
+            tau = max(TAU_MIN, 1.0 - 0.05)
             d = ipm_solve_step(
                 ev, x, rng.randn(m), zl, np.zeros(n), np.zeros(n), np.full(n, INF),
-                barrier, RegularizationSchedule(), TAU_MIN,
+                0.05, RegularizationSchedule(), TAU_MIN,
             )
             assert 0.0 < d.alpha_max <= 1.0
             x_new = x + d.alpha_max * d.dx
@@ -263,7 +266,7 @@ def test_ipm_on_equality_model_matches_newton():
     d = ipm_solve_step(
         ev, x, y, np.zeros(model.n), np.zeros(model.n),
         model.variable_lower, model.variable_upper,
-        BarrierState(mu=0.1), RegularizationSchedule(), TAU_MIN,
+        0.1, RegularizationSchedule(), TAU_MIN,
     )
     K = np.block([[ev.hessian, ev.jac_c.T], [ev.jac_c, np.zeros((model.m, model.m))]])
     rhs = np.concatenate([-(ev.grad_f), -ev.c])

@@ -10,20 +10,22 @@ parts (30) on every corpus problem (28), through ``instrument``. With
 1 and 2, scaled_qp seed 1 and scaled_ipm seed 1, built by
 CHECKOUT/perfbench/workloads.py. For each solve it writes the status,
 iterations, the five callback counts (objective, constraints, gradient,
-Jacobian, Hessian), subproblem_solves and x to OUT.json; a solve that
-raises is recorded as "crash:<ExceptionType>". It also writes every field of
+Jacobian, Hessian), subproblem_solves, x, the multipliers y and z, rho and
+the message to OUT.json; a solve that raises is recorded as
+"crash:<ExceptionType>". It also writes every field of
 ``preset_options(name)`` for each preset and of ``Options()``, so that two
 checkouts are seen to resolve the presets to the same options. JSON floats
-round-trip exactly, so equal x in the file means bit-identical x.
+round-trip exactly, so equal values in the file mean bit-identical values.
 
 --compare lists every solve whose record differs between two files, and
 the largest |dx| over the solves whose x has the same shape. It exits 1
-when any solve differs. With --x-tol, x may differ by up to TOL in every
-component (such solves are counted, not listed); status, iterations, the
-callback counts and subproblem_solves must still match exactly. Before its
-last line it prints, for each source of records (the grid, the presets and
-Options, and each benchmark run), how many are identical, how many differ
-in x within TOL, how many differ, and the largest |dx|.
+when any solve differs. With --x-tol, x, y, z and rho may differ by up to
+TOL in every component (such solves are counted, not listed); status,
+iterations, the callback counts, subproblem_solves and the message must
+still match exactly. Before its last line it prints, for each source of
+records (the grid, the presets and Options, and each benchmark run), how
+many are identical, how many differ within TOL, how many differ, and the
+largest |dx|.
 """
 from __future__ import annotations
 
@@ -37,6 +39,8 @@ import warnings
 from pathlib import Path
 
 BENCHMARK_RUNS = (("corpus", 1), ("corpus", 2), ("scaled_qp", 1), ("scaled_ipm", 1))
+# the record fields compared under --x-tol; every other field must match exactly
+TOLERANT = ("x", "y", "z", "rho")
 
 
 def record(modnlp, model, options) -> dict:
@@ -54,6 +58,10 @@ def record(modnlp, model, options) -> dict:
                    counts.constraint_jacobian, counts.hessian],
         "subproblem_solves": result.subproblem_solves,
         "x": [float(v) for v in result.x],
+        "y": [float(v) for v in result.y],
+        "z": [float(v) for v in result.z],
+        "rho": float(result.rho),
+        "message": result.message,
     }
 
 
@@ -113,10 +121,20 @@ def source(key: str) -> str:
     return key.split(" #")[0]
 
 
+def close(a, b, tol: float) -> bool:
+    """Whether two values of a TOLERANT field have the same shape and
+    differ by at most tol in every component (NaN is never close)."""
+    if isinstance(a, float) and isinstance(b, float):
+        a, b = [a], [b]
+    if not (isinstance(a, list) and isinstance(b, list) and len(a) == len(b)):
+        return False
+    return all(abs(u - v) <= tol for u, v in zip(a, b))
+
+
 def compare(path_a: str, path_b: str, x_tol: float = 0.0) -> int:
     a = json.loads(Path(path_a).read_text())
     b = json.loads(Path(path_b).read_text())
-    # per source: identical, differ in x within x_tol, differ, max |dx|
+    # per source: identical, differ within x_tol, differ, max |dx|
     summary = {}
     for key in sorted(set(a) | set(b)):
         tally = summary.setdefault(source(key), [0, 0, 0, 0.0])
@@ -126,19 +144,17 @@ def compare(path_a: str, path_b: str, x_tol: float = 0.0) -> int:
             tally[2] += 1
             continue
         xa, xb = ra.get("x"), rb.get("x")
-        x_close = False
         if xa is not None and xb is not None and len(xa) == len(xb):
-            dx = max((abs(u - v) for u, v in zip(xa, xb)), default=0.0)
-            tally[3] = max(tally[3], dx)
-            x_close = all(abs(u - v) <= x_tol for u, v in zip(xa, xb))  # NaN is not close
+            tally[3] = max(tally[3], max((abs(u - v) for u, v in zip(xa, xb)), default=0.0))
         fields = [name for name in sorted(set(ra) | set(rb)) if ra.get(name) != rb.get(name)]
-        if fields == ["x"] and x_close:
+        if fields and all(name in TOLERANT and close(ra.get(name), rb.get(name), x_tol)
+                          for name in fields):
             tally[1] += 1
         elif fields:
             tally[2] += 1
             print("%s: %s" % (key, "; ".join(
-                "%s %s -> %s" % (name, ra.get(name), rb.get(name)) if name != "x"
-                else "x differs" for name in fields)))
+                "%s differs" % name if name in ("x", "y", "z")
+                else "%s %s -> %s" % (name, ra.get(name), rb.get(name)) for name in fields)))
         else:
             tally[0] += 1
     for name, (same, within, differ, dx) in summary.items():

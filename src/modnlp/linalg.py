@@ -676,6 +676,52 @@ def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol)
     return ITERATION_LIMIT, d, y, max_iter
 
 
+def _working_set(d, lb, ub) -> tuple[np.ndarray, np.ndarray]:
+    """The bounds d touches, to 1e-12 relative (ties prefer the lower
+    bound), as working-set codes, and d moved exactly onto them."""
+    codes = np.full(d.size, _FREE, dtype=np.int8)
+    codes[np.isfinite(ub) & (np.abs(d - ub) <= 1e-12 * (1.0 + np.abs(ub)))] = _UPPER
+    codes[np.isfinite(lb) & (np.abs(d - lb) <= 1e-12 * (1.0 + np.abs(lb)))] = _LOWER
+    return np.where(codes == _LOWER, lb, np.where(codes == _UPPER, ub, d)), codes
+
+
+def _is_convex(W: np.ndarray) -> bool:
+    """Whether W is nonzero and positive semidefinite to roundoff: a
+    Cholesky factorization of W + t I, t = _cholesky_shift(n, max |W|, 0),
+    succeeds. An LP's W = 0 is not."""
+    w_max = float(np.abs(W).max(initial=0.0))
+    if not 0.0 < w_max < np.inf:
+        return False
+    try:
+        np.linalg.cholesky(_shifted(W, _cholesky_shift(W.shape[0], w_max, 0.0)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _projected_start(A, b, d, lb, ub, feas_tol) -> np.ndarray:
+    """d + Delta, with the bounds d touches held and Delta the min-norm
+    correction over the free columns f: [[I, A_f^T], [A_f, 0]] (Delta,
+    lambda) = (0, b - A d), solved with the record of _kkt_factorization.
+    Returns d itself when that record's inertia is not (n_f, m, 0), the
+    solve fails, or d + Delta leaves [lb, ub] or misses A d = b by more
+    than feas_tol."""
+    held, codes = _working_set(d, lb, ub)
+    free = np.flatnonzero(codes == _FREE)
+    fact = _kkt_factorization(1.0, A[:, free], 0.0, 0.0, equilibrate=False)
+    if fact.inertia != (free.size, b.size, 0):
+        return d
+    try:
+        delta = solve_factorized(fact, np.concatenate([np.zeros(free.size), b - A @ held]))
+    except SingularMatrixError:
+        return d
+    held[free] += delta[: free.size]
+    in_box = np.all(held >= lb) and np.all(held <= ub)  # NaN is not
+    if in_box and float(np.max(np.abs(b - A @ held))) <= feas_tol:
+        return held
+    return d
+
+
 def qp_solve(
     qp: QPData,
     warm_start=None,
@@ -683,6 +729,15 @@ def qp_solve(
     start: np.ndarray | None = None,
 ) -> QPSolution:
     """Solve a dense QP with equality constraints and box bounds.
+
+    The start is d0 (start, or zero), moved onto the bounds that warm_start
+    pins as the initial working set and clipped to the box. When d0 misses
+    A d = b and W is convex (_is_convex), phase II starts from its
+    projection (_projected_start): the min-norm point of {A d = b} with the
+    bounds d0 touches held, kept when it lies in the box (Nocedal & Wright,
+    Numerical Optimization, 2nd ed., 16.2 and 16.5). Phase I runs only when
+    that projection is not taken: for an LP (W = 0), whose vertex depends
+    on its start, and for a nonconvex W, whose stationary point does.
 
     Phase I minimizes the elastic infeasibility of the equalities, so
     inconsistent constraints are reported as Infeasible (with the partial
@@ -692,9 +747,7 @@ def qp_solve(
     _certified_factorization when A_f has full row rank. Every working-set
     system, phase I and phase II, reaches LAPACK through _kkt_factorization.
     With W = 0 the method acts as an LP solver.
-    Nonconvex QPs terminate at first-order stationary points. warm_start
-    pins the given (index, side) bounds as the initial working set; start
-    seeds the initial point.
+    Nonconvex QPs terminate at first-order stationary points.
     """
     W = np.asarray(qp.W, dtype=float)
     g = np.asarray(qp.g, dtype=float)
@@ -723,6 +776,9 @@ def qp_solve(
 
     residual = (b - A @ d0) if m else np.zeros(0)
     phase1_iters = 0
+    if m and float(np.max(np.abs(residual))) > feas_tol and _is_convex(W):
+        d0 = _projected_start(A, b, d0, lb, ub, feas_tol)
+        residual = b - A @ d0
     if m and float(np.max(np.abs(residual))) > feas_tol:
         # Phase I: the elastic LP (no W, zero g), from exact elastics.
         phase1 = extend_with_elastics(QPData(None, np.zeros(n), A, b, lb, ub))
@@ -740,13 +796,7 @@ def qp_solve(
             )
         d0 = np.clip(d1[:n], lb, ub)
 
-    codes = np.full(n, _FREE, dtype=np.int8)
-    at_lower = np.isfinite(lb) & (np.abs(d0 - lb) <= 1e-12 * (1.0 + np.abs(lb)))
-    at_upper = np.isfinite(ub) & (np.abs(d0 - ub) <= 1e-12 * (1.0 + np.abs(ub)))
-    codes[at_upper] = _UPPER
-    codes[at_lower] = _LOWER  # ties prefer the lower bound
-    d0 = np.where(codes == _LOWER, lb, np.where(codes == _UPPER, ub, d0))
-
+    d0, codes = _working_set(d0, lb, ub)
     status, d, y, iters = _active_set_loop(
         W, g, A, b, d0, codes, lb, ub, schedule, max_iter, feas_tol
     )

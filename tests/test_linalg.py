@@ -908,6 +908,56 @@ class TestQPSolve:
         assert len(per_solve["phase I certified"]) > 40
         assert set(per_solve["phase I certified"]) == {0}
 
+    # Each case: the QP, and the active-set loops qp_solve runs. The start
+    # d = 0 misses A d = b; phase II starts from its projection only when W
+    # is convex and the projection keeps the bounds (Nocedal & Wright 16.2).
+    PROJECTED_START_CASES = {
+        # the min-norm point (0.5, 0.5) of d1 + d2 = 1 lies inside the box
+        "projection inside the box": (QPData(
+            np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -1.0]), np.array([[1.0, 1.0]]),
+            np.array([1.0]), np.array([-1.0, -1.0]), np.array([2.0, 2.0])), ["phase II"]),
+        "larger convex QP": (QPData(
+            np.array([[4.0, 1.0, 0.0, 0.5], [1.0, 3.0, 0.2, 0.0], [0.0, 0.2, 2.0, 0.3],
+                      [0.5, 0.0, 0.3, 1.0]]), np.array([1.0, -2.0, 0.5, 0.0]),
+            np.array([[1.0, 2.0, 0.0, -1.0], [0.0, 1.0, 1.0, 1.0]]), np.array([1.0, -0.5]),
+            np.full(4, -3.0), np.full(4, 3.0)), ["phase II"]),
+        # the min-norm point (1, 1) of d1 + d2 = 2 leaves d2 <= 0.5
+        "projection leaves the box": (QPData(
+            np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([2.0]),
+            np.array([-1.0, -1.0]), np.array([3.0, 0.5])), ["phase I", "phase II"]),
+        # d3 = 0 touches its bound and is held, so A_f = [[1, 1], [0, 0]]
+        "rank-deficient A_f": (QPData(
+            np.eye(3), np.zeros(3), np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            np.array([1.0, 0.5]), np.array([-2.0, -2.0, 0.0]), np.full(3, 2.0)),
+            ["phase I", "phase II"]),
+        # the projection (0.5, 0.5) would lie inside the box in these two
+        "LP": (QPData(
+            np.zeros((2, 2)), np.array([-1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.0]),
+            np.array([-1.0, -1.0]), np.array([2.0, 0.8])), ["phase I", "phase II"]),
+        "concave QP": (QPData(
+            -np.eye(2), np.array([-5.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.0]),
+            np.array([-1.0, -1.0]), np.array([2.0, 0.8])), ["phase I", "phase II"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PROJECTED_START_CASES))
+    def test_phase_one_only_when_the_projection_is_not_taken(self, case, monkeypatch):
+        import modnlp.linalg as linalg
+
+        qp, expected_loops = self.PROJECTED_START_CASES[case]
+        loops, loop = [], linalg._active_set_loop
+
+        def counted_loop(W, *args):
+            loops.append("phase I" if W is None else "phase II")
+            return loop(W, *args)
+
+        monkeypatch.setattr(linalg, "_active_set_loop", counted_loop)
+        expected_obj, expected_d = enumerate_qp_oracle(qp)
+        sol = qp_solve(qp)
+        assert loops == expected_loops
+        assert sol.status == OPTIMAL
+        assert abs(sol.objective_value - expected_obj) <= 1e-8 * (1 + abs(expected_obj))
+        np.testing.assert_allclose(sol.d, expected_d, atol=1e-8)
+
     def test_ratio_test_matches_loop(self):
         # the sequential scan: a later ratio blocks only when below the
         # current one by 1e-15; ties and near-ties planted

@@ -186,9 +186,14 @@ class TestIPMStep:
             x = 0.5 + rng.rand(n)
             y = rng.randn(m)
             zl = 0.5 + rng.rand(n)
-            W = rng.randn(n, n)
-            W = W + W.T
             J = rng.randn(m, n)
+            # W indefinite but positive definite on null(J) (Z^T W Z = R R^T
+            # + 0.1 I), so no system needs a shift dw > 0
+            Q, _ = np.linalg.qr(J.T, mode="complete")
+            Y, Z = Q[:, :m], Q[:, m:]
+            R, E, C = rng.randn(n - m, n - m), rng.randn(m, m), rng.randn(n - m, m)
+            W = Z @ (R @ R.T + 0.1 * np.eye(n - m)) @ Z.T + Y @ (E + E.T) @ Y.T
+            W += Z @ C @ Y.T + Y @ C.T @ Z.T
             g = rng.randn(n)
             c = rng.randn(m)
             mu = 0.05
@@ -209,7 +214,7 @@ class TestIPMStep:
             assert np.max(np.abs(r1)) <= 1e-10 * scale
             assert np.max(np.abs(r2)) <= 1e-10 * scale
             assert np.max(np.abs(r3)) <= 1e-10 * scale
-        assert checked >= 1  # 1 of the 20 systems needs no shift
+        assert checked == 20
 
     def test_linearized_complementarity_row(self):
         # X(z + dz) + Z dx = mu e after one step

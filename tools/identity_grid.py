@@ -12,7 +12,8 @@ CHECKOUT/perfbench/workloads.py. For each solve it writes the status,
 iterations, the five callback counts (objective, constraints, gradient,
 Jacobian, Hessian), subproblem_solves, x, the multipliers y and z, rho and
 the message to OUT.json; a solve that raises is recorded as
-"crash:<ExceptionType>". It also writes every field of
+"crash:<ExceptionType>". Each grid record also gets ``right``, the
+answer judge of ``is_right``. It also writes every field of
 ``preset_options(name)`` for each preset and of ``Options()``, so that two
 checkouts are seen to resolve the presets to the same options. JSON floats
 round-trip exactly, so equal values in the file mean bit-identical values.
@@ -25,7 +26,8 @@ iterations, the callback counts, subproblem_solves and the message must
 still match exactly. Before its last line it prints, for each source of
 records (the grid, the presets and Options, and each benchmark run), how
 many are identical, how many differ within TOL, how many differ, and the
-largest |dx|.
+largest |dx|, and, per combination of the four parts, the grid's right
+answers in each file (a combination with fewer in B is marked "lost").
 """
 from __future__ import annotations
 
@@ -41,17 +43,45 @@ from pathlib import Path
 BENCHMARK_RUNS = (("corpus", 1), ("corpus", 2), ("scaled_qp", 1), ("scaled_ipm", 1))
 # the record fields compared under --x-tol; every other field must match exactly
 TOLERANT = ("x", "y", "z", "rho")
+SUCCESS = ("FeasibleKKT", "LooseToleranceKKT")
 
 
-def record(modnlp, model, options) -> dict:
+def is_right(modnlp, optima, name: str, result) -> bool:
+    """Whether a solve of corpus problem name gives a right answer, by the
+    table and tolerances of tests/test_corpus_optima.py (optima is that
+    module). A feasible problem needs a success status and an objective
+    within 2e-5 relative of a known optimum (2e-4 at LooseToleranceKKT);
+    an infeasible one needs InfeasibleStationary at a point whose l1
+    infeasibility eta lies within 1e-3 of its analytic minimum."""
+    import numpy as np
+
+    if name in optima.ETA_MINIMA:
+        if result.status != "InfeasibleStationary":
+            return False
+        model = modnlp.corpus_get(name)
+        c = modnlp.model.evaluate(model, result.x, with_derivatives=False).c
+        shift = np.where(model.constraint_lower == model.constraint_upper,
+                         model.constraint_lower, 0.0)
+        return bool(abs(float(np.sum(np.abs(c - shift))) - optima.ETA_MINIMA[name]) <= 1e-3)
+    if result.status not in SUCCESS:
+        return False
+    tolerance = 2e-4 if result.status == "LooseToleranceKKT" else 2e-5
+    return bool(min(abs(result.objective_value - f) / (1 + abs(f))
+                    for f in optima.KNOWN_OPTIMA[name]) <= tolerance)
+
+
+def record(modnlp, model, options, judge=None) -> dict:
+    """The record of one solve; with judge (result -> bool), also "right",
+    False for a solve that raises."""
     counted, counts = modnlp.model.instrument(model)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             result = modnlp.solve(counted, options)
     except Exception as exc:  # noqa: BLE001 - a raising solve is a result to compare
-        return {"status": "crash:" + type(exc).__name__}
-    return {
+        crash = {"status": "crash:" + type(exc).__name__}
+        return crash if judge is None else dict(crash, right=False)
+    out = {
         "status": result.status,
         "iterations": result.iterations,
         "counts": [counts.objective, counts.constraints, counts.objective_gradient,
@@ -63,9 +93,13 @@ def record(modnlp, model, options) -> dict:
         "rho": float(result.rho),
         "message": result.message,
     }
+    if judge is not None:
+        out["right"] = judge(result)
+    return out
 
 
 def grid(modnlp) -> dict:
+    import test_corpus_optima as optima
     from modnlp.driver import MECHANISMS, RELAXATIONS, STRATEGIES, SUBPROBLEMS, validate_options
     from modnlp.errors import ConfigurationError
 
@@ -83,7 +117,9 @@ def grid(modnlp) -> dict:
             continue
         legal.append((" ".join(combo), options))
     return {
-        "grid %s %s" % (problem, label): record(modnlp, modnlp.corpus_get(problem), options)
+        "grid %s %s" % (problem, label): record(
+            modnlp, modnlp.corpus_get(problem), options,
+            lambda result, problem=problem: is_right(modnlp, optima, problem, result))
         for label, options in legal
         for problem in modnlp.corpus_names()
     }
@@ -119,6 +155,18 @@ def source(key: str) -> str:
     if key.startswith("preset ") or key == "options defaults":
         return "presets and Options"
     return key.split(" #")[0]
+
+
+def right_answers(records: dict) -> dict:
+    """Per combination (the grid key's label), [right answers, records] over
+    the grid records that carry a judgement."""
+    tally = {}
+    for key, rec in records.items():
+        if key.startswith("grid ") and "right" in rec:
+            counts = tally.setdefault(key.split(" ", 2)[2], [0, 0])
+            counts[0] += bool(rec["right"])
+            counts[1] += 1
+    return tally
 
 
 def close(a, b, tol: float) -> bool:
@@ -160,6 +208,15 @@ def compare(path_a: str, path_b: str, x_tol: float = 0.0) -> int:
     for name, (same, within, differ, dx) in summary.items():
         print("  %s: %d identical, %d within %g, %d differ, max |dx| %.3g"
               % (name, same, within, x_tol, differ, dx))
+    right_a, right_b = right_answers(a), right_answers(b)
+    for combo in sorted(set(right_a) | set(right_b)):
+        ca, cb = right_a.get(combo, [0, 0]), right_b.get(combo, [0, 0])
+        print("  right answers, %s: %d/%d -> %d/%d%s"
+              % (combo, *ca, *cb, "  lost" if cb[0] < ca[0] else ""))
+    if right_a or right_b:
+        print("  right answers: %d/%d -> %d/%d" % (
+            sum(c[0] for c in right_a.values()), sum(c[1] for c in right_a.values()),
+            sum(c[0] for c in right_b.values()), sum(c[1] for c in right_b.values())))
     differ = sum(tally[2] for tally in summary.values())
     x_within = sum(tally[1] for tally in summary.values())
     max_dx = max((tally[3] for tally in summary.values()), default=0.0)
@@ -187,6 +244,7 @@ def main(argv=None) -> int:
     # the solver's dense kernels are small: one BLAS thread, as in the benchmark
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
+    sys.path.insert(0, str(root / "tests"))  # the answer judge's table of optima
     sys.path.insert(0, str(root / "src"))
     import modnlp
 

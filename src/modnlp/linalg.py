@@ -8,7 +8,9 @@ through _kkt_factorization. Its one certificate, from the QR of A^T and a
 Cholesky factorization of the reduced Hessian Z^T H Z (none when H is a
 multiple of I, as in the QP's elastic phase I and the least-squares
 multipliers), proves the inertia (n, m, 0) and solves with the same factors
-by the null-space method. The eigenvalues and an LU decide elsewhere:
+by the null-space method; their triangular factors are inverted by halves
+(_triangular_inverse), so no LU inverse of a factor of order above 32 is
+left on the certified path. The eigenvalues and an LU decide elsewhere:
 below its order gates, at delta_c > 0, and where it refuses (m = 0, a
 rank-deficient A, or a reduced Hessian that is not positive definite).
 """
@@ -44,11 +46,14 @@ class Factorization:
         return self.inertia[2]
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def _zero_tol(max_abs: float, n: int) -> float:
     """Eigenvalues within this of zero count as zero: wide enough to absorb
     roundoff on exactly singular input, far below any meaningful eigenvalue
     at desk scale."""
-    return max(1.0, max_abs) * np.finfo(float).eps * 1000.0 * max(10.0, float(n))
+    return max(1.0, max_abs) * _EPS * 1000.0 * max(10.0, float(n))
 
 
 def _eigenvalues(A: np.ndarray) -> np.ndarray:
@@ -114,7 +119,7 @@ def _cholesky_shift(n: int, h_max: float, t: float) -> float:
     """t + eta, eta a bound in norm on the backward error of a Cholesky or
     QR factorization, its solves and the products with its factors, for an
     order-n matrix with entries at most h_max, shifted by t."""
-    return t + 4.0 * (n + 1) * n * np.finfo(float).eps * (h_max + t)
+    return t + 4.0 * (n + 1) * n * _EPS * (h_max + t)
 
 
 def _schur_margin(n: int, m: int) -> float:
@@ -122,7 +127,35 @@ def _schur_margin(n: int, m: int) -> float:
     of length n and of factorizing it, relative to its diagonal: the error
     is at most margin * D^2 with D^2 = diag(G) in the order of matrices,
     since each entry's is at most about n eps sqrt(G_ii G_jj)."""
-    return 2.0 * m * (n + m + 2) * np.finfo(float).eps
+    return 2.0 * m * (n + m + 2) * _EPS
+
+
+# Triangular blocks up to this order go to np.linalg.inv whole: a split
+# saves nothing there (timeit, one BLAS thread: 33 us at order 40 either
+# way), and an upper factor's inverse stays np.linalg.inv's bit for bit.
+_TRIANGULAR_LEAF = 32
+
+
+def _triangular_inverse(T: np.ndarray, upper: bool) -> np.ndarray:
+    """T^-1 for a nonsingular upper (or lower) triangular T, by halves: the
+    two diagonal blocks are inverted recursively and the off-diagonal one is
+    -(T11^-1 T12) T22^-1 (lower: -(T22^-1 T21) T11^-1), two BLAS-3 products.
+    The other triangle is exactly zero. Blocked inversion of this kind is
+    as stable as LAPACK's trtri (Du Croz & Higham, IMA J. Numer. Anal. 12,
+    1992). A singular leaf raises np.linalg.LinAlgError."""
+    order = T.shape[0]
+    if order <= _TRIANGULAR_LEAF:
+        inverse = np.linalg.inv(T)
+        return np.triu(inverse) if upper else np.tril(inverse)
+    k = order // 2
+    inverse = np.zeros((order, order))
+    head = inverse[:k, :k] = _triangular_inverse(T[:k, :k], upper)
+    tail = inverse[k:, k:] = _triangular_inverse(T[k:, k:], upper)
+    if upper:
+        inverse[:k, k:] = -(head @ T[:k, k:]) @ tail
+    else:
+        inverse[k:, :k] = -(tail @ T[k:, :k]) @ head
+    return inverse
 
 
 def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factorization | None:
@@ -171,13 +204,17 @@ def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factori
     the closed form q = r1 / d + Q (u - v / d), lam = R^-1 (v - d u) of the
     unscaled blocks, with u = R^-T r2, v = Q^T r1, d = H + delta_w and
     A^T = QR, which never forms A A^T), refined on K's residual until the
-    next correction would be below roundoff or stop shrinking by half.
+    next correction would be below roundoff or stop shrinking by half. It
+    applies R^-1 and L^-1, which _triangular_inverse builds by halves:
+    np.linalg.inv touches only their diagonal blocks up to order 32, and
+    no LU inverse of a whole factor is left. The inverses feed only the
+    estimate of mu and the solves; every proof is a Cholesky or the QR.
     """
     m, n = A.shape
     if m == 0 or n < m:
         return None
     scalar = not isinstance(H, np.ndarray)
-    W = H + delta_w if scalar else _shifted(H, delta_w)
+    W = H + delta_w if scalar else (_shifted(H, delta_w) if delta_w else H)
     if equilibrate:
         magnitude = np.abs(A)
         rows = max(abs(W), 1e-300) if scalar else np.maximum(np.abs(W).max(axis=1), 1e-300)
@@ -193,8 +230,9 @@ def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factori
     else:
         X = W * (s_H[:, None] * s_H)
         X = 0.5 * (X + X.T)
-        w = float(np.abs(X).sum(axis=1).max())  # at least |X| >= |G|
-        x_max = float(np.abs(X).max())
+        abs_X = np.abs(X)
+        w = float(abs_X.sum(axis=1).max())  # at least |X| >= |G|
+        x_max = float(abs_X.max())
     b_max = float(np.abs(B).max())
     if not (x_max < np.inf and b_max < np.inf):  # non-finite entries prove nothing
         return None
@@ -208,7 +246,7 @@ def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factori
             XZ = X @ Z
             M = Z.T @ XZ
             c = float(np.linalg.norm(XZ.T @ Y)) + _cholesky_shift(n, w, 0.0)  # |C| and roundoff
-            L_inv = np.linalg.inv(np.linalg.cholesky(M))
+            L_inv = _triangular_inverse(np.linalg.cholesky(M), upper=False)
             mu = 0.5 / float(np.sum(L_inv * L_inv)) if n > m else np.inf
             np.linalg.cholesky(_shifted(M, -_cholesky_shift(n, w, mu)))
         if not mu > t:  # NaN refuses
@@ -219,7 +257,7 @@ def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factori
         np.linalg.cholesky(gram)
         if scalar:
             Q, R = np.linalg.qr(A.T)
-        R_inv = np.linalg.inv(R)
+        R_inv = _triangular_inverse(R, upper=True)
     except np.linalg.LinAlgError:
         return None
 
@@ -242,8 +280,6 @@ def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factori
         def product(z):
             return np.concatenate([X @ z[:n] + z[n:] @ B, B @ z[:n]])
 
-    eps = np.finfo(float).eps
-
     def solve(rhs):
         z = solve_once(rhs)
         size = last = float(np.abs(z).max())
@@ -251,7 +287,7 @@ def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factori
             dz = solve_once(rhs - product(z))
             z += dz
             step = float(np.abs(dz).max())
-            if not (step * step > eps * last * size and step < 0.5 * last):
+            if not (step * step > _EPS * last * size and step < 0.5 * last):
                 break
             last = step
         return z
@@ -262,12 +298,11 @@ def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factori
 
 # Below these orders the eigenvalues and an LU of a KKT matrix cost less
 # than the certificate and its solve, whose numpy calls each have a fixed
-# cost. timeit, one BLAS thread on a 2-core Xeon, certificate and one solve
-# over eigenvalues and LU: for a general H, random systems with H positive
-# definite, 1.0-1.2x at order 56, 0.8-1.1x at 64 and 0.7-1.0x at 72 (m/N
-# 0.5 to 0.2); for a scalar H, phase-I systems replayed from a pass of the
-# benchmark's scaled_qp, 1.17x at order 28, 1.05x at 32, 0.95x at 33 and
-# 0.84x at 40.
+# cost. `python3 tools/kernel_timing.py` times both paths on random systems
+# with one BLAS thread and prints the crossover order. Over three runs on a
+# 2-core Xeon it read 72 to 80 for a general H (certificate and one solve
+# over eigenvalues and LU: 1.17-1.26x at order 64, 0.88-0.89x at 80) and
+# 36 to 40 for a scalar H (1.17-1.32x at 32, 0.88-0.89x at 40).
 _CERTIFY_MIN_ORDER = 64
 _SCALAR_MIN_ORDER = 33
 
@@ -514,23 +549,22 @@ class QPSolution:
     iterations: int = 0
 
 
-def _eqp_solve(W, g, A, b, d, codes, schedule):
-    """Solve the equality-constrained QP on the current working set.
+def _eqp_solve(W, g, A, b, d, free, fixed, schedule):
+    """Solve the equality-constrained QP on the current working set, whose
+    free and fixed variables are the index arrays free and fixed.
 
     Fixed variables stay at their bound value in d. Returns (q_free, y,
-    delta_w) where q_free is the subproblem minimizer over the free variables
-    (proximal regularization by delta_w about the current point when the
-    reduced Hessian is not positive definite).
+    delta_w, W_ff) where q_free is the subproblem minimizer over the free
+    variables (proximal regularization by delta_w about the current point
+    when the reduced Hessian is not positive definite) and W_ff is W's
+    free-free block (0.0 for W None).
 
     W None is phase I's zero Hessian: every product with it is skipped, and
     the KKT blocks are (delta_w I, A_f), a scalar H for _kkt_factorization.
     The record of _kkt_factorization decides: a solve at inertia (nf, m, 0),
     least squares on the equilibrated matrix when A_f is row rank deficient.
     """
-    n = g.size
     m = b.size
-    free = np.flatnonzero(codes == _FREE)
-    fixed = np.flatnonzero(codes != _FREE)
     nf = free.size
 
     rhs2 = b - (A[:, fixed] @ d[fixed] if (m and fixed.size) else np.zeros(m))
@@ -543,7 +577,7 @@ def _eqp_solve(W, g, A, b, d, codes, schedule):
             y, *_ = np.linalg.lstsq(A.T, g if W is None else W @ d + g, rcond=None)
         else:
             y = np.zeros(0)
-        return d[free], y, 0.0
+        return d[free], y, 0.0, 0.0
 
     A_f = A[:, free] if m else np.zeros((0, nf))
     W_ff = 0.0 if W is None else W[np.ix_(free, free)]
@@ -568,7 +602,7 @@ def _eqp_solve(W, g, A, b, d, codes, schedule):
         else:
             continue
         schedule.record_success(delta_w)
-        return sol[:nf], -sol[nf:], delta_w
+        return sol[:nf], -sol[nf:], delta_w, W_ff
     raise RegularizationFailedError("EQP regularization failed")
 
 
@@ -610,7 +644,8 @@ def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol)
     last_obj = objective(d)
     for iteration in range(max_iter):
         free = np.flatnonzero(codes == _FREE)
-        q_free, y, delta_w = _eqp_solve(W, g, A, b, d, codes, schedule)
+        fixed = np.flatnonzero(codes != _FREE)
+        q_free, y, delta_w, W_ff = _eqp_solve(W, g, A, b, d, free, fixed, schedule)
         p = np.zeros(n)
         p[free] = q_free - d[free]
         p_norm = float(np.max(np.abs(p))) if n else 0.0
@@ -621,7 +656,7 @@ def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol)
         if free.size:
             residual = delta_w * p[free]
             if W is not None:
-                residual = W[np.ix_(free, free)] @ p[free] + residual
+                residual = W_ff @ p[free] + residual
             stat_res = float(np.max(np.abs(residual)))
         else:
             stat_res = 0.0
@@ -821,14 +856,13 @@ def _verify_kkt(qp: QPData, sol: QPSolution) -> None:
     negligible when the data is O(1)). NaN fails every test."""
     W, g, A, b = qp.W, qp.g, np.atleast_2d(qp.A), qp.b
     d, y, z = sol.d, sol.multipliers_eq, sol.multipliers_bounds
-    eps = np.finfo(float).eps
     d_norm = float(np.abs(d).max(initial=0.0))
     y_norm = float(np.abs(y).max(initial=0.0))
     w_norm = float(np.abs(W).max(initial=0.0))
     a_norm = float(np.abs(A).max(initial=0.0))
     n = qp.n
-    floor_stat = 100.0 * eps * n * (w_norm * d_norm + a_norm * y_norm)
-    floor_feas = 100.0 * eps * n * a_norm * max(d_norm, 1.0)
+    floor_stat = 100.0 * _EPS * n * (w_norm * d_norm + a_norm * y_norm)
+    floor_feas = 100.0 * _EPS * n * a_norm * max(d_norm, 1.0)
     tol_stat = 1e-8 * (1.0 + float(np.abs(g).max(initial=0.0))) + floor_stat
     tol_feas = 1e-8 * (1.0 + float(np.abs(b).max(initial=0.0))) + floor_feas
     stat = W @ d + g - (A.T @ y if qp.m else 0.0) - z

@@ -98,13 +98,12 @@ def scale_functions(model: Model, x0: np.ndarray, s_max: float):
     if not (np.all(np.isfinite(grad0)) and np.all(np.isfinite(jac0))):
         raise NonFiniteEvaluationError("cannot scale: non-finite derivatives at x0")
 
-    def factor(row_norm):
-        return 1.0 if row_norm == 0.0 else min(1.0, s_max / row_norm)
-
-    s_f = factor(float(np.max(np.abs(grad0), initial=0.0)))
-    s_c = np.array(
-        [factor(float(np.max(np.abs(jac0[j]), initial=0.0))) for j in range(model.m)]
-    )
+    grad_norm = float(np.max(np.abs(grad0), initial=0.0))
+    s_f = 1.0 if grad_norm == 0.0 else min(1.0, s_max / grad_norm)
+    row_norms = np.abs(jac0).max(axis=1, initial=0.0)
+    nonzero = row_norms != 0.0
+    s_c = np.ones(model.m)
+    s_c[nonzero] = np.minimum(1.0, s_max / row_norms[nonzero])
     factors = ScalingFactors(s_f=s_f, s_c=s_c)
 
     base_f = model.eval_objective

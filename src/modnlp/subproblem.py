@@ -129,21 +129,20 @@ def fraction_to_boundary_dual(zl, dzl, zu, dzu, tau) -> float:
 
 
 def push_to_interior(x, lower, upper, kappa: float) -> np.ndarray:
-    """Move x strictly inside its finite bounds (at least kappa-relative)."""
-    x = np.asarray(x, dtype=float).copy()
-    for i in range(x.size):
-        lo, hi = lower[i], upper[i]
-        pad_lo = kappa * max(1.0, abs(lo)) if np.isfinite(lo) else 0.0
-        pad_hi = kappa * max(1.0, abs(hi)) if np.isfinite(hi) else 0.0
-        if np.isfinite(lo) and np.isfinite(hi):
-            width = hi - lo
-            pad_lo = min(pad_lo, 0.25 * width)
-            pad_hi = min(pad_hi, 0.25 * width)
-        if np.isfinite(lo):
-            x[i] = max(x[i], lo + pad_lo)
-        if np.isfinite(hi):
-            x[i] = min(x[i], hi - pad_hi)
-    return x
+    """Move x strictly inside its finite bounds (at least kappa-relative):
+    by kappa max(1, |bound|) from each finite bound, and by at most a
+    quarter of the width from either side of a two-sided box."""
+    x = np.asarray(x, dtype=float)
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    finite_lo, finite_hi = np.isfinite(lower), np.isfinite(upper)
+    pad_lo = np.where(finite_lo, kappa * np.maximum(1.0, np.abs(lower)), 0.0)
+    pad_hi = np.where(finite_hi, kappa * np.maximum(1.0, np.abs(upper)), 0.0)
+    box = finite_lo & finite_hi
+    quarter = 0.25 * (upper[box] - lower[box])
+    pad_lo[box] = np.minimum(pad_lo[box], quarter)
+    pad_hi[box] = np.minimum(pad_hi[box], quarter)
+    x = np.where(finite_lo, np.maximum(x, lower + pad_lo), x)
+    return np.where(finite_hi, np.minimum(x, upper - pad_hi), x)
 
 
 def initial_bound_multipliers(lower, upper) -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,7 @@ from modnlp.linalg import (
     _certified_factorization,
     _kkt_factorization,
     _ratio_test,
+    _triangular_inverse,
     _verify_kkt,
     assemble_kkt,
     central_elastics,
@@ -463,6 +464,83 @@ class TestBlockCertificate:
             _kkt_factorization(H, np.ones((1, 64)), 0.0, 0.0)
 
 
+def triangular_with_condition(rng, order, cond):
+    """The R of the QR of U diag(s) V^T, U and V random orthogonal and s
+    from 1 down to 1/cond: an upper triangular matrix of condition cond."""
+    U = np.linalg.qr(rng.randn(order, order))[0]
+    V = np.linalg.qr(rng.randn(order, order))[0]
+    return np.linalg.qr(U @ np.diag(np.logspace(0.0, -np.log10(cond), order)) @ V.T)[1]
+
+
+def extended_upper_inverse(T):
+    """T^-1 of an upper triangular T by row substitution in np.longdouble."""
+    T = T.astype(np.longdouble)
+    X = np.zeros(T.shape, dtype=np.longdouble)
+    for i in range(T.shape[0] - 1, -1, -1):
+        X[i] = -T[i, i + 1:] @ X[i + 1:]
+        X[i, i] += 1
+        X[i] /= T[i, i]
+    return X
+
+
+class TestTriangularInverse:
+    """_triangular_inverse against np.linalg.inv, across its leaf order 32
+    and condition numbers 1 to 1e12."""
+
+    CONDITIONS = (1.0, 1e3, 1e6, 1e9, 1e12)
+
+    @pytest.mark.parametrize("order", [0, 1, 31, 32, 33, 64, 138])
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_residual_within_ten_times_the_lu(self, order, upper):
+        # the blocked method bounds X T - I for an upper T and T X - I for a
+        # lower one (Du Croz & Higham, 1992); np.linalg.inv's residual on
+        # the same side is the reference
+        rng = np.random.RandomState(order)
+        for cond in self.CONDITIONS:
+            R = triangular_with_condition(rng, order, cond) if order else np.zeros((0, 0))
+            T = R if upper else R.T.copy()
+            X = _triangular_inverse(T, upper)
+            assert X.shape == T.shape
+            other = np.tril(X, -1) if upper else np.triu(X, 1)
+            assert np.all(other == 0.0)
+
+            def residual(Z):
+                return float(np.linalg.norm((Z @ T if upper else T @ Z) - np.eye(order)))
+
+            assert residual(X) <= 10.0 * max(residual(np.linalg.inv(T)), 1e-16)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is no wider than float")
+    @pytest.mark.parametrize("order", [1, 31, 33, 64, 138])
+    def test_forward_error_within_ten_times_the_lu(self, order):
+        rng = np.random.RandomState(100 + order)
+        for cond in self.CONDITIONS:
+            R = triangular_with_condition(rng, order, cond)
+            exact = extended_upper_inverse(R)
+            for T, inverse in ((R, exact), (R.T.copy(), exact.T)):
+                upper = T is R
+
+                def error(Z):
+                    return float(np.linalg.norm((Z - inverse).astype(float)))
+
+                X = _triangular_inverse(T, upper)
+                assert error(X) <= 10.0 * max(error(np.linalg.inv(T)), 1e-300)
+
+    def test_leaf_is_numpys_inverse(self):
+        # up to order 32 an upper factor's inverse is np.linalg.inv's, bit
+        # for bit, so small certified systems compute as before
+        rng = np.random.RandomState(5)
+        for order in (1, 2, 17, 32):
+            R = triangular_with_condition(rng, order, 1e4)
+            assert np.array_equal(_triangular_inverse(R, True), np.linalg.inv(R))
+
+    def test_singular_leaf_raises(self):
+        T = np.triu(np.ones((70, 70)))
+        T[50, 50] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _triangular_inverse(T, True)
+
+
 def ipm_like(rng, n, m):
     """An interior-point KKT block pair: a positive definite Hessian plus a
     barrier diagonal from 1e-10 to 1e2, and a Jacobian whose rows are
@@ -495,6 +573,22 @@ class TestBlockKernel:
             lu = backward_error(K, solve_factorized(reference, rhs), rhs)
             assert backward_error(K, solve_factorized(fact, rhs), rhs) <= 10.0 * max(lu, 1e-16)
         assert count >= 25
+        # the benchmark's control and chain shapes, whose triangular factors
+        # (R of order m, L of order n - m) are inverted by halves
+        rng = np.random.RandomState(14)
+        for n, m in ((120, 60), (120, 118)):
+            certified = 0
+            for trial in range(6):
+                H, A = ipm_like(rng, n, m)
+                K = assemble_kkt(H, A, 0.0, 0.0)
+                fact = _kkt_factorization(H, A, 0.0, 0.0)
+                if fact.solve is None:
+                    continue
+                certified += 1
+                rhs = rng.randn(n + m) * 10.0 ** rng.uniform(-3.0, 3.0, n + m)
+                lu = backward_error(K, solve_factorized(ldlt_factorize_scaled(K), rhs), rhs)
+                assert backward_error(K, solve_factorized(fact, rhs), rhs) <= 10.0 * max(lu, 1e-16)
+            assert certified >= 2
 
     def test_decisions_are_the_certificates(self):
         # a certified system has the eigenvalue count's inertia (n, m, 0); a
@@ -864,15 +958,14 @@ class TestQPSolve:
             calls[0] += 1
             return factorize(M)
 
-        def checked_eqp_solve(W, g, A, b, d, codes, schedule):
-            free = np.flatnonzero(codes == 0)
+        def checked_eqp_solve(W, g, A, b, d, free, fixed, schedule):
             nf, m = free.size, b.size
             probe = nf > m and (W is None or not W[np.ix_(free, free)].any())
             if probe:
                 K = assemble_kkt(np.zeros((nf, nf)), A[:, free], 0.0, 0.0)
                 assert ldlt_factorize_scaled(K).inertia != (nf, m, 0)
             calls[0] = 0
-            result = eqp_solve(W, g, A, b, d, codes, schedule)
+            result = eqp_solve(W, g, A, b, d, free, fixed, schedule)
             if probe and W is not None:
                 per_solve["LP"].append((nf + m, calls[0]))
             elif probe and nf + m < linalg._SCALAR_MIN_ORDER:

@@ -87,6 +87,32 @@ def test_scaling_capped_and_zero_norm_convention():
     assert f2.s_f == pytest.approx(0.1)
 
 
+def test_constraint_scaling_rule_per_row():
+    # s_c is 1 for a zero row and min(1, s_max / |row|_inf) otherwise
+    from dataclasses import replace
+
+    model = corpus_get("booth")
+    jac = np.array([[0.0, 0.0], [3.0, -40.0], [0.5, -400.0]])
+    rows = replace(
+        model,
+        m=3,
+        constraint_lower=np.zeros(3),
+        constraint_upper=np.zeros(3),
+        eval_constraint_jacobian=lambda x: jac,
+    )
+    _, factors = scale_functions(rows, model.initial_point, s_max=100.0)
+    assert factors.s_c.tolist() == [1.0, 1.0, 100.0 / 400.0]
+    none = replace(
+        model,
+        m=0,
+        constraint_lower=np.zeros(0),
+        constraint_upper=np.zeros(0),
+        eval_constraint_jacobian=lambda x: np.zeros((0, 2)),
+    )
+    _, factors = scale_functions(none, model.initial_point, s_max=100.0)
+    assert factors.s_c.shape == (0,) and factors.s_c.dtype == float
+
+
 def test_elastic_init():
     up, um = elastic_init(np.array([3.0, -2.0]))
     np.testing.assert_allclose(up, [3.0, 0.0])

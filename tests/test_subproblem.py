@@ -262,6 +262,48 @@ def test_push_to_interior():
     assert lower[2] < x[2] < upper[2]
 
 
+def push_to_interior_loop(x, lower, upper, kappa):
+    """The per-variable reference for push_to_interior."""
+    x = np.asarray(x, dtype=float).copy()
+    for i in range(x.size):
+        lo, hi = lower[i], upper[i]
+        pad_lo = kappa * max(1.0, abs(lo)) if np.isfinite(lo) else 0.0
+        pad_hi = kappa * max(1.0, abs(hi)) if np.isfinite(hi) else 0.0
+        if np.isfinite(lo) and np.isfinite(hi):
+            width = hi - lo
+            pad_lo = min(pad_lo, 0.25 * width)
+            pad_hi = min(pad_hi, 0.25 * width)
+        if np.isfinite(lo):
+            x[i] = max(x[i], lo + pad_lo)
+        if np.isfinite(hi):
+            x[i] = min(x[i], hi - pad_hi)
+    return x
+
+
+def test_push_to_interior_matches_the_loop():
+    # free variables, one-sided bounds, wide and narrow two-sided boxes
+    # (narrower than 4 kappa max(1, |bound|), so the quarter-width cap acts)
+    rng = np.random.RandomState(14)
+    kinds = set()
+    for _ in range(50):
+        n = rng.randint(1, 40)
+        kappa = 10.0 ** rng.uniform(-4.0, -1.0)
+        lower = rng.randn(n) * 10.0 ** rng.uniform(-1.0, 3.0, n)
+        width = 10.0 ** rng.uniform(-6.0, 2.0, n)
+        upper = lower + width
+        kind = rng.randint(0, 4, n)  # 0 free, 1 lower only, 2 upper only, 3 box
+        lower[(kind == 0) | (kind == 2)] = -INF
+        upper[(kind == 0) | (kind == 1)] = INF
+        narrow = (kind == 3) & (width < 4.0 * kappa * np.maximum(1.0, np.abs(upper)))
+        kinds.update(kind.tolist())
+        kinds.update(["narrow"] if narrow.any() else [])
+        x = rng.randn(n) * 10.0 ** rng.uniform(-1.0, 3.0, n)
+        pushed = push_to_interior(x, lower, upper, kappa)
+        assert np.array_equal(pushed, push_to_interior_loop(x, lower, upper, kappa))
+        assert np.all(lower < pushed) and np.all(pushed < upper)
+    assert kinds == {0, 1, 2, 3, "narrow"}
+
+
 def test_ipm_on_equality_model_matches_newton():
     # unconstrained-variable model: the step reduces to a plain Newton-KKT solve
     model = to_equality_form(corpus_get("hs028"))

@@ -89,7 +89,8 @@ class ScalingFactors:
 
 
 def scale_functions(model: Model, x0: np.ndarray, s_max: float):
-    """Scale f and each c_j by min(1, s_max / ||gradient at x0||_inf).
+    """Scale f and each c_j by min(1, s_max / ||gradient at x0||_inf), or
+    by 1 where that gradient is zero.
 
     Applied once at the initial point and never rescaled.
     """
@@ -98,12 +99,12 @@ def scale_functions(model: Model, x0: np.ndarray, s_max: float):
     if not (np.all(np.isfinite(grad0)) and np.all(np.isfinite(jac0))):
         raise NonFiniteEvaluationError("cannot scale: non-finite derivatives at x0")
 
-    grad_norm = float(np.max(np.abs(grad0), initial=0.0))
-    s_f = 1.0 if grad_norm == 0.0 else min(1.0, s_max / grad_norm)
-    row_norms = np.abs(jac0).max(axis=1, initial=0.0)
-    nonzero = row_norms != 0.0
-    s_c = np.ones(model.m)
-    s_c[nonzero] = np.minimum(1.0, s_max / row_norms[nonzero])
+    norms = np.concatenate([[np.max(np.abs(grad0), initial=0.0)],
+                            np.abs(jac0).max(axis=1, initial=0.0)])
+    scale = np.ones(norms.size)
+    nonzero = norms != 0.0
+    scale[nonzero] = np.minimum(1.0, s_max / norms[nonzero])
+    s_f, s_c = float(scale[0]), scale[1:]
     factors = ScalingFactors(s_f=s_f, s_c=s_c)
 
     base_f = model.eval_objective

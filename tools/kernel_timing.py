@@ -1,12 +1,12 @@
 """Time the certified KKT kernel against the eigenvalues and an LU, the
 choice that linalg's _CERTIFY_MIN_ORDER and _SCALAR_MIN_ORDER gate.
 
-    python3 tools/kernel_timing.py [--root CHECKOUT] [--repeat 7]
+    python3 tools/kernel_timing.py [--root CHECKOUT]
 
 It imports modnlp from CHECKOUT/src (default: this checkout) and runs with
 one BLAS thread. For each order N = n + m and each of three shapes, m/N
 about 0.2, 0.35 and 0.49, it draws one random KKT system and times, best
-of --repeat rounds:
+of REPEAT rounds:
 
 - certified: _certified_factorization(H, A, delta_w, True), the path that
   _kkt_factorization takes at or above its gate, and one solve_factorized;
@@ -31,6 +31,7 @@ from pathlib import Path
 
 ORDERS = {"general": range(32, 129, 8), "scalar": range(16, 65, 4)}
 SHAPES = (0.2, 0.35, 0.49)
+REPEAT = 7
 
 
 def system(np, rng, kind: str, order: int, share: float):
@@ -44,7 +45,7 @@ def system(np, rng, kind: str, order: int, share: float):
     return G @ G.T / n + np.eye(n), A, 0.0
 
 
-def time_order(np, linalg, rng, kind: str, order: int, repeat: int):
+def time_order(np, linalg, rng, kind: str, order: int):
     """(certified seconds, eigen seconds, ratio) for the shape where the
     certificate compares worst: each path's best loop, and the median
     ratio of the rounds, which time the two paths back to back so that a
@@ -66,7 +67,7 @@ def time_order(np, linalg, rng, kind: str, order: int, repeat: int):
 
         number = max(1, 20000 // order)
         rounds = np.array([[timeit.timeit(f, number=number) / number for f in (certified, eigen)]
-                           for _ in range(repeat)])
+                           for _ in range(REPEAT)])
         ratio = float(np.median(rounds[:, 0] / rounds[:, 1]))
         if worst is None or ratio > worst[2]:
             worst = (*rounds.min(axis=0), ratio)
@@ -76,7 +77,6 @@ def time_order(np, linalg, rng, kind: str, order: int, repeat: int):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
-    parser.add_argument("--repeat", type=int, default=7)
     args = parser.parse_args(argv)
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[name] = "1"
@@ -89,7 +89,7 @@ def main(argv=None) -> int:
     for kind, orders in ORDERS.items():
         slower = []  # orders at which the certificate is not faster
         for order in orders:
-            certified, eigen, ratio = time_order(np, linalg, rng, kind, order, args.repeat)
+            certified, eigen, ratio = time_order(np, linalg, rng, kind, order)
             print("%-7s N=%4d  certified %8.1f us  eigen %8.1f us  ratio %.2f"
                   % (kind, order, 1e6 * certified, 1e6 * eigen, ratio))
             if ratio >= 1.0:

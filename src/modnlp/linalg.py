@@ -13,6 +13,12 @@ by the null-space method; their triangular factors are inverted by halves
 left on the certified path. The eigenvalues and an LU decide elsewhere:
 below its order gates, at delta_c > 0, and where it refuses (m = 0, a
 rank-deficient A, or a reduced Hessian that is not positive definite).
+
+The active-set loop carries the record of the working set it last solved
+(for each delta_w tried: the Factorization, the right-hand side and the
+solution) until a bound enters or leaves that set. A repeated (working set,
+delta_w) reuses the factorization, and a right-hand side equal byte for
+byte reuses the solution, so every iterate is the one fresh solves give.
 """
 from __future__ import annotations
 
@@ -56,10 +62,12 @@ def _zero_tol(max_abs: float, n: int) -> float:
     return max(1.0, max_abs) * _EPS * 1000.0 * max(10.0, float(n))
 
 
-def _eigenvalues(A: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric matrix A (LAPACK syevd);
-    non-finite input raises SingularMatrixError."""
-    if not np.all(np.isfinite(A)):
+def _eigenvalues(A: np.ndarray, max_abs: float) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix A (LAPACK syevd), given
+    max_abs = max |A|. Non-finite input raises SingularMatrixError: a NaN or
+    inf entry makes max_abs NaN or inf. (Test max_abs, not the zero_tol made
+    from it: max(1.0, nan) is 1.0.)"""
+    if not max_abs < np.inf:
         raise SingularMatrixError("matrix has non-finite entries")
     try:
         return np.linalg.eigvalsh(A)
@@ -69,14 +77,14 @@ def _eigenvalues(A: np.ndarray) -> np.ndarray:
 
 def _symmetrized(M: np.ndarray) -> tuple[np.ndarray, float]:
     """An exactly symmetric copy 0.5 (M + M^T) of the square matrix M, and
-    its zero_tol."""
+    its largest magnitude (NaN or inf when an entry is not finite)."""
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError("matrix must be square")
     A = M + M.T
     A *= 0.5
-    return A, _zero_tol(float(np.abs(A).max(initial=0.0)), n)
+    return A, float(np.abs(A).max(initial=0.0))
 
 
 def ldlt_factorize(M: np.ndarray) -> Factorization:
@@ -87,8 +95,9 @@ def ldlt_factorize(M: np.ndarray) -> Factorization:
     as zero rather than raised. Non-finite entries raise
     SingularMatrixError.
     """
-    A, zero_tol = _symmetrized(M)
-    eigenvalues = _eigenvalues(A)
+    A, max_abs = _symmetrized(M)
+    eigenvalues = _eigenvalues(A, max_abs)
+    zero_tol = _zero_tol(max_abs, A.shape[0])
     n_plus = int(np.count_nonzero(eigenvalues > zero_tol))
     n_minus = int(np.count_nonzero(eigenvalues < -zero_tol))
     return Factorization(A, (n_plus, n_minus, A.shape[0] - n_plus - n_minus), zero_tol)
@@ -439,7 +448,7 @@ def make_positive_definite(
     zero tolerance of the shifted matrix."""
     n = W.shape[0]
     A = 0.5 * (W + W.T)
-    lambda_min = float(_eigenvalues(A)[0]) if n else np.inf
+    lambda_min = float(_eigenvalues(A, float(np.abs(A).max()))[0]) if n else np.inf
     diagonal = A.diagonal().copy()
     A.flat[:: n + 1] = 0.0
     off_diagonal = float(np.abs(A).max(initial=0.0))
@@ -511,10 +520,17 @@ def extend_with_elastics(qp: QPData) -> QPData:
     if qp.W is not None:
         W = np.zeros((ne, ne))
         W[:n, :n] = qp.W
-    g = np.concatenate([qp.g, np.ones(2 * m)])
-    A = np.hstack([qp.A, -np.eye(m), np.eye(m)])
-    lb = np.concatenate([qp.d_lower, np.zeros(2 * m)])
-    ub = np.concatenate([qp.d_upper, np.full(2 * m, np.inf)])
+    g = np.ones(ne)
+    g[:n] = qp.g
+    A = np.zeros((m, ne))
+    A[:, :n] = qp.A
+    A[:, n : n + m] = -0.0  # the -I block keeps the signed zeros of -np.eye(m)
+    A.flat[n :: ne + 1] = -1.0
+    A.flat[n + m :: ne + 1] = 1.0
+    lb = np.zeros(ne)
+    lb[:n] = qp.d_lower
+    ub = np.full(ne, np.inf)
+    ub[:n] = qp.d_upper
     return QPData(W, g, A, qp.b, lb, ub)
 
 
@@ -549,7 +565,7 @@ class QPSolution:
     iterations: int = 0
 
 
-def _eqp_solve(W, g, A, b, d, free, fixed, schedule):
+def _eqp_solve(W, g, A, b, d, free, fixed, schedule, records):
     """Solve the equality-constrained QP on the current working set, whose
     free and fixed variables are the index arrays free and fixed.
 
@@ -563,14 +579,24 @@ def _eqp_solve(W, g, A, b, d, free, fixed, schedule):
     the KKT blocks are (delta_w I, A_f), a scalar H for _kkt_factorization.
     The record of _kkt_factorization decides: a solve at inertia (nf, m, 0),
     least squares on the equilibrated matrix when A_f is row rank deficient.
+
+    records is the working set's carried record, a dict that this call
+    fills: for each delta_w tried, [Factorization, right-hand side bytes,
+    solution]. The caller passes the same dict while the free set stays
+    and a new one when it changes, so a repeated delta_w reuses the
+    factorization of the same KKT matrix, and a right-hand side equal byte
+    for byte (signed zeros count) reuses the solution: the same bits as a
+    fresh solve, without its LAPACK calls.
     """
     m = b.size
     nf = free.size
 
     rhs2 = b - (A[:, fixed] @ d[fixed] if (m and fixed.size) else np.zeros(m))
     g_eff = g[free]
-    if W is not None and fixed.size:
-        g_eff = g_eff + W[np.ix_(free, fixed)] @ d[fixed]
+    if W is not None:
+        W_f = W[free]
+        if fixed.size:
+            g_eff = g_eff + W_f[:, fixed] @ d[fixed]
 
     if nf == 0:
         if m:
@@ -580,7 +606,7 @@ def _eqp_solve(W, g, A, b, d, free, fixed, schedule):
         return d[free], y, 0.0, 0.0
 
     A_f = A[:, free] if m else np.zeros((0, nf))
-    W_ff = 0.0 if W is None else W[np.ix_(free, free)]
+    W_ff = 0.0 if W is None else W_f[:, free]
 
     candidates = schedule.candidates()
     if nf > m and (W is None or not W_ff.any()):
@@ -588,35 +614,44 @@ def _eqp_solve(W, g, A, b, d, free, fixed, schedule):
         # can give neither the target inertia nor the least-squares branch
         next(candidates)
     for delta_w in candidates:
-        rhs = np.concatenate([-g_eff + delta_w * d[free], rhs2])
-        fact = _kkt_factorization(W_ff, A_f, delta_w, 0.0)
-        if fact.inertia == (nf, m, 0):
-            sol = solve_factorized(fact, rhs)
-        elif fact.n_zero > 0 and delta_w > 0.0:
-            # A_f is row rank deficient; the system is consistent because the
-            # current point is feasible, so take the least-squares solution
-            # (of the equilibrated system, for accuracy).
-            s = fact.row_scaling
-            sol, *_ = np.linalg.lstsq(fact.matrix, s * rhs, rcond=None)
-            sol = s * sol
-        else:
+        record = records.get(delta_w)
+        if record is None:
+            record = records[delta_w] = [_kkt_factorization(W_ff, A_f, delta_w, 0.0), None, None]
+        fact = record[0]
+        regular = fact.inertia == (nf, m, 0)
+        if not (regular or (fact.n_zero > 0 and delta_w > 0.0)):
             continue
+        rhs = np.concatenate([-g_eff + delta_w * d[free], rhs2])
+        key = rhs.tobytes()
+        if key != record[1]:
+            if regular:
+                sol = solve_factorized(fact, rhs)
+            else:
+                # A_f is row rank deficient; the system is consistent because
+                # the current point is feasible, so take the least-squares
+                # solution (of the equilibrated system, for accuracy).
+                s = fact.row_scaling
+                sol, *_ = np.linalg.lstsq(fact.matrix, s * rhs, rcond=None)
+                sol = s * sol
+            record[1:] = key, sol
+        sol = record[2]
         schedule.record_success(delta_w)
         return sol[:nf], -sol[nf:], delta_w, W_ff
     raise RegularizationFailedError("EQP regularization failed")
 
 
-def _ratio_test(d, p, lb, ub, step_tol):
+def _ratio_test(d, p, lb, ub, lb_finite, ub_finite, step_tol):
     """Maximum feasible step t_block along p from d within [lb, ub], and
     the (index, side) of the bound that blocks it ((-1, _LOWER) if none).
 
     Only variables moving by more than step_tol toward a finite bound
-    count. In index order, a ratio takes the block only when below the
-    current one by 1e-15, so only ratios below every earlier one (strict
-    running minima) can; a NaN ratio never does.
+    count (lb_finite and ub_finite are np.isfinite(lb) and np.isfinite(ub),
+    which the loop computes once). In index order, a ratio takes the block
+    only when below the current one by 1e-15, so only ratios below every
+    earlier one (strict running minima) can; a NaN ratio never does.
     """
-    up = (p > step_tol) & np.isfinite(ub)
-    moving = np.flatnonzero(up | ((p < -step_tol) & np.isfinite(lb)))
+    up = (p > step_tol) & ub_finite
+    moving = np.flatnonzero(up | ((p < -step_tol) & lb_finite))
     ratios = (np.where(up, ub, lb)[moving] - d[moving]) / p[moving]
     t_block, blocker = np.inf, -1
     earlier_min = np.fmin.accumulate(np.concatenate([[np.inf], ratios[:-1]]))
@@ -629,26 +664,38 @@ def _ratio_test(d, p, lb, ub, step_tol):
 
 def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol):
     """Primal active-set iteration from a feasible point d with working set
-    codes; W None is a zero Hessian, with every product by it skipped."""
+    codes; W None is a zero Hessian, with every product by it skipped.
+
+    The loop carries the record of the working set it last solved (see
+    _eqp_solve) and starts a new one whenever a bound enters or leaves the
+    working set, so memory stays bounded by one working set (a cycling QP
+    visits up to max_iter of them). Only a full step keeps the working
+    set; the next iteration then factorizes the same KKT matrix and, at
+    delta_w = 0, solves it for the same right-hand side, and the record
+    serves both.
+    """
     n = g.size
     m = b.size
     step_tol = 1e-13
-    opt_tol = 1e-10 * (1.0 + float(np.max(np.abs(g))) if n else 1.0)
+    opt_tol = 1e-10 * (1.0 + float(np.abs(g).max()) if n else 1.0)
+    lb_finite, ub_finite = np.isfinite(lb), np.isfinite(ub)
     y = np.zeros(m)
     bland = False
     stall = 0
+    records = {}
 
     def objective(v):
         return g @ v if W is None else 0.5 * v @ W @ v + g @ v
 
     last_obj = objective(d)
     for iteration in range(max_iter):
-        free = np.flatnonzero(codes == _FREE)
-        fixed = np.flatnonzero(codes != _FREE)
-        q_free, y, delta_w, W_ff = _eqp_solve(W, g, A, b, d, free, fixed, schedule)
+        is_free = codes == _FREE
+        free = np.flatnonzero(is_free)
+        fixed = np.flatnonzero(~is_free)
+        q_free, y, delta_w, W_ff = _eqp_solve(W, g, A, b, d, free, fixed, schedule, records)
         p = np.zeros(n)
         p[free] = q_free - d[free]
-        p_norm = float(np.max(np.abs(p))) if n else 0.0
+        p_norm = float(np.abs(p).max()) if n else 0.0
 
         # the working-set stationarity residual left by taking the full step
         # is (W + delta I) p on the free variables; regularized solves can
@@ -657,10 +704,10 @@ def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol)
             residual = delta_w * p[free]
             if W is not None:
                 residual = W_ff @ p[free] + residual
-            stat_res = float(np.max(np.abs(residual)))
+            stat_res = float(np.abs(residual).max())
         else:
             stat_res = 0.0
-        d_scale = 1.0 + (float(np.max(np.abs(d))) if n else 0.0)
+        d_scale = 1.0 + (float(np.abs(d).max()) if n else 0.0)
         if p_norm <= step_tol * d_scale or stat_res <= 0.1 * opt_tol:
             # Stationary on the working set: price the active bounds.
             z = (g if W is None else W @ d + g) - (A.T @ y if m else 0.0)
@@ -673,10 +720,11 @@ def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol)
             else:
                 leave = int(candidates[np.argmin(signed[candidates])])
             codes[leave] = _FREE
+            records = {}
             continue
 
         # p is zero on the fixed variables: only free ones can block
-        t_block, blocker, blocker_side = _ratio_test(d, p, lb, ub, step_tol)
+        t_block, blocker, blocker_side = _ratio_test(d, p, lb, ub, lb_finite, ub_finite, step_tol)
 
         if delta_w == 0.0:
             t_full = 1.0
@@ -694,6 +742,7 @@ def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol)
             if blocker >= 0:
                 d[blocker] = ub[blocker] if blocker_side == _UPPER else lb[blocker]
                 codes[blocker] = blocker_side
+                records = {}
         else:
             if not np.isfinite(t_full):
                 return UNBOUNDED, d, y, iteration + 1
@@ -714,10 +763,17 @@ def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol)
 def _working_set(d, lb, ub) -> tuple[np.ndarray, np.ndarray]:
     """The bounds d touches, to 1e-12 relative (ties prefer the lower
     bound), as working-set codes, and d moved exactly onto them."""
+    def touched(bound):
+        tol = np.abs(bound)
+        tol += 1.0
+        tol *= 1e-12
+        return np.isfinite(bound) & (np.abs(d - bound) <= tol)
+
+    upper, lower = touched(ub), touched(lb)
     codes = np.full(d.size, _FREE, dtype=np.int8)
-    codes[np.isfinite(ub) & (np.abs(d - ub) <= 1e-12 * (1.0 + np.abs(ub)))] = _UPPER
-    codes[np.isfinite(lb) & (np.abs(d - lb) <= 1e-12 * (1.0 + np.abs(lb)))] = _LOWER
-    return np.where(codes == _LOWER, lb, np.where(codes == _UPPER, ub, d)), codes
+    codes[upper] = _UPPER
+    codes[lower] = _LOWER
+    return np.where(lower, lb, np.where(upper, ub, d)), codes
 
 
 def _is_convex(W: np.ndarray) -> bool:
@@ -865,18 +921,26 @@ def _verify_kkt(qp: QPData, sol: QPSolution) -> None:
     floor_feas = 100.0 * _EPS * n * a_norm * max(d_norm, 1.0)
     tol_stat = 1e-8 * (1.0 + float(np.abs(g).max(initial=0.0))) + floor_stat
     tol_feas = 1e-8 * (1.0 + float(np.abs(b).max(initial=0.0))) + floor_feas
-    stat = W @ d + g - (A.T @ y if qp.m else 0.0) - z
-    if not float(np.abs(stat).max(initial=0.0)) <= tol_stat:
+    stat = W @ d
+    stat += g
+    if qp.m:
+        stat -= A.T @ y
+    stat -= z
+    if not float(np.abs(stat, out=stat).max(initial=0.0)) <= tol_stat:
         raise QPFailureError("QP stationarity violated")
-    if qp.m and not float(np.abs(A @ d - b).max()) <= tol_feas:
-        raise QPFailureError("QP feasibility violated")
+    if qp.m:
+        feas = A @ d
+        feas -= b
+        if not float(np.abs(feas, out=feas).max()) <= tol_feas:
+            raise QPFailureError("QP feasibility violated")
     if not ((d >= qp.d_lower - 1e-9).all() and (d <= qp.d_upper + 1e-9).all()):
         raise QPFailureError("QP bounds violated")
     gap_l = np.where(np.isfinite(qp.d_lower), d - qp.d_lower, np.inf)
     gap_u = np.where(np.isfinite(qp.d_upper), qp.d_upper - d, np.inf)
-    gap = np.minimum(gap_l, gap_u)
+    comp = np.minimum(gap_l, gap_u)
+    comp[~np.isfinite(comp)] = 0.0
     z_abs = np.abs(z)
-    comp = z_abs * np.where(np.isfinite(gap), gap, 0.0)  # 0 where z is 0
+    comp *= z_abs  # 0 where z is 0
     if not float(comp.max(initial=0.0)) <= 1e-8 * (1.0 + float(z_abs.max(initial=0.0))):
         raise QPFailureError("QP complementarity violated")
     sign_ok = np.where(

@@ -7,6 +7,7 @@ module.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -59,10 +60,10 @@ class Evaluations:
 
     @property
     def is_finite(self) -> bool:
-        for part in (self.f, self.c, self.grad_f, self.jac_c, self.hessian):
-            if part is None:
-                continue
-            if not np.all(np.isfinite(part)):
+        if self.f is not None and not math.isfinite(self.f):
+            return False
+        for part in (self.c, self.grad_f, self.jac_c, self.hessian):
+            if part is not None and not np.isfinite(part).all():
                 return False
         return True
 

@@ -98,6 +98,41 @@ class TestLDLT:
             with pytest.raises(SingularMatrixError, match="non-finite"):
                 make_positive_definite(M, RegularizationSchedule())
 
+    def test_non_finite_guard_reads_the_symmetrized_magnitude(self, monkeypatch):
+        # the guard tests max |0.5 (M + M^T)|, which is NaN or inf exactly
+        # when an entry of that matrix is: zero_tol = max(1.0, nan) * ... is
+        # finite, so a test built on the zero tolerance lets a NaN through
+        import modnlp.linalg as linalg
+
+        message = "^matrix has non-finite entries$"
+        seen = []
+        monkeypatch.setattr(linalg, "ldlt_factorize",
+                            lambda M: seen.append(np.array(M)) or ldlt_factorize(M))
+        for bad in (np.nan, np.inf, -np.inf):
+            for i, j in ((0, 0), (1, 2), (3, 3)):  # diagonal and off-diagonal entries
+                M = np.diag([4e3, -3.0, 2.0, 1e-3])
+                M[i, j] = bad
+                with pytest.raises(SingularMatrixError, match=message):
+                    ldlt_factorize(M)
+                seen.clear()
+                with pytest.raises(SingularMatrixError, match=message), \
+                        np.errstate(invalid="ignore"):
+                    linalg.ldlt_factorize_scaled(M)
+                # an inf row scales by 1/sqrt(inf) = 0, and 0 * inf is NaN:
+                # the scaled matrix that reaches ldlt_factorize holds no inf
+                (scaled,) = seen
+                assert np.isnan(scaled[i, j]) and not np.isinf(scaled).any()
+                with pytest.raises(SingularMatrixError, match=message):
+                    make_positive_definite(M, RegularizationSchedule())
+        # entries whose symmetrization is not finite: inf + (-inf) is NaN,
+        # and 1.5e308 + 1.5e308 overflows
+        for upper, lower in ((np.inf, -np.inf), (1.5e308, 1.5e308)):
+            M = np.eye(3)
+            M[0, 2], M[2, 0] = upper, lower
+            with pytest.raises(SingularMatrixError, match=message), \
+                    np.errstate(invalid="ignore", over="ignore"):
+                ldlt_factorize(M)
+
     def test_lu_failure_is_singular(self):
         # a record whose inertia claims a regular matrix that LU finds
         # exactly singular
@@ -994,14 +1029,14 @@ class TestQPSolve:
             calls[0] += 1
             return factorize(M)
 
-        def checked_eqp_solve(W, g, A, b, d, free, fixed, schedule):
+        def checked_eqp_solve(W, g, A, b, d, free, fixed, schedule, records):
             nf, m = free.size, b.size
             probe = nf > m and (W is None or not W[np.ix_(free, free)].any())
             if probe:
                 K = assemble_kkt(np.zeros((nf, nf)), A[:, free], 0.0, 0.0)
                 assert ldlt_factorize_scaled(K).inertia != (nf, m, 0)
             calls[0] = 0
-            result = eqp_solve(W, g, A, b, d, free, fixed, schedule)
+            result = eqp_solve(W, g, A, b, d, free, fixed, schedule, records)
             if probe and W is not None:
                 per_solve["LP"].append((nf + m, calls[0]))
             elif probe and nf + m < linalg._SCALAR_MIN_ORDER:
@@ -1036,6 +1071,129 @@ class TestQPSolve:
         assert len(per_solve["phase I"]) > 40 and set(per_solve["phase I"]) == {1}
         assert len(per_solve["phase I certified"]) > 40
         assert set(per_solve["phase I certified"]) == {0}
+
+    def test_carried_working_set_record_is_bit_identical(self, monkeypatch):
+        # every _eqp_solve of the loop, which carries the working set's
+        # record, is repeated fresh (copied arguments, a copy of the
+        # schedule, no record): the same bits out, and the same schedule.
+        # These orders are below both certificate gates, so each KKT
+        # factorization is one ldlt_factorize call, and the carried calls
+        # make one per (free set, delta_w) pair not already tried since
+        # the loop began or its free set last changed.
+        import copy
+
+        import modnlp.linalg as linalg
+
+        eqp_solve, factorize = linalg._eqp_solve, linalg.ldlt_factorize
+        loop = linalg._active_set_loop
+        calls, counting = [0], [False]
+        state = {"free": None, "tried": set(), "expected": 0, "calls": 0, "reused": 0, "partly": 0}
+
+        def counted_factorize(M):
+            calls[0] += counting[0]
+            return factorize(M)
+
+        def tried_deltas(W, g, A, b, d, free, fixed, schedule):
+            deltas = []
+            kkt = linalg._kkt_factorization
+
+            def spy(H, A_f, delta_w, delta_c, equilibrate=True):
+                deltas.append(delta_w)
+                return kkt(H, A_f, delta_w, delta_c, equilibrate)
+
+            monkeypatch.setattr(linalg, "_kkt_factorization", spy)
+            try:
+                result = eqp_solve(W, g, A, b, d, free, fixed, schedule, {})
+            finally:
+                monkeypatch.setattr(linalg, "_kkt_factorization", kkt)
+            return result, deltas
+
+        def checked_eqp_solve(W, g, A, b, d, free, fixed, schedule, records):
+            fresh_schedule = copy.copy(schedule)
+            args = [None if W is None else W.copy()]
+            args += [v.copy() for v in (g, A, b, d, free, fixed)]
+            fresh, deltas = tried_deltas(*args, fresh_schedule)
+            if state["free"] is None or not np.array_equal(free, state["free"]):
+                state["free"], state["tried"] = free.copy(), set()
+            state["expected"] += len(set(deltas) - state["tried"])
+            state["tried"] |= set(deltas)
+            before = calls[0]
+            counting[0] = True
+            try:
+                result = eqp_solve(W, g, A, b, d, free, fixed, schedule, records)
+            finally:
+                counting[0] = False
+            state["calls"] += 1
+            state["reused"] += calls[0] == before  # nothing factorized
+            state["partly"] += before < calls[0] < before + len(deltas)
+            q_free, y, delta_w, _ = result
+            assert q_free.tobytes() == fresh[0].tobytes() and q_free.dtype == fresh[0].dtype
+            assert y.tobytes() == fresh[1].tobytes() and y.dtype == fresh[1].dtype
+            assert np.float64(delta_w).tobytes() == np.float64(fresh[2]).tobytes()
+            assert schedule == fresh_schedule
+            return result
+
+        def counted_loop(*args):
+            state["free"] = None  # a new loop starts with no record
+            return loop(*args)
+
+        monkeypatch.setattr(linalg, "ldlt_factorize", counted_factorize)
+        monkeypatch.setattr(linalg, "_eqp_solve", checked_eqp_solve)
+        monkeypatch.setattr(linalg, "_active_set_loop", counted_loop)
+        rng = np.random.RandomState(21)
+        problems = []
+        for _ in range(60):
+            qp = random_convex_qp(rng)
+            lp = QPData(np.zeros((qp.n, qp.n)), qp.g, qp.A, qp.b, qp.d_lower, qp.d_upper)
+            W = rng.randn(qp.n, qp.n)
+            indefinite = dataclasses.replace(qp, W=W + W.T)
+            # mildly indefinite in a wide box: regularized full steps, after
+            # which delta_w = 0 is the one repeated pair of the working set
+            wide = dataclasses.replace(qp, W=qp.W - 0.6 * np.eye(qp.n),
+                                       d_lower=qp.d_lower - 10.0, d_upper=qp.d_upper + 10.0)
+            problems += [qp, lp, indefinite, wide]
+        for problem in problems:
+            sol = qp_solve(problem)
+            assert sol.status == OPTIMAL  # every problem is bounded
+        assert calls[0] == state["expected"]
+        assert state["calls"] > 800 and state["reused"] > 150 and state["partly"] > 5
+
+    def test_working_set_record_reuses_a_solution_only_for_the_same_bytes(self, monkeypatch):
+        # one record per working set, and a solve reused only for a
+        # right-hand side equal byte for byte: here the right-hand sides
+        # differ by the sign of a zero at delta_w = 0 (-g + 0 * d is -0.0
+        # for g = 0 and d = -0.0 only), then by d at a repeated delta_w > 0
+        # (the schedule's floor of 1e-10); each set's third call repeats the
+        # second's bytes
+        import copy
+
+        import modnlp.linalg as linalg
+
+        solves, solve = [0], linalg.solve_factorized
+
+        def counted_solve(fact, rhs):
+            solves[0] += 1
+            return solve(fact, rhs)
+
+        monkeypatch.setattr(linalg, "solve_factorized", counted_solve)
+        A, b = np.zeros((0, 2)), np.zeros(0)
+        free, fixed = np.arange(2), np.zeros(0, dtype=int)
+        g = np.array([0.0, 1.0])
+        working_sets = [
+            [(np.eye(2), np.array([d0, 0.0])) for d0 in (0.0, -0.0, -0.0, 0.0)],
+            [(np.zeros((2, 2)), np.array([d0, 0.0])) for d0 in (0.0, 1.0, 1.0, 0.0)],
+        ]
+        for calls in working_sets:
+            records, solved = {}, []
+            for W, d in calls:
+                schedule = RegularizationSchedule(last_successful=1e-10)
+                fresh = linalg._eqp_solve(W, g, A, b, d, free, fixed, copy.copy(schedule), {})
+                before = solves[0]
+                carried = linalg._eqp_solve(W, g, A, b, d, free, fixed, schedule, records)
+                solved.append(solves[0] - before)
+                for x, y in zip(carried[:3], fresh[:3]):
+                    assert np.float64(x).tobytes() == np.float64(y).tobytes()
+            assert len(records) == 1 and solved == [1, 1, 0, 1]
 
     # Each case: the QP, and the active-set loops qp_solve runs. The start
     # d = 0 misses A d = b; phase II starts from its projection only when W
@@ -1121,7 +1279,8 @@ class TestQPSolve:
                         shift = rng.choice([0.0, 5e-16, 2e-15, -5e-16, -2e-15])
                         (ub if p[j] > 0 else lb)[j] = d[j] + (t + shift) * p[j]
             expected = loop(d, p, lb, ub, 1e-13)
-            t_block, blocker, side = _ratio_test(d, p, lb, ub, 1e-13)
+            t_block, blocker, side = _ratio_test(
+                d, p, lb, ub, np.isfinite(lb), np.isfinite(ub), 1e-13)
             assert (t_block, blocker, side) == expected
 
     def test_warm_start(self):

@@ -3,7 +3,7 @@ import pytest
 
 from modnlp.corpus import corpus_get, corpus_names
 from modnlp.errors import UnknownProblemError
-from modnlp.model import check_derivatives, evaluate, instrument
+from modnlp.model import Evaluations, check_derivatives, evaluate, instrument
 
 
 def test_corpus_size_and_required_names():
@@ -39,6 +39,28 @@ def test_nan_propagation_reported_not_raised():
     model = corpus_get("hs007")  # contains log(1 + x^2)
     ev = evaluate(model, np.array([np.nan, 1.0]))
     assert not ev.is_finite
+
+
+def test_is_finite_checks_every_stored_part():
+    # f, c, g, J and H, in that order; a None part is not evaluated and skipped
+    parts = [1.5, np.array([0.0, -2.0]), np.array([1.0, 0.5, 3.0]),
+             np.arange(6.0).reshape(2, 3), np.eye(3)]
+    assert Evaluations(*parts).is_finite
+    for k in range(5):
+        for bad in (np.nan, np.inf, -np.inf):
+            broken = list(parts)
+            if k == 0:
+                broken[0] = bad
+            else:
+                broken[k] = parts[k].copy()
+                broken[k].flat[-1] = bad
+            assert Evaluations(*broken).is_finite is False
+            skipped = [None if j == k else part for j, part in enumerate(parts)]
+            assert Evaluations(*skipped).is_finite is True
+            broken[k] = None
+            assert Evaluations(*broken).is_finite is True
+    assert Evaluations(np.float64(np.nan), np.zeros(0)).is_finite is False
+    assert Evaluations(2.0, np.zeros(0), np.zeros(0), np.zeros((0, 0))).is_finite is True
 
 
 def test_evaluate_referentially_transparent():

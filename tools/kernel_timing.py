@@ -20,6 +20,18 @@ paths back to back; each line gives their best times and the median of
 the rounds' ratios, for the shape where that ratio is worst. The last
 line of each kind is the crossover: the smallest order from which the
 certificate is faster on every shape at every larger order timed.
+
+It then replays the KKT systems that _kkt_factorization receives at
+delta_c = 0 on one pass of the REPLAY workload and seed, whose tasks
+CHECKOUT/perfbench/workloads.py builds (the tool only reads that file).
+The certified path runs _kkt_factorization with both gates at 0, so that
+a refused system pays the certificate and then the eigenvalues and LU, as
+it would above its gate; the eigen path runs it with both gates past
+every order. Each path solves once where the record's inertia is
+(n, m, 0). The systems are grouped by kind (a scalar H or not) and order,
+and each group is timed whole, as above: its line gives the mean times
+per system, the ratio, and how many of its systems the certificate
+refused. The crossover is read as above.
 """
 from __future__ import annotations
 
@@ -27,11 +39,13 @@ import argparse
 import os
 import sys
 import timeit
+import warnings
 from pathlib import Path
 
 ORDERS = {"general": range(32, 129, 8), "scalar": range(16, 65, 4)}
 SHAPES = (0.2, 0.35, 0.49)
 REPEAT = 7
+REPLAY = ("scaled_qp", 1)
 
 
 def system(np, rng, kind: str, order: int, share: float):
@@ -74,6 +88,76 @@ def time_order(np, linalg, rng, kind: str, order: int):
     return worst
 
 
+def crossover(kind: str, orders, slower) -> str:
+    """The line that names the smallest order from which the certificate
+    is faster at every larger order timed (slower: the orders where not)."""
+    faster = [order for order in orders if not slower or order > slower[-1]]
+    return "%-7s crossover: %s" % (
+        kind, "N = %d" % faster[0] if faster else "none up to N = %d" % orders[-1])
+
+
+def replayed_systems(np, linalg, root: Path) -> dict:
+    """{(kind, order): [(H, A, delta_w, equilibrate, rhs), ...]} of the KKT
+    systems at delta_c = 0 that _kkt_factorization receives on one pass of
+    REPLAY, with a random right-hand side each."""
+    import modnlp
+
+    sys.path.insert(0, str(root / "perfbench"))
+    import workloads
+
+    workload, seed = REPLAY
+    tasks = workloads.WORKLOADS[workload](np.random.default_rng(seed))
+    rng = np.random.default_rng(0)
+    groups, kkt = {}, linalg._kkt_factorization
+
+    def recorded(H, A, delta_w, delta_c, equilibrate=True):
+        if delta_c == 0.0:
+            scalar = not isinstance(H, np.ndarray)
+            key = ("scalar" if scalar else "general", sum(A.shape))
+            groups.setdefault(key, []).append((
+                H if scalar else H.copy(), A.copy(), delta_w, equilibrate,
+                rng.standard_normal(sum(A.shape))))
+        return kkt(H, A, delta_w, delta_c, equilibrate)
+
+    linalg._kkt_factorization = recorded
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for task in tasks:
+                modnlp.solve(task.model, task.options)
+    finally:
+        linalg._kkt_factorization = kkt
+    return groups
+
+
+def time_group(np, linalg, systems):
+    """(certified seconds, eigen seconds, ratio) of one pass over systems
+    through _kkt_factorization with both gates at 0 (certified) and past
+    every order (eigen), and one solve each at the target inertia; best
+    loops and the median ratio of REPEAT rounds, as time_order."""
+    gates = linalg._CERTIFY_MIN_ORDER, linalg._SCALAR_MIN_ORDER
+
+    def replay():
+        for H, A, delta_w, equilibrate, rhs in systems:
+            fact = linalg._kkt_factorization(H, A, delta_w, 0.0, equilibrate)
+            if fact.inertia == (A.shape[1], A.shape[0], 0):
+                linalg.solve_factorized(fact, rhs)
+
+    number = max(1, 100 // len(systems))
+    rounds = []
+    try:
+        for _ in range(REPEAT):
+            row = []
+            for gate in (0, sys.maxsize):
+                linalg._CERTIFY_MIN_ORDER = linalg._SCALAR_MIN_ORDER = gate
+                row.append(timeit.timeit(replay, number=number) / number)
+            rounds.append(row)
+    finally:
+        linalg._CERTIFY_MIN_ORDER, linalg._SCALAR_MIN_ORDER = gates
+    rounds = np.array(rounds)
+    return (*rounds.min(axis=0), float(np.median(rounds[:, 0] / rounds[:, 1])))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
@@ -94,9 +178,28 @@ def main(argv=None) -> int:
                   % (kind, order, 1e6 * certified, 1e6 * eigen, ratio))
             if ratio >= 1.0:
                 slower.append(order)
-        faster = [order for order in orders if not slower or order > slower[-1]]
-        print("%-7s crossover: %s" % (
-            kind, "N = %d" % faster[0] if faster else "none up to N = %d" % orders[-1]))
+        print(crossover(kind, orders, slower))
+
+    groups = replayed_systems(np, linalg, args.root)
+    print("replayed: the KKT systems of one %s seed-%d pass, per order all of its systems"
+          % REPLAY)
+    for kind in ORDERS:
+        orders = sorted(order for k, order in groups if k == kind)
+        slower, count, refused = [], 0, 0
+        for order in orders:
+            systems = groups[kind, order]
+            certified, eigen, ratio = time_group(np, linalg, systems)
+            rejected = sum(linalg._certified_factorization(H, A, delta_w, equilibrate) is None
+                           for H, A, delta_w, equilibrate, _ in systems)
+            print("%-7s N=%4d  certified %8.1f us  eigen %8.1f us  ratio %.2f  (%d systems, "
+                  "%d refused)" % (kind, order, 1e6 * certified / len(systems),
+                                   1e6 * eigen / len(systems), ratio, len(systems), rejected))
+            if ratio >= 1.0:
+                slower.append(order)
+            count, refused = count + len(systems), refused + rejected
+        if orders:
+            print("%s  (replayed; the certificate refused %d of %d systems)"
+                  % (crossover(kind, orders, slower), refused, count))
     return 0
 
 

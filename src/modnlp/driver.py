@@ -33,7 +33,7 @@ from .linalg import (
     solve_factorized,  # noqa: F401 -- bound here for perfbench/layers.py
 )
 from .mechanism import BacktrackingLineSearch, TrustRegionMethod
-from .model import Model, evaluate, instrument
+from .model import EvaluationRecord, Model, instrument
 from .reformulation import scale_functions, to_equality_form
 from .relaxation import (
     FeasibilityRestoration,
@@ -299,50 +299,48 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def preprocess_initial_point(model: Model, x0: np.ndarray) -> np.ndarray:
-    """Proximal QP: the closest point to x0 satisfying the linear constraints
-    and the bounds. Raises if the linear constraints alone are infeasible."""
-    x0 = np.clip(x0, model.variable_lower, model.variable_upper)
+def preprocess_initial_point(start: EvaluationRecord) -> EvaluationRecord:
+    """Proximal QP: the closest point to x0 (start's point) satisfying the
+    linear constraints and the bounds, returned as its record (start itself
+    when the point stays x0 byte for byte). Raises if the linear
+    constraints alone are infeasible."""
+    model = start.model
+    clipped = start.at(np.clip(start.x, model.variable_lower, model.variable_upper))
     rows = list(model.linear_rows)
     if not rows:
-        return x0  # the clipped point is the projection onto the bounds
-    n = model.n
-    c0 = np.asarray(model.eval_constraints(x0), dtype=float)
-    J0 = np.asarray(model.eval_constraint_jacobian(x0), dtype=float).reshape(model.m, n)
-    A = J0[rows]
-    b = -c0[rows]
+        return clipped  # the clipped point is the projection onto the bounds
+    x0 = clipped.x
     qp = QPData(
-        W=np.eye(n),
-        g=np.zeros(n),
-        A=A,
-        b=b,
+        W=np.eye(model.n),
+        g=np.zeros(model.n),
+        A=clipped.jac_c[rows],
+        b=-clipped.c[rows],
         d_lower=model.variable_lower - x0,
         d_upper=model.variable_upper - x0,
     )
     try:
         sol = qp_solve(qp)
     except QPFailureError:  # an Optimal that fails its KKT check
-        return x0
+        return clipped
     if sol.status == INFEASIBLE:
         raise InfeasibleLinearConstraintsError(
             "the linear constraints and bounds are inconsistent"
         )
     if sol.status != OPTIMAL:
-        return x0
-    return x0 + sol.d
+        return clipped
+    return clipped.at(x0 + sol.d)
 
 
 def estimate_initial_multipliers(
-    model: Model, x0: np.ndarray, z0: np.ndarray, y_max: float
+    start: EvaluationRecord, z0: np.ndarray, y_max: float
 ) -> np.ndarray:
-    """Least-squares estimate of y from the stationarity equation; discarded
-    (y = 0) when it exceeds y_max in the infinity norm or the system is
-    singular."""
-    m, n = model.m, model.n
+    """Least-squares estimate of y from the stationarity equation at start's
+    point; discarded (y = 0) when it exceeds y_max in the infinity norm or
+    the system is singular."""
+    m = start.model.m
     if m == 0:
         return np.zeros(0)
-    grad = np.asarray(model.eval_objective_gradient(x0), dtype=float)
-    J = np.asarray(model.eval_constraint_jacobian(x0), dtype=float).reshape(m, n)
+    grad, J = start.grad_f, start.jac_c
     if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(J))):
         return np.zeros(m)
     y0 = least_squares_multipliers(J, grad - z0)
@@ -460,38 +458,35 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
             message=message,
         )
 
-    x0 = working.initial_point
-    ev0 = evaluate(working, x0)
-    if not ev0.is_finite:
-        return result(EVALUATION_ERROR, x0, ev0, message="IEEE exception at the initial point")
+    start = EvaluationRecord(working, working.initial_point)
+    if not _finite_with_derivatives(start):
+        return result(EVALUATION_ERROR, start.x, start,
+                      message="IEEE exception at the initial point")
 
     if opts.scale_functions:
-        working, factors = scale_functions(working, x0, opts.s_max)
+        working, factors, start = scale_functions(start, opts.s_max)
         s_f = factors.s_f
 
     ws = Workspace(working)
     subproblem, relaxation, mechanism = _build_ingredients(ws, opts)
     try:
-        x0 = preprocess_initial_point(working, working.initial_point)
+        start = preprocess_initial_point(start)
     except InfeasibleLinearConstraintsError as exc:
         # the certificate's residuals: zero multipliers at rho = 0
         zeros = np.zeros(working.n)
-        start = Iterate(x0, np.zeros(working.m), zeros, zeros, evaluate(working, x0))
-        res = compute_residuals(ws, start, 0.0, opts.multiplier_scaling_cap)
-        return result(INFEASIBLE_STATIONARY, x0, start.evals, res=res, rho=0.0,
+        certificate = Iterate(start.x, np.zeros(working.m), zeros, zeros, start)
+        res = compute_residuals(ws, certificate, 0.0, opts.multiplier_scaling_cap)
+        return result(INFEASIBLE_STATIONARY, start.x, start, res=res, rho=0.0,
                       message=str(exc))
 
-    x0, zl, zu = subproblem.initial_point(ws, x0)
-    y0 = estimate_initial_multipliers(working, x0, zl - zu, opts.y_max)
-    if opts.scale_functions or not np.array_equal(x0, working.initial_point):
-        ev = evaluate(working, x0)
-    else:
-        ev = ev0
-    if not ev.is_finite:
-        return result(EVALUATION_ERROR, x0, ev, y=y0, z=zl - zu,
+    x0, zl, zu = subproblem.initial_point(ws, start.x)
+    start = start.at(x0)
+    y0 = estimate_initial_multipliers(start, zl - zu, opts.y_max)
+    if not _finite_with_derivatives(start):
+        return result(EVALUATION_ERROR, x0, start, y=y0, z=zl - zu,
                       message="IEEE exception at the preprocessed initial point")
 
-    iterate = Iterate(x=x0, y=y0, zl=zl, zu=zu, evals=ev)
+    iterate = Iterate(x=x0, y=y0, zl=zl, zu=zu, evals=start)
     relaxation.initialize(iterate)
     termination = TerminationState(opts)
 
@@ -501,7 +496,6 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
     k = 0
     zero_steps = 0
     for k in range(opts.max_iterations):
-        ws.ensure_derivatives(iterate)
         rho = relaxation.measure_rho()
         res = compute_residuals(ws, iterate, rho, opts.multiplier_scaling_cap)
         status = termination.check(res, rho, relaxation.steered_to_zero())
@@ -542,12 +536,19 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
 
     if status is None:
         status, message = ITERATION_LIMIT, message or "outer iteration limit reached"
-        ws.ensure_derivatives(iterate)
     if res is None:
         res = compute_residuals(ws, iterate, relaxation.measure_rho(), opts.multiplier_scaling_cap)
     rho_final = 0.0 if status == INFEASIBLE_STATIONARY else relaxation.measure_rho()
     return result(status, iterate.x, iterate.evals, k, iterate.y, iterate.z, res, rho_final,
                   message)
+
+
+def _finite_with_derivatives(record: EvaluationRecord) -> bool:
+    """Whether f, c, the gradient and the Jacobian at a start point are
+    finite."""
+    return record.is_finite and bool(
+        np.isfinite(record.grad_f).all() and np.isfinite(record.jac_c).all()
+    )
 
 
 def _log_record(k, mechanism, relaxation, iterate) -> dict:

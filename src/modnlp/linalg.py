@@ -399,9 +399,9 @@ def inertia_correct(
     A: np.ndarray,
     schedule: RegularizationSchedule,
     delta_c_value: float = 1e-8,
-) -> tuple[Factorization, float, float]:
+) -> Factorization:
     """Regularize the KKT matrix [[H + dw I, A^T], [A, -dc I]] until its
-    inertia is exactly (n, m, 0).
+    inertia is exactly (n, m, 0), and return its factorization.
 
     dc is switched on only when zero eigenvalues indicate a rank-deficient A.
     Each trial is a _kkt_factorization: eigenvalues are computed only for
@@ -418,7 +418,7 @@ def inertia_correct(
             fact = _kkt_factorization(H, A, delta_w, delta_c)
         if fact.inertia == (n, m, 0):
             schedule.record_success(delta_w)
-            return fact, delta_w, delta_c
+            return fact
     raise RegularizationFailedError("regularization schedule exhausted")
 
 

@@ -14,22 +14,23 @@ from .errors import (
     StepTooSmallError,
     TinyRadiusError,
 )
-from .state import Iterate, Workspace
+from .state import Iterate
 from .subproblem import Direction
 
 _RECOVERABLE = (NonFiniteEvaluationError, RegularizationFailedError, SingularMatrixError)
 _MACHINE_EPS = float(np.finfo(float).eps)
 
 
-def assemble_trial(ws: Workspace, iterate: Iterate, direction: Direction, alpha: float) -> Iterate:
+def assemble_trial(iterate: Iterate, direction: Direction, alpha: float) -> Iterate:
     """Trial point: primal and constraint multipliers step by alpha, bound
     multipliers step by the direction's dual scale (full step for SQP,
-    fraction-to-boundary for IPM)."""
+    fraction-to-boundary for IPM). A trial whose x equals the iterate's byte
+    for byte (a zero step) shares the iterate's evaluation record."""
     x = iterate.x + alpha * direction.dx
     y = iterate.y + alpha * direction.dy
     zl = np.maximum(iterate.zl + direction.dual_scale * direction.dzl, 0.0)
     zu = np.maximum(iterate.zu + direction.dual_scale * direction.dzu, 0.0)
-    return Iterate(x=x, y=y, zl=zl, zu=zu, evals=ws.eval_fc(x))
+    return Iterate(x=x, y=y, zl=zl, zu=zu, evals=iterate.evals.at(x))
 
 
 class BacktrackingLineSearch:
@@ -53,7 +54,7 @@ class BacktrackingLineSearch:
         opts = self.opts
         alpha = direction.alpha_max
         for _ in range(opts.max_inner):
-            trial = assemble_trial(self.relaxation.ws, iterate, direction, alpha)
+            trial = assemble_trial(iterate, direction, alpha)
             if trial.evals.is_finite and self.relaxation.is_acceptable(
                 iterate, trial, direction, alpha
             ):
@@ -111,7 +112,7 @@ class TrustRegionMethod:
         radius = min(max(self.radius, opts.radius_min), opts.radius_max)
         for _ in range(opts.max_inner):
             direction = self.relaxation.compute_direction(iterate, trust_radius=radius)
-            trial = assemble_trial(self.relaxation.ws, iterate, direction, 1.0)
+            trial = assemble_trial(iterate, direction, 1.0)
             step_norm = float(np.max(np.abs(direction.dx), initial=0.0))
             activity_tol = opts.activity_tolerance_rel * radius
             if trial.evals.is_finite and self.relaxation.is_acceptable(

@@ -1,5 +1,5 @@
-"""Evaluable NLP models: the model interface, evaluation records, derivative
-checking, and evaluation-counting instrumentation.
+"""Evaluable NLP models: the model interface, the evaluation record of a
+point, derivative checking, and evaluation-counting instrumentation.
 
 Models carry general row bounds l <= c(x) <= u; the solver itself operates on
 equality form (every row reduced to c(x) = 0), produced by the reformulation
@@ -49,7 +49,8 @@ class Model:
 
 @dataclass(frozen=True)
 class Evaluations:
-    """Cached function values at one point; is_finite is false iff any stored
+    """Function values at one point as the subproblem kernels read them,
+    with the Hessian they are built from; is_finite is false iff any stored
     entry is NaN or infinite."""
 
     f: float
@@ -68,6 +69,99 @@ class Evaluations:
         return True
 
 
+class EvaluationRecord:
+    """Everything evaluated at one point x of one model, each at most once.
+
+    f, c, the gradient and the Jacobian are evaluated on first need, and
+    W_rho(x, y) once per exact (rho, y): the key is the bytes of both, so a
+    multiplier vector that changes (restoration resets y) evaluates afresh,
+    and no W is derived from another by linearity in rho, which would move
+    roundoff. Consumers must not write into the arrays it hands out.
+    Non-finite values are kept, not raised; is_finite reports them.
+    """
+
+    def __init__(self, model: Model, x: np.ndarray, f=None, c=None, grad_f=None, jac_c=None):
+        self.model = model
+        self.x = np.asarray(x, dtype=float)
+        self._f, self._c, self._grad_f, self._jac_c = f, c, grad_f, jac_c
+        self._hessians: dict[tuple[bytes, bytes], np.ndarray] = {}
+
+    def at(self, x: np.ndarray) -> "EvaluationRecord":
+        """This record if x equals its point byte for byte, else a new one."""
+        x = np.asarray(x, dtype=float)
+        if x.shape == self.x.shape and x.tobytes() == self.x.tobytes():
+            return self
+        return EvaluationRecord(self.model, x)
+
+    def scaled(self, model: Model, s_f: float, s_c: np.ndarray) -> "EvaluationRecord":
+        """The record of this point under model, whose callbacks scale f and
+        its gradient by s_f and c and the rows of its Jacobian by s_c: what
+        this record holds, times the factors, with the products the scaled
+        callbacks compute (reformulation.scale_functions), so the values
+        are bit for bit those of a fresh evaluation."""
+
+        def times(value, factor):
+            return None if value is None else factor * value
+
+        return EvaluationRecord(
+            model, self.x, times(self._f, s_f), times(self._c, s_c),
+            times(self._grad_f, s_f), times(self._jac_c, s_c[:, None]),
+        )
+
+    def _evaluate(self, callback, *shape, args=()):
+        """callback at x (then args), as a float or an array of the shape."""
+        with np.errstate(all="ignore"):
+            value = callback(self.x, *args)
+            return np.asarray(value, dtype=float).reshape(shape) if shape else float(value)
+
+    @property
+    def f(self) -> float:
+        if self._f is None:
+            self._f = self._evaluate(self.model.eval_objective)
+        return self._f
+
+    @property
+    def c(self) -> np.ndarray:
+        if self._c is None:
+            self._c = self._evaluate(self.model.eval_constraints, self.model.m)
+        return self._c
+
+    @property
+    def grad_f(self) -> np.ndarray:
+        if self._grad_f is None:
+            self._grad_f = self._evaluate(self.model.eval_objective_gradient, self.model.n)
+        return self._grad_f
+
+    @property
+    def jac_c(self) -> np.ndarray:
+        if self._jac_c is None:
+            self._jac_c = self._evaluate(
+                self.model.eval_constraint_jacobian, self.model.m, self.model.n
+            )
+        return self._jac_c
+
+    def lagrangian_hessian(self, rho: float, y: np.ndarray) -> np.ndarray:
+        """W_rho(x, y), evaluated once per exact (rho, y)."""
+        rho, y = float(rho), np.asarray(y, dtype=float)
+        key = (np.float64(rho).tobytes(), np.ascontiguousarray(y).tobytes())
+        if key not in self._hessians:
+            n = self.model.n
+            self._hessians[key] = self._evaluate(
+                self.model.eval_lagrangian_hessian, n, n, args=(rho, y)
+            )
+        return self._hessians[key]
+
+    def with_hessian(self, rho: float, y: np.ndarray) -> Evaluations:
+        """The values at x with W_rho(x, y), as the subproblem kernels read them."""
+        return Evaluations(self.f, self.c, self.grad_f, self.jac_c,
+                           self.lagrangian_hessian(rho, y))
+
+    @property
+    def is_finite(self) -> bool:
+        """Whether f and c are finite (the test of a trial point)."""
+        return math.isfinite(self.f) and bool(np.isfinite(self.c).all())
+
+
 def evaluate(
     model: Model,
     x: np.ndarray,
@@ -76,8 +170,9 @@ def evaluate(
     with_hessian: bool = False,
     with_derivatives: bool = True,
 ) -> Evaluations:
-    """Evaluate the model at x. Non-finite values are reported through
-    Evaluations.is_finite rather than raised; the driver decides recovery."""
+    """Evaluate the model at x once, outside any record (the derivative
+    checker's probes, and tools reading a result). Non-finite values are
+    reported through Evaluations.is_finite rather than raised."""
     x = np.asarray(x, dtype=float)
     if y is None:
         y = np.zeros(model.m)
@@ -174,7 +269,11 @@ def instrument(model: Model) -> tuple[Model, EvaluationCounts]:
     """Wrap a model so every callback invocation is counted.
 
     The objective counter is the comparison metric across solver
-    configurations.
+    configurations. The solver evaluates each point through one
+    EvaluationRecord, so a count is the number of distinct points (and, for
+    the Hessian, of distinct (x, rho, y)) at which that quantity was needed;
+    the one repeat is the constraint call of to_equality_form's slack start
+    at the initial point.
     """
     counts = EvaluationCounts()
     f, c = model.eval_objective, model.eval_constraints

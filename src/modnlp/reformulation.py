@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InconsistentBoundsError, NonFiniteEvaluationError
-from .model import Model
+from .model import EvaluationRecord, Model
 
 
 def to_equality_form(model: Model) -> Model:
@@ -88,14 +88,18 @@ class ScalingFactors:
     s_c: np.ndarray
 
 
-def scale_functions(model: Model, x0: np.ndarray, s_max: float):
+def scale_functions(start: EvaluationRecord, s_max: float):
     """Scale f and each c_j by min(1, s_max / ||gradient at x0||_inf), or
-    by 1 where that gradient is zero.
+    by 1 where that gradient is zero; start is the record of x0 under the
+    model to scale.
 
-    Applied once at the initial point and never rescaled.
+    Applied once at the initial point and never rescaled. Returns the scaled
+    model, the factors and the record of x0 under the scaled model, which
+    holds start's values scaled (EvaluationRecord.scaled), bit for bit those
+    of a fresh evaluation.
     """
-    grad0 = np.asarray(model.eval_objective_gradient(x0), dtype=float)
-    jac0 = np.asarray(model.eval_constraint_jacobian(x0), dtype=float).reshape(model.m, model.n)
+    model = start.model
+    grad0, jac0 = start.grad_f, start.jac_c
     if not (np.all(np.isfinite(grad0)) and np.all(np.isfinite(jac0))):
         raise NonFiniteEvaluationError("cannot scale: non-finite derivatives at x0")
 
@@ -123,5 +127,4 @@ def scale_functions(model: Model, x0: np.ndarray, s_max: float):
         eval_constraint_jacobian=lambda x: s_c[:, None] * np.asarray(base_jac(x)),
         eval_lagrangian_hessian=lambda x, rho, y: base_hess(x, rho * s_f, s_c * np.asarray(y)),
     )
-    return scaled, factors
-
+    return scaled, factors, start.scaled(scaled, s_f, s_c)

@@ -2,8 +2,10 @@
 
 The QP, LP and interior-point subproblems answer the same calls: an
 optimality direction, a feasibility (elastic) direction at a given rho, and
-the barrier questions. Each evaluates the Hessian it needs and returns a
-finished direction; the interior-point one owns the elastic barrier problem
+the barrier questions. Each asks the iterate's evaluation record for the
+Hessian it needs (one evaluation per (rho, y) at a point, however many
+steering re-solves or trust-region cycles ask) and returns a finished
+direction; the interior-point one owns the elastic barrier problem
 (elastic_evaluations) and its smoothed infeasibility. The l1 relaxation with
 penalty steering and feasibility restoration with phase switching build the
 progress measures and reduction models at their rho (the strategy reads its
@@ -11,8 +13,6 @@ own measure off them) and drive a subproblem through these calls alone,
 without knowing which one it is.
 """
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .linalg import (
     qp_solve,
     solve_factorized,  # noqa: F401 -- bound here for perfbench/layers.py
 )
-from .model import Evaluations, evaluate
+from .model import Evaluations
 from .state import Iterate, Workspace
 from .subproblem import (
     Direction,
@@ -105,12 +105,12 @@ def error_measure(
 class QPSubproblem:
     """Inequality-constrained QP subproblem solved by the active-set solver.
 
-    Both calls evaluate the Lagrangian Hessian W_rho they need and return a
-    direction with gtd = grad_f'dx and dwd = dx'W_rho dx. Where the trust
-    region pins a component, the direction takes its bound multipliers to
-    zero. There is no barrier: mu never changes, the barrier term is 0, and
-    both the start and restoration keep the given point with zero
-    multipliers.
+    Both calls take the Lagrangian Hessian W_rho they need from the
+    iterate's evaluation record and return a direction with gtd = grad_f'dx
+    and dwd = dx'W_rho dx. Where the trust region pins a component, the
+    direction takes its bound multipliers to zero. There is no barrier: mu
+    never changes, the barrier term is 0, and both the start and
+    restoration keep the given point with zero multipliers.
     """
 
     second_order = True
@@ -124,15 +124,15 @@ class QPSubproblem:
     def _build(self, ws, iterate, rho, trust_radius):
         """The QP at rho and the Hessian W_rho it is built from. Without a
         trust radius (the line search) W_rho is made positive definite."""
-        W = np.asarray(ws.model.eval_lagrangian_hessian(iterate.x, rho, iterate.y), dtype=float)
-        qp, _, tr_masks = build_sqp_qp(
-            replace(iterate.evals, hessian=W), iterate.x, rho, ws.lower, ws.upper,
+        evals = iterate.evals.with_hessian(rho, iterate.y)
+        qp, tr_masks = build_sqp_qp(
+            evals, iterate.x, rho, ws.lower, ws.upper,
             trust_radius=trust_radius,
             regularize=trust_radius is None,
             schedule=self.schedule,
             second_order=self.second_order,
         )
-        return qp, W, tr_masks
+        return qp, evals.hessian, tr_masks
 
     def optimality_direction(self, ws, iterate, trust_radius) -> Direction:
         qp, W, tr_masks = self._build(ws, iterate, 1.0, trust_radius)
@@ -178,24 +178,24 @@ class LPSubproblem(QPSubproblem):
     second_order = False
 
 
-def elastic_evaluations(ws, x, y, u, rho, with_hessian=False):
+def elastic_evaluations(ws, record, y, u, rho, with_hessian=False):
     """The elastic problem over (x, u+, u-), u = (u+, u-):
 
         min  rho f(x) + sum(u+) + sum(u-)
         s.t. c(x) - u+ + u- = 0,  u+ >= 0,  u- >= 0  (plus the bounds on x),
 
     evaluated at (x, u) in the elastic layout of linalg.extend_with_elastics,
-    with one evaluation of the model at x (the Hessian W_rho at y on
-    request). rho = 0 is the l1 feasibility problem; the elastic identity
-    blocks make the constraint Jacobian full row rank everywhere. Returns the
+    from the evaluation record of x (the Hessian W_rho at y on request).
+    rho = 0 is the l1 feasibility problem; the elastic identity blocks make
+    the constraint Jacobian full row rank everywhere. Returns the
     evaluations and the lower and upper bounds of (x, u)."""
     m = u.size // 2
-    ev = evaluate(ws.model, x, rho=rho, y=y, with_hessian=with_hessian)
+    W = record.lagrangian_hessian(rho, y) if with_hessian else None
     layout = extend_with_elastics(
-        QPData(ev.hessian, rho * ev.grad_f, ev.jac_c, -ev.c, ws.lower, ws.upper)
+        QPData(W, rho * record.grad_f, record.jac_c, -record.c, ws.lower, ws.upper)
     )
-    f = rho * ev.f + float(np.sum(u))
-    evals = Evaluations(f, ev.c - u[:m] + u[m:], layout.g, layout.A, layout.W)
+    f = rho * record.f + float(np.sum(u))
+    evals = Evaluations(f, record.c - u[:m] + u[m:], layout.g, layout.A, layout.W)
     return evals, layout.d_lower, layout.d_upper
 
 
@@ -248,11 +248,10 @@ class IPMSubproblem:
         return {"mu": self.mu}
 
     def optimality_direction(self, ws, iterate, trust_radius) -> Direction:
-        W = np.asarray(ws.model.eval_lagrangian_hessian(iterate.x, 1.0, iterate.y), dtype=float)
         ws.subproblem_solves += 1
         return ipm_solve_step(
-            replace(iterate.evals, hessian=W), iterate.x, iterate.y, iterate.zl, iterate.zu,
-            ws.lower, ws.upper, self.mu, self.schedule, self.opts.tau_min,
+            iterate.evals.with_hessian(1.0, iterate.y), iterate.x, iterate.y, iterate.zl,
+            iterate.zu, ws.lower, ws.upper, self.mu, self.schedule, self.opts.tau_min,
         )
 
     def _elastic_problem(self, ws, iterate, rho, with_hessian=False):
@@ -263,7 +262,7 @@ class IPMSubproblem:
         exact equality residuals and mu-consistent complementarity."""
         mu = self.mu
         u = np.concatenate(central_elastics(iterate.evals.c, mu))
-        eev, lower, upper = elastic_evaluations(ws, iterate.x, iterate.y, u, rho, with_hessian)
+        eev, lower, upper = elastic_evaluations(ws, iterate.evals, iterate.y, u, rho, with_hessian)
         w = np.concatenate([iterate.x, u])
         zl_full = np.concatenate([iterate.zl, mu / u])
         zu_full = np.concatenate([iterate.zu, np.zeros(u.size)])

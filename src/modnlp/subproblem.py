@@ -71,22 +71,21 @@ def build_sqp_qp(
     regularize: bool = False,
     schedule: RegularizationSchedule | None = None,
     second_order: bool = True,
-) -> tuple[QPData, float, np.ndarray]:
+) -> tuple[QPData, np.ndarray]:
     """Assemble the QP  min 1/2 d'Wd + rho grad_f'd  s.t. c + Jd = 0,
     bounds on x + d, and optionally ||d||_inf <= trust_radius.
 
     With regularize, W is shifted to W + delta_w I positive definite (the
     line-search lineage requirement). With second_order False the QP is an LP
-    (W = 0). Returns (qp, delta_w, trust-region-active-candidate mask pair).
+    (W = 0). Returns (qp, trust-region-active-candidate mask pair).
     """
     n = x.size
     if second_order:
         W = np.asarray(evals.hessian, dtype=float)
     else:
         W = np.zeros((n, n))
-    delta_w = 0.0
     if regularize and second_order:
-        W, delta_w = make_positive_definite(W, schedule or RegularizationSchedule())
+        W, _ = make_positive_definite(W, schedule or RegularizationSchedule())
     g = rho * np.asarray(evals.grad_f, dtype=float)
     A = np.asarray(evals.jac_c, dtype=float)
     b = -np.asarray(evals.c, dtype=float)
@@ -100,7 +99,7 @@ def build_sqp_qp(
         lb = np.maximum(lb, -trust_radius)
         ub = np.minimum(ub, trust_radius)
     qp = QPData(W, g, A, b, lb, ub)
-    return qp, delta_w, np.stack([tr_lower, tr_upper])
+    return qp, np.stack([tr_lower, tr_upper])
 
 
 def fraction_to_boundary(
@@ -212,7 +211,7 @@ def ipm_solve_step(
     H.flat[:: n + 1] += sigma
     r_d = grad - (J.T @ y if m else 0.0) + barrier_gradient_terms(x, lower, upper, mu)
 
-    fact, _, _ = inertia_correct(
+    fact = inertia_correct(
         H, J, schedule, delta_c_value=_DELTA_C_SCALE * max(mu, 1e-8) ** 0.25
     )
     rhs = np.concatenate([-r_d, -c])

@@ -14,7 +14,7 @@ from modnlp.driver import Options, preset_options, solve, validate_options
 from modnlp.errors import ConfigurationError
 from modnlp.globalization import Filter
 from modnlp.linalg import ldlt_factorize, qp_solve
-from modnlp.model import check_derivatives, evaluate
+from modnlp.model import EvaluationRecord, check_derivatives, evaluate
 from modnlp.reformulation import scale_functions, to_equality_form
 from modnlp.relaxation import (
     L1Relaxation,
@@ -321,7 +321,8 @@ def test_criterion_10_termination_cross_check(preset_results):
         for name, result in preset_results[preset].items():
             model = corpus_get(name)
             working = to_equality_form(model)
-            working, factors = scale_functions(working, working.initial_point, 100.0)
+            working, factors, _ = scale_functions(
+                EvaluationRecord(working, working.initial_point), 100.0)
             if result.status == "FeasibleKKT":
                 x_full = _lift(working, model, result.x)
                 ev = evaluate(working, x_full)

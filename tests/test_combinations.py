@@ -36,53 +36,53 @@ SHORT = {
 # (status, iterations, (f, c, gradient, Jacobian, Hessian) calls, subproblem solves)
 PINNED = {
     "maratos": {
-        "FR LP merit LS": ("IterationLimit", 0, (2, 2, 4, 4, 1), 1),
-        "FR LP merit TR": ("FeasibleKKT", 25, (97, 97, 29, 29, 70), 70),
-        "FR LP leyffer LS": ("IterationLimit", 0, (2, 2, 4, 4, 1), 1),
-        "FR LP leyffer TR": ("FeasibleKKT", 25, (97, 97, 29, 29, 70), 70),
-        "FR LP waechter LS": ("IterationLimit", 0, (2, 2, 4, 4, 1), 1),
-        "FR LP waechter TR": ("FeasibleKKT", 27, (103, 103, 31, 31, 74), 74),
-        "FR QP merit LS": ("FeasibleKKT", 6, (19, 19, 10, 10, 6), 6),
-        "FR QP merit TR": ("FeasibleKKT", 6, (18, 18, 10, 10, 10), 10),
-        "FR QP leyffer LS": ("FeasibleKKT", 6, (19, 19, 10, 10, 6), 6),
-        "FR QP leyffer TR": ("FeasibleKKT", 6, (18, 18, 10, 10, 10), 10),
-        "FR QP waechter LS": ("FeasibleKKT", 6, (19, 19, 10, 10, 6), 6),
-        "FR QP waechter TR": ("FeasibleKKT", 6, (18, 18, 10, 10, 10), 10),
-        "FR IPM merit LS": ("FeasibleKKT", 6, (19, 19, 10, 10, 6), 6),
-        "FR IPM leyffer LS": ("FeasibleKKT", 6, (19, 19, 10, 10, 6), 6),
-        "FR IPM waechter LS": ("FeasibleKKT", 6, (19, 19, 10, 10, 6), 6),
-        "L1 LP merit LS": ("IterationLimit", 0, (2, 2, 4, 4, 1), 1),
-        "L1 LP merit TR": ("FeasibleKKT", 31, (113, 113, 35, 35, 82), 82),
-        "L1 LP leyffer LS": ("IterationLimit", 0, (2, 2, 4, 4, 1), 1),
-        "L1 LP leyffer TR": ("FeasibleKKT", 23, (89, 89, 27, 27, 66), 66),
-        "L1 LP waechter LS": ("IterationLimit", 0, (2, 2, 4, 4, 1), 1),
-        "L1 LP waechter TR": ("FeasibleKKT", 25, (95, 95, 29, 29, 70), 70),
-        "L1 QP merit LS": ("FeasibleKKT", 40, (335, 335, 44, 44, 42), 42),
-        "L1 QP merit TR": ("FeasibleKKT", 22, (66, 66, 26, 26, 60), 60),
-        "L1 QP leyffer LS": ("FeasibleKKT", 14, (68, 68, 18, 18, 16), 16),
-        "L1 QP leyffer TR": ("FeasibleKKT", 6, (15, 15, 10, 10, 25), 25),
-        "L1 QP waechter LS": ("IterationLimit", 47, (444, 444, 51, 51, 50), 50),
-        "L1 QP waechter TR": ("FeasibleKKT", 6, (15, 15, 10, 10, 25), 25),
-        "L1 IPM merit LS": ("FeasibleKKT", 79, (835, 835, 254, 254, 92), 92),
-        "L1 IPM leyffer LS": ("FeasibleKKT", 1, (19, 19, 20, 20, 14), 14),
-        "L1 IPM waechter LS": ("FeasibleKKT", 1, (19, 19, 20, 20, 14), 14),
+        "FR LP merit LS": ("IterationLimit", 0, (1, 1, 1, 1, 1), 1),
+        "FR LP merit TR": ("FeasibleKKT", 25, (71, 71, 26, 26, 25), 70),
+        "FR LP leyffer LS": ("IterationLimit", 0, (1, 1, 1, 1, 1), 1),
+        "FR LP leyffer TR": ("FeasibleKKT", 25, (71, 71, 26, 26, 25), 70),
+        "FR LP waechter LS": ("IterationLimit", 0, (1, 1, 1, 1, 1), 1),
+        "FR LP waechter TR": ("FeasibleKKT", 27, (75, 75, 28, 28, 27), 74),
+        "FR QP merit LS": ("FeasibleKKT", 6, (12, 12, 7, 7, 6), 6),
+        "FR QP merit TR": ("FeasibleKKT", 6, (11, 11, 7, 7, 6), 10),
+        "FR QP leyffer LS": ("FeasibleKKT", 6, (12, 12, 7, 7, 6), 6),
+        "FR QP leyffer TR": ("FeasibleKKT", 6, (11, 11, 7, 7, 6), 10),
+        "FR QP waechter LS": ("FeasibleKKT", 6, (12, 12, 7, 7, 6), 6),
+        "FR QP waechter TR": ("FeasibleKKT", 6, (11, 11, 7, 7, 6), 10),
+        "FR IPM merit LS": ("FeasibleKKT", 6, (12, 12, 7, 7, 6), 6),
+        "FR IPM leyffer LS": ("FeasibleKKT", 6, (12, 12, 7, 7, 6), 6),
+        "FR IPM waechter LS": ("FeasibleKKT", 6, (12, 12, 7, 7, 6), 6),
+        "L1 LP merit LS": ("IterationLimit", 0, (1, 1, 1, 1, 1), 1),
+        "L1 LP merit TR": ("FeasibleKKT", 31, (81, 81, 32, 32, 33), 82),
+        "L1 LP leyffer LS": ("IterationLimit", 0, (1, 1, 1, 1, 1), 1),
+        "L1 LP leyffer TR": ("FeasibleKKT", 23, (65, 65, 24, 24, 25), 66),
+        "L1 LP waechter LS": ("IterationLimit", 0, (1, 1, 1, 1, 1), 1),
+        "L1 LP waechter TR": ("FeasibleKKT", 25, (69, 69, 26, 26, 27), 70),
+        "L1 QP merit LS": ("FeasibleKKT", 40, (294, 294, 41, 41, 42), 42),
+        "L1 QP merit TR": ("FeasibleKKT", 22, (42, 42, 22, 22, 40), 60),
+        "L1 QP leyffer LS": ("FeasibleKKT", 14, (53, 53, 15, 15, 16), 16),
+        "L1 QP leyffer TR": ("FeasibleKKT", 6, (7, 7, 6, 6, 24), 25),
+        "L1 QP waechter LS": ("IterationLimit", 47, (396, 396, 48, 48, 50), 50),
+        "L1 QP waechter TR": ("FeasibleKKT", 6, (7, 7, 6, 6, 24), 25),
+        "L1 IPM merit LS": ("FeasibleKKT", 79, (584, 584, 80, 80, 92), 92),
+        "L1 IPM leyffer LS": ("FeasibleKKT", 1, (2, 2, 2, 2, 14), 14),
+        "L1 IPM waechter LS": ("FeasibleKKT", 1, (2, 2, 2, 2, 14), 14),
     },
     "infeasible1": {
-        "FR LP merit LS": ("InfeasibleStationary", 9, (20, 20, 13, 13, 19), 19),
-        "FR LP merit TR": ("InfeasibleStationary", 9, (20, 20, 13, 13, 19), 19),
-        "FR LP leyffer LS": ("InfeasibleStationary", 9, (20, 20, 13, 13, 19), 19),
-        "FR LP leyffer TR": ("InfeasibleStationary", 9, (20, 20, 13, 13, 19), 19),
-        "FR LP waechter LS": ("InfeasibleStationary", 9, (20, 20, 13, 13, 19), 19),
-        "FR LP waechter TR": ("InfeasibleStationary", 9, (20, 20, 13, 13, 19), 19),
-        "FR QP merit LS": ("InfeasibleStationary", 9, (20, 20, 13, 13, 19), 19),
-        "FR QP merit TR": ("InfeasibleStationary", 9, (20, 20, 13, 13, 19), 19),
-        "FR QP leyffer LS": ("InfeasibleStationary", 9, (20, 20, 13, 13, 19), 19),
-        "FR QP leyffer TR": ("InfeasibleStationary", 9, (20, 20, 13, 13, 19), 19),
-        "FR QP waechter LS": ("InfeasibleStationary", 9, (20, 20, 13, 13, 19), 19),
-        "FR QP waechter TR": ("InfeasibleStationary", 9, (20, 20, 13, 13, 19), 19),
-        "FR IPM merit LS": ("InfeasibleStationary", 7, (59, 59, 20, 20, 8), 8),
-        "FR IPM leyffer LS": ("InfeasibleStationary", 7, (59, 59, 20, 20, 8), 8),
-        "FR IPM waechter LS": ("InfeasibleStationary", 7, (59, 59, 20, 20, 8), 8),
+        "FR LP merit LS": ("InfeasibleStationary", 9, (10, 10, 10, 10, 18), 19),
+        "FR LP merit TR": ("InfeasibleStationary", 9, (10, 10, 10, 10, 18), 19),
+        "FR LP leyffer LS": ("InfeasibleStationary", 9, (10, 10, 10, 10, 18), 19),
+        "FR LP leyffer TR": ("InfeasibleStationary", 9, (10, 10, 10, 10, 18), 19),
+        "FR LP waechter LS": ("InfeasibleStationary", 9, (10, 10, 10, 10, 18), 19),
+        "FR LP waechter TR": ("InfeasibleStationary", 9, (10, 10, 10, 10, 18), 19),
+        "FR QP merit LS": ("InfeasibleStationary", 9, (10, 10, 10, 10, 18), 19),
+        "FR QP merit TR": ("InfeasibleStationary", 9, (10, 10, 10, 10, 18), 19),
+        "FR QP leyffer LS": ("InfeasibleStationary", 9, (10, 10, 10, 10, 18), 19),
+        "FR QP leyffer TR": ("InfeasibleStationary", 9, (10, 10, 10, 10, 18), 19),
+        "FR QP waechter LS": ("InfeasibleStationary", 9, (10, 10, 10, 10, 18), 19),
+        "FR QP waechter TR": ("InfeasibleStationary", 9, (10, 10, 10, 10, 18), 19),
+        "FR IPM merit LS": ("InfeasibleStationary", 7, (42, 42, 8, 8, 8), 8),
+        "FR IPM leyffer LS": ("InfeasibleStationary", 7, (42, 42, 8, 8, 8), 8),
+        "FR IPM waechter LS": ("InfeasibleStationary", 7, (42, 42, 8, 8, 8), 8),
     },
 }
 
@@ -168,22 +168,22 @@ PRESET_CONFIGS = {
 
 # (status, iterations, (f, c, gradient, Jacobian, Hessian) calls, subproblem solves)
 PERTURBED_PINNED = {
-    ("mild", "hs071", "filtersqp"): ("FeasibleKKT", 5, (12, 13, 9, 9, 5), 5),
-    ("mild", "hs071", "ipopt"): ("FeasibleKKT", 11, (24, 25, 15, 15, 11), 11),
-    ("mild", "hs071", "byrd"): ("LooseToleranceKKT", 41, (84, 85, 45, 45, 41), 41),
-    ("mild", "hs071", "byrd_TR"): ("FeasibleKKT", 5, (12, 13, 9, 9, 5), 5),
-    ("mild", "maratos", "filtersqp"): ("FeasibleKKT", 25, (77, 77, 29, 29, 50), 50),
-    ("mild", "maratos", "ipopt"): ("FeasibleKKT", 5, (15, 15, 9, 9, 5), 5),
-    ("mild", "maratos", "byrd"): ("IterationLimit", 100, (1910, 1910, 104, 104, 100), 100),
-    ("mild", "maratos", "byrd_TR"): ("FeasibleKKT", 26, (83, 83, 30, 30, 56), 56),
-    ("strong", "hs071", "filtersqp"): ("FeasibleKKT", 5, (12, 13, 9, 9, 5), 5),
-    ("strong", "hs071", "ipopt"): ("FeasibleKKT", 10, (22, 23, 14, 14, 10), 10),
-    ("strong", "hs071", "byrd"): ("LooseToleranceKKT", 34, (70, 71, 38, 38, 34), 34),
-    ("strong", "hs071", "byrd_TR"): ("FeasibleKKT", 5, (12, 13, 9, 9, 5), 5),
-    ("strong", "maratos", "filtersqp"): ("FeasibleKKT", 26, (79, 79, 30, 30, 51), 51),
-    ("strong", "maratos", "ipopt"): ("FeasibleKKT", 7, (22, 22, 11, 11, 7), 7),
-    ("strong", "maratos", "byrd"): ("FeasibleKKT", 10, (34, 34, 14, 14, 10), 10),
-    ("strong", "maratos", "byrd_TR"): ("SmallTrustRegion", 57, (197, 197, 61, 61, 138), 138),
+    ("mild", "hs071", "filtersqp"): ("FeasibleKKT", 5, (6, 7, 6, 6, 5), 5),
+    ("mild", "hs071", "ipopt"): ("FeasibleKKT", 11, (13, 14, 13, 13, 11), 11),
+    ("mild", "hs071", "byrd"): ("LooseToleranceKKT", 41, (42, 43, 42, 42, 41), 41),
+    ("mild", "hs071", "byrd_TR"): ("FeasibleKKT", 5, (6, 7, 6, 6, 5), 5),
+    ("mild", "maratos", "filtersqp"): ("FeasibleKKT", 25, (51, 51, 26, 26, 25), 50),
+    ("mild", "maratos", "ipopt"): ("FeasibleKKT", 5, (9, 9, 6, 6, 5), 5),
+    ("mild", "maratos", "byrd"): ("IterationLimit", 100, (1809, 1809, 100, 100, 100), 100),
+    ("mild", "maratos", "byrd_TR"): ("FeasibleKKT", 26, (56, 56, 27, 27, 27), 56),
+    ("strong", "hs071", "filtersqp"): ("FeasibleKKT", 5, (6, 7, 6, 6, 5), 5),
+    ("strong", "hs071", "ipopt"): ("FeasibleKKT", 10, (12, 13, 12, 12, 10), 10),
+    ("strong", "hs071", "byrd"): ("LooseToleranceKKT", 34, (35, 36, 35, 35, 34), 34),
+    ("strong", "hs071", "byrd_TR"): ("FeasibleKKT", 5, (6, 7, 6, 6, 5), 5),
+    ("strong", "maratos", "filtersqp"): ("FeasibleKKT", 26, (52, 52, 27, 27, 26), 51),
+    ("strong", "maratos", "ipopt"): ("FeasibleKKT", 7, (14, 14, 8, 8, 7), 7),
+    ("strong", "maratos", "byrd"): ("FeasibleKKT", 10, (23, 23, 11, 11, 10), 10),
+    ("strong", "maratos", "byrd_TR"): ("SmallTrustRegion", 57, (139, 139, 58, 58, 58), 138),
 }
 
 

@@ -32,7 +32,7 @@ from modnlp.errors import (
     UnknownOptionError,
     UnknownPresetError,
 )
-from modnlp.model import Model, evaluate, instrument
+from modnlp.model import EvaluationRecord, Model, evaluate, instrument
 from modnlp.reformulation import to_equality_form
 
 INF = np.inf
@@ -65,18 +65,18 @@ def linear_model(A, b, lower=None, upper=None, x0=None):
 class TestPreprocessing:
     def test_projection_onto_simplex_slice(self):
         model = linear_model([[1.0, 1.0]], [2.0], lower=[0.0, 0.0])
-        x = preprocess_initial_point(model, np.zeros(2))
+        x = preprocess_initial_point(EvaluationRecord(model, np.zeros(2))).x
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-9)
 
     def test_feasible_point_unchanged(self):
         model = linear_model([[1.0, 1.0]], [2.0], lower=[0.0, 0.0])
-        x = preprocess_initial_point(model, np.array([0.5, 1.5]))
+        x = preprocess_initial_point(EvaluationRecord(model, np.array([0.5, 1.5]))).x
         np.testing.assert_allclose(x, [0.5, 1.5], atol=1e-9)
 
     def test_inconsistent_linear_rows(self):
         model = linear_model([[1.0], [1.0]], [1.0, 2.0])
         with pytest.raises(InfeasibleLinearConstraintsError):
-            preprocess_initial_point(model, np.zeros(1))
+            preprocess_initial_point(EvaluationRecord(model, np.zeros(1)))
 
     def test_no_linear_rows_clips_without_a_qp(self, monkeypatch):
         # without linear rows the projection onto the bounds is the clipped x0
@@ -88,7 +88,7 @@ class TestPreprocessing:
         monkeypatch.setattr(modnlp.driver, "qp_solve", no_qp)
         model = replace(linear_model([[1.0, 1.0]], [2.0], lower=[0.0, -1.0], upper=[1.0, INF]),
                         linear_rows=())
-        x = preprocess_initial_point(model, np.array([3.0, -5.0]))
+        x = preprocess_initial_point(EvaluationRecord(model, np.array([3.0, -5.0]))).x
         assert x.tolist() == [1.0, -1.0]
 
 
@@ -97,18 +97,21 @@ class TestMultiplierEstimate:
         # grad f = (1, 0), one constraint with gradient (1, 0): y = 1
         model = linear_model([[1.0, 0.0]], [0.0])
         object.__setattr__(model, "eval_objective_gradient", lambda x: np.array([1.0, 0.0]))
-        y = estimate_initial_multipliers(model, np.zeros(2), np.zeros(2), y_max=1e3)
+        start = EvaluationRecord(model, np.zeros(2))
+        y = estimate_initial_multipliers(start, np.zeros(2), y_max=1e3)
         np.testing.assert_allclose(y, [1.0], atol=1e-10)
 
     def test_threshold_discards(self):
         model = linear_model([[1e-4, 0.0]], [0.0])
         object.__setattr__(model, "eval_objective_gradient", lambda x: np.array([1.0, 0.0]))
-        y = estimate_initial_multipliers(model, np.zeros(2), np.zeros(2), y_max=10.0)
+        start = EvaluationRecord(model, np.zeros(2))
+        y = estimate_initial_multipliers(start, np.zeros(2), y_max=10.0)
         np.testing.assert_allclose(y, [0.0])
 
     def test_no_constraints(self):
         model = linear_model(np.zeros((0, 2)), np.zeros(0))
-        y = estimate_initial_multipliers(model, np.zeros(2), np.zeros(2), y_max=10.0)
+        start = EvaluationRecord(model, np.zeros(2))
+        y = estimate_initial_multipliers(start, np.zeros(2), y_max=10.0)
         assert y.size == 0
 
 
@@ -292,9 +295,9 @@ class TestSolve:
         assert "inconsistent" in result.message
 
     @pytest.mark.parametrize("case, pinned", [
-        ("nan start", ("EvaluationError", (1, 1, 1, 1, 0))),
-        ("inconsistent rows", ("InfeasibleStationary", (2, 3, 3, 4, 0))),
-        ("pole at the preprocessed point", ("EvaluationError", (2, 3, 4, 5, 0))),
+        ("nan start", ("EvaluationError", (1, 0, 0, 0, 0))),
+        ("inconsistent rows", ("InfeasibleStationary", (1, 1, 1, 1, 0))),
+        ("pole at the preprocessed point", ("EvaluationError", (2, 1, 2, 2, 0))),
     ])
     def test_early_exits_pinned(self, case, pinned):
         # each exit before the first iteration keeps its callback calls
@@ -330,7 +333,7 @@ class TestSolve:
         mus = [record["mu"] for record in records]
         assert mus[:3] == pytest.approx([0.1, 0.02, 0.02**1.5])
         assert (result.status, result.iterations, result.objective_evaluations) == (
-            "FeasibleKKT", 7, 16)
+            "FeasibleKKT", 7, 9)
         default = []
         solve(corpus_get("hs071"), preset_options("ipopt"), log=default.append)
         assert [record["mu"] for record in default][:3] == pytest.approx([0.1, 0.1, 0.02])
@@ -376,7 +379,7 @@ class TestSolve:
         result = solve(model, preset_options("byrd"))
         assert result.status == "FeasibleKKT"
         working = to_equality_form(model)
-        working, _ = scale_op(working, working.initial_point, 100.0)
+        working, _, _ = scale_op(EvaluationRecord(working, working.initial_point), 100.0)
         # rebuild the full working-space point (slack = constraint value)
         x_full = np.concatenate([result.x, np.zeros(working.n - model.n)])
         ev = evaluate(working, x_full)

@@ -151,3 +151,27 @@ def test_compare_counts_right_answers_per_combination(tmp_path, capsys):
     assert "  right answers, l1 QP: 2/2 -> 1/2  lost" in lines
     assert "  right answers: 3/4 -> 3/4" in lines
     assert lines[-1] == "5 solves, 2 differ, 0 differ in x by at most 0, max |dx| 0"
+
+
+def test_compare_reports_callback_totals_and_fewer_calls(tmp_path, capsys):
+    # per source: the five callback totals of A and B, and the records whose
+    # only difference is fewer calls in B; those still differ (exit 1)
+    compare = load_tool().compare
+    a = write(tmp_path / "a.json", {
+        "grid p": record([1.0]), "grid q": record([2.0]), "grid r": record([3.0]),
+        "preset ipopt": {"mu": 0.1}, "corpus seed 1 #0 s": record([1.0])})
+    b = write(tmp_path / "b.json", {
+        "grid p": record([1.0], counts=(4, 4, 5, 5, 3)),  # fewer calls only
+        "grid q": record([2.0], counts=(6, 7, 5, 5, 4)),  # one more call
+        "grid r": record([3.0], counts=(5, 6, 5, 5, 4), iterations=6),  # and an iteration
+        "preset ipopt": {"mu": 0.1}, "corpus seed 1 #0 s": record([1.0])})
+    assert compare(a, b) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "grid p: counts [6, 6, 5, 5, 4] -> [4, 4, 5, 5, 3]" in lines
+    assert ("  grid: callbacks (f, c, g, J, H) 18/18/15/15/12 -> 15/17/15/15/11, "
+            "1 differ only by fewer calls") in lines
+    assert ("  corpus seed 1: callbacks (f, c, g, J, H) 6/6/5/5/4 -> 6/6/5/5/4, "
+            "0 differ only by fewer calls") in lines
+    assert not any(line.startswith("  presets and Options: callbacks") for line in lines)
+    assert lines[-1] == "5 solves, 3 differ, 0 differ in x by at most 0, max |dx| 0"
+    assert compare(a, a) == 0

@@ -220,18 +220,32 @@ def gaussian_elimination(M, rhs):
     return x
 
 
+def corrected(H, A, schedule=None):
+    """inertia_correct's factorization with the shifts (dw, dc) it applied:
+    dw from the schedule, which records every positive dw it takes, and dc
+    from the (2,2) block of the factorized matrix, -dc s_i^2 after
+    equilibration (0 for a certified factorization, which has no matrix)."""
+    schedule = RegularizationSchedule() if schedule is None else schedule
+    before = schedule.last_successful
+    fact = inertia_correct(H, A, schedule)
+    dw = schedule.last_successful if schedule.last_successful != before else 0.0
+    n = H.shape[0]
+    dc = 0.0
+    if fact.matrix is not None and fact.matrix.shape[0] > n:
+        dc = -fact.matrix[n, n] / fact.row_scaling[n] ** 2
+    return fact, dw, dc
+
+
 class TestInertiaCorrection:
     def test_already_correct(self):
-        fact, dw, dc = inertia_correct(np.eye(2), np.array([[1.0, 0.0]]), RegularizationSchedule())
+        fact, dw, dc = corrected(np.eye(2), np.array([[1.0, 0.0]]))
         assert dw == 0.0 and dc == 0.0
         assert fact.inertia == (2, 1, 0)
 
     def test_negative_curvature_off_nullspace_needs_no_dw(self):
         # null(A) is spanned by e2 where H is positive: saddle matrix already
         # has the target inertia
-        fact, dw, dc = inertia_correct(
-            np.diag([-1.0, 1.0]), np.array([[1.0, 0.0]]), RegularizationSchedule()
-        )
+        fact, dw, dc = corrected(np.diag([-1.0, 1.0]), np.array([[1.0, 0.0]]))
         assert fact.inertia == (2, 1, 0) and dw == 0.0
 
     def test_indefinite_hessian_needs_dw(self):
@@ -240,7 +254,7 @@ class TestInertiaCorrection:
         H = np.diag([-1.0, 1.0])
         A = np.array([[0.0, 1.0]])
         schedule = RegularizationSchedule()
-        fact, dw, dc = inertia_correct(H, A, schedule)
+        fact, dw, dc = corrected(H, A, schedule)
         assert fact.inertia == (2, 1, 0)
         assert dw > 1.0
         # enumerate the schedule against the eigenvalue oracle: every
@@ -255,7 +269,7 @@ class TestInertiaCorrection:
     def test_zero_jacobian_row_needs_dc(self):
         H = np.eye(2)
         A = np.zeros((1, 2))
-        fact, dw, dc = inertia_correct(H, A, RegularizationSchedule())
+        fact, dw, dc = corrected(H, A)
         assert dc > 0.0
         assert fact.inertia == (2, 1, 0)
         assert fact.n_zero == 0
@@ -395,7 +409,7 @@ class TestBlockCertificate:
         H, A = nullspace_split(rng, n, n - 2, 1.0, -0.5)
         H += np.diag(10.0 ** rng.uniform(-6.0, 0.0, n))
         assert n + n - 2 >= _CERTIFY_MIN_ORDER and np.linalg.eigvalsh(H)[0] < 0.0
-        fact, dw, dc = inertia_correct(H, A, RegularizationSchedule())
+        fact, dw, dc = corrected(H, A)
         assert fact.matrix is None and fact.inertia == (n, n - 2, 0)
         assert dw == 0.0 and dc == 0.0 and calls == []
         K = assemble_kkt(H, A, 0.0, 0.0)
@@ -454,7 +468,7 @@ class TestBlockCertificate:
             K = assemble_kkt(H, A, 0.0, 0.0)
             assert ldlt_factorize_scaled(K).inertia == (n, m - 1, 1)
             assert _kkt_factorization(H, A, 0.0, 0.0).inertia == (n, m - 1, 1)
-            fact, dw, dc = inertia_correct(H, A, RegularizationSchedule())
+            fact, dw, dc = corrected(H, A)
             assert fact.inertia == (n, m, 0) and dw == 0.0 and dc > 0.0
 
     def test_pivots_above_zero_tol_do_not_certify(self):

@@ -11,7 +11,7 @@ from modnlp.mechanism import (
     TrustRegionMethod,
     assemble_trial,
 )
-from modnlp.model import evaluate
+from modnlp.model import EvaluationRecord
 from modnlp.reformulation import to_equality_form
 from modnlp.state import Iterate, Workspace
 from modnlp.subproblem import Direction
@@ -49,7 +49,7 @@ def make_iterate(ws):
     x = ws.model.initial_point.astype(float)
     return Iterate(
         x=x, y=np.zeros(ws.model.m), zl=np.zeros(ws.model.n), zu=np.zeros(ws.model.n),
-        evals=evaluate(ws.model, x),
+        evals=EvaluationRecord(ws.model, x),
     )
 
 
@@ -208,7 +208,7 @@ def test_assemble_trial_dual_steps():
         dzl=np.full(ws.model.n, -1.0), dzu=np.zeros(ws.model.n),
         status="Optimal", dual_scale=0.5,
     )
-    trial = assemble_trial(ws, it, d, alpha=0.25)
+    trial = assemble_trial(it, d, alpha=0.25)
     np.testing.assert_allclose(trial.x, it.x + 0.25)
     np.testing.assert_allclose(trial.y, it.y + 0.25)
     # bound multipliers step by dual_scale regardless of the backtracked alpha

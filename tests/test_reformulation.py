@@ -4,7 +4,7 @@ import pytest
 from modnlp.corpus import corpus_get
 from modnlp.errors import InconsistentBoundsError
 from modnlp.linalg import elastic_init, ldlt_factorize
-from modnlp.model import evaluate
+from modnlp.model import EvaluationRecord, evaluate
 from modnlp.reformulation import scale_functions, to_equality_form
 from modnlp.relaxation import elastic_evaluations
 from modnlp.state import Workspace
@@ -63,7 +63,7 @@ def test_equality_form_residual_consistency():
 def test_scaling_factors():
     model = to_equality_form(corpus_get("hs063"))
     x0 = model.initial_point
-    scaled, factors = scale_functions(model, x0, s_max=100.0)
+    scaled, factors, _ = scale_functions(EvaluationRecord(model, x0), s_max=100.0)
     ev = evaluate(model, x0)
     norm_f = np.max(np.abs(ev.grad_f))
     assert factors.s_f == pytest.approx(min(1.0, 100.0 / norm_f))
@@ -76,14 +76,14 @@ def test_scaling_capped_and_zero_norm_convention():
     from dataclasses import replace
 
     model = corpus_get("booth")  # grad f = 0 everywhere
-    scaled, factors = scale_functions(model, model.initial_point, s_max=100.0)
+    scaled, factors, _ = scale_functions(EvaluationRecord(model, model.initial_point), s_max=100.0)
     assert factors.s_f == 1.0  # zero-norm convention
     steep = replace(
         model,
         eval_objective=lambda x: 1000.0 * x[0],
         eval_objective_gradient=lambda x: np.array([1000.0, 0.0]),
     )
-    _, f2 = scale_functions(steep, model.initial_point, s_max=100.0)
+    _, f2, _ = scale_functions(EvaluationRecord(steep, model.initial_point), s_max=100.0)
     assert f2.s_f == pytest.approx(0.1)
 
 
@@ -100,7 +100,7 @@ def test_constraint_scaling_rule_per_row():
         constraint_upper=np.zeros(3),
         eval_constraint_jacobian=lambda x: jac,
     )
-    _, factors = scale_functions(rows, model.initial_point, s_max=100.0)
+    _, factors, _ = scale_functions(EvaluationRecord(rows, model.initial_point), s_max=100.0)
     assert factors.s_c.tolist() == [1.0, 1.0, 100.0 / 400.0]
     none = replace(
         model,
@@ -109,7 +109,7 @@ def test_constraint_scaling_rule_per_row():
         constraint_upper=np.zeros(0),
         eval_constraint_jacobian=lambda x: np.zeros((0, 2)),
     )
-    _, factors = scale_functions(none, model.initial_point, s_max=100.0)
+    _, factors, _ = scale_functions(EvaluationRecord(none, model.initial_point), s_max=100.0)
     assert factors.s_c.shape == (0,) and factors.s_c.dtype == float
 
 
@@ -130,7 +130,7 @@ def test_elastic_init():
 def elastic_at(base, x, rho):
     """The elastic problem at rho, at x with exact elastics (u+, u-) = (c+, c-)."""
     u = np.concatenate(elastic_init(evaluate(base, x, with_derivatives=False).c))
-    return elastic_evaluations(Workspace(base), x, np.zeros(base.m), u, rho)
+    return elastic_evaluations(Workspace(base), EvaluationRecord(base, x), np.zeros(base.m), u, rho)
 
 
 def test_elastic_model_objective_and_residual():
@@ -168,7 +168,8 @@ def test_elastic_jacobian_full_row_rank():
 def test_elastic_structure_sizes():
     base = to_equality_form(corpus_get("booth"))
     eev, lower, upper = elastic_evaluations(
-        Workspace(base), np.zeros(base.n), np.zeros(base.m), np.zeros(4), 1.0
+        Workspace(base), EvaluationRecord(base, np.zeros(base.n)), np.zeros(base.m), np.zeros(4),
+        1.0,
     )
     assert lower.size == upper.size == base.n + 4
     assert eev.c.size == 2

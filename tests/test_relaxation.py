@@ -14,7 +14,7 @@ from modnlp.driver import (
 )
 from modnlp.globalization import FilterMethod
 from modnlp.linalg import OPTIMAL, qp_solve
-from modnlp.model import Evaluations, evaluate, instrument
+from modnlp.model import EvaluationRecord, Evaluations, instrument
 from modnlp.reformulation import scale_functions, to_equality_form
 from modnlp.relaxation import (
     L1Relaxation,
@@ -36,11 +36,11 @@ def prepared(name, preset="byrd"):
     opts = validate_options(preset_options(preset))
     counted, _ = instrument(corpus_get(name))
     working = to_equality_form(counted)
-    working, _ = scale_functions(working, working.initial_point, 100.0)
+    working, _, start = scale_functions(EvaluationRecord(working, working.initial_point), 100.0)
     ws = Workspace(working)
-    x0 = preprocess_initial_point(working, working.initial_point)
-    y0 = estimate_initial_multipliers(working, x0, np.zeros(working.n), 1e3)
-    it = Iterate(x0, y0, np.zeros(working.n), np.zeros(working.n), evaluate(working, x0))
+    start = preprocess_initial_point(start)
+    y0 = estimate_initial_multipliers(start, np.zeros(working.n), 1e3)
+    it = Iterate(start.x, y0, np.zeros(working.n), np.zeros(working.n), start)
     _, relaxation, mechanism = _build_ingredients(ws, opts)
     relaxation.initialize(it)
     return ws, it, relaxation, mechanism
@@ -88,7 +88,6 @@ class TestErrorMeasure:
 class TestSteering:
     def test_no_steering_when_linearization_consistent(self):
         ws, it, relaxation, _ = prepared("hs028")
-        ws.ensure_derivatives(it)
         d = relaxation.compute_direction(it)
         assert not d.info["steered"]
         assert relaxation.rho == 1.0
@@ -97,7 +96,6 @@ class TestSteering:
         # maratos at its on-circle start needs |y| approx 1.5 > 1: the elastic
         # QP violates at rho = 1 and steering must bring l(d) to zero
         ws, it, relaxation, _ = prepared("maratos")
-        ws.ensure_derivatives(it)
         d = relaxation.compute_direction(it)
         info = d.info
         assert info["steered"]
@@ -110,7 +108,6 @@ class TestSteering:
         # sweep rho over a grid and check that the returned rho satisfies the
         # conditions while every larger scheduled rho fails at least one
         ws, it, relaxation, _ = prepared("maratos")
-        ws.ensure_derivatives(it)
         d = relaxation.compute_direction(it)
         rho_star = relaxation.rho
         c = np.asarray(it.evals.c)
@@ -135,7 +132,6 @@ class TestSteering:
         # at a feasible point whose feasibility step stays linearized-feasible
         # the dual-residual cap must not collapse rho
         ws, it, relaxation, _ = prepared("hs048")
-        ws.ensure_derivatives(it)
         relaxation.compute_direction(it)
         assert relaxation.rho > 1e-3
 
@@ -153,14 +149,12 @@ class TestSteering:
 class TestRestoration:
     def test_consistent_linearization_stays_optimality(self):
         ws, it, relaxation, _ = prepared("hs028", preset="filtersqp")
-        ws.ensure_derivatives(it)
         d = relaxation.compute_direction(it, trust_radius=10.0)
         assert relaxation.phase == OPTIMALITY
         assert d.status == OPTIMAL
 
     def test_infeasible_qp_switches_and_fqp_is_feasible(self):
         ws, it, relaxation, _ = prepared("infeasible1", preset="filtersqp")
-        ws.ensure_derivatives(it)
         # tiny trust region + inconsistent rows make the optimality QP infeasible
         d = relaxation.compute_direction(it, trust_radius=1e-3)
         assert relaxation.phase == RESTORATION
@@ -169,7 +163,6 @@ class TestRestoration:
 
     def test_filter_recorded_on_entry(self):
         ws, it, relaxation, _ = prepared("infeasible1", preset="filtersqp")
-        ws.ensure_derivatives(it)
         assert isinstance(relaxation.strategy, FilterMethod)
         before = len(relaxation.strategy.filter.entries)
         relaxation.compute_direction(it, trust_radius=1e-3)
@@ -204,7 +197,7 @@ class TestRestoration:
                 f=0.0, c=rng.randn(m), grad_f=rng.randn(n), jac_c=rng.randn(m, n),
                 hessian=np.eye(n),
             )
-            qp, _, _ = build_sqp_qp(
+            qp, _ = build_sqp_qp(
                 ev, rng.rand(n), 0.0, np.zeros(n), np.full(n, INF),
                 trust_radius=10 ** rng.uniform(-3, 1),
             )
@@ -233,7 +226,7 @@ def test_ipm_elastic_direction_curvature_is_base_hessian():
     ws, it, relaxation, _ = prepared("hs071", preset="ipopt")
     it.x = push_to_interior(it.x, ws.lower, ws.upper, relaxation.subproblem.opts.interior_push)
     it.zl, it.zu = initial_bound_multipliers(ws.lower, ws.upper)
-    it.evals = evaluate(ws.model, it.x)
+    it.evals = EvaluationRecord(ws.model, it.x)
     for rho in (0.0, 0.37, 1.0):
         direction = relaxation.subproblem.feasibility_direction(ws, it, rho, None)
         W = ws.model.eval_lagrangian_hessian(it.x, rho, it.y)

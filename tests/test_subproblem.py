@@ -36,7 +36,7 @@ class TestBuildQP:
     def test_bound_encoding(self):
         # min x^2 s.t. x >= 0 at x = 2: step to the origin
         ev = scalar_model_evals([[2.0]], [4.0], np.zeros(0), np.zeros((0, 1)))
-        qp, dw, tr = build_sqp_qp(ev, np.array([2.0]), 1.0, np.array([0.0]), np.array([INF]))
+        qp, tr = build_sqp_qp(ev, np.array([2.0]), 1.0, np.array([0.0]), np.array([INF]))
         assert qp.d_lower[0] == -2.0 and qp.d_upper[0] == INF
         from modnlp.linalg import qp_solve
 
@@ -45,7 +45,7 @@ class TestBuildQP:
 
     def test_trust_region_caps_step(self):
         ev = scalar_model_evals([[2.0]], [4.0], np.zeros(0), np.zeros((0, 1)))
-        qp, dw, tr = build_sqp_qp(
+        qp, tr = build_sqp_qp(
             ev, np.array([2.0]), 1.0, np.array([0.0]), np.array([INF]), trust_radius=1.0
         )
         assert qp.d_lower[0] == -1.0 and qp.d_upper[0] == 1.0
@@ -57,24 +57,25 @@ class TestBuildQP:
         ev = scalar_model_evals(np.eye(2), [1.0, -1.0], np.zeros(0), np.zeros((0, 2)))
         x = np.array([0.5, 1.5])
         lower, upper = np.zeros(2), np.array([2.0, INF])
-        plain, _, _ = build_sqp_qp(ev, x, 1.0, lower, upper)
-        capped, _, _ = build_sqp_qp(ev, x, 1.0, lower, upper, trust_radius=np.inf)
+        plain, _ = build_sqp_qp(ev, x, 1.0, lower, upper)
+        capped, _ = build_sqp_qp(ev, x, 1.0, lower, upper, trust_radius=np.inf)
         assert np.array_equal(plain.d_lower, capped.d_lower)
         assert np.array_equal(plain.d_upper, capped.d_upper)
 
     def test_regularize_makes_positive_definite(self):
         ev = scalar_model_evals([[-1.0]], [0.0], np.zeros(0), np.zeros((0, 1)))
-        qp, dw, _ = build_sqp_qp(
+        schedule = RegularizationSchedule()
+        qp, _ = build_sqp_qp(
             ev, np.array([0.0]), 1.0, np.array([-INF]), np.array([INF]),
-            regularize=True, schedule=RegularizationSchedule(),
+            regularize=True, schedule=schedule,
         )
-        assert dw > 1.0
+        assert schedule.last_successful > 1.0  # the schedule records the dw it took
         # independent eigen check of the returned Hessian
         assert np.all(np.linalg.eigvalsh(qp.W) > 0.0)
 
     def test_elastic_extension_always_feasible(self):
         ev = scalar_model_evals(np.eye(1), [0.0], [1.0], [[1.0]])
-        qp, _, _ = build_sqp_qp(
+        qp, _ = build_sqp_qp(
             ev, np.array([0.0]), 1.0, np.array([0.0]), np.array([0.0])
         )  # d fixed to 0, c = 1: inconsistent without elastics
         from modnlp.linalg import INFEASIBLE, OPTIMAL, qp_solve

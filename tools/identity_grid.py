@@ -26,8 +26,11 @@ iterations, the callback counts, subproblem_solves and the message must
 still match exactly. Before its last line it prints, for each source of
 records (the grid, the presets and Options, and each benchmark run), how
 many are identical, how many differ within TOL, how many differ, and the
-largest |dx|, and, per combination of the four parts, the grid's right
-answers in each file (a combination with fewer in B is marked "lost").
+largest |dx|; the totals of the five callback counts in A and in B, and how
+many records differ only by fewer callback calls in B (such records still
+differ: the report does not change the exit code); and, per combination of
+the four parts, the grid's right answers in each file (a combination with
+fewer in B is marked "lost").
 """
 from __future__ import annotations
 
@@ -179,14 +182,26 @@ def close(a, b, tol: float) -> bool:
     return all(abs(u - v) <= tol for u, v in zip(a, b))
 
 
+def fewer_calls(counts_a: list, counts_b: list) -> bool:
+    """Whether B made no callback call more than A and at least one fewer."""
+    return all(nb <= na for na, nb in zip(counts_a, counts_b)) and counts_a != counts_b
+
+
 def compare(path_a: str, path_b: str, x_tol: float = 0.0) -> int:
     a = json.loads(Path(path_a).read_text())
     b = json.loads(Path(path_b).read_text())
     # per source: identical, differ within x_tol, differ, max |dx|
     summary = {}
+    # per source: the five callback totals of A and of B, and the records
+    # that differ only by fewer callback calls in B
+    calls = {}
     for key in sorted(set(a) | set(b)):
         tally = summary.setdefault(source(key), [0, 0, 0, 0.0])
+        totals = calls.setdefault(source(key), [[0] * 5, [0] * 5, 0])
         ra, rb = a.get(key), b.get(key)
+        for side, rec in enumerate((ra, rb)):
+            if rec is not None and "counts" in rec:
+                totals[side] = [t + c for t, c in zip(totals[side], rec["counts"])]
         if ra is None or rb is None:
             print("%s: only in %s" % (key, path_a if rb is None else path_b))
             tally[2] += 1
@@ -195,6 +210,8 @@ def compare(path_a: str, path_b: str, x_tol: float = 0.0) -> int:
         if xa is not None and xb is not None and len(xa) == len(xb):
             tally[3] = max(tally[3], max((abs(u - v) for u, v in zip(xa, xb)), default=0.0))
         fields = [name for name in sorted(set(ra) | set(rb)) if ra.get(name) != rb.get(name)]
+        if fields == ["counts"] and fewer_calls(ra["counts"], rb["counts"]):
+            totals[2] += 1
         if fields and all(name in TOLERANT and close(ra.get(name), rb.get(name), x_tol)
                           for name in fields):
             tally[1] += 1
@@ -208,6 +225,10 @@ def compare(path_a: str, path_b: str, x_tol: float = 0.0) -> int:
     for name, (same, within, differ, dx) in summary.items():
         print("  %s: %d identical, %d within %g, %d differ, max |dx| %.3g"
               % (name, same, within, x_tol, differ, dx))
+        calls_a, calls_b, fewer = calls[name]
+        if any(calls_a) or any(calls_b):
+            print("  %s: callbacks (f, c, g, J, H) %s -> %s, %d differ only by fewer calls"
+                  % (name, "/".join(map(str, calls_a)), "/".join(map(str, calls_b)), fewer))
     right_a, right_b = right_answers(a), right_answers(b)
     for combo in sorted(set(right_a) | set(right_b)):
         ca, cb = right_a.get(combo, [0, 0]), right_b.get(combo, [0, 0])

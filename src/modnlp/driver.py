@@ -5,6 +5,7 @@ recovery policy.
 from __future__ import annotations
 
 import difflib
+import math
 import warnings
 from dataclasses import dataclass, fields, replace
 
@@ -97,7 +98,9 @@ class Options:
     """Every hyperparameter of the solver, and the only place that gives one
     a default: each part takes this object and reads its own constants from
     it. Loadable from file and overridable on the command line (command line
-    beats file beats preset beats these defaults)."""
+    beats file beats preset beats these defaults). validate_options admits
+    each numeric value in its range (_RANGES), finite except for the
+    options of INFINITE_MEANS."""
 
     constraint_relaxation_strategy: str = "feasibility_restoration"
     subproblem: str = "QP"
@@ -182,17 +185,21 @@ def _coerce(raw, current):
 def load_options_file(path: str) -> dict:
     """Plain-text option file: one `key value` pair per line, '#' comments."""
     mapping = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split(None, 1)
-            if len(parts) != 2:
-                raise ConfigurationError(
-                    "%s:%d: expected 'key value', got %r" % (path, line_no, line.rstrip())
-                )
-            mapping[parts[0]] = parts[1].strip()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError("cannot read options file %s: %s" % (path, exc)) from exc
+    for line_no, line in enumerate(lines, 1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        parts = text.split(None, 1)
+        if len(parts) != 2:
+            raise ConfigurationError(
+                "%s:%d: expected 'key value', got %r" % (path, line_no, line.rstrip())
+            )
+        mapping[parts[0]] = parts[1].strip()
     return mapping
 
 
@@ -245,11 +252,24 @@ _RANGES = (
 )
 
 
+# the options for which inf means something, and what it means; every other
+# numeric option must be finite (tolerance = inf would accept any point)
+INFINITE_MEANS = {
+    "y_max": "keep every least-squares multiplier estimate",
+    "s_max": "no function scaling",
+    "multiplier_scaling_cap": "residuals without dual scaling",
+    "radius_max": "no cap on the trust radius",
+    "eta_max_factor": "no upper bound on the constraint violation",
+}
+
+
 def validate_options(opts: Options) -> Options:
     for key, admits, bounds in _RANGES:
         value = getattr(opts, key)
         if not admits(value):
             raise ConfigurationError("option %s must be %s, got %r" % (key, bounds, value))
+        if isinstance(value, float) and not math.isfinite(value) and key not in INFINITE_MEANS:
+            raise ConfigurationError("option %s must be finite, got %r" % (key, value))
     for option, table in PARTS.items():
         value = getattr(opts, option)
         if value not in table:
@@ -491,13 +511,13 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
     termination = TerminationState(opts)
 
     status = None
-    res = None
+    res = measured = None  # the residuals, and the iterate they measure
     message = ""
     k = 0
     zero_steps = 0
     for k in range(opts.max_iterations):
         rho = relaxation.measure_rho()
-        res = compute_residuals(ws, iterate, rho, opts.multiplier_scaling_cap)
+        res, measured = compute_residuals(ws, iterate, rho, opts.multiplier_scaling_cap), iterate
         status = termination.check(res, rho, relaxation.steered_to_zero())
         if status is not None:
             break
@@ -536,7 +556,7 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
 
     if status is None:
         status, message = ITERATION_LIMIT, message or "outer iteration limit reached"
-    if res is None:
+    if measured is not iterate:  # an iterate accepted in the last iteration
         res = compute_residuals(ws, iterate, relaxation.measure_rho(), opts.multiplier_scaling_cap)
     rho_final = 0.0 if status == INFEASIBLE_STATIONARY else relaxation.measure_rho()
     return result(status, iterate.x, iterate.evals, k, iterate.y, iterate.z, res, rho_final,

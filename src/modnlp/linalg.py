@@ -4,15 +4,19 @@ and a primal active-set solver for (possibly nonconvex) QPs with equality
 constraints and box bounds.
 
 Every saddle-point system [[H + delta_w I, A^T], [A, -delta_c I]] goes
-through _kkt_factorization. Its one certificate, from the QR of A^T and a
-Cholesky factorization of the reduced Hessian Z^T H Z (none when H is a
-multiple of I, as in the QP's elastic phase I and the least-squares
-multipliers), proves the inertia (n, m, 0) and solves with the same factors
-by the null-space method; their triangular factors are inverted by halves
-(_triangular_inverse), so no LU inverse of a factor of order above 32 is
-left on the certified path. The eigenvalues and an LU decide elsewhere:
-below its order gates, at delta_c > 0, and where it refuses (m = 0, a
-rank-deficient A, or a reduced Hessian that is not positive definite).
+through _kkt_factorization. Its certificate proves the inertia (n, m, 0)
+and solves with the same factors. A diagonal H (a multiple of I, as in the
+QP's elastic phase I and the least-squares multipliers, or the diagonal
+W + Sigma of an interior-point step) takes the range-space proof: one
+Cholesky factorization of the Gram matrix B X^-1 B^T of order m. Any other
+H takes the null-space proof, from the QR of A^T and a Cholesky
+factorization of the reduced Hessian Z^T H Z, and so does a diagonal H that
+the range-space proof refuses. The triangular factors are inverted by
+halves (_triangular_inverse), so no LU inverse of a factor of order above
+32 is left on the certified path. The eigenvalues and an LU decide
+elsewhere: below its order gates, at delta_c > 0, and where both proofs
+refuse (m = 0, a rank-deficient A, or a reduced Hessian that is not
+positive definite).
 
 The active-set loop carries the record of the working set it last solved
 (for each delta_w tried: the Factorization, the right-hand side and the
@@ -168,74 +172,79 @@ def _triangular_inverse(T: np.ndarray, upper: bool) -> np.ndarray:
 
 
 def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factorization | None:
-    """The record of K = [[H + delta_w I, A^T], [A, 0]], H of order n or a
-    scalar (a multiple of I), solved with the factors that prove that no
-    eigenvalue of its equilibrated matrix, the one ldlt_factorize_scaled
-    factorizes (or of K itself, unless equilibrate), lies in [-t, t],
-    t = zero_tol, so that the inertia is (n, m, 0); None (refuse) when they
-    do not prove it.
+    """The record of K = [[H + delta_w I, A^T], [A, 0]], H a matrix of order
+    n, a vector (the diagonal of a diagonal H) or a scalar (a multiple of
+    I), solved with the factors that prove that no eigenvalue of its
+    equilibrated matrix, the one ldlt_factorize_scaled factorizes (or of K
+    itself, unless equilibrate), lies in [-t, t], t = zero_tol, so that the
+    inertia is (n, m, 0); None (refuse) when they do not prove it.
 
-    In exact arithmetic, with W and B the blocks of that matrix and
-    B^T = [Y Z] [R; 0] a QR factorization, K is orthogonally similar to
-    [[G, C^T, R], [C, M, 0], [R^T, 0, 0]], M = Z^T W Z, C = Z^T W Y,
-    G = Y^T W Y (Gould, Math. Prog. 32, 1985). Let M > mu I with mu > t,
-    and sigma_min(R)^2 > t (|G| + t) + t |C|^2 / (mu - t). Haynsworth on
-    K - tI, eliminating the order-2m block of G and R first, leaves
-    M - tI - C (G - tI + R R^T / t)^-1 C^T > 0, so K has n eigenvalues above
-    t; on K + tI it leaves M + tI + (a positive semidefinite term) > 0, so K
-    has m below -t. A rank-deficient A, or Z^T W Z with an eigenvalue
-    below t, refuses; the eigenvalues then decide.
+    Let W and B be the blocks of that matrix. A vector or a scalar H gives
+    a diagonal W = X = diag(x), and the range-space method proves and
+    solves (Nocedal & Wright, 2nd ed., 16.2). Let mu = min(x) > t and
+    G = (B X^-1/2) (B X^-1/2)^T. For every s in [-t, t], Haynsworth on
+    K - sI leaves X - sI > 0 and -sI - B (X - sI)^-1 B^T, which is negative
+    definite when B (X + tI)^-1 B^T > tI. Since (X + tI)^-1 >= mu / (mu + t)
+    X^-1, a Cholesky factorization of G - t (mu + t) / mu I proves it: K has
+    n eigenvalues above t and m below -t. For a scalar H this is
+    sigma_min(B)^2 > t (x + t).
 
-    A scalar H gives a diagonal W = h: then M >= min(h) I, |G| <= max(h)
-    and |C| = |Z^T (W - a I) Y| <= (max(h) - min(h)) / 2, so mu = min(h) needs
-    neither Z nor a Cholesky. Otherwise |G| is bounded by the largest row
-    sum of |W|, and M = Z^T W Z and the Frobenius norm of C are formed from
-    the QR of B^T: the Cholesky factor L of M, which solves, estimates
+    A matrix H takes the null-space method. With B^T = [Y Z] [R; 0] a QR
+    factorization, K is orthogonally similar to [[G, C^T, R], [C, M, 0],
+    [R^T, 0, 0]], M = Z^T W Z, C = Z^T W Y, G = Y^T W Y (Gould, Math.
+    Prog. 32, 1985). Let M > mu I with mu > t, and sigma_min(R)^2 > t (|G| +
+    t) + t |C|^2 / (mu - t). Haynsworth on K - tI, eliminating the order-2m
+    block of G and R first, leaves M - tI - C (G - tI + R R^T / t)^-1 C^T >
+    0, so K has n eigenvalues above t; on K + tI it leaves M + tI + (a
+    positive semidefinite term) > 0, so K has m below -t. |G| is bounded by
+    the largest row sum of |W|, and M and the Frobenius norm of C are formed
+    from the QR of B^T: the Cholesky factor L of M, which solves, estimates
     lambda_min(M) >= 1 / |L^-1|_F^2, and mu is half of that, proved by a
     Cholesky factorization of M - mu I.
 
+    A non-positive diagonal, a rank-deficient A, or Z^T W Z with an
+    eigenvalue below t refuses; the caller then decides by other means.
+
     In floating point each test is shifted past a bound on its own
     roundoff, so that rounding can only refuse. The QR factors are exact
-    for a B perturbed by at most about (n + m)^2 eps max |entry|, so t
-    becomes _cholesky_shift(n + m, max |entry|, t), sigma_min(R)^2 is that
-    of the Gram matrix R^T R, |C| is computed with its roundoff added, and
-    M - mu I is factorized shifted by _cholesky_shift(n, |W|, mu). With no
-    QR (a scalar H) t stays and the Gram matrix is B B^T. The Gram matrix is
+    for a B perturbed by at most about (n + m)^2 eps max |entry|, so for a
+    matrix H t becomes _cholesky_shift(n + m, max |entry|, t), sigma_min(R)^2
+    is that of the Gram matrix R^T R, |C| is computed with its roundoff
+    added, and M - mu I is factorized shifted by _cholesky_shift(n, |W|,
+    mu). A diagonal W needs no QR, and t stays. Either Gram matrix is
     factorized with the bound on sigma_min^2 subtracted and its diagonal
     reduced by the relative _schur_margin: the roundoff of a row-graded
-    Gram matrix is graded too, and a zero eigenvalue of B B^T (a dependent
-    row) computes as up to about m (n + m) eps times its diagonal, far
-    above t (max(h) + t) when h is tiny. Non-finite entries prove nothing
-    (LAPACK's Cholesky does not fail on them): they make an entry of the
-    equilibrated matrix NaN.
+    Gram matrix is graded too, and a zero eigenvalue of G (a dependent row)
+    computes as up to about m (n + m) eps times its diagonal, far above t
+    when x is tiny. Non-finite entries prove nothing (LAPACK's Cholesky
+    does not fail on them): they make an entry of the equilibrated matrix
+    NaN.
 
-    The solve is the null-space method with these factors (for a scalar H,
-    the closed form q = r1 / d + Q (u - v / d), lam = R^-1 (v - d u) of the
-    unscaled blocks, with u = R^-T r2, v = Q^T r1, d = H + delta_w and
-    A^T = QR, which never forms A A^T), refined on K's residual until the
-    next correction would be below roundoff or stop shrinking by half. It
-    applies R^-1 and L^-1, which _triangular_inverse builds by halves:
-    np.linalg.inv touches only their diagonal blocks up to order 32, and
-    no LU inverse of a whole factor is left. The inverses feed only the
+    The solve uses these factors: for a diagonal W, lam = G^-1 (B X^-1 r1 -
+    r2) and x = X^-1 (r1 - B^T lam) with the Cholesky factor L of G; for a
+    matrix H, the null-space method. Either is refined on K's residual until
+    the next correction would be below roundoff or stop shrinking by half.
+    It applies R^-1 and L^-1, which _triangular_inverse builds by halves:
+    np.linalg.inv touches only their diagonal blocks up to order 32, and no
+    LU inverse of a whole factor is left. The inverses feed only the
     estimate of mu and the solves; every proof is a Cholesky or the QR.
     """
     m, n = A.shape
     if m == 0 or n < m:
         return None
-    scalar = not isinstance(H, np.ndarray)
-    W = H + delta_w if scalar else (_shifted(H, delta_w) if delta_w else H)
+    diagonal = np.ndim(H) < 2
+    W = H + delta_w if diagonal else (_shifted(H, delta_w) if delta_w else H)
     if equilibrate:
         magnitude = np.abs(A)
-        rows = max(abs(W), 1e-300) if scalar else np.maximum(np.abs(W).max(axis=1), 1e-300)
-        s_H = 1.0 / np.sqrt(np.maximum(rows, magnitude.max(axis=0)))
+        rows = np.abs(W) if diagonal else np.abs(W).max(axis=1)
+        s_H = 1.0 / np.sqrt(np.maximum(np.maximum(rows, 1e-300), magnitude.max(axis=0)))
         s_A = 1.0 / np.sqrt(np.maximum(magnitude.max(axis=1), 1e-300))
     else:
         s_H, s_A = np.ones(n), np.ones(m)
     B = (s_A[:, None] * s_H) * A
-    if scalar:
+    if diagonal:
         X = (s_H * s_H) * W
-        mu, w = float(X.min()), float(X.max())
-        c, x_max = 0.5 * (w - mu), max(w, -mu)
+        x_max = float(np.abs(X).max())
     else:
         X = W * (s_H[:, None] * s_H)
         X = 0.5 * (X + X.T)
@@ -248,7 +257,15 @@ def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factori
     max_abs = max(x_max, b_max)
     zero_tol = t = _zero_tol(max_abs, n + m)
     try:
-        if not scalar:
+        if diagonal:
+            mu = float(X.min())
+            if not mu > t:
+                return None
+            B_half = B / np.sqrt(X)
+            gram = B_half @ B_half.T
+            L = np.linalg.cholesky(gram)  # solves; the shifted gram proves
+            shift = t * (mu + t) / mu
+        else:
             t = _cholesky_shift(n + m, max_abs, zero_tol)
             Q, R = np.linalg.qr(B.T, mode="complete")
             Y, Z, R = Q[:, :m], Q[:, m:], R[:m]
@@ -258,28 +275,26 @@ def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factori
             L_inv = _triangular_inverse(np.linalg.cholesky(M), upper=False)
             mu = 0.5 / float(np.sum(L_inv * L_inv)) if n > m else np.inf
             np.linalg.cholesky(_shifted(M, -_cholesky_shift(n, w, mu)))
-        if not mu > t:  # NaN refuses
-            return None
-        gram = B @ B.T if scalar else R.T @ R
-        gram.flat[:: m + 1] = gram.diagonal() * (1.0 - _schur_margin(n, m)) - (
-            t * (w + t) + t * c * c / (mu - t))
+            if not mu > t:  # NaN refuses
+                return None
+            gram = R.T @ R
+            shift = t * (w + t) + t * c * c / (mu - t)
+        gram.flat[:: m + 1] = gram.diagonal() * (1.0 - _schur_margin(n, m)) - shift
         np.linalg.cholesky(gram)
-        if scalar:
-            Q, R = np.linalg.qr(A.T)
-        R_inv = _triangular_inverse(R, upper=True)
+        if diagonal:
+            L_inv = _triangular_inverse(L, upper=False)
+        else:
+            R_inv = _triangular_inverse(R, upper=True)
     except np.linalg.LinAlgError:
         return None
 
-    if scalar:
+    if diagonal:
         def solve_once(rhs):
-            u = rhs[n:] @ R_inv
-            v = rhs[:n] @ Q
-            q = Q @ (u - v / W)
-            q += rhs[:n] / W
-            return np.concatenate([q, R_inv @ (v - W * u)])
+            lam = ((B @ (rhs[:n] / X) - rhs[n:]) @ L_inv.T) @ L_inv
+            return np.concatenate([(rhs[:n] - lam @ B) / X, lam])
 
         def product(z):
-            return np.concatenate([W * z[:n] + z[n:] @ A, A @ z[:n]])
+            return np.concatenate([X * z[:n] + z[n:] @ B, B @ z[:n]])
     else:
         def solve_once(rhs):
             x = Y @ (rhs[n:] @ R_inv)
@@ -301,7 +316,7 @@ def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factori
             last = step
         return z
 
-    row_scaling = np.concatenate([s_H, s_A]) if equilibrate and not scalar else None
+    row_scaling = np.concatenate([s_H, s_A]) if equilibrate else None
     return Factorization(None, (n, m, 0), zero_tol, row_scaling, solve)
 
 
@@ -311,7 +326,9 @@ def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factori
 # with one BLAS thread and prints the crossover order. Over three runs on a
 # 2-core Xeon it read 72 to 80 for a general H (certificate and one solve
 # over eigenvalues and LU: 1.17-1.26x at order 64, 0.88-0.89x at 80) and
-# 36 to 40 for a scalar H (1.17-1.32x at 32, 0.88-0.89x at 40).
+# 36 to 40 for a scalar H (1.17-1.32x at 32, 0.88-0.89x at 40). A matrix H
+# with no off-diagonal entry takes the range-space proof, as a scalar H
+# does, but _CERTIFY_MIN_ORDER gates it: one run read its crossover at 40.
 _CERTIFY_MIN_ORDER = 64
 _SCALAR_MIN_ORDER = 33
 
@@ -320,16 +337,22 @@ def _kkt_factorization(H, A, delta_w: float, delta_c: float,
                        equilibrate: bool = True) -> Factorization:
     """The record ldlt_factorize_scaled(assemble_kkt(H, A, delta_w,
     delta_c)) gives (ldlt_factorize's, unless equilibrate), H of order n or
-    a scalar (a multiple of I); at delta_c = 0 and from order
-    _CERTIFY_MIN_ORDER on (_SCALAR_MIN_ORDER for a scalar H), solved with
-    the factors of _certified_factorization when they prove the inertia
-    (n, m, 0), and then with no matrix of order n + m."""
+    a scalar (a multiple of I). At delta_c = 0 and from order
+    _CERTIFY_MIN_ORDER on (_SCALAR_MIN_ORDER for a scalar H), it is solved
+    with the factors of _certified_factorization when they prove the
+    inertia (n, m, 0), and then with no matrix of order n + m: first by the
+    range-space proof, for a scalar H or a matrix whose off-diagonal
+    entries are all zero, then, for a matrix, by the null-space proof."""
     m, n = A.shape
-    gate = _CERTIFY_MIN_ORDER if isinstance(H, np.ndarray) else _SCALAR_MIN_ORDER
-    if delta_c == 0.0 and n + m >= gate:
-        fact = _certified_factorization(H, A, delta_w, equilibrate)
-        if fact is not None:
-            return fact
+    matrix = isinstance(H, np.ndarray)
+    if delta_c == 0.0 and n + m >= (_CERTIFY_MIN_ORDER if matrix else _SCALAR_MIN_ORDER):
+        blocks = (H,)
+        if matrix and np.count_nonzero(H) == np.count_nonzero(H.diagonal()):
+            blocks = (H.diagonal(), H)  # no off-diagonal entry: range space first
+        for block in blocks:
+            fact = _certified_factorization(block, A, delta_w, equilibrate)
+            if fact is not None:
+                return fact
     K = assemble_kkt(H, A, delta_w, delta_c)
     return ldlt_factorize_scaled(K) if equilibrate else ldlt_factorize(K)
 
@@ -405,8 +428,8 @@ def inertia_correct(
 
     dc is switched on only when zero eigenvalues indicate a rank-deficient A.
     Each trial is a _kkt_factorization: eigenvalues are computed only for
-    small matrices, at dc > 0, and where the null-space certificate refuses
-    (A rank deficient, or Z^T (H + dw I) Z not positive definite).
+    small matrices, at dc > 0, and where the certificate refuses (A rank
+    deficient, or Z^T (H + dw I) Z not positive definite).
     """
     n = H.shape[0]
     m = A.shape[0]
@@ -424,9 +447,10 @@ def inertia_correct(
 
 def least_squares_multipliers(J: np.ndarray, r: np.ndarray) -> np.ndarray:
     """y of [[I, J^T], [J, 0]] (p, y) = (r, 0), the least-squares solution
-    of J^T y = r, by _kkt_factorization on the unscaled blocks: from the QR
-    of J^T when the certificate proves the inertia, else by ldlt_factorize
-    and LU. Zeros when that finds the matrix singular or y is not finite."""
+    of J^T y = r, by _kkt_factorization on the unscaled blocks: from the
+    Cholesky factor of J J^T, refined on the residual of that system, when
+    the range-space proof holds, else by ldlt_factorize and LU. Zeros when
+    that finds the matrix singular or y is not finite."""
     m, n = J.shape
     try:
         fact = _kkt_factorization(1.0, J, 0.0, 0.0, equilibrate=False)
@@ -834,8 +858,8 @@ def qp_solve(
     inconsistent constraints are reported as Infeasible (with the partial
     point) rather than raised. It is an LP with no Hessian at all: its
     working-set steps solve KKT systems with the scalar (1,1) block
-    delta_w I, from order _SCALAR_MIN_ORDER on by the closed form of
-    _certified_factorization when A_f has full row rank. Every working-set
+    delta_w I, from order _SCALAR_MIN_ORDER on by the range-space proof and
+    solve of _certified_factorization when A_f has full row rank. Every working-set
     system, phase I and phase II, reaches LAPACK through _kkt_factorization.
     With W = 0 the method acts as an LP solver.
     Nonconvex QPs terminate at first-order stationary points.

@@ -108,6 +108,21 @@ class TestCLI:
         assert main(args + ["--quiet"]) == 2
         assert args[3].split("=")[0] in capsys.readouterr().err
 
+    def test_non_finite_option_exit_two(self, capsys):
+        # tolerance = inf used to return FeasibleKKT at iteration 0
+        assert main(["-preset", "filtersqp", "-option", "tolerance=inf", "hs071", "--quiet"]) == 2
+        assert "option tolerance must be finite" in capsys.readouterr().err
+        assert main(["-preset", "filtersqp", "-option", "y_max=inf", "hs071", "--quiet"]) == 0
+
+    def test_missing_options_file_exit_two(self, tmp_path, capsys):
+        # used to end in a FileNotFoundError traceback and exit 1
+        for path in (tmp_path / "missing.opts", tmp_path):  # no file, a directory
+            assert main(["-preset", "filtersqp", "-options_file", str(path), "hs071",
+                         "--quiet"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot read options file %s" % path)
+            assert "Traceback" not in err
+
     def test_out_of_range_option_exit_two_under_optimize(self):
         # python -O strips asserts: the range check must not be one
         src = str(Path(modnlp.__file__).resolve().parents[1])

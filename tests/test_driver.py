@@ -15,6 +15,7 @@ from modnlp.driver import (
     PARTS,
     PRESETS,
     _RANGES,
+    INFINITE_MEANS,
     Options,
     Residuals,
     SolveResult,
@@ -249,6 +250,26 @@ class TestOptions:
         numeric = {f.name for f in fields(Options) if f.type in ("int", "float")}
         assert {key for key, _, _ in _RANGES} == numeric
 
+    def test_non_finite_value_is_refused_where_inf_means_nothing(self):
+        # +inf passes every range that has no upper end; only the options
+        # of INFINITE_MEANS admit it, and each of those solves with it
+        reals = [key for key, _, _ in _RANGES if isinstance(getattr(Options(), key), float)]
+        assert set(INFINITE_MEANS) <= set(reals)
+        for key in reals:
+            for value in (np.inf, -np.inf, np.nan):
+                opts = Options().updated({key: value})
+                if key in INFINITE_MEANS and value == np.inf:
+                    continue
+                with pytest.raises(ConfigurationError, match="option %s must be" % key):
+                    validate_options(opts)
+        for key in INFINITE_MEANS:
+            for preset in ("filtersqp", "ipopt", "byrd"):
+                opts = validate_options(preset_options(preset).updated({key: "inf"}))
+                assert solve(corpus_get("hs071"), opts).status in STATUSES
+        # an int option given a float inf (not through the parser) is refused too
+        with pytest.raises(ConfigurationError, match="max_iterations must be finite"):
+            validate_options(replace(Options(), max_iterations=np.inf))
+
     def test_every_range_admits_defaults_and_presets(self):
         for opts in [Options()] + [preset_options(name) for name in PRESETS]:
             validate_options(opts)
@@ -323,6 +344,26 @@ class TestSolve:
             assert (result.stationarity, result.feasibility, result.complementarity) == (
                 0.0, 2.0, 0.0)
             assert result.rho == 0.0
+
+    @pytest.mark.parametrize("problem, preset, scaled", [
+        ("hs071", "filtersqp", True),
+        *[(problem, preset, False) for problem in ("hs006", "hs039", "hs063")
+          for preset in ("filtersqp", "ipopt", "byrd")],
+    ])
+    def test_iteration_limit_reports_the_returned_iterate(self, problem, preset, scaled):
+        # at the outer limit the residuals are those of the returned x:
+        # its violation, recomputed through the model, is the reported
+        # feasibility (hs071 under filtersqp used to report 1.625, the
+        # violation one step earlier, against 0.0946 at the returned x)
+        model = corpus_get(problem)
+        options = replace(preset_options(preset), max_iterations=2, scale_functions=scaled)
+        result = solve(model, options)
+        c = np.asarray(model.eval_constraints(result.x))
+        violation = max(np.max(np.maximum(model.constraint_lower - c, c - model.constraint_upper)),
+                        np.max(np.maximum(model.variable_lower - result.x,
+                                          result.x - model.variable_upper), initial=0.0))
+        assert result.status == ITERATION_LIMIT and result.iterations == 2
+        assert result.feasibility == pytest.approx(max(violation, 0.0), rel=1e-12, abs=1e-15)
 
     def test_multiplier_scaling_cap_reaches_the_barrier_update(self):
         # the cap scales the barrier KKT error that decides each mu decrease,

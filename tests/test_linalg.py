@@ -315,15 +315,15 @@ class TestInertiaCorrection:
 
 
 def certified(H, A, delta_w=0.0, equilibrate=True):
-    """_certified_factorization's record of [[H + dw I, A^T], [A, 0]], or
-    None. When it certifies, the eigenvalue record of the matrix it proves
-    (ldlt_factorize_scaled's, or ldlt_factorize's unless equilibrate) must
-    have inertia (n, m, 0) and its zero_tol; up to order 16 the Jacobi
-    oracle must count the same."""
+    """_certified_factorization's record of [[H + dw I, A^T], [A, 0]] (H a
+    matrix, its diagonal or a scalar), or None. When it certifies, the
+    eigenvalue record of the matrix it proves (ldlt_factorize_scaled's, or
+    ldlt_factorize's unless equilibrate) must have inertia (n, m, 0) and its
+    zero_tol; up to order 16 the Jacobi oracle must count the same."""
     m, n = A.shape
     fact = _certified_factorization(H, A, delta_w, equilibrate)
     if fact is not None:
-        K = assemble_kkt(H, A, delta_w, 0.0)
+        K = assemble_kkt(np.diag(H) if np.ndim(H) == 1 else H, A, delta_w, 0.0)
         reference = ldlt_factorize_scaled(K) if equilibrate else ldlt_factorize(K)
         assert fact.matrix is None and fact.inertia == reference.inertia == (n, m, 0)
         assert fact.zero_tol == reference.zero_tol
@@ -608,6 +608,29 @@ def ipm_like(rng, n, m):
     return H, rng.randn(m, n) * 10.0 ** rng.uniform(-6.0, 6.0, (m, 1))
 
 
+def control_like(rng, n, m):
+    """A control-shaped interior-point block pair: the diagonal of H = W +
+    Sigma, from 1e-6 to 1e2, and a Jacobian whose rows are scaled by 10^-2
+    to 10^2."""
+    h = 10.0 ** rng.uniform(-6.0, 2.0, n)
+    return h, rng.randn(m, n) * 10.0 ** rng.uniform(-2.0, 2.0, (m, 1))
+
+
+def range_space_calls(monkeypatch):
+    """The H that _kkt_factorization passes to _certified_factorization, as
+    'diagonal' (a vector or a scalar) or 'matrix', call by call."""
+    import modnlp.linalg as linalg
+
+    calls, certify = [], linalg._certified_factorization
+
+    def spy(H, *args):
+        calls.append("diagonal" if np.ndim(H) < 2 else "matrix")
+        return certify(H, *args)
+
+    monkeypatch.setattr(linalg, "_certified_factorization", spy)
+    return calls
+
+
 class TestBlockKernel:
     """The certified factors of _kkt_factorization and their solves against
     ldlt_factorize_scaled plus solve_factorized, from order
@@ -674,6 +697,149 @@ class TestBlockKernel:
                     rhs = rng.randn(n + m) * 10.0 ** rng.uniform(-3.0, 3.0, n + m)
                     lu = backward_error(K, solve_factorized(reference, rhs), rhs)
                     assert backward_error(K, solve_factorized(fact, rhs), rhs) <= 10.0 * max(lu, 1e-16)
+        # a diagonal H with entries from 1 to 10^-q, at the control shapes:
+        # the range-space proof accepts up to p = 5 and refuses p = 12, and
+        # its refined solves stay within 10x the LU's backward error
+        for n, m, q in ((120, 60, 0.0), (140, 70, 4.0)):
+            for p in (3, 5, 12):
+                U = np.linalg.qr(rng.randn(m, m))[0]
+                V = np.linalg.qr(rng.randn(n, n))[0][:, :m]
+                A = U @ np.diag(np.logspace(0.0, -p, m)) @ V.T
+                h = rng.permutation(np.logspace(0.0, -q, n))
+                K = assemble_kkt(np.diag(h), A, 0.0, 0.0)
+                reference = ldlt_factorize_scaled(K)
+                fact = certified(h, A)
+                assert (fact is not None) == (p < 12)
+                assert _kkt_factorization(np.diag(h), A, 0.0, 0.0).inertia == reference.inertia
+                if fact is None:
+                    continue
+                for trial in range(3):
+                    rhs = rng.randn(n + m) * 10.0 ** rng.uniform(-3.0, 3.0, n + m)
+                    lu = backward_error(K, solve_factorized(reference, rhs), rhs)
+                    assert backward_error(K, solve_factorized(fact, rhs), rhs) <= 10.0 * max(lu, 1e-16)
+
+    def test_diagonal_hessian_takes_the_range_space_proof(self, monkeypatch):
+        # a diagonal H at the control shape, m about n / 2, orders 64 to
+        # 210: the range-space proof decides first, a certified record has
+        # the eigenvalue count's inertia, and it solves within 10x the LU's
+        # backward error
+        calls = range_space_calls(monkeypatch)
+        rng = np.random.RandomState(16)
+        by_range_space = 0
+        for order in (64, 96, 150, 180, 210):
+            m = order // 3
+            n = order - m
+            for trial in range(4):
+                h, A = control_like(rng, n, m)
+                H = np.diag(h)
+                K = assemble_kkt(H, A, 0.0, 0.0)
+                calls.clear()
+                fact = _kkt_factorization(H, A, 0.0, 0.0)
+                reference = ldlt_factorize_scaled(K)
+                assert calls[0] == "diagonal" and fact.inertia == reference.inertia
+                if fact.solve is None:
+                    continue
+                by_range_space += calls == ["diagonal"]
+                assert np.array_equal(fact.row_scaling, reference.row_scaling)
+                assert fact.zero_tol == reference.zero_tol
+                rhs = rng.randn(n + m) * 10.0 ** rng.uniform(-3.0, 3.0, n + m)
+                lu = backward_error(K, solve_factorized(reference, rhs), rhs)
+                assert backward_error(K, solve_factorized(fact, rhs), rhs) <= 10.0 * max(lu, 1e-16)
+        assert by_range_space >= 18
+
+    def test_diagonal_hessian_near_refusal(self, monkeypatch):
+        # sigma_min(A) swept across the range-space test's threshold, and
+        # the smallest diagonal entry across t: wherever the range-space
+        # proof certifies, the eigenvalue count finds (n, m, 0) (certified
+        # checks it); it refuses every equilibrated diagonal entry at or
+        # below t, and then the null-space proof and the eigenvalues decide
+        calls = range_space_calls(monkeypatch)
+        rng = np.random.RandomState(17)
+        n, m = 100, 50
+        U = np.linalg.qr(rng.randn(m, m))[0]
+        V = np.linalg.qr(rng.randn(n, n))[0][:, :m]
+        decisions = set()
+        for sigma in np.logspace(-7.0, -4.0, 13):
+            A = U @ np.diag(np.append(np.ones(m - 1), sigma)) @ V.T
+            h = np.ones(n)
+            reference = ldlt_factorize_scaled(assemble_kkt(np.diag(h), A, 0.0, 0.0))
+            decisions.add(certified(h, A) is not None)
+            assert _kkt_factorization(np.diag(h), A, 0.0, 0.0).inertia == reference.inertia
+        assert decisions == {True, False}
+        # unequilibrated, with rows of norm at most 1, the shift t (mu + t) /
+        # mu, not the margin, decides: sigma^2 from t / 10 to 10 t
+        zero_tol = ldlt_factorize(np.eye(n + m)).zero_tol
+        decisions = set()
+        for ratio in np.logspace(-1.0, 1.0, 21):
+            A = U @ np.diag(np.append(np.ones(m - 1), np.sqrt(ratio * zero_tol))) @ V.T
+            decisions.add(certified(np.ones(n), A, equilibrate=False) is not None)
+        assert decisions == {True, False}
+        A = rng.randn(m, n)
+        decisions = set()
+        for entry in np.logspace(-14.0, -8.0, 13):
+            h = np.ones(n)
+            h[3] = entry
+            H = np.diag(h)
+            reference = ldlt_factorize_scaled(assemble_kkt(H, A, 0.0, 0.0))
+            X = reference.row_scaling[:n] ** 2 * h
+            decision = certified(h, A) is not None
+            if X.min() <= reference.zero_tol:
+                assert not decision
+            decisions.add(decision)
+            calls.clear()
+            fact = _kkt_factorization(H, A, 0.0, 0.0)
+            assert fact.inertia == reference.inertia
+            assert calls == (["diagonal"] if decision else ["diagonal", "matrix"])
+        assert decisions == {True, False}
+
+    def test_diagonal_hessian_refusals(self, monkeypatch):
+        # a non-positive diagonal entry, a rank-deficient A and a non-finite
+        # entry are refused by the range-space proof; the record is then
+        # the null-space proof's or the eigenvalues'
+        calls = range_space_calls(monkeypatch)
+        rng = np.random.RandomState(18)
+        h, A = control_like(rng, 100, 50)
+        assert certified(h, A) is not None
+        for entry in (0.0, -1e-3, -10.0):
+            bad = h.copy()
+            bad[7] = entry
+            assert certified(bad, A) is None
+            reference = ldlt_factorize_scaled(assemble_kkt(np.diag(bad), A, 0.0, 0.0))
+            calls.clear()
+            assert _kkt_factorization(np.diag(bad), A, 0.0, 0.0).inertia == reference.inertia
+            assert calls == ["diagonal", "matrix"]
+        deficient = A.copy()
+        deficient[-1] = deficient[0]
+        assert certified(h, deficient) is None
+        fact = _kkt_factorization(np.diag(h), deficient, 0.0, 0.0)
+        reference = ldlt_factorize_scaled(assemble_kkt(np.diag(h), deficient, 0.0, 0.0))
+        assert fact.solve is None and fact.inertia == reference.inertia and fact.n_zero > 0
+        for bad in (np.nan, np.inf, -np.inf):
+            for block in ("H", "A"):
+                bad_h, bad_A = h.copy(), A.copy()
+                if block == "H":
+                    bad_h[5] = bad
+                else:
+                    bad_A[2, 5] = bad
+                with np.errstate(invalid="ignore"):
+                    assert _certified_factorization(bad_h, bad_A, 0.0, True) is None
+                    with pytest.raises(SingularMatrixError, match="non-finite"):
+                        _kkt_factorization(np.diag(bad_h), bad_A, 0.0, 0.0)
+
+    def test_non_diagonal_hessian_never_takes_the_range_space_proof(self, monkeypatch):
+        # a dense H, and a diagonal one with a single off-diagonal pair of
+        # 1e-300, go to the null-space proof only
+        calls = range_space_calls(monkeypatch)
+        rng = np.random.RandomState(19)
+        for trial in range(4):
+            H, A = ipm_like(rng, 70, 35)
+            _kkt_factorization(H, A, 0.0, 0.0)
+            h, A = control_like(rng, 70, 35)
+            H = np.diag(h)
+            H[3, 5] = H[5, 3] = 1e-300
+            fact = _kkt_factorization(H, A, 0.0, 0.0)
+            assert fact.inertia == ldlt_factorize_scaled(assemble_kkt(H, A, 0.0, 0.0)).inertia
+        assert len(calls) == 8 and set(calls) == {"matrix"}
 
     def test_decisions_are_the_certificates(self):
         # a certified system has the eigenvalue count's inertia (n, m, 0); a
@@ -754,8 +920,8 @@ class TestBlockKernel:
 
 
 class TestRangeSpaceStep:
-    """The certificate and closed-form step for a scalar (1,1) block,
-    delta I, against ldlt_factorize_scaled + solve_factorized on phase I's
+    """The range-space proof and step for a scalar (1,1) block, delta I,
+    against ldlt_factorize_scaled + solve_factorized on phase I's
     A_f = [A, -I, I]."""
 
     @staticmethod

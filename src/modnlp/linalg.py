@@ -1,7 +1,9 @@
 """Self-contained dense linear algebra: inertia and solves of symmetric
 indefinite matrices on LAPACK, inertia correction of saddle-point matrices,
 and a primal active-set solver for (possibly nonconvex) QPs with equality
-constraints and box bounds.
+constraints and box bounds. Its phase II starts at an iterated projection
+onto A d = b whenever W is not zero; the elastic phase I runs only for an
+LP and where no projection lands feasible.
 
 Every saddle-point system [[H + delta_w I, A^T], [A, -delta_c I]] goes
 through _kkt_factorization. Its certificate proves the inertia (n, m, 0)
@@ -672,16 +674,24 @@ def _ratio_test(d, p, lb, ub, lb_finite, ub_finite, step_tol):
     count (lb_finite and ub_finite are np.isfinite(lb) and np.isfinite(ub),
     which the loop computes once). In index order, a ratio takes the block
     only when below the current one by 1e-15, so only ratios below every
-    earlier one (strict running minima) can; a NaN ratio never does.
+    earlier one (strict running minima) can; a NaN ratio never does. The
+    last of them, the first smallest ratio, blocks when every earlier ratio
+    lies more than 1e-15 above it; only a near-tie there, or a NaN, walks
+    the strict running minima in order.
     """
     up = (p > step_tol) & ub_finite
-    moving = np.flatnonzero(up | ((p < -step_tol) & lb_finite))
-    ratios = (np.where(up, ub, lb)[moving] - d[moving]) / p[moving]
-    t_block, blocker = np.inf, -1
-    earlier_min = np.fmin.accumulate(np.concatenate([[np.inf], ratios[:-1]]))
-    for k in np.flatnonzero(ratios < earlier_min):
-        if ratios[k] < t_block - 1e-15:
-            t_block, blocker = ratios[k], moving[k]
+    moving = up | ((p < -step_tol) & lb_finite)
+    if not moving.any():
+        return np.inf, -1, _LOWER
+    ratios = np.divide(np.where(up, ub, lb) - d, p, out=np.full(d.size, np.inf), where=moving)
+    blocker = int(np.argmin(ratios))  # the first smallest, or the first NaN
+    t_block = ratios[blocker]
+    if not t_block < ratios[:blocker].min(initial=np.inf) - 1e-15:
+        t_block, blocker = np.inf, -1
+        earlier_min = np.fmin.accumulate(np.concatenate([[np.inf], ratios[:-1]]))
+        for k in np.flatnonzero(ratios < earlier_min):
+            if ratios[k] < t_block - 1e-15:
+                t_block, blocker = ratios[k], k
     side = _UPPER if blocker >= 0 and up[blocker] else _LOWER
     return max(t_block, 0.0), blocker, side
 
@@ -800,39 +810,33 @@ def _working_set(d, lb, ub) -> tuple[np.ndarray, np.ndarray]:
     return np.where(lower, lb, np.where(upper, ub, d)), codes
 
 
-def _is_convex(W: np.ndarray) -> bool:
-    """Whether W is nonzero and positive semidefinite to roundoff: a
-    Cholesky factorization of W + t I, t = _cholesky_shift(n, max |W|, 0),
-    succeeds. An LP's W = 0 is not."""
-    w_max = float(np.abs(W).max(initial=0.0))
-    if not 0.0 < w_max < np.inf:
-        return False
-    try:
-        np.linalg.cholesky(_shifted(W, _cholesky_shift(W.shape[0], w_max, 0.0)))
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _projected_start(A, b, d, lb, ub, feas_tol) -> np.ndarray:
-    """d + Delta, with the bounds d touches held and Delta the min-norm
-    correction over the free columns f: [[I, A_f^T], [A_f, 0]] (Delta,
-    lambda) = (0, b - A d), solved with the record of _kkt_factorization.
-    Returns d itself when that record's inertia is not (n_f, m, 0), the
-    solve fails, or d + Delta leaves [lb, ub] or misses A d = b by more
-    than feas_tol."""
+    """A point of {A d = b} in [lb, ub] by iterated projection, with the
+    bounds d touches held. Each round adds Delta, the min-norm correction
+    over the free columns f: [[I, A_f^T], [A_f, 0]] (Delta, lambda) = (0, b
+    - A d), solved with the record of _kkt_factorization; the components
+    that cross a bound are clipped to it and held, and the next round
+    projects again. Every round holds one more bound, so there are at most
+    n. Returns d itself when a record's inertia is not (n_f, m, 0) (as for
+    n_f < m: A_f then has dependent rows), a solve fails, or the point is
+    not finite or misses A d = b by more than feas_tol."""
     held, codes = _working_set(d, lb, ub)
-    free = np.flatnonzero(codes == _FREE)
-    fact = _kkt_factorization(1.0, A[:, free], 0.0, 0.0, equilibrate=False)
-    if fact.inertia != (free.size, b.size, 0):
-        return d
-    try:
-        delta = solve_factorized(fact, np.concatenate([np.zeros(free.size), b - A @ held]))
-    except SingularMatrixError:
-        return d
-    held[free] += delta[: free.size]
-    in_box = np.all(held >= lb) and np.all(held <= ub)  # NaN is not
-    if in_box and float(np.max(np.abs(b - A @ held))) <= feas_tol:
+    for _ in range(d.size):
+        free = np.flatnonzero(codes == _FREE)
+        fact = _kkt_factorization(1.0, A[:, free], 0.0, 0.0, equilibrate=False)
+        if fact.inertia != (free.size, b.size, 0):
+            return d
+        try:
+            delta = solve_factorized(fact, np.concatenate([np.zeros(free.size), b - A @ held]))
+        except SingularMatrixError:
+            return d
+        held[free] += delta[: free.size]
+        below, above = held < lb, held > ub
+        if not (below.any() or above.any()):
+            break
+        held = np.clip(held, lb, ub)
+        codes[below], codes[above] = _LOWER, _UPPER
+    if float(np.max(np.abs(b - A @ held))) <= feas_tol:  # NaN is not
         return held
     return d
 
@@ -847,12 +851,15 @@ def qp_solve(
 
     The start is d0 (start, or zero), moved onto the bounds that warm_start
     pins as the initial working set and clipped to the box. When d0 misses
-    A d = b and W is convex (_is_convex), phase II starts from its
-    projection (_projected_start): the min-norm point of {A d = b} with the
-    bounds d0 touches held, kept when it lies in the box (Nocedal & Wright,
-    Numerical Optimization, 2nd ed., 16.2 and 16.5). Phase I runs only when
-    that projection is not taken: for an LP (W = 0), whose vertex depends
-    on its start, and for a nonconvex W, whose stationary point does.
+    A d = b and W is not zero, convex or not, phase II starts from its
+    iterated projection (_projected_start): the min-norm point of {A d = b}
+    with the bounds d0 touches held, and with every bound a round crosses
+    held for the next (Nocedal & Wright, Numerical Optimization, 2nd ed.,
+    16.2 and 16.5). A convex QP's minimizer does not depend on which
+    feasible point phase II starts from (a nonconvex QP's stationary point
+    may, from either start). Phase I runs only when that projection is not
+    taken: for an LP (W = 0), whose vertex depends on its start, and when
+    no projection lands feasible.
 
     Phase I minimizes the elastic infeasibility of the equalities, so
     inconsistent constraints are reported as Infeasible (with the partial
@@ -891,7 +898,7 @@ def qp_solve(
 
     residual = (b - A @ d0) if m else np.zeros(0)
     phase1_iters = 0
-    if m and float(np.max(np.abs(residual))) > feas_tol and _is_convex(W):
+    if m and float(np.max(np.abs(residual))) > feas_tol and W.any():
         d0 = _projected_start(A, b, d0, lb, ub, feas_tol)
         residual = b - A @ d0
     if m and float(np.max(np.abs(residual))) > feas_tol:

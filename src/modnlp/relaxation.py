@@ -106,11 +106,12 @@ class QPSubproblem:
     """Inequality-constrained QP subproblem solved by the active-set solver.
 
     Both calls take the Lagrangian Hessian W_rho they need from the
-    iterate's evaluation record and return a direction with gtd = grad_f'dx
-    and dwd = dx'W_rho dx. Where the trust region pins a component, the
-    direction takes its bound multipliers to zero. There is no barrier: mu
-    never changes, the barrier term is 0, and both the start and
-    restoration keep the given point with zero multipliers.
+    iterate's evaluation record (the LP needs none) and return a direction
+    with gtd = grad_f'dx and dwd = dx'W_rho dx (0 for the LP). Where the
+    trust region pins a component, the direction takes its bound
+    multipliers to zero. There is no barrier: mu never changes, the barrier
+    term is 0, and both the start and restoration keep the given point with
+    zero multipliers.
     """
 
     second_order = True
@@ -123,8 +124,9 @@ class QPSubproblem:
 
     def _build(self, ws, iterate, rho, trust_radius):
         """The QP at rho and the Hessian W_rho it is built from. Without a
-        trust radius (the line search) W_rho is made positive definite."""
-        evals = iterate.evals.with_hessian(rho, iterate.y)
+        trust radius (the line search) W_rho is made positive definite. The
+        LP's W is 0: it calls no Hessian."""
+        evals = iterate.evals.with_hessian(rho, iterate.y) if self.second_order else iterate.evals
         qp, tr_masks = build_sqp_qp(
             evals, iterate.x, rho, ws.lower, ws.upper,
             trust_radius=trust_radius,
@@ -132,7 +134,7 @@ class QPSubproblem:
             schedule=self.schedule,
             second_order=self.second_order,
         )
-        return qp, evals.hessian, tr_masks
+        return qp, evals.hessian if self.second_order else qp.W, tr_masks
 
     def optimality_direction(self, ws, iterate, trust_radius) -> Direction:
         qp, W, tr_masks = self._build(ws, iterate, 1.0, trust_radius)
@@ -173,7 +175,8 @@ class QPSubproblem:
 
 
 class LPSubproblem(QPSubproblem):
-    """Sequential linear programming: no second-order information."""
+    """Sequential linear programming: no second-order information, so no
+    Hessian call and dwd = 0 in the merit model of every step."""
 
     second_order = False
 

@@ -5,7 +5,8 @@ ones also on infeasible1, where QP, LP and interior-point restoration all
 run. Each solve must return, with the status, iteration count, the five
 callback counts (objective, constraints, gradient, Jacobian, Hessian) and
 the subproblem solves recorded here. The four presets run again on hs071
-and maratos with every numeric option off its default.
+and maratos with every numeric option off its default, and their QP
+phase-I and phase-II loops over the 28 default starts are counted.
 """
 import itertools
 import warnings
@@ -13,7 +14,8 @@ from dataclasses import fields, replace
 
 import pytest
 
-from modnlp.corpus import corpus_get
+import modnlp.linalg as linalg
+from modnlp.corpus import corpus_get, corpus_names
 from modnlp.driver import (
     MECHANISMS,
     RELAXATIONS,
@@ -33,15 +35,16 @@ SHORT = {
     "l1_merit": "merit",
 }
 
-# (status, iterations, (f, c, gradient, Jacobian, Hessian) calls, subproblem solves)
+# (status, iterations, (f, c, gradient, Jacobian, Hessian) calls, subproblem
+# solves); the LP's W is 0, so it calls no Hessian
 PINNED = {
     "maratos": {
-        "FR LP merit LS": ("IterationLimit", 0, (1, 1, 1, 1, 1), 1),
-        "FR LP merit TR": ("FeasibleKKT", 25, (71, 71, 26, 26, 25), 70),
-        "FR LP leyffer LS": ("IterationLimit", 0, (1, 1, 1, 1, 1), 1),
-        "FR LP leyffer TR": ("FeasibleKKT", 25, (71, 71, 26, 26, 25), 70),
-        "FR LP waechter LS": ("IterationLimit", 0, (1, 1, 1, 1, 1), 1),
-        "FR LP waechter TR": ("FeasibleKKT", 27, (75, 75, 28, 28, 27), 74),
+        "FR LP merit LS": ("IterationLimit", 0, (1, 1, 1, 1, 0), 1),
+        "FR LP merit TR": ("FeasibleKKT", 25, (71, 71, 26, 26, 0), 70),
+        "FR LP leyffer LS": ("IterationLimit", 0, (1, 1, 1, 1, 0), 1),
+        "FR LP leyffer TR": ("FeasibleKKT", 25, (71, 71, 26, 26, 0), 70),
+        "FR LP waechter LS": ("IterationLimit", 0, (1, 1, 1, 1, 0), 1),
+        "FR LP waechter TR": ("FeasibleKKT", 27, (75, 75, 28, 28, 0), 74),
         "FR QP merit LS": ("FeasibleKKT", 6, (12, 12, 7, 7, 6), 6),
         "FR QP merit TR": ("FeasibleKKT", 6, (11, 11, 7, 7, 6), 10),
         "FR QP leyffer LS": ("FeasibleKKT", 6, (12, 12, 7, 7, 6), 6),
@@ -51,12 +54,12 @@ PINNED = {
         "FR IPM merit LS": ("FeasibleKKT", 6, (12, 12, 7, 7, 6), 6),
         "FR IPM leyffer LS": ("FeasibleKKT", 6, (12, 12, 7, 7, 6), 6),
         "FR IPM waechter LS": ("FeasibleKKT", 6, (12, 12, 7, 7, 6), 6),
-        "L1 LP merit LS": ("IterationLimit", 0, (1, 1, 1, 1, 1), 1),
-        "L1 LP merit TR": ("FeasibleKKT", 31, (81, 81, 32, 32, 33), 82),
-        "L1 LP leyffer LS": ("IterationLimit", 0, (1, 1, 1, 1, 1), 1),
-        "L1 LP leyffer TR": ("FeasibleKKT", 23, (65, 65, 24, 24, 25), 66),
-        "L1 LP waechter LS": ("IterationLimit", 0, (1, 1, 1, 1, 1), 1),
-        "L1 LP waechter TR": ("FeasibleKKT", 25, (69, 69, 26, 26, 27), 70),
+        "L1 LP merit LS": ("IterationLimit", 0, (1, 1, 1, 1, 0), 1),
+        "L1 LP merit TR": ("FeasibleKKT", 31, (81, 81, 32, 32, 0), 82),
+        "L1 LP leyffer LS": ("IterationLimit", 0, (1, 1, 1, 1, 0), 1),
+        "L1 LP leyffer TR": ("FeasibleKKT", 23, (65, 65, 24, 24, 0), 66),
+        "L1 LP waechter LS": ("IterationLimit", 0, (1, 1, 1, 1, 0), 1),
+        "L1 LP waechter TR": ("FeasibleKKT", 25, (69, 69, 26, 26, 0), 70),
         "L1 QP merit LS": ("FeasibleKKT", 40, (294, 294, 41, 41, 42), 42),
         "L1 QP merit TR": ("FeasibleKKT", 22, (42, 42, 22, 22, 40), 60),
         "L1 QP leyffer LS": ("FeasibleKKT", 14, (53, 53, 15, 15, 16), 16),
@@ -68,12 +71,12 @@ PINNED = {
         "L1 IPM waechter LS": ("FeasibleKKT", 1, (2, 2, 2, 2, 14), 14),
     },
     "infeasible1": {
-        "FR LP merit LS": ("InfeasibleStationary", 9, (10, 10, 10, 10, 18), 19),
-        "FR LP merit TR": ("InfeasibleStationary", 9, (10, 10, 10, 10, 18), 19),
-        "FR LP leyffer LS": ("InfeasibleStationary", 9, (10, 10, 10, 10, 18), 19),
-        "FR LP leyffer TR": ("InfeasibleStationary", 9, (10, 10, 10, 10, 18), 19),
-        "FR LP waechter LS": ("InfeasibleStationary", 9, (10, 10, 10, 10, 18), 19),
-        "FR LP waechter TR": ("InfeasibleStationary", 9, (10, 10, 10, 10, 18), 19),
+        "FR LP merit LS": ("InfeasibleStationary", 9, (10, 10, 10, 10, 0), 19),
+        "FR LP merit TR": ("InfeasibleStationary", 9, (10, 10, 10, 10, 0), 19),
+        "FR LP leyffer LS": ("InfeasibleStationary", 9, (10, 10, 10, 10, 0), 19),
+        "FR LP leyffer TR": ("InfeasibleStationary", 9, (10, 10, 10, 10, 0), 19),
+        "FR LP waechter LS": ("InfeasibleStationary", 9, (10, 10, 10, 10, 0), 19),
+        "FR LP waechter TR": ("InfeasibleStationary", 9, (10, 10, 10, 10, 0), 19),
         "FR QP merit LS": ("InfeasibleStationary", 9, (10, 10, 10, 10, 18), 19),
         "FR QP merit TR": ("InfeasibleStationary", 9, (10, 10, 10, 10, 18), 19),
         "FR QP leyffer LS": ("InfeasibleStationary", 9, (10, 10, 10, 10, 18), 19),
@@ -214,3 +217,26 @@ def test_perturbed_options_pinned(perturbation, problem, config):
         result.subproblem_solves,
     )
     assert observed == PERTURBED_PINNED[(perturbation, problem, config)]
+
+
+# (phase I, phase II) active-set loops over the 28 corpus default starts.
+# While phase I also ran for a nonconvex W and after a projection that left
+# the box, these were filtersqp (74, 135), ipopt (0, 17), byrd (3, 298) and
+# byrd_TR (113, 263).
+LOOPS_PINNED = {"filtersqp": (47, 135), "ipopt": (0, 17), "byrd": (3, 298), "byrd_TR": (57, 263)}
+
+
+@pytest.mark.parametrize("config", list(LOOPS_PINNED))
+def test_active_set_loops_per_preset_pinned(config, monkeypatch):
+    loops, loop = [0, 0], linalg._active_set_loop
+
+    def counted_loop(W, *args):
+        loops[W is not None] += 1
+        return loop(W, *args)
+
+    monkeypatch.setattr(linalg, "_active_set_loop", counted_loop)
+    for name in corpus_names():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            solve(corpus_get(name), PRESET_CONFIGS[config]())
+    assert tuple(loops) == LOOPS_PINNED[config]

@@ -1376,8 +1376,9 @@ class TestQPSolve:
             assert len(records) == 1 and solved == [1, 1, 0, 1]
 
     # Each case: the QP, and the active-set loops qp_solve runs. The start
-    # d = 0 misses A d = b; phase II starts from its projection only when W
-    # is convex and the projection keeps the bounds (Nocedal & Wright 16.2).
+    # d = 0 misses A d = b; phase II starts from its projection whenever W is
+    # not zero and the iterated projection lands in the box (Nocedal &
+    # Wright 16.2, 16.5).
     PROJECTED_START_CASES = {
         # the min-norm point (0.5, 0.5) of d1 + d2 = 1 lies inside the box
         "projection inside the box": (QPData(
@@ -1388,10 +1389,21 @@ class TestQPSolve:
                       [0.5, 0.0, 0.3, 1.0]]), np.array([1.0, -2.0, 0.5, 0.0]),
             np.array([[1.0, 2.0, 0.0, -1.0], [0.0, 1.0, 1.0, 1.0]]), np.array([1.0, -0.5]),
             np.full(4, -3.0), np.full(4, 3.0)), ["phase II"]),
-        # the min-norm point (1, 1) of d1 + d2 = 2 leaves d2 <= 0.5
+        # the min-norm point (1, 1) of d1 + d2 = 2 leaves d2 <= 0.5; d2 is
+        # held there and the projection again gives (1.5, 0.5)
         "projection leaves the box": (QPData(
             np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([2.0]),
-            np.array([-1.0, -1.0]), np.array([3.0, 0.5])), ["phase I", "phase II"]),
+            np.array([-1.0, -1.0]), np.array([3.0, 0.5])), ["phase II"]),
+        # the same two rounds with an indefinite W
+        "nonconvex, projected again": (QPData(
+            np.diag([1.0, -1.0]), np.array([0.5, 0.0]), np.array([[1.0, 1.0]]), np.array([2.0]),
+            np.array([-1.0, -1.0]), np.array([3.0, 0.5])), ["phase II"]),
+        # d1 = 0 touches its bound and is held; (0, 1, 1) leaves d2 <= 0.5,
+        # and (0, 0.5, 1.5) leaves d3 <= 1.2: no free column is left
+        "re-projection runs out of free columns": (QPData(
+            np.diag([1.0, 2.0, -0.5]), np.array([0.0, 1.0, 0.0]), np.array([[1.0, 1.0, 1.0]]),
+            np.array([2.0]), np.array([0.0, -1.0, -1.0]), np.array([3.0, 0.5, 1.2])),
+            ["phase I", "phase II"]),
         # d3 = 0 touches its bound and is held, so A_f = [[1, 1], [0, 0]]
         "rank-deficient A_f": (QPData(
             np.eye(3), np.zeros(3), np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
@@ -1403,7 +1415,7 @@ class TestQPSolve:
             np.array([-1.0, -1.0]), np.array([2.0, 0.8])), ["phase I", "phase II"]),
         "concave QP": (QPData(
             -np.eye(2), np.array([-5.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.0]),
-            np.array([-1.0, -1.0]), np.array([2.0, 0.8])), ["phase I", "phase II"]),
+            np.array([-1.0, -1.0]), np.array([2.0, 0.8])), ["phase II"]),
     }
 
     @pytest.mark.parametrize("case", sorted(PROJECTED_START_CASES))
@@ -1424,6 +1436,56 @@ class TestQPSolve:
         assert sol.status == OPTIMAL
         assert abs(sol.objective_value - expected_obj) <= 1e-8 * (1 + abs(expected_obj))
         np.testing.assert_allclose(sol.d, expected_d, atol=1e-8)
+
+    def test_constraints_inconsistent_in_the_box_are_infeasible(self, monkeypatch):
+        # (1.5, 1.5) leaves the box on both sides, no free column is left,
+        # and phase I finds d1 + d2 <= 2 < 3
+        import modnlp.linalg as linalg
+
+        loops, loop = [], linalg._active_set_loop
+
+        def counted_loop(W, *args):
+            loops.append("phase I" if W is None else "phase II")
+            return loop(W, *args)
+
+        monkeypatch.setattr(linalg, "_active_set_loop", counted_loop)
+        qp = QPData(np.diag([1.0, -1.0]), np.zeros(2), np.array([[1.0, 1.0]]), np.array([3.0]),
+                    -np.ones(2), np.ones(2))
+        sol = qp_solve(qp)
+        assert loops == ["phase I"] and sol.status == INFEASIBLE
+        np.testing.assert_allclose(sol.d, [1.0, 1.0])
+
+    def test_projection_refuses_a_record_of_the_wrong_inertia(self, monkeypatch):
+        # [[I, A_f^T], [A_f, 0]] always has inertia (n_f, rank A_f, m -
+        # rank A_f), so a wrong one comes only with zero eigenvalues, which
+        # the solve refuses too; a record that reports (n_f - 1, m + 1, 0)
+        # and still solves must be refused by the inertia test itself
+        import modnlp.linalg as linalg
+
+        kkt = linalg._kkt_factorization
+
+        def wrong_inertia(H, A_f, delta_w, delta_c, equilibrate=True):
+            fact = kkt(H, A_f, delta_w, delta_c, equilibrate)
+            n_f, m = A_f.shape[1], A_f.shape[0]
+            return dataclasses.replace(fact, inertia=(n_f - 1, m + 1, 0))
+
+        A, b = np.array([[1.0, 1.0]]), np.array([1.0])
+        d, lb, ub = np.zeros(2), -np.ones(2), np.ones(2)
+        np.testing.assert_allclose(linalg._projected_start(A, b, d, lb, ub, 1e-10), [0.5, 0.5])
+        monkeypatch.setattr(linalg, "_kkt_factorization", wrong_inertia)
+        assert linalg._projected_start(A, b, d, lb, ub, 1e-10) is d
+
+    @pytest.mark.parametrize("error", [1e-6, np.nan])
+    def test_projection_refuses_a_point_that_misses_the_rows(self, error, monkeypatch):
+        # a solve whose correction misses A d = b by more than feas_tol, or
+        # is not finite, leaves the start to phase I
+        import modnlp.linalg as linalg
+
+        solve = linalg.solve_factorized
+        monkeypatch.setattr(linalg, "solve_factorized", lambda fact, rhs: solve(fact, rhs) + error)
+        A, b = np.array([[1.0, 1.0]]), np.array([1.0])
+        d = np.zeros(2)
+        assert linalg._projected_start(A, b, d, -np.ones(2), np.ones(2), 1e-10) is d
 
     def test_ratio_test_matches_loop(self):
         # the sequential scan: a later ratio blocks only when below the
@@ -1462,6 +1524,44 @@ class TestQPSolve:
             t_block, blocker, side = _ratio_test(
                 d, p, lb, ub, np.isfinite(lb), np.isfinite(ub), 1e-13)
             assert (t_block, blocker, side) == expected
+
+    def test_ratio_test_near_ties_at_qp_orders(self):
+        # orders 15-60, as the QP loop sees them: a run of ratios 0-4 ulps
+        # apart is planted below all others, in random index order, so the
+        # block is often not the first smallest ratio; some runs carry a
+        # NaN ratio. The bytes of t_block must match the sequential scan's.
+        def scan(d, p, lb, ub, step_tol):
+            t_block, blocker, side = np.inf, -1, 1
+            for i in range(d.size):
+                bound = ub[i] if p[i] > step_tol else lb[i] if p[i] < -step_tol else np.inf
+                if np.isfinite(bound) and (bound - d[i]) / p[i] < t_block - 1e-15:
+                    t_block, blocker, side = (bound - d[i]) / p[i], i, 2 if p[i] > 0 else 1
+            return max(t_block, 0.0), blocker, side
+
+        rng = np.random.RandomState(29)
+        not_first = 0
+        for trial in range(400):
+            n = rng.randint(15, 61)
+            lb, ub = -rng.rand(n) - 0.1, rng.rand(n) + 0.1
+            lb[rng.rand(n) < 0.1], ub[rng.rand(n) < 0.1] = -np.inf, np.inf
+            d, p = np.zeros(n), rng.randn(n)
+            p[rng.rand(n) < 0.2] = 0.0
+            movers = np.flatnonzero(p != 0.0)
+            t0 = 0.5 * np.min(np.abs(np.where(p > 0, ub, lb)[movers] / p[movers]))
+            spacing = np.spacing(t0) * rng.choice([1.0, 2.0, 3.0])
+            for j in movers[rng.rand(movers.size) < 0.4]:
+                (ub if p[j] > 0 else lb)[j] = (t0 + rng.randint(-4, 5) * spacing) * p[j]
+            if trial % 10 == 0:
+                d[rng.choice(movers)] = np.nan
+            expected = scan(d, p, lb, ub, 1e-13)
+            with np.errstate(invalid="ignore"):
+                ratios = np.where(p > 0, ub - d, lb - d) / np.where(p != 0.0, p, 1.0)
+            moving = np.isfinite(np.where(p > 0, ub, lb)) & (p != 0.0)
+            not_first += expected[1] != int(np.nanargmin(np.where(moving, ratios, np.inf)))
+            result = _ratio_test(d, p, lb, ub, np.isfinite(lb), np.isfinite(ub), 1e-13)
+            assert np.float64(result[0]).tobytes() == np.float64(expected[0]).tobytes()
+            assert result[1:] == expected[1:]
+        assert not_first > 300
 
     def test_warm_start(self):
         rng = np.random.RandomState(3)

@@ -2,8 +2,12 @@
 indefinite matrices on LAPACK, inertia correction of saddle-point matrices,
 and a primal active-set solver for (possibly nonconvex) QPs with equality
 constraints and box bounds. Its phase II starts at an iterated projection
-onto A d = b whenever W is not zero; the elastic phase I runs only for an
-LP and where no projection lands feasible.
+onto A d = b whenever W is not zero. An elastic QP (extend_with_elastics)
+with no warm set starts with its elastics at zero, and where its step's
+projection is not taken, from the step with exact elastics, a feasible
+point of the layout. Any other QP runs the elastic phase I where the
+projection is not taken: for an LP, and where no projection lands
+feasible.
 
 Every saddle-point system [[H + delta_w I, A^T], [A, -delta_c I]] goes
 through _kkt_factorization. Its certificate proves the inertia (n, m, 0)
@@ -517,7 +521,9 @@ _FREE, _LOWER, _UPPER = 0, 1, 2
 class QPData:
     """min 1/2 d^T W d + g^T d  s.t.  A d = b,  d_lower <= d <= d_upper.
 
-    W is None only inside qp_solve, for phase I's LP."""
+    W is None only inside qp_solve, for phase I's LP. step_columns is set by
+    extend_with_elastics alone: the number of columns before the elastic
+    pairs (u+, u-) of its layout, None for a QP without elastics."""
 
     W: np.ndarray | None
     g: np.ndarray
@@ -525,6 +531,7 @@ class QPData:
     b: np.ndarray
     d_lower: np.ndarray
     d_upper: np.ndarray
+    step_columns: int | None = None
 
     @property
     def n(self) -> int:
@@ -534,12 +541,23 @@ class QPData:
     def m(self) -> int:
         return self.b.size
 
+    def exact_elastics(self, step: np.ndarray) -> np.ndarray:
+        """The point (step, u+, u-) of this elastic layout that meets A d = b
+        for the given step: u+ - u- = A_step step - b, the smaller of each
+        pair zero (elastic_init). It is feasible wherever step lies in its
+        box, since the elastics have no upper bound."""
+        k = self.step_columns
+        return np.concatenate([step, *elastic_init(self.A[:, :k] @ step - self.b)])
+
 
 def extend_with_elastics(qp: QPData) -> QPData:
     """Append elastic columns: constraints become c + Jd - u+ + u- = 0 with
     u+,u- >= 0 and unit objective weight; the extension is always feasible.
-    This is the solver's one elastic layout, columns ordered (d, u+, u-).
-    A W of None (phase I's LP) stays None."""
+    This is the solver's one elastic layout, columns ordered (d, u+, u-),
+    and the returned QP records it (step_columns = n): qp_solve reads its
+    start as the step, completes the elastics (exact_elastics), and starts
+    a cold one with its elastics at zero. A W of None (phase I's LP) stays
+    None."""
     n, m = qp.n, qp.m
     ne = n + 2 * m
     W = None
@@ -557,7 +575,7 @@ def extend_with_elastics(qp: QPData) -> QPData:
     lb[:n] = qp.d_lower
     ub = np.full(ne, np.inf)
     ub[:n] = qp.d_upper
-    return QPData(W, g, A, qp.b, lb, ub)
+    return QPData(W, g, A, qp.b, lb, ub, n)
 
 
 def elastic_init(c_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -850,16 +868,24 @@ def qp_solve(
     """Solve a dense QP with equality constraints and box bounds.
 
     The start is d0 (start, or zero), moved onto the bounds that warm_start
-    pins as the initial working set and clipped to the box. When d0 misses
-    A d = b and W is not zero, convex or not, phase II starts from its
-    iterated projection (_projected_start): the min-norm point of {A d = b}
-    with the bounds d0 touches held, and with every bound a round crosses
-    held for the next (Nocedal & Wright, Numerical Optimization, 2nd ed.,
-    16.2 and 16.5). A convex QP's minimizer does not depend on which
+    pins as the initial working set and clipped to the box. For an elastic
+    layout (qp.step_columns set by extend_with_elastics) start is the step
+    alone: clipped to its box and completed with its exact elastics
+    (QPData.exact_elastics) when warm_start is given, with every elastic at
+    its zero bound when it is not (a cold start). When d0 misses A d = b
+    and W is not zero, convex or not, phase II starts from its iterated
+    projection (_projected_start): the min-norm point of {A d = b} with the
+    bounds d0 touches held, and with every bound a round crosses held for
+    the next (Nocedal & Wright, Numerical Optimization, 2nd ed., 16.2 and
+    16.5). A cold elastic QP thus projects its step onto A_step d = b over
+    the free step columns. A convex QP's minimizer does not depend on which
     feasible point phase II starts from (a nonconvex QP's stationary point
-    may, from either start). Phase I runs only when that projection is not
-    taken: for an LP (W = 0), whose vertex depends on its start, and when
-    no projection lands feasible.
+    may, from either start). Where the projection is not taken (W = 0, or
+    no projection lands feasible), a cold elastic QP starts phase II from
+    its step with exact elastics, feasible by the layout, and never runs
+    phase I. Any other QP runs phase I where the projection is not taken:
+    an LP (W = 0), whose vertex depends on its start, or a QP with no
+    projection that lands feasible.
 
     Phase I minimizes the elastic infeasibility of the equalities, so
     inconsistent constraints are reported as Infeasible (with the partial
@@ -885,7 +911,13 @@ def qp_solve(
     if np.any(lb > ub):
         return QPSolution(INFEASIBLE, np.zeros(n), np.zeros(m), np.zeros(n), (), np.nan)
 
-    d0 = np.zeros(n) if start is None else np.asarray(start, dtype=float).copy()
+    k = qp.step_columns
+    cold_elastic = k is not None and not warm_start
+    if k is None:
+        d0 = np.zeros(n) if start is None else np.asarray(start, dtype=float).copy()
+    else:
+        step = np.zeros(k) if start is None else np.clip(start, lb[:k], ub[:k])
+        d0 = np.concatenate([step, np.zeros(n - k)]) if cold_elastic else qp.exact_elastics(step)
     if warm_start:
         for idx, side in warm_start:
             if 0 <= idx < n:
@@ -901,10 +933,13 @@ def qp_solve(
     if m and float(np.max(np.abs(residual))) > feas_tol and W.any():
         d0 = _projected_start(A, b, d0, lb, ub, feas_tol)
         residual = b - A @ d0
+    if cold_elastic and m and float(np.max(np.abs(residual))) > feas_tol:
+        d0 = qp.exact_elastics(d0[:k])  # feasible by the layout: no phase I
+        residual = b - A @ d0
     if m and float(np.max(np.abs(residual))) > feas_tol:
         # Phase I: the elastic LP (no W, zero g), from exact elastics.
         phase1 = extend_with_elastics(QPData(None, np.zeros(n), A, b, lb, ub))
-        d1 = np.concatenate([d0, *elastic_init(-residual)])
+        d1 = phase1.exact_elastics(d0)
         codes1 = np.full(d1.size, _FREE, dtype=np.int8)
         codes1[np.flatnonzero(np.abs(d1 - phase1.d_lower) <= 1e-12)] = _LOWER
         status1, d1, _, phase1_iters = _active_set_loop(

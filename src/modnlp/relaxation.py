@@ -32,7 +32,6 @@ from .linalg import (
     QPData,
     RegularizationSchedule,
     central_elastics,
-    elastic_init,
     extend_with_elastics,
     ldlt_factorize,  # noqa: F401 -- bound here for perfbench/layers.py
     least_squares_multipliers,
@@ -109,9 +108,12 @@ class QPSubproblem:
     iterate's evaluation record (the LP needs none) and return a direction
     with gtd = grad_f'dx and dwd = dx'W_rho dx (0 for the LP). Where the
     trust region pins a component, the direction takes its bound
-    multipliers to zero. There is no barrier: mu never changes, the barrier
-    term is 0, and both the start and restoration keep the given point with
-    zero multipliers.
+    multipliers to zero. Each QP is warm-started from the last optimal
+    working set of its kind (optimality or elastic). The elastic QP is given
+    only its step start; qp_solve completes the elastics, and an elastic QP
+    with no warm set starts with every elastic at zero. There
+    is no barrier: mu never changes, the barrier term is 0, and both the
+    start and restoration keep the given point with zero multipliers.
     """
 
     second_order = True
@@ -145,14 +147,15 @@ class QPSubproblem:
         return _qp_direction(sol, iterate, W, trust_radius, tr_masks)
 
     def feasibility_direction(self, ws, iterate, rho, trust_radius, start_dx=None) -> Direction:
-        """Solve the elastic QP (rho possibly 0: the feasibility QP), started
-        from start_dx clipped to the step bounds."""
+        """Solve the elastic QP (rho possibly 0: the feasibility QP) from the
+        step start_dx (zero if None). qp_solve clips it to the step bounds
+        and completes its elastics. With the last optimal elastic working
+        set, that set is pinned; without one (until an elastic QP has solved
+        to optimality), every elastic starts at zero and the step is projected onto J d = -c, or,
+        where no projection lands feasible, keeps its exact elastics."""
         qp, W, tr_masks = self._build(ws, iterate, rho, trust_radius)
-        dx0 = np.zeros(qp.n) if start_dx is None else np.clip(start_dx, qp.d_lower, qp.d_upper)
-        u_plus, u_minus = elastic_init(iterate.evals.c + iterate.evals.jac_c @ dx0)
-        start = np.concatenate([dx0, u_plus, u_minus])
         ws.subproblem_solves += 1
-        sol = qp_solve(extend_with_elastics(qp), warm_start=self.warm_elastic, start=start)
+        sol = qp_solve(extend_with_elastics(qp), warm_start=self.warm_elastic, start=start_dx)
         if sol.status == OPTIMAL:
             self.warm_elastic = sol.active_set
         return _qp_direction(sol, iterate, W, trust_radius, tr_masks)

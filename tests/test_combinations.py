@@ -6,7 +6,8 @@ run. Each solve must return, with the status, iteration count, the five
 callback counts (objective, constraints, gradient, Jacobian, Hessian) and
 the subproblem solves recorded here. The four presets run again on hs071
 and maratos with every numeric option off its default, and their QP
-phase-I and phase-II loops over the 28 default starts are counted.
+phase-I and phase-II loops and active-set iterations over the 28 default
+starts are counted.
 """
 import itertools
 import warnings
@@ -222,17 +223,24 @@ def test_perturbed_options_pinned(perturbation, problem, config):
 # (phase I, phase II) active-set loops over the 28 corpus default starts.
 # While phase I also ran for a nonconvex W and after a projection that left
 # the box, these were filtersqp (74, 135), ipopt (0, 17), byrd (3, 298) and
-# byrd_TR (113, 263).
-LOOPS_PINNED = {"filtersqp": (47, 135), "ipopt": (0, 17), "byrd": (3, 298), "byrd_TR": (57, 263)}
+# byrd_TR (113, 263). While a cold elastic QP started from its exact
+# elastics, byrd_TR read (57, 263).
+LOOPS_PINNED = {"filtersqp": (47, 135), "ipopt": (0, 17), "byrd": (3, 298), "byrd_TR": (56, 261)}
+# The active-set iterations of those loops, both phases together. While a
+# cold elastic QP started from its exact elastics, and walked each of them
+# to zero one iteration at a time, byrd read 582 and byrd_TR 605.
+ITERATIONS_PINNED = {"filtersqp": 382, "ipopt": 19, "byrd": 574, "byrd_TR": 583}
 
 
 @pytest.mark.parametrize("config", list(LOOPS_PINNED))
 def test_active_set_loops_per_preset_pinned(config, monkeypatch):
-    loops, loop = [0, 0], linalg._active_set_loop
+    loops, iterations, loop = [0, 0], [0], linalg._active_set_loop
 
     def counted_loop(W, *args):
         loops[W is not None] += 1
-        return loop(W, *args)
+        result = loop(W, *args)
+        iterations[0] += result[3]
+        return result
 
     monkeypatch.setattr(linalg, "_active_set_loop", counted_loop)
     for name in corpus_names():
@@ -240,3 +248,4 @@ def test_active_set_loops_per_preset_pinned(config, monkeypatch):
             warnings.simplefilter("ignore", UserWarning)
             solve(corpus_get(name), PRESET_CONFIGS[config]())
     assert tuple(loops) == LOOPS_PINNED[config]
+    assert iterations[0] == ITERATIONS_PINNED[config]

@@ -20,6 +20,7 @@ from modnlp.linalg import (
     _verify_kkt,
     assemble_kkt,
     central_elastics,
+    extend_with_elastics,
     inertia_correct,
     ldlt_factorize,
     ldlt_factorize_scaled,
@@ -1582,6 +1583,149 @@ class TestQPSolve:
             qp = QPData(W, g, np.zeros((0, n)), np.zeros(0), lb, ub)
             sol = qp_solve(qp)
             assert sol.status == OPTIMAL  # KKT contract checked internally
+
+
+class TestElasticStart:
+    """The start rule of an elastic QP (extend_with_elastics). A cold one,
+    with no warm set, holds every elastic at zero and starts phase II at the
+    projection of its step onto A_step d = b, or, where that projection is
+    not taken, at the step with its exact elastics; it never runs phase I.
+    A warm one starts from the step with its exact elastics and the warm
+    set pinned, as a QP with no elastic layout given that start does.
+    Phase II may start from any feasible point (Nocedal & Wright, 2nd ed.,
+    16.5)."""
+
+    @staticmethod
+    def consistent(rng):
+        # strictly convex W; A_step d = b has solutions inside the box, and
+        # the curvature and gradient are small (a small rho), so that the
+        # elastic QP's minimizer has every elastic at zero
+        n, m = 4, 2
+        R = rng.randn(n, n)
+        A = rng.randn(m, n)
+        base = QPData(0.05 * (R @ R.T + np.eye(n)), 0.05 * rng.randn(n), A,
+                      A @ rng.uniform(-0.5, 0.5, n), -np.ones(n), np.ones(n))
+        return extend_with_elastics(base), rng.uniform(-1.0, 1.0, n)
+
+    # d1 + d2 = 3 has no point in the box [-1, 1]^2: the projection
+    # (1.5, 1.5) leaves it on both sides, and no free column is left
+    INCONSISTENT = {
+        "QP": QPData(np.eye(2), np.array([1.0, -0.5]), np.array([[1.0, 1.0]]), np.array([3.0]),
+                     -np.ones(2), np.ones(2)),
+        "LP": QPData(np.zeros((2, 2)), np.array([1.0, -0.5]), np.array([[1.0, 1.0]]),
+                     np.array([3.0]), -np.ones(2), np.ones(2)),
+    }
+
+    @staticmethod
+    def traced(monkeypatch):
+        """Record, for each _active_set_loop, its phase and its start, and
+        every blocker that _ratio_test returns."""
+        import modnlp.linalg as linalg
+
+        loops, blockers = [], []
+        loop, ratio_test = linalg._active_set_loop, linalg._ratio_test
+
+        def traced_loop(W, g, A, b, d, *args):
+            loops.append(("phase I" if W is None else "phase II", d.copy()))
+            return loop(W, g, A, b, d, *args)
+
+        def traced_ratio_test(*args):
+            result = ratio_test(*args)
+            blockers.append(result[1])
+            return result
+
+        monkeypatch.setattr(linalg, "_active_set_loop", traced_loop)
+        monkeypatch.setattr(linalg, "_ratio_test", traced_ratio_test)
+        return loops, blockers
+
+    @staticmethod
+    def exact_start(elastic, step, warm_start=None):
+        """The solve from the step with its exact elastics, by the same QP
+        without its elastic layout."""
+        start = elastic.exact_elastics(np.clip(step, elastic.d_lower[:step.size],
+                                               elastic.d_upper[:step.size]))
+        plain = dataclasses.replace(elastic, step_columns=None)
+        return qp_solve(plain, warm_start=warm_start, start=start)
+
+    def test_exact_elastics_meet_the_rows(self):
+        rng = np.random.RandomState(5)
+        elastic, step = self.consistent(rng)
+        d = elastic.exact_elastics(step)
+        k = elastic.step_columns
+        assert k == 4 and d.size == 8
+        np.testing.assert_allclose(elastic.A @ d, elastic.b, rtol=0.0, atol=1e-14)
+        assert np.all(d[k:] >= 0.0) and np.all(np.minimum(d[k:6], d[6:]) == 0.0)
+
+    def test_cold_consistent_starts_at_the_projection(self, monkeypatch):
+        import modnlp.linalg as linalg
+
+        rng = np.random.RandomState(7)
+        walked = []
+        for _ in range(20):
+            elastic, step = self.consistent(rng)
+            k = elastic.step_columns
+            _, reference_blockers = self.traced(monkeypatch)
+            reference = self.exact_start(elastic, step)
+            walked += [j for j in reference_blockers if j >= k]
+            monkeypatch.undo()
+            loops, blockers = self.traced(monkeypatch)
+            sol = qp_solve(elastic, start=step)
+            assert [phase for phase, _ in loops] == ["phase II"]
+            start = loops[0][1]
+            assert np.all(start[k:] == 0.0)
+            held = np.concatenate([step, np.zeros(2 * elastic.m)])
+            projected = linalg._projected_start(elastic.A, elastic.b, held, elastic.d_lower,
+                                                elastic.d_upper, 1e-10 * (1 + np.abs(elastic.b).max()))
+            assert np.array_equal(start, projected)
+            assert all(j < k for j in blockers)  # no elastic blocks a step
+            assert sol.status == reference.status == OPTIMAL
+            assert np.all(reference.d[k:] == 0.0)
+            np.testing.assert_allclose(sol.d, reference.d, rtol=0.0, atol=1e-12)
+            monkeypatch.undo()
+        assert walked  # the exact-elastic start walks elastics to zero
+
+    @pytest.mark.parametrize("case", sorted(INCONSISTENT))
+    def test_cold_inconsistent_starts_at_exact_elastics(self, case, monkeypatch):
+        elastic = extend_with_elastics(self.INCONSISTENT[case])
+        step = np.array([0.25, -0.5])
+        reference = self.exact_start(elastic, step)
+        loops, _ = self.traced(monkeypatch)
+        sol = qp_solve(elastic, start=step)
+        assert [phase for phase, _ in loops] == ["phase II"]
+        np.testing.assert_array_equal(loops[0][1], elastic.exact_elastics(step))
+        assert sol.status == reference.status == OPTIMAL
+        for field in ("d", "multipliers_eq", "multipliers_bounds"):
+            assert getattr(sol, field).tobytes() == getattr(reference, field).tobytes()
+        assert (sol.active_set, sol.iterations) == (reference.active_set, reference.iterations)
+        assert sol.objective_value > 0.5  # d1 + d2 = 2 at best: an elastic stays positive
+
+    def test_warm_takes_the_path_of_the_exact_elastic_start(self, monkeypatch):
+        import modnlp.linalg as linalg
+
+        rng = np.random.RandomState(11)
+        cases = []
+        for _ in range(10):
+            elastic, step = self.consistent(rng)
+            cases.append((elastic, step, qp_solve(elastic).active_set))
+        # the cold rule's own pins, warm: the projection leaves the box and
+        # phase I runs, as it does for the exact-elastic start
+        elastic = extend_with_elastics(self.INCONSISTENT["QP"])
+        cases.append((elastic, np.zeros(2), ((2, linalg._LOWER), (3, linalg._LOWER))))
+        phases = []
+        for elastic, step, warm in cases:
+            loops, _ = self.traced(monkeypatch)
+            reference = self.exact_start(elastic, step, warm)
+            expected = [phase for phase, _ in loops]
+            loops.clear()
+            sol = qp_solve(elastic, warm_start=warm, start=step)
+            assert [phase for phase, _ in loops] == expected
+            assert sol.status == reference.status
+            for field in ("d", "multipliers_eq", "multipliers_bounds"):
+                assert getattr(sol, field).tobytes() == getattr(reference, field).tobytes()
+            assert (sol.active_set, sol.iterations) == (reference.active_set, reference.iterations)
+            phases.append(expected)
+            monkeypatch.undo()
+        assert phases[-1] == ["phase I", "phase II"]
 
 
 def test_central_elastics_on_the_central_path():

@@ -1,13 +1,14 @@
 """Self-contained dense linear algebra: inertia and solves of symmetric
 indefinite matrices on LAPACK, inertia correction of saddle-point matrices,
 and a primal active-set solver for (possibly nonconvex) QPs with equality
-constraints and box bounds. Its phase II starts at an iterated projection
-onto A d = b whenever W is not zero. An elastic QP (extend_with_elastics)
-with no warm set starts with its elastics at zero, and where its step's
-projection is not taken, from the step with exact elastics, a feasible
-point of the layout. Any other QP runs the elastic phase I where the
-projection is not taken: for an LP, and where no projection lands
-feasible.
+constraints and box bounds. Where its start misses A d = b and W is not
+zero, its phase II starts at the minimizer of the start's working set when
+that equality-constrained QP is regular and its minimizer lies in the box,
+and else at an iterated projection onto A d = b. An elastic QP
+(extend_with_elastics) with no warm set starts with its elastics at zero,
+and where neither point is taken, from the step with exact elastics, a
+feasible point of the layout. Any other QP runs the elastic phase I where
+neither is taken: for an LP, and where no projection lands feasible.
 
 Every saddle-point system [[H + delta_w I, A^T], [A, -delta_c I]] goes
 through _kkt_factorization. Its certificate proves the inertia (n, m, 0)
@@ -24,11 +25,9 @@ elsewhere: below its order gates, at delta_c > 0, and where both proofs
 refuse (m = 0, a rank-deficient A, or a reduced Hessian that is not
 positive definite).
 
-The active-set loop carries the record of the working set it last solved
-(for each delta_w tried: the Factorization, the right-hand side and the
-solution) until a bound enters or leaves that set. A repeated (working set,
-delta_w) reuses the factorization, and a right-hand side equal byte for
-byte reuses the solution, so every iterate is the one fresh solves give.
+The active-set loop solves a working set's KKT system only to step: at the
+minimizer it reaches by a full step at delta_w = 0, or starts from, it
+prices the bounds with the multipliers of the solve that gave the point.
 """
 from __future__ import annotations
 
@@ -480,11 +479,13 @@ def make_positive_definite(
     A = 0.5 * (W + W.T)
     lambda_min = float(_eigenvalues(A, float(np.abs(A).max()))[0]) if n else np.inf
     diagonal = A.diagonal().copy()
+    low, high = (float(diagonal.min()), float(diagonal.max())) if n else (0.0, 0.0)
     A.flat[:: n + 1] = 0.0
     off_diagonal = float(np.abs(A).max(initial=0.0))
 
     def is_pd(delta):
-        max_abs = max(off_diagonal, float(np.max(np.abs(diagonal + delta), initial=0.0)))
+        # max |diagonal + delta| lies at an end: rounding is monotone
+        max_abs = max(off_diagonal, abs(high + delta), abs(low + delta))
         return lambda_min + delta > _zero_tol(max_abs, n)
 
     previous = 0.0
@@ -609,7 +610,7 @@ class QPSolution:
     iterations: int = 0
 
 
-def _eqp_solve(W, g, A, b, d, free, fixed, schedule, records):
+def _eqp_solve(W, g, A, b, d, free, fixed, schedule=None):
     """Solve the equality-constrained QP on the current working set, whose
     free and fixed variables are the index arrays free and fixed.
 
@@ -617,20 +618,17 @@ def _eqp_solve(W, g, A, b, d, free, fixed, schedule, records):
     delta_w, W_ff) where q_free is the subproblem minimizer over the free
     variables (proximal regularization by delta_w about the current point
     when the reduced Hessian is not positive definite) and W_ff is W's
-    free-free block (0.0 for W None).
+    free-free block (0.0 for W None). At delta_w = 0 neither q_free nor y
+    depends on d's free entries.
 
     W None is phase I's zero Hessian: every product with it is skipped, and
     the KKT blocks are (delta_w I, A_f), a scalar H for _kkt_factorization.
     The record of _kkt_factorization decides: a solve at inertia (nf, m, 0),
     least squares on the equilibrated matrix when A_f is row rank deficient.
 
-    records is the working set's carried record, a dict that this call
-    fills: for each delta_w tried, [Factorization, right-hand side bytes,
-    solution]. The caller passes the same dict while the free set stays
-    and a new one when it changes, so a repeated delta_w reuses the
-    factorization of the same KKT matrix, and a right-hand side equal byte
-    for byte (signed zeros count) reuses the solution: the same bits as a
-    fresh solve, without its LAPACK calls.
+    With no schedule, only delta_w = 0 is tried, and None is returned when
+    its record's inertia is not (nf, m, 0): qp_solve's start at the working
+    set's minimizer, which leaves the schedule as it is.
     """
     m = b.size
     nf = free.size
@@ -652,35 +650,31 @@ def _eqp_solve(W, g, A, b, d, free, fixed, schedule, records):
     A_f = A[:, free] if m else np.zeros((0, nf))
     W_ff = 0.0 if W is None else W_f[:, free]
 
-    candidates = schedule.candidates()
+    candidates = iter((0.0,)) if schedule is None else schedule.candidates()
     if nf > m and (W is None or not W_ff.any()):
         # [[0, A_f^T], [A_f, 0]] has rank at most 2m < nf + m: delta_w = 0
         # can give neither the target inertia nor the least-squares branch
         next(candidates)
     for delta_w in candidates:
-        record = records.get(delta_w)
-        if record is None:
-            record = records[delta_w] = [_kkt_factorization(W_ff, A_f, delta_w, 0.0), None, None]
-        fact = record[0]
+        fact = _kkt_factorization(W_ff, A_f, delta_w, 0.0)
         regular = fact.inertia == (nf, m, 0)
         if not (regular or (fact.n_zero > 0 and delta_w > 0.0)):
             continue
         rhs = np.concatenate([-g_eff + delta_w * d[free], rhs2])
-        key = rhs.tobytes()
-        if key != record[1]:
-            if regular:
-                sol = solve_factorized(fact, rhs)
-            else:
-                # A_f is row rank deficient; the system is consistent because
-                # the current point is feasible, so take the least-squares
-                # solution (of the equilibrated system, for accuracy).
-                s = fact.row_scaling
-                sol, *_ = np.linalg.lstsq(fact.matrix, s * rhs, rcond=None)
-                sol = s * sol
-            record[1:] = key, sol
-        sol = record[2]
-        schedule.record_success(delta_w)
+        if regular:
+            sol = solve_factorized(fact, rhs)
+        else:
+            # A_f is row rank deficient; the system is consistent because
+            # the current point is feasible, so take the least-squares
+            # solution (of the equilibrated system, for accuracy).
+            s = fact.row_scaling
+            sol, *_ = np.linalg.lstsq(fact.matrix, s * rhs, rcond=None)
+            sol = s * sol
+        if schedule is not None:
+            schedule.record_success(delta_w)
         return sol[:nf], -sol[nf:], delta_w, W_ff
+    if schedule is None:
+        return None
     raise RegularizationFailedError("EQP regularization failed")
 
 
@@ -714,53 +708,57 @@ def _ratio_test(d, p, lb, ub, lb_finite, ub_finite, step_tol):
     return max(t_block, 0.0), blocker, side
 
 
-def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol):
+def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol, y=None):
     """Primal active-set iteration from a feasible point d with working set
     codes; W None is a zero Hessian, with every product by it skipped.
 
-    The loop carries the record of the working set it last solved (see
-    _eqp_solve) and starts a new one whenever a bound enters or leaves the
-    working set, so memory stays bounded by one working set (a cycling QP
-    visits up to max_iter of them). Only a full step keeps the working
-    set; the next iteration then factorizes the same KKT matrix and, at
-    delta_w = 0, solves it for the same right-hand side, and the record
-    serves both.
+    An iteration either solves the EQP of the working set (_eqp_solve) and
+    steps toward its minimizer, or, at a point stationary on the working
+    set, prices the bounds with that solve's multipliers y (Nocedal &
+    Wright, 2nd ed., Alg. 16.3). A full step at delta_w = 0 lands on the
+    minimizer, so the next iteration prices with the y it holds and solves
+    nothing. A given y says the same of the start: d is its working set's
+    minimizer and y that solve's multipliers.
     """
     n = g.size
     m = b.size
     step_tol = 1e-13
     opt_tol = 1e-10 * (1.0 + float(np.abs(g).max()) if n else 1.0)
     lb_finite, ub_finite = np.isfinite(lb), np.isfinite(ub)
-    y = np.zeros(m)
+    minimizer = y is not None
+    if not minimizer:
+        y = np.zeros(m)
     bland = False
     stall = 0
-    records = {}
 
     def objective(v):
         return g @ v if W is None else 0.5 * v @ W @ v + g @ v
 
     last_obj = objective(d)
     for iteration in range(max_iter):
-        is_free = codes == _FREE
-        free = np.flatnonzero(is_free)
-        fixed = np.flatnonzero(~is_free)
-        q_free, y, delta_w, W_ff = _eqp_solve(W, g, A, b, d, free, fixed, schedule, records)
-        p = np.zeros(n)
-        p[free] = q_free - d[free]
-        p_norm = float(np.abs(p).max()) if n else 0.0
+        if not minimizer:
+            is_free = codes == _FREE
+            free = np.flatnonzero(is_free)
+            fixed = np.flatnonzero(~is_free)
+            q_free, y, delta_w, W_ff = _eqp_solve(W, g, A, b, d, free, fixed, schedule)
+            p = np.zeros(n)
+            p[free] = q_free - d[free]
+            p_norm = float(np.abs(p).max()) if n else 0.0
 
-        # the working-set stationarity residual left by taking the full step
-        # is (W + delta I) p on the free variables; regularized solves can
-        # carry p-noise of order 1/delta, so test the residual, not p
-        if free.size:
-            residual = delta_w * p[free]
-            if W is not None:
-                residual = W_ff @ p[free] + residual
-            stat_res = float(np.abs(residual).max())
-        else:
-            stat_res = 0.0
-        d_scale = 1.0 + (float(np.abs(d).max()) if n else 0.0)
-        if p_norm <= step_tol * d_scale or stat_res <= 0.1 * opt_tol:
+            # the working-set stationarity residual left by taking the full
+            # step is (W + delta I) p on the free variables; regularized
+            # solves can carry p-noise of order 1/delta, so test the
+            # residual, not p
+            if free.size:
+                residual = delta_w * p[free]
+                if W is not None:
+                    residual = W_ff @ p[free] + residual
+                stat_res = float(np.abs(residual).max())
+            else:
+                stat_res = 0.0
+            d_scale = 1.0 + (float(np.abs(d).max()) if n else 0.0)
+            minimizer = p_norm <= step_tol * d_scale or stat_res <= 0.1 * opt_tol
+        if minimizer:
             # Stationary on the working set: price the active bounds.
             z = (g if W is None else W @ d + g) - (A.T @ y if m else 0.0)
             signed = np.where(codes == _LOWER, z, np.where(codes == _UPPER, -z, np.inf))
@@ -772,7 +770,7 @@ def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol)
             else:
                 leave = int(candidates[np.argmin(signed[candidates])])
             codes[leave] = _FREE
-            records = {}
+            minimizer = False
             continue
 
         # p is zero on the fixed variables: only free ones can block
@@ -794,11 +792,11 @@ def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol)
             if blocker >= 0:
                 d[blocker] = ub[blocker] if blocker_side == _UPPER else lb[blocker]
                 codes[blocker] = blocker_side
-                records = {}
         else:
             if not np.isfinite(t_full):
                 return UNBOUNDED, d, y, iteration + 1
             d += t_full * p
+            minimizer = delta_w == 0.0
 
         obj = objective(d)
         if obj >= last_obj - 1e-14 * (1.0 + abs(last_obj)):
@@ -826,6 +824,27 @@ def _working_set(d, lb, ub) -> tuple[np.ndarray, np.ndarray]:
     codes[upper] = _UPPER
     codes[lower] = _LOWER
     return np.where(lower, lb, np.where(upper, ub, d)), codes
+
+
+def _minimizer_start(W, g, A, b, d, lb, ub, feas_tol):
+    """(point, codes, y): the minimizer of the EQP on the working set d
+    touches, solved at delta_w = 0 (_eqp_solve with no schedule), with
+    those codes and its multipliers y; None unless its record's inertia is
+    (n_f, m, 0), so that the reduced Hessian is positive definite, and the
+    point lies in [lb, ub] and meets A d = b to feas_tol (NaN does not).
+    Phase II's first step from any feasible point with that working set
+    ends there (Nocedal & Wright, 2nd ed., Alg. 16.3)."""
+    held, codes = _working_set(d, lb, ub)
+    is_free = codes == _FREE
+    free = np.flatnonzero(is_free)
+    solved = _eqp_solve(W, g, A, b, held, free, np.flatnonzero(~is_free))
+    if solved is None:
+        return None
+    held[free] = solved[0]
+    inside = (lb <= held).all() and (held <= ub).all()
+    if inside and np.abs(b - A @ held).max() <= feas_tol:
+        return held, codes, solved[1]
+    return None
 
 
 def _projected_start(A, b, d, lb, ub, feas_tol) -> np.ndarray:
@@ -873,19 +892,23 @@ def qp_solve(
     alone: clipped to its box and completed with its exact elastics
     (QPData.exact_elastics) when warm_start is given, with every elastic at
     its zero bound when it is not (a cold start). When d0 misses A d = b
-    and W is not zero, convex or not, phase II starts from its iterated
+    and W is not zero, convex or not, phase II starts at the minimizer of the
+    equality-constrained QP on d0's working set (the bounds d0 touches),
+    solved at delta_w = 0, where that system is regular and the minimizer
+    lies in the box (_minimizer_start), and prices the bounds there at once
+    with that solve's multipliers (Nocedal & Wright, Numerical
+    Optimization, 2nd ed., Alg. 16.3). Else it starts from d0's iterated
     projection (_projected_start): the min-norm point of {A d = b} with the
     bounds d0 touches held, and with every bound a round crosses held for
-    the next (Nocedal & Wright, Numerical Optimization, 2nd ed., 16.2 and
-    16.5). A cold elastic QP thus projects its step onto A_step d = b over
-    the free step columns. A convex QP's minimizer does not depend on which
-    feasible point phase II starts from (a nonconvex QP's stationary point
-    may, from either start). Where the projection is not taken (W = 0, or
-    no projection lands feasible), a cold elastic QP starts phase II from
-    its step with exact elastics, feasible by the layout, and never runs
-    phase I. Any other QP runs phase I where the projection is not taken:
-    an LP (W = 0), whose vertex depends on its start, or a QP with no
-    projection that lands feasible.
+    the next (ibid., 16.2 and 16.5). A cold elastic QP thus starts at the
+    minimizer or the projection of its step, elastics at zero. A convex
+    QP's minimizer does not depend on which feasible point phase II starts
+    from (a nonconvex QP's stationary point may). Where neither is taken
+    (W = 0, or no projection lands feasible), a cold elastic QP starts
+    phase II from its step with exact elastics, feasible by the layout, and
+    never runs phase I. Any other QP runs phase I there: an LP (W = 0),
+    whose vertex depends on its start, or a QP with no projection that
+    lands feasible.
 
     Phase I minimizes the elastic infeasibility of the equalities, so
     inconsistent constraints are reported as Infeasible (with the partial
@@ -929,9 +952,11 @@ def qp_solve(
     schedule = RegularizationSchedule()
 
     residual = (b - A @ d0) if m else np.zeros(0)
+    start = None  # (d, codes, y) at a working set's minimizer
     phase1_iters = 0
     if m and float(np.max(np.abs(residual))) > feas_tol and W.any():
-        d0 = _projected_start(A, b, d0, lb, ub, feas_tol)
+        start = _minimizer_start(W, g, A, b, d0, lb, ub, feas_tol)
+        d0 = start[0] if start else _projected_start(A, b, d0, lb, ub, feas_tol)
         residual = b - A @ d0
     if cold_elastic and m and float(np.max(np.abs(residual))) > feas_tol:
         d0 = qp.exact_elastics(d0[:k])  # feasible by the layout: no phase I
@@ -953,9 +978,9 @@ def qp_solve(
             )
         d0 = np.clip(d1[:n], lb, ub)
 
-    d0, codes = _working_set(d0, lb, ub)
+    d0, codes, y0 = start or (*_working_set(d0, lb, ub), None)
     status, d, y, iters = _active_set_loop(
-        W, g, A, b, d0, codes, lb, ub, schedule, max_iter, feas_tol
+        W, g, A, b, d0, codes, lb, ub, schedule, max_iter, feas_tol, y0
     )
     z = W @ d + g - (A.T @ y if m else 0.0)
     z = np.where(codes == _FREE, 0.0, z)

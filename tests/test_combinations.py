@@ -6,8 +6,8 @@ run. Each solve must return, with the status, iteration count, the five
 callback counts (objective, constraints, gradient, Jacobian, Hessian) and
 the subproblem solves recorded here. The four presets run again on hs071
 and maratos with every numeric option off its default, and their QP
-phase-I and phase-II loops and active-set iterations over the 28 default
-starts are counted.
+phase-I and phase-II loops, active-set iterations and KKT factorizations
+over the 28 default starts are counted.
 """
 import itertools
 import warnings
@@ -228,13 +228,22 @@ def test_perturbed_options_pinned(perturbation, problem, config):
 LOOPS_PINNED = {"filtersqp": (47, 135), "ipopt": (0, 17), "byrd": (3, 298), "byrd_TR": (56, 261)}
 # The active-set iterations of those loops, both phases together. While a
 # cold elastic QP started from its exact elastics, and walked each of them
-# to zero one iteration at a time, byrd read 582 and byrd_TR 605.
-ITERATIONS_PINNED = {"filtersqp": 382, "ipopt": 19, "byrd": 574, "byrd_TR": 583}
+# to zero one iteration at a time, byrd read 582 and byrd_TR 605. While
+# phase II started at a projection wherever its start missed A d = b, and
+# stepped from there to the working set's minimizer, filtersqp read 382,
+# byrd 574 and byrd_TR 583.
+ITERATIONS_PINNED = {"filtersqp": 337, "ipopt": 19, "byrd": 382, "byrd_TR": 549}
+# The _kkt_factorization calls of those solves, the interior-point steps
+# and least-squares multipliers included. While phase II started at a
+# projection wherever its start missed A d = b, these were filtersqp 485,
+# ipopt 288, byrd 626 and byrd_TR 870. They may only fall.
+FACTORIZATIONS_PINNED = {"filtersqp": 428, "ipopt": 276, "byrd": 381, "byrd_TR": 740}
 
 
 @pytest.mark.parametrize("config", list(LOOPS_PINNED))
 def test_active_set_loops_per_preset_pinned(config, monkeypatch):
     loops, iterations, loop = [0, 0], [0], linalg._active_set_loop
+    factorizations, kkt = [0], linalg._kkt_factorization
 
     def counted_loop(W, *args):
         loops[W is not None] += 1
@@ -242,10 +251,16 @@ def test_active_set_loops_per_preset_pinned(config, monkeypatch):
         iterations[0] += result[3]
         return result
 
+    def counted_kkt(*args, **kwargs):
+        factorizations[0] += 1
+        return kkt(*args, **kwargs)
+
     monkeypatch.setattr(linalg, "_active_set_loop", counted_loop)
+    monkeypatch.setattr(linalg, "_kkt_factorization", counted_kkt)
     for name in corpus_names():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             solve(corpus_get(name), PRESET_CONFIGS[config]())
     assert tuple(loops) == LOOPS_PINNED[config]
     assert iterations[0] == ITERATIONS_PINNED[config]
+    assert factorizations[0] == FACTORIZATIONS_PINNED[config]

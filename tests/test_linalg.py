@@ -284,25 +284,6 @@ class TestInertiaCorrection:
     def test_make_positive_definite_matches_factorized_probes(self):
         # the eigenvalue shortcut gives the shift that testing every probe
         # W + delta I with ldlt_factorize gives
-        def probed(W, schedule):
-            n = W.shape[0]
-
-            def is_pd(delta):
-                return ldlt_factorize(W + delta * np.eye(n)).inertia == (n, 0, 0)
-
-            previous = 0.0
-            for delta_w in schedule.candidates():
-                if is_pd(delta_w):
-                    if delta_w > 0.0:
-                        lo, hi = previous, delta_w
-                        for _ in range(8):
-                            mid = 0.5 * (lo + hi)
-                            lo, hi = (lo, mid) if is_pd(mid) else (mid, hi)
-                        delta_w = hi
-                    schedule.record_success(delta_w)
-                    return delta_w
-                previous = delta_w
-
         rng = np.random.RandomState(31)
         fast, slow = RegularizationSchedule(), RegularizationSchedule()
         for trial in range(100):
@@ -310,9 +291,60 @@ class TestInertiaCorrection:
             B = rng.randn(n, n) * 10.0 ** rng.uniform(-3.0, 3.0)
             # indefinite, or semidefinite with a zero eigenvalue
             W = B + B.T if trial % 3 else B[:, 1:] @ B[:, 1:].T
+
+            def is_pd(delta):
+                return ldlt_factorize(W + delta * np.eye(n)).inertia == (n, 0, 0)
+
             shifted, dw = make_positive_definite(W, fast)
-            assert dw == probed(W, slow)
+            assert dw == scheduled_shift(slow, is_pd)
             assert ldlt_factorize(shifted).inertia == (n, 0, 0)
+
+    def test_make_positive_definite_probe_bound_is_the_array_form(self):
+        # each probe takes max |diagonal + delta| from the diagonal's two
+        # ends; rounding is monotone, so that is the array's maximum, bit for
+        # bit, and the shift is the one the array form gives
+        import modnlp.linalg as linalg
+
+        rng = np.random.RandomState(41)
+        diagonals = rng.randn(2000, 10) * 10.0 ** rng.uniform(-8.0, 8.0, (2000, 1))
+        deltas = -diagonals[np.arange(2000), rng.randint(0, 10, 2000)] * (1.0 + 1e-15 * rng.randn(2000))
+        deltas[::2] = rng.randn(1000) * 10.0 ** rng.uniform(-12.0, 12.0, 1000)
+        shifted = np.abs(diagonals + deltas[:, None]).max(axis=1)
+        ends = np.maximum(np.abs(diagonals.max(axis=1) + deltas), np.abs(diagonals.min(axis=1) + deltas))
+        assert np.array_equal(shifted, ends)
+
+        fast, slow = RegularizationSchedule(), RegularizationSchedule()
+        for trial in range(100):
+            n = rng.randint(1, 9)
+            B = rng.randn(n, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            W = B + B.T + np.diag(rng.randn(n) * 10.0 ** rng.uniform(-3.0, 3.0))
+            A = 0.5 * (W + W.T)
+            lambda_min = np.linalg.eigvalsh(A)[0]
+            diagonal = A.diagonal()
+            off_diagonal = np.abs(A - np.diag(diagonal)).max()
+
+            def is_pd(delta):
+                max_abs = max(off_diagonal, float(np.max(np.abs(diagonal + delta))))
+                return lambda_min + delta > linalg._zero_tol(max_abs, n)
+
+            assert make_positive_definite(W, fast)[1] == scheduled_shift(slow, is_pd)
+
+
+def scheduled_shift(schedule, is_pd):
+    """The shift make_positive_definite takes for the probe is_pd: the first
+    scheduled delta_w that passes, tightened by eight bisection steps."""
+    previous = 0.0
+    for delta_w in schedule.candidates():
+        if is_pd(delta_w):
+            if delta_w > 0.0:
+                lo, hi = previous, delta_w
+                for _ in range(8):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (lo, mid) if is_pd(mid) else (mid, hi)
+                delta_w = hi
+            schedule.record_success(delta_w)
+            return delta_w
+        previous = delta_w
 
 
 def certified(H, A, delta_w=0.0, equilibrate=True):
@@ -1210,14 +1242,14 @@ class TestQPSolve:
             calls[0] += 1
             return factorize(M)
 
-        def checked_eqp_solve(W, g, A, b, d, free, fixed, schedule, records):
+        def checked_eqp_solve(W, g, A, b, d, free, fixed, schedule=None):
             nf, m = free.size, b.size
             probe = nf > m and (W is None or not W[np.ix_(free, free)].any())
             if probe:
                 K = assemble_kkt(np.zeros((nf, nf)), A[:, free], 0.0, 0.0)
                 assert ldlt_factorize_scaled(K).inertia != (nf, m, 0)
             calls[0] = 0
-            result = eqp_solve(W, g, A, b, d, free, fixed, schedule, records)
+            result = eqp_solve(W, g, A, b, d, free, fixed, schedule)
             if probe and W is not None:
                 per_solve["LP"].append((nf + m, calls[0]))
             elif probe and nf + m < linalg._SCALAR_MIN_ORDER:
@@ -1253,128 +1285,193 @@ class TestQPSolve:
         assert len(per_solve["phase I certified"]) > 40
         assert set(per_solve["phase I certified"]) == {0}
 
-    def test_carried_working_set_record_is_bit_identical(self, monkeypatch):
-        # every _eqp_solve of the loop, which carries the working set's
-        # record, is repeated fresh (copied arguments, a copy of the
-        # schedule, no record): the same bits out, and the same schedule.
-        # These orders are below both certificate gates, so each KKT
-        # factorization is one ldlt_factorize call, and the carried calls
-        # make one per (free set, delta_w) pair not already tried since
-        # the loop began or its free set last changed.
-        import copy
-
+    @staticmethod
+    def traced_loops(monkeypatch):
+        """Record, for each _active_set_loop, its start, codes and y, and in
+        order its working-set solves ("solve", free, fixed, delta_w, y, and
+        the W, g, A, b solved) and ratio tests ("step", d, p, t_block); the
+        list "starts" gets the free set of each _eqp_solve with no schedule
+        (qp_solve's start solve)."""
         import modnlp.linalg as linalg
 
-        eqp_solve, factorize = linalg._eqp_solve, linalg.ldlt_factorize
-        loop = linalg._active_set_loop
-        calls, counting = [0], [False]
-        state = {"free": None, "tried": set(), "expected": 0, "calls": 0, "reused": 0, "partly": 0}
+        loops, starts = [], []
+        loop, eqp_solve, ratio_test = linalg._active_set_loop, linalg._eqp_solve, linalg._ratio_test
 
-        def counted_factorize(M):
-            calls[0] += counting[0]
-            return factorize(M)
+        def traced_loop(W, g, A, b, d, codes, *args):
+            y = args[5] if len(args) > 5 else None
+            loops.append({"start": d.copy(), "codes": codes.copy(), "y": y, "events": []})
+            return loop(W, g, A, b, d, codes, *args)
 
-        def tried_deltas(W, g, A, b, d, free, fixed, schedule):
-            deltas = []
-            kkt = linalg._kkt_factorization
-
-            def spy(H, A_f, delta_w, delta_c, equilibrate=True):
-                deltas.append(delta_w)
-                return kkt(H, A_f, delta_w, delta_c, equilibrate)
-
-            monkeypatch.setattr(linalg, "_kkt_factorization", spy)
-            try:
-                result = eqp_solve(W, g, A, b, d, free, fixed, schedule, {})
-            finally:
-                monkeypatch.setattr(linalg, "_kkt_factorization", kkt)
-            return result, deltas
-
-        def checked_eqp_solve(W, g, A, b, d, free, fixed, schedule, records):
-            fresh_schedule = copy.copy(schedule)
-            args = [None if W is None else W.copy()]
-            args += [v.copy() for v in (g, A, b, d, free, fixed)]
-            fresh, deltas = tried_deltas(*args, fresh_schedule)
-            if state["free"] is None or not np.array_equal(free, state["free"]):
-                state["free"], state["tried"] = free.copy(), set()
-            state["expected"] += len(set(deltas) - state["tried"])
-            state["tried"] |= set(deltas)
-            before = calls[0]
-            counting[0] = True
-            try:
-                result = eqp_solve(W, g, A, b, d, free, fixed, schedule, records)
-            finally:
-                counting[0] = False
-            state["calls"] += 1
-            state["reused"] += calls[0] == before  # nothing factorized
-            state["partly"] += before < calls[0] < before + len(deltas)
-            q_free, y, delta_w, _ = result
-            assert q_free.tobytes() == fresh[0].tobytes() and q_free.dtype == fresh[0].dtype
-            assert y.tobytes() == fresh[1].tobytes() and y.dtype == fresh[1].dtype
-            assert np.float64(delta_w).tobytes() == np.float64(fresh[2]).tobytes()
-            assert schedule == fresh_schedule
+        def traced_eqp_solve(W, g, A, b, d, free, fixed, schedule=None):
+            result = eqp_solve(W, g, A, b, d, free, fixed, schedule)
+            if schedule is None:
+                starts.append(free.copy())
+            else:
+                loops[-1]["events"].append(
+                    ("solve", free.copy(), fixed.copy(), result[2], result[1].copy(), W, g, A, b))
             return result
 
-        def counted_loop(*args):
-            state["free"] = None  # a new loop starts with no record
-            return loop(*args)
+        def traced_ratio_test(d, p, *args):
+            result = ratio_test(d, p, *args)
+            loops[-1]["events"].append(("step", d.copy(), p.copy(), result[0]))
+            return result
 
-        monkeypatch.setattr(linalg, "ldlt_factorize", counted_factorize)
-        monkeypatch.setattr(linalg, "_eqp_solve", checked_eqp_solve)
-        monkeypatch.setattr(linalg, "_active_set_loop", counted_loop)
-        rng = np.random.RandomState(21)
-        problems = []
-        for _ in range(60):
-            qp = random_convex_qp(rng)
-            lp = QPData(np.zeros((qp.n, qp.n)), qp.g, qp.A, qp.b, qp.d_lower, qp.d_upper)
-            W = rng.randn(qp.n, qp.n)
-            indefinite = dataclasses.replace(qp, W=W + W.T)
-            # mildly indefinite in a wide box: regularized full steps, after
-            # which delta_w = 0 is the one repeated pair of the working set
-            wide = dataclasses.replace(qp, W=qp.W - 0.6 * np.eye(qp.n),
-                                       d_lower=qp.d_lower - 10.0, d_upper=qp.d_upper + 10.0)
-            problems += [qp, lp, indefinite, wide]
-        for problem in problems:
-            sol = qp_solve(problem)
-            assert sol.status == OPTIMAL  # every problem is bounded
-        assert calls[0] == state["expected"]
-        assert state["calls"] > 800 and state["reused"] > 150 and state["partly"] > 5
+        monkeypatch.setattr(linalg, "_active_set_loop", traced_loop)
+        monkeypatch.setattr(linalg, "_eqp_solve", traced_eqp_solve)
+        monkeypatch.setattr(linalg, "_ratio_test", traced_ratio_test)
+        return loops, starts
 
-    def test_working_set_record_reuses_a_solution_only_for_the_same_bytes(self, monkeypatch):
-        # one record per working set, and a solve reused only for a
-        # right-hand side equal byte for byte: here the right-hand sides
-        # differ by the sign of a zero at delta_w = 0 (-g + 0 * d is -0.0
-        # for g = 0 and d = -0.0 only), then by d at a repeated delta_w > 0
-        # (the schedule's floor of 1e-10); each set's third call repeats the
-        # second's bytes
-        import copy
+    @staticmethod
+    def start_minimizer(qp):
+        """The minimizer of the EQP on the working set of the start d0 = 0
+        clipped to the box, by numpy's solve, and whether that EQP is
+        regular: its KKT matrix has n_f eigenvalues above zero and m below."""
+        d = np.clip(np.zeros(qp.n), qp.d_lower, qp.d_upper)
+        free = np.flatnonzero((d != qp.d_lower) & (d != qp.d_upper))
+        fixed = np.setdiff1d(np.arange(qp.n), free)
+        nf, m = free.size, qp.m
+        K = assemble_kkt(qp.W[np.ix_(free, free)], qp.A[:, free], 0.0, 0.0)
+        eigs = np.linalg.eigvalsh(K)
+        regular = (np.sum(eigs > 1e-9), np.sum(eigs < -1e-9)) == (nf, m)
+        if regular:
+            rhs = np.concatenate([-(qp.g[free] + qp.W[np.ix_(free, fixed)] @ d[fixed]),
+                                  qp.b - qp.A[:, fixed] @ d[fixed]])
+            d[free] = np.linalg.solve(K, rhs)[:nf]
+        return d, regular
 
+    def test_start_at_the_working_set_minimizer(self, monkeypatch):
+        # the start d0 = 0 misses A d = b. Where the EQP of its working set
+        # is regular and its minimizer lies in the box, phase II starts
+        # there with that solve's multipliers: no projection, and the first
+        # working-set solve of the loop comes after a bound has left, so
+        # the loop priced first. Elsewhere the projection runs as before.
         import modnlp.linalg as linalg
 
-        solves, solve = [0], linalg.solve_factorized
+        rng = np.random.RandomState(23)
+        taken = projected = 0
+        for trial in range(900):
+            qp = random_convex_qp(rng)
+            if trial % 3 == 0:  # indefinite: the EQP may be irregular
+                R = rng.randn(qp.n, qp.n)
+                qp = dataclasses.replace(qp, W=R + R.T)
+            if qp.m == 0 or np.abs(qp.A @ np.clip(np.zeros(qp.n), qp.d_lower, qp.d_upper)
+                                   - qp.b).max() <= 1e-9:
+                continue
+            minimizer, regular = self.start_minimizer(qp)
+            inside = regular and np.all((minimizer >= qp.d_lower) & (minimizer <= qp.d_upper))
+            projections, projected_start = [], linalg._projected_start
+            monkeypatch.setattr(linalg, "_projected_start",
+                                lambda *args: projections.append(1) or projected_start(*args))
+            loops, starts = self.traced_loops(monkeypatch)
+            sol = qp_solve(qp)
+            monkeypatch.undo()
+            assert len(starts) == 1
+            first = loops[-1]
+            if inside:
+                taken += 1
+                assert not projections and len(loops) == 1 and first["y"] is not None
+                np.testing.assert_allclose(first["start"], minimizer, rtol=0.0, atol=1e-9)
+                solves = [e for e in first["events"] if e[0] == "solve"]
+                if solves:  # a bound left the working set before the first solve
+                    start_free = np.flatnonzero(first["codes"] == linalg._FREE)
+                    assert solves[0][1].size == start_free.size + 1
+                    assert set(start_free) < set(solves[0][1])
+                else:
+                    assert sol.iterations == 1
+            else:
+                projected += 1
+                assert projections == [1] and first["y"] is None
+            if trial % 3:  # convex: the one minimizer
+                expected_obj, _ = enumerate_qp_oracle(qp)
+                assert sol.status == OPTIMAL
+                assert abs(sol.objective_value - expected_obj) <= 1e-8 * (1 + abs(expected_obj))
+        assert taken > 80 and projected > 250
 
-        def counted_solve(fact, rhs):
-            solves[0] += 1
-            return solve(fact, rhs)
+    # Each case: a QP whose start d = 0 misses A d = b, and whose start EQP
+    # is not taken. The projection runs, and phase II starts from it.
+    NOT_TAKEN_CASES = {
+        # the minimizer (1, 1) of |d|^2 / 2 on d1 + d2 = 2 leaves d2 <= 0.5
+        "minimizer outside the box": QPData(
+            np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([2.0]),
+            np.array([-1.0, -1.0]), np.array([3.0, 0.5])),
+        # -|d|^2 / 2 is concave on d1 + d2 = 1: no minimizer at delta_w = 0
+        "irregular": QPData(
+            -np.eye(2), np.array([-5.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.0]),
+            np.array([-1.0, -1.0]), np.array([2.0, 0.8])),
+    }
 
-        monkeypatch.setattr(linalg, "solve_factorized", counted_solve)
-        A, b = np.zeros((0, 2)), np.zeros(0)
-        free, fixed = np.arange(2), np.zeros(0, dtype=int)
-        g = np.array([0.0, 1.0])
-        working_sets = [
-            [(np.eye(2), np.array([d0, 0.0])) for d0 in (0.0, -0.0, -0.0, 0.0)],
-            [(np.zeros((2, 2)), np.array([d0, 0.0])) for d0 in (0.0, 1.0, 1.0, 0.0)],
-        ]
-        for calls in working_sets:
-            records, solved = {}, []
-            for W, d in calls:
-                schedule = RegularizationSchedule(last_successful=1e-10)
-                fresh = linalg._eqp_solve(W, g, A, b, d, free, fixed, copy.copy(schedule), {})
-                before = solves[0]
-                carried = linalg._eqp_solve(W, g, A, b, d, free, fixed, schedule, records)
-                solved.append(solves[0] - before)
-                for x, y in zip(carried[:3], fresh[:3]):
-                    assert np.float64(x).tobytes() == np.float64(y).tobytes()
-            assert len(records) == 1 and solved == [1, 1, 0, 1]
+    @pytest.mark.parametrize("case", sorted(NOT_TAKEN_CASES))
+    def test_start_not_taken_projects(self, case, monkeypatch):
+        import modnlp.linalg as linalg
+
+        qp = self.NOT_TAKEN_CASES[case]
+        projections, projected_start = [], linalg._projected_start
+
+        def traced_projection(*args):
+            projections.append(projected_start(*args))
+            return projections[-1]
+
+        monkeypatch.setattr(linalg, "_projected_start", traced_projection)
+        loops, starts = self.traced_loops(monkeypatch)
+        sol = qp_solve(qp)
+        assert len(starts) == 1 and len(projections) == 1 and len(loops) == 1
+        assert loops[0]["y"] is None
+        assert np.array_equal(loops[0]["start"], projections[0])
+        expected_obj, expected_d = enumerate_qp_oracle(qp)
+        assert sol.status == OPTIMAL
+        assert abs(sol.objective_value - expected_obj) <= 1e-8 * (1 + abs(expected_obj))
+
+    def test_priced_after_a_full_step_at_zero_delta(self, monkeypatch):
+        # a full step at delta_w = 0 lands on the working set's minimizer:
+        # the next working-set solve comes only after a bound has left (the
+        # loop priced with the y it held), and that y is the one a fresh
+        # solve at the new point gives, with a zero step. A full step at
+        # delta_w > 0 does not: the same working set is solved again.
+        import modnlp.linalg as linalg
+
+        eqp_solve = linalg._eqp_solve
+        rng = np.random.RandomState(21)
+        problems = []
+        for _ in range(200):
+            qp = random_convex_qp(rng)
+            lp = QPData(np.zeros((qp.n, qp.n)), qp.g, qp.A, qp.b, qp.d_lower, qp.d_upper)
+            # mildly indefinite in a wide box: regularized full steps
+            wide = dataclasses.replace(qp, W=qp.W - 0.6 * np.eye(qp.n),
+                                       d_lower=qp.d_lower - 10.0, d_upper=qp.d_upper + 10.0)
+            problems += [qp, lp, wide]
+        loops, _ = self.traced_loops(monkeypatch)
+        for problem in problems:
+            assert qp_solve(problem).status == OPTIMAL  # every problem is bounded
+        priced = resolved = 0
+        for record in loops:
+            events = record["events"]
+            for i, event in enumerate(events[:-1]):
+                if event[0] != "solve" or events[i + 1][0] != "step":
+                    continue
+                _, free, fixed, delta_w, y, W, g, A, b = event
+                _, d, p, t_block = events[i + 1]
+                if delta_w == 0.0:
+                    full = t_block >= 1.0
+                elif W is None:
+                    full = False
+                else:
+                    kappa = float(p @ W @ p)
+                    full = kappa > 1e-13 * (p @ p) and t_block >= (kappa + delta_w * (p @ p)) / kappa
+                if not full:
+                    continue
+                following = [e for e in events[i + 2:] if e[0] == "solve"][:1]
+                if delta_w == 0.0:
+                    priced += 1
+                    assert not following or following[0][1].size == free.size + 1
+                    q, fresh_y, fresh_delta, _ = eqp_solve(
+                        W, g, A, b, d + p, free, fixed, RegularizationSchedule())
+                    assert fresh_delta == 0.0 and np.array_equal(fresh_y, y)
+                    assert np.abs(q - (d + p)[free]).max(initial=0.0) <= 1e-13 * (
+                        1.0 + np.abs(d + p).max())
+                else:
+                    resolved += 1
+                    assert np.array_equal(following[0][1], free)
+        assert priced > 150 and resolved > 25
 
     # Each case: the QP, and the active-set loops qp_solve runs. The start
     # d = 0 misses A d = b; phase II starts from its projection whenever W is
@@ -1588,8 +1685,9 @@ class TestQPSolve:
 class TestElasticStart:
     """The start rule of an elastic QP (extend_with_elastics). A cold one,
     with no warm set, holds every elastic at zero and starts phase II at the
-    projection of its step onto A_step d = b, or, where that projection is
-    not taken, at the step with its exact elastics; it never runs phase I.
+    minimizer of its step's working set or the projection of its step onto
+    A_step d = b, or, where neither is taken, at the step with its exact
+    elastics; it never runs phase I.
     A warm one starts from the step with its exact elastics and the warm
     set pinned, as a QP with no elastic layout given that start does.
     Phase II may start from any feasible point (Nocedal & Wright, 2nd ed.,
@@ -1656,9 +1754,10 @@ class TestElasticStart:
         np.testing.assert_allclose(elastic.A @ d, elastic.b, rtol=0.0, atol=1e-14)
         assert np.all(d[k:] >= 0.0) and np.all(np.minimum(d[k:6], d[6:]) == 0.0)
 
-    def test_cold_consistent_starts_at_the_projection(self, monkeypatch):
-        import modnlp.linalg as linalg
-
+    def test_cold_consistent_starts_at_the_step_minimizer(self, monkeypatch):
+        # the EQP of the cold start's working set (every elastic held at
+        # zero, the step free) is regular, and its minimizer lies in the
+        # box here: phase II starts there
         rng = np.random.RandomState(7)
         walked = []
         for _ in range(20):
@@ -1673,10 +1772,10 @@ class TestElasticStart:
             assert [phase for phase, _ in loops] == ["phase II"]
             start = loops[0][1]
             assert np.all(start[k:] == 0.0)
-            held = np.concatenate([step, np.zeros(2 * elastic.m)])
-            projected = linalg._projected_start(elastic.A, elastic.b, held, elastic.d_lower,
-                                                elastic.d_upper, 1e-10 * (1 + np.abs(elastic.b).max()))
-            assert np.array_equal(start, projected)
+            K = assemble_kkt(elastic.W[:k, :k], elastic.A[:, :k], 0.0, 0.0)
+            minimizer = np.linalg.solve(K, np.concatenate([-elastic.g[:k], elastic.b]))[:k]
+            assert np.all(np.abs(minimizer) < 1.0)
+            np.testing.assert_allclose(start[:k], minimizer, rtol=0.0, atol=1e-12)
             assert all(j < k for j in blockers)  # no elastic blocks a step
             assert sol.status == reference.status == OPTIMAL
             assert np.all(reference.d[k:] == 0.0)

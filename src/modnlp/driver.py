@@ -385,22 +385,30 @@ class Residuals:
 
 def compute_residuals(ws: Workspace, iterate: Iterate, rho: float, scaling_cap: float) -> Residuals:
     ev = iterate.evals
-    grad = np.asarray(ev.grad_f)
-    J = np.asarray(ev.jac_c)
-    jty = J.T @ iterate.y if iterate.y.size else np.zeros_like(grad)
-    z = iterate.z
-    s_d = dual_scaling(iterate.y, iterate.zl, iterate.zu, scaling_cap)
-    stat = float(np.max(np.abs(rho * grad - jty - z), initial=0.0)) / s_d
-    stat0 = float(np.max(np.abs(-jty - z), initial=0.0)) / s_d
-    feas = float(np.max(np.abs(ev.c), initial=0.0))
-    gap_lo = np.where(np.isfinite(ws.lower), iterate.x - ws.lower, 0.0)
-    gap_hi = np.where(np.isfinite(ws.upper), ws.upper - iterate.x, 0.0)
-    comp = max(
-        float(np.max(np.abs(gap_lo * iterate.zl), initial=0.0)),
-        float(np.max(np.abs(gap_hi * iterate.zu), initial=0.0)),
-    ) / s_d
-    sign_res = l1_sign_residual(np.asarray(ev.c), iterate.y)
-    return Residuals(stat, stat0, feas, comp, sign_res)
+    x, y, zl, zu = iterate.x, iterate.y, iterate.zl, iterate.zu
+    stat = rho * np.asarray(ev.grad_f)
+    J = ev.jac_c  # evaluated at m = 0 too: the callback counts depend on it
+    z = zl - zu
+    if y.size:
+        jty = np.asarray(J).T @ y
+        stat -= jty
+        stat0 = -jty
+        stat0 -= z
+    else:
+        stat0 = -z  # |-0 - z| = |z|
+    stat -= z
+    c = np.asarray(ev.c)
+    gap_lo = np.where(ws.lower_finite, x - ws.lower, 0.0)
+    gap_lo *= zl
+    gap_hi = np.where(ws.upper_finite, ws.upper - x, 0.0)
+    gap_hi *= zu
+    s_d = dual_scaling(y, zl, zu, scaling_cap)
+
+    def largest(v):
+        return float(np.abs(v, out=v).max(initial=0.0))
+
+    return Residuals(largest(stat) / s_d, largest(stat0) / s_d, float(np.abs(c).max(initial=0.0)),
+                     max(largest(gap_lo), largest(gap_hi)) / s_d, l1_sign_residual(c, y))
 
 
 class TerminationState:
@@ -543,7 +551,7 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
         if not new_iterate.evals.is_finite:
             status, message = EVALUATION_ERROR, "accepted trial is non-finite"
             break
-        step = float(np.max(np.abs(new_iterate.x - iterate.x), initial=0.0))
+        step = float(np.abs(new_iterate.x - iterate.x).max(initial=0.0))
         zero_steps = zero_steps + 1 if step == 0.0 else 0
         iterate = new_iterate
         if log is not None:

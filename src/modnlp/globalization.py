@@ -41,7 +41,7 @@ def compute_measures(
     barrier_term: float = 0.0,
 ) -> ProgressMeasures:
     return ProgressMeasures(
-        eta=float(np.sum(np.abs(c_values))),
+        eta=float(np.abs(c_values).sum()),
         f=float(f_value),
         rho=rho,
         xi=float(barrier_term),
@@ -79,7 +79,7 @@ class ReductionModels:
     dbd: float = 0.0
 
     def eta(self, alpha: float) -> float:
-        return float(np.sum(np.abs(self.c)) - np.sum(np.abs(self.c + alpha * self.jd)))
+        return float(np.abs(self.c).sum() - np.abs(self.c + alpha * self.jd).sum())
 
     def merit_reduction(self, alpha: float) -> float:
         # quadratic models of rho f and xi, and the model of eta

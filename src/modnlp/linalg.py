@@ -28,9 +28,12 @@ positive definite).
 The active-set loop solves a working set's KKT system only to step: at the
 minimizer it reaches by a full step at delta_w = 0, or starts from, it
 prices the bounds with the multipliers of the solve that gave the point.
+The residual of its last pricing becomes the bound multipliers and the
+stationarity residual that the KKT check reads.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -105,11 +108,12 @@ def ldlt_factorize(M: np.ndarray) -> Factorization:
     SingularMatrixError.
     """
     A, max_abs = _symmetrized(M)
-    eigenvalues = _eigenvalues(A, max_abs)
-    zero_tol = _zero_tol(max_abs, A.shape[0])
-    n_plus = int(np.count_nonzero(eigenvalues > zero_tol))
-    n_minus = int(np.count_nonzero(eigenvalues < -zero_tol))
-    return Factorization(A, (n_plus, n_minus, A.shape[0] - n_plus - n_minus), zero_tol)
+    eigenvalues = _eigenvalues(A, max_abs)  # ascending
+    order = A.shape[0]
+    zero_tol = _zero_tol(max_abs, order)
+    n_minus = int(eigenvalues.searchsorted(-zero_tol))
+    n_plus = order - int(eigenvalues.searchsorted(zero_tol, "right"))
+    return Factorization(A, (n_plus, n_minus, order - n_plus - n_minus), zero_tol)
 
 
 def ldlt_factorize_scaled(M: np.ndarray) -> Factorization:
@@ -462,7 +466,7 @@ def least_squares_multipliers(J: np.ndarray, r: np.ndarray) -> np.ndarray:
         y = solve_factorized(fact, np.concatenate([r, np.zeros(m)]))[n:]
     except SingularMatrixError:
         return np.zeros(m)
-    return y if np.all(np.isfinite(y)) else np.zeros(m)
+    return y if np.isfinite(y).all() else np.zeros(m)
 
 
 def make_positive_definite(
@@ -516,6 +520,8 @@ UNBOUNDED = "Unbounded"
 ITERATION_LIMIT = "IterationLimit"
 
 _FREE, _LOWER, _UPPER = 0, 1, 2
+# by working-set code: a bound multiplier of the wrong sign prices negative
+_PRICE_SIGN = np.array([0.0, 1.0, -1.0])
 
 
 @dataclass
@@ -633,7 +639,7 @@ def _eqp_solve(W, g, A, b, d, free, fixed, schedule=None):
     m = b.size
     nf = free.size
 
-    rhs2 = b - (A[:, fixed] @ d[fixed] if (m and fixed.size) else np.zeros(m))
+    rhs2 = b - A[:, fixed] @ d[fixed] if (m and fixed.size) else b
     g_eff = g[free]
     if W is not None:
         W_f = W[free]
@@ -647,7 +653,7 @@ def _eqp_solve(W, g, A, b, d, free, fixed, schedule=None):
             y = np.zeros(0)
         return d[free], y, 0.0, 0.0
 
-    A_f = A[:, free] if m else np.zeros((0, nf))
+    A_f = A[:, free]
     W_ff = 0.0 if W is None else W_f[:, free]
 
     candidates = iter((0.0,)) if schedule is None else schedule.candidates()
@@ -701,7 +707,7 @@ def _ratio_test(d, p, lb, ub, lb_finite, ub_finite, step_tol):
     if not t_block < ratios[:blocker].min(initial=np.inf) - 1e-15:
         t_block, blocker = np.inf, -1
         earlier_min = np.fmin.accumulate(np.concatenate([[np.inf], ratios[:-1]]))
-        for k in np.flatnonzero(ratios < earlier_min):
+        for k in (ratios < earlier_min).nonzero()[0]:
             if ratios[k] < t_block - 1e-15:
                 t_block, blocker = ratios[k], k
     side = _UPPER if blocker >= 0 and up[blocker] else _LOWER
@@ -719,6 +725,10 @@ def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol,
     minimizer, so the next iteration prices with the y it holds and solves
     nothing. A given y says the same of the start: d is its working set's
     minimizer and y that solve's multipliers.
+
+    Returns (status, d, y, iterations, r, objective): objective is the
+    value at the returned d, and r, at an Optimal return, the residual
+    W d + g - A^T y that the last pricing read (None otherwise).
     """
     n = g.size
     m = b.size
@@ -737,38 +747,35 @@ def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol,
     last_obj = objective(d)
     for iteration in range(max_iter):
         if not minimizer:
-            is_free = codes == _FREE
-            free = np.flatnonzero(is_free)
-            fixed = np.flatnonzero(~is_free)
+            free, fixed = (codes == _FREE).nonzero()[0], codes.nonzero()[0]
             q_free, y, delta_w, W_ff = _eqp_solve(W, g, A, b, d, free, fixed, schedule)
             p = np.zeros(n)
-            p[free] = q_free - d[free]
-            p_norm = float(np.abs(p).max()) if n else 0.0
+            p_free = p[free] = q_free - d[free]
 
             # the working-set stationarity residual left by taking the full
             # step is (W + delta I) p on the free variables; regularized
             # solves can carry p-noise of order 1/delta, so test the
             # residual, not p
             if free.size:
-                residual = delta_w * p[free]
+                residual = delta_w * p_free
                 if W is not None:
-                    residual = W_ff @ p[free] + residual
-                stat_res = float(np.abs(residual).max())
+                    residual = W_ff @ p_free + residual
+                stat_res, p_norm = float(np.abs(residual).max()), float(np.abs(p_free).max())
             else:
-                stat_res = 0.0
-            d_scale = 1.0 + (float(np.abs(d).max()) if n else 0.0)
-            minimizer = p_norm <= step_tol * d_scale or stat_res <= 0.1 * opt_tol
+                stat_res = p_norm = 0.0
+            minimizer = stat_res <= 0.1 * opt_tol or p_norm <= step_tol * (
+                1.0 + (float(np.abs(d).max()) if n else 0.0))
         if minimizer:
             # Stationary on the working set: price the active bounds.
-            z = (g if W is None else W @ d + g) - (A.T @ y if m else 0.0)
-            signed = np.where(codes == _LOWER, z, np.where(codes == _UPPER, -z, np.inf))
-            candidates = np.flatnonzero(signed < -opt_tol)
+            r = (g if W is None else W @ d + g) - (A.T @ y if m else 0.0)
+            signed = _PRICE_SIGN[codes] * r  # NaN or 0 on free variables: never a candidate
+            candidates = (signed < -opt_tol).nonzero()[0]
             if candidates.size == 0:
-                return OPTIMAL, d, y, iteration + 1
+                return OPTIMAL, d, y, iteration + 1, r, last_obj
             if bland:
                 leave = int(candidates[0])
             else:
-                leave = int(candidates[np.argmin(signed[candidates])])
+                leave = int(candidates[signed[candidates].argmin()])
             codes[leave] = _FREE
             minimizer = False
             continue
@@ -794,7 +801,7 @@ def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol,
                 codes[blocker] = blocker_side
         else:
             if not np.isfinite(t_full):
-                return UNBOUNDED, d, y, iteration + 1
+                return UNBOUNDED, d, y, iteration + 1, None, last_obj
             d += t_full * p
             minimizer = delta_w == 0.0
 
@@ -807,7 +814,7 @@ def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol,
             stall = 0
         last_obj = obj
 
-    return ITERATION_LIMIT, d, y, max_iter
+    return ITERATION_LIMIT, d, y, max_iter, None, last_obj
 
 
 def _working_set(d, lb, ub) -> tuple[np.ndarray, np.ndarray]:
@@ -817,12 +824,13 @@ def _working_set(d, lb, ub) -> tuple[np.ndarray, np.ndarray]:
         tol = np.abs(bound)
         tol += 1.0
         tol *= 1e-12
-        return np.isfinite(bound) & (np.abs(d - bound) <= tol)
+        gap = d - bound
+        near = np.abs(gap, out=gap) <= tol
+        near &= np.isfinite(bound)
+        return near
 
     upper, lower = touched(ub), touched(lb)
-    codes = np.full(d.size, _FREE, dtype=np.int8)
-    codes[upper] = _UPPER
-    codes[lower] = _LOWER
+    codes = np.where(lower, np.int8(_LOWER), upper * np.int8(_UPPER))
     return np.where(lower, lb, np.where(upper, ub, d)), codes
 
 
@@ -835,9 +843,8 @@ def _minimizer_start(W, g, A, b, d, lb, ub, feas_tol):
     Phase II's first step from any feasible point with that working set
     ends there (Nocedal & Wright, 2nd ed., Alg. 16.3)."""
     held, codes = _working_set(d, lb, ub)
-    is_free = codes == _FREE
-    free = np.flatnonzero(is_free)
-    solved = _eqp_solve(W, g, A, b, held, free, np.flatnonzero(~is_free))
+    free = (codes == _FREE).nonzero()[0]
+    solved = _eqp_solve(W, g, A, b, held, free, codes.nonzero()[0])
     if solved is None:
         return None
     held[free] = solved[0]
@@ -859,7 +866,7 @@ def _projected_start(A, b, d, lb, ub, feas_tol) -> np.ndarray:
     not finite or misses A d = b by more than feas_tol."""
     held, codes = _working_set(d, lb, ub)
     for _ in range(d.size):
-        free = np.flatnonzero(codes == _FREE)
+        free = (codes == _FREE).nonzero()[0]
         fact = _kkt_factorization(1.0, A[:, free], 0.0, 0.0, equilibrate=False)
         if fact.inertia != (free.size, b.size, 0):
             return d
@@ -871,9 +878,9 @@ def _projected_start(A, b, d, lb, ub, feas_tol) -> np.ndarray:
         below, above = held < lb, held > ub
         if not (below.any() or above.any()):
             break
-        held = np.clip(held, lb, ub)
+        held = np.minimum(np.maximum(held, lb), ub)
         codes[below], codes[above] = _LOWER, _UPPER
-    if float(np.max(np.abs(b - A @ held))) <= feas_tol:  # NaN is not
+    if float(np.abs(b - A @ held).max()) <= feas_tol:  # NaN is not
         return held
     return d
 
@@ -919,6 +926,12 @@ def qp_solve(
     system, phase I and phase II, reaches LAPACK through _kkt_factorization.
     With W = 0 the method acts as an LP solver.
     Nonconvex QPs terminate at first-order stationary points.
+
+    The bound multipliers are W d + g - A^T y on the active bounds and 0
+    elsewhere, and objective_value is the objective at d. At an Optimal
+    return both come from the loop (the residual its last pricing read, the
+    value it holds), and _verify_kkt checks the solution with that residual
+    before it is returned.
     """
     W = np.asarray(qp.W, dtype=float)
     g = np.asarray(qp.g, dtype=float)
@@ -929,108 +942,120 @@ def qp_solve(
     n, m = qp.n, qp.m
     if max_iter is None:
         max_iter = 100 * (n + m + 10)
-    feas_tol = 1e-10 * (1.0 + float(np.max(np.abs(b))) if m else 1.0)
+    feas_tol = 1e-10 * (1.0 + float(np.abs(b).max()) if m else 1.0)
 
-    if np.any(lb > ub):
+    if (lb > ub).any():
         return QPSolution(INFEASIBLE, np.zeros(n), np.zeros(m), np.zeros(n), (), np.nan)
+
+    def misses_rows(d):
+        return m and float(np.abs(b - A @ d).max()) > feas_tol  # a NaN residual is no miss
 
     k = qp.step_columns
     cold_elastic = k is not None and not warm_start
     if k is None:
-        d0 = np.zeros(n) if start is None else np.asarray(start, dtype=float).copy()
+        d0 = np.zeros(n) if start is None else np.array(start, dtype=float)
     else:
-        step = np.zeros(k) if start is None else np.clip(start, lb[:k], ub[:k])
+        step = np.zeros(k) if start is None else np.minimum(np.maximum(start, lb[:k]), ub[:k])
         d0 = np.concatenate([step, np.zeros(n - k)]) if cold_elastic else qp.exact_elastics(step)
     if warm_start:
-        for idx, side in warm_start:
-            if 0 <= idx < n:
-                if side == _LOWER and np.isfinite(lb[idx]):
-                    d0[idx] = lb[idx]
-                elif side == _UPPER and np.isfinite(ub[idx]):
-                    d0[idx] = ub[idx]
-    d0 = np.clip(d0, lb, ub)
+        # on Python floats: a pin costs no numpy call
+        bounds = {_LOWER: lb.tolist(), _UPPER: ub.tolist()}
+        for index, side in warm_start:
+            if 0 <= index < n and side in bounds and math.isfinite(bounds[side][index]):
+                d0[index] = bounds[side][index]
+    np.maximum(d0, lb, out=d0)
+    np.minimum(d0, ub, out=d0)
     schedule = RegularizationSchedule()
 
-    residual = (b - A @ d0) if m else np.zeros(0)
     start = None  # (d, codes, y) at a working set's minimizer
     phase1_iters = 0
-    if m and float(np.max(np.abs(residual))) > feas_tol and W.any():
+    infeasible = misses_rows(d0)
+    if infeasible and W.any():
         start = _minimizer_start(W, g, A, b, d0, lb, ub, feas_tol)
-        d0 = start[0] if start else _projected_start(A, b, d0, lb, ub, feas_tol)
-        residual = b - A @ d0
-    if cold_elastic and m and float(np.max(np.abs(residual))) > feas_tol:
+        if start:
+            d0, infeasible = start[0], False  # _minimizer_start tested the rows
+        else:
+            d0 = _projected_start(A, b, d0, lb, ub, feas_tol)
+            infeasible = misses_rows(d0)
+    if infeasible and cold_elastic:
         d0 = qp.exact_elastics(d0[:k])  # feasible by the layout: no phase I
-        residual = b - A @ d0
-    if m and float(np.max(np.abs(residual))) > feas_tol:
+        infeasible = misses_rows(d0)
+    if infeasible:
         # Phase I: the elastic LP (no W, zero g), from exact elastics.
         phase1 = extend_with_elastics(QPData(None, np.zeros(n), A, b, lb, ub))
         d1 = phase1.exact_elastics(d0)
-        codes1 = np.full(d1.size, _FREE, dtype=np.int8)
-        codes1[np.flatnonzero(np.abs(d1 - phase1.d_lower) <= 1e-12)] = _LOWER
-        status1, d1, _, phase1_iters = _active_set_loop(
+        codes1 = (np.abs(d1 - phase1.d_lower) <= 1e-12).astype(np.int8)  # _LOWER or _FREE
+        status1, d1, _, phase1_iters, _, _ = _active_set_loop(
             phase1.W, phase1.g, phase1.A, b, d1, codes1, phase1.d_lower, phase1.d_upper,
             schedule, max_iter, feas_tol,
         )
-        infeasibility = float(np.sum(d1[n:]))
+        infeasibility = float(d1[n:].sum())
         if status1 != OPTIMAL or infeasibility > 100.0 * feas_tol * (1 + m):
             return QPSolution(
                 INFEASIBLE, d1[:n], np.zeros(m), np.zeros(n), (), np.nan, phase1_iters
             )
-        d0 = np.clip(d1[:n], lb, ub)
+        d0 = np.minimum(np.maximum(d1[:n], lb), ub)
 
     d0, codes, y0 = start or (*_working_set(d0, lb, ub), None)
-    status, d, y, iters = _active_set_loop(
+    status, d, y, iters, r, objective = _active_set_loop(
         W, g, A, b, d0, codes, lb, ub, schedule, max_iter, feas_tol, y0
     )
-    z = W @ d + g - (A.T @ y if m else 0.0)
-    z = np.where(codes == _FREE, 0.0, z)
-    active = tuple(
-        (int(i), int(codes[i])) for i in np.flatnonzero(codes != _FREE)
-    )
-    objective = float(0.5 * d @ W @ d + g @ d)
-    solution = QPSolution(status, d, y, z, active, objective, iters + phase1_iters)
+    if r is None:
+        r = W @ d + g - (A.T @ y if m else 0.0)
+    fixed = codes.nonzero()[0]
+    solution = QPSolution(status, d, y, np.where(codes, r, 0.0),
+                          tuple(zip(fixed.tolist(), codes[fixed].tolist())),
+                          float(objective), iters + phase1_iters)
     if status == OPTIMAL:
-        _verify_kkt(qp, solution)
+        _verify_kkt(qp, solution, r)
     return solution
 
 
-def _verify_kkt(qp: QPData, sol: QPSolution) -> None:
+def _verify_kkt(qp: QPData, sol: QPSolution, r: np.ndarray) -> None:
     """Check the QPSolution KKT contract before returning Optimal; raise
-    QPFailureError on a violation.
+    QPFailureError on a violation. r is the stationarity residual
+    W d + g - A^T y at the solution's (d, y), as the active-set loop priced
+    with it; the stationarity test reads r - z.
 
-    The stated tolerances apply to well-scaled data; a backward-error term
-    covers the floating-point floor of badly scaled instances (it is
-    negligible when the data is O(1)). NaN fails every test."""
-    W, g, A, b = qp.W, qp.g, np.atleast_2d(qp.A), qp.b
-    d, y, z = sol.d, sol.multipliers_eq, sol.multipliers_bounds
-    d_norm = float(np.abs(d).max(initial=0.0))
-    y_norm = float(np.abs(y).max(initial=0.0))
-    w_norm = float(np.abs(W).max(initial=0.0))
-    a_norm = float(np.abs(A).max(initial=0.0))
+    The stated tolerances, 1e-8 (1 + |g|) for stationarity and
+    1e-8 (1 + |b|) for feasibility, apply to well-scaled data. Where a
+    residual exceeds its tolerance, a backward-error term is added before
+    the test decides: it covers the floating-point floor of badly scaled
+    instances and is negligible when the data is O(1). It is computed only
+    there: a residual within its tolerance is finite, a NaN or infinite
+    entry of W, A, d or y would have reached it through the products it
+    holds (for n >= 1), and so the term is finite then and could only widen
+    the test. NaN fails every test."""
+    d, z = sol.d, sol.multipliers_bounds
     n = qp.n
-    floor_stat = 100.0 * _EPS * n * (w_norm * d_norm + a_norm * y_norm)
-    floor_feas = 100.0 * _EPS * n * a_norm * max(d_norm, 1.0)
-    tol_stat = 1e-8 * (1.0 + float(np.abs(g).max(initial=0.0))) + floor_stat
-    tol_feas = 1e-8 * (1.0 + float(np.abs(b).max(initial=0.0))) + floor_feas
-    stat = W @ d
-    stat += g
+
+    def magnitudes(*arrays):
+        return [float(np.abs(array).max(initial=0.0)) for array in arrays]
+
+    stat = r - z
+    stat_res = float(np.abs(stat, out=stat).max(initial=0.0))
+    tol_stat = 1e-8 * (1.0 + float(np.abs(qp.g).max(initial=0.0)))
+    if not stat_res <= tol_stat:
+        d_norm, y_norm, w_norm, a_norm = magnitudes(d, sol.multipliers_eq, qp.W, qp.A)
+        if not stat_res <= tol_stat + 100.0 * _EPS * n * (w_norm * d_norm + a_norm * y_norm):
+            raise QPFailureError("QP stationarity violated")
     if qp.m:
-        stat -= A.T @ y
-    stat -= z
-    if not float(np.abs(stat, out=stat).max(initial=0.0)) <= tol_stat:
-        raise QPFailureError("QP stationarity violated")
-    if qp.m:
-        feas = A @ d
-        feas -= b
-        if not float(np.abs(feas, out=feas).max()) <= tol_feas:
-            raise QPFailureError("QP feasibility violated")
-    if not ((d >= qp.d_lower - 1e-9).all() and (d <= qp.d_upper + 1e-9).all()):
+        feas = np.atleast_2d(qp.A) @ d
+        feas -= qp.b
+        feas_res = float(np.abs(feas, out=feas).max())
+        tol_feas = 1e-8 * (1.0 + float(np.abs(qp.b).max()))
+        if not feas_res <= tol_feas:
+            d_norm, a_norm = magnitudes(d, qp.A)
+            if not feas_res <= tol_feas + 100.0 * _EPS * n * a_norm * max(d_norm, 1.0):
+                raise QPFailureError("QP feasibility violated")
+    if not ((d >= qp.d_lower - 1e-9) & (d <= qp.d_upper + 1e-9)).all():
         raise QPFailureError("QP bounds violated")
-    gap_l = np.where(np.isfinite(qp.d_lower), d - qp.d_lower, np.inf)
-    gap_u = np.where(np.isfinite(qp.d_upper), qp.d_upper - d, np.inf)
+    # with the bounds met, a gap to an infinite bound is inf (or NaN where d
+    # is infinite too): never near zero, and no complementarity term
+    gap_l, gap_u = d - qp.d_lower, qp.d_upper - d
     comp = np.minimum(gap_l, gap_u)
-    comp[~np.isfinite(comp)] = 0.0
     z_abs = np.abs(z)
+    comp = np.where(np.isfinite(comp), comp, 0.0)
     comp *= z_abs  # 0 where z is 0
     if not float(comp.max(initial=0.0)) <= 1e-8 * (1.0 + float(z_abs.max(initial=0.0))):
         raise QPFailureError("QP complementarity violated")

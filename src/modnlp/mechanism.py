@@ -49,15 +49,15 @@ class BacktrackingLineSearch:
 
     def _backtrack(self, iterate: Iterate, direction: Direction) -> Iterate:
         """Trials at alpha = c^l * alpha_max until the relaxation accepts
-        one; signals StepTooSmall below alpha_min so the caller can enter
-        restoration or declare failure."""
+        one, by the one acceptance test it gives for the direction; signals
+        StepTooSmall below alpha_min so the caller can enter restoration or
+        declare failure."""
         opts = self.opts
         alpha = direction.alpha_max
+        accepts = self.relaxation.acceptance_test(iterate, direction)
         for _ in range(opts.max_inner):
             trial = assemble_trial(iterate, direction, alpha)
-            if trial.evals.is_finite and self.relaxation.is_acceptable(
-                iterate, trial, direction, alpha
-            ):
+            if trial.evals.is_finite and accepts(trial, alpha):
                 self.last_step_length = alpha
                 return trial
             alpha *= opts.backtrack_factor
@@ -113,10 +113,10 @@ class TrustRegionMethod:
         for _ in range(opts.max_inner):
             direction = self.relaxation.compute_direction(iterate, trust_radius=radius)
             trial = assemble_trial(iterate, direction, 1.0)
-            step_norm = float(np.max(np.abs(direction.dx), initial=0.0))
+            step_norm = float(np.abs(direction.dx).max(initial=0.0))
             activity_tol = opts.activity_tolerance_rel * radius
-            if trial.evals.is_finite and self.relaxation.is_acceptable(
-                iterate, trial, direction, 1.0
+            if trial.evals.is_finite and self.relaxation.acceptance_test(iterate, direction)(
+                trial, 1.0
             ):
                 if step_norm >= radius - activity_tol:
                     radius = min(opts.radius_increase_factor * radius, opts.radius_max)

@@ -56,7 +56,7 @@ OPTIMALITY, RESTORATION = "Optimality", "Restoration"
 
 def linearized_infeasibility(c: np.ndarray, jac: np.ndarray, dx: np.ndarray) -> float:
     """l(d) = ||c + J d||_1."""
-    return float(np.sum(np.abs(c + jac @ dx)))
+    return float(np.abs(c + jac @ dx).sum())
 
 
 def l1_sign_residual(c: np.ndarray, y: np.ndarray) -> float:
@@ -65,7 +65,7 @@ def l1_sign_residual(c: np.ndarray, y: np.ndarray) -> float:
     c_j < 0; summed in index order."""
     c = np.asarray(c, dtype=float)
     terms = np.abs((np.asarray(y, dtype=float) + np.sign(c)) * c)
-    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+    return float(terms.cumsum()[-1]) if terms.size else 0.0
 
 
 def projected_stationarity_l1(
@@ -424,8 +424,8 @@ class ConstraintRelaxationStrategy:
         )
 
     def _is_zero_step(self, iterate: Iterate, direction: Direction) -> bool:
-        scale = 1.0 + float(np.max(np.abs(iterate.x), initial=0.0))
-        return float(np.max(np.abs(direction.dx), initial=0.0)) <= self._zero_tol * scale
+        scale = 1.0 + float(np.abs(iterate.x).max(initial=0.0))
+        return float(np.abs(direction.dx).max(initial=0.0)) <= self._zero_tol * scale
 
     def _barrier_elastic_rho(self):
         """The rho of the elastic problem whose barrier problem is currently
@@ -436,19 +436,40 @@ class ConstraintRelaxationStrategy:
         if not self.subproblem.maybe_update_mu(self.ws, iterate, self._barrier_elastic_rho()):
             return False
         # filter entries depend on mu through xi: flush on every update
-        self.strategy.reset(float(np.sum(np.abs(iterate.evals.c))))
+        self.strategy.reset(float(np.abs(iterate.evals.c).sum()))
         return True
 
     def initialize(self, iterate: Iterate) -> None:
-        self.strategy.initialize(float(np.sum(np.abs(iterate.evals.c))))
+        self.strategy.initialize(float(np.abs(iterate.evals.c).sum()))
 
     # -- interface used by the mechanisms ------------------------------------
 
     def compute_direction(self, iterate: Iterate, trust_radius=None) -> Direction:
         raise NotImplementedError
 
-    def is_acceptable(self, iterate, trial, direction, alpha) -> bool:
-        raise NotImplementedError
+    def acceptance_test(self, iterate: Iterate, direction: Direction):
+        """The test of the trials along direction from iterate, a function
+        of (trial, alpha) that says whether the trial is accepted. What does
+        not depend on the trial is computed here, once per direction: the
+        zero-step test (a zero step is accepted), the iterate's measures and
+        the reduction models. What the test reads of the relaxation's state
+        (a phase, the strategy's memory) it reads at each call, since an
+        earlier trial may have changed it."""
+        if self._is_zero_step(iterate, direction):
+            return lambda trial, alpha: True
+        current = self.measures_from(iterate)
+        models = self.reduction_models(iterate, direction)
+
+        def accepts(trial: Iterate, alpha: float) -> bool:
+            return self._accepts(current, self.measures_from(trial), models, alpha,
+                                 iterate, trial, direction)
+
+        return accepts
+
+    def _accepts(self, current, trial_m, models, alpha, iterate, trial, direction) -> bool:
+        """The decision on one trial, given the iterate's measures, the
+        trial's and the models: the strategy's."""
+        return self.strategy.check_acceptance(current, trial_m, models, alpha)
 
     def handle_small_step(self, iterate: Iterate) -> Direction | None:
         return None
@@ -488,7 +509,7 @@ class L1Relaxation(ConstraintRelaxationStrategy):
         opts = self.opts
         c = np.asarray(iterate.evals.c, dtype=float)
         jac = np.asarray(iterate.evals.jac_c, dtype=float)
-        l0 = float(np.sum(np.abs(c)))
+        l0 = float(np.abs(c).sum())
         feas_tol = self._feas_tol * (1.0 + l0)
 
         direction = self._solve_at(iterate, self.rho, trust_radius)
@@ -565,21 +586,19 @@ class L1Relaxation(ConstraintRelaxationStrategy):
         direction.info = info
         return direction
 
-    def is_acceptable(self, iterate, trial, direction, alpha) -> bool:
-        if self._is_zero_step(iterate, direction):
-            return True
-        current = self.measures_from(iterate)
-        trial_m = self.measures_from(trial)
-        models = self.reduction_models(iterate, direction)
-        return self.strategy.check_acceptance(current, trial_m, models, alpha)
-
 
 class FeasibilityRestoration(ConstraintRelaxationStrategy):
     """Optimality phase on the original problem; on subproblem infeasibility
-    (or a collapsed line-search step for interior methods) temporarily
-    minimize the l1 infeasibility through the elastic feasibility subproblem.
-    Restoration steps are accepted on the strategy's own sigma; the
-    line-search flavor returns once eta falls by opts.restoration_exit_factor.
+    (or a collapsed line-search step) temporarily minimize the l1
+    infeasibility through the elastic feasibility subproblem. Restoration
+    steps are accepted on the strategy's own sigma. How restoration ends
+    depends on the subproblem (is_interior), not on the mechanism. With an
+    active-set subproblem (QP or LP, under LS or TR), each restoration
+    direction also probes the optimality subproblem, and a trial returns to
+    optimality, before the strategy's test, once that one was feasible and
+    the trial beats the least infeasibility the strategy remembers. With an
+    interior subproblem, an accepted trial returns once it is admitted by
+    the strategy and eta falls by opts.restoration_exit_factor.
     """
 
     def __init__(self, ws, subproblem, strategy, opts):
@@ -623,7 +642,7 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
 
     def _restoration_direction(self, iterate, trust_radius, start_dx=None) -> Direction:
         if not self.subproblem.is_interior:
-            # the trust-region switch back to optimality needs to know whether
+            # the active-set switch back to optimality needs to know whether
             # the optimality subproblem is feasible at this point and radius
             probe = self.subproblem.optimality_direction(self.ws, iterate, trust_radius)
             self._optimality_feasible = probe.status == OPTIMAL
@@ -636,28 +655,24 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
             )
         return direction
 
-    def is_acceptable(self, iterate, trial, direction, alpha) -> bool:
-        if self._is_zero_step(iterate, direction):
-            return True
-        current = self.measures_from(iterate)
-        trial_m = self.measures_from(trial)
-        models = self.reduction_models(iterate, direction)
+    def _accepts(self, current, trial_m, models, alpha, iterate, trial, direction) -> bool:
         if self.phase == OPTIMALITY:
             return self.strategy.check_acceptance(current, trial_m, models, alpha)
 
         if not self.subproblem.is_interior:
-            # trust-region flavor: return to optimality before the acceptance
-            # test once the optimality subproblem is feasible and the trial
-            # beats the least infeasibility the strategy remembers
+            # an active-set subproblem (QP or LP, either mechanism): return
+            # to optimality before the acceptance test once the optimality
+            # subproblem is feasible and the trial beats the least
+            # infeasibility the strategy remembers
             least = self.strategy.least_infeasibility(self.reference)
             if self._optimality_feasible and trial_m.eta < least:
                 self._exit_restoration(current)
                 return self.strategy.check_acceptance(current, trial_m, models, alpha)
             return infeasibility_armijo(current, trial_m, models, alpha, self.strategy.sigma)
 
-        # an interior restoration step targets the barrier-smoothed
-        # infeasibility, which can move raw eta the wrong way near an l1
-        # kink; accept on sufficient smoothed decrease too
+        # an interior subproblem: its restoration step targets the barrier-
+        # smoothed infeasibility, which can move raw eta the wrong way near
+        # an l1 kink; accept on sufficient smoothed decrease too
         sigma = self.strategy.sigma
         accepted = infeasibility_armijo(current, trial_m, models, alpha, sigma) or (
             self.subproblem.smoothed_infeasibility_armijo(
@@ -668,7 +683,7 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
             and self.strategy.admits(trial_m)
             and trial_m.eta <= self.restoration_exit_factor * current.eta
         ):
-            # line-search flavor switch-back
+            # the interior switch-back: eta fell by the exit factor
             self._exit_restoration(current)
         return accepted
 

@@ -32,11 +32,13 @@ class Iterate:
 
 
 class Workspace:
-    """Holds the working (equality-form, scaled, instrumented) model and
-    solver-wide counters."""
+    """Holds the working (equality-form, scaled, instrumented) model, the
+    masks of its finite variable bounds and solver-wide counters."""
 
     def __init__(self, model: Model):
         self.model = model
         self.lower = model.variable_lower
         self.upper = model.variable_upper
+        self.lower_finite = np.isfinite(self.lower)
+        self.upper_finite = np.isfinite(self.upper)
         self.subproblem_solves = 0

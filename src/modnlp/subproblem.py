@@ -256,7 +256,7 @@ def dual_scaling(y: np.ndarray, zl: np.ndarray, zu: np.ndarray, scaling_cap: flo
     n = zl.size and m = y.size: the divisor of the dual residuals in the
     termination and barrier tests (Waechter & Biegler, Math. Prog. 106,
     2006, s_d with s_max = cap)."""
-    mass = float(np.sum(np.abs(y)) + np.sum(np.abs(zl)) + np.sum(np.abs(zu)))
+    mass = float(np.abs(y).sum() + np.abs(zl).sum() + np.abs(zu).sum())
     return max(1.0, mass / (scaling_cap * max(1, zl.size + y.size)))
 
 

@@ -190,27 +190,29 @@ def test_criterion_6_filter_properties():
            "monotonicity (%d violations)" % violations)
 
 
-def test_criterion_7_barrier_invariants():
+def test_criterion_7_barrier_invariants(monkeypatch):
     # instrument the acceptance path of an ipopt run and check positivity and
     # the fraction-to-boundary inequalities at every accepted trial
     from modnlp.relaxation import FeasibilityRestoration
 
     records = []
-    original = FeasibilityRestoration.is_acceptable
+    original = FeasibilityRestoration.acceptance_test
 
-    def spy(self, iterate, trial, direction, alpha):
-        accepted = original(self, iterate, trial, direction, alpha)
-        if accepted and self.subproblem.is_interior:
-            tau = max(self.subproblem.opts.tau_min, 1.0 - self.subproblem.mu)
-            records.append((iterate, trial, direction, alpha, tau, self.ws))
-        return accepted
+    def spy(self, iterate, direction):
+        accepts = original(self, iterate, direction)
 
-    FeasibilityRestoration.is_acceptable = spy
-    try:
-        for name in ("hs035", "hs071", "hs021", "boxqp1"):
-            solve(corpus_get(name), preset_options("ipopt"))
-    finally:
-        FeasibilityRestoration.is_acceptable = original
+        def spied(trial, alpha):
+            accepted = accepts(trial, alpha)
+            if accepted and self.subproblem.is_interior:
+                tau = max(self.subproblem.opts.tau_min, 1.0 - self.subproblem.mu)
+                records.append((iterate, trial, direction, alpha, tau, self.ws))
+            return accepted
+
+        return spied
+
+    monkeypatch.setattr(FeasibilityRestoration, "acceptance_test", spy)
+    for name in ("hs035", "hs071", "hs021", "boxqp1"):
+        solve(corpus_get(name), preset_options("ipopt"))
 
     assert records
     violations = 0

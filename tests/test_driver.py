@@ -449,3 +449,72 @@ class TestSolve:
             result = solve(corpus_get("hs071"), opts)
         assert result.status == ITERATION_LIMIT
         assert "non-finite" in result.message
+
+
+def compute_residuals_oracle(ws, iterate, rho, scaling_cap):
+    """compute_residuals, dual_scaling and l1_sign_residual as they were
+    before they took fewer numpy passes: the oracle of their values."""
+    ev = iterate.evals
+    grad = np.asarray(ev.grad_f)
+    J = np.asarray(ev.jac_c)
+    jty = J.T @ iterate.y if iterate.y.size else np.zeros_like(grad)
+    z = iterate.z
+    mass = float(np.sum(np.abs(iterate.y)) + np.sum(np.abs(iterate.zl))
+                 + np.sum(np.abs(iterate.zu)))
+    s_d = max(1.0, mass / (scaling_cap * max(1, iterate.zl.size + iterate.y.size)))
+    stat = float(np.max(np.abs(rho * grad - jty - z), initial=0.0)) / s_d
+    stat0 = float(np.max(np.abs(-jty - z), initial=0.0)) / s_d
+    feas = float(np.max(np.abs(ev.c), initial=0.0))
+    gap_lo = np.where(np.isfinite(ws.lower), iterate.x - ws.lower, 0.0)
+    gap_hi = np.where(np.isfinite(ws.upper), ws.upper - iterate.x, 0.0)
+    comp = max(
+        float(np.max(np.abs(gap_lo * iterate.zl), initial=0.0)),
+        float(np.max(np.abs(gap_hi * iterate.zu), initial=0.0)),
+    ) / s_d
+    c = np.asarray(ev.c, dtype=float)
+    terms = np.abs((np.asarray(iterate.y, dtype=float) + np.sign(c)) * c)
+    sign_res = float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+    return Residuals(stat, stat0, feas, comp, sign_res)
+
+
+def test_compute_residuals_equals_the_oracle():
+    # every corpus problem in equality form (finite and infinite bounds;
+    # boxqp1 and hs003 have m = 0) at random points and multipliers, some
+    # planted with NaN and inf, at rho 1, 0.3 and 0: the residuals equal
+    # the oracle's byte for byte, and each takes the same callbacks from a
+    # fresh record (at m = 0 too, one Jacobian call)
+    from modnlp.corpus import corpus_names
+    from modnlp.driver import compute_residuals
+    from modnlp.state import Iterate, Workspace
+
+    rng = np.random.RandomState(29)
+    empty_rows = 0
+    for name in corpus_names():
+        counted, counts = instrument(corpus_get(name))
+        working = to_equality_form(counted)
+        ws = Workspace(working)
+        n, m = working.n, working.m
+        lower = np.where(np.isfinite(ws.lower), ws.lower, -3.0)
+        upper = np.where(np.isfinite(ws.upper), ws.upper, 3.0)
+        for trial in range(12):
+            x = lower + (upper - lower) * rng.rand(n)
+            y = rng.randn(m) * 10.0 ** rng.uniform(-3, 3, m)
+            zl, zu = rng.rand(n), rng.rand(n)
+            if trial % 4 == 3:
+                for v in (y, zl, zu):
+                    if v.size:
+                        v[rng.randint(v.size)] = (np.nan, np.inf, -np.inf)[rng.randint(3)]
+            rho = (1.0, 0.3, 0.0)[trial % 3]
+            outcomes = []
+            for compute in (compute_residuals_oracle, compute_residuals):
+                before = dict(vars(counts))
+                iterate = Iterate(x, y, zl, zu, EvaluationRecord(working, x))
+                with np.errstate(all="ignore"):
+                    res = compute(ws, iterate, rho, 100.0)
+                taken = {k: v - before[k] for k, v in vars(counts).items()}
+                outcomes.append(([np.float64(v).tobytes() for v in vars(res).values()], taken))
+            assert outcomes[0] == outcomes[1], (name, trial)
+            if m == 0:
+                assert outcomes[1][1]["constraint_jacobian"] == 1
+                empty_rows += 1
+    assert empty_rows == 24

@@ -166,7 +166,7 @@ class TestMerit:
         merit = MeritL1(replace(OPTS, armijo_sigma=0.1))
         for cls in (L1Relaxation, FeasibilityRestoration):
             relaxation = cls(None, QPSubproblem(OPTS), merit, OPTS)
-            assert relaxation.is_acceptable(iterate, trial, zero, 1.0)
+            assert relaxation.acceptance_test(iterate, zero)(trial, 1.0)
 
     def test_sigma_zero_accepts_non_increasing(self):
         cur = ProgressMeasures(eta=1.0, f=1.0)

@@ -1669,6 +1669,56 @@ class TestQPSolve:
         assert warm.status == OPTIMAL
         np.testing.assert_allclose(warm.d, cold.d, atol=1e-8)
 
+    def test_z_and_objective_are_fresh_values(self, monkeypatch):
+        # qp_solve takes z from the residual its loop priced with, and the
+        # objective from the value the loop holds: both equal a fresh
+        # W d + g - A^T y (on the active bounds) and 1/2 d'W d + g'd bit
+        # for bit, on plain and elastic QPs, cold and warm, convex,
+        # indefinite (in the box and unbounded) and LPs, with and without
+        # phase I; the warm starts pin a random subset of bounds
+        import modnlp.linalg as linalg
+
+        loop, phase1 = linalg._active_set_loop, [False]
+
+        def traced_loop(W, *args):
+            phase1[0] |= W is None
+            return loop(W, *args)
+
+        monkeypatch.setattr(linalg, "_active_set_loop", traced_loop)
+        rng = np.random.RandomState(23)
+        kinds = {}
+        for _ in range(150):
+            convex = random_convex_qp(rng)
+            n = convex.n
+            indefinite = dataclasses.replace(convex, W=convex.W - 1.5 * np.eye(n))
+            free = dataclasses.replace(indefinite, d_lower=np.full(n, -np.inf),
+                                       d_upper=np.full(n, np.inf))  # mostly unbounded
+            for qp in (convex, indefinite, free, dataclasses.replace(convex, W=np.zeros((n, n)))):
+                pins = tuple((i, int(side)) for i, side in enumerate(rng.randint(0, 3, n)) if side)
+                for elastic in (False, True):
+                    problem = extend_with_elastics(qp) if elastic else qp
+                    start = rng.uniform(-2.0, 2.0, n)
+                    for warm in ((), pins):
+                        phase1[0] = False
+                        sol = qp_solve(problem, warm_start=warm, start=start)
+                        if sol.status == INFEASIBLE:
+                            continue
+                        W, g, A, y, d = problem.W, problem.g, problem.A, sol.multipliers_eq, sol.d
+                        r = W @ d + g - (A.T @ y if problem.m else 0.0)
+                        z = np.zeros(d.size)
+                        fixed = [i for i, _ in sol.active_set]
+                        z[fixed] = r[fixed]
+                        assert sol.multipliers_bounds.tobytes() == z.tobytes()
+                        objective = 0.5 * d @ W @ d + g @ d
+                        assert np.float64(sol.objective_value).tobytes() == objective.tobytes()
+                        key = (elastic, bool(warm), phase1[0], sol.status)
+                        kinds[key] = kinds.get(key, 0) + 1
+        for elastic in (False, True):
+            for warm in (False, True):
+                assert kinds.get((elastic, warm, False, OPTIMAL), 0) > 20
+        assert sum(count for (_, _, phase, _), count in kinds.items() if phase) > 20
+        assert sum(count for (_, _, _, status), count in kinds.items() if status != OPTIMAL) > 20
+
     def test_nonconvex_in_box_is_stationary(self):
         rng = np.random.RandomState(17)
         for _ in range(50):
@@ -1848,14 +1898,20 @@ def test_central_elastics_without_cancellation():
     np.testing.assert_allclose(mu / u_plus + mu / u_minus, 2.0, rtol=1e-12)
 
 
+def stationarity_residual(qp, sol):
+    """r = W d + g - A^T y at the solution: what _verify_kkt is given."""
+    A = np.atleast_2d(qp.A)
+    return qp.W @ sol.d + qp.g - (A.T @ sol.multipliers_eq if qp.m else 0.0)
+
+
 def test_kkt_contract_violation_is_a_typed_error():
     qp = QPData(np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([1.0]),
                 np.full(2, -np.inf), np.full(2, np.inf))
     good = QPSolution(OPTIMAL, np.array([0.5, 0.5]), np.array([0.5]), np.zeros(2), (), 0.25)
-    _verify_kkt(qp, good)
+    _verify_kkt(qp, good, stationarity_residual(qp, good))
     infeasible = QPSolution(OPTIMAL, np.zeros(2), np.zeros(1), np.zeros(2), (), 0.0)
     with pytest.raises(QPFailureError, match="feasibility"):
-        _verify_kkt(qp, infeasible)
+        _verify_kkt(qp, infeasible, stationarity_residual(qp, infeasible))
 
 
 def verify_kkt_oracle(qp, sol):
@@ -1895,14 +1951,29 @@ def verify_kkt_oracle(qp, sol):
 
 
 def test_verify_kkt_decisions_equal_the_oracle():
-    # min 1/2 |d|^2 + g'd, d0 >= 0 active, d1 <= 0 active, d2 = -0.5 by
-    # the equality: optimal with z = (1, -1, 0) and y = 0; then each entry
-    # of each array is planted with NaN, +-inf and values at the edges of
-    # the 1e-9 bound and gap tolerances and the 1e-8 sign tolerance
-    qp = QPData(np.eye(3), np.array([1.0, -1.0, 0.5]), np.array([[0.0, 0.0, 1.0]]),
-                np.array([-0.5]), np.array([0.0, -np.inf, -1.0]), np.array([np.inf, 0.0, 1.0]))
-    sol = QPSolution(OPTIMAL, np.array([0.0, 0.0, -0.5]), np.zeros(1),
-                     np.array([1.0, -1.0, 0.0]), (), -0.125)
+    # well scaled: min 1/2 |d|^2 + g'd, d0 >= 0 active, d1 <= 0 active, d2 =
+    # -0.5 by the equality: optimal with z = (1, -1, 0) and y = 0
+    scaled = (
+        QPData(np.eye(3), np.array([1.0, -1.0, 0.5]), np.array([[0.0, 0.0, 1.0]]),
+               np.array([-0.5]), np.array([0.0, -np.inf, -1.0]), np.array([np.inf, 0.0, 1.0])),
+        QPSolution(OPTIMAL, np.array([0.0, 0.0, -0.5]), np.zeros(1),
+                   np.array([1.0, -1.0, 0.0]), (), -0.125),
+    )
+    # badly scaled: W and A carry 1e12, and both residuals exceed their
+    # base tolerances 1e-8 (1 + |g|) and 1e-8 (1 + |b|), so the backward-
+    # error floors decide (to pass); d1 = 0 with y's product zero there
+    floors = (
+        QPData(np.diag([1e12, 1.0, 1.0]), np.array([-1.0, -1.0, 0.5]),
+               np.array([[1e12, 0.0, 1.0]]), np.array([0.5 + 1e-4]),
+               np.array([-np.inf, -np.inf, -1.0]), np.array([np.inf, 0.0, 1.0])),
+        QPSolution(OPTIMAL, np.array([1e-12, 0.0, -0.5]), np.array([1e-14]),
+                   np.array([0.0, -1.0, 0.0]), (), 0.0),
+    )
+    qp, sol = floors
+    with np.errstate(all="ignore"):
+        r = stationarity_residual(qp, sol)
+    assert np.abs(r - sol.multipliers_bounds).max() > 1e-8 * (1.0 + np.abs(qp.g).max())
+    assert np.abs(qp.A @ sol.d - qp.b).max() > 1e-8 * (1.0 + np.abs(qp.b).max())
 
     def outcome(check, qp, sol):
         try:
@@ -1912,25 +1983,35 @@ def test_verify_kkt_decisions_equal_the_oracle():
             return str(exc)
         return "pass"
 
+    def verify(qp, sol):
+        _verify_kkt(qp, sol, stationarity_residual(qp, sol))
+
+    assert outcome(verify, *floors) == outcome(verify_kkt_oracle, *floors) == "pass"
+    # each entry of each array is planted with NaN, +-inf and values at the
+    # edges of the 1e-9 bound and gap tolerances and the 1e-8 sign
+    # tolerance; W's and A's entries include the columns where d is zero
+    # and the rows where y is zero, whose products NaN and inf must reach
     planted = (np.nan, np.inf, -np.inf, 1e-9, -1e-9, 1.0000001e-9, 2e-9, 1e-8, -1e-8, -1.5e-8,
                0.0, -1.0)
-    outcomes = set()
-    cases = 0
-    for owner, field in ((qp, "W"), (qp, "g"), (qp, "A"), (qp, "b"), (qp, "d_lower"),
-                         (qp, "d_upper"), (sol, "d"), (sol, "multipliers_eq"),
-                         (sol, "multipliers_bounds")):
-        array = getattr(owner, field)
-        for index in range(array.size):
-            for value in planted:
-                changed = array.copy()
-                changed.flat[index] = value
-                q, s = qp, sol
-                if owner is qp:
-                    q = dataclasses.replace(qp, **{field: changed})
-                else:
-                    s = dataclasses.replace(sol, **{field: changed})
-                expected = outcome(verify_kkt_oracle, q, s)
-                assert outcome(_verify_kkt, q, s) == expected, (field, index, value)
-                outcomes.add(expected)
-                cases += 1
-    assert cases > 300 and len(outcomes) == 6  # every test decides somewhere
+    # every test decides somewhere (complementarity not on the floors case)
+    for (qp, sol), decided in ((scaled, 6), (floors, 5)):
+        outcomes = set()
+        cases = 0
+        for owner, field in ((qp, "W"), (qp, "g"), (qp, "A"), (qp, "b"), (qp, "d_lower"),
+                             (qp, "d_upper"), (sol, "d"), (sol, "multipliers_eq"),
+                             (sol, "multipliers_bounds")):
+            array = getattr(owner, field)
+            for index in range(array.size):
+                for value in planted:
+                    changed = array.copy()
+                    changed.flat[index] = value
+                    q, s = qp, sol
+                    if owner is qp:
+                        q = dataclasses.replace(qp, **{field: changed})
+                    else:
+                        s = dataclasses.replace(sol, **{field: changed})
+                    expected = outcome(verify_kkt_oracle, q, s)
+                    assert outcome(verify, q, s) == expected, (field, index, value)
+                    outcomes.add(expected)
+                    cases += 1
+        assert cases > 300 and len(outcomes) == decided, outcomes

@@ -33,9 +33,12 @@ class StubRelaxation:
             return self.direction(trust_radius)
         return self.direction
 
-    def is_acceptable(self, iterate, trial, direction, alpha):
-        self.trials.append(alpha)
-        return self.accept_rule(trial, alpha, len(self.trials))
+    def acceptance_test(self, iterate, direction):
+        def accepts(trial, alpha):
+            self.trials.append(alpha)
+            return self.accept_rule(trial, alpha, len(self.trials))
+
+        return accepts
 
     def handle_small_step(self, iterate):
         return None

@@ -284,3 +284,133 @@ def test_l1_residuals_equal_the_component_loops():
         g[rng.rand(n) < 0.1] = 0.0
         assert projected_stationarity_l1(g, x, lower, upper) == \
             stationarity_loop(g, x, lower, upper)
+
+
+def per_trial_acceptance(relaxation, iterate, trial, direction, alpha):
+    """The acceptance decision as it was made before the iterate side was
+    computed once per direction: everything recomputed at each trial. The
+    oracle of acceptance_test."""
+    from modnlp.globalization import infeasibility_armijo
+    from modnlp.relaxation import FeasibilityRestoration
+
+    if relaxation._is_zero_step(iterate, direction):
+        return True
+    current = relaxation.measures_from(iterate)
+    trial_m = relaxation.measures_from(trial)
+    models = relaxation.reduction_models(iterate, direction)
+    strategy = relaxation.strategy
+    if not isinstance(relaxation, FeasibilityRestoration) or relaxation.phase == OPTIMALITY:
+        return strategy.check_acceptance(current, trial_m, models, alpha)
+    if not relaxation.subproblem.is_interior:
+        least = strategy.least_infeasibility(relaxation.reference)
+        if relaxation._optimality_feasible and trial_m.eta < least:
+            relaxation._exit_restoration(current)
+            return strategy.check_acceptance(current, trial_m, models, alpha)
+        return infeasibility_armijo(current, trial_m, models, alpha, strategy.sigma)
+    accepted = infeasibility_armijo(current, trial_m, models, alpha, strategy.sigma) or (
+        relaxation.subproblem.smoothed_infeasibility_armijo(
+            relaxation.ws, iterate, trial, direction, alpha, strategy.sigma))
+    if (accepted and strategy.admits(trial_m)
+            and trial_m.eta <= relaxation.restoration_exit_factor * current.eta):
+        relaxation._exit_restoration(current)
+    return accepted
+
+
+@pytest.mark.filterwarnings("ignore:feasibility_restoration does not steer")
+def test_iterate_side_of_the_acceptance_test_once_per_direction(monkeypatch):
+    # line searches under both relaxations and all three subproblems. Each
+    # trial's decision, and the phase and filter it leaves, equal the
+    # per-trial oracle's on a copy of the relaxation; inside a trial only
+    # the trial's measures are computed. Under FR + QP + l1_merit on
+    # hs014, restoration is left inside a trial that is rejected, and the
+    # next trial of that search is decided in the optimality phase.
+    import copy
+
+    from modnlp.driver import solve
+    from modnlp.relaxation import ConstraintRelaxationStrategy
+
+    base = ConstraintRelaxationStrategy
+    calls = {"measures_from": 0, "reduction_models": 0, "_is_zero_step": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _method=getattr(base, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(base, name, counted)
+
+    seen = {"directions": 0, "trials": 0, "exits then optimality": 0}
+    acceptance_test = base.acceptance_test
+
+    def checked_test(self, iterate, direction):
+        accepts = acceptance_test(self, iterate, direction)
+        seen["directions"] += 1
+        exited = [False]
+
+        def checked(trial, alpha):
+            twin = copy.copy(self)
+            twin.strategy = copy.deepcopy(self.strategy)
+            expected = per_trial_acceptance(twin, iterate, trial, direction, alpha)
+            phase = getattr(self, "phase", None)
+            before = dict(calls)
+            accepted = accepts(trial, alpha)
+            assert accepted == expected
+            assert getattr(twin, "phase", None) == getattr(self, "phase", None)
+            assert getattr(twin.strategy, "filter", None) is None or (
+                twin.strategy.filter.entries == self.strategy.filter.entries)
+            assert calls["reduction_models"] == before["reduction_models"]
+            assert calls["_is_zero_step"] == before["_is_zero_step"]
+            assert calls["measures_from"] - before["measures_from"] in (0, 1)  # 0: a zero step
+            seen["trials"] += 1
+            seen["exits then optimality"] += exited[0] and phase == OPTIMALITY
+            exited[0] = phase == RESTORATION and self.phase == OPTIMALITY and not accepted
+            return accepted
+
+        return checked
+
+    monkeypatch.setattr(base, "acceptance_test", checked_test)
+    runs = [("byrd", "hs014"), ("byrd", "hs071"), ("ipopt", "hs071"), ("ipopt", "infeasible1")]
+    for preset, name in runs:
+        solve(corpus_get(name), preset_options(preset))
+    for subproblem in ("QP", "LP"):
+        solve(corpus_get("hs014"), replace(
+            Options(), subproblem=subproblem, globalization_strategy="l1_merit",
+            globalization_mechanism="LS"))
+    assert seen["trials"] > 2 * seen["directions"] > 100
+    assert seen["exits then optimality"] > 0
+
+
+def test_acceptance_test_reads_the_phase_at_each_trial():
+    # restoration with an active-set subproblem: the first trial beats the
+    # least infeasibility the strategy remembers, returns to optimality and
+    # is rejected there; the second, with eta above that, is decided in the
+    # optimality phase (accepted by the strategy), not by the restoration
+    # phase's infeasibility Armijo test (which it fails)
+    from modnlp.globalization import GlobalizationStrategy, ProgressMeasures
+    from modnlp.relaxation import FeasibilityRestoration
+    from modnlp.subproblem import Direction
+
+    class Scripted(GlobalizationStrategy):
+        sigma = 0.1
+
+        def __init__(self, decisions):
+            self.decisions = list(decisions)
+
+        def check_acceptance(self, current, trial, models, step):
+            return self.decisions.pop(0)
+
+        def least_infeasibility(self, reference):
+            return 1.0
+
+    def point(c):
+        c = np.array([c])
+        return Iterate(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1),
+                       Evaluations(0.0, c, np.zeros(1), np.ones((1, 1))))
+
+    strategy = Scripted([False, True])
+    relaxation = FeasibilityRestoration(None, QPSubproblem(Options()), strategy, Options())
+    relaxation.phase = RESTORATION
+    relaxation.reference = ProgressMeasures(eta=1.5, f=0.0)
+    relaxation._optimality_feasible = True
+    direction = Direction(np.array([-1.5]), np.zeros(1), np.zeros(1), np.zeros(1), OPTIMAL)
+    accepts = relaxation.acceptance_test(point(1.5), direction)
+    assert not accepts(point(0.5), 1.0) and relaxation.phase == OPTIMALITY
+    assert accepts(point(2.0), 0.5) and not strategy.decisions

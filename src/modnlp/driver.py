@@ -387,10 +387,9 @@ def compute_residuals(ws: Workspace, iterate: Iterate, rho: float, scaling_cap: 
     ev = iterate.evals
     x, y, zl, zu = iterate.x, iterate.y, iterate.zl, iterate.zu
     stat = rho * np.asarray(ev.grad_f)
-    J = ev.jac_c  # evaluated at m = 0 too: the callback counts depend on it
     z = zl - zu
-    if y.size:
-        jty = np.asarray(J).T @ y
+    if y.size:  # an m = 0 model's empty Jacobian is not evaluated
+        jty = np.asarray(ev.jac_c).T @ y
         stat -= jty
         stat0 = -jty
         stat0 -= z

@@ -25,11 +25,12 @@ elsewhere: below its order gates, at delta_c > 0, and where both proofs
 refuse (m = 0, a rank-deficient A, or a reduced Hessian that is not
 positive definite).
 
-The active-set loop solves a working set's KKT system only to step: at the
-minimizer it reaches by a full step at delta_w = 0, or starts from, it
-prices the bounds with the multipliers of the solve that gave the point.
-The residual of its last pricing becomes the bound multipliers and the
-stationarity residual that the KKT check reads.
+The active-set loop solves a working set's KKT system only to step, and
+stops each step at the first smallest blocking ratio: at the minimizer it
+reaches by a full step at delta_w = 0, or starts from, it prices the bounds
+with the multipliers of the solve that gave the point. The residual of its
+last pricing becomes the bound multipliers and the stationarity residual
+that the KKT check reads.
 """
 from __future__ import annotations
 
@@ -575,7 +576,6 @@ def extend_with_elastics(qp: QPData) -> QPData:
     g[:n] = qp.g
     A = np.zeros((m, ne))
     A[:, :n] = qp.A
-    A[:, n : n + m] = -0.0  # the -I block keeps the signed zeros of -np.eye(m)
     A.flat[n :: ne + 1] = -1.0
     A.flat[n + m :: ne + 1] = 1.0
     lb = np.zeros(ne)
@@ -690,28 +690,19 @@ def _ratio_test(d, p, lb, ub, lb_finite, ub_finite, step_tol):
 
     Only variables moving by more than step_tol toward a finite bound
     count (lb_finite and ub_finite are np.isfinite(lb) and np.isfinite(ub),
-    which the loop computes once). In index order, a ratio takes the block
-    only when below the current one by 1e-15, so only ratios below every
-    earlier one (strict running minima) can; a NaN ratio never does. The
-    last of them, the first smallest ratio, blocks when every earlier ratio
-    lies more than 1e-15 above it; only a near-tie there, or a NaN, walks
-    the strict running minima in order.
+    which the loop computes once). The first smallest ratio blocks
+    (Nocedal & Wright, 2nd ed., Alg. 16.3); a NaN ratio never does.
     """
     up = (p > step_tol) & ub_finite
     moving = up | ((p < -step_tol) & lb_finite)
     if not moving.any():
         return np.inf, -1, _LOWER
     ratios = np.divide(np.where(up, ub, lb) - d, p, out=np.full(d.size, np.inf), where=moving)
-    blocker = int(np.argmin(ratios))  # the first smallest, or the first NaN
-    t_block = ratios[blocker]
-    if not t_block < ratios[:blocker].min(initial=np.inf) - 1e-15:
-        t_block, blocker = np.inf, -1
-        earlier_min = np.fmin.accumulate(np.concatenate([[np.inf], ratios[:-1]]))
-        for k in (ratios < earlier_min).nonzero()[0]:
-            if ratios[k] < t_block - 1e-15:
-                t_block, blocker = ratios[k], k
-    side = _UPPER if blocker >= 0 and up[blocker] else _LOWER
-    return max(t_block, 0.0), blocker, side
+    ratios[np.isnan(ratios)] = np.inf
+    blocker = int(ratios.argmin())
+    if ratios[blocker] == np.inf:
+        return np.inf, -1, _LOWER
+    return max(ratios[blocker], 0.0), blocker, _UPPER if up[blocker] else _LOWER
 
 
 def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol, y=None):
@@ -719,12 +710,13 @@ def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol,
     codes; W None is a zero Hessian, with every product by it skipped.
 
     An iteration either solves the EQP of the working set (_eqp_solve) and
-    steps toward its minimizer, or, at a point stationary on the working
-    set, prices the bounds with that solve's multipliers y (Nocedal &
-    Wright, 2nd ed., Alg. 16.3). A full step at delta_w = 0 lands on the
-    minimizer, so the next iteration prices with the y it holds and solves
-    nothing. A given y says the same of the start: d is its working set's
-    minimizer and y that solve's multipliers.
+    steps toward its minimizer, up to the first bound that blocks the step
+    (_ratio_test: the first smallest ratio), or, at a point stationary on
+    the working set, prices the bounds with that solve's multipliers y
+    (Nocedal & Wright, 2nd ed., Alg. 16.3). A full step at delta_w = 0
+    lands on the minimizer, so the next iteration prices with the y it
+    holds and solves nothing. A given y says the same of the start: d is
+    its working set's minimizer and y that solve's multipliers.
 
     Returns (status, d, y, iterations, r, objective): objective is the
     value at the returned d, and r, at an Optimal return, the residual
@@ -834,55 +826,55 @@ def _working_set(d, lb, ub) -> tuple[np.ndarray, np.ndarray]:
     return np.where(lower, lb, np.where(upper, ub, d)), codes
 
 
-def _minimizer_start(W, g, A, b, d, lb, ub, feas_tol):
-    """(point, codes, y): the minimizer of the EQP on the working set d
-    touches, solved at delta_w = 0 (_eqp_solve with no schedule), with
-    those codes and its multipliers y; None unless its record's inertia is
-    (n_f, m, 0), so that the reduced Hessian is positive definite, and the
-    point lies in [lb, ub] and meets A d = b to feas_tol (NaN does not).
-    Phase II's first step from any feasible point with that working set
-    ends there (Nocedal & Wright, 2nd ed., Alg. 16.3)."""
+def _phase_two_start(W, g, A, b, d, lb, ub, feas_tol):
+    """(point, codes, y): a start of phase II off d, which misses A d = b,
+    with its working-set codes, and y the multipliers of the solve that
+    makes it a working-set minimizer (None if it is not); None where no
+    start is taken.
+
+    First, the minimizer of the EQP on the working set d touches, solved at
+    delta_w = 0 (_eqp_solve with no schedule), taken where its record's
+    inertia is (n_f, m, 0), so that the reduced Hessian is positive
+    definite, and the point lies in [lb, ub] and meets A d = b to feas_tol
+    (NaN does not). Phase II's first step from any feasible point with that
+    working set ends there (Nocedal & Wright, 2nd ed., Alg. 16.3).
+
+    Else, a point of {A d = b} in [lb, ub] by iterated projection, with the
+    same bounds held. Each round adds Delta, the min-norm correction over
+    the free columns f: [[I, A_f^T], [A_f, 0]] (Delta, lambda) = (0, b - A
+    d), solved with the record of _kkt_factorization; the components that
+    cross a bound are clipped to it and held, and the next round projects
+    again. Every round holds one more bound, so there are at most n. None
+    when a record's inertia is not (n_f, m, 0) (as for n_f < m: A_f then
+    has dependent rows), a solve fails, or the point is not finite or
+    misses A d = b by more than feas_tol."""
     held, codes = _working_set(d, lb, ub)
     free = (codes == _FREE).nonzero()[0]
     solved = _eqp_solve(W, g, A, b, held, free, codes.nonzero()[0])
-    if solved is None:
-        return None
-    held[free] = solved[0]
-    inside = (lb <= held).all() and (held <= ub).all()
-    if inside and np.abs(b - A @ held).max() <= feas_tol:
-        return held, codes, solved[1]
-    return None
-
-
-def _projected_start(A, b, d, lb, ub, feas_tol) -> np.ndarray:
-    """A point of {A d = b} in [lb, ub] by iterated projection, with the
-    bounds d touches held. Each round adds Delta, the min-norm correction
-    over the free columns f: [[I, A_f^T], [A_f, 0]] (Delta, lambda) = (0, b
-    - A d), solved with the record of _kkt_factorization; the components
-    that cross a bound are clipped to it and held, and the next round
-    projects again. Every round holds one more bound, so there are at most
-    n. Returns d itself when a record's inertia is not (n_f, m, 0) (as for
-    n_f < m: A_f then has dependent rows), a solve fails, or the point is
-    not finite or misses A d = b by more than feas_tol."""
-    held, codes = _working_set(d, lb, ub)
+    if solved is not None:
+        point = held.copy()
+        point[free] = solved[0]
+        inside = (lb <= point).all() and (point <= ub).all()
+        if inside and np.abs(b - A @ point).max() <= feas_tol:
+            return point, codes, solved[1]
     for _ in range(d.size):
-        free = (codes == _FREE).nonzero()[0]
         fact = _kkt_factorization(1.0, A[:, free], 0.0, 0.0, equilibrate=False)
         if fact.inertia != (free.size, b.size, 0):
-            return d
+            return None
         try:
             delta = solve_factorized(fact, np.concatenate([np.zeros(free.size), b - A @ held]))
         except SingularMatrixError:
-            return d
+            return None
         held[free] += delta[: free.size]
         below, above = held < lb, held > ub
         if not (below.any() or above.any()):
             break
         held = np.minimum(np.maximum(held, lb), ub)
         codes[below], codes[above] = _LOWER, _UPPER
+        free = (codes == _FREE).nonzero()[0]
     if float(np.abs(b - A @ held).max()) <= feas_tol:  # NaN is not
-        return held
-    return d
+        return (*_working_set(held, lb, ub), None)
+    return None
 
 
 def qp_solve(
@@ -899,23 +891,23 @@ def qp_solve(
     alone: clipped to its box and completed with its exact elastics
     (QPData.exact_elastics) when warm_start is given, with every elastic at
     its zero bound when it is not (a cold start). When d0 misses A d = b
-    and W is not zero, convex or not, phase II starts at the minimizer of the
-    equality-constrained QP on d0's working set (the bounds d0 touches),
-    solved at delta_w = 0, where that system is regular and the minimizer
-    lies in the box (_minimizer_start), and prices the bounds there at once
-    with that solve's multipliers (Nocedal & Wright, Numerical
-    Optimization, 2nd ed., Alg. 16.3). Else it starts from d0's iterated
-    projection (_projected_start): the min-norm point of {A d = b} with the
-    bounds d0 touches held, and with every bound a round crosses held for
-    the next (ibid., 16.2 and 16.5). A cold elastic QP thus starts at the
-    minimizer or the projection of its step, elastics at zero. A convex
-    QP's minimizer does not depend on which feasible point phase II starts
-    from (a nonconvex QP's stationary point may). Where neither is taken
-    (W = 0, or no projection lands feasible), a cold elastic QP starts
-    phase II from its step with exact elastics, feasible by the layout, and
-    never runs phase I. Any other QP runs phase I there: an LP (W = 0),
-    whose vertex depends on its start, or a QP with no projection that
-    lands feasible.
+    and W is not zero, convex or not, phase II starts where
+    _phase_two_start puts it, from one working set of d0 (the bounds d0
+    touches): at the minimizer of that working set's equality-constrained
+    QP, solved at delta_w = 0, where that system is regular and the
+    minimizer lies in the box, pricing the bounds there at once with that
+    solve's multipliers (Nocedal & Wright, Numerical Optimization, 2nd ed.,
+    Alg. 16.3); else at d0's iterated projection, the min-norm point of
+    {A d = b} with those bounds held, and with every bound a round crosses
+    held for the next (ibid., 16.2 and 16.5). A cold elastic QP thus starts
+    at the minimizer or the projection of its step, elastics at zero. A
+    convex QP's minimizer does not depend on which feasible point phase II
+    starts from (a nonconvex QP's stationary point may). Where neither is
+    taken (W = 0, or no projection lands feasible), a cold elastic QP
+    starts phase II from its step with exact elastics, feasible by the
+    layout, and never runs phase I. Any other QP runs phase I there: an LP
+    (W = 0), whose vertex depends on its start, or a QP with no projection
+    that lands feasible.
 
     Phase I minimizes the elastic infeasibility of the equalities, so
     inconsistent constraints are reported as Infeasible (with the partial
@@ -967,16 +959,12 @@ def qp_solve(
     np.minimum(d0, ub, out=d0)
     schedule = RegularizationSchedule()
 
-    start = None  # (d, codes, y) at a working set's minimizer
+    start = None  # (d, codes, y) off a d0 that misses the rows
     phase1_iters = 0
     infeasible = misses_rows(d0)
     if infeasible and W.any():
-        start = _minimizer_start(W, g, A, b, d0, lb, ub, feas_tol)
-        if start:
-            d0, infeasible = start[0], False  # _minimizer_start tested the rows
-        else:
-            d0 = _projected_start(A, b, d0, lb, ub, feas_tol)
-            infeasible = misses_rows(d0)
+        start = _phase_two_start(W, g, A, b, d0, lb, ub, feas_tol)
+        infeasible = start is None  # the start tested the rows
     if infeasible and cold_elastic:
         d0 = qp.exact_elastics(d0[:k])  # feasible by the layout: no phase I
         infeasible = misses_rows(d0)

@@ -482,7 +482,8 @@ def test_compute_residuals_equals_the_oracle():
     # boxqp1 and hs003 have m = 0) at random points and multipliers, some
     # planted with NaN and inf, at rho 1, 0.3 and 0: the residuals equal
     # the oracle's byte for byte, and each takes the same callbacks from a
-    # fresh record (at m = 0 too, one Jacobian call)
+    # fresh record, but for the Jacobian at m = 0: the oracle evaluates it,
+    # compute_residuals does not
     from modnlp.corpus import corpus_names
     from modnlp.driver import compute_residuals
     from modnlp.state import Iterate, Workspace
@@ -513,8 +514,10 @@ def test_compute_residuals_equals_the_oracle():
                     res = compute(ws, iterate, rho, 100.0)
                 taken = {k: v - before[k] for k, v in vars(counts).items()}
                 outcomes.append(([np.float64(v).tobytes() for v in vars(res).values()], taken))
-            assert outcomes[0] == outcomes[1], (name, trial)
+            values, calls = outcomes[0]
             if m == 0:
-                assert outcomes[1][1]["constraint_jacobian"] == 1
+                assert calls["constraint_jacobian"] == 1
+                calls = dict(calls, constraint_jacobian=0)
                 empty_rows += 1
+            assert outcomes[1] == (values, calls), (name, trial)
     assert empty_rows == 24

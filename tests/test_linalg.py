@@ -1322,6 +1322,22 @@ class TestQPSolve:
         return loops, starts
 
     @staticmethod
+    def traced_starts(monkeypatch):
+        """Record what each _phase_two_start returns, as it returns it (the
+        loop then moves the point and the codes in place)."""
+        import modnlp.linalg as linalg
+
+        starts, phase_two_start = [], linalg._phase_two_start
+
+        def traced_start(*args):
+            start = phase_two_start(*args)
+            starts.append(start and (start[0].copy(), start[1].copy(), start[2]))
+            return start
+
+        monkeypatch.setattr(linalg, "_phase_two_start", traced_start)
+        return starts
+
+    @staticmethod
     def start_minimizer(qp):
         """The minimizer of the EQP on the working set of the start d0 = 0
         clipped to the box, by numpy's solve, and whether that EQP is
@@ -1359,13 +1375,13 @@ class TestQPSolve:
                 continue
             minimizer, regular = self.start_minimizer(qp)
             inside = regular and np.all((minimizer >= qp.d_lower) & (minimizer <= qp.d_upper))
-            projections, projected_start = [], linalg._projected_start
-            monkeypatch.setattr(linalg, "_projected_start",
-                                lambda *args: projections.append(1) or projected_start(*args))
+            phase_two = self.traced_starts(monkeypatch)
             loops, starts = self.traced_loops(monkeypatch)
             sol = qp_solve(qp)
             monkeypatch.undo()
-            assert len(starts) == 1
+            assert len(starts) == 1 and len(phase_two) == 1
+            # the projection runs where the start is not the minimizer
+            projections = [1] if phase_two[0] is None or phase_two[0][2] is None else []
             first = loops[-1]
             if inside:
                 taken += 1
@@ -1405,18 +1421,13 @@ class TestQPSolve:
         import modnlp.linalg as linalg
 
         qp = self.NOT_TAKEN_CASES[case]
-        projections, projected_start = [], linalg._projected_start
-
-        def traced_projection(*args):
-            projections.append(projected_start(*args))
-            return projections[-1]
-
-        monkeypatch.setattr(linalg, "_projected_start", traced_projection)
+        projections = self.traced_starts(monkeypatch)
         loops, starts = self.traced_loops(monkeypatch)
         sol = qp_solve(qp)
         assert len(starts) == 1 and len(projections) == 1 and len(loops) == 1
-        assert loops[0]["y"] is None
-        assert np.array_equal(loops[0]["start"], projections[0])
+        assert loops[0]["y"] is None and projections[0][2] is None
+        assert np.array_equal(loops[0]["start"], projections[0][0])
+        assert np.array_equal(loops[0]["codes"], projections[0][1])
         expected_obj, expected_d = enumerate_qp_oracle(qp)
         assert sol.status == OPTIMAL
         assert abs(sol.objective_value - expected_obj) <= 1e-8 * (1 + abs(expected_obj))
@@ -1567,11 +1578,15 @@ class TestQPSolve:
             n_f, m = A_f.shape[1], A_f.shape[0]
             return dataclasses.replace(fact, inertia=(n_f - 1, m + 1, 0))
 
-        A, b = np.array([[1.0, 1.0]]), np.array([1.0])
+        # -|d|^2 / 2 is concave on d1 + d2 = 1: the minimizer is refused,
+        # and the start is the projection
+        W, g, A, b = -np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([1.0])
         d, lb, ub = np.zeros(2), -np.ones(2), np.ones(2)
-        np.testing.assert_allclose(linalg._projected_start(A, b, d, lb, ub, 1e-10), [0.5, 0.5])
+        point, _, y = linalg._phase_two_start(W, g, A, b, d, lb, ub, 1e-10)
+        np.testing.assert_allclose(point, [0.5, 0.5])
+        assert y is None
         monkeypatch.setattr(linalg, "_kkt_factorization", wrong_inertia)
-        assert linalg._projected_start(A, b, d, lb, ub, 1e-10) is d
+        assert linalg._phase_two_start(W, g, A, b, d, lb, ub, 1e-10) is None
 
     @pytest.mark.parametrize("error", [1e-6, np.nan])
     def test_projection_refuses_a_point_that_misses_the_rows(self, error, monkeypatch):
@@ -1583,24 +1598,29 @@ class TestQPSolve:
         monkeypatch.setattr(linalg, "solve_factorized", lambda fact, rhs: solve(fact, rhs) + error)
         A, b = np.array([[1.0, 1.0]]), np.array([1.0])
         d = np.zeros(2)
-        assert linalg._projected_start(A, b, d, -np.ones(2), np.ones(2), 1e-10) is d
+        assert linalg._phase_two_start(
+            -np.eye(2), np.zeros(2), A, b, d, -np.ones(2), np.ones(2), 1e-10) is None
+
+    @staticmethod
+    def first_smallest_ratio(d, p, lb, ub, step_tol):
+        """The oracle of _ratio_test, a sequential scan: in index order, a
+        ratio takes the block only when below the current one, so the first
+        smallest ratio blocks and a NaN ratio never does."""
+        t_block, blocker, side = np.inf, -1, 1
+        for i in range(d.size):
+            if p[i] > step_tol and np.isfinite(ub[i]):
+                t, s = (ub[i] - d[i]) / p[i], 2
+            elif p[i] < -step_tol and np.isfinite(lb[i]):
+                t, s = (lb[i] - d[i]) / p[i], 1
+            else:
+                continue
+            if t < t_block:
+                t_block, blocker, side = t, i, s
+        return max(t_block, 0.0), blocker, side
 
     def test_ratio_test_matches_loop(self):
-        # the sequential scan: a later ratio blocks only when below the
-        # current one by 1e-15; ties and near-ties planted
-        def loop(d, p, lb, ub, step_tol):
-            t_block, blocker, side = np.inf, -1, 1
-            for i in range(d.size):
-                if p[i] > step_tol and np.isfinite(ub[i]):
-                    t = (ub[i] - d[i]) / p[i]
-                    if t < t_block - 1e-15:
-                        t_block, blocker, side = t, i, 2
-                elif p[i] < -step_tol and np.isfinite(lb[i]):
-                    t = (lb[i] - d[i]) / p[i]
-                    if t < t_block - 1e-15:
-                        t_block, blocker, side = t, i, 1
-            return max(t_block, 0.0), blocker, side
-
+        # the sequential scan of the first smallest ratio; ties and
+        # near-ties planted
         rng = np.random.RandomState(13)
         for trial in range(500):
             n = rng.randint(0, 25)
@@ -1618,7 +1638,7 @@ class TestQPSolve:
                     if np.isfinite(t):
                         shift = rng.choice([0.0, 5e-16, 2e-15, -5e-16, -2e-15])
                         (ub if p[j] > 0 else lb)[j] = d[j] + (t + shift) * p[j]
-            expected = loop(d, p, lb, ub, 1e-13)
+            expected = self.first_smallest_ratio(d, p, lb, ub, 1e-13)
             t_block, blocker, side = _ratio_test(
                 d, p, lb, ub, np.isfinite(lb), np.isfinite(ub), 1e-13)
             assert (t_block, blocker, side) == expected
@@ -1626,18 +1646,11 @@ class TestQPSolve:
     def test_ratio_test_near_ties_at_qp_orders(self):
         # orders 15-60, as the QP loop sees them: a run of ratios 0-4 ulps
         # apart is planted below all others, in random index order, so the
-        # block is often not the first smallest ratio; some runs carry a
-        # NaN ratio. The bytes of t_block must match the sequential scan's.
-        def scan(d, p, lb, ub, step_tol):
-            t_block, blocker, side = np.inf, -1, 1
-            for i in range(d.size):
-                bound = ub[i] if p[i] > step_tol else lb[i] if p[i] < -step_tol else np.inf
-                if np.isfinite(bound) and (bound - d[i]) / p[i] < t_block - 1e-15:
-                    t_block, blocker, side = (bound - d[i]) / p[i], i, 2 if p[i] > 0 else 1
-            return max(t_block, 0.0), blocker, side
-
+        # first smallest ratio often follows an earlier ratio of the run
+        # that lies above it by less than 1e-15; some runs carry a NaN
+        # ratio. The bytes of t_block must match the sequential scan's.
         rng = np.random.RandomState(29)
-        not_first = 0
+        later_in_run = 0
         for trial in range(400):
             n = rng.randint(15, 61)
             lb, ub = -rng.rand(n) - 0.1, rng.rand(n) + 0.1
@@ -1651,15 +1664,55 @@ class TestQPSolve:
                 (ub if p[j] > 0 else lb)[j] = (t0 + rng.randint(-4, 5) * spacing) * p[j]
             if trial % 10 == 0:
                 d[rng.choice(movers)] = np.nan
-            expected = scan(d, p, lb, ub, 1e-13)
+            expected = self.first_smallest_ratio(d, p, lb, ub, 1e-13)
             with np.errstate(invalid="ignore"):
                 ratios = np.where(p > 0, ub - d, lb - d) / np.where(p != 0.0, p, 1.0)
             moving = np.isfinite(np.where(p > 0, ub, lb)) & (p != 0.0)
-            not_first += expected[1] != int(np.nanargmin(np.where(moving, ratios, np.inf)))
+            run = np.flatnonzero(moving & (ratios <= expected[0] + 1e-15))
+            later_in_run += run.size > 0 and expected[1] != run[0]
             result = _ratio_test(d, p, lb, ub, np.isfinite(lb), np.isfinite(ub), 1e-13)
             assert np.float64(result[0]).tobytes() == np.float64(expected[0]).tobytes()
             assert result[1:] == expected[1:]
-        assert not_first > 300
+        assert later_in_run > 300
+
+    def test_blocked_step_stays_in_the_box(self):
+        # steps with |p| up to 1e10, as the loop's LP steps reach at
+        # delta_w = 1e-10, toward bounds whose ratios are planted within
+        # 1e-15 of the smallest: after the loop's update (d + t p, the
+        # blocker moved onto its bound) every variable lies in [lb, ub] up
+        # to the roundoff of that update
+        def step(d, p, lb, ub):
+            t, blocker, side = _ratio_test(d, p, lb, ub, np.isfinite(lb), np.isfinite(ub), 1e-13)
+            assert blocker >= 0
+            moved = d + t * p
+            moved[blocker] = ub[blocker] if side == 2 else lb[blocker]
+            roundoff = 4.0 * np.finfo(float).eps * (np.abs(d) + np.abs(t * p) + 1.0)
+            return moved, roundoff
+
+        # d = 0, p = (-1e10, -1e10): the ratios 1.000005e-10 and 1e-10 lie
+        # 5e-16 apart, and a step of the first crosses lb_2 by 5e-6
+        d, p = np.zeros(2), np.array([-1e10, -1e10])
+        lb, ub = np.array([-1.000005, -1.0]), np.ones(2)
+        moved, roundoff = step(d, p, lb, ub)
+        assert (moved >= lb - roundoff).all() and (moved <= ub + roundoff).all()
+
+        rng = np.random.RandomState(37)
+        for trial in range(300):
+            n = rng.randint(2, 40)
+            lb, ub = -rng.rand(n) - 0.5, rng.rand(n) + 0.5
+            lb[rng.rand(n) < 0.1], ub[rng.rand(n) < 0.1] = -np.inf, np.inf
+            d = rng.uniform(-0.4, 0.4, n)
+            p = rng.randn(n) * 10.0 ** rng.uniform(0.0, 10.0, n)
+            bound = np.where(p > 0, ub, lb)
+            with np.errstate(invalid="ignore"):
+                ratios = np.where(np.isfinite(bound), (bound - d) / p, np.inf)
+            t0 = ratios.min()
+            if not np.isfinite(t0):
+                continue
+            for j in np.flatnonzero((rng.rand(n) < 0.5) & (np.abs(p) > 1e5)):
+                (ub if p[j] > 0 else lb)[j] = d[j] + (t0 + rng.uniform(-1e-15, 1e-15)) * p[j]
+            moved, roundoff = step(d, p, lb, ub)
+            assert (moved >= lb - roundoff).all() and (moved <= ub + roundoff).all(), trial
 
     def test_warm_start(self):
         rng = np.random.RandomState(3)

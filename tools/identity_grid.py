@@ -28,9 +28,12 @@ records (the grid, the presets and Options, and each benchmark run), how
 many are identical, how many differ within TOL, how many differ, and the
 largest |dx|; the totals of the five callback counts in A and in B, and how
 many records differ only by fewer callback calls in B (such records still
-differ: the report does not change the exit code); and, per combination of
-the four parts, the grid's right answers in each file (a combination with
-fewer in B is marked "lost").
+differ: the report does not change the exit code); how many statuses
+changed from failure to success (FeasibleKKT or LooseToleranceKKT), from
+success to failure, and otherwise, with the objective-call totals of those
+records in A and in B; and, per combination of the four parts, the grid's
+right answers in each file (a combination with fewer in B is marked
+"lost").
 """
 from __future__ import annotations
 
@@ -195,6 +198,9 @@ def compare(path_a: str, path_b: str, x_tol: float = 0.0) -> int:
     # per source: the five callback totals of A and of B, and the records
     # that differ only by fewer callback calls in B
     calls = {}
+    # per source: statuses changed to success, to failure and otherwise,
+    # and the objective calls of those records in A and in B
+    changes = {}
     for key in sorted(set(a) | set(b)):
         tally = summary.setdefault(source(key), [0, 0, 0, 0.0])
         totals = calls.setdefault(source(key), [[0] * 5, [0] * 5, 0])
@@ -206,6 +212,13 @@ def compare(path_a: str, path_b: str, x_tol: float = 0.0) -> int:
             print("%s: only in %s" % (key, path_a if rb is None else path_b))
             tally[2] += 1
             continue
+        status_a, status_b = ra.get("status"), rb.get("status")
+        if status_a != status_b:
+            moved = changes.setdefault(source(key), [0, 0, 0, 0, 0])
+            won, lost = status_b in SUCCESS, status_a in SUCCESS
+            moved[0 if won > lost else 1 if lost > won else 2] += 1
+            moved[3] += ra.get("counts", [0])[0]
+            moved[4] += rb.get("counts", [0])[0]
         xa, xb = ra.get("x"), rb.get("x")
         if xa is not None and xb is not None and len(xa) == len(xb):
             tally[3] = max(tally[3], max((abs(u - v) for u, v in zip(xa, xb)), default=0.0))
@@ -229,6 +242,11 @@ def compare(path_a: str, path_b: str, x_tol: float = 0.0) -> int:
         if any(calls_a) or any(calls_b):
             print("  %s: callbacks (f, c, g, J, H) %s -> %s, %d differ only by fewer calls"
                   % (name, "/".join(map(str, calls_a)), "/".join(map(str, calls_b)), fewer))
+        if name in changes:
+            to_success, to_failure, other, f_a, f_b = changes[name]
+            print("  %s: statuses %d failure -> success, %d success -> failure, %d otherwise;"
+                  " their objective calls %d -> %d"
+                  % (name, to_success, to_failure, other, f_a, f_b))
     right_a, right_b = right_answers(a), right_answers(b)
     for combo in sorted(set(right_a) | set(right_b)):
         ca, cb = right_a.get(combo, [0, 0]), right_b.get(combo, [0, 0])

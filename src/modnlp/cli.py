@@ -26,6 +26,7 @@ from .driver import (
 from .errors import ConfigurationError, ModNLPError, UnknownProblemError
 
 TAU_GRID = np.logspace(0.0, np.log10(1024.0), 64)
+PROFILE_CONFIGS = "filtersqp;ipopt;byrd"
 
 
 @dataclass
@@ -68,9 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--profile-configs", metavar="SPECS",
-        default="filtersqp;ipopt;byrd",
-        help="';'-separated configuration specs, each a preset name optionally "
-        "followed by flag overrides, e.g. 'byrd -globalization_mechanism TR'",
+        help="with --profile-csv: ';'-separated configuration specs, each a preset "
+        "name optionally followed by flag overrides, e.g. 'byrd "
+        "-globalization_mechanism TR' (default %r)" % PROFILE_CONFIGS,
     )
     return parser
 
@@ -209,6 +210,10 @@ def _parse_config_spec(spec: str):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.profile_csv and not args.all:
+        parser.error("--profile-csv needs --all")
+    if args.profile_configs is not None and not args.profile_csv:
+        parser.error("--profile-configs needs --profile-csv")
     try:
         if args.all:
             return _run_all(args)
@@ -237,14 +242,31 @@ def main(argv=None) -> int:
 
 
 def _run_all(args) -> int:
+    """Solve the corpus under each configuration. Every configuration is
+    validated, and the profile CSV opened, before the first solve."""
     if args.profile_csv:
-        specs = [s for s in args.profile_configs.split(";") if s.strip()]
-        configs = [_parse_config_spec(spec) for spec in specs]
+        given = PROFILE_CONFIGS if args.profile_configs is None else args.profile_configs
+        configs = [_parse_config_spec(spec) for spec in given.split(";") if spec.strip()]
+        if not configs:
+            raise ConfigurationError("--profile-configs names no configuration")
     else:
         configs = [(config_label(args), resolve_options(args))]
+    for _, opts in configs:
+        validate_options(opts)
+    if not args.profile_csv:
+        return _solve_corpus(configs, None)
+    try:
+        handle = open(args.profile_csv, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        message = "cannot write profile CSV %s: %s" % (args.profile_csv, exc)
+        raise ConfigurationError(message) from exc
+    with handle:
+        return _solve_corpus(configs, handle)
+
+
+def _solve_corpus(configs, profile) -> int:
     records = []
     for label, opts in configs:
-        validate_options(opts)
         for name in corpus_names():
             record = run_problem(name, opts, label, quiet=True)
             records.append(record)
@@ -254,11 +276,9 @@ def _run_all(args) -> int:
                    record.objective_value, record.objective_evaluations)
             )
     failures = [r for r in records if not r.is_success]
-    if args.profile_csv:
-        rows = performance_profile(records)
-        with open(args.profile_csv, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(profile_rows_to_csv(rows))
-        print("profile data written to %s" % args.profile_csv)
+    if profile is not None:
+        profile.write(profile_rows_to_csv(performance_profile(records)))
+        print("profile data written to %s" % profile.name)
     print("%d/%d runs successful" % (len(records) - len(failures), len(records)))
     return 0 if not failures else 1
 

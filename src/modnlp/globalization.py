@@ -52,8 +52,13 @@ def barrier_value(x, lower, upper, mu) -> float:
     """-mu * sum of log distances to the finite bounds (the IPM auxiliary
     measure). Returns +inf at or outside the bounds. The logs are summed in
     sequence, each component's lower bound before its upper bound."""
-    bounds = np.array([lower, upper]).T
-    gaps = np.array([x - lower, upper - x]).T[np.isfinite(bounds)]
+    gaps = np.empty((x.size, 2))  # row i: component i's lower gap, then its upper gap
+    np.subtract(x, lower, out=gaps[:, 0])
+    np.subtract(upper, x, out=gaps[:, 1])
+    finite = np.empty((x.size, 2), dtype=bool)
+    finite[:, 0] = np.isfinite(lower)  # not by out=: numpy 2.4 fills a strided bool out wrongly
+    finite[:, 1] = np.isfinite(upper)
+    gaps = gaps[finite]
     if (gaps <= 0.0).any():
         return np.inf
     return mu * np.cumsum(np.concatenate(([0.0], -np.log(gaps))))[-1]

@@ -34,6 +34,7 @@ that the KKT check reads.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -159,6 +160,18 @@ def _schur_margin(n: int, m: int) -> float:
 _TRIANGULAR_LEAF = 32
 
 
+@functools.cache
+def _triangle(order: int, upper: bool) -> np.ndarray:
+    """The read-only mask of the upper (or lower) triangle of an order-order
+    matrix, diagonal included: np.where(mask, M, 0.0) is np.triu(M) (or
+    np.tril(M)) byte for byte, without np.tri's mask built at each call.
+    Only leaves ask for one, so at most 2 _TRIANGULAR_LEAF masks are kept."""
+    mask = np.tri(order, dtype=bool)
+    mask = mask.T.copy() if upper else mask
+    mask.flags.writeable = False
+    return mask
+
+
 def _triangular_inverse(T: np.ndarray, upper: bool) -> np.ndarray:
     """T^-1 for a nonsingular upper (or lower) triangular T, by halves: the
     two diagonal blocks are inverted recursively and the off-diagonal one is
@@ -168,8 +181,7 @@ def _triangular_inverse(T: np.ndarray, upper: bool) -> np.ndarray:
     1992). A singular leaf raises np.linalg.LinAlgError."""
     order = T.shape[0]
     if order <= _TRIANGULAR_LEAF:
-        inverse = np.linalg.inv(T)
-        return np.triu(inverse) if upper else np.tril(inverse)
+        return np.where(_triangle(order, upper), np.linalg.inv(T), 0.0)
     k = order // 2
     inverse = np.zeros((order, order))
     head = inverse[:k, :k] = _triangular_inverse(T[:k, :k], upper)
@@ -249,15 +261,21 @@ def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factori
         rows = np.abs(W) if diagonal else np.abs(W).max(axis=1)
         s_H = 1.0 / np.sqrt(np.maximum(np.maximum(rows, 1e-300), magnitude.max(axis=0)))
         s_A = 1.0 / np.sqrt(np.maximum(magnitude.max(axis=1), 1e-300))
+        B = np.multiply.outer(s_A, s_H)
+        B *= A
+        if diagonal:
+            X = (s_H * s_H) * W
+        else:
+            X = np.multiply.outer(s_H, s_H)
+            X *= W
+            X += X.T
+            X *= 0.5
     else:
-        s_H, s_A = np.ones(n), np.ones(m)
-    B = (s_A[:, None] * s_H) * A
+        B = np.asarray(A, dtype=float)
+        X = np.asarray(W, dtype=float) if diagonal else 0.5 * (W + W.T)
     if diagonal:
-        X = (s_H * s_H) * W
         x_max = float(np.abs(X).max())
     else:
-        X = W * (s_H[:, None] * s_H)
-        X = 0.5 * (X + X.T)
         abs_X = np.abs(X)
         w = float(abs_X.sum(axis=1).max())  # at least |X| >= |G|
         x_max = float(abs_X.max())

@@ -102,29 +102,39 @@ def build_sqp_qp(
     return qp, np.stack([tr_lower, tr_upper])
 
 
+def _finite_masks(lower, upper, finite):
+    return (np.isfinite(lower), np.isfinite(upper)) if finite is None else finite
+
+
 def fraction_to_boundary(
     x: np.ndarray,
     dx: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
     tau: float,
+    finite: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Largest alpha in (0, 1] with x + alpha dx >= l + (1 - tau)(x - l) and
-    x + alpha dx <= u - (1 - tau)(u - x) componentwise."""
+    x + alpha dx <= u - (1 - tau)(u - x) componentwise. finite is the pair
+    of masks (isfinite(lower), isfinite(upper)) when the caller has it."""
+    finite_lo, finite_hi = _finite_masks(lower, upper, finite)
     up = dx > 0.0
     bound = np.where(up, upper, lower)
-    moving = np.flatnonzero((up | (dx < 0.0)) & np.isfinite(bound))
+    moving = np.flatnonzero((up | (dx < 0.0)) & np.where(up, finite_hi, finite_lo))
     ratios = tau * (bound[moving] - x[moving]) / dx[moving]
     return max(float(np.fmin.reduce(ratios, initial=1.0)), 0.0)  # fmin skips NaN
 
 
 def fraction_to_boundary_dual(zl, dzl, zu, dzu, tau) -> float:
-    alpha = 1.0
-    for z, dz in ((zl, dzl), (zu, dzu)):
-        neg = dz < 0.0
-        if np.any(neg):
-            alpha = min(alpha, float(np.min(-tau * z[neg] / dz[neg])))
-    return max(min(alpha, 1.0), 0.0)
+    """Largest alpha in [0, 1] with z + alpha dz >= (1 - tau) z on each
+    side: the smallest ratio -tau z / dz over the entries with dz < 0, in
+    one pass over both sides. An entry with dz = 0, as at an infinite bound,
+    caps nothing, and neither does a side with a NaN ratio."""
+    z, dz = np.concatenate((zl, zu)), np.concatenate((dzl, dzu))
+    ratios = np.divide(-tau * z, dz, out=np.full(dz.size, np.inf), where=dz < 0.0)
+    k = zl.size
+    lowest = min(1.0, ratios[:k].min(initial=np.inf), ratios[k:].min(initial=np.inf))
+    return max(float(lowest), 0.0)
 
 
 def push_to_interior(x, lower, upper, kappa: float) -> np.ndarray:
@@ -150,21 +160,21 @@ def initial_bound_multipliers(lower, upper) -> tuple[np.ndarray, np.ndarray]:
     return zl, zu
 
 
-def barrier_gradient_terms(x, lower, upper, mu) -> np.ndarray:
-    """-mu/(x-l) + mu/(u-x) over the finite bounds (gradient of the barrier)."""
+def barrier_gradient_terms(x, lower, upper, mu, finite=None) -> np.ndarray:
+    """-mu/(x-l) + mu/(u-x) over the finite bounds (gradient of the barrier),
+    finite as in fraction_to_boundary."""
     out = np.zeros(x.size)
-    finite_lo = np.isfinite(lower)
-    finite_hi = np.isfinite(upper)
+    finite_lo, finite_hi = _finite_masks(lower, upper, finite)
     out[finite_lo] -= mu / (x[finite_lo] - lower[finite_lo])
     out[finite_hi] += mu / (upper[finite_hi] - x[finite_hi])
     return out
 
 
-def primal_dual_diagonal(x, lower, upper, zl, zu) -> np.ndarray:
-    """Sigma = Zl (X - L)^{-1} + Zu (U - X)^{-1} over the finite bounds."""
+def primal_dual_diagonal(x, lower, upper, zl, zu, finite=None) -> np.ndarray:
+    """Sigma = Zl (X - L)^{-1} + Zu (U - X)^{-1} over the finite bounds,
+    finite as in fraction_to_boundary."""
     sigma = np.zeros(x.size)
-    finite_lo = np.isfinite(lower)
-    finite_hi = np.isfinite(upper)
+    finite_lo, finite_hi = _finite_masks(lower, upper, finite)
     sigma[finite_lo] += zl[finite_lo] / (x[finite_lo] - lower[finite_lo])
     sigma[finite_hi] += zu[finite_hi] / (upper[finite_hi] - x[finite_hi])
     return sigma
@@ -206,10 +216,12 @@ def ipm_solve_step(
     c = np.asarray(evals.c, dtype=float)
     grad = np.asarray(evals.grad_f, dtype=float)
 
-    sigma = primal_dual_diagonal(x, lower, upper, zl, zu)
+    finite = finite_lo, finite_hi = np.isfinite(lower), np.isfinite(upper)
+    sigma = primal_dual_diagonal(x, lower, upper, zl, zu, finite)
     H = W.copy()
     H.flat[:: n + 1] += sigma
-    r_d = grad - (J.T @ y if m else 0.0) + barrier_gradient_terms(x, lower, upper, mu)
+    barrier = barrier_gradient_terms(x, lower, upper, mu, finite)
+    r_d = grad - (J.T @ y if m else 0.0) + barrier
 
     fact = inertia_correct(
         H, J, schedule, delta_c_value=_DELTA_C_SCALE * max(mu, 1e-8) ** 0.25
@@ -219,8 +231,6 @@ def ipm_solve_step(
     dx = sol[:n]
     dy = -sol[n:]
 
-    finite_lo = np.isfinite(lower)
-    finite_hi = np.isfinite(upper)
     dzl = np.zeros(n)
     dzu = np.zeros(n)
     gap_lo = x[finite_lo] - lower[finite_lo]
@@ -229,12 +239,12 @@ def ipm_solve_step(
     dzu[finite_hi] = (mu + zu[finite_hi] * dx[finite_hi]) / gap_hi - zu[finite_hi]
 
     tau = max(tau_min, 1.0 - mu)
-    alpha_x = fraction_to_boundary(x, dx, lower, upper, tau)
-    alpha_z = fraction_to_boundary_dual(zl[finite_lo], dzl[finite_lo], zu[finite_hi], dzu[finite_hi], tau)
+    alpha_x = fraction_to_boundary(x, dx, lower, upper, tau, finite)
+    alpha_z = fraction_to_boundary_dual(zl, dzl, zu, dzu, tau)  # dz = 0 at an infinite bound
 
     gtd = float(grad @ dx)
     dwd = float(dx @ W @ dx)
-    btd = float(-barrier_gradient_terms(x, lower, upper, mu) @ dx)
+    btd = float(-barrier @ dx)
     dbd = float(dx @ H @ dx)
     return Direction(
         dx=dx,
@@ -281,8 +291,9 @@ def barrier_kkt_error(
     comp_lo = (x[finite_lo] - lower[finite_lo]) * zl[finite_lo] - mu
     comp_hi = (upper[finite_hi] - x[finite_hi]) * zu[finite_hi] - mu
     s_d = dual_scaling(y, zl, zu, scaling_cap)
-    parts = [float(np.max(np.abs(stat), initial=0.0)) / s_d]
-    parts.append(float(np.max(np.abs(evals.c), initial=0.0)))
-    parts.append(float(np.max(np.abs(comp_lo), initial=0.0)) / s_d)
-    parts.append(float(np.max(np.abs(comp_hi), initial=0.0)) / s_d)
-    return max(parts)
+    return max(
+        float(np.abs(stat, out=stat).max(initial=0.0)) / s_d,
+        float(np.abs(evals.c).max(initial=0.0)),
+        float(np.abs(comp_lo, out=comp_lo).max(initial=0.0)) / s_d,
+        float(np.abs(comp_hi, out=comp_hi).max(initial=0.0)) / s_d,
+    )

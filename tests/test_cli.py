@@ -192,3 +192,50 @@ class TestPerformanceProfile:
         assert r.is_success
         r2 = record("infeasible1", "A", 5, status="FeasibleKKT")
         assert not r2.is_success
+
+
+class TestProfileFlags:
+    """The profile flags are checked before the first solve."""
+
+    def test_unwritable_profile_csv_exit_two_before_solving(self, tmp_path, capsys):
+        # used to run every solve, then end in a FileNotFoundError traceback
+        for path in (tmp_path / "missing" / "x.csv", tmp_path):  # no directory, a directory
+            assert main(["--all", "--profile-csv", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: cannot write profile CSV %s" % path)
+            assert "Traceback" not in captured.err
+            assert captured.out == ""  # no solve ran
+
+    def test_profile_csv_without_all_is_a_usage_error(self, tmp_path, capsys):
+        # used to solve hs071, exit 0 and write nothing
+        path = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exit_:
+            main(["hs071", "--quiet", "--profile-csv", str(path)])
+        assert exit_.value.code == 2
+        assert "--profile-csv needs --all" in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("args", [["--all"], ["hs071", "--quiet"]])
+    def test_profile_configs_without_profile_csv_is_a_usage_error(self, args, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(args + ["--profile-configs", "ipopt"])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert "--profile-configs needs --profile-csv" in captured.err
+        assert captured.out == ""
+
+    def test_bad_profile_config_exit_two_before_solving(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        for specs in ("ipopt;byrd -globalization_mechanism bogus", ";"):
+            assert main(["--all", "--profile-csv", str(path), "--profile-configs", specs]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ")
+            assert captured.out == ""
+        assert not path.exists()
+
+    def test_profile_csv_written_after_the_runs(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        assert main(["--all", "--profile-csv", str(path), "--profile-configs", "filtersqp"]) == 0
+        assert "profile data written to %s" % path in capsys.readouterr().out
+        rows = parse_profile_csv(path.read_text())
+        assert len(rows) == 64 and {config for config, _, _ in rows} == {"filtersqp"}

@@ -110,6 +110,39 @@ class TestMeasures:
         assert outside > 20
 
 
+    def test_barrier_equals_the_oracle_on_non_finite_input(self):
+        # the body before barrier_value built its gaps in place: NaN and
+        # +-inf in x and in either bound, gaps of exactly 1 (a -0.0 log),
+        # zero gaps and empty vectors give the same bytes
+        def oracle(x, lower, upper, mu):
+            bounds = np.array([lower, upper]).T
+            gaps = np.array([x - lower, upper - x]).T[np.isfinite(bounds)]
+            if (gaps <= 0.0).any():
+                return np.inf
+            return mu * np.cumsum(np.concatenate(([0.0], -np.log(gaps))))[-1]
+
+        rng = np.random.RandomState(59)
+        kinds = set()
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for trial in range(400):
+                n = rng.randint(0, 12)
+                lower = rng.randn(n)
+                upper = lower + rng.choice([1.0, 2.0, 0.5 + rng.rand()], n)
+                x = lower + rng.choice([0.0, 1.0, 0.5, rng.rand()], n)
+                for vector, values in ((x, (np.nan, np.inf, -np.inf)),
+                                       (lower, (np.nan, -np.inf, np.inf)),
+                                       (upper, (np.nan, np.inf, -np.inf))):
+                    for value in values:
+                        vector[rng.rand(n) < 0.05] = value
+                mu = 10.0 ** rng.uniform(-9.0, 0.0)
+                expected = oracle(x, lower, upper, mu)
+                assert np.float64(barrier_value(x, lower, upper, mu)).tobytes() == \
+                    np.float64(expected).tobytes()
+                kinds.add("nan" if np.isnan(expected) else "inf" if expected == np.inf
+                          else "zero" if expected == 0.0 else "finite")
+        assert kinds == {"nan", "inf", "zero", "finite"}
+
+
 class TestReductionModels:
     def test_eta_model(self):
         m = models_for(c=[2.0, -1.0], jd=[-2.0, 1.0])

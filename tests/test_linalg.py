@@ -632,6 +632,205 @@ class TestTriangularInverse:
             _triangular_inverse(T, True)
 
 
+def parent_triangular_inverse(T, upper):
+    """The oracle: _triangular_inverse as it was before its leaves reused one
+    mask per order and side, np.triu/np.tril at every leaf."""
+    order = T.shape[0]
+    if order <= 32:
+        inverse = np.linalg.inv(T)
+        return np.triu(inverse) if upper else np.tril(inverse)
+    k = order // 2
+    inverse = np.zeros((order, order))
+    head = inverse[:k, :k] = parent_triangular_inverse(T[:k, :k], upper)
+    tail = inverse[k:, k:] = parent_triangular_inverse(T[k:, k:], upper)
+    if upper:
+        inverse[:k, k:] = -(head @ T[:k, k:]) @ tail
+    else:
+        inverse[k:, :k] = -(tail @ T[k:, :k]) @ head
+    return inverse
+
+
+def test_triangular_inverse_equals_the_oracle():
+    # orders 1 to 140, both sides, with planted -0.0 entries: the leaves'
+    # masks give np.triu/np.tril's bytes, and the halves the same products
+    rng = np.random.RandomState(23)
+    for order in range(1, 141):
+        T = np.triu(rng.randn(order, order)) + np.diag(2.0 + rng.rand(order))
+        T[rng.rand(order, order) < 0.05] *= -0.0
+        T.flat[:: order + 1] = 2.0 + rng.rand(order)
+        for upper, factor in ((True, T), (False, T.T.copy())):
+            assert _triangular_inverse(factor, upper).tobytes() == \
+                parent_triangular_inverse(factor, upper).tobytes()
+
+
+def parent_certified_factorization(H, A, delta_w, equilibrate):
+    """The oracle: _certified_factorization as it was before it built its
+    equilibrated blocks in place and used unscaled blocks as given."""
+    from modnlp.linalg import (
+        _EPS, Factorization, _cholesky_shift, _schur_margin, _shifted, _zero_tol)
+
+    m, n = A.shape
+    if m == 0 or n < m:
+        return None
+    diagonal = np.ndim(H) < 2
+    W = H + delta_w if diagonal else (_shifted(H, delta_w) if delta_w else H)
+    if equilibrate:
+        magnitude = np.abs(A)
+        rows = np.abs(W) if diagonal else np.abs(W).max(axis=1)
+        s_H = 1.0 / np.sqrt(np.maximum(np.maximum(rows, 1e-300), magnitude.max(axis=0)))
+        s_A = 1.0 / np.sqrt(np.maximum(magnitude.max(axis=1), 1e-300))
+    else:
+        s_H, s_A = np.ones(n), np.ones(m)
+    B = (s_A[:, None] * s_H) * A
+    if diagonal:
+        X = (s_H * s_H) * W
+        x_max = float(np.abs(X).max())
+    else:
+        X = W * (s_H[:, None] * s_H)
+        X = 0.5 * (X + X.T)
+        abs_X = np.abs(X)
+        w = float(abs_X.sum(axis=1).max())
+        x_max = float(abs_X.max())
+    b_max = float(np.abs(B).max())
+    if not (x_max < np.inf and b_max < np.inf):
+        return None
+    max_abs = max(x_max, b_max)
+    zero_tol = t = _zero_tol(max_abs, n + m)
+    try:
+        if diagonal:
+            mu = float(X.min())
+            if not mu > t:
+                return None
+            B_half = B / np.sqrt(X)
+            gram = B_half @ B_half.T
+            L = np.linalg.cholesky(gram)
+            shift = t * (mu + t) / mu
+        else:
+            t = _cholesky_shift(n + m, max_abs, zero_tol)
+            Q, R = np.linalg.qr(B.T, mode="complete")
+            Y, Z, R = Q[:, :m], Q[:, m:], R[:m]
+            XZ = X @ Z
+            M = Z.T @ XZ
+            c = float(np.linalg.norm(XZ.T @ Y)) + _cholesky_shift(n, w, 0.0)
+            L_inv = parent_triangular_inverse(np.linalg.cholesky(M), upper=False)
+            mu = 0.5 / float(np.sum(L_inv * L_inv)) if n > m else np.inf
+            np.linalg.cholesky(_shifted(M, -_cholesky_shift(n, w, mu)))
+            if not mu > t:
+                return None
+            gram = R.T @ R
+            shift = t * (w + t) + t * c * c / (mu - t)
+        gram.flat[:: m + 1] = gram.diagonal() * (1.0 - _schur_margin(n, m)) - shift
+        np.linalg.cholesky(gram)
+        if diagonal:
+            L_inv = parent_triangular_inverse(L, upper=False)
+        else:
+            R_inv = parent_triangular_inverse(R, upper=True)
+    except np.linalg.LinAlgError:
+        return None
+
+    if diagonal:
+        def solve_once(rhs):
+            lam = ((B @ (rhs[:n] / X) - rhs[n:]) @ L_inv.T) @ L_inv
+            return np.concatenate([(rhs[:n] - lam @ B) / X, lam])
+
+        def product(z):
+            return np.concatenate([X * z[:n] + z[n:] @ B, B @ z[:n]])
+    else:
+        def solve_once(rhs):
+            x = Y @ (rhs[n:] @ R_inv)
+            x += Z @ ((((rhs[:n] - X @ x) @ Z) @ L_inv.T) @ L_inv)
+            return np.concatenate([x, R_inv @ ((rhs[:n] - X @ x) @ Y)])
+
+        def product(z):
+            return np.concatenate([X @ z[:n] + z[n:] @ B, B @ z[:n]])
+
+    def solve(rhs):
+        z = solve_once(rhs)
+        size = last = float(np.abs(z).max())
+        for _ in range(10):
+            dz = solve_once(rhs - product(z))
+            z += dz
+            step = float(np.abs(dz).max())
+            if not (step * step > _EPS * last * size and step < 0.5 * last):
+                break
+            last = step
+        return z
+
+    row_scaling = np.concatenate([s_H, s_A]) if equilibrate else None
+    return Factorization(None, (n, m, 0), zero_tol, row_scaling, solve)
+
+
+def certified_systems(rng):
+    """(label, H, A, delta_w): range-space (a positive diagonal, some near
+    refusal), scalar-H and null-space systems (symmetric or not, positive
+    definite, or positive only on null(A)), and planted refusals: a
+    non-positive diagonal entry, a repeated row of A, a reduced Hessian
+    that is not positive definite, a NaN or inf entry, m = 0 and n < m."""
+    for n, m in ((6, 3), (20, 7), (48, 16), (90, 40), (140, 70)):
+        A = rng.randn(m, n) * 10.0 ** rng.uniform(-3.0, 3.0, (m, 1))
+        h = 10.0 ** rng.uniform(-6.0, 2.0, n)
+        yield "diagonal", h, A, 0.0
+        yield "diagonal shifted", h, A, 1e-4
+        near = h.copy()
+        near[: n // 4] = 1e-14
+        yield "diagonal near refusal", near, A, 0.0
+        yield "scalar", float(rng.uniform(0.1, 10.0)), A, 0.0
+        yield "scalar tiny", 1e-13, A, 0.0
+        H, B = ipm_like(rng, n, m)
+        yield "matrix", H, B, 0.0
+        yield "matrix shifted", H, B, 1e-3
+        yield "matrix not symmetric", H + 1e-9 * rng.randn(n, n), B, 0.0
+        G = rng.randn(n, n)
+        yield "matrix well scaled", G @ G.T / n + np.eye(n), rng.randn(m, n), 0.0
+        P, C = nullspace_split(rng, n, m, 1.0, -1.0)
+        yield "matrix positive on null(A) only", P, C, 0.0
+        Q, D = nullspace_split(rng, n, m, -1.0, 1.0)
+        yield "refuse: indefinite reduced Hessian", Q, D, 0.0
+        bad = h.copy()
+        bad[n // 2] = -1.0 if n % 2 else 0.0
+        yield "refuse: non-positive diagonal", bad, A, 0.0
+        repeated = A.copy()
+        repeated[-1] = repeated[0]
+        yield "refuse: repeated row, diagonal", h, repeated, 0.0
+        yield "refuse: repeated row, matrix", H, repeated, 0.0
+        for value in (np.nan, np.inf):
+            planted = A.copy()
+            planted[m // 2, n // 3] = value
+            yield "refuse: %r in A" % value, h, planted, 0.0
+            planted_H = H.copy()
+            planted_H[n // 3, n // 2] = value
+            yield "refuse: %r in H" % value, planted_H, B, 0.0
+    yield "refuse: m = 0", np.ones(5), np.zeros((0, 5)), 0.0
+    yield "refuse: n < m", np.ones(3), rng.randn(5, 3), 0.0
+
+
+def test_certified_factorization_equals_the_oracle():
+    # every record, refusal and solve equals the oracle's byte for byte,
+    # equilibrated or not
+    rng = np.random.RandomState(29)
+    counts = {"certified": 0, "refused": 0}
+    for label, H, A, delta_w in certified_systems(rng):
+        for equilibrate in (True, False):
+            with np.errstate(invalid="ignore"):  # the planted NaN and inf
+                fact = _certified_factorization(H, A, delta_w, equilibrate)
+                expected = parent_certified_factorization(H, A, delta_w, equilibrate)
+            assert (fact is None) == (expected is None), (label, equilibrate)
+            if fact is None:
+                counts["refused"] += 1
+                continue
+            counts["certified"] += 1
+            assert fact.matrix is None and fact.inertia == expected.inertia
+            assert np.float64(fact.zero_tol).tobytes() == np.float64(expected.zero_tol).tobytes()
+            if equilibrate:
+                assert fact.row_scaling.tobytes() == expected.row_scaling.tobytes()
+            else:
+                assert fact.row_scaling is None and expected.row_scaling is None
+            m, n = A.shape
+            for rhs in (rng.randn(n + m), rng.randn(n + m) * 10.0 ** rng.uniform(-8, 8, n + m)):
+                assert fact.solve(rhs).tobytes() == expected.solve(rhs).tobytes(), label
+    assert counts["certified"] >= 50 and counts["refused"] >= 100
+
+
 def ipm_like(rng, n, m):
     """An interior-point KKT block pair: a positive definite Hessian plus a
     barrier diagonal from 1e-10 to 1e2, and a Jacobian whose rows are

@@ -3,15 +3,25 @@ import pytest
 
 from modnlp.corpus import corpus_get
 from modnlp.driver import Options
-from modnlp.linalg import RegularizationSchedule, extend_with_elastics
+from modnlp.linalg import (
+    OPTIMAL,
+    RegularizationSchedule,
+    extend_with_elastics,
+    inertia_correct,
+    solve_factorized,
+)
 from modnlp.model import Evaluations, evaluate
 from modnlp.reformulation import to_equality_form
 from modnlp.subproblem import (
+    Direction,
+    barrier_gradient_terms,
+    barrier_kkt_error,
     build_sqp_qp,
     dual_scaling,
     fraction_to_boundary,
     fraction_to_boundary_dual,
     ipm_solve_step,
+    primal_dual_diagonal,
     push_to_interior,
     update_barrier_parameter,
 )
@@ -328,3 +338,251 @@ def test_dual_scaling():
     assert dual_scaling(y, zl, zu, 100.0) == 500.0 / (100.0 * 5)
     assert dual_scaling(y, zl, zu, 1000.0) == 1.0
     assert dual_scaling(np.zeros(0), np.zeros(0), np.zeros(0), 100.0) == 1.0
+
+
+# The oracles: the interior-point helpers and step as they were before the
+# step computed its bound masks and barrier gradient once and the dual
+# fraction to the boundary took one pass over both sides.
+
+def parent_barrier_gradient_terms(x, lower, upper, mu):
+    out = np.zeros(x.size)
+    finite_lo = np.isfinite(lower)
+    finite_hi = np.isfinite(upper)
+    out[finite_lo] -= mu / (x[finite_lo] - lower[finite_lo])
+    out[finite_hi] += mu / (upper[finite_hi] - x[finite_hi])
+    return out
+
+
+def parent_primal_dual_diagonal(x, lower, upper, zl, zu):
+    sigma = np.zeros(x.size)
+    finite_lo = np.isfinite(lower)
+    finite_hi = np.isfinite(upper)
+    sigma[finite_lo] += zl[finite_lo] / (x[finite_lo] - lower[finite_lo])
+    sigma[finite_hi] += zu[finite_hi] / (upper[finite_hi] - x[finite_hi])
+    return sigma
+
+
+def parent_fraction_to_boundary(x, dx, lower, upper, tau):
+    up = dx > 0.0
+    bound = np.where(up, upper, lower)
+    moving = np.flatnonzero((up | (dx < 0.0)) & np.isfinite(bound))
+    ratios = tau * (bound[moving] - x[moving]) / dx[moving]
+    return max(float(np.fmin.reduce(ratios, initial=1.0)), 0.0)
+
+
+def parent_fraction_to_boundary_dual(zl, dzl, zu, dzu, tau):
+    alpha = 1.0
+    for z, dz in ((zl, dzl), (zu, dzu)):
+        neg = dz < 0.0
+        if np.any(neg):
+            alpha = min(alpha, float(np.min(-tau * z[neg] / dz[neg])))
+    return max(min(alpha, 1.0), 0.0)
+
+
+def parent_barrier_kkt_parts(evals, x, y, zl, zu, lower, upper, mu, scaling_cap):
+    """The four scaled parts whose max is the parent's barrier_kkt_error."""
+    m = y.size
+    grad = np.asarray(evals.grad_f, dtype=float)
+    J = np.asarray(evals.jac_c, dtype=float)
+    stat = grad - (J.T @ y if m else 0.0) - zl + zu
+    finite_lo = np.isfinite(lower)
+    finite_hi = np.isfinite(upper)
+    comp_lo = (x[finite_lo] - lower[finite_lo]) * zl[finite_lo] - mu
+    comp_hi = (upper[finite_hi] - x[finite_hi]) * zu[finite_hi] - mu
+    s_d = dual_scaling(y, zl, zu, scaling_cap)
+    parts = [float(np.max(np.abs(stat), initial=0.0)) / s_d]
+    parts.append(float(np.max(np.abs(evals.c), initial=0.0)))
+    parts.append(float(np.max(np.abs(comp_lo), initial=0.0)) / s_d)
+    parts.append(float(np.max(np.abs(comp_hi), initial=0.0)) / s_d)
+    return parts
+
+
+def parent_ipm_solve_step(evals, x, y, zl, zu, lower, upper, mu, schedule, tau_min):
+    n = x.size
+    m = y.size
+    W = np.asarray(evals.hessian, dtype=float)
+    J = np.asarray(evals.jac_c, dtype=float)
+    c = np.asarray(evals.c, dtype=float)
+    grad = np.asarray(evals.grad_f, dtype=float)
+    sigma = parent_primal_dual_diagonal(x, lower, upper, zl, zu)
+    H = W.copy()
+    H.flat[:: n + 1] += sigma
+    r_d = grad - (J.T @ y if m else 0.0) + parent_barrier_gradient_terms(x, lower, upper, mu)
+    fact = inertia_correct(H, J, schedule, delta_c_value=1e-8 * max(mu, 1e-8) ** 0.25)
+    sol = solve_factorized(fact, np.concatenate([-r_d, -c]))
+    dx = sol[:n]
+    dy = -sol[n:]
+    finite_lo = np.isfinite(lower)
+    finite_hi = np.isfinite(upper)
+    dzl = np.zeros(n)
+    dzu = np.zeros(n)
+    gap_lo = x[finite_lo] - lower[finite_lo]
+    gap_hi = upper[finite_hi] - x[finite_hi]
+    dzl[finite_lo] = (mu - zl[finite_lo] * dx[finite_lo]) / gap_lo - zl[finite_lo]
+    dzu[finite_hi] = (mu + zu[finite_hi] * dx[finite_hi]) / gap_hi - zu[finite_hi]
+    tau = max(tau_min, 1.0 - mu)
+    alpha_x = parent_fraction_to_boundary(x, dx, lower, upper, tau)
+    alpha_z = parent_fraction_to_boundary_dual(
+        zl[finite_lo], dzl[finite_lo], zu[finite_hi], dzu[finite_hi], tau)
+    return Direction(
+        dx=dx, dy=dy, dzl=dzl, dzu=dzu, status=OPTIMAL, alpha_max=alpha_x, dual_scale=alpha_z,
+        gtd=float(grad @ dx), dwd=float(dx @ W @ dx),
+        btd=float(-parent_barrier_gradient_terms(x, lower, upper, mu) @ dx),
+        dbd=float(dx @ H @ dx),
+    )
+
+
+def same_bytes(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def bounded_points(rng, count):
+    """count random (x, lower, upper, zl, zu) of sizes 0 to 30: bounds that
+    are finite or +-inf on either side, some components on a bound (a zero
+    gap), and some with NaN planted in x, a bound, zl or zu."""
+    for trial in range(count):
+        n = rng.randint(0, 31)
+        lower = rng.randn(n)
+        upper = lower + 0.1 + 3.0 * rng.rand(n)
+        x = lower + (upper - lower) * rng.uniform(0.01, 0.99, n)
+        lower[rng.rand(n) < 0.3] = -INF
+        upper[rng.rand(n) < 0.3] = INF
+        lower[rng.rand(n) < 0.03] = INF
+        upper[rng.rand(n) < 0.03] = -INF
+        zl = np.where(np.isfinite(lower), 0.01 + rng.rand(n), 0.0)
+        zu = np.where(np.isfinite(upper), 0.01 + rng.rand(n), 0.0)
+        if n and trial % 4 == 1:  # zero gaps
+            on = rng.rand(n) < 0.3
+            x[on] = np.where(np.isfinite(lower[on]), lower[on], x[on])
+            at_upper = (rng.rand(n) < 0.3) & np.isfinite(upper)
+            x[at_upper] = upper[at_upper]
+        if n and trial % 4 == 3:
+            for vector in (x, lower, upper, zl, zu):
+                vector[rng.rand(n) < 0.1] = np.nan
+        yield x, lower, upper, zl, zu
+
+
+def test_barrier_helpers_equal_the_oracle():
+    # with the masks passed or not, byte for byte
+    rng = np.random.RandomState(41)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for x, lower, upper, zl, zu in bounded_points(rng, 400):
+            finite = np.isfinite(lower), np.isfinite(upper)
+            mu = 10.0 ** rng.uniform(-9.0, 0.0)
+            expected = parent_primal_dual_diagonal(x, lower, upper, zl, zu)
+            assert same_bytes(primal_dual_diagonal(x, lower, upper, zl, zu), expected)
+            assert same_bytes(primal_dual_diagonal(x, lower, upper, zl, zu, finite), expected)
+            expected = parent_barrier_gradient_terms(x, lower, upper, mu)
+            assert same_bytes(barrier_gradient_terms(x, lower, upper, mu), expected)
+            assert same_bytes(barrier_gradient_terms(x, lower, upper, mu, finite), expected)
+            dx = rng.randn(x.size) * 10.0 ** rng.uniform(-2.0, 2.0)
+            dx[rng.rand(x.size) < 0.1] = 0.0
+            tau = rng.uniform(0.9, 1.0)
+            expected = parent_fraction_to_boundary(x, dx, lower, upper, tau)
+            assert same_bytes(fraction_to_boundary(x, dx, lower, upper, tau), expected)
+            assert same_bytes(fraction_to_boundary(x, dx, lower, upper, tau, finite), expected)
+
+
+def test_barrier_kkt_error_equals_the_oracle():
+    # each of the four parts (stationarity, constraints, the two
+    # complementarities) decides some cases
+    rng = np.random.RandomState(43)
+    seen, deciding = set(), [0, 0, 0, 0]
+    with np.errstate(invalid="ignore"):
+        for trial, (x, lower, upper, zl, zu) in enumerate(bounded_points(rng, 600)):
+            n = x.size
+            m = rng.randint(0, n + 1)
+            zl *= 10.0 ** rng.uniform(-3, 3)
+            zu *= 10.0 ** rng.uniform(-3, 3)
+            evals = Evaluations(f=0.0, c=rng.randn(m) * 10.0 ** rng.uniform(-8, 2),
+                                grad_f=rng.randn(n) * 10.0 ** rng.uniform(-8, 2),
+                                jac_c=rng.randn(m, n))
+            if trial % 5 == 2 and n:  # NaN or inf in the gradient or the constraints
+                evals.grad_f[rng.randint(n)] = (np.nan, INF)[trial % 2]
+                if m:
+                    evals.c[rng.randint(m)] = (np.nan, -INF)[trial % 3 % 2]
+            y = rng.randn(m) * 10.0 ** rng.uniform(-8, 2)
+            mu = 10.0 ** rng.uniform(-9.0, 0.0)
+            cap = (100.0, INF)[trial % 2]
+            error = barrier_kkt_error(evals, x, y, zl, zu, lower, upper, mu, cap)
+            parts = parent_barrier_kkt_parts(evals, x, y, zl, zu, lower, upper, mu, cap)
+            expected = max(parts)
+            assert same_bytes(error, expected)
+            seen.add("nan" if np.isnan(expected) else "inf" if expected == INF else "finite")
+            if np.isfinite(expected) and expected > 0.0:
+                deciding[parts.index(expected)] += 1
+    assert seen == {"nan", "inf", "finite"}
+    assert min(deciding) >= 20
+
+
+def test_fraction_to_boundary_dual_equals_the_oracle():
+    rng = np.random.RandomState(47)
+    capped = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # (a) the sides as given: empty, of different lengths, with NaN,
+        # +-inf and zero entries in z and dz
+        for trial in range(600):
+            sides = []
+            for _ in range(2):
+                k = rng.randint(0, 12) if trial % 7 else 0
+                z = rng.rand(k) * 10.0 ** rng.uniform(-3, 3)
+                dz = rng.randn(k) * 10.0 ** rng.uniform(-3, 3)
+                for vector in (z, dz):
+                    for value in (np.nan, INF, -INF, 0.0):
+                        vector[rng.rand(k) < 0.04] = value
+                z[rng.rand(k) < 0.03] = -1.0
+                sides += [z, dz]
+            tau = rng.uniform(0.9, 1.0)
+            alpha = fraction_to_boundary_dual(*sides, tau)
+            assert same_bytes(alpha, parent_fraction_to_boundary_dual(*sides, tau))
+            capped += alpha < 1.0
+        # (b) as the step calls it: both sides whole, dz = 0 at an infinite
+        # bound and (mu -+ z dx) / gap - z at a finite one, a zero gap included
+        for x, lower, upper, zl, zu in bounded_points(rng, 400):
+            finite_lo, finite_hi = np.isfinite(lower), np.isfinite(upper)
+            dx = rng.randn(x.size) * 10.0 ** rng.uniform(-2.0, 2.0)
+            mu = 10.0 ** rng.uniform(-9.0, 0.0)
+            dzl, dzu = np.zeros(x.size), np.zeros(x.size)
+            dzl[finite_lo] = (mu - zl[finite_lo] * dx[finite_lo]) / (x - lower)[finite_lo] - zl[finite_lo]
+            dzu[finite_hi] = (mu + zu[finite_hi] * dx[finite_hi]) / (upper - x)[finite_hi] - zu[finite_hi]
+            tau = rng.uniform(0.9, 1.0)
+            alpha = fraction_to_boundary_dual(zl, dzl, zu, dzu, tau)
+            expected = parent_fraction_to_boundary_dual(
+                zl[finite_lo], dzl[finite_lo], zu[finite_hi], dzu[finite_hi], tau)
+            assert same_bytes(alpha, expected)
+            capped += alpha < 1.0
+    assert capped > 300
+
+
+def test_ipm_solve_step_equals_the_oracle():
+    # every field of the Direction and the schedule it leaves, byte for
+    # byte, on eigenvalue (small) and certified (n + m >= 64) systems, with
+    # convex and indefinite Hessians and +-inf bounds
+    rng = np.random.RandomState(53)
+    for trial in range(60):
+        n = rng.randint(2, 12) if trial % 3 else rng.randint(50, 90)
+        m = rng.randint(0, n // 2 + 1)
+        x = rng.randn(n)
+        lower = x - 0.1 - rng.rand(n)
+        upper = x + 0.1 + rng.rand(n)
+        lower[rng.rand(n) < 0.3] = -INF
+        upper[rng.rand(n) < 0.3] = INF
+        zl = np.where(np.isfinite(lower), 0.01 + rng.rand(n), 0.0)
+        zu = np.where(np.isfinite(upper), 0.01 + rng.rand(n), 0.0)
+        G = rng.randn(n, n)
+        W = G @ G.T / n if trial % 2 else G + G.T
+        if trial % 5 == 0:
+            W = np.diag(np.diag(W))
+        evals = Evaluations(f=0.0, c=rng.randn(m), grad_f=rng.randn(n), jac_c=rng.randn(m, n),
+                            hessian=W)
+        y = rng.randn(m)
+        mu = 10.0 ** rng.uniform(-8.0, 0.0)
+        schedules = RegularizationSchedule(), RegularizationSchedule()
+        d = ipm_solve_step(evals, x, y, zl, zu, lower, upper, mu, schedules[0], TAU_MIN)
+        expected = parent_ipm_solve_step(evals, x, y, zl, zu, lower, upper, mu, schedules[1],
+                                         TAU_MIN)
+        for name in ("dx", "dy", "dzl", "dzu", "alpha_max", "dual_scale", "gtd", "dwd", "btd",
+                     "dbd"):
+            assert same_bytes(getattr(d, name), getattr(expected, name)), (trial, name)
+        assert d.status == expected.status
+        assert same_bytes(schedules[0].last_successful, schedules[1].last_successful)

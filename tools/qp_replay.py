@@ -1,22 +1,31 @@
-"""Replay the QPs of one benchmark pass through two checkouts, interleaved.
+"""Replay the QPs and interior-point steps of one benchmark pass through two
+checkouts, interleaved.
 
     python3 tools/qp_replay.py [--root CHECKOUT] --workload W --seed S [--rounds R]
 
 It solves the tasks of one pass of workload W, built from seed S by
 CHECKOUT/perfbench/workloads.py (default: this checkout; the tool only
 reads that file), with this checkout's solver, and records every qp_solve
-call the solver makes: its QPData, warm start, iteration limit and start.
-It then replays each call through the qp_solve of CHECKOUT/src, imported
-under another package name, and through this checkout's, R rounds
-(default 5) with one BLAS thread, alternating which of the two goes first.
+call the solver makes (its QPData, warm start, iteration limit and start)
+and every ipm_solve_step call (its evaluations, point, multipliers, bounds,
+mu, regularization schedule and tau_min). It then replays each call
+through CHECKOUT/src, imported under another package name, and through
+this checkout, R rounds (default 5) with one BLAS thread, alternating
+which of the two goes first. An IPM step is replayed with a fresh copy of
+the schedule it was called with.
 
 For each kind of QP (plain or elastic, warm or cold, with or without phase
 I, as this checkout solves it) it prints the count, the mean microseconds
 per QP of each checkout (the median of its rounds, per QP), their ratio,
-and the factorizations (_kkt_factorization calls) per QP of each. The last
-line counts the QPs whose results differ byte for byte between the two: in
-status, d, y, z, active set, iterations or objective, or in the exception
-raised. The tool exits 1 when any does.
+and the factorizations (_kkt_factorization calls) per QP of each. The IPM
+steps get the same table by the certificate path of the factorization
+that the step solves with, as this checkout takes it: range space, null
+space, or eigenvalues (no certificate). Each table ends with the number of
+calls whose results differ byte for byte between the two: for a QP in
+status, d, y, z, active set, iterations or objective; for an IPM step in
+any field of its Direction or the schedule it leaves; for either in the
+exception raised. The tool exits 1 when any differs. A workload with no
+call of one kind prints no table for it.
 """
 from __future__ import annotations
 
@@ -51,23 +60,30 @@ def load_package(src: Path, name: str):
     return package
 
 
-def capture(modnlp, root: Path, workload: str, seed: int) -> tuple[list[tuple], list[str]]:
-    """(qp, warm_start, max_iter, start) of every qp_solve call of one pass,
-    copied as the solver passed them, and the exceptions of the solves that
-    raised."""
+def capture(modnlp, root: Path, workload: str, seed: int):
+    """The arguments of every qp_solve call and of every ipm_solve_step call
+    of one pass, copied as the solver passed them, and the exceptions of the
+    solves that raised."""
     sys.path.insert(0, str(root / "perfbench"))
     import workloads
 
-    calls, raised = [], []
-    owners = (modnlp.relaxation, modnlp.driver)
-    original = modnlp.linalg.qp_solve
+    qps, steps, raised = [], [], []
+    qp_solve, ipm_solve_step = modnlp.linalg.qp_solve, modnlp.subproblem.ipm_solve_step
 
-    def recorded(qp, warm_start=None, max_iter=None, start=None):
-        calls.append(copy.deepcopy((qp, warm_start, max_iter, start)))
-        return original(qp, warm_start, max_iter, start)
+    def recorded_qp(qp, warm_start=None, max_iter=None, start=None):
+        qps.append(copy.deepcopy((qp, warm_start, max_iter, start)))
+        return qp_solve(qp, warm_start, max_iter, start)
 
-    for owner in owners:
-        owner.qp_solve = recorded
+    def recorded_step(evals, x, y, zl, zu, lower, upper, mu, schedule, tau_min):
+        args = (evals, x, y, zl, zu, lower, upper, mu, schedule, tau_min)
+        steps.append(copy.deepcopy(args))
+        return ipm_solve_step(*args)
+
+    bindings = [(modnlp.relaxation, "qp_solve", recorded_qp), (modnlp.driver, "qp_solve", recorded_qp),
+                (modnlp.relaxation, "ipm_solve_step", recorded_step)]
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in bindings]
+    for owner, name, wrapper in bindings:
+        setattr(owner, name, wrapper)
     try:
         for task in workloads.WORKLOADS[workload](np.random.default_rng(seed)):
             try:
@@ -75,22 +91,24 @@ def capture(modnlp, root: Path, workload: str, seed: int) -> tuple[list[tuple], 
             except Exception as exc:  # noqa: BLE001 - a crash ends its solve, not the capture
                 raised.append("%s: %s" % (type(exc).__name__, exc))
     finally:
-        for owner in owners:
-            owner.qp_solve = original
-    return calls, raised
+        for owner, name, original in saved:
+            setattr(owner, name, original)
+    return qps, steps, raised
 
 
-def as_qpdata(linalg, qp):
-    """qp as linalg's QPData (the fields both versions have)."""
-    names = {field.name for field in dataclasses.fields(linalg.QPData)}
-    return linalg.QPData(**{k: v for k, v in vars(qp).items() if k in names})
+def converted(cls, value):
+    """value as an instance of the dataclass cls (the fields both have)."""
+    names = {field.name for field in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in vars(value).items() if k in names})
 
 
-def outcome(linalg, call) -> tuple:
-    """The bytes of one replayed call's result, or of the exception it raised."""
-    qp, warm_start, max_iter, start = call
+def qp_outcome(package, call) -> tuple:
+    """The bytes of one replayed qp_solve call's result, or of the exception
+    it raised."""
+    linalg = package.linalg
+    qp, *rest = call
     try:
-        sol = linalg.qp_solve(as_qpdata(linalg, qp), warm_start, max_iter, start)
+        sol = linalg.qp_solve(converted(linalg.QPData, qp), *rest)
     except Exception as exc:  # noqa: BLE001 - a raise is a result to compare
         return ("raise", type(exc).__name__, str(exc))
     return (sol.status, sol.d.tobytes(), sol.multipliers_eq.tobytes(),
@@ -98,44 +116,127 @@ def outcome(linalg, call) -> tuple:
             np.float64(sol.objective_value).tobytes())
 
 
-def counted(linalg, name: str, call) -> int:
-    """How many times linalg.name runs during one replay of call."""
-    original, calls = getattr(linalg, name), [0]
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    setattr(linalg, name, counting)
+def step_outcome(package, call) -> tuple:
+    """The bytes of one replayed ipm_solve_step call's Direction and of the
+    schedule it leaves, or of the exception it raised. The step runs on a
+    fresh copy of the captured schedule."""
+    evals, *middle, schedule, tau_min = call
+    schedule = converted(package.linalg.RegularizationSchedule, schedule)
     try:
-        outcome(linalg, call)
+        direction = package.subproblem.ipm_solve_step(
+            converted(package.model.Evaluations, evals), *middle, schedule, tau_min)
+    except Exception as exc:  # noqa: BLE001 - a raise is a result to compare
+        return ("raise", type(exc).__name__, str(exc))
+    fields = [getattr(direction, field.name) for field in dataclasses.fields(direction)]
+    return tuple(np.asarray(value).tobytes() if isinstance(value, (np.ndarray, float))
+                 else value for value in fields) + (np.float64(schedule.last_successful).tobytes(),)
+
+
+def rebound(module, name, wrapper, run):
+    """run() with module.name rebound to wrapper(original)."""
+    original = getattr(module, name)
+    setattr(module, name, wrapper(original))
+    try:
+        run()
     finally:
-        setattr(linalg, name, original)
+        setattr(module, name, original)
+
+
+def counted(package, outcome, call) -> int:
+    """How many times linalg._kkt_factorization runs during one replay."""
+    calls = [0]
+
+    def counting(original):
+        def wrapped(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+        return wrapped
+
+    rebound(package.linalg, "_kkt_factorization", counting, lambda: outcome(package, call))
     return calls[0]
 
 
-def kind(linalg, call) -> str:
+def qp_kind(package, call) -> str:
     """plain or elastic, warm or cold, and whether phase I runs."""
     qp, warm_start = call[0], call[1]
-    original, phase1 = linalg._active_set_loop, [False]
+    phase1 = [False]
 
-    def loop(W, *args):
-        phase1[0] |= W is None
-        return original(W, *args)
+    def loop(original):
+        def wrapped(W, *args):
+            phase1[0] |= W is None
+            return original(W, *args)
+        return wrapped
 
-    linalg._active_set_loop = loop
-    try:
-        outcome(linalg, call)
-    finally:
-        linalg._active_set_loop = original
+    rebound(package.linalg, "_active_set_loop", loop, lambda: qp_outcome(package, call))
     return " ".join(("elastic" if qp.step_columns is not None else "plain",
                      "warm" if warm_start else "cold") + (("+ phase I",) if phase1[0] else ()))
 
 
-def timed(linalg, call) -> float:
+def step_kind(package, call) -> str:
+    """The certificate path of the factorization the step solves with:
+    range space, null space, or eigenvalues (no certificate)."""
+    path = ["eigenvalues"]
+
+    def certified(original):
+        def wrapped(H, *args):
+            fact = original(H, *args)
+            if fact is not None:
+                path[0] = "range space" if np.ndim(H) < 2 else "null space"
+            return fact
+        return wrapped
+
+    def kkt(original):
+        def wrapped(*args, **kwargs):
+            path[0] = "eigenvalues"  # the last factorization is the one taken
+            return original(*args, **kwargs)
+        return wrapped
+
+    rebound(package.linalg, "_certified_factorization", certified,
+            lambda: rebound(package.linalg, "_kkt_factorization", kkt,
+                            lambda: step_outcome(package, call)))
+    return path[0]
+
+
+def timed(package, outcome, call) -> float:
     start = perf_counter()
-    outcome(linalg, call)
+    outcome(package, call)
     return perf_counter() - start
+
+
+def replay(title, calls, outcome, kind, sides, rounds) -> int:
+    """Time calls through both sides (the root package, then this one),
+    print the table by kind, and return how many calls differ byte for
+    byte."""
+    if not calls:
+        return 0
+    root, here = sides
+    kinds = [kind(here, call) for call in calls]
+    factorizations = [[counted(package, outcome, call) for call in calls] for package in sides]
+    differ = sum(outcome(root, call) != outcome(here, call) for call in calls)
+
+    seconds = [[[] for _ in calls] for _ in sides]
+    gc.disable()
+    try:
+        for round_ in range(rounds):
+            for i, call in enumerate(calls):
+                order = (0, 1) if (round_ + i) % 2 == 0 else (1, 0)
+                for side in order:
+                    seconds[side][i].append(timed(sides[side], outcome, call))
+            gc.collect()
+    finally:
+        gc.enable()
+    per_call = [[statistics.median(s) for s in side] for side in seconds]
+
+    print("%-26s %6s %10s %10s %7s %9s %9s" % (title, "calls", "root us", "here us", "ratio",
+                                                "root fact", "here fact"))
+    for label in sorted(set(kinds)) + ["all"]:
+        chosen = [i for i, k in enumerate(kinds) if label in (k, "all")]
+        mean = [1e6 * sum(side[i] for i in chosen) / len(chosen) for side in per_call]
+        fact = [sum(side[i] for i in chosen) / len(chosen) for side in factorizations]
+        print("%-26s %6d %10.1f %10.1f %7.3f %9.3f %9.3f"
+              % (label, len(chosen), *mean, mean[1] / mean[0], *fact))
+    print("%d of %d %s differ byte for byte" % (differ, len(calls), title))
+    return differ
 
 
 def main(argv=None) -> int:
@@ -149,43 +250,21 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(HERE / "src"))
     import modnlp
     import modnlp.linalg
+    import modnlp.subproblem
 
-    load_package(args.root.resolve() / "src", "modnlp_root")
-    import modnlp_root.linalg
+    root = load_package(args.root.resolve() / "src", "modnlp_root")
+    import modnlp_root.linalg  # noqa: F401
+    import modnlp_root.subproblem  # noqa: F401
 
-    sides = (("root", modnlp_root.linalg), ("here", modnlp.linalg))
-    calls, raised = capture(modnlp, args.root.resolve(), args.workload, args.seed)
-    kinds = [kind(modnlp.linalg, call) for call in calls]
-    factorizations = [[counted(linalg, "_kkt_factorization", call) for call in calls]
-                      for _, linalg in sides]
-    differ = sum(outcome(sides[0][1], call) != outcome(sides[1][1], call) for call in calls)
-
-    seconds = [[[] for _ in calls] for _ in sides]
-    gc.disable()
-    try:
-        for round_ in range(args.rounds):
-            for i, call in enumerate(calls):
-                order = (0, 1) if (round_ + i) % 2 == 0 else (1, 0)
-                for side in order:
-                    seconds[side][i].append(timed(sides[side][1], call))
-            gc.collect()
-    finally:
-        gc.enable()
-    per_qp = [[statistics.median(s) for s in side] for side in seconds]
-
-    print("%s seed %d: %d QPs, %d rounds; root = %s, here = %s"
-          % (args.workload, args.seed, len(calls), args.rounds, args.root.resolve(), HERE))
+    sides = (root, modnlp)
+    qps, steps, raised = capture(modnlp, args.root.resolve(), args.workload, args.seed)
+    print("%s seed %d: %d QPs, %d IPM steps, %d rounds; root = %s, here = %s"
+          % (args.workload, args.seed, len(qps), len(steps), args.rounds,
+             args.root.resolve(), HERE))
     for message in raised:
         print("a solve of the capture raised %s" % message)
-    print("%-26s %6s %10s %10s %7s %9s %9s" % ("kind", "QPs", "root us", "here us", "ratio",
-                                                "root fact", "here fact"))
-    for label in sorted(set(kinds)) + ["all"]:
-        chosen = [i for i, k in enumerate(kinds) if label in (k, "all")]
-        mean = [1e6 * sum(side[i] for i in chosen) / len(chosen) for side in per_qp]
-        fact = [sum(side[i] for i in chosen) / len(chosen) for side in factorizations]
-        print("%-26s %6d %10.1f %10.1f %7.3f %9.3f %9.3f"
-              % (label, len(chosen), *mean, mean[1] / mean[0], *fact))
-    print("%d of %d QPs differ byte for byte" % (differ, len(calls)))
+    differ = replay("QPs", qps, qp_outcome, qp_kind, sides, args.rounds)
+    differ += replay("IPM steps", steps, step_outcome, step_kind, sides, args.rounds)
     return 1 if differ else 0
 
 

@@ -16,11 +16,13 @@ and solves with the same factors. A diagonal H (a multiple of I, as in the
 QP's elastic phase I and the least-squares multipliers, or the diagonal
 W + Sigma of an interior-point step) takes the range-space proof: one
 Cholesky factorization of the Gram matrix B X^-1 B^T of order m. Any other
-H takes the null-space proof, from the QR of A^T and a Cholesky
-factorization of the reduced Hessian Z^T H Z, and so does a diagonal H that
-the range-space proof refuses. The triangular factors are inverted by
-halves (_triangular_inverse), so no LU inverse of a factor of order above
-32 is left on the certified path. The eigenvalues and an LU decide
+H takes the null-space proof, and so does a diagonal H that the range-space
+proof refuses: Cholesky factorizations of the Gram matrix A A^T and of the
+reduced Hessian Z^T H Z, with Z a basis of null(A) projected from a fixed
+start through the Gram factor, so that no complete QR is formed. The
+triangular factors are inverted by halves (_triangular_inverse), so no LU
+inverse of a factor of order above 32 is left on the certified path. The
+eigenvalues and an LU decide
 elsewhere: below its order gates, at delta_c > 0, and where both proofs
 refuse (m = 0, a rank-deficient A, or a reduced Hessian that is not
 positive definite).
@@ -193,6 +195,42 @@ def _triangular_inverse(T: np.ndarray, upper: bool) -> np.ndarray:
     return inverse
 
 
+@functools.lru_cache(maxsize=64)
+def _null_space_start(n: int, k: int) -> np.ndarray:
+    """The fixed start of _null_space_basis: an n x k read-only matrix of
+    standard normal entries from a fixed seed. Such a start spans null(B)
+    once projected, for every B of full row rank but a set of measure
+    zero. At most 64 starts are kept."""
+    start = np.random.default_rng(0).standard_normal((n, k))
+    start.flags.writeable = False
+    return start
+
+
+def _null_space_basis(B: np.ndarray, gram_inv: np.ndarray) -> np.ndarray:
+    """An n x (n - m) matrix with nearly orthonormal columns that span
+    null(B) up to roundoff, for B of order m x n and full row rank, given
+    gram_inv = L^-1, L L^T = B B^T: the fixed start projected twice by I -
+    B^T (B B^T)^-1 B (twice, so that what the first projection leaves of
+    the start's component outside null(B) is removed too), then
+    orthonormalized by Cholesky-QR, Z L_Z^-T with L_Z L_Z^T = Z^T Z, which
+    costs less here than a Householder QR. No pivoted start: choosing the
+    columns of I that best span null(B) would need L^-1 B, which costs more
+    than the basis. The caller bounds what is left of B Z and of Z^T Z - I.
+    A projected start too close to rank deficiency raises
+    np.linalg.LinAlgError."""
+    m, n = B.shape
+    Z = _null_space_start(n, n - m)
+    for _ in range(2):
+        Z = Z - B.T @ (gram_inv.T @ (gram_inv @ (B @ Z)))
+    return Z @ _triangular_inverse(np.linalg.cholesky(Z.T @ Z), upper=False).T
+
+
+def _norm_above(M: np.ndarray) -> float:
+    """An upper bound on the Frobenius norm of M: its computed norm with
+    the roundoff of the sum of squares and of the root added."""
+    return float(np.linalg.norm(M)) * (1.0 + (M.size + 2) * _EPS)
+
+
 def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factorization | None:
     """The record of K = [[H + delta_w I, A^T], [A, 0]], H a matrix of order
     n, a vector (the diagonal of a diagonal H) or a scalar (a multiple of
@@ -211,29 +249,42 @@ def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factori
     n eigenvalues above t and m below -t. For a scalar H this is
     sigma_min(B)^2 > t (x + t).
 
-    A matrix H takes the null-space method. With B^T = [Y Z] [R; 0] a QR
-    factorization, K is orthogonally similar to [[G, C^T, R], [C, M, 0],
-    [R^T, 0, 0]], M = Z^T W Z, C = Z^T W Y, G = Y^T W Y (Gould, Math.
-    Prog. 32, 1985). Let M > mu I with mu > t, and sigma_min(R)^2 > t (|G| +
-    t) + t |C|^2 / (mu - t). Haynsworth on K - tI, eliminating the order-2m
-    block of G and R first, leaves M - tI - C (G - tI + R R^T / t)^-1 C^T >
-    0, so K has n eigenvalues above t; on K + tI it leaves M + tI + (a
-    positive semidefinite term) > 0, so K has m below -t. |G| is bounded by
-    the largest row sum of |W|, and M and the Frobenius norm of C are formed
-    from the QR of B^T: the Cholesky factor L of M, which solves, estimates
-    lambda_min(M) >= 1 / |L^-1|_F^2, and mu is half of that, proved by a
-    Cholesky factorization of M - mu I.
+    A matrix H takes the null-space method (Gould, Math. Prog. 32, 1985) on
+    a nearby matrix. Let S = B B^T = L L^T, Z an n x k basis of null(B), k =
+    n - m, from _null_space_basis through B and L^-1, Z_0 the exact
+    orthonormalization of Z, and B~ = B (I - Z_0 Z_0^T), whose rows are
+    orthogonal to Z_0: B~^T = Y R with [Y Z_0] orthogonal. Then K~ = [[W,
+    B~^T], [B~, 0]] is orthogonally similar to [[G, C^T, R], [C, M, 0],
+    [R^T, 0, 0]], M = Z_0^T W Z_0, C = Z_0^T W Y, G = Y^T W Y. Let M > mu I
+    with mu > t', and sigma_min(R)^2 > t' (|G| + t') + t' |C|^2 / (mu - t').
+    Haynsworth on K~ - t'I, eliminating the order-2m block of G and R first,
+    leaves M - t'I - C (G - t'I + R R^T / t')^-1 C^T > 0, so K~ has n
+    eigenvalues above t'; on K~ + t'I it leaves M + t'I + (a positive
+    semidefinite term) > 0, so K~ has m below -t'. K - K~ has the blocks
+    B Z_0 Z_0^T and its transpose, so |K - K~|_2 = |B Z_0|_2 <= beta, and
+    by Weyl's inequality K has no eigenvalue in [-t, t] at t' = t + beta.
+    The quantities come from Z and S: with delta >= |Z^T Z - I|_2, beta =
+    |B Z| / sqrt(1 - delta), sigma_min(R)^2 = lambda_min(S - B Z_0 Z_0^T B^T)
+    >= lambda_min(S) - beta^2, |G| is bounded by the largest row sum of |W|,
+    and |C| = |(I - Z_0 Z_0^T) W Z_0| by (|W Z - Z M_Z| + 2 delta |W|) /
+    sqrt(1 - delta), M_Z = Z^T W Z. The Cholesky factor of M_Z, which
+    solves, estimates lambda_min(M_Z) >= 1 / |L^-1|_F^2, mu is half of that,
+    and a Cholesky factorization of M_Z - mu (1 + delta) I proves M > mu I,
+    since M = P^-1/2 M_Z P^-1/2 with P = Z^T Z <= (1 + delta) I. This is the
+    Cholesky-QR route to B^T = (B^T L^-T) L^T (Stathopoulos & Wu, SIAM J.
+    Sci. Comput. 23, 2002): no Q of order n is formed.
 
     A non-positive diagonal, a rank-deficient A, or Z^T W Z with an
     eigenvalue below t refuses; the caller then decides by other means.
 
     In floating point each test is shifted past a bound on its own
-    roundoff, so that rounding can only refuse. The QR factors are exact
-    for a B perturbed by at most about (n + m)^2 eps max |entry|, so for a
-    matrix H t becomes _cholesky_shift(n + m, max |entry|, t), sigma_min(R)^2
-    is that of the Gram matrix R^T R, |C| is computed with its roundoff
-    added, and M - mu I is factorized shifted by _cholesky_shift(n, |W|,
-    mu). A diagonal W needs no QR, and t stays. Either Gram matrix is
+    roundoff, so that rounding can only refuse. For a matrix H t starts at
+    _cholesky_shift(n + m, max |entry|, t), a bound on the backward error of
+    a QR factorization of B^T, kept as a margin; delta and beta add the
+    roundoff of forming Z^T Z and B Z (n eps |B| |Z|), |C| that of forming
+    W Z - Z M_Z, and M_Z - mu (1 + delta) I is factorized shifted by
+    _cholesky_shift(n, |W|, mu (1 + delta)). A diagonal W needs no basis,
+    and t stays. Either Gram matrix is
     factorized with the bound on sigma_min^2 subtracted and its diagonal
     reduced by the relative _schur_margin: the roundoff of a row-graded
     Gram matrix is graded too, and a zero eigenvalue of G (a dependent row)
@@ -244,12 +295,16 @@ def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factori
 
     The solve uses these factors: for a diagonal W, lam = G^-1 (B X^-1 r1 -
     r2) and x = X^-1 (r1 - B^T lam) with the Cholesky factor L of G; for a
-    matrix H, the null-space method. Either is refined on K's residual until
-    the next correction would be below roundoff or stop shrinking by half.
-    It applies R^-1 and L^-1, which _triangular_inverse builds by halves:
+    matrix H, the null-space method, x = B^T S^-1 r2 + Z M_Z^-1 Z^T (r1 - W
+    B^T S^-1 r2) and lam = S^-1 B (r1 - W x), with the unshifted factor L of
+    S. Either is refined on K's residual until the next correction would be
+    below roundoff or stop shrinking by half. The solves apply the inverses
+    of the Cholesky factors, which _triangular_inverse builds by halves:
     np.linalg.inv touches only their diagonal blocks up to order 32, and no
     LU inverse of a whole factor is left. The inverses feed only the
-    estimate of mu and the solves; every proof is a Cholesky or the QR.
+    estimate of mu, the basis and the solves; every proof is a Cholesky.
+    The proof's shift depends on Z, which needs S^-1, so S is factorized
+    twice: unshifted to solve and shifted to prove.
     """
     m, n = A.shape
     if m == 0 or n < m:
@@ -295,24 +350,32 @@ def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factori
             shift = t * (mu + t) / mu
         else:
             t = _cholesky_shift(n + m, max_abs, zero_tol)
-            Q, R = np.linalg.qr(B.T, mode="complete")
-            Y, Z, R = Q[:, :m], Q[:, m:], R[:m]
+            gram = B @ B.T
+            gram_inv = _triangular_inverse(np.linalg.cholesky(gram), upper=False)
+            Z = _null_space_basis(B, gram_inv)
             XZ = X @ Z
             M = Z.T @ XZ
-            c = float(np.linalg.norm(XZ.T @ Y)) + _cholesky_shift(n, w, 0.0)  # |C| and roundoff
+            P = Z.T @ Z
+            P.flat[:: n - m + 1] -= 1.0
+            delta = _norm_above(P) + 1.01 * n * _EPS * _norm_above(Z) ** 2  # |Z^T Z - I|_2
+            if not delta < 0.25:
+                return None
+            scale = 1.0 / math.sqrt(1.0 - delta)  # bounds |(Z^T Z)^-1/2|_2
+            bound = 1.02 * n * _EPS * float(np.linalg.norm(np.abs(B) @ np.abs(Z)))  # roundoff of B Z
+            beta = scale * (_norm_above(B @ Z) + bound)  # |B Z_0|_2
+            c = scale * (_norm_above(XZ - Z @ M) + 2.0 * delta * w
+                         + _cholesky_shift(n, w, 0.0))  # |C| and roundoff
             L_inv = _triangular_inverse(np.linalg.cholesky(M), upper=False)
             mu = 0.5 / float(np.sum(L_inv * L_inv)) if n > m else np.inf
-            np.linalg.cholesky(_shifted(M, -_cholesky_shift(n, w, mu)))
+            np.linalg.cholesky(_shifted(M, -_cholesky_shift(n, w, mu * (1.0 + delta))))
+            t += beta
             if not mu > t:  # NaN refuses
                 return None
-            gram = R.T @ R
-            shift = t * (w + t) + t * c * c / (mu - t)
+            shift = t * (w + t) + t * c * c / (mu - t) + beta * beta
         gram.flat[:: m + 1] = gram.diagonal() * (1.0 - _schur_margin(n, m)) - shift
         np.linalg.cholesky(gram)
         if diagonal:
             L_inv = _triangular_inverse(L, upper=False)
-        else:
-            R_inv = _triangular_inverse(R, upper=True)
     except np.linalg.LinAlgError:
         return None
 
@@ -325,9 +388,9 @@ def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factori
             return np.concatenate([X * z[:n] + z[n:] @ B, B @ z[:n]])
     else:
         def solve_once(rhs):
-            x = Y @ (rhs[n:] @ R_inv)
+            x = ((rhs[n:] @ gram_inv.T) @ gram_inv) @ B
             x += Z @ ((((rhs[:n] - X @ x) @ Z) @ L_inv.T) @ L_inv)
-            return np.concatenate([x, R_inv @ ((rhs[:n] - X @ x) @ Y)])
+            return np.concatenate([x, gram_inv.T @ (gram_inv @ (B @ (rhs[:n] - X @ x)))])
 
         def product(z):
             return np.concatenate([X @ z[:n] + z[n:] @ B, B @ z[:n]])

@@ -538,6 +538,24 @@ class TestBlockCertificate:
             assert sign_counts(eigs, zero_tol) == (1, 1, 1)
             assert certified(H, A, equilibrate=False) is None
 
+    def test_a_basis_off_the_null_space_is_paid_for_by_beta(self, monkeypatch):
+        # H = Y Y^T is zero on null(A), so K is singular; a basis tilted by
+        # eps out of null(A) sees Z^T H Z of order eps^2 > t. The proof runs
+        # at t + beta, beta >= |A Z|, and must refuse at every tilt: proved
+        # at t alone, the tilts from 3e-5 to 3e-2 would be certified
+        import modnlp.linalg as linalg
+
+        rng = np.random.RandomState(21)
+        n, m = 30, 20
+        A = rng.randn(m, n)
+        V = np.linalg.svd(A)[2].T
+        Z, Y = V[:, m:], V[:, :m]
+        H = Y @ Y.T
+        for eps in np.logspace(-8.0, -1.0, 15):
+            tilted = np.linalg.qr(Z + eps * Y[:, : n - m])[0]
+            monkeypatch.setattr(linalg, "_null_space_basis", lambda B, gram_inv: tilted)
+            assert _certified_factorization(H, A, 0.0, False) is None, eps
+
     def test_non_finite_is_not_certified(self):
         H = np.eye(64)
         H[0, 1] = np.nan
@@ -665,7 +683,9 @@ def test_triangular_inverse_equals_the_oracle():
 
 def parent_certified_factorization(H, A, delta_w, equilibrate):
     """The oracle: _certified_factorization as it was before it built its
-    equilibrated blocks in place and used unscaled blocks as given."""
+    equilibrated blocks in place and used unscaled blocks as given, and
+    before the null-space proof took its basis from the Gram factor: here a
+    matrix H still takes the complete QR of B^T."""
     from modnlp.linalg import (
         _EPS, Factorization, _cholesky_shift, _schur_margin, _shifted, _zero_tol)
 
@@ -805,10 +825,13 @@ def certified_systems(rng):
 
 
 def test_certified_factorization_equals_the_oracle():
-    # every record, refusal and solve equals the oracle's byte for byte,
-    # equilibrated or not
+    # every decision, record and refusal equals the oracle's, equilibrated
+    # or not; a range-space or scalar record solves as the oracle's byte for
+    # byte, and a null-space record (a matrix H), whose basis and factors
+    # are no longer the oracle's QR, passes the checks of
+    # assert_null_space_record instead
     rng = np.random.RandomState(29)
-    counts = {"certified": 0, "refused": 0}
+    counts = {"certified": 0, "refused": 0, "null space": 0}
     for label, H, A, delta_w in certified_systems(rng):
         for equilibrate in (True, False):
             with np.errstate(invalid="ignore"):  # the planted NaN and inf
@@ -825,10 +848,186 @@ def test_certified_factorization_equals_the_oracle():
                 assert fact.row_scaling.tobytes() == expected.row_scaling.tobytes()
             else:
                 assert fact.row_scaling is None and expected.row_scaling is None
+            if np.ndim(H) == 2:
+                counts["null space"] += 1
+                assert_null_space_record(fact, H, A, delta_w, equilibrate, rng)
+                continue
             m, n = A.shape
             for rhs in (rng.randn(n + m), rng.randn(n + m) * 10.0 ** rng.uniform(-8, 8, n + m)):
                 assert fact.solve(rhs).tobytes() == expected.solve(rhs).tobytes(), label
     assert counts["certified"] >= 50 and counts["refused"] >= 100
+    assert counts["null space"] >= 20
+
+
+def assert_null_space_record(fact, H, A, delta_w, equilibrate, rng):
+    """The checks of a certified null-space record of [[H + delta_w I, A^T],
+    [A, 0]]: the eigenvalues of the matrix it proves (equilibrated as
+    ldlt_factorize_scaled does, unless not equilibrate) leave [-t, t] empty,
+    t = fact.zero_tol; and on two right-hand sides, one with entries scaled
+    by 10^-3 to 10^3, its solve's componentwise and normwise backward errors
+    are at most 10 times the LU's on that matrix."""
+    m, n = A.shape
+    K = assemble_kkt(H, A, delta_w, 0.0)
+    reference = ldlt_factorize_scaled(K) if equilibrate else ldlt_factorize(K)
+    assert fact.zero_tol == reference.zero_tol
+    eigs = np.linalg.eigvalsh(reference.matrix)
+    assert not np.any(np.abs(eigs) <= fact.zero_tol)
+    M = reference.matrix
+    for rhs in (rng.randn(n + m), rng.randn(n + m) * 10.0 ** rng.uniform(-3.0, 3.0, n + m)):
+        x, lu = fact.solve(rhs), np.linalg.solve(M, rhs)
+        assert backward_error(M, x, rhs) <= 10.0 * max(backward_error(M, lu, rhs), 1e-16)
+        assert normwise_backward_error(M, x, rhs) <= 10.0 * max(
+            normwise_backward_error(M, lu, rhs), 1e-16)
+
+
+def normwise_backward_error(M, x, rhs):
+    """Normwise backward error of x as a solution of M x = rhs, in the
+    infinity norm."""
+    residual = np.abs(M @ x - rhs).max()
+    return float(residual / (np.abs(M).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()))
+
+
+def banded_rows(rng, m, n):
+    """An m x n matrix with three standard normal entries a row, the first
+    pushed 3 away from zero: in columns i, i + 1 and i + 2 (mod n) when n -
+    m <= 2, as a chain Jacobian, else in columns i, i + 1 and one past m, as
+    a control Jacobian's state and control columns. Its leading order-m
+    block is diagonally dominant in most rows, so A is well conditioned."""
+    B = np.zeros((m, n))
+    k = n - m
+    for i in range(m):
+        entries = rng.randn(3)
+        entries[0] += np.copysign(3.0, entries[0])
+        B[i, [i, (i + 1) % n, (i + 2) % n] if k <= 2 else [i, i + 1, m + i % k]] = entries
+    return B
+
+
+def split_hessian(V, m, on_null, off_null, coupling):
+    """H = Z diag(on_null) Z^T + Y diag(off_null) Y^T + C + C^T, C = Z G Y^T,
+    with Z = V[:, m:] and Y = V[:, :m], V orthogonal (the right singular
+    vectors of a B of m rows: Z spans null(B)), and G a fixed random (n -
+    m) x m matrix scaled by coupling / sqrt(m): its reduced Hessian Z^T H Z
+    is diag(on_null), and H is indefinite when an entry of off_null is
+    negative."""
+    n = V.shape[0]
+    Z, Y = V[:, m:], V[:, :m]
+    H = (Z * on_null) @ Z.T + (Y * off_null) @ Y.T
+    if coupling and m < n:
+        C = Z @ (coupling / np.sqrt(m) * np.random.RandomState(0).randn(n - m, m)) @ Y.T
+        H += C + C.T
+    return 0.5 * (H + H.T)
+
+
+def flip(decide, low, high, steps=18):
+    """The parameter between low and high (0 < low < high) at which the
+    decision decide(parameter) changes, by bisection of its logarithm to a
+    relative width of (high / low) ** 2 ** -steps; None when decide(low) ==
+    decide(high)."""
+    at_low = decide(low)
+    if decide(high) == at_low:
+        return None
+    for _ in range(steps):
+        middle = np.sqrt(low * high)
+        low, high = (middle, high) if decide(middle) == at_low else (low, middle)
+    return np.sqrt(low * high)
+
+
+def null_space_systems(seed):
+    """(label, H, A) for the null-space proof: k = n - m in {0, 1, 2, n/4,
+    n/2} at orders n + m from 64 to 280, with a banded A (three entries a
+    row) and a dense one, rows scaled by 10^-1 to 10, and H indefinite but
+    positive definite on null(A) (split_hessian). Beside each base system,
+    planted near-refusals: the smallest eigenvalue of the reduced Hessian,
+    the smallest singular value of A and the coupling C, each at 1.01 and
+    1 / 1.01 times (sigma^2 at 1.01 and 1 / 1.01 times) the value at which
+    the oracle's decision flips, and sigma^2 at 2 and 1 / 2 times it, so
+    that the Gram matrix lies within 2x of its refusal shift. A flip is
+    found by bisection on the oracle's decision."""
+    rng = np.random.RandomState(seed)
+
+    def oracle(H, A):
+        return parent_certified_factorization(H, A, 0.0, True) is not None
+
+    shapes = ((64, 0, "dense"), (280, 0, "banded"), (72, 1, "dense"), (100, 1, "banded"),
+              (120, 2, "dense"), (278, 2, "banded"), (220, "n/4", "dense"),
+              (160, "n/4", "banded"), (200, "n/2", "dense"), (240, "n/2", "banded"))
+    for order, k, structure in shapes:
+        if k == "n/4":
+            n = round(order / 1.75)
+            k = n // 4
+        elif k == "n/2":
+            n = round(order / 1.5)
+            k = n // 2
+        else:
+            n = (order + k) // 2
+        m = n - k
+        A = banded_rows(rng, m, n) if structure == "banded" else rng.randn(m, n)
+        A *= 10.0 ** rng.uniform(-1.0, 1.0, (m, 1))
+        U, singular, Vt = np.linalg.svd(A)
+        on_null = 10.0 ** rng.uniform(-2.0, 1.0, k)
+        off_null = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-2.0, 1.0, m)
+        label = "%s k=%d n=%d m=%d" % (structure, k, n, m)
+        yield label, split_hessian(Vt.T, m, on_null, off_null, 0.3), A
+
+        def plants(name, at, low, high, factors=(1.01, 1.0 / 1.01)):
+            point = flip(lambda p: oracle(*at(p)), low, high)
+            assert point is not None, (label, name)
+            for factor in factors:
+                yield "%s, %s at %.4g x its flip" % (label, name, factor), *at(factor * point)
+
+        def with_eigenvalue(theta):
+            values = on_null.copy()
+            values[0] = theta
+            return split_hessian(Vt.T, m, values, off_null, 0.3), A
+
+        def with_sigma(sigma, coupling=0.3):
+            # A with its smallest singular value replaced by sigma: its
+            # null space and its other singular values stay
+            values = singular.copy()
+            values[-1] = sigma
+            return split_hessian(Vt.T, m, on_null, off_null, coupling), (U * values) @ Vt[:m]
+
+        if k:
+            yield from plants("reduced Hessian eigenvalue", with_eigenvalue, 1e-16, 1.0)
+        yield from plants("sigma_min(A)", with_sigma, 1e-14, singular[-1],
+                          (np.sqrt(1.01), 1.0 / np.sqrt(1.01), np.sqrt(2.0), np.sqrt(0.5)))
+        if k:
+            # sigma_min(A) at 4x its flip, where the coupling already
+            # weighs in, and C grown until it refuses
+            sigma = 4.0 * flip(lambda s: oracle(*with_sigma(s)), 1e-14, singular[-1])
+            yield from plants("coupling", lambda g: with_sigma(sigma, g), 0.3, 1e6)
+
+
+# Planted cases on which the proof may refuse where the oracle certifies:
+# those 1% on the certifying side of a flip with a dense A and k >= n / 4.
+# beta, the bound on |B Z_0| that t grows by, is mostly the roundoff bound
+# n eps ||B| |Z||_F of forming B Z, 2.5-5% of t there (below 0.6% with a
+# banded A or k <= 2), and the shift grows faster than t.
+RAZOR_EDGE = tuple(
+    "dense k=%s, %s" % (shape, plant)
+    for shape in ("31 n=126 m=95", "66 n=133 m=67")
+    for plant in ("reduced Hessian eigenvalue at 1.01 x its flip",
+                  "sigma_min(A) at 1.005 x its flip", "coupling at 0.9901 x its flip"))
+
+
+def test_null_space_proof_decides_as_the_qr_oracle():
+    # every decision equals the complete-QR oracle's, but for RAZOR_EDGE,
+    # where it may only refuse, and every certified record passes
+    # assert_null_space_record
+    rng = np.random.RandomState(31)
+    counts = {"certified": 0, "refused": 0}
+    for label, H, A in null_space_systems(32):
+        fact = _certified_factorization(H, A, 0.0, True)
+        expected = parent_certified_factorization(H, A, 0.0, True)
+        if label in RAZOR_EDGE:
+            assert fact is None or expected is not None, label
+        else:
+            assert (fact is None) == (expected is None), label
+        counts["certified" if fact else "refused"] += 1
+        if fact is not None:
+            assert fact.inertia == (A.shape[1], A.shape[0], 0) and fact.matrix is None
+            assert_null_space_record(fact, H, A, 0.0, True, rng)
+    assert counts["certified"] >= 30 and counts["refused"] >= 30
 
 
 def ipm_like(rng, n, m):
@@ -1072,6 +1271,56 @@ class TestBlockKernel:
             fact = _kkt_factorization(H, A, 0.0, 0.0)
             assert fact.inertia == ldlt_factorize_scaled(assemble_kkt(H, A, 0.0, 0.0)).inertia
         assert len(calls) == 8 and set(calls) == {"matrix"}
+
+    def test_benchmark_shapes_take_the_null_space_proof(self, monkeypatch):
+        # the shapes of the interior-point benchmark's null-space systems: a
+        # chain (A banded as its Jacobian, m = n - 2, H tridiagonal,
+        # indefinite but positive definite on null(A)) at n = 100, 120 and
+        # 140, and a control instance (m = n / 2) whose diagonal H has a
+        # non-positive entry, which the range-space proof refuses. Each is
+        # certified by the null-space proof, with no eigenvalues computed:
+        # at order 278 a fall to the eigenvalues costs about 3 ms a step
+        import modnlp.linalg as linalg
+
+        eigenvalue_calls = []
+        monkeypatch.setattr(linalg, "ldlt_factorize",
+                            lambda M: eigenvalue_calls.append(M.shape) or ldlt_factorize(M))
+        calls = range_space_calls(monkeypatch)
+        rng = np.random.RandomState(20)
+        for n in (100, 120, 140):
+            m, k = n - 2, np.arange(n - 2)
+            x = 2.0 + 0.3 * rng.randn(n)
+            p, a, b = x[:-2], x[1:-1], x[2:]
+            A = np.zeros((m, n))
+            A[k, k] = -(1.0 + p) * np.exp(p - a)
+            A[k, k + 1] = 9.0 * a**2 + np.sin(2.0 * a) + 4.0 + p * np.exp(p - a)
+            A[k, k + 2] = 2.0 - np.sin(2.0 * b)
+            # null(A) lies on the first and last few coordinates: the roots
+            # of its recursion are about 0.07 and -20
+            diagonal = rng.uniform(-1.0, 3.0, n)
+            diagonal[:4] = diagonal[-4:] = 2.0
+            off = rng.uniform(-0.5, 0.5, n - 1)
+            H = np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
+            Z = np.linalg.svd(A)[2][m:].T
+            assert np.linalg.eigvalsh(H)[0] < 0.0 < np.linalg.eigvalsh(Z.T @ H @ Z)[0]
+            calls.clear()
+            fact = _kkt_factorization(H, A, 0.0, 0.0)
+            assert fact.matrix is None and fact.inertia == (n, m, 0) and calls == ["matrix"]
+        for N in (50, 60, 70):
+            n, m, h, k = 2 * N, N, 10.0 / N, np.arange(N)
+            A = np.zeros((m, n))
+            A[k, k] = 1.0
+            A[k[1:], k[:-1]] = -1.0 + 3.0 * h * rng.uniform(-1.0, 1.0, N - 1) ** 2
+            A[k, N + k] = -h
+            d = np.concatenate([np.full(N, h), np.full(N, 1e-2 * h)]) + 10.0 ** rng.uniform(-6, 0, n)
+            d[N // 2] = 0.0 if N % 20 else -0.1 * h
+            Z = np.linalg.svd(A)[2][m:].T
+            assert np.linalg.eigvalsh((Z.T * d) @ Z)[0] > 0.0
+            calls.clear()
+            fact = _kkt_factorization(np.diag(d), A, 0.0, 0.0)
+            assert fact.matrix is None and fact.inertia == (n, m, 0)
+            assert calls == ["diagonal", "matrix"]
+        assert eigenvalue_calls == []
 
     def test_decisions_are_the_certificates(self):
         # a certified system has the eigenvalue count's inertia (n, m, 0); a

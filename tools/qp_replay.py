@@ -20,12 +20,19 @@ per QP of each checkout (the median of its rounds, per QP), their ratio,
 and the factorizations (_kkt_factorization calls) per QP of each. The IPM
 steps get the same table by the certificate path of the factorization
 that the step solves with, as this checkout takes it: range space, null
-space, or eigenvalues (no certificate). Each table ends with the number of
-calls whose results differ byte for byte between the two: for a QP in
-status, d, y, z, active set, iterations or objective; for an IPM step in
-any field of its Direction or the schedule it leaves; for either in the
-exception raised. The tool exits 1 when any differs. A workload with no
-call of one kind prints no table for it.
+space, or eigenvalues (no certificate). Each line gives, and each table
+ends with, the number of calls whose results differ byte for byte between
+the two: for a QP in status, d, y, z, active set, iterations or
+objective; for an IPM step in any field of its Direction or the schedule
+it leaves; for either in the exception raised. The IPM table also gives,
+per path, the largest relative difference of dx and of dy between the
+two checkouts (the largest entry of the difference over the largest entry
+of the root's), and how many steps changed path or inertia: took another
+certificate path in the two checkouts, or made factorizations of other
+inertias (one per trial of the regularization schedule). A kernel change
+that moves only roundoff shows as small relative differences and no
+changed step. The tool exits 1 when any call differs byte for byte. A
+workload with no call of one kind prints no table for it.
 """
 from __future__ import annotations
 
@@ -116,15 +123,21 @@ def qp_outcome(package, call) -> tuple:
             np.float64(sol.objective_value).tobytes())
 
 
-def step_outcome(package, call) -> tuple:
-    """The bytes of one replayed ipm_solve_step call's Direction and of the
-    schedule it leaves, or of the exception it raised. The step runs on a
-    fresh copy of the captured schedule."""
+def run_step(package, call):
+    """The Direction of one replayed ipm_solve_step call and the schedule it
+    leaves. The step runs on a fresh copy of the captured schedule."""
     evals, *middle, schedule, tau_min = call
     schedule = converted(package.linalg.RegularizationSchedule, schedule)
+    direction = package.subproblem.ipm_solve_step(
+        converted(package.model.Evaluations, evals), *middle, schedule, tau_min)
+    return direction, schedule
+
+
+def step_outcome(package, call) -> tuple:
+    """The bytes of one replayed ipm_solve_step call's Direction and of the
+    schedule it leaves, or of the exception it raised."""
     try:
-        direction = package.subproblem.ipm_solve_step(
-            converted(package.model.Evaluations, evals), *middle, schedule, tau_min)
+        direction, schedule = run_step(package, call)
     except Exception as exc:  # noqa: BLE001 - a raise is a result to compare
         return ("raise", type(exc).__name__, str(exc))
     fields = [getattr(direction, field.name) for field in dataclasses.fields(direction)]
@@ -172,10 +185,13 @@ def qp_kind(package, call) -> str:
                      "warm" if warm_start else "cold") + (("+ phase I",) if phase1[0] else ()))
 
 
-def step_kind(package, call) -> str:
-    """The certificate path of the factorization the step solves with:
-    range space, null space, or eigenvalues (no certificate)."""
-    path = ["eigenvalues"]
+def step_trace(package, call) -> tuple:
+    """(path, inertias, dx, dy) of one replayed ipm_solve_step call: the
+    certificate path of the factorization the step solves with (range
+    space, null space, or eigenvalues: no certificate), the inertia of
+    every factorization the step makes, and its dx and dy (None where the
+    step raised)."""
+    path, inertias = ["eigenvalues"], []
 
     def certified(original):
         def wrapped(H, *args):
@@ -188,13 +204,47 @@ def step_kind(package, call) -> str:
     def kkt(original):
         def wrapped(*args, **kwargs):
             path[0] = "eigenvalues"  # the last factorization is the one taken
-            return original(*args, **kwargs)
+            fact = original(*args, **kwargs)
+            inertias.append(fact.inertia)
+            return fact
         return wrapped
 
+    step = [None]
+
+    def run():
+        try:
+            step[0] = run_step(package, call)[0]
+        except Exception:  # noqa: BLE001 - a raise has no direction
+            pass
+
     rebound(package.linalg, "_certified_factorization", certified,
-            lambda: rebound(package.linalg, "_kkt_factorization", kkt,
-                            lambda: step_outcome(package, call)))
-    return path[0]
+            lambda: rebound(package.linalg, "_kkt_factorization", kkt, run))
+    direction = step[0]
+    return (path[0], tuple(inertias),
+            *((direction.dx, direction.dy) if direction is not None else (None, None)))
+
+
+def step_kind(package, call) -> str:
+    """The certificate path of the factorization the step solves with."""
+    return step_trace(package, call)[0]
+
+
+def relative_difference(root, here) -> float:
+    """max |here - root| / max |root| (inf where only one side has a value
+    or the shapes differ, 0 where both are empty or equal)."""
+    if root is None or here is None or root.shape != here.shape:
+        return 0.0 if root is None and here is None else np.inf
+    difference = float(np.abs(here - root).max(initial=0.0))
+    scale = float(np.abs(root).max(initial=0.0))
+    return difference / scale if scale else (np.inf if difference else 0.0)
+
+
+def step_differences(sides, call) -> tuple:
+    """(relative difference of dx, of dy, whether the path or the inertias
+    changed) of one IPM step between the two sides."""
+    root, here = (step_trace(package, call) for package in sides)
+    return (relative_difference(root[2], here[2]), relative_difference(root[3], here[3]),
+            root[:2] != here[:2])
 
 
 def timed(package, outcome, call) -> float:
@@ -203,16 +253,20 @@ def timed(package, outcome, call) -> float:
     return perf_counter() - start
 
 
-def replay(title, calls, outcome, kind, sides, rounds) -> int:
+def replay(title, calls, outcome, kind, sides, rounds, differences=None) -> int:
     """Time calls through both sides (the root package, then this one),
-    print the table by kind, and return how many calls differ byte for
-    byte."""
+    print the table by kind with how many calls of each kind differ byte for
+    byte, and return how many calls differ. With differences (a function of
+    the sides and a call giving the relative differences of dx and dy and
+    whether the path or the inertias changed), the table also gives their
+    largest values and the count of changed calls."""
     if not calls:
         return 0
     root, here = sides
     kinds = [kind(here, call) for call in calls]
     factorizations = [[counted(package, outcome, call) for call in calls] for package in sides]
-    differ = sum(outcome(root, call) != outcome(here, call) for call in calls)
+    differs = [outcome(root, call) != outcome(here, call) for call in calls]
+    moved = [differences(sides, call) for call in calls] if differences else None
 
     seconds = [[[] for _ in calls] for _ in sides]
     gc.disable()
@@ -227,16 +281,22 @@ def replay(title, calls, outcome, kind, sides, rounds) -> int:
         gc.enable()
     per_call = [[statistics.median(s) for s in side] for side in seconds]
 
-    print("%-26s %6s %10s %10s %7s %9s %9s" % (title, "calls", "root us", "here us", "ratio",
-                                                "root fact", "here fact"))
+    header = "%-26s %6s %10s %10s %7s %9s %9s %6s" % (
+        title, "calls", "root us", "here us", "ratio", "root fact", "here fact", "differ")
+    print(header + (" %10s %10s %7s" % ("max rel dx", "max rel dy", "changed") if moved else ""))
     for label in sorted(set(kinds)) + ["all"]:
         chosen = [i for i, k in enumerate(kinds) if label in (k, "all")]
         mean = [1e6 * sum(side[i] for i in chosen) / len(chosen) for side in per_call]
         fact = [sum(side[i] for i in chosen) / len(chosen) for side in factorizations]
-        print("%-26s %6d %10.1f %10.1f %7.3f %9.3f %9.3f"
-              % (label, len(chosen), *mean, mean[1] / mean[0], *fact))
-    print("%d of %d %s differ byte for byte" % (differ, len(calls), title))
-    return differ
+        line = "%-26s %6d %10.1f %10.1f %7.3f %9.3f %9.3f %6d" % (
+            label, len(chosen), *mean, mean[1] / mean[0], *fact, sum(differs[i] for i in chosen))
+        if moved:
+            line += " %10.2e %10.2e %7d" % (max(moved[i][0] for i in chosen),
+                                            max(moved[i][1] for i in chosen),
+                                            sum(moved[i][2] for i in chosen))
+        print(line)
+    print("%d of %d %s differ byte for byte" % (sum(differs), len(calls), title))
+    return sum(differs)
 
 
 def main(argv=None) -> int:
@@ -264,7 +324,8 @@ def main(argv=None) -> int:
     for message in raised:
         print("a solve of the capture raised %s" % message)
     differ = replay("QPs", qps, qp_outcome, qp_kind, sides, args.rounds)
-    differ += replay("IPM steps", steps, step_outcome, step_kind, sides, args.rounds)
+    differ += replay("IPM steps", steps, step_outcome, step_kind, sides, args.rounds,
+                     step_differences)
     return 1 if differ else 0
 
 

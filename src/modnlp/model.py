@@ -171,7 +171,7 @@ def evaluate(
     with_derivatives: bool = True,
 ) -> Evaluations:
     """Evaluate the model at x once, outside any record (the derivative
-    checker's probes, and tools reading a result). Non-finite values are
+    checker's centre, and tools reading a result). Non-finite values are
     reported through Evaluations.is_finite rather than raised."""
     x = np.asarray(x, dtype=float)
     if y is None:
@@ -212,8 +212,12 @@ class DerivativeReport:
 def check_derivatives(model: Model, x: np.ndarray, h: float = 1e-6) -> DerivativeReport:
     """Compare hand-coded derivatives against central differences.
 
-    Steps are h * (1 + |x_i|) per coordinate. Raises NonFiniteEvaluationError
-    if any probe is non-finite.
+    Steps are h * (1 + |x_i|) per coordinate. The centre calls the five
+    callbacks once; each of the 2n probes calls f, c, the gradient and the
+    Jacobian once and keeps one row: f, c and the Lagrangian gradient
+    rho * grad f - J^T y. Raises NonFiniteEvaluationError once both probes
+    of a coordinate are evaluated and f, c, the gradient or the Jacobian of
+    either is non-finite.
     """
     x = np.asarray(x, dtype=float)
     n, m = model.n, model.m
@@ -224,23 +228,32 @@ def check_derivatives(model: Model, x: np.ndarray, h: float = 1e-6) -> Derivativ
     if not base.is_finite:
         raise NonFiniteEvaluationError("non-finite evaluation at the probe center")
 
-    fd_grad = np.zeros(n)
-    fd_jac = np.zeros((m, n))
-    fd_hess = np.zeros((n, n))
-    for i in range(n):
-        step = h * (1.0 + abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += step
-        xm[i] -= step
-        ep = evaluate(model, xp, rho, y)
-        em = evaluate(model, xm, rho, y)
-        if not (ep.is_finite and em.is_finite):
-            raise NonFiniteEvaluationError("non-finite evaluation at a probe point")
-        fd_grad[i] = (ep.f - em.f) / (2.0 * step)
-        fd_jac[:, i] = (ep.c - em.c) / (2.0 * step)
-        grad_lag_p = rho * ep.grad_f - ep.jac_c.T @ y
-        grad_lag_m = rho * em.grad_f - em.jac_c.T @ y
-        fd_hess[:, i] = (grad_lag_p - grad_lag_m) / (2.0 * step)
+    steps = h * (1.0 + np.abs(x))
+    # rows[0] at x + steps[i] e_i, rows[1] at x - steps[i] e_i; row i of
+    # differences: the central differences of the rows along e_i
+    rows = np.empty((2, 1 + m + n))
+    differences = np.empty((n, 1 + m + n))
+    with np.errstate(all="ignore"):
+        for i in range(n):
+            derivatives = []
+            for row, point in zip(rows, (x[i] + steps[i], x[i] - steps[i])):
+                probe = x.copy()
+                probe[i] = point
+                row[0] = float(model.eval_objective(probe))
+                row[1:m + 1] = np.asarray(model.eval_constraints(probe), dtype=float).reshape(m)
+                grad = np.asarray(model.eval_objective_gradient(probe), dtype=float).reshape(n)
+                jac = np.asarray(model.eval_constraint_jacobian(probe), dtype=float).reshape(m, n)
+                np.subtract(rho * grad, jac.T @ y, out=row[m + 1:])
+                derivatives += (grad, jac)
+            # each y_j is finite and nonzero, so a non-finite gradient or
+            # Jacobian entry makes the rows, and their sum, non-finite; the
+            # parts are scanned only then, since a sum or a Lagrangian
+            # gradient of finite values may overflow
+            if not math.isfinite(rows.sum()) and not all(
+                np.isfinite(part).all() for part in (rows[:, :m + 1], *derivatives)
+            ):
+                raise NonFiniteEvaluationError("non-finite evaluation at a probe point")
+            differences[i] = (rows[0] - rows[1]) / (2.0 * steps[i])
 
     def rel_err(approx, exact):
         if exact.size == 0:
@@ -249,9 +262,9 @@ def check_derivatives(model: Model, x: np.ndarray, h: float = 1e-6) -> Derivativ
         return float(np.max(np.abs(approx - exact))) / scale
 
     return DerivativeReport(
-        gradient_error=rel_err(fd_grad, base.grad_f),
-        jacobian_error=rel_err(fd_jac, base.jac_c),
-        hessian_error=rel_err(fd_hess, base.hessian),
+        gradient_error=rel_err(differences[:, 0], base.grad_f),
+        jacobian_error=rel_err(differences[:, 1:m + 1], base.jac_c.T),
+        hessian_error=rel_err(differences[:, m + 1:], base.hessian.T),
         threshold=1e-5,
     )
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InconsistentBoundsError, NonFiniteEvaluationError
+from .errors import ConfigurationError, InconsistentBoundsError, NonFiniteEvaluationError
 from .model import EvaluationRecord, Model
 
 
@@ -96,7 +96,8 @@ def scale_functions(start: EvaluationRecord, s_max: float):
     Applied once at the initial point and never rescaled. Returns the scaled
     model, the factors and the record of x0 under the scaled model, which
     holds start's values scaled (EvaluationRecord.scaled), bit for bit those
-    of a fresh evaluation.
+    of a fresh evaluation. Raises ConfigurationError where s_max is so small
+    that a factor underflows to zero.
     """
     model = start.model
     grad0, jac0 = start.grad_f, start.jac_c
@@ -108,6 +109,9 @@ def scale_functions(start: EvaluationRecord, s_max: float):
     scale = np.ones(norms.size)
     nonzero = norms != 0.0
     scale[nonzero] = np.minimum(1.0, s_max / norms[nonzero])
+    if not scale.all():
+        # s_max / norm underflowed: the scaled function would be zero
+        raise ConfigurationError("s_max = %r scales a function to zero at x0" % s_max)
     s_f, s_c = float(scale[0]), scale[1:]
     factors = ScalingFactors(s_f=s_f, s_c=s_c)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import QPFailureError
+from .errors import InnerIterationLimitError, QPFailureError
 from .globalization import (
     GlobalizationStrategy,
     ProgressMeasures,
@@ -480,7 +480,8 @@ class L1Relaxation(ConstraintRelaxationStrategy):
     parameter rho, held here alone, decreases until the step makes
     sufficient progress on the linearized infeasibility and the merit
     model). Reads rho_initial,
-    rho_min, rho_decrease_factor and steering_epsilon1/2 from the options."""
+    rho_min, rho_decrease_factor and steering_epsilon1/2 from the options,
+    and max_inner: the most rho reductions one direction may take."""
 
     def __init__(self, ws, subproblem, strategy, opts):
         super().__init__(ws, subproblem, strategy)
@@ -532,6 +533,17 @@ class L1Relaxation(ConstraintRelaxationStrategy):
             return direction
         dm0_bar = self.reduction_models(iterate, d_bar, 0.0).merit_reduction(1.0)
         rho = self.rho
+        reductions = 0
+
+        def reduced(rho):
+            # a factor near 1 would take ~1e17 re-solves to reach rho_min
+            nonlocal reductions
+            reductions += 1
+            if reductions > opts.max_inner:
+                raise InnerIterationLimitError(
+                    "steering exceeded %d penalty reductions" % opts.max_inner
+                )
+            return rho * opts.rho_decrease_factor
 
         def conditions_hold(direction, rho):
             l_d = linearized_infeasibility(c, jac, direction.dx)
@@ -545,11 +557,11 @@ class L1Relaxation(ConstraintRelaxationStrategy):
 
         cond1, cond2, l_d = conditions_hold(direction, rho)
         while not cond1 and rho > opts.rho_min:
-            rho *= opts.rho_decrease_factor
+            rho = reduced(rho)
             direction = self._solve_at(iterate, rho, trust_radius)
             cond1, cond2, l_d = conditions_hold(direction, rho)
         while cond1 and not cond2 and rho > opts.rho_min:
-            rho *= opts.rho_decrease_factor
+            rho = reduced(rho)
             direction = self._solve_at(iterate, rho, trust_radius)
             cond1, cond2, l_d = conditions_hold(direction, rho)
         if not (cond1 and cond2) and d_bar.status == OPTIMAL:
@@ -573,7 +585,7 @@ class L1Relaxation(ConstraintRelaxationStrategy):
             direction = self._solve_at(iterate, rho, trust_radius)
             cond1, cond2, l_d = conditions_hold(direction, rho)
             while not (cond1 and cond2) and rho > opts.rho_min:
-                rho *= opts.rho_decrease_factor
+                rho = reduced(rho)
                 direction = self._solve_at(iterate, rho, trust_radius)
                 cond1, cond2, l_d = conditions_hold(direction, rho)
 

@@ -55,10 +55,13 @@ def update_barrier_parameter(
 ) -> float:
     """The next monotone (Fiacco-McCormick) barrier parameter: mu decreases
     once the barrier-problem KKT error is below kappa_epsilon * mu, and never
-    rises; the caller must flush the filter on a decrease."""
+    rises; the caller must flush the filter on a decrease. From mu = 1 up,
+    kappa_mu * mu < mu <= mu**theta_mu, so the power, which can overflow
+    there, is taken only below 1."""
     if kkt_error > kappa_epsilon * mu:
         return mu
-    return min(mu, max(epsilon / 10.0, min(kappa_mu * mu, mu**theta_mu)))
+    decreased = min(kappa_mu * mu, mu**theta_mu) if mu < 1.0 else kappa_mu * mu
+    return min(mu, max(epsilon / 10.0, decreased))
 
 
 def build_sqp_qp(

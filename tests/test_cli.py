@@ -108,6 +108,22 @@ class TestCLI:
         assert main(args + ["--quiet"]) == 2
         assert args[3].split("=")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        # an OverflowError traceback in the barrier update
+        ["-preset", "ipopt", "-option", "mu_initial=1e300", "hs071"],
+        # ~3e17 steering re-solves to walk rho down to rho_min
+        ["-preset", "byrd", "-option", "rho_decrease_factor=0.9999999999999999", "maratos"],
+    ])
+    def test_legal_extreme_option_reports_a_status(self, args, capsys):
+        with np.errstate(all="ignore"):
+            assert main(args + ["--quiet"]) == 1
+        assert capsys.readouterr().out.startswith(args[-1] + ": IterationLimit")
+
+    def test_scaling_to_zero_exit_two(self, capsys):
+        args = ["-preset", "filtersqp", "-option", "s_max=5e-324", "hs071", "--quiet"]
+        assert main(args) == 2
+        assert "s_max" in capsys.readouterr().err
+
     def test_non_finite_option_exit_two(self, capsys):
         # tolerance = inf used to return FeasibleKKT at iteration 0
         assert main(["-preset", "filtersqp", "-option", "tolerance=inf", "hs071", "--quiet"]) == 2

@@ -450,6 +450,87 @@ class TestSolve:
         assert result.status == ITERATION_LIMIT
         assert "non-finite" in result.message
 
+    def test_a_huge_initial_mu_ends_in_a_status(self):
+        # mu**theta_mu overflows a Python float from mu ~ 3e205 at theta_mu = 1.5
+        opts = replace(preset_options("ipopt"), mu_initial=1e300)
+        with np.errstate(all="ignore"):
+            assert solve(corpus_get("hs071"), opts).status in STATUSES
+
+    def test_steering_stops_after_max_inner_reductions(self):
+        # a factor this close to 1 needs ~3e17 reductions from 1 to rho_min
+        opts = replace(preset_options("byrd"), rho_decrease_factor=np.nextafter(1.0, 0.0))
+        result = solve(corpus_get("maratos"), opts)
+        assert result.status == ITERATION_LIMIT
+        assert result.message == "steering exceeded 50 penalty reductions"
+
+    def test_a_scaling_factor_that_underflows_is_refused(self):
+        opts = replace(preset_options("filtersqp"), s_max=np.nextafter(0.0, 1.0))
+        with pytest.raises(ConfigurationError, match="s_max"):
+            solve(corpus_get("hs071"), opts)
+
+
+TINY = float(np.nextafter(0.0, 1.0))
+BELOW_ONE = float(np.nextafter(1.0, 0.0))
+ABOVE_ONE = float(np.nextafter(1.0, 2.0))
+HUGE = 1e300
+# each numeric option just inside each end of its range: the next float at
+# an open end, the end itself at a closed one, HUGE (int(HUGE) for a count)
+# where the range has no end
+LEGAL_EXTREMES = {
+    "tolerance": (TINY, HUGE), "max_iterations": (1, int(HUGE)),
+    "loose_tolerance_factor": (1.0, HUGE), "loose_tolerance_window": (1, int(HUGE)),
+    "mu_initial": (TINY, HUGE), "kappa_epsilon": (TINY, HUGE), "kappa_mu": (TINY, BELOW_ONE),
+    "theta_mu": (ABOVE_ONE, float(np.nextafter(2.0, 1.0))), "tau_min": (TINY, BELOW_ONE),
+    "interior_push": (TINY, HUGE), "backtrack_factor": (TINY, BELOW_ONE),
+    "alpha_min": (float(np.finfo(float).eps), HUGE), "max_inner": (1, int(HUGE)),
+    "radius_initial": (TINY, HUGE), "radius_min": (0.0, HUGE), "radius_max": (TINY, HUGE),
+    "radius_increase_factor": (ABOVE_ONE, HUGE), "radius_decrease_factor": (TINY, BELOW_ONE),
+    "activity_tolerance_rel": (0.0, BELOW_ONE), "filter_capacity": (1, int(HUGE)),
+    "filter_sigma": (TINY, BELOW_ONE), "filter_beta": (TINY, BELOW_ONE),
+    "filter_gamma": (TINY, BELOW_ONE), "filter_delta": (TINY, HUGE),
+    "theta_min_factor": (TINY, HUGE), "eta_max_factor": (1.0, HUGE),
+    "armijo_sigma": (TINY, BELOW_ONE), "restoration_exit_factor": (TINY, 1.0),
+    "steering_epsilon1": (TINY, BELOW_ONE), "steering_epsilon2": (TINY, BELOW_ONE),
+    "rho_initial": (TINY, 1.0), "rho_decrease_factor": (TINY, BELOW_ONE),
+    "rho_min": (TINY, HUGE), "y_max": (0.0, HUGE), "s_max": (TINY, HUGE),
+    "multiplier_scaling_cap": (TINY, HUGE),
+}
+SWEPT_CONFIGS = {
+    "filtersqp": preset_options("filtersqp"),
+    "ipopt": preset_options("ipopt"),
+    "byrd": preset_options("byrd"),
+    "byrd_TR": replace(preset_options("byrd"), globalization_mechanism="TR"),
+}
+
+
+def test_legal_extremes_are_just_inside_every_range():
+    assert set(LEGAL_EXTREMES) == {key for key, _, _ in _RANGES}
+    for key, admits, _ in _RANGES:
+        low, high = LEGAL_EXTREMES[key]
+        assert admits(low) and admits(high)
+        if isinstance(low, float):
+            assert not admits(float(np.nextafter(low, -np.inf)))
+        if high != HUGE and high != int(HUGE):
+            assert not admits(float(np.nextafter(high, np.inf)))
+
+
+def test_no_legal_extreme_crashes_a_solve():
+    """Every numeric option at each end of its range, one at a time, under
+    four configurations on hs071, 20 iterations: a SolveResult or a
+    ConfigurationError, never another exception (about 3 s)."""
+    model = corpus_get("hs071")
+    for key, ends in LEGAL_EXTREMES.items():
+        for value in ends:
+            for label, base in SWEPT_CONFIGS.items():
+                opts = replace(base, **{"max_iterations": 20, key: value})
+                try:
+                    with np.errstate(all="ignore"):
+                        result = solve(model, opts)
+                except ConfigurationError:
+                    continue
+                assert result.status in STATUSES, (key, value, label)
+
+
 
 def compute_residuals_oracle(ws, iterate, rho, scaling_cap):
     """compute_residuals, dual_scaling and l1_sign_residual as they were

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,24 @@ class TestBarrierUpdate:
     def test_never_increases(self):
         # below the floor epsilon / 10 the update keeps mu
         assert update_barrier_parameter(1e-8, kkt_error=0.0, epsilon=1e-6, **MU_UPDATE) == 1e-8
+
+    def test_equals_the_power_formula_wherever_it_does_not_overflow(self):
+        mus = [5e-324, 1e-300, 1e-12, 1e-7, 0.1, np.nextafter(1.0, 0.0), 1.0,
+               np.nextafter(1.0, 2.0), 1.5, 10.0, 1e10, 1e100, 1e150, 1e200, 3e205, 1e300,
+               np.finfo(float).max]
+        kappas = [5e-324, 1e-10, 0.2, 0.5, np.nextafter(1.0, 0.0)]
+        thetas = [np.nextafter(1.0, 2.0), 1.1, 1.5, 1.9, np.nextafter(2.0, 1.0)]
+        overflowed = 0
+        for mu, kappa_mu, theta_mu in itertools.product(mus, kappas, thetas):
+            mu, theta_mu = float(mu), float(theta_mu)
+            new = update_barrier_parameter(mu, 0.0, 1e-8, 10.0, float(kappa_mu), theta_mu)
+            try:
+                old = min(mu, max(1e-8 / 10.0, min(kappa_mu * mu, mu**theta_mu)))
+            except OverflowError:
+                overflowed += 1
+                old = min(mu, max(1e-8 / 10.0, kappa_mu * mu))
+            assert np.float64(new).tobytes() == np.float64(old).tobytes(), (mu, kappa_mu, theta_mu)
+        assert overflowed > 0
 
     def test_tau_close_to_one(self):
         # min 10 x s.t. x >= 0 at x = 1, z = 1: dx = -(10 - mu), and the

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import INFEASIBLE_PROBLEMS, corpus_get, corpus_names
+from .corpus import corpus_get, corpus_names, is_right
 from .driver import (
     PARTS,
     PRESETS,
-    SUCCESS_STATUSES,
     Options,
     load_options_file,
     preset_options,
@@ -37,14 +36,9 @@ class RunRecord:
     objective_evaluations: int
     iterations: int
     objective_value: float
-    eta: float
+    feasibility: float  # max violation of the scaled equality-form model
     wall_time: float
-
-    @property
-    def is_success(self) -> bool:
-        if self.problem in INFEASIBLE_PROBLEMS:
-            return self.status == "InfeasibleStationary"
-        return self.status in SUCCESS_STATUSES
+    right: bool  # the corpus's answer judge, corpus.is_right
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,8 +124,9 @@ def run_problem(name: str, opts: Options, label: str, quiet: bool) -> RunRecord:
         objective_evaluations=result.objective_evaluations,
         iterations=result.iterations,
         objective_value=result.objective_value,
-        eta=result.feasibility,
+        feasibility=result.feasibility,
         wall_time=elapsed,
+        right=is_right(name, result),
     )
 
 
@@ -140,7 +135,9 @@ def performance_profile(records: list[RunRecord], tau_grid=None):
 
     For each configuration and budget ratio tau, the fraction of problems it
     solved within tau times the best configuration's evaluations on that
-    problem. Failures count as infinite ratio.
+    problem. As in Dolan & More (Math. Prog. 91, 2002), a problem counts as
+    solved only by a right answer (corpus.is_right); any other run counts
+    as infinite ratio.
     """
     tau_grid = TAU_GRID if tau_grid is None else np.asarray(tau_grid, dtype=float)
     configs = sorted({r.config for r in records})
@@ -152,13 +149,13 @@ def performance_profile(records: list[RunRecord], tau_grid=None):
             (
                 by_key[(c, problem)].objective_evaluations
                 for c in configs
-                if (c, problem) in by_key and by_key[(c, problem)].is_success
+                if (c, problem) in by_key and by_key[(c, problem)].right
             ),
             default=None,
         )
         for config in configs:
             record = by_key.get((config, problem))
-            if record is None or not record.is_success or best is None:
+            if record is None or not record.right or best is None:
                 ratios[config].append(np.inf)
             else:
                 ratios[config].append(record.objective_evaluations / best)
@@ -222,17 +219,17 @@ def main(argv=None) -> int:
         opts = validate_options(resolve_options(args))
         record = run_problem(args.problem, opts, config_label(args), args.quiet)
         print(
-            "%s: %s  f=%.10g  eta=%.3e  evaluations=%d  iterations=%d"
+            "%s: %s  f=%.10g  feasibility=%.3e  evaluations=%d  iterations=%d"
             % (
                 record.problem,
                 record.status,
                 record.objective_value,
-                record.eta,
+                record.feasibility,
                 record.objective_evaluations,
                 record.iterations,
             )
         )
-        return 0 if record.is_success else 1
+        return 0 if record.right else 1
     except (ConfigurationError, UnknownProblemError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -275,7 +272,7 @@ def _solve_corpus(configs, profile) -> int:
                 % (label, record.problem, record.status,
                    record.objective_value, record.objective_evaluations)
             )
-    failures = [r for r in records if not r.is_success]
+    failures = [r for r in records if not r.right]
     if profile is not None:
         profile.write(profile_rows_to_csv(performance_profile(records)))
         print("profile data written to %s" % profile.name)

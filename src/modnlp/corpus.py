@@ -1,4 +1,5 @@
-"""Built-in analytic test problems with hand-coded derivatives.
+"""Built-in analytic test problems with hand-coded derivatives, and the
+judge of a solve's answer on them.
 
 The registry spans linear systems, bound-constrained QPs, equality-constrained
 QPs, general nonlinear problems, and deliberately infeasible instances.
@@ -12,8 +13,9 @@ from typing import Callable
 
 import numpy as np
 
+from .driver import INFEASIBLE_STATIONARY, LOOSE_KKT, SUCCESS_STATUSES
 from .errors import UnknownProblemError
-from .model import Model
+from .model import Model, evaluate
 
 INF = np.inf
 
@@ -788,7 +790,49 @@ _REGISTRY: dict[str, Callable[[], Model]] = {
     )
 }
 
-INFEASIBLE_PROBLEMS = ("infeasible1", "infeasible2")
+# problem -> admissible locally optimal objective values: classical published
+# optima, and for the equality-constrained QPs bt3 and genhs28 the optimum of
+# their KKT system (reproduced by tests/test_corpus_optima.py)
+KNOWN_OPTIMA = {
+    "booth": (0.0,), "zangwil3": (0.0,), "himmelba": (0.0,), "extrasim": (0.0,),
+    "supersim": (0.5,), "hs003": (0.0,), "hs021": (-99.96,), "hs035": (1.0 / 9.0,),
+    "boxqp1": (0.25,), "hs076": (-4.681818181818181,), "bt3": (4.093023255813952,),
+    "hs028": (0.0,), "hs048": (0.0,), "hs051": (0.0,), "genhs28": (0.927173693766391,),
+    "hs006": (0.0,), "hs007": (-np.sqrt(3.0),), "hs014": (9.0 - 2.875 * np.sqrt(7.0),),
+    "hs022": (1.0,), "hs039": (-1.0,), "hs040": (-0.25,), "hs060": (0.03256820025,),
+    "hs063": (961.7151721,), "hs071": (17.0140173,), "maratos": (-1.0,),
+    # the constrained Rosenbrock ring has a global minimum 0 at (1, 1) and a
+    # local one near the start on the opposite branch; both are legitimate
+    # outcomes of a local solver
+    "rosenbrock_ring": (0.0, 3.9955472578),
+}
+
+# analytic minima of the l1 infeasibility eta(x) = sum_j |c_j(x) - l_j| of the
+# infeasible instances, whose rows are all equalities
+ETA_MINIMA = {"infeasible1": 1.0, "infeasible2": 3.0 - np.sqrt(2.0)}
+
+INFEASIBLE_PROBLEMS = tuple(ETA_MINIMA)
+
+
+def is_right(name: str, result) -> bool:
+    """Whether a solve of corpus problem name gives a right answer. A
+    feasible problem needs a success status and an objective within 2e-5
+    relative of a known optimum (2e-4 at LooseToleranceKKT); an infeasible
+    one needs InfeasibleStationary at a point whose unscaled l1
+    infeasibility eta lies within 1e-3 of its minimum."""
+    if name in ETA_MINIMA:
+        if result.status != INFEASIBLE_STATIONARY:
+            return False
+        model = corpus_get(name)
+        c = evaluate(model, result.x, with_derivatives=False).c
+        shift = np.where(model.constraint_lower == model.constraint_upper,
+                         model.constraint_lower, 0.0)
+        return bool(abs(float(np.sum(np.abs(c - shift))) - ETA_MINIMA[name]) <= 1e-3)
+    if result.status not in SUCCESS_STATUSES:
+        return False
+    tolerance = 2e-4 if result.status == LOOSE_KKT else 2e-5
+    return bool(min(abs(result.objective_value - f) / (1 + abs(f))
+                    for f in KNOWN_OPTIMA[name]) <= tolerance)
 
 
 def corpus_names() -> tuple[str, ...]:

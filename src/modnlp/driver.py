@@ -15,6 +15,7 @@ from .errors import (
     ConfigurationError,
     InfeasibleLinearConstraintsError,
     InnerIterationLimitError,
+    NonFiniteEvaluationError,
     QPFailureError,
     RegularizationFailedError,
     SingularMatrixError,
@@ -546,6 +547,9 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
             SingularMatrixError,
         ) as exc:
             status, message = ITERATION_LIMIT, str(exc)
+            break
+        except NonFiniteEvaluationError as exc:  # e.g. an IPM step at an extreme mu
+            status, message = EVALUATION_ERROR, str(exc)
             break
         if not new_iterate.evals.is_finite:
             status, message = EVALUATION_ERROR, "accepted trial is non-finite"

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,15 +14,16 @@ from modnlp.cli import (
     parse_profile_csv,
     performance_profile,
     profile_rows_to_csv,
+    run_problem,
 )
-from modnlp.driver import PARTS
+from modnlp.driver import PARTS, Options
 
 
-def record(problem, config, evals, status="FeasibleKKT"):
+def record(problem, config, evals, right=True):
     return RunRecord(
-        problem=problem, config=config, status=status,
+        problem=problem, config=config, status="FeasibleKKT",
         objective_evaluations=evals, iterations=1, objective_value=0.0,
-        eta=0.0, wall_time=0.0,
+        feasibility=0.0, wall_time=0.0, right=right,
     )
 
 
@@ -30,6 +32,7 @@ class TestCLI:
         assert main(["-preset", "filtersqp", "booth", "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "FeasibleKKT" in out
+        assert "feasibility=" in out and "eta=" not in out  # not the l1 eta
 
     def test_novel_combination_runs(self, capsys):
         code = main(["-preset", "byrd", "-globalization_mechanism", "TR",
@@ -38,6 +41,14 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "FeasibleKKT" in out
         assert "-99.96" in out  # analytic optimum of hs021
+
+    def test_false_success_exit_one(self, capsys):
+        # FeasibleKKT at f = 0.284 where hs035's optimum is 1/9: not a right answer
+        code = main(["-constraint_relaxation_strategy", "l1_relaxation",
+                     "-subproblem", "primal_dual_IPM", "-globalization_strategy", "l1_merit",
+                     "-globalization_mechanism", "LS", "hs035", "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().out.startswith("hs035: FeasibleKKT")
 
     def test_prohibited_combination_exit_two(self, capsys):
         code = main(["-subproblem", "primal_dual_IPM",
@@ -174,7 +185,7 @@ class TestPerformanceProfile:
 
     def test_failure_plateau(self):
         records = [record("p%d" % i, "A", 2) for i in range(10)]
-        records[3] = record("p3", "A", 2, status="IterationLimit")
+        records[3] = record("p3", "A", 2, right=False)
         # another config so p3 has a best-solver reference
         records += [record("p%d" % i, "B", 2) for i in range(10)]
         rows = performance_profile(records, tau_grid=[1.0, 1024.0])
@@ -187,8 +198,8 @@ class TestPerformanceProfile:
         records = []
         for c in "ABC":
             for i in range(12):
-                status = "FeasibleKKT" if rng.rand() > 0.2 else "IterationLimit"
-                records.append(record("p%d" % i, c, int(rng.randint(2, 40)), status))
+                right = bool(rng.rand() > 0.2)
+                records.append(record("p%d" % i, c, int(rng.randint(2, 40)), right))
         rows = performance_profile(records)
         for config in "ABC":
             curve = [r[2] for r in rows if r[0] == config]
@@ -203,11 +214,24 @@ class TestPerformanceProfile:
         assert text.endswith("\n") and "\r" not in text
         assert parse_profile_csv(text) == rows
 
-    def test_infeasible_problem_counts_certificate_as_success(self):
-        r = record("infeasible1", "A", 5, status="InfeasibleStationary")
-        assert r.is_success
-        r2 = record("infeasible1", "A", 5, status="FeasibleKKT")
-        assert not r2.is_success
+    def test_profile_counts_only_right_answers(self, monkeypatch):
+        # run_problem records the corpus judge's verdict, not the status
+        def run(name, config, status, objective=np.nan, x=(0.0,)):
+            result = SimpleNamespace(status=status, objective_value=objective, x=np.array(x),
+                                     objective_evaluations=3, iterations=1, feasibility=0.0)
+            monkeypatch.setattr("modnlp.cli.solve", lambda model, opts, log=None: result)
+            return run_problem(name, Options(), config, quiet=True)
+
+        records = [
+            run("hs035", "A", "FeasibleKKT", 1.0 / 9.0),
+            run("hs035", "B", "FeasibleKKT", 0.284),  # a success at a wrong objective
+            # infeasible1: eta = 1 + 2 x^2, minimum 1 at x = 0
+            run("infeasible1", "A", "InfeasibleStationary", x=[0.0]),
+            run("infeasible1", "B", "InfeasibleStationary", x=[0.5]),  # eta 1.5
+        ]
+        assert [r.right for r in records] == [True, False, True, False]
+        rows = performance_profile(records, tau_grid=[1.0, 1024.0])
+        assert rows == [("A", 1.0, 1.0), ("A", 1024.0, 1.0), ("B", 1.0, 0.0), ("B", 1024.0, 0.0)]
 
 
 class TestProfileFlags:

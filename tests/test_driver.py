@@ -456,6 +456,20 @@ class TestSolve:
         with np.errstate(all="ignore"):
             assert solve(corpus_get("hs071"), opts).status in STATUSES
 
+    @pytest.mark.parametrize("problem, base, mu_initial", [
+        # mu**2 overflows in the feasibility step's elastics from mu ~ 1.3e154
+        ("maratos", preset_options("byrd").updated({"subproblem": "primal_dual_IPM"}), 1e200),
+        ("hs071", Options(subproblem="primal_dual_IPM", globalization_mechanism="LS"), 1e200),
+        # 0/0 in the same elastics at the smallest mu and c = 0
+        ("maratos", preset_options("byrd").updated({"subproblem": "primal_dual_IPM"}), 5e-324),
+    ])
+    def test_a_non_finite_ipm_step_ends_in_a_status(self, problem, base, mu_initial):
+        # used to raise NonFiniteEvaluationError out of solve()
+        with np.errstate(all="ignore"):
+            result = solve(corpus_get(problem), base.updated({"mu_initial": mu_initial}))
+        assert result.status == EVALUATION_ERROR
+        assert result.message == "IPM step requires finite evaluations"
+
     def test_steering_stops_after_max_inner_reductions(self):
         # a factor this close to 1 needs ~3e17 reductions from 1 to rho_min
         opts = replace(preset_options("byrd"), rho_decrease_factor=np.nextafter(1.0, 0.0))
@@ -500,6 +514,7 @@ SWEPT_CONFIGS = {
     "ipopt": preset_options("ipopt"),
     "byrd": preset_options("byrd"),
     "byrd_TR": replace(preset_options("byrd"), globalization_mechanism="TR"),
+    "byrd_IPM": replace(preset_options("byrd"), subproblem="primal_dual_IPM"),
 }
 
 
@@ -516,8 +531,8 @@ def test_legal_extremes_are_just_inside_every_range():
 
 def test_no_legal_extreme_crashes_a_solve():
     """Every numeric option at each end of its range, one at a time, under
-    four configurations on hs071, 20 iterations: a SolveResult or a
-    ConfigurationError, never another exception (about 3 s)."""
+    five configurations on hs071, 20 iterations: a SolveResult or a
+    ConfigurationError, never another exception (about 7 s)."""
     model = corpus_get("hs071")
     for key, ends in LEGAL_EXTREMES.items():
         for value in ends:

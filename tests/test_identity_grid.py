@@ -3,8 +3,6 @@ import importlib.util
 import json
 from pathlib import Path
 
-import numpy as np
-
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "identity_grid.py"
 
 
@@ -100,35 +98,6 @@ def test_compare_summarizes_each_source(tmp_path, capsys):
     assert "  corpus seed 1: 0 identical, 1 within 1e-06, 1 differ, max |dx| 0.5" in lines
     assert "  scaled_ipm seed 1: 0 identical, 0 within 1e-06, 1 differ, max |dx| 0" in lines
     assert lines[-1] == "6 solves, 2 differ, 1 differ in x by at most 1e-06, max |dx| 0.5"
-
-
-def test_answer_judge():
-    # the table and tolerances of tests/test_corpus_optima.py
-    from types import SimpleNamespace
-
-    import modnlp
-    import test_corpus_optima as optima
-
-    def right(name, status, objective=np.nan, x=(0.0,)):
-        result = SimpleNamespace(status=status, objective_value=objective, x=np.array(x))
-        return load_tool().is_right(modnlp, optima, name, result)
-
-    ninth = 1.0 / 9.0
-    assert right("hs035", "FeasibleKKT", ninth) is True  # JSON's bool, not numpy's
-    assert not right("hs035", "FeasibleKKT", 0.284)  # a false success
-    assert not right("hs035", "FeasibleKKT", ninth + 1e-4)  # relative gap 9e-5
-    assert right("hs035", "LooseToleranceKKT", ninth + 1e-4)  # within 2e-4
-    assert not right("hs035", "LooseToleranceKKT", ninth + 1e-3)
-    assert not right("hs035", "IterationLimit", ninth)
-    assert not right("hs035", "FeasibleFJ", ninth)
-    assert not right("hs035", "FeasibleKKT", np.nan)
-    assert right("rosenbrock_ring", "FeasibleKKT", 3.9955472578)  # either local optimum
-    # infeasible1: c = (x^2, x^2 + 1), eta = 1 + 2 x^2, minimum 1 at x = 0
-    assert right("infeasible1", "InfeasibleStationary", x=[0.0]) is True
-    assert right("infeasible1", "InfeasibleStationary", x=[0.02])  # eta 1.0008
-    assert not right("infeasible1", "InfeasibleStationary", x=[0.5])  # eta 1.5
-    assert not right("infeasible1", "FeasibleKKT", 0.0, x=[0.0])
-    assert not right("infeasible1", "InfeasibleStationary", x=[np.nan])
 
 
 def test_compare_counts_right_answers_per_combination(tmp_path, capsys):

@@ -13,10 +13,12 @@ iterations, the five callback counts (objective, constraints, gradient,
 Jacobian, Hessian), subproblem_solves, x, the multipliers y and z, rho and
 the message to OUT.json; a solve that raises is recorded as
 "crash:<ExceptionType>". Each grid record also gets ``right``, the
-answer judge of ``is_right``. It also writes every field of
-``preset_options(name)`` for each preset and of ``Options()``, so that two
-checkouts are seen to resolve the presets to the same options. JSON floats
-round-trip exactly, so equal values in the file mean bit-identical values.
+verdict of CHECKOUT's own answer judge, ``modnlp.corpus.is_right``; a
+checkout whose modnlp has no such judge is run with its own copy of this
+tool. It also writes every field of ``preset_options(name)`` for each
+preset and of ``Options()``, so that two checkouts are seen to resolve the
+presets to the same options. JSON floats round-trip exactly, so equal
+values in the file mean bit-identical values.
 
 --compare lists every solve whose record differs between two files, and
 the largest |dx| over the solves whose x has the same shape. It exits 1
@@ -52,33 +54,10 @@ TOLERANT = ("x", "y", "z", "rho")
 SUCCESS = ("FeasibleKKT", "LooseToleranceKKT")
 
 
-def is_right(modnlp, optima, name: str, result) -> bool:
-    """Whether a solve of corpus problem name gives a right answer, by the
-    table and tolerances of tests/test_corpus_optima.py (optima is that
-    module). A feasible problem needs a success status and an objective
-    within 2e-5 relative of a known optimum (2e-4 at LooseToleranceKKT);
-    an infeasible one needs InfeasibleStationary at a point whose l1
-    infeasibility eta lies within 1e-3 of its analytic minimum."""
-    import numpy as np
-
-    if name in optima.ETA_MINIMA:
-        if result.status != "InfeasibleStationary":
-            return False
-        model = modnlp.corpus_get(name)
-        c = modnlp.model.evaluate(model, result.x, with_derivatives=False).c
-        shift = np.where(model.constraint_lower == model.constraint_upper,
-                         model.constraint_lower, 0.0)
-        return bool(abs(float(np.sum(np.abs(c - shift))) - optima.ETA_MINIMA[name]) <= 1e-3)
-    if result.status not in SUCCESS:
-        return False
-    tolerance = 2e-4 if result.status == "LooseToleranceKKT" else 2e-5
-    return bool(min(abs(result.objective_value - f) / (1 + abs(f))
-                    for f in optima.KNOWN_OPTIMA[name]) <= tolerance)
-
-
-def record(modnlp, model, options, judge=None) -> dict:
-    """The record of one solve; with judge (result -> bool), also "right",
-    False for a solve that raises."""
+def record(modnlp, model, options, problem=None) -> dict:
+    """The record of one solve; for the corpus problem named by problem,
+    also "right", the answer judge's verdict (False for a solve that
+    raises)."""
     counted, counts = modnlp.model.instrument(model)
     try:
         with warnings.catch_warnings():
@@ -86,7 +65,7 @@ def record(modnlp, model, options, judge=None) -> dict:
             result = modnlp.solve(counted, options)
     except Exception as exc:  # noqa: BLE001 - a raising solve is a result to compare
         crash = {"status": "crash:" + type(exc).__name__}
-        return crash if judge is None else dict(crash, right=False)
+        return crash if problem is None else dict(crash, right=False)
     out = {
         "status": result.status,
         "iterations": result.iterations,
@@ -99,13 +78,12 @@ def record(modnlp, model, options, judge=None) -> dict:
         "rho": float(result.rho),
         "message": result.message,
     }
-    if judge is not None:
-        out["right"] = judge(result)
+    if problem is not None:
+        out["right"] = modnlp.corpus.is_right(problem, result)
     return out
 
 
 def grid(modnlp) -> dict:
-    import test_corpus_optima as optima
     from modnlp.driver import MECHANISMS, RELAXATIONS, STRATEGIES, SUBPROBLEMS, validate_options
     from modnlp.errors import ConfigurationError
 
@@ -124,8 +102,7 @@ def grid(modnlp) -> dict:
         legal.append((" ".join(combo), options))
     return {
         "grid %s %s" % (problem, label): record(
-            modnlp, modnlp.corpus_get(problem), options,
-            lambda result, problem=problem: is_right(modnlp, optima, problem, result))
+            modnlp, modnlp.corpus_get(problem), options, problem)
         for label, options in legal
         for problem in modnlp.corpus_names()
     }
@@ -283,7 +260,6 @@ def main(argv=None) -> int:
     # the solver's dense kernels are small: one BLAS thread, as in the benchmark
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
-    sys.path.insert(0, str(root / "tests"))  # the answer judge's table of optima
     sys.path.insert(0, str(root / "src"))
     import modnlp
 

@@ -46,7 +46,7 @@ from .relaxation import (
     l1_sign_residual,
 )
 from .state import Iterate, Workspace
-from .subproblem import dual_scaling
+from .subproblem import kkt_residuals
 
 # each option value names the part class that implements it
 RELAXATIONS = {"feasibility_restoration": FeasibilityRestoration, "l1_relaxation": L1Relaxation}
@@ -149,7 +149,6 @@ class Options:
 
     y_max: float = 1e3
     s_max: float = 100.0
-    scale_functions: bool = True
     multiplier_scaling_cap: float = 100.0
 
     def updated(self, mapping: dict) -> "Options":
@@ -169,13 +168,7 @@ class Options:
 
 def _coerce(raw, current):
     if isinstance(raw, str):
-        if isinstance(current, bool):
-            if raw.lower() in ("1", "true", "yes", "on"):
-                return True
-            if raw.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ConfigurationError("expected a boolean, got %r" % raw)
-        if isinstance(current, int) and not isinstance(current, bool):
+        if isinstance(current, int):
             return int(raw)
         if isinstance(current, float):
             return float(raw)
@@ -386,29 +379,10 @@ class Residuals:
 
 def compute_residuals(ws: Workspace, iterate: Iterate, rho: float, scaling_cap: float) -> Residuals:
     ev = iterate.evals
-    x, y, zl, zu = iterate.x, iterate.y, iterate.zl, iterate.zu
-    stat = rho * np.asarray(ev.grad_f)
-    z = zl - zu
-    if y.size:  # an m = 0 model's empty Jacobian is not evaluated
-        jty = np.asarray(ev.jac_c).T @ y
-        stat -= jty
-        stat0 = -jty
-        stat0 -= z
-    else:
-        stat0 = -z  # |-0 - z| = |z|
-    stat -= z
-    c = np.asarray(ev.c)
-    gap_lo = np.where(ws.lower_finite, x - ws.lower, 0.0)
-    gap_lo *= zl
-    gap_hi = np.where(ws.upper_finite, ws.upper - x, 0.0)
-    gap_hi *= zu
-    s_d = dual_scaling(y, zl, zu, scaling_cap)
-
-    def largest(v):
-        return float(np.abs(v, out=v).max(initial=0.0))
-
-    return Residuals(largest(stat) / s_d, largest(stat0) / s_d, float(np.abs(c).max(initial=0.0)),
-                     max(largest(gap_lo), largest(gap_hi)) / s_d, l1_sign_residual(c, y))
+    return Residuals(*kkt_residuals(ev, iterate.x, iterate.y, iterate.zl, iterate.zu, ws.lower,
+                                    ws.upper, rho, 0.0, scaling_cap,
+                                    (ws.lower_finite, ws.upper_finite)),
+                     l1_sign_residual(ev.c, iterate.y))
 
 
 class TerminationState:
@@ -491,9 +465,8 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
         return result(EVALUATION_ERROR, start.x, start,
                       message="IEEE exception at the initial point")
 
-    if opts.scale_functions:
-        working, factors, start = scale_functions(start, opts.s_max)
-        s_f = factors.s_f
+    working, factors, start = scale_functions(start, opts.s_max)
+    s_f = factors.s_f
 
     ws = Workspace(working)
     subproblem, relaxation, mechanism = _build_ingredients(ws, opts)

@@ -83,8 +83,12 @@ class ReductionModels:
     btd: float = 0.0
     dbd: float = 0.0
 
+    def linearized_eta(self, alpha: float) -> float:
+        """||c + alpha J d||_1, the linearized infeasibility after the step."""
+        return float(np.abs(self.c + alpha * self.jd).sum())
+
     def eta(self, alpha: float) -> float:
-        return float(np.abs(self.c).sum() - np.abs(self.c + alpha * self.jd).sum())
+        return float(np.abs(self.c).sum()) - self.linearized_eta(alpha)
 
     def merit_reduction(self, alpha: float) -> float:
         # quadratic models of rho f and xi, and the model of eta

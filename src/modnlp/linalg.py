@@ -158,40 +158,36 @@ def _schur_margin(n: int, m: int) -> float:
 
 # Triangular blocks up to this order go to np.linalg.inv whole: a split
 # saves nothing there (timeit, one BLAS thread: 33 us at order 40 either
-# way), and an upper factor's inverse stays np.linalg.inv's bit for bit.
+# way).
 _TRIANGULAR_LEAF = 32
 
 
 @functools.cache
-def _triangle(order: int, upper: bool) -> np.ndarray:
-    """The read-only mask of the upper (or lower) triangle of an order-order
-    matrix, diagonal included: np.where(mask, M, 0.0) is np.triu(M) (or
-    np.tril(M)) byte for byte, without np.tri's mask built at each call.
-    Only leaves ask for one, so at most 2 _TRIANGULAR_LEAF masks are kept."""
+def _lower_triangle(order: int) -> np.ndarray:
+    """The read-only mask of the lower triangle of an order-order matrix,
+    diagonal included: np.where(mask, M, 0.0) is np.tril(M) byte for byte,
+    without np.tri's mask built at each call. Only leaves ask for one, so
+    at most _TRIANGULAR_LEAF masks are kept."""
     mask = np.tri(order, dtype=bool)
-    mask = mask.T.copy() if upper else mask
     mask.flags.writeable = False
     return mask
 
 
-def _triangular_inverse(T: np.ndarray, upper: bool) -> np.ndarray:
-    """T^-1 for a nonsingular upper (or lower) triangular T, by halves: the
-    two diagonal blocks are inverted recursively and the off-diagonal one is
-    -(T11^-1 T12) T22^-1 (lower: -(T22^-1 T21) T11^-1), two BLAS-3 products.
-    The other triangle is exactly zero. Blocked inversion of this kind is
-    as stable as LAPACK's trtri (Du Croz & Higham, IMA J. Numer. Anal. 12,
-    1992). A singular leaf raises np.linalg.LinAlgError."""
-    order = T.shape[0]
+def _triangular_inverse(L: np.ndarray) -> np.ndarray:
+    """L^-1 for a nonsingular lower triangular L, by halves: the two
+    diagonal blocks are inverted recursively and the off-diagonal one is
+    -(L22^-1 L21) L11^-1, two BLAS-3 products. The upper triangle is exactly
+    zero. Blocked inversion of this kind is as stable as LAPACK's trtri (Du
+    Croz & Higham, IMA J. Numer. Anal. 12, 1992). A singular leaf raises
+    np.linalg.LinAlgError."""
+    order = L.shape[0]
     if order <= _TRIANGULAR_LEAF:
-        return np.where(_triangle(order, upper), np.linalg.inv(T), 0.0)
+        return np.where(_lower_triangle(order), np.linalg.inv(L), 0.0)
     k = order // 2
     inverse = np.zeros((order, order))
-    head = inverse[:k, :k] = _triangular_inverse(T[:k, :k], upper)
-    tail = inverse[k:, k:] = _triangular_inverse(T[k:, k:], upper)
-    if upper:
-        inverse[:k, k:] = -(head @ T[:k, k:]) @ tail
-    else:
-        inverse[k:, :k] = -(tail @ T[k:, :k]) @ head
+    head = inverse[:k, :k] = _triangular_inverse(L[:k, :k])
+    tail = inverse[k:, k:] = _triangular_inverse(L[k:, k:])
+    inverse[k:, :k] = -(tail @ L[k:, :k]) @ head
     return inverse
 
 
@@ -222,7 +218,7 @@ def _null_space_basis(B: np.ndarray, gram_inv: np.ndarray) -> np.ndarray:
     Z = _null_space_start(n, n - m)
     for _ in range(2):
         Z = Z - B.T @ (gram_inv.T @ (gram_inv @ (B @ Z)))
-    return Z @ _triangular_inverse(np.linalg.cholesky(Z.T @ Z), upper=False).T
+    return Z @ _triangular_inverse(np.linalg.cholesky(Z.T @ Z)).T
 
 
 def _norm_above(M: np.ndarray) -> float:
@@ -351,7 +347,7 @@ def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factori
         else:
             t = _cholesky_shift(n + m, max_abs, zero_tol)
             gram = B @ B.T
-            gram_inv = _triangular_inverse(np.linalg.cholesky(gram), upper=False)
+            gram_inv = _triangular_inverse(np.linalg.cholesky(gram))
             Z = _null_space_basis(B, gram_inv)
             XZ = X @ Z
             M = Z.T @ XZ
@@ -365,7 +361,7 @@ def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factori
             beta = scale * (_norm_above(B @ Z) + bound)  # |B Z_0|_2
             c = scale * (_norm_above(XZ - Z @ M) + 2.0 * delta * w
                          + _cholesky_shift(n, w, 0.0))  # |C| and roundoff
-            L_inv = _triangular_inverse(np.linalg.cholesky(M), upper=False)
+            L_inv = _triangular_inverse(np.linalg.cholesky(M))
             mu = 0.5 / float(np.sum(L_inv * L_inv)) if n > m else np.inf
             np.linalg.cholesky(_shifted(M, -_cholesky_shift(n, w, mu * (1.0 + delta))))
             t += beta
@@ -375,7 +371,7 @@ def _certified_factorization(H, A, delta_w: float, equilibrate: bool) -> Factori
         gram.flat[:: m + 1] = gram.diagonal() * (1.0 - _schur_margin(n, m)) - shift
         np.linalg.cholesky(gram)
         if diagonal:
-            L_inv = _triangular_inverse(L, upper=False)
+            L_inv = _triangular_inverse(L)
     except np.linalg.LinAlgError:
         return None
 

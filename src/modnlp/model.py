@@ -278,6 +278,16 @@ class EvaluationCounts:
     hessian: int = 0
 
 
+# the Model callback behind each field of EvaluationCounts
+_COUNTED_CALLBACKS = {
+    "eval_objective": "objective",
+    "eval_constraints": "constraints",
+    "eval_objective_gradient": "objective_gradient",
+    "eval_constraint_jacobian": "constraint_jacobian",
+    "eval_lagrangian_hessian": "hessian",
+}
+
+
 def instrument(model: Model) -> tuple[Model, EvaluationCounts]:
     """Wrap a model so every callback invocation is counted.
 
@@ -289,39 +299,15 @@ def instrument(model: Model) -> tuple[Model, EvaluationCounts]:
     at the initial point.
     """
     counts = EvaluationCounts()
-    f, c = model.eval_objective, model.eval_constraints
-    g, J, H = (
-        model.eval_objective_gradient,
-        model.eval_constraint_jacobian,
-        model.eval_lagrangian_hessian,
-    )
 
-    def count_f(x):
-        counts.objective += 1
-        return f(x)
+    def counted(field, callback):
+        def call(*args):
+            setattr(counts, field, getattr(counts, field) + 1)
+            return callback(*args)
 
-    def count_c(x):
-        counts.constraints += 1
-        return c(x)
+        return call
 
-    def count_g(x):
-        counts.objective_gradient += 1
-        return g(x)
-
-    def count_J(x):
-        counts.constraint_jacobian += 1
-        return J(x)
-
-    def count_H(x, rho, y):
-        counts.hessian += 1
-        return H(x, rho, y)
-
-    wrapped = replace(
-        model,
-        eval_objective=count_f,
-        eval_constraints=count_c,
-        eval_objective_gradient=count_g,
-        eval_constraint_jacobian=count_J,
-        eval_lagrangian_hessian=count_H,
-    )
+    wrapped = replace(model, **{
+        attr: counted(field, getattr(model, attr)) for attr, field in _COUNTED_CALLBACKS.items()
+    })
     return wrapped, counts

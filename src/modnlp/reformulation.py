@@ -96,8 +96,9 @@ def scale_functions(start: EvaluationRecord, s_max: float):
     Applied once at the initial point and never rescaled. Returns the scaled
     model, the factors and the record of x0 under the scaled model, which
     holds start's values scaled (EvaluationRecord.scaled), bit for bit those
-    of a fresh evaluation. Raises ConfigurationError where s_max is so small
-    that a factor underflows to zero.
+    of a fresh evaluation; where every factor is 1 (always at s_max = inf),
+    the model and start themselves. Raises ConfigurationError where s_max is
+    so small that a factor underflows to zero.
     """
     model = start.model
     grad0, jac0 = start.grad_f, start.jac_c
@@ -114,6 +115,8 @@ def scale_functions(start: EvaluationRecord, s_max: float):
         raise ConfigurationError("s_max = %r scales a function to zero at x0" % s_max)
     s_f, s_c = float(scale[0]), scale[1:]
     factors = ScalingFactors(s_f=s_f, s_c=s_c)
+    if (scale == 1.0).all():
+        return model, factors, start
 
     base_f = model.eval_objective
     base_grad = model.eval_objective_gradient

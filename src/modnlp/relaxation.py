@@ -43,20 +43,15 @@ from .state import Iterate, Workspace
 from .subproblem import (
     Direction,
     barrier_gradient_terms,
-    barrier_kkt_error,
     build_sqp_qp,
     initial_bound_multipliers,
     ipm_solve_step,
+    kkt_residuals,
     push_to_interior,
     update_barrier_parameter,
 )
 
 OPTIMALITY, RESTORATION = "Optimality", "Restoration"
-
-
-def linearized_infeasibility(c: np.ndarray, jac: np.ndarray, dx: np.ndarray) -> float:
-    """l(d) = ||c + J d||_1."""
-    return float(np.abs(c + jac @ dx).sum())
 
 
 def l1_sign_residual(c: np.ndarray, y: np.ndarray) -> float:
@@ -121,13 +116,14 @@ class QPSubproblem:
 
     def __init__(self, opts):
         self.schedule = RegularizationSchedule()
-        self.warm_optimality = None
-        self.warm_elastic = None
+        self.warm_sets = {False: None, True: None}  # the last optimal working set, by elastic
 
-    def _build(self, ws, iterate, rho, trust_radius):
-        """The QP at rho and the Hessian W_rho it is built from. Without a
-        trust radius (the line search) W_rho is made positive definite. The
-        LP's W is 0: it calls no Hessian."""
+    def _direction(self, ws, iterate, rho, trust_radius, elastic, start_dx=None) -> Direction:
+        """Build the QP at rho, with elastics if elastic, solve it from the
+        last optimal working set of its kind and start_dx, keep the new
+        working set and finish the direction. Without a trust radius (the
+        line search) W_rho is made positive definite. The LP's W is 0: it
+        calls no Hessian."""
         evals = iterate.evals.with_hessian(rho, iterate.y) if self.second_order else iterate.evals
         qp, tr_masks = build_sqp_qp(
             evals, iterate.x, rho, ws.lower, ws.upper,
@@ -136,15 +132,16 @@ class QPSubproblem:
             schedule=self.schedule,
             second_order=self.second_order,
         )
-        return qp, evals.hessian if self.second_order else qp.W, tr_masks
+        ws.subproblem_solves += 1
+        sol = qp_solve(extend_with_elastics(qp) if elastic else qp,
+                       warm_start=self.warm_sets[elastic], start=start_dx)
+        if sol.status == OPTIMAL:
+            self.warm_sets[elastic] = sol.active_set
+        W = evals.hessian if self.second_order else qp.W
+        return _qp_direction(sol, iterate, W, trust_radius, tr_masks)
 
     def optimality_direction(self, ws, iterate, trust_radius) -> Direction:
-        qp, W, tr_masks = self._build(ws, iterate, 1.0, trust_radius)
-        ws.subproblem_solves += 1
-        sol = qp_solve(qp, warm_start=self.warm_optimality)
-        if sol.status == OPTIMAL:
-            self.warm_optimality = sol.active_set
-        return _qp_direction(sol, iterate, W, trust_radius, tr_masks)
+        return self._direction(ws, iterate, 1.0, trust_radius, elastic=False)
 
     def feasibility_direction(self, ws, iterate, rho, trust_radius, start_dx=None) -> Direction:
         """Solve the elastic QP (rho possibly 0: the feasibility QP) from the
@@ -153,12 +150,7 @@ class QPSubproblem:
         set, that set is pinned; without one (until an elastic QP has solved
         to optimality), every elastic starts at zero and the step is projected onto J d = -c, or,
         where no projection lands feasible, keeps its exact elastics."""
-        qp, W, tr_masks = self._build(ws, iterate, rho, trust_radius)
-        ws.subproblem_solves += 1
-        sol = qp_solve(extend_with_elastics(qp), warm_start=self.warm_elastic, start=start_dx)
-        if sol.status == OPTIMAL:
-            self.warm_elastic = sol.active_set
-        return _qp_direction(sol, iterate, W, trust_radius, tr_masks)
+        return self._direction(ws, iterate, rho, trust_radius, elastic=True, start_dx=start_dx)
 
     def initial_point(self, ws, x0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The starting point and its lower/upper bound multipliers."""
@@ -239,9 +231,10 @@ class IPMSubproblem:
             problem = self._elastic_problem(ws, iterate, elastic_rho)
         evals, x, zl, zu, lower, upper = problem
         previous = self.mu
-        error = barrier_kkt_error(
-            evals, x, iterate.y, zl, zu, lower, upper, previous, opts.multiplier_scaling_cap
+        stationarity, _, feasibility, complementarity = kkt_residuals(
+            evals, x, iterate.y, zl, zu, lower, upper, 1.0, previous, opts.multiplier_scaling_cap
         )
+        error = max(stationarity, feasibility, complementarity)
         self.mu = update_barrier_parameter(
             previous, error, opts.tolerance, opts.kappa_epsilon, opts.kappa_mu, opts.theta_mu
         )
@@ -508,13 +501,16 @@ class L1Relaxation(ConstraintRelaxationStrategy):
     def compute_direction(self, iterate: Iterate, trust_radius=None) -> Direction:
         self._maybe_update_barrier(iterate)
         opts = self.opts
-        c = np.asarray(iterate.evals.c, dtype=float)
-        jac = np.asarray(iterate.evals.jac_c, dtype=float)
-        l0 = float(np.abs(c).sum())
+        l0 = float(np.abs(np.asarray(iterate.evals.c, dtype=float)).sum())
         feas_tol = self._feas_tol * (1.0 + l0)
 
-        direction = self._solve_at(iterate, self.rho, trust_radius)
-        l_d = linearized_infeasibility(c, jac, direction.dx)
+        def solve_at(rho):
+            """The direction at rho, its models and l(d) = ||c + J d||_1."""
+            direction = self._solve_at(iterate, rho, trust_radius)
+            models = self.reduction_models(iterate, direction, rho)
+            return direction, models, models.linearized_eta(1.0)
+
+        direction, models, l_d = solve_at(self.rho)
         info = {"steered": False, "rho": self.rho, "l0": l0, "l_d": l_d}
         if l_d <= feas_tol:
             direction.info = info
@@ -522,8 +518,7 @@ class L1Relaxation(ConstraintRelaxationStrategy):
 
         # Steering (the penalty update may involve several subproblem solves).
         info["steered"] = True
-        d_bar = self._solve_at(iterate, 0.0, trust_radius)
-        l_bar = linearized_infeasibility(c, jac, d_bar.dx)
+        d_bar, models_bar, l_bar = solve_at(0.0)
         if l_bar > l0 + feas_tol:
             # a nonconvex subproblem returned a feasibility step that worsens
             # the linearization; no rho can be blamed for that, so leave the
@@ -531,47 +526,48 @@ class L1Relaxation(ConstraintRelaxationStrategy):
             info.update(steered=False, skipped="feasibility step made no progress")
             direction.info = info
             return direction
-        dm0_bar = self.reduction_models(iterate, d_bar, 0.0).merit_reduction(1.0)
-        rho = self.rho
+        dm0_bar = models_bar.merit_reduction(1.0)
         reductions = 0
 
-        def reduced(rho):
-            # a factor near 1 would take ~1e17 re-solves to reach rho_min
-            nonlocal reductions
-            reductions += 1
-            if reductions > opts.max_inner:
-                raise InnerIterationLimitError(
-                    "steering exceeded %d penalty reductions" % opts.max_inner
-                )
-            return rho * opts.rho_decrease_factor
-
-        def conditions_hold(direction, rho):
-            l_d = linearized_infeasibility(c, jac, direction.dx)
+        def conditions(solved):
+            """The two steering conditions of a solve, and its merit model's
+            reduction."""
+            _, models, l_d = solved
             if l_bar <= feas_tol:
                 cond1 = l_d <= feas_tol
             else:
                 cond1 = l0 - l_d >= opts.steering_epsilon1 * (l0 - l_bar) - 1e-12 * (1.0 + l0)
-            dm = self.reduction_models(iterate, direction, rho).merit_reduction(1.0)
+            dm = models.merit_reduction(1.0)
             cond2 = dm >= opts.steering_epsilon2 * dm0_bar - 1e-12 * (1.0 + abs(dm0_bar))
-            return cond1, cond2, l_d
+            return cond1, cond2, dm
 
-        cond1, cond2, l_d = conditions_hold(direction, rho)
-        while not cond1 and rho > opts.rho_min:
-            rho = reduced(rho)
-            direction = self._solve_at(iterate, rho, trust_radius)
-            cond1, cond2, l_d = conditions_hold(direction, rho)
-        while cond1 and not cond2 and rho > opts.rho_min:
-            rho = reduced(rho)
-            direction = self._solve_at(iterate, rho, trust_radius)
-            cond1, cond2, l_d = conditions_hold(direction, rho)
+        def reduce_while(unmet, rho, solved, held):
+            """Reduce rho and re-solve while unmet(cond1, cond2) and rho >
+            rho_min; returns the last rho, solve and conditions."""
+            nonlocal reductions
+            while unmet(*held[:2]) and rho > opts.rho_min:
+                # a factor near 1 would take ~1e17 re-solves to reach rho_min
+                reductions += 1
+                if reductions > opts.max_inner:
+                    raise InnerIterationLimitError(
+                        "steering exceeded %d penalty reductions" % opts.max_inner
+                    )
+                rho *= opts.rho_decrease_factor
+                solved = solve_at(rho)
+                held = conditions(solved)
+            return rho, solved, held
+
+        solved = (direction, models, l_d)
+        state = reduce_while(lambda cond1, cond2: not cond1, self.rho, solved, conditions(solved))
+        state = reduce_while(lambda cond1, cond2: cond1 and not cond2, *state)
+        rho, (direction, _, l_d), (cond1, cond2, dm) = state
         if not (cond1 and cond2) and d_bar.status == OPTIMAL:
             # nonconvex subproblems can defeat the steering conditions at any
             # rho; the collapse carries no evidence, so take the pure
             # feasibility step instead and keep the entry penalty
             info.update(skipped="steering conditions unattainable", l_bar=l_bar)
-            direction = d_bar
-            direction.info = info
-            return direction
+            d_bar.info = info
+            return d_bar
 
         # Cap by the scaled dual FJ residual at the feasibility multipliers.
         # The cap only means something when even the pure feasibility step
@@ -582,19 +578,14 @@ class L1Relaxation(ConstraintRelaxationStrategy):
         cap = (e0 / max(1.0, l0)) ** 2 if l_bar > feas_tol else np.inf
         if cap < rho:
             rho = max(cap, opts.rho_min)
-            direction = self._solve_at(iterate, rho, trust_radius)
-            cond1, cond2, l_d = conditions_hold(direction, rho)
-            while not (cond1 and cond2) and rho > opts.rho_min:
-                rho = reduced(rho)
-                direction = self._solve_at(iterate, rho, trust_radius)
-                cond1, cond2, l_d = conditions_hold(direction, rho)
+            solved = solve_at(rho)
+            state = reduce_while(lambda cond1, cond2: not (cond1 and cond2),
+                                 rho, solved, conditions(solved))
+            rho, (direction, _, l_d), (cond1, cond2, dm) = state
 
         self.rho = rho
-        info.update(
-            rho=rho, l_d=l_d, l_bar=l_bar, dm0_bar=dm0_bar, cap=cap,
-            cond1=cond1, cond2=cond2,
-            dm=self.reduction_models(iterate, direction, rho).merit_reduction(1.0),
-        )
+        info.update(rho=rho, l_d=l_d, l_bar=l_bar, dm0_bar=dm0_bar, cap=cap,
+                    cond1=cond1, cond2=cond2, dm=dm)
         direction.info = info
         return direction
 

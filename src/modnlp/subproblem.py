@@ -273,7 +273,7 @@ def dual_scaling(y: np.ndarray, zl: np.ndarray, zu: np.ndarray, scaling_cap: flo
     return max(1.0, mass / (scaling_cap * max(1, zl.size + y.size)))
 
 
-def barrier_kkt_error(
+def kkt_residuals(
     evals: Evaluations,
     x: np.ndarray,
     y: np.ndarray,
@@ -281,22 +281,39 @@ def barrier_kkt_error(
     zu: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
+    rho: float,
     mu: float,
     scaling_cap: float,
-) -> float:
-    """Scaled KKT error of the barrier problem (drives the mu update)."""
-    m = y.size
-    grad = np.asarray(evals.grad_f, dtype=float)
-    J = np.asarray(evals.jac_c, dtype=float)
-    stat = grad - (J.T @ y if m else 0.0) - zl + zu
-    finite_lo = np.isfinite(lower)
-    finite_hi = np.isfinite(upper)
-    comp_lo = (x[finite_lo] - lower[finite_lo]) * zl[finite_lo] - mu
-    comp_hi = (upper[finite_hi] - x[finite_hi]) * zu[finite_hi] - mu
+    finite: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[float, float, float, float]:
+    """The residuals of the KKT conditions of the barrier problem at mu
+    (mu = 0: of the problem itself) with objective multiplier rho, at
+    (x, y, zl, zu): the stationarity rho grad_f - J^T y - (zl - zu) and its
+    part at rho = 0, each over s_d (dual_scaling); max |c|; and the
+    complementarity, gap * z - mu over the finite bounds and 0 * z at the
+    others, over s_d. finite is as in fraction_to_boundary. The Jacobian is
+    not read when m = 0."""
+    finite_lo, finite_hi = _finite_masks(lower, upper, finite)
+    stat = rho * np.asarray(evals.grad_f)
+    z = zl - zu
+    if y.size:
+        jty = np.asarray(evals.jac_c).T @ y
+        stat -= jty
+        stat0 = -jty
+        stat0 -= z
+    else:
+        stat0 = -z  # |-0 - z| = |z|
+    stat -= z
+    gap_lo = np.where(finite_lo, x - lower, 0.0)
+    gap_lo *= zl
+    gap_hi = np.where(finite_hi, upper - x, 0.0)
+    gap_hi *= zu
+    np.subtract(gap_lo, mu, out=gap_lo, where=finite_lo)
+    np.subtract(gap_hi, mu, out=gap_hi, where=finite_hi)
     s_d = dual_scaling(y, zl, zu, scaling_cap)
-    return max(
-        float(np.abs(stat, out=stat).max(initial=0.0)) / s_d,
-        float(np.abs(evals.c).max(initial=0.0)),
-        float(np.abs(comp_lo, out=comp_lo).max(initial=0.0)) / s_d,
-        float(np.abs(comp_hi, out=comp_hi).max(initial=0.0)) / s_d,
-    )
+
+    def largest(v):
+        return float(np.abs(v, out=v).max(initial=0.0))
+
+    return (largest(stat) / s_d, largest(stat0) / s_d, float(np.abs(evals.c).max(initial=0.0)),
+            max(largest(gap_lo), largest(gap_hi)) / s_d)

@@ -20,7 +20,6 @@ from modnlp.relaxation import (
     L1Relaxation,
     error_measure,
     l1_sign_residual,
-    linearized_infeasibility,
 )
 
 EPSILON = 1e-6
@@ -282,7 +281,7 @@ def test_criterion_9_steering_postconditions():
             jac = np.asarray(iterate.evals.jac_c, dtype=float)
             l0 = float(np.sum(np.abs(c)))
             feas_tol = 1e-9 * (1.0 + l0)
-            l_d = linearized_infeasibility(c, jac, direction.dx)
+            l_d = float(np.abs(c + jac @ direction.dx).sum())
             if info["l_bar"] <= feas_tol:
                 cond1 = l_d <= feas_tol * 10
             else:

@@ -183,12 +183,9 @@ class TestOptions:
         assert "tolerance" in str(err.value)
 
     def test_type_coercion(self):
-        opts = Options().updated(
-            {"tolerance": "1e-8", "max_iterations": "50", "scale_functions": "false"}
-        )
+        opts = Options().updated({"tolerance": "1e-8", "max_iterations": "50"})
         assert opts.tolerance == 1e-8
         assert opts.max_iterations == 50
-        assert opts.scale_functions is False
 
     def test_option_file(self, tmp_path):
         path = tmp_path / "opts.txt"
@@ -356,7 +353,8 @@ class TestSolve:
         # feasibility (hs071 under filtersqp used to report 1.625, the
         # violation one step earlier, against 0.0946 at the returned x)
         model = corpus_get(problem)
-        options = replace(preset_options(preset), max_iterations=2, scale_functions=scaled)
+        options = replace(preset_options(preset), max_iterations=2,
+                          s_max=100.0 if scaled else np.inf)
         result = solve(model, options)
         c = np.asarray(model.eval_constraints(result.x))
         violation = max(np.max(np.maximum(model.constraint_lower - c, c - model.constraint_upper)),
@@ -401,8 +399,8 @@ class TestSolve:
 
         for name in ("hs063", "hs071", "hs035"):
             base = preset_options("filtersqp")
-            with_scaling = solve(corpus_get(name), replace(base, scale_functions=True))
-            without = solve(corpus_get(name), replace(base, scale_functions=False))
+            with_scaling = solve(corpus_get(name), base)
+            without = solve(corpus_get(name), replace(base, s_max=np.inf))
             assert with_scaling.status == without.status == "FeasibleKKT"
             np.testing.assert_allclose(with_scaling.x, without.x, atol=1e-5)
 

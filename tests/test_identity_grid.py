@@ -144,3 +144,47 @@ def test_compare_reports_callback_totals_and_fewer_calls(tmp_path, capsys):
     assert not any(line.startswith("  presets and Options: callbacks") for line in lines)
     assert lines[-1] == "5 solves, 3 differ, 0 differ in x by at most 0, max |dx| 0"
     assert compare(a, a) == 0
+
+
+def test_seeded_starts_are_drawn_per_problem_and_clipped():
+    # the k-th start is x0 plus the k-th draw of default_rng(7), clipped
+    # to the bounds, whatever else was drawn before
+    import numpy as np
+
+    from modnlp.corpus import corpus_get
+
+    seeded_models = load_tool().seeded_models
+    model = corpus_get("hs071")  # 1 <= x <= 5, x0 = (1, 5, 5, 1)
+    first, second = seeded_models(model, 2)
+    rng = np.random.default_rng(7)
+    for start in (first, second):
+        expected = np.clip(model.initial_point + rng.standard_normal(4), 1.0, 5.0)
+        assert np.array_equal(start.initial_point, expected)
+    assert np.array_equal(seeded_models(model, 1)[0].initial_point, first.initial_point)
+    assert first.eval_objective is model.eval_objective
+
+
+def test_compare_counts_seeded_statuses_and_messages(tmp_path, capsys):
+    tool = load_tool()
+    assert tool.source("seeded hs071 #1 l1 QP") == "seeded"
+
+    def judged(right, **kwargs):
+        return dict(record([1.0], **kwargs), right=right)
+
+    a = write(tmp_path / "a.json", {
+        "seeded p #0 l1": judged(True, status="FeasibleKKT"),
+        "seeded p #1 l1": judged(False, status="IterationLimit", message="stagnation"),
+        "grid p l1": judged(True)})
+    b = write(tmp_path / "b.json", {
+        "seeded p #0 l1": judged(True, status="FeasibleKKT"),
+        "seeded p #1 l1": judged(True, status="FeasibleKKT"),
+        "grid p l1": judged(True)})
+    assert tool.compare(a, b) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "  seeded: 1 identical, 0 within 0, 1 differ, max |dx| 0" in lines
+    assert "  seeded: right answers 1 -> 2" in lines
+    assert "  seeded: status FeasibleKKT 1 -> 2" in lines
+    assert "  seeded: status IterationLimit 1 -> 0" in lines
+    assert "  seeded: message 'stagnation' 1 -> 0" in lines
+    assert "  seeded: message '' 1 -> 2" in lines
+    assert "  right answers: 1/1 -> 1/1" in lines  # the grid's alone

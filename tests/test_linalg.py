@@ -590,30 +590,28 @@ class TestTriangularInverse:
     CONDITIONS = (1.0, 1e3, 1e6, 1e9, 1e12)
 
     @pytest.mark.parametrize("order", [0, 1, 31, 32, 33, 64, 138])
-    @pytest.mark.parametrize("upper", [True, False])
-    def test_residual_within_ten_times_the_lu(self, order, upper):
-        # the blocked method bounds X T - I for an upper T and T X - I for a
-        # lower one (Du Croz & Higham, 1992): within 10x np.linalg.inv's
-        # residual on the same side. The certificate's solves use both
-        # sides; on the other one np.linalg.inv, a substitution that
-        # minimizes exactly that residual, is up to about 30x better at
-        # condition 1e12 (28.8x the worst of 150 draws of orders 33 to 138),
-        # and within 10x up to the condition 1e5 or so that a certified
-        # factor can have (see TestBlockKernel)
+    def test_residual_within_ten_times_the_lu(self, order):
+        # the blocked method bounds L X - I for a lower L (Du Croz & Higham,
+        # 1992): within 10x np.linalg.inv's residual on the same side. The
+        # certificate's solves use both sides; on the other one
+        # np.linalg.inv, a substitution that minimizes exactly that
+        # residual, is up to about 30x better at condition 1e12 (28.8x the
+        # worst of 150 draws of orders 33 to 138), and within 10x up to the
+        # condition 1e5 or so that a certified factor can have (see
+        # TestBlockKernel)
         rng = np.random.RandomState(order)
         for cond in self.CONDITIONS:
             R = triangular_with_condition(rng, order, cond) if order else np.zeros((0, 0))
-            T = R if upper else R.T.copy()
-            X = _triangular_inverse(T, upper)
-            assert X.shape == T.shape
-            other = np.tril(X, -1) if upper else np.triu(X, 1)
-            assert np.all(other == 0.0)
+            L = R.T.copy()
+            X = _triangular_inverse(L)
+            assert X.shape == L.shape
+            assert np.all(np.triu(X, 1) == 0.0)
 
             def residual(Z, bounded_side):
-                left = upper if bounded_side else not upper
-                return float(np.linalg.norm((Z @ T if left else T @ Z) - np.eye(order)))
+                product = L @ Z if bounded_side else Z @ L
+                return float(np.linalg.norm(product - np.eye(order)))
 
-            Y = np.linalg.inv(T)
+            Y = np.linalg.inv(L)
             assert residual(X, True) <= 10.0 * max(residual(Y, True), 1e-16)
             other_bound = 10.0 if cond <= 1e6 else 50.0
             assert residual(X, False) <= other_bound * max(residual(Y, False), 1e-16)
@@ -625,29 +623,27 @@ class TestTriangularInverse:
         rng = np.random.RandomState(100 + order)
         for cond in self.CONDITIONS:
             R = triangular_with_condition(rng, order, cond)
-            exact = extended_upper_inverse(R)
-            for T, inverse in ((R, exact), (R.T.copy(), exact.T)):
-                upper = T is R
+            L, inverse = R.T.copy(), extended_upper_inverse(R).T
 
-                def error(Z):
-                    return float(np.linalg.norm((Z - inverse).astype(float)))
+            def error(Z):
+                return float(np.linalg.norm((Z - inverse).astype(float)))
 
-                X = _triangular_inverse(T, upper)
-                assert error(X) <= 10.0 * max(error(np.linalg.inv(T)), 1e-300)
+            X = _triangular_inverse(L)
+            assert error(X) <= 10.0 * max(error(np.linalg.inv(L)), 1e-300)
 
     def test_leaf_is_numpys_inverse(self):
-        # up to order 32 an upper factor's inverse is np.linalg.inv's, bit
-        # for bit, so small certified systems compute as before
+        # up to order 32 the inverse is np.linalg.inv's with its upper
+        # triangle zeroed, bit for bit
         rng = np.random.RandomState(5)
         for order in (1, 2, 17, 32):
-            R = triangular_with_condition(rng, order, 1e4)
-            assert np.array_equal(_triangular_inverse(R, True), np.linalg.inv(R))
+            L = triangular_with_condition(rng, order, 1e4).T.copy()
+            assert np.array_equal(_triangular_inverse(L), np.tril(np.linalg.inv(L)))
 
     def test_singular_leaf_raises(self):
-        T = np.triu(np.ones((70, 70)))
+        T = np.tril(np.ones((70, 70)))
         T[50, 50] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
-            _triangular_inverse(T, True)
+            _triangular_inverse(T)
 
 
 def parent_triangular_inverse(T, upper):
@@ -669,16 +665,15 @@ def parent_triangular_inverse(T, upper):
 
 
 def test_triangular_inverse_equals_the_oracle():
-    # orders 1 to 140, both sides, with planted -0.0 entries: the leaves'
-    # masks give np.triu/np.tril's bytes, and the halves the same products
+    # orders 1 to 140, with planted -0.0 entries: the leaves' masks give
+    # np.tril's bytes, and the halves the same products
     rng = np.random.RandomState(23)
     for order in range(1, 141):
-        T = np.triu(rng.randn(order, order)) + np.diag(2.0 + rng.rand(order))
+        T = np.tril(rng.randn(order, order)) + np.diag(2.0 + rng.rand(order))
         T[rng.rand(order, order) < 0.05] *= -0.0
         T.flat[:: order + 1] = 2.0 + rng.rand(order)
-        for upper, factor in ((True, T), (False, T.T.copy())):
-            assert _triangular_inverse(factor, upper).tobytes() == \
-                parent_triangular_inverse(factor, upper).tobytes()
+        assert _triangular_inverse(T).tobytes() == \
+            parent_triangular_inverse(T, upper=False).tobytes()
 
 
 def parent_certified_factorization(H, A, delta_w, equilibrate):

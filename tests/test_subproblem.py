@@ -17,12 +17,12 @@ from modnlp.reformulation import to_equality_form
 from modnlp.subproblem import (
     Direction,
     barrier_gradient_terms,
-    barrier_kkt_error,
     build_sqp_qp,
     dual_scaling,
     fraction_to_boundary,
     fraction_to_boundary_dual,
     ipm_solve_step,
+    kkt_residuals,
     primal_dual_diagonal,
     push_to_interior,
     update_barrier_parameter,
@@ -400,11 +400,15 @@ def parent_fraction_to_boundary_dual(zl, dzl, zu, dzu, tau):
 
 
 def parent_barrier_kkt_parts(evals, x, y, zl, zu, lower, upper, mu, scaling_cap):
-    """The four scaled parts whose max is the parent's barrier_kkt_error."""
+    """The four scaled parts whose max is the barrier KKT error: those of
+    the barrier test's own function before it shared kkt_residuals, with
+    the stationarity in the order of the termination residuals,
+    (grad_f - J^T y) - (zl - zu), where that function took
+    grad_f - J^T y - zl + zu."""
     m = y.size
     grad = np.asarray(evals.grad_f, dtype=float)
     J = np.asarray(evals.jac_c, dtype=float)
-    stat = grad - (J.T @ y if m else 0.0) - zl + zu
+    stat = grad - (J.T @ y if m else 0.0) - (zl - zu)
     finite_lo = np.isfinite(lower)
     finite_hi = np.isfinite(upper)
     comp_lo = (x[finite_lo] - lower[finite_lo]) * zl[finite_lo] - mu
@@ -524,9 +528,15 @@ def test_barrier_kkt_error_equals_the_oracle():
             y = rng.randn(m) * 10.0 ** rng.uniform(-8, 2)
             mu = 10.0 ** rng.uniform(-9.0, 0.0)
             cap = (100.0, INF)[trial % 2]
-            error = barrier_kkt_error(evals, x, y, zl, zu, lower, upper, mu, cap)
+            stationarity, _, feasibility, complementarity = kkt_residuals(
+                evals, x, y, zl, zu, lower, upper, 1.0, mu, cap)
+            error = max(stationarity, feasibility, complementarity)
             parts = parent_barrier_kkt_parts(evals, x, y, zl, zu, lower, upper, mu, cap)
-            expected = max(parts)
+            # the two complementarity sides are joined first, as in the
+            # termination residuals: a NaN lower side (a NaN x at a finite
+            # bound) then hides the upper one, which a max of the four
+            # parts would take
+            expected = max(parts[0], parts[1], max(parts[2], parts[3]))
             assert same_bytes(error, expected)
             seen.add("nan" if np.isnan(expected) else "inf" if expected == INF else "finite")
             if np.isfinite(expected) and expected > 0.0:

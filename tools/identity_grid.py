@@ -1,6 +1,6 @@
 """Identity check of the solver between two checkouts.
 
-    python3 tools/identity_grid.py OUT.json [--root CHECKOUT] [--benchmark]
+    python3 tools/identity_grid.py OUT.json [--root CHECKOUT] [--benchmark] [--seeded K]
     python3 tools/identity_grid.py --compare A.json B.json [--x-tol TOL]
 
 The first form imports modnlp from CHECKOUT/src (default: this checkout)
@@ -8,7 +8,10 @@ and solves the default-start grid: every legal combination of the four
 parts (30) on every corpus problem (28), through ``instrument``. With
 --benchmark it also solves the task lists of the benchmark's corpus seeds
 1 and 2, scaled_qp seed 1 and scaled_ipm seed 1, built by
-CHECKOUT/perfbench/workloads.py. For each solve it writes the status,
+CHECKOUT/perfbench/workloads.py. With --seeded K it also solves every
+legal combination on every corpus problem from K seeded starts
+(seeded_models: x0 + N(0, I) clipped to the bounds), each judged like a
+grid record. For each solve it writes the status,
 iterations, the five callback counts (objective, constraints, gradient,
 Jacobian, Hessian), subproblem_solves, x, the multipliers y and z, rho and
 the message to OUT.json; a solve that raises is recorded as
@@ -35,7 +38,8 @@ changed from failure to success (FeasibleKKT or LooseToleranceKKT), from
 success to failure, and otherwise, with the objective-call totals of those
 records in A and in B; and, per combination of the four parts, the grid's
 right answers in each file (a combination with fewer in B is marked
-"lost").
+"lost"). For the seeded records it also prints the right answers and the
+count of each status and of each message in A and in B.
 """
 from __future__ import annotations
 
@@ -46,12 +50,14 @@ import json
 import os
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 BENCHMARK_RUNS = (("corpus", 1), ("corpus", 2), ("scaled_qp", 1), ("scaled_ipm", 1))
 # the record fields compared under --x-tol; every other field must match exactly
 TOLERANT = ("x", "y", "z", "rho")
 SUCCESS = ("FeasibleKKT", "LooseToleranceKKT")
+SEEDED_RNG = 7  # the seed of every problem's generator of seeded starts
 
 
 def record(modnlp, model, options, problem=None) -> dict:
@@ -83,7 +89,8 @@ def record(modnlp, model, options, problem=None) -> dict:
     return out
 
 
-def grid(modnlp) -> dict:
+def legal_combinations(modnlp) -> list:
+    """(label, Options) of every legal combination of the four parts."""
     from modnlp.driver import MECHANISMS, RELAXATIONS, STRATEGIES, SUBPROBLEMS, validate_options
     from modnlp.errors import ConfigurationError
 
@@ -100,12 +107,41 @@ def grid(modnlp) -> dict:
         except ConfigurationError:
             continue
         legal.append((" ".join(combo), options))
+    return legal
+
+
+def grid(modnlp) -> dict:
+    legal = legal_combinations(modnlp)
     return {
         "grid %s %s" % (problem, label): record(
             modnlp, modnlp.corpus_get(problem), options, problem)
         for label, options in legal
         for problem in modnlp.corpus_names()
     }
+
+
+def seeded_models(model, count: int) -> list:
+    """count copies of model, the k-th started at x0 + N(0, I) clipped to
+    the bounds: the k-th draw of a generator seeded with SEEDED_RNG for
+    this model alone, so a start depends on neither the other problems nor
+    the order in which they are solved."""
+    import numpy as np
+
+    rng = np.random.default_rng(SEEDED_RNG)
+    return [dataclasses.replace(model, initial_point=np.clip(
+        model.initial_point + rng.standard_normal(model.n),
+        model.variable_lower, model.variable_upper)) for _ in range(count)]
+
+
+def seeded(modnlp, count: int) -> dict:
+    legal = legal_combinations(modnlp)
+    out = {}
+    for problem in modnlp.corpus_names():
+        for k, model in enumerate(seeded_models(modnlp.corpus_get(problem), count)):
+            for label, options in legal:
+                key = "seeded %s #%d %s" % (problem, k, label)
+                out[key] = record(modnlp, model, options, problem)
+    return out
 
 
 def presets(modnlp) -> dict:
@@ -135,6 +171,8 @@ def source(key: str) -> str:
     benchmark run ("corpus seed 1", ...) whose task list it comes from."""
     if key.startswith("grid "):
         return "grid"
+    if key.startswith("seeded "):
+        return "seeded"
     if key.startswith("preset ") or key == "options defaults":
         return "presets and Options"
     return key.split(" #")[0]
@@ -150,6 +188,15 @@ def right_answers(records: dict) -> dict:
             counts[0] += bool(rec["right"])
             counts[1] += 1
     return tally
+
+
+def seeded_tallies(records: dict) -> tuple:
+    """Over the seeded records: the right answers, and the count of each
+    status and of each message."""
+    seeded = [rec for key, rec in records.items() if key.startswith("seeded ")]
+    return (sum(bool(rec.get("right")) for rec in seeded),
+            Counter(rec["status"] for rec in seeded),
+            Counter(rec.get("message", "") for rec in seeded))
 
 
 def close(a, b, tol: float) -> bool:
@@ -233,6 +280,16 @@ def compare(path_a: str, path_b: str, x_tol: float = 0.0) -> int:
         print("  right answers: %d/%d -> %d/%d" % (
             sum(c[0] for c in right_a.values()), sum(c[1] for c in right_a.values()),
             sum(c[0] for c in right_b.values()), sum(c[1] for c in right_b.values())))
+    if "seeded" in summary:
+        (right_a, statuses_a, messages_a), (right_b, statuses_b, messages_b) = (
+            seeded_tallies(a), seeded_tallies(b))
+        print("  seeded: right answers %d -> %d" % (right_a, right_b))
+        for status in sorted(set(statuses_a) | set(statuses_b)):
+            print("  seeded: status %s %d -> %d"
+                  % (status, statuses_a[status], statuses_b[status]))
+        for message in sorted(set(messages_a) | set(messages_b)):
+            print("  seeded: message %r %d -> %d"
+                  % (message, messages_a[message], messages_b[message]))
     differ = sum(tally[2] for tally in summary.values())
     x_within = sum(tally[1] for tally in summary.values())
     max_dx = max((tally[3] for tally in summary.values()), default=0.0)
@@ -248,6 +305,8 @@ def main(argv=None) -> int:
                         help="checkout whose src/ and perfbench/ are used")
     parser.add_argument("--benchmark", action="store_true",
                         help="also solve the benchmark's task lists")
+    parser.add_argument("--seeded", type=int, default=0, metavar="K",
+                        help="also solve the grid from K seeded starts per problem")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
     parser.add_argument("--x-tol", type=float, default=0.0, metavar="TOL",
                         help="with --compare: largest |dx| per component counted as equal")
@@ -267,6 +326,7 @@ def main(argv=None) -> int:
     results.update(presets(modnlp))
     if args.benchmark:
         results.update(benchmark(modnlp, root))
+    results.update(seeded(modnlp, args.seeded))
     Path(args.out).write_text(json.dumps(results, indent=0))
     print("%d solves written to %s" % (len(results), args.out))
     return 0

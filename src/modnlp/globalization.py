@@ -152,12 +152,16 @@ class Filter:
             kept.pop(0)
         self.entries = kept
 
-    def reset(self, eta_reference: float) -> None:
-        """Flush all entries and anchor the upper bound at the reference
-        infeasibility: at the start, and whenever the barrier parameter
-        changes. The envelope parameters are retained."""
+    def initialize(self, eta0: float) -> None:
+        """Set the upper bound, once per solve, at eta_max_factor times
+        max(1, eta0), eta0 the initial infeasibility (Waechter & Biegler,
+        Math. Prog. 106, 2006, theta_max)."""
+        self.eta_max = self.eta_max_factor * max(1.0, eta0)
+
+    def reset(self) -> None:
+        """Flush all entries, whenever the barrier parameter changes. The
+        upper bound and the envelope parameters are retained."""
         self.entries.clear()
-        self.eta_max = self.eta_max_factor * max(1.0, eta_reference)
 
     def eta_min(self) -> float:
         return min((e for e, _ in self.entries), default=np.inf)
@@ -190,7 +194,7 @@ class GlobalizationStrategy:
     def register_current(self, measures: ProgressMeasures) -> None:
         """Record the current pair (used when entering restoration)."""
 
-    def reset(self, eta_reference: float) -> None:
+    def reset(self) -> None:
         """Flush strategy memory (filter flush on barrier updates)."""
 
 
@@ -219,7 +223,7 @@ class FilterMethod(GlobalizationStrategy):
         self.filter = Filter(opts)
 
     def initialize(self, eta0: float) -> None:
-        self.filter.reset(eta0)
+        self.filter.initialize(eta0)
 
     def log_fields(self, measures: ProgressMeasures) -> dict:
         return {"phi": measures.phi}
@@ -265,8 +269,8 @@ class FilterMethod(GlobalizationStrategy):
     def register_current(self, measures: ProgressMeasures) -> None:
         self.filter.add(measures.eta, measures.phi)
 
-    def reset(self, eta_reference: float) -> None:
-        self.filter.reset(eta_reference)
+    def reset(self) -> None:
+        self.filter.reset()
 
 
 class WaechterFilter(FilterMethod):

@@ -429,7 +429,7 @@ class ConstraintRelaxationStrategy:
         if not self.subproblem.maybe_update_mu(self.ws, iterate, self._barrier_elastic_rho()):
             return False
         # filter entries depend on mu through xi: flush on every update
-        self.strategy.reset(float(np.abs(iterate.evals.c).sum()))
+        self.strategy.reset()
         return True
 
     def initialize(self, iterate: Iterate) -> None:

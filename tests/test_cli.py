@@ -120,15 +120,18 @@ class TestCLI:
         assert args[3].split("=")[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
-        # an OverflowError traceback in the barrier update
+        # was an OverflowError traceback in the barrier update; it ends in
+        # the non-finite IPM step that linalg.central_elastics gives at
+        # mu ~ 1e300
         ["-preset", "ipopt", "-option", "mu_initial=1e300", "hs071"],
         # ~3e17 steering re-solves to walk rho down to rho_min
         ["-preset", "byrd", "-option", "rho_decrease_factor=0.9999999999999999", "maratos"],
     ])
     def test_legal_extreme_option_reports_a_status(self, args, capsys):
+        status = {"mu_initial=1e300": "EvaluationError"}.get(args[3], "IterationLimit")
         with np.errstate(all="ignore"):
             assert main(args + ["--quiet"]) == 1
-        assert capsys.readouterr().out.startswith(args[-1] + ": IterationLimit")
+        assert capsys.readouterr().out.startswith(args[-1] + ": " + status)
 
     def test_scaling_to_zero_exit_two(self, capsys):
         args = ["-preset", "filtersqp", "-option", "s_max=5e-324", "hs071", "--quiet"]

@@ -33,6 +33,7 @@ from modnlp.errors import (
     UnknownOptionError,
     UnknownPresetError,
 )
+from modnlp.globalization import FilterMethod
 from modnlp.model import EvaluationRecord, Model, evaluate, instrument
 from modnlp.reformulation import to_equality_form
 
@@ -448,11 +449,25 @@ class TestSolve:
         assert result.status == ITERATION_LIMIT
         assert "non-finite" in result.message
 
-    def test_a_huge_initial_mu_ends_in_a_status(self):
-        # mu**theta_mu overflows a Python float from mu ~ 3e205 at theta_mu = 1.5
+    def test_a_huge_initial_mu_ends_in_a_status(self, monkeypatch):
+        # mu**theta_mu overflows a Python float from mu ~ 3e205 at theta_mu =
+        # 1.5. The filter's upper bound is set once, at initialization: when
+        # each mu decrease re-anchored it at the current eta, eta climbed
+        # from 2.5e2 to 3.9e122 in this run
+        bounds = []
+        initialize = FilterMethod.initialize
+
+        def recorded(self, eta0):
+            initialize(self, eta0)
+            bounds.append(self.filter.eta_max)
+
+        monkeypatch.setattr(FilterMethod, "initialize", recorded)
         opts = replace(preset_options("ipopt"), mu_initial=1e300)
+        records = []
         with np.errstate(all="ignore"):
-            assert solve(corpus_get("hs071"), opts).status in STATUSES
+            assert solve(corpus_get("hs071"), opts, log=records.append).status in STATUSES
+        assert len(bounds) == 1 and records
+        assert max(record["eta"] for record in records) <= bounds[0]
 
     @pytest.mark.parametrize("problem, base, mu_initial", [
         # mu**2 overflows in the feasibility step's elastics from mu ~ 1.3e154

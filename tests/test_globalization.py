@@ -236,9 +236,12 @@ class TestFilter:
         assert not f.acceptable(2.0, 10.0)
 
     def test_reset(self):
+        # a reset (a barrier update) flushes the entries; the upper bound
+        # stays where initialize set it
         f = Filter(replace(OPTS, filter_beta=0.9, filter_gamma=0.1))
+        f.initialize(2.0)
         f.add(1.0, 1.0)
-        f.reset(eta_reference=2.0)
+        f.reset()
         assert f.entries == []
         assert f.beta == 0.9 and f.gamma == 0.1
         assert f.eta_max == pytest.approx(2e4)

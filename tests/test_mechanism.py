@@ -5,7 +5,13 @@ import pytest
 
 from modnlp.corpus import corpus_get
 from modnlp.driver import Options
-from modnlp.errors import StepTooSmallError, TinyRadiusError
+from modnlp.errors import (
+    NonFiniteEvaluationError,
+    RegularizationFailedError,
+    SingularMatrixError,
+    StepTooSmallError,
+    TinyRadiusError,
+)
 from modnlp.mechanism import (
     BacktrackingLineSearch,
     TrustRegionMethod,
@@ -18,16 +24,23 @@ from modnlp.subproblem import Direction
 
 
 class StubRelaxation:
-    """Scripted relaxation strategy for exercising the mechanisms."""
+    """Scripted relaxation strategy for exercising the mechanisms: its
+    compute_direction raises error if one is given, and handle_small_step
+    returns recovery."""
 
-    def __init__(self, ws, direction, accept_rule):
+    def __init__(self, ws, direction, accept_rule, recovery=None, error=None):
         self.ws = ws
         self.direction = direction
         self.accept_rule = accept_rule
+        self.recovery = recovery
+        self.error = error
         self.trials = []
         self.radii = []
+        self.recoveries = 0  # handle_small_step calls
 
     def compute_direction(self, iterate, trust_radius=None):
+        if self.error is not None:
+            raise self.error("scripted")
         self.radii.append(trust_radius)
         if callable(self.direction):
             return self.direction(trust_radius)
@@ -41,7 +54,8 @@ class StubRelaxation:
         return accepts
 
     def handle_small_step(self, iterate):
-        return None
+        self.recoveries += 1
+        return self.recovery
 
 
 def make_workspace():
@@ -122,6 +136,40 @@ class TestLineSearch:
         with pytest.raises((StepTooSmallError, InnerIterationLimitError)):
             ls.compute_acceptable_iterate(it)
         assert calls == []  # acceptance rule never sees non-finite trials
+
+    @pytest.mark.parametrize("error", [
+        NonFiniteEvaluationError, RegularizationFailedError, SingularMatrixError])
+    def test_recoverable_error_takes_the_recovery_direction(self, error):
+        ws = make_workspace()
+        it = make_iterate(ws)
+        n, m = ws.model.n, ws.model.m
+        relax = StubRelaxation(ws, simple_direction(n, m), lambda t, a, k: True,
+                               recovery=simple_direction(n, m, dx_value=0.25), error=error)
+        trial = BacktrackingLineSearch(relax, Options()).compute_acceptable_iterate(it)
+        assert relax.recoveries == 1 and relax.trials == [1.0]
+        np.testing.assert_array_equal(trial.x, it.x + 0.25)
+
+    def test_recoverable_error_without_recovery_raises(self):
+        ws = make_workspace()
+        relax = StubRelaxation(ws, None, lambda t, a, k: True, error=SingularMatrixError)
+        with pytest.raises(SingularMatrixError):
+            BacktrackingLineSearch(relax, Options()).compute_acceptable_iterate(make_iterate(ws))
+
+    @pytest.mark.parametrize("error", [None, SingularMatrixError])
+    def test_at_most_four_recoveries(self, error):
+        # every trial is rejected, so each direction ends in StepTooSmall:
+        # four recovery directions are tried (a recoverable error in the
+        # first direction uses one of them), and the fifth StepTooSmall raises
+        ws = make_workspace()
+        n, m = ws.model.n, ws.model.m
+        relax = StubRelaxation(ws, simple_direction(n, m), lambda t, a, k: False,
+                               recovery=simple_direction(n, m), error=error)
+        ls = BacktrackingLineSearch(relax, replace(Options(), alpha_min=0.1))
+        with pytest.raises(StepTooSmallError):
+            ls.compute_acceptable_iterate(make_iterate(ws))
+        assert relax.recoveries == 4
+        # 4 trials (1, 1/2, 1/4, 1/8) per backtracked direction
+        assert len(relax.trials) == 4 * (4 + (error is None))
 
 
 class TestTrustRegion:

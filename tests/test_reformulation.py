@@ -87,6 +87,18 @@ def test_scaling_capped_and_zero_norm_convention():
     assert f2.s_f == pytest.approx(0.1)
 
 
+def test_unit_factors_return_the_model_and_the_start():
+    # where every factor is 1 (always at s_max = inf) nothing is wrapped:
+    # the model and the start record come back as given
+    model = to_equality_form(corpus_get("rosenbrock_ring"))
+    start = EvaluationRecord(model, model.initial_point)
+    scaled, factors, scaled_start = scale_functions(start, s_max=100.0)
+    assert factors.s_f < 1.0 and scaled is not model and scaled_start is not start
+    scaled, factors, scaled_start = scale_functions(start, s_max=np.inf)
+    assert factors.s_f == 1.0 and factors.s_c.tolist() == [1.0]
+    assert scaled is model and scaled_start is start
+
+
 def test_constraint_scaling_rule_per_row():
     # s_c is 1 for a zero row and min(1, s_max / |row|_inf) otherwise
     from dataclasses import replace

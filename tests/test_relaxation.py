@@ -167,6 +167,20 @@ class TestRestoration:
         relaxation.compute_direction(it, trust_radius=1e-3)
         assert len(relaxation.strategy.filter.entries) == before + 1
 
+    def test_small_step_in_restoration_is_retried_after_a_barrier_decrease(self):
+        # a collapsed step in restoration gets a new restoration direction
+        # only once mu has decreased: never with an active-set subproblem,
+        # whose mu is fixed
+        ws, it, relaxation, _ = prepared("infeasible1", preset="filtersqp")
+        relaxation._enter_restoration(it)
+        assert relaxation.handle_small_step(it) is None
+        ws, it, relaxation, _ = prepared("maratos", preset="ipopt")
+        relaxation._enter_restoration(it)
+        relaxation.subproblem.mu = 1e3  # far above the restoration problem's KKT error
+        d = relaxation.handle_small_step(it)
+        assert relaxation.subproblem.mu < 1e3
+        assert relaxation.phase == RESTORATION and d.status == OPTIMAL
+
     def test_restoration_converges_to_certificate(self):
         from modnlp.driver import solve
 

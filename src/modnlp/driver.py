@@ -379,9 +379,8 @@ class Residuals:
 
 def compute_residuals(ws: Workspace, iterate: Iterate, rho: float, scaling_cap: float) -> Residuals:
     ev = iterate.evals
-    return Residuals(*kkt_residuals(ev, iterate.x, iterate.y, iterate.zl, iterate.zu, ws.lower,
-                                    ws.upper, rho, 0.0, scaling_cap,
-                                    (ws.lower_finite, ws.upper_finite)),
+    return Residuals(*kkt_residuals(ev, iterate.x, iterate.y, iterate.zl, iterate.zu, ws.bounds,
+                                    rho, 0.0, scaling_cap),
                      l1_sign_residual(ev.c, iterate.y))
 
 
@@ -426,9 +425,10 @@ class TerminationState:
 
 def _build_ingredients(ws: Workspace, opts: Options):
     """The subproblem, the relaxation and the mechanism the options name
-    (the strategy lives inside the relaxation); each reads its constants
-    from opts. Building them makes no callback call."""
-    subproblem = SUBPROBLEMS[opts.subproblem](opts)
+    (the strategy lives inside the relaxation), the subproblem and the
+    relaxation built with the workspace; each reads its constants from
+    opts. Building them makes no callback call."""
+    subproblem = SUBPROBLEMS[opts.subproblem](ws, opts)
     strategy = STRATEGIES[opts.globalization_strategy](opts)
     relaxation = RELAXATIONS[opts.constraint_relaxation_strategy](ws, subproblem, strategy, opts)
     return subproblem, relaxation, MECHANISMS[opts.globalization_mechanism](relaxation, opts)
@@ -480,7 +480,7 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
         return result(INFEASIBLE_STATIONARY, start.x, start, res=res, rho=0.0,
                       message=str(exc))
 
-    x0, zl, zu = subproblem.initial_point(ws, start.x)
+    x0, zl, zu = subproblem.initial_point(start.x)
     start = start.at(x0)
     y0 = estimate_initial_multipliers(start, zl - zu, opts.y_max)
     if not _finite_with_derivatives(start):

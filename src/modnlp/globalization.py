@@ -48,16 +48,17 @@ def compute_measures(
     )
 
 
-def barrier_value(x, lower, upper, mu) -> float:
+def barrier_value(x, bounds, mu) -> float:
     """-mu * sum of log distances to the finite bounds (the IPM auxiliary
-    measure). Returns +inf at or outside the bounds. The logs are summed in
-    sequence, each component's lower bound before its upper bound."""
+    measure), bounds a state.Bounds. Returns +inf at or outside the bounds.
+    The logs are summed in sequence, each component's lower bound before
+    its upper bound."""
     gaps = np.empty((x.size, 2))  # row i: component i's lower gap, then its upper gap
-    np.subtract(x, lower, out=gaps[:, 0])
-    np.subtract(upper, x, out=gaps[:, 1])
+    np.subtract(x, bounds.lower, out=gaps[:, 0])
+    np.subtract(bounds.upper, x, out=gaps[:, 1])
     finite = np.empty((x.size, 2), dtype=bool)
-    finite[:, 0] = np.isfinite(lower)  # not by out=: numpy 2.4 fills a strided bool out wrongly
-    finite[:, 1] = np.isfinite(upper)
+    finite[:, 0] = bounds.lower_finite
+    finite[:, 1] = bounds.upper_finite
     gaps = gaps[finite]
     if (gaps <= 0.0).any():
         return np.inf

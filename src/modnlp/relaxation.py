@@ -1,12 +1,15 @@
 """Subproblem methods and constraint relaxation strategies.
 
-The QP, LP and interior-point subproblems answer the same calls: an
-optimality direction, a feasibility (elastic) direction at a given rho, and
-the barrier questions. Each asks the iterate's evaluation record for the
-Hessian it needs (one evaluation per (rho, y) at a point, however many
-steering re-solves or trust-region cycles ask) and returns a finished
-direction; the interior-point one owns the elastic barrier problem
-(elastic_evaluations) and its smoothed infeasibility. The l1 relaxation with
+The QP, LP and interior-point subproblems are built with the workspace of
+the solve, whose bounds carry their finite masks, and answer the same
+calls, each carrying only what changes per call: an optimality direction,
+a feasibility (elastic) direction at a given rho, and the barrier
+questions. Each asks the iterate's evaluation record for the Hessian it
+needs (hessian: one evaluation per (rho, y) at a point, however many
+steering re-solves or trust-region cycles ask; the LP overrides it to give
+None, W = 0) and returns a finished direction; the interior-point one owns
+the elastic barrier problem (elastic_evaluations, over bounds it makes
+once) and its smoothed infeasibility. The l1 relaxation with
 penalty steering and feasibility restoration with phase switching build the
 progress measures and reduction models at their rho (the strategy reads its
 own measure off them) and drive a subproblem through these calls alone,
@@ -39,7 +42,7 @@ from .linalg import (
     solve_factorized,  # noqa: F401 -- bound here for perfbench/layers.py
 )
 from .model import Evaluations
-from .state import Iterate, Workspace
+from .state import Bounds, Iterate, Workspace
 from .subproblem import (
     Direction,
     barrier_gradient_terms,
@@ -63,15 +66,14 @@ def l1_sign_residual(c: np.ndarray, y: np.ndarray) -> float:
     return float(terms.cumsum()[-1]) if terms.size else 0.0
 
 
-def projected_stationarity_l1(
-    g: np.ndarray, x: np.ndarray, lower: np.ndarray, upper: np.ndarray
-) -> float:
+def projected_stationarity_l1(g: np.ndarray, x: np.ndarray, bounds: Bounds) -> float:
     """l1 norm of the distance of g = rho grad_f - J^T y from the multiplier
     cone allowed by the bound activities (the implicit optimal z); summed in
     index order. An infinite bound is never active."""
     g, x = np.asarray(g, dtype=float), np.asarray(x, dtype=float)
-    at_lower = np.isfinite(lower) & (x - lower <= 1e-5 * (1.0 + np.abs(lower)))
-    at_upper = np.isfinite(upper) & (upper - x <= 1e-5 * (1.0 + np.abs(upper)))
+    lower, upper = bounds.lower, bounds.upper
+    at_lower = bounds.lower_finite & (x - lower <= 1e-5 * (1.0 + np.abs(lower)))
+    at_upper = bounds.upper_finite & (upper - x <= 1e-5 * (1.0 + np.abs(upper)))
     terms = np.where(at_lower, np.maximum(-g, 0.0),
                      np.where(at_upper, np.maximum(g, 0.0), np.abs(g)))
     terms[at_lower & at_upper] = 0.0
@@ -79,16 +81,11 @@ def projected_stationarity_l1(
 
 
 def error_measure(
-    evals: Evaluations,
-    x: np.ndarray,
-    y: np.ndarray,
-    rho: float,
-    lower: np.ndarray,
-    upper: np.ndarray,
+    evals: Evaluations, x: np.ndarray, y: np.ndarray, rho: float, bounds: Bounds
 ) -> float:
     """E_rho: aggregated dual Fritz John residuals of the l1 problem."""
     g = rho * np.asarray(evals.grad_f) - (np.asarray(evals.jac_c).T @ y if y.size else 0.0)
-    return projected_stationarity_l1(g, x, lower, upper) + l1_sign_residual(evals.c, y)
+    return projected_stationarity_l1(g, x, bounds) + l1_sign_residual(evals.c, y)
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +94,13 @@ def error_measure(
 
 
 class QPSubproblem:
-    """Inequality-constrained QP subproblem solved by the active-set solver.
+    """Inequality-constrained QP subproblem solved by the active-set solver,
+    built with the workspace it solves in.
 
     Both calls take the Lagrangian Hessian W_rho they need from the
-    iterate's evaluation record (the LP needs none) and return a direction
-    with gtd = grad_f'dx and dwd = dx'W_rho dx (0 for the LP). Where the
-    trust region pins a component, the direction takes its bound
+    iterate's evaluation record (hessian; the LP's is None) and return a
+    direction with gtd = grad_f'dx and dwd = dx'W_rho dx (0 for the LP).
+    Where the trust region pins a component, the direction takes its bound
     multipliers to zero. Each QP is warm-started from the last optimal
     working set of its kind (optimality or elastic). The elastic QP is given
     only its step start; qp_solve completes the elastics, and an elastic QP
@@ -111,58 +109,56 @@ class QPSubproblem:
     start and restoration keep the given point with zero multipliers.
     """
 
-    second_order = True
     is_interior = False
 
-    def __init__(self, opts):
+    def __init__(self, ws: Workspace, opts):
+        self.ws = ws
         self.schedule = RegularizationSchedule()
         self.warm_sets = {False: None, True: None}  # the last optimal working set, by elastic
 
-    def _direction(self, ws, iterate, rho, trust_radius, elastic, start_dx=None) -> Direction:
+    def hessian(self, iterate, rho) -> np.ndarray | None:
+        """W_rho at the iterate's (x, y), from its evaluation record."""
+        return iterate.evals.lagrangian_hessian(rho, iterate.y)
+
+    def _direction(self, iterate, rho, trust_radius, elastic, start_dx=None) -> Direction:
         """Build the QP at rho, with elastics if elastic, solve it from the
         last optimal working set of its kind and start_dx, keep the new
         working set and finish the direction. Without a trust radius (the
-        line search) W_rho is made positive definite. The LP's W is 0: it
-        calls no Hessian."""
-        evals = iterate.evals.with_hessian(rho, iterate.y) if self.second_order else iterate.evals
-        qp, tr_masks = build_sqp_qp(
-            evals, iterate.x, rho, ws.lower, ws.upper,
-            trust_radius=trust_radius,
-            regularize=trust_radius is None,
-            schedule=self.schedule,
-            second_order=self.second_order,
-        )
-        ws.subproblem_solves += 1
+        line search) W_rho is made positive definite."""
+        hessian = self.hessian(iterate, rho)
+        qp, tr_masks = build_sqp_qp(iterate.evals, hessian, iterate.x, rho, self.ws.bounds,
+                                    trust_radius, self.schedule)
+        self.ws.subproblem_solves += 1
         sol = qp_solve(extend_with_elastics(qp) if elastic else qp,
                        warm_start=self.warm_sets[elastic], start=start_dx)
         if sol.status == OPTIMAL:
             self.warm_sets[elastic] = sol.active_set
-        W = evals.hessian if self.second_order else qp.W
+        W = qp.W if hessian is None else hessian  # dwd's W_rho is the unshifted one
         return _qp_direction(sol, iterate, W, trust_radius, tr_masks)
 
-    def optimality_direction(self, ws, iterate, trust_radius) -> Direction:
-        return self._direction(ws, iterate, 1.0, trust_radius, elastic=False)
+    def optimality_direction(self, iterate, trust_radius) -> Direction:
+        return self._direction(iterate, 1.0, trust_radius, elastic=False)
 
-    def feasibility_direction(self, ws, iterate, rho, trust_radius, start_dx=None) -> Direction:
+    def feasibility_direction(self, iterate, rho, trust_radius, start_dx=None) -> Direction:
         """Solve the elastic QP (rho possibly 0: the feasibility QP) from the
         step start_dx (zero if None). qp_solve clips it to the step bounds
         and completes its elastics. With the last optimal elastic working
         set, that set is pinned; without one (until an elastic QP has solved
         to optimality), every elastic starts at zero and the step is projected onto J d = -c, or,
         where no projection lands feasible, keeps its exact elastics."""
-        return self._direction(ws, iterate, rho, trust_radius, elastic=True, start_dx=start_dx)
+        return self._direction(iterate, rho, trust_radius, elastic=True, start_dx=start_dx)
 
-    def initial_point(self, ws, x0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def initial_point(self, x0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The starting point and its lower/upper bound multipliers."""
-        return x0, np.zeros(ws.model.n), np.zeros(ws.model.n)
+        return x0, np.zeros(self.ws.model.n), np.zeros(self.ws.model.n)
 
-    def maybe_update_mu(self, ws, iterate, elastic_rho=None) -> bool:
+    def maybe_update_mu(self, iterate, elastic_rho=None) -> bool:
         return False
 
-    def barrier_term(self, ws, x) -> float:
+    def barrier_term(self, x) -> float:
         return 0.0
 
-    def restoration_multipliers(self, ws, iterate) -> np.ndarray:
+    def restoration_multipliers(self, iterate) -> np.ndarray:
         return np.zeros_like(iterate.y)
 
     def log_fields(self) -> dict:
@@ -173,66 +169,71 @@ class LPSubproblem(QPSubproblem):
     """Sequential linear programming: no second-order information, so no
     Hessian call and dwd = 0 in the merit model of every step."""
 
-    second_order = False
+    def hessian(self, iterate, rho) -> None:
+        return None
 
 
-def elastic_evaluations(ws, record, y, u, rho, with_hessian=False):
+def elastic_evaluations(record, y, u, rho, bounds: Bounds, with_hessian=False) -> Evaluations:
     """The elastic problem over (x, u+, u-), u = (u+, u-):
 
         min  rho f(x) + sum(u+) + sum(u-)
         s.t. c(x) - u+ + u- = 0,  u+ >= 0,  u- >= 0  (plus the bounds on x),
 
     evaluated at (x, u) in the elastic layout of linalg.extend_with_elastics,
-    from the evaluation record of x (the Hessian W_rho at y on request).
-    rho = 0 is the l1 feasibility problem; the elastic identity blocks make
-    the constraint Jacobian full row rank everywhere. Returns the
-    evaluations and the lower and upper bounds of (x, u)."""
+    from the evaluation record of x (the Hessian W_rho at y on request),
+    bounds those of x. rho = 0 is the l1 feasibility problem; the elastic
+    identity blocks make the constraint Jacobian full row rank everywhere."""
     m = u.size // 2
     W = record.lagrangian_hessian(rho, y) if with_hessian else None
     layout = extend_with_elastics(
-        QPData(W, rho * record.grad_f, record.jac_c, -record.c, ws.lower, ws.upper)
+        QPData(W, rho * record.grad_f, record.jac_c, -record.c, bounds.lower, bounds.upper)
     )
     f = rho * record.f + float(np.sum(u))
-    evals = Evaluations(f, record.c - u[:m] + u[m:], layout.g, layout.A, layout.W)
-    return evals, layout.d_lower, layout.d_upper
+    return Evaluations(f, record.c - u[:m] + u[m:], layout.g, layout.A, layout.W)
 
 
 class IPMSubproblem:
     """Primal-dual interior-point subproblem on the symmetrized system, with
-    the same calls as QPSubproblem; it also owns the barrier parameter mu
-    (the one copy: each step and barrier term is given it) and the elastic
-    barrier problem of its feasibility steps. Reads mu_initial, tau_min,
-    kappa_epsilon, kappa_mu, theta_mu, tolerance, interior_push and
-    multiplier_scaling_cap from the options."""
+    the same calls as QPSubproblem, built with the workspace it solves in;
+    it also owns the barrier parameter mu (the one copy: each step and
+    barrier term is given it) and the elastic barrier problem of its
+    feasibility steps, whose bounds over (x, u+, u-) it makes once. Reads
+    mu_initial, tau_min, kappa_epsilon, kappa_mu, theta_mu, tolerance,
+    interior_push and multiplier_scaling_cap from the options."""
 
-    second_order = True
     is_interior = True
 
-    def __init__(self, opts):
+    def __init__(self, ws: Workspace, opts):
+        self.ws = ws
         self.opts = opts
         self.mu = opts.mu_initial
         self.schedule = RegularizationSchedule()
+        # the bounds of the elastic space (x, u+, u-), fixed for the solve
+        n, m = ws.model.n, ws.model.m
+        layout = extend_with_elastics(QPData(None, np.zeros(n), np.zeros((m, n)), np.zeros(m),
+                                             ws.bounds.lower, ws.bounds.upper))
+        self.elastic_bounds = Bounds(layout.d_lower, layout.d_upper)
 
-    def initial_point(self, ws, x0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def initial_point(self, x0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """x0 pushed strictly inside its bounds, with unit multipliers on the
         finite bounds."""
-        x0 = push_to_interior(x0, ws.lower, ws.upper, self.opts.interior_push)
-        zl, zu = initial_bound_multipliers(ws.lower, ws.upper)
+        x0 = push_to_interior(x0, self.ws.bounds, self.opts.interior_push)
+        zl, zu = initial_bound_multipliers(self.ws.bounds)
         return x0, zl, zu
 
-    def maybe_update_mu(self, ws, iterate, elastic_rho=None) -> bool:
+    def maybe_update_mu(self, iterate, elastic_rho=None) -> bool:
         """Decrease mu when the barrier problem being solved (the elastic one
         at elastic_rho during relaxation or restoration) is converged to its
         mu-tolerance."""
         opts = self.opts
         if elastic_rho is None:
-            problem = (iterate.evals, iterate.x, iterate.zl, iterate.zu, ws.lower, ws.upper)
+            problem = (iterate.evals, iterate.x, iterate.zl, iterate.zu, self.ws.bounds)
         else:
-            problem = self._elastic_problem(ws, iterate, elastic_rho)
-        evals, x, zl, zu, lower, upper = problem
+            problem = self._elastic_problem(iterate, elastic_rho)
+        evals, x, zl, zu, bounds = problem
         previous = self.mu
         stationarity, _, feasibility, complementarity = kkt_residuals(
-            evals, x, iterate.y, zl, zu, lower, upper, 1.0, previous, opts.multiplier_scaling_cap
+            evals, x, iterate.y, zl, zu, bounds, 1.0, previous, opts.multiplier_scaling_cap
         )
         error = max(stationarity, feasibility, complementarity)
         self.mu = update_barrier_parameter(
@@ -240,20 +241,20 @@ class IPMSubproblem:
         )
         return self.mu < previous
 
-    def barrier_term(self, ws, x) -> float:
-        return barrier_value(x, ws.lower, ws.upper, self.mu)
+    def barrier_term(self, x) -> float:
+        return barrier_value(x, self.ws.bounds, self.mu)
 
     def log_fields(self) -> dict:
         return {"mu": self.mu}
 
-    def optimality_direction(self, ws, iterate, trust_radius) -> Direction:
-        ws.subproblem_solves += 1
+    def optimality_direction(self, iterate, trust_radius) -> Direction:
+        self.ws.subproblem_solves += 1
         return ipm_solve_step(
             iterate.evals.with_hessian(1.0, iterate.y), iterate.x, iterate.y, iterate.zl,
-            iterate.zu, ws.lower, ws.upper, self.mu, self.schedule, self.opts.tau_min,
+            iterate.zu, self.ws.bounds, self.mu, self.schedule, self.opts.tau_min,
         )
 
-    def _elastic_problem(self, ws, iterate, rho, with_hessian=False):
+    def _elastic_problem(self, iterate, rho, with_hessian=False):
         """The elastic problem at rho at the iterate lifted to the elastic
         space (re-seeded every step): its evaluations, the lifted point w, the
         bound multipliers of w and the bounds of w. The elastic values are on
@@ -261,21 +262,21 @@ class IPMSubproblem:
         exact equality residuals and mu-consistent complementarity."""
         mu = self.mu
         u = np.concatenate(central_elastics(iterate.evals.c, mu))
-        eev, lower, upper = elastic_evaluations(ws, iterate.evals, iterate.y, u, rho, with_hessian)
+        eev = elastic_evaluations(iterate.evals, iterate.y, u, rho, self.ws.bounds, with_hessian)
         w = np.concatenate([iterate.x, u])
         zl_full = np.concatenate([iterate.zl, mu / u])
         zu_full = np.concatenate([iterate.zu, np.zeros(u.size)])
-        return eev, w, zl_full, zu_full, lower, upper
+        return eev, w, zl_full, zu_full, self.elastic_bounds
 
-    def feasibility_direction(self, ws, iterate, rho, trust_radius, start_dx=None) -> Direction:
+    def feasibility_direction(self, iterate, rho, trust_radius, start_dx=None) -> Direction:
         """Step of the barrier problem on the elastic problem at rho, with gtd
         and dwd of the base model: the x-block of the elastic Hessian is the
         base W at rho. An interior step has no trust region or start."""
-        n = ws.model.n
-        eev, w, zl, zu, lower, upper = self._elastic_problem(ws, iterate, rho, with_hessian=True)
-        ws.subproblem_solves += 1
+        n = self.ws.model.n
+        eev, w, zl, zu, bounds = self._elastic_problem(iterate, rho, with_hessian=True)
+        self.ws.subproblem_solves += 1
         full = ipm_solve_step(
-            eev, w, iterate.y, zl, zu, lower, upper, self.mu, self.schedule, self.opts.tau_min
+            eev, w, iterate.y, zl, zu, bounds, self.mu, self.schedule, self.opts.tau_min
         )
         dx = full.dx[:n]
         return Direction(
@@ -290,15 +291,15 @@ class IPMSubproblem:
             dwd=float(dx @ eev.hessian[:n, :n] @ dx),
         )
 
-    def restoration_multipliers(self, ws, iterate) -> np.ndarray:
+    def restoration_multipliers(self, iterate) -> np.ndarray:
         """Least-squares multipliers of the l1 feasibility problem (the
         elastic problem at rho = 0): without them the restoration Hessian has
         no curvature in the unbounded primal block."""
-        eev, _, zl, zu, _, _ = self._elastic_problem(ws, iterate, 0.0)
+        eev, _, zl, zu, _ = self._elastic_problem(iterate, 0.0)
         y = least_squares_multipliers(np.asarray(eev.jac_c), np.asarray(eev.grad_f) - (zl - zu))
         return np.clip(y, -1.0, 1.0)  # elastic multipliers live in [-1, 1]
 
-    def smoothed_infeasibility_armijo(self, ws, iterate, trial, direction, alpha, sigma) -> bool:
+    def smoothed_infeasibility_armijo(self, iterate, trial, direction, alpha, sigma) -> bool:
         """Sufficient decrease of the barrier-smoothed infeasibility, the
         elastic barrier objective at rho = 0 with the elastic block
         eliminated at its central values: sum(u+ + u- - mu log(u+ u-)) plus
@@ -311,13 +312,13 @@ class IPMSubproblem:
             if np.any(u_plus <= 0.0) or np.any(u_minus <= 0.0):
                 return np.inf
             value = float(np.sum(u_plus + u_minus) - mu * np.sum(np.log(u_plus) + np.log(u_minus)))
-            return value + barrier_value(x, ws.lower, ws.upper, mu)
+            return value + barrier_value(x, self.ws.bounds, mu)
 
         c = np.asarray(iterate.evals.c, dtype=float)
         u_plus, _ = central_elastics(c, mu)
         y_central = mu / u_plus - 1.0
         grad = -(np.asarray(iterate.evals.jac_c).T @ y_central) + barrier_gradient_terms(
-            iterate.x, ws.lower, ws.upper, mu
+            iterate.x, self.ws.bounds, mu
         )
         slope = float(grad @ direction.dx)
         if slope >= 0.0:
@@ -400,7 +401,7 @@ class ConstraintRelaxationStrategy:
     def measures_from(self, iterate: Iterate) -> ProgressMeasures:
         return compute_measures(
             iterate.evals.f, iterate.evals.c, rho=self.measure_rho(),
-            barrier_term=self.subproblem.barrier_term(self.ws, iterate.x),
+            barrier_term=self.subproblem.barrier_term(iterate.x),
         )
 
     def reduction_models(self, iterate: Iterate, direction: Direction, rho=None) -> ReductionModels:
@@ -426,7 +427,7 @@ class ConstraintRelaxationStrategy:
         return None
 
     def _maybe_update_barrier(self, iterate: Iterate) -> bool:
-        if not self.subproblem.maybe_update_mu(self.ws, iterate, self._barrier_elastic_rho()):
+        if not self.subproblem.maybe_update_mu(iterate, self._barrier_elastic_rho()):
             return False
         # filter entries depend on mu through xi: flush on every update
         self.strategy.reset()
@@ -493,7 +494,7 @@ class L1Relaxation(ConstraintRelaxationStrategy):
 
     def _solve_at(self, iterate: Iterate, rho: float, trust_radius):
         """Direction of the elastic subproblem at the given rho."""
-        direction = self.subproblem.feasibility_direction(self.ws, iterate, rho, trust_radius)
+        direction = self.subproblem.feasibility_direction(iterate, rho, trust_radius)
         if direction.status in (UNBOUNDED, ITERATION_LIMIT):
             raise QPFailureError("elastic QP failed with status " + direction.status)
         return direction
@@ -574,7 +575,7 @@ class L1Relaxation(ConstraintRelaxationStrategy):
         # cannot zero the linearized constraints (E_0 vanishes at any
         # linearized-feasible point, which would spuriously collapse rho).
         y_bar = iterate.y + d_bar.dy
-        e0 = error_measure(iterate.evals, iterate.x, y_bar, 0.0, self.ws.lower, self.ws.upper)
+        e0 = error_measure(iterate.evals, iterate.x, y_bar, 0.0, self.ws.bounds)
         cap = (e0 / max(1.0, l0)) ** 2 if l_bar > feas_tol else np.inf
         if cap < rho:
             rho = max(cap, opts.rho_min)
@@ -624,7 +625,7 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
         self.strategy.register_current(self.reference)
         # the restoration problem has its own multipliers; carrying over
         # (possibly diverging) optimality multipliers poisons its Hessian
-        iterate.y = self.subproblem.restoration_multipliers(self.ws, iterate)
+        iterate.y = self.subproblem.restoration_multipliers(iterate)
 
     def _exit_restoration(self, iterate_measures: ProgressMeasures) -> None:
         self.phase = OPTIMALITY
@@ -634,7 +635,7 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
         self._maybe_update_barrier(iterate)
         if self.phase == RESTORATION:
             return self._restoration_direction(iterate, trust_radius)
-        direction = self.subproblem.optimality_direction(self.ws, iterate, trust_radius)
+        direction = self.subproblem.optimality_direction(iterate, trust_radius)
         if direction.status == OPTIMAL:
             return direction
         if direction.status in (UNBOUNDED, ITERATION_LIMIT):
@@ -647,10 +648,10 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
         if not self.subproblem.is_interior:
             # the active-set switch back to optimality needs to know whether
             # the optimality subproblem is feasible at this point and radius
-            probe = self.subproblem.optimality_direction(self.ws, iterate, trust_radius)
+            probe = self.subproblem.optimality_direction(iterate, trust_radius)
             self._optimality_feasible = probe.status == OPTIMAL
         direction = self.subproblem.feasibility_direction(
-            self.ws, iterate, 0.0, trust_radius, start_dx=start_dx
+            iterate, 0.0, trust_radius, start_dx=start_dx
         )
         if direction.status != OPTIMAL:
             raise QPFailureError(
@@ -679,7 +680,7 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
         sigma = self.strategy.sigma
         accepted = infeasibility_armijo(current, trial_m, models, alpha, sigma) or (
             self.subproblem.smoothed_infeasibility_armijo(
-                self.ws, iterate, trial, direction, alpha, sigma)
+                iterate, trial, direction, alpha, sigma)
         )
         if (
             accepted

@@ -31,14 +31,23 @@ class Iterate:
         return self.zl - self.zu
 
 
+class Bounds:
+    """A bound set lower <= v <= upper (either side may be infinite) with the
+    masks of its finite bounds, made once: the kernels read the masks, never
+    recompute them."""
+
+    def __init__(self, lower: np.ndarray, upper: np.ndarray):
+        self.lower = np.asarray(lower, dtype=float)
+        self.upper = np.asarray(upper, dtype=float)
+        self.lower_finite = np.isfinite(self.lower)
+        self.upper_finite = np.isfinite(self.upper)
+
+
 class Workspace:
     """Holds the working (equality-form, scaled, instrumented) model, the
-    masks of its finite variable bounds and solver-wide counters."""
+    bounds of its variables and solver-wide counters."""
 
     def __init__(self, model: Model):
         self.model = model
-        self.lower = model.variable_lower
-        self.upper = model.variable_upper
-        self.lower_finite = np.isfinite(self.lower)
-        self.upper_finite = np.isfinite(self.upper)
+        self.bounds = Bounds(model.variable_lower, model.variable_upper)
         self.subproblem_solves = 0

@@ -18,6 +18,7 @@ from .linalg import (
     solve_factorized,
 )
 from .model import Evaluations
+from .state import Bounds
 
 
 @dataclass
@@ -66,34 +67,32 @@ def update_barrier_parameter(
 
 def build_sqp_qp(
     evals: Evaluations,
+    hessian: np.ndarray | None,
     x: np.ndarray,
     rho: float,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    trust_radius: float | None = None,
-    regularize: bool = False,
-    schedule: RegularizationSchedule | None = None,
-    second_order: bool = True,
+    bounds: Bounds,
+    trust_radius: float | None,
+    schedule: RegularizationSchedule,
 ) -> tuple[QPData, np.ndarray]:
     """Assemble the QP  min 1/2 d'Wd + rho grad_f'd  s.t. c + Jd = 0,
-    bounds on x + d, and optionally ||d||_inf <= trust_radius.
+    bounds on x + d, and ||d||_inf <= trust_radius (None: no trust region).
 
-    With regularize, W is shifted to W + delta_w I positive definite (the
-    line-search lineage requirement). With second_order False the QP is an LP
-    (W = 0). Returns (qp, trust-region-active-candidate mask pair).
+    W is the given Hessian, or 0 (an LP) where it is None. Without a trust
+    region (the line-search lineage), a Hessian is shifted to W + delta_w I
+    positive definite. Returns (qp, trust-region-active-candidate mask pair).
     """
     n = x.size
-    if second_order:
-        W = np.asarray(evals.hessian, dtype=float)
-    else:
+    if hessian is None:
         W = np.zeros((n, n))
-    if regularize and second_order:
-        W, _ = make_positive_definite(W, schedule or RegularizationSchedule())
+    else:
+        W = np.asarray(hessian, dtype=float)
+        if trust_radius is None:
+            W, _ = make_positive_definite(W, schedule)
     g = rho * np.asarray(evals.grad_f, dtype=float)
     A = np.asarray(evals.jac_c, dtype=float)
     b = -np.asarray(evals.c, dtype=float)
-    lb = lower - x
-    ub = upper - x
+    lb = bounds.lower - x
+    ub = bounds.upper - x
     tr_lower = np.zeros(n, dtype=bool)
     tr_upper = np.zeros(n, dtype=bool)
     if trust_radius is not None and np.isfinite(trust_radius):
@@ -105,25 +104,14 @@ def build_sqp_qp(
     return qp, np.stack([tr_lower, tr_upper])
 
 
-def _finite_masks(lower, upper, finite):
-    return (np.isfinite(lower), np.isfinite(upper)) if finite is None else finite
-
-
-def fraction_to_boundary(
-    x: np.ndarray,
-    dx: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    tau: float,
-    finite: tuple[np.ndarray, np.ndarray] | None = None,
-) -> float:
+def fraction_to_boundary(x: np.ndarray, dx: np.ndarray, bounds: Bounds, tau: float) -> float:
     """Largest alpha in (0, 1] with x + alpha dx >= l + (1 - tau)(x - l) and
-    x + alpha dx <= u - (1 - tau)(u - x) componentwise. finite is the pair
-    of masks (isfinite(lower), isfinite(upper)) when the caller has it."""
-    finite_lo, finite_hi = _finite_masks(lower, upper, finite)
+    x + alpha dx <= u - (1 - tau)(u - x) componentwise, over the finite
+    bounds l and u."""
     up = dx > 0.0
-    bound = np.where(up, upper, lower)
-    moving = np.flatnonzero((up | (dx < 0.0)) & np.where(up, finite_hi, finite_lo))
+    bound = np.where(up, bounds.upper, bounds.lower)
+    moving = np.flatnonzero((up | (dx < 0.0))
+                            & np.where(up, bounds.upper_finite, bounds.lower_finite))
     ratios = tau * (bound[moving] - x[moving]) / dx[moving]
     return max(float(np.fmin.reduce(ratios, initial=1.0)), 0.0)  # fmin skips NaN
 
@@ -140,13 +128,13 @@ def fraction_to_boundary_dual(zl, dzl, zu, dzu, tau) -> float:
     return max(float(lowest), 0.0)
 
 
-def push_to_interior(x, lower, upper, kappa: float) -> np.ndarray:
+def push_to_interior(x, bounds: Bounds, kappa: float) -> np.ndarray:
     """Move x strictly inside its finite bounds (at least kappa-relative):
     by kappa max(1, |bound|) from each finite bound, and by at most a
     quarter of the width from either side of a two-sided box."""
     x = np.asarray(x, dtype=float)
-    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
-    finite_lo, finite_hi = np.isfinite(lower), np.isfinite(upper)
+    lower, upper = bounds.lower, bounds.upper
+    finite_lo, finite_hi = bounds.lower_finite, bounds.upper_finite
     pad_lo = np.where(finite_lo, kappa * np.maximum(1.0, np.abs(lower)), 0.0)
     pad_hi = np.where(finite_hi, kappa * np.maximum(1.0, np.abs(upper)), 0.0)
     box = finite_lo & finite_hi
@@ -157,29 +145,26 @@ def push_to_interior(x, lower, upper, kappa: float) -> np.ndarray:
     return np.where(finite_hi, np.minimum(x, upper - pad_hi), x)
 
 
-def initial_bound_multipliers(lower, upper) -> tuple[np.ndarray, np.ndarray]:
-    zl = np.where(np.isfinite(lower), 1.0, 0.0)
-    zu = np.where(np.isfinite(upper), 1.0, 0.0)
-    return zl, zu
+def initial_bound_multipliers(bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Unit multipliers on the finite bounds, zero on the others."""
+    return np.where(bounds.lower_finite, 1.0, 0.0), np.where(bounds.upper_finite, 1.0, 0.0)
 
 
-def barrier_gradient_terms(x, lower, upper, mu, finite=None) -> np.ndarray:
-    """-mu/(x-l) + mu/(u-x) over the finite bounds (gradient of the barrier),
-    finite as in fraction_to_boundary."""
+def barrier_gradient_terms(x, bounds: Bounds, mu) -> np.ndarray:
+    """-mu/(x-l) + mu/(u-x) over the finite bounds (gradient of the barrier)."""
     out = np.zeros(x.size)
-    finite_lo, finite_hi = _finite_masks(lower, upper, finite)
-    out[finite_lo] -= mu / (x[finite_lo] - lower[finite_lo])
-    out[finite_hi] += mu / (upper[finite_hi] - x[finite_hi])
+    finite_lo, finite_hi = bounds.lower_finite, bounds.upper_finite
+    out[finite_lo] -= mu / (x[finite_lo] - bounds.lower[finite_lo])
+    out[finite_hi] += mu / (bounds.upper[finite_hi] - x[finite_hi])
     return out
 
 
-def primal_dual_diagonal(x, lower, upper, zl, zu, finite=None) -> np.ndarray:
-    """Sigma = Zl (X - L)^{-1} + Zu (U - X)^{-1} over the finite bounds,
-    finite as in fraction_to_boundary."""
+def primal_dual_diagonal(x, bounds: Bounds, zl, zu) -> np.ndarray:
+    """Sigma = Zl (X - L)^{-1} + Zu (U - X)^{-1} over the finite bounds."""
     sigma = np.zeros(x.size)
-    finite_lo, finite_hi = _finite_masks(lower, upper, finite)
-    sigma[finite_lo] += zl[finite_lo] / (x[finite_lo] - lower[finite_lo])
-    sigma[finite_hi] += zu[finite_hi] / (upper[finite_hi] - x[finite_hi])
+    finite_lo, finite_hi = bounds.lower_finite, bounds.upper_finite
+    sigma[finite_lo] += zl[finite_lo] / (x[finite_lo] - bounds.lower[finite_lo])
+    sigma[finite_hi] += zu[finite_hi] / (bounds.upper[finite_hi] - x[finite_hi])
     return sigma
 
 
@@ -194,8 +179,7 @@ def ipm_solve_step(
     y: np.ndarray,
     zl: np.ndarray,
     zu: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
+    bounds: Bounds,
     mu: float,
     schedule: RegularizationSchedule,
     tau_min: float,
@@ -219,11 +203,10 @@ def ipm_solve_step(
     c = np.asarray(evals.c, dtype=float)
     grad = np.asarray(evals.grad_f, dtype=float)
 
-    finite = finite_lo, finite_hi = np.isfinite(lower), np.isfinite(upper)
-    sigma = primal_dual_diagonal(x, lower, upper, zl, zu, finite)
+    sigma = primal_dual_diagonal(x, bounds, zl, zu)
     H = W.copy()
     H.flat[:: n + 1] += sigma
-    barrier = barrier_gradient_terms(x, lower, upper, mu, finite)
+    barrier = barrier_gradient_terms(x, bounds, mu)
     r_d = grad - (J.T @ y if m else 0.0) + barrier
 
     fact = inertia_correct(
@@ -236,13 +219,14 @@ def ipm_solve_step(
 
     dzl = np.zeros(n)
     dzu = np.zeros(n)
-    gap_lo = x[finite_lo] - lower[finite_lo]
-    gap_hi = upper[finite_hi] - x[finite_hi]
+    finite_lo, finite_hi = bounds.lower_finite, bounds.upper_finite
+    gap_lo = x[finite_lo] - bounds.lower[finite_lo]
+    gap_hi = bounds.upper[finite_hi] - x[finite_hi]
     dzl[finite_lo] = (mu - zl[finite_lo] * dx[finite_lo]) / gap_lo - zl[finite_lo]
     dzu[finite_hi] = (mu + zu[finite_hi] * dx[finite_hi]) / gap_hi - zu[finite_hi]
 
     tau = max(tau_min, 1.0 - mu)
-    alpha_x = fraction_to_boundary(x, dx, lower, upper, tau, finite)
+    alpha_x = fraction_to_boundary(x, dx, bounds, tau)
     alpha_z = fraction_to_boundary_dual(zl, dzl, zu, dzu, tau)  # dz = 0 at an infinite bound
 
     gtd = float(grad @ dx)
@@ -279,21 +263,18 @@ def kkt_residuals(
     y: np.ndarray,
     zl: np.ndarray,
     zu: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
+    bounds: Bounds,
     rho: float,
     mu: float,
     scaling_cap: float,
-    finite: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, float, float, float]:
     """The residuals of the KKT conditions of the barrier problem at mu
     (mu = 0: of the problem itself) with objective multiplier rho, at
     (x, y, zl, zu): the stationarity rho grad_f - J^T y - (zl - zu) and its
     part at rho = 0, each over s_d (dual_scaling); max |c|; and the
     complementarity, gap * z - mu over the finite bounds and 0 * z at the
-    others, over s_d. finite is as in fraction_to_boundary. The Jacobian is
-    not read when m = 0."""
-    finite_lo, finite_hi = _finite_masks(lower, upper, finite)
+    others, over s_d. The Jacobian is not read when m = 0."""
+    finite_lo, finite_hi = bounds.lower_finite, bounds.upper_finite
     stat = rho * np.asarray(evals.grad_f)
     z = zl - zu
     if y.size:
@@ -304,9 +285,9 @@ def kkt_residuals(
     else:
         stat0 = -z  # |-0 - z| = |z|
     stat -= z
-    gap_lo = np.where(finite_lo, x - lower, 0.0)
+    gap_lo = np.where(finite_lo, x - bounds.lower, 0.0)
     gap_lo *= zl
-    gap_hi = np.where(finite_hi, upper - x, 0.0)
+    gap_hi = np.where(finite_hi, bounds.upper - x, 0.0)
     gap_hi *= zu
     np.subtract(gap_lo, mu, out=gap_lo, where=finite_lo)
     np.subtract(gap_hi, mu, out=gap_hi, where=finite_hi)

@@ -21,6 +21,7 @@ from modnlp.relaxation import (
     error_measure,
     l1_sign_residual,
 )
+from modnlp.state import Bounds
 
 EPSILON = 1e-6
 PRESETS = ("filtersqp", "ipopt", "byrd")
@@ -158,7 +159,7 @@ def test_criterion_6_filter_properties():
     rng = np.random.RandomState(2024)
     violations = 0
     for _ in range(1000):
-        flt = Filter(replace(Options(), filter_beta=0.999, filter_gamma=1e-3), eta_max=np.inf)
+        flt = Filter(replace(Options(), filter_beta=0.999, filter_gamma=1e-3))
         for _ in range(rng.randint(1, 20)):
             flt.add(float(rng.rand() * 2), float(rng.randn()))
         entries = flt.entries
@@ -206,7 +207,7 @@ def test_criterion_7_barrier_invariants(monkeypatch):
     assert records
     violations = 0
     for iterate, trial, direction, alpha, tau, ws in records:
-        lo, hi = ws.lower, ws.upper
+        lo, hi = ws.bounds.lower, ws.bounds.upper
         finite_lo, finite_hi = np.isfinite(lo), np.isfinite(hi)
         if np.any(trial.x[finite_lo] <= lo[finite_lo]) or np.any(
             trial.x[finite_hi] >= hi[finite_hi]
@@ -239,7 +240,7 @@ def test_criterion_7_barrier_invariants(monkeypatch):
         ev = Evaluations(0.0, rng.randn(m), rng.randn(n), rng.randn(m, n), W)
         mu = 0.03
         d = ipm_solve_step(ev, x, rng.randn(m), zl, np.zeros(n),
-                           np.zeros(n), np.full(n, np.inf),
+                           Bounds(np.zeros(n), np.full(n, np.inf)),
                            mu, RegularizationSchedule(), Options().tau_min)
         resid = x * (zl + d.dzl) + zl * d.dx - mu
         worst = max(worst, float(np.max(np.abs(resid))))
@@ -318,7 +319,7 @@ def test_criterion_10_termination_cross_check(preset_results):
                 x_full = _lift(working, model, result.x)
                 ev = evaluate(working, x_full)
                 e = error_measure(ev, x_full, result.y, result.rho,
-                                  working.variable_lower, working.variable_upper)
+                                  Bounds(working.variable_lower, working.variable_upper))
                 if e > 10 * EPSILON:
                     bad.append((preset, name, "E=%.2e" % e))
             elif result.status == "InfeasibleStationary" and result.iterations > 0:

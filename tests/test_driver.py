@@ -413,6 +413,7 @@ class TestSolve:
 
     def test_kkt_cross_check_with_error_measure(self):
         from modnlp.relaxation import error_measure
+        from modnlp.state import Bounds
         from modnlp.reformulation import scale_functions as scale_op
 
         model = corpus_get("hs063")
@@ -425,7 +426,7 @@ class TestSolve:
         ev = evaluate(working, x_full)
         x_full[model.n:] = ev.c[: working.n - model.n] * 0  # no slacks on hs063
         e = error_measure(ev, x_full, result.y, result.rho,
-                          working.variable_lower, working.variable_upper)
+                          Bounds(working.variable_lower, working.variable_upper))
         assert e <= 10 * 1e-6
 
     def test_qp_kkt_violation_ends_in_a_status(self):
@@ -574,8 +575,9 @@ def compute_residuals_oracle(ws, iterate, rho, scaling_cap):
     stat = float(np.max(np.abs(rho * grad - jty - z), initial=0.0)) / s_d
     stat0 = float(np.max(np.abs(-jty - z), initial=0.0)) / s_d
     feas = float(np.max(np.abs(ev.c), initial=0.0))
-    gap_lo = np.where(np.isfinite(ws.lower), iterate.x - ws.lower, 0.0)
-    gap_hi = np.where(np.isfinite(ws.upper), ws.upper - iterate.x, 0.0)
+    lower, upper = ws.bounds.lower, ws.bounds.upper
+    gap_lo = np.where(np.isfinite(lower), iterate.x - lower, 0.0)
+    gap_hi = np.where(np.isfinite(upper), upper - iterate.x, 0.0)
     comp = max(
         float(np.max(np.abs(gap_lo * iterate.zl), initial=0.0)),
         float(np.max(np.abs(gap_hi * iterate.zu), initial=0.0)),
@@ -604,8 +606,8 @@ def test_compute_residuals_equals_the_oracle():
         working = to_equality_form(counted)
         ws = Workspace(working)
         n, m = working.n, working.m
-        lower = np.where(np.isfinite(ws.lower), ws.lower, -3.0)
-        upper = np.where(np.isfinite(ws.upper), ws.upper, 3.0)
+        lower = np.where(ws.bounds.lower_finite, ws.bounds.lower, -3.0)
+        upper = np.where(ws.bounds.upper_finite, ws.bounds.upper, 3.0)
         for trial in range(12):
             x = lower + (upper - lower) * rng.rand(n)
             y = rng.randn(m) * 10.0 ** rng.uniform(-3, 3, m)

@@ -151,15 +151,15 @@ def test_hessian_memo_evaluates_again_after_restoration_resets_y():
     working, counts = instrument(to_equality_form(corpus_get("hs071")))
     ws = Workspace(working)
     _, relaxation, _ = _build_ingredients(ws, PRESETS["ipopt"])
-    x, zl, zu = relaxation.subproblem.initial_point(ws, working.initial_point)
+    x, zl, zu = relaxation.subproblem.initial_point(working.initial_point)
     iterate = Iterate(x, np.array([3.0, -2.0]), zl, zu, EvaluationRecord(working, x))
     relaxation.initialize(iterate)
-    relaxation.subproblem.optimality_direction(ws, iterate, None)
-    relaxation.subproblem.optimality_direction(ws, iterate, None)
+    relaxation.subproblem.optimality_direction(iterate, None)
+    relaxation.subproblem.optimality_direction(iterate, None)
     assert counts.hessian == 1
     y_before = iterate.y
     relaxation._enter_restoration(iterate)
     assert not np.array_equal(iterate.y, y_before)
-    relaxation.subproblem.optimality_direction(ws, iterate, None)
+    relaxation.subproblem.optimality_direction(iterate, None)
     assert counts.hessian == 2
     assert counts.objective == 1 and counts.objective_gradient == 1  # one record of x

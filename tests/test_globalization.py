@@ -18,7 +18,7 @@ from modnlp.globalization import (
 from modnlp.linalg import OPTIMAL
 from modnlp.model import Evaluations
 from modnlp.relaxation import FeasibilityRestoration, L1Relaxation, QPSubproblem
-from modnlp.state import Iterate
+from modnlp.state import Bounds, Iterate
 from modnlp.subproblem import Direction
 
 
@@ -62,13 +62,14 @@ class TestMeasures:
         assert m.merit == 0.5 * 2.0 + 1.5 + 0.25
 
     def test_barrier_term(self):
-        xi = barrier_value(np.array([0.5]), np.array([0.0]), np.array([np.inf]), 0.1)
+        xi = barrier_value(np.array([0.5]), Bounds(np.array([0.0]), np.array([np.inf])), 0.1)
         assert xi == pytest.approx(-0.1 * np.log(0.5))
         m = compute_measures(0.0, np.zeros(1), barrier_term=xi)
         assert m.xi == pytest.approx(0.0693147, rel=1e-5)
 
     def test_barrier_infinite_outside(self):
-        assert barrier_value(np.array([0.0]), np.array([0.0]), np.array([np.inf]), 0.1) == np.inf
+        bounds = Bounds(np.array([0.0]), np.array([np.inf]))
+        assert barrier_value(np.array([0.0]), bounds, 0.1) == np.inf
 
     def test_barrier_matches_loop_bitwise(self):
         def loop(x, lower, upper, mu):
@@ -105,7 +106,7 @@ class TestMeasures:
             mu = 10.0 ** rng.uniform(-9.0, 0.0)
             expected = loop(x, lower, upper, mu)
             outside += expected == np.inf
-            assert np.float64(barrier_value(x, lower, upper, mu)).tobytes() == \
+            assert np.float64(barrier_value(x, Bounds(lower, upper), mu)).tobytes() == \
                 np.float64(expected).tobytes()
         assert outside > 20
 
@@ -136,7 +137,7 @@ class TestMeasures:
                         vector[rng.rand(n) < 0.05] = value
                 mu = 10.0 ** rng.uniform(-9.0, 0.0)
                 expected = oracle(x, lower, upper, mu)
-                assert np.float64(barrier_value(x, lower, upper, mu)).tobytes() == \
+                assert np.float64(barrier_value(x, Bounds(lower, upper), mu)).tobytes() == \
                     np.float64(expected).tobytes()
                 kinds.add("nan" if np.isnan(expected) else "inf" if expected == np.inf
                           else "zero" if expected == 0.0 else "finite")
@@ -198,7 +199,7 @@ class TestMerit:
         zero = Direction(np.zeros(2), np.zeros(1), np.zeros(2), np.zeros(2), OPTIMAL)
         merit = MeritL1(replace(OPTS, armijo_sigma=0.1))
         for cls in (L1Relaxation, FeasibilityRestoration):
-            relaxation = cls(None, QPSubproblem(OPTS), merit, OPTS)
+            relaxation = cls(None, QPSubproblem(None, OPTS), merit, OPTS)
             assert relaxation.acceptance_test(iterate, zero)(trial, 1.0)
 
     def test_sigma_zero_accepts_non_increasing(self):
@@ -210,14 +211,14 @@ class TestMerit:
 
 class TestFilter:
     def test_insert_mutually_nondominated(self):
-        f = Filter(OPTS, eta_max=np.inf)
+        f = Filter(OPTS)
         for eta, phi in ((2.0, 0.5), (0.5, 2.0)):
             f.add(eta, phi)
         f.add(1.0, 1.0)
         assert sorted(f.entries) == [(0.5, 2.0), (1.0, 1.0), (2.0, 0.5)]
 
     def test_dominance_pruning(self):
-        f = Filter(OPTS, eta_max=np.inf)
+        f = Filter(OPTS)
         for eta, phi in ((1.0, 1.0), (2.0, 0.5)):
             f.add(eta, phi)
         f.add(0.1, 0.1)
@@ -229,7 +230,7 @@ class TestFilter:
         assert f.entries == []
 
     def test_envelope_acceptability(self):
-        f = Filter(replace(OPTS, filter_beta=0.99, filter_gamma=1e-5), eta_max=np.inf)
+        f = Filter(replace(OPTS, filter_beta=0.99, filter_gamma=1e-5))
         f.add(1.0, 5.0)
         assert f.acceptable(0.5, 10.0)  # eta branch
         assert f.acceptable(2.0, 4.0)  # phi branch
@@ -250,7 +251,7 @@ class TestFilter:
     def test_dominance_invariant_random_inserts(self):
         rng = np.random.RandomState(77)
         for _ in range(1000):
-            f = Filter(OPTS, eta_max=np.inf)
+            f = Filter(OPTS)
             for _ in range(rng.randint(1, 25)):
                 f.add(float(rng.rand()), float(rng.randn()))
             entries = f.entries
@@ -264,7 +265,7 @@ class TestFilter:
     def test_acceptability_monotone_under_shrinking(self):
         rng = np.random.RandomState(78)
         for _ in range(200):
-            f = Filter(OPTS, eta_max=np.inf)
+            f = Filter(OPTS)
             for _ in range(rng.randint(1, 15)):
                 f.add(float(rng.rand()), float(rng.randn()))
             probe = (float(rng.rand()), float(rng.randn()))

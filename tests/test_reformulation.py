@@ -6,7 +6,8 @@ from modnlp.errors import InconsistentBoundsError
 from modnlp.linalg import elastic_init, ldlt_factorize
 from modnlp.model import EvaluationRecord, evaluate
 from modnlp.reformulation import scale_functions, to_equality_form
-from modnlp.relaxation import elastic_evaluations
+from modnlp.driver import Options
+from modnlp.relaxation import IPMSubproblem, elastic_evaluations
 from modnlp.state import Workspace
 
 
@@ -142,7 +143,8 @@ def test_elastic_init():
 def elastic_at(base, x, rho):
     """The elastic problem at rho, at x with exact elastics (u+, u-) = (c+, c-)."""
     u = np.concatenate(elastic_init(evaluate(base, x, with_derivatives=False).c))
-    return elastic_evaluations(Workspace(base), EvaluationRecord(base, x), np.zeros(base.m), u, rho)
+    return elastic_evaluations(EvaluationRecord(base, x), np.zeros(base.m), u, rho,
+                               Workspace(base).bounds)
 
 
 def test_elastic_model_objective_and_residual():
@@ -152,7 +154,7 @@ def test_elastic_model_objective_and_residual():
         for _ in range(5):
             x = rng.uniform(-2.0, 2.0, size=base.n)
             ev = evaluate(base, x, with_derivatives=False)
-            eev, _, _ = elastic_at(base, x, rho)
+            eev = elastic_at(base, x, rho)
             np.testing.assert_allclose(eev.c, np.zeros(base.m), atol=1e-14)
             assert eev.f == pytest.approx(rho * ev.f + np.sum(np.abs(ev.c)))
 
@@ -161,8 +163,8 @@ def test_elastic_rho_zero_is_feasibility_objective():
     base = to_equality_form(corpus_get("hs006"))
     x = np.array([0.5, -1.0])
     ev = evaluate(base, x, with_derivatives=False)
-    assert elastic_at(base, x, 0.0)[0].f == pytest.approx(np.sum(np.abs(ev.c)))
-    assert elastic_at(base, x, 2.0)[0].f == pytest.approx(2.0 * ev.f + np.sum(np.abs(ev.c)))
+    assert elastic_at(base, x, 0.0).f == pytest.approx(np.sum(np.abs(ev.c)))
+    assert elastic_at(base, x, 2.0).f == pytest.approx(2.0 * ev.f + np.sum(np.abs(ev.c)))
 
 
 def test_elastic_jacobian_full_row_rank():
@@ -171,7 +173,7 @@ def test_elastic_jacobian_full_row_rank():
         base = to_equality_form(corpus_get(name))
         for _ in range(10):
             x = rng.uniform(-2.0, 2.0, size=base.n)
-            J = elastic_at(base, x, 1.0)[0].jac_c
+            J = elastic_at(base, x, 1.0).jac_c
             # rank via factorization of J J^T
             fact = ldlt_factorize(J @ J.T)
             assert fact.inertia == (base.m, 0, 0)
@@ -179,10 +181,13 @@ def test_elastic_jacobian_full_row_rank():
 
 def test_elastic_structure_sizes():
     base = to_equality_form(corpus_get("booth"))
-    eev, lower, upper = elastic_evaluations(
-        Workspace(base), EvaluationRecord(base, np.zeros(base.n)), np.zeros(base.m), np.zeros(4),
-        1.0,
+    ws = Workspace(base)
+    eev = elastic_evaluations(
+        EvaluationRecord(base, np.zeros(base.n)), np.zeros(base.m), np.zeros(4), 1.0, ws.bounds
     )
-    assert lower.size == upper.size == base.n + 4
+    bounds = IPMSubproblem(ws, Options()).elastic_bounds
+    assert bounds.lower.size == bounds.upper.size == eev.grad_f.size == base.n + 4
+    assert np.array_equal(bounds.lower[base.n:], np.zeros(4))
+    assert np.array_equal(bounds.upper[base.n:], np.full(4, np.inf))
     assert eev.c.size == 2
     np.testing.assert_allclose(eev.grad_f[base.n:], np.ones(4))

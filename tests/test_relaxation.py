@@ -25,7 +25,7 @@ from modnlp.relaxation import (
     l1_sign_residual,
     projected_stationarity_l1,
 )
-from modnlp.state import Iterate, Workspace
+from modnlp.state import Bounds, Iterate, Workspace
 from modnlp.subproblem import initial_bound_multipliers, push_to_interior
 
 INF = np.inf
@@ -56,13 +56,13 @@ class TestErrorMeasure:
         # min (x-1)^2 unconstrained-in-c with one equality x1 - 1 = 0
         ev = self.evals_for([0.0], [[1.0]], [0.0])
         e = error_measure(ev, np.array([1.0]), np.array([0.0]), 1.0,
-                          np.array([-INF]), np.array([INF]))
+                          Bounds(np.array([-INF]), np.array([INF])))
         assert e == 0.0
 
     def test_feasible_wrong_multiplier(self):
         ev = self.evals_for([0.5], [[1.0]], [0.0])
         e = error_measure(ev, np.array([1.0]), np.array([0.0]), 1.0,
-                          np.array([-INF]), np.array([INF]))
+                          Bounds(np.array([-INF]), np.array([INF])))
         assert e == pytest.approx(0.5)
 
     def test_l1_subgradient_consistency(self):
@@ -76,11 +76,11 @@ class TestErrorMeasure:
         # at an active lower bound a positive reduced gradient is optimal
         ev = self.evals_for([1.0], np.zeros((0, 1)), np.zeros(0))
         e = error_measure(ev, np.array([0.0]), np.zeros(0), 1.0,
-                          np.array([0.0]), np.array([INF]))
+                          Bounds(np.array([0.0]), np.array([INF])))
         assert e == 0.0
         ev = self.evals_for([-1.0], np.zeros((0, 1)), np.zeros(0))
         e = error_measure(ev, np.array([0.0]), np.zeros(0), 1.0,
-                          np.array([0.0]), np.array([INF]))
+                          Bounds(np.array([0.0]), np.array([INF])))
         assert e == pytest.approx(1.0)
 
 
@@ -115,7 +115,7 @@ class TestSteering:
 
         def l_at(rho):
             probe = L1Relaxation(
-                ws, QPSubproblem(relaxation.opts), relaxation.strategy,
+                ws, QPSubproblem(ws, relaxation.opts), relaxation.strategy,
                 replace(relaxation.opts, rho_initial=rho),
             )
             direction = probe._solve_at(it, rho, None)
@@ -211,8 +211,8 @@ class TestRestoration:
                 hessian=np.eye(n),
             )
             qp, _ = build_sqp_qp(
-                ev, rng.rand(n), 0.0, np.zeros(n), np.full(n, INF),
-                trust_radius=10 ** rng.uniform(-3, 1),
+                ev, ev.hessian, rng.rand(n), 0.0, Bounds(np.zeros(n), np.full(n, INF)),
+                10 ** rng.uniform(-3, 1), None,
             )
             sol = qp_solve(extend_with_elastics(qp))
             assert sol.status == OPTIMAL
@@ -225,23 +225,40 @@ def test_trust_region_pinned_components_have_no_bound_multipliers(name):
     ws, it, _, _ = prepared(name, preset="filtersqp")
     it.zl, it.zu = np.ones(ws.model.n), np.ones(ws.model.n)
     radius = 1e-2
-    d = QPSubproblem(Options()).optimality_direction(ws, it, radius)
+    d = QPSubproblem(ws, Options()).optimality_direction(it, radius)
     assert d.status == OPTIMAL
     tol = 1e-10
-    pinned = ((d.dx <= -radius + tol) & (ws.lower - it.x < -radius)) | (
-        (d.dx >= radius - tol) & (ws.upper - it.x > radius))
+    pinned = ((d.dx <= -radius + tol) & (ws.bounds.lower - it.x < -radius)) | (
+        (d.dx >= radius - tol) & (ws.bounds.upper - it.x > radius))
     assert np.any(pinned)
     assert np.all(it.zl[pinned] + d.dzl[pinned] == 0.0)
     assert np.all(it.zu[pinned] + d.dzu[pinned] == 0.0)
 
 
+@pytest.mark.parametrize("preset, made", [("filtersqp", 1), ("ipopt", 2)])
+def test_each_bound_set_is_made_once_per_solve(monkeypatch, preset, made):
+    # the bounds of x, and under an interior subproblem those of the elastic
+    # space (x, u+, u-) too, each with its finite masks, at the solve's start
+    from modnlp.driver import solve
+
+    original, made_now = Bounds.__init__, []
+
+    def counted(self, lower, upper):
+        made_now.append(np.size(lower))
+        original(self, lower, upper)
+
+    monkeypatch.setattr(Bounds, "__init__", counted)
+    result = solve(corpus_get("hs071"), preset_options(preset))
+    assert result.status == "FeasibleKKT" and len(made_now) == made
+
+
 def test_ipm_elastic_direction_curvature_is_base_hessian():
     ws, it, relaxation, _ = prepared("hs071", preset="ipopt")
-    it.x = push_to_interior(it.x, ws.lower, ws.upper, relaxation.subproblem.opts.interior_push)
-    it.zl, it.zu = initial_bound_multipliers(ws.lower, ws.upper)
+    it.x = push_to_interior(it.x, ws.bounds, relaxation.subproblem.opts.interior_push)
+    it.zl, it.zu = initial_bound_multipliers(ws.bounds)
     it.evals = EvaluationRecord(ws.model, it.x)
     for rho in (0.0, 0.37, 1.0):
-        direction = relaxation.subproblem.feasibility_direction(ws, it, rho, None)
+        direction = relaxation.subproblem.feasibility_direction(it, rho, None)
         W = ws.model.eval_lagrangian_hessian(it.x, rho, it.y)
         assert direction.dwd == pytest.approx(float(direction.dx @ W @ direction.dx), rel=1e-12)
 
@@ -295,7 +312,7 @@ def test_l1_residuals_equal_the_component_loops():
         x[fixed] = lower[fixed]
         g = rng.randn(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
         g[rng.rand(n) < 0.1] = 0.0
-        assert projected_stationarity_l1(g, x, lower, upper) == \
+        assert projected_stationarity_l1(g, x, Bounds(lower, upper)) == \
             stationarity_loop(g, x, lower, upper)
 
 
@@ -322,7 +339,7 @@ def per_trial_acceptance(relaxation, iterate, trial, direction, alpha):
         return infeasibility_armijo(current, trial_m, models, alpha, strategy.sigma)
     accepted = infeasibility_armijo(current, trial_m, models, alpha, strategy.sigma) or (
         relaxation.subproblem.smoothed_infeasibility_armijo(
-            relaxation.ws, iterate, trial, direction, alpha, strategy.sigma))
+            iterate, trial, direction, alpha, strategy.sigma))
     if (accepted and strategy.admits(trial_m)
             and trial_m.eta <= relaxation.restoration_exit_factor * current.eta):
         relaxation._exit_restoration(current)
@@ -419,7 +436,7 @@ def test_acceptance_test_reads_the_phase_at_each_trial():
                        Evaluations(0.0, c, np.zeros(1), np.ones((1, 1))))
 
     strategy = Scripted([False, True])
-    relaxation = FeasibilityRestoration(None, QPSubproblem(Options()), strategy, Options())
+    relaxation = FeasibilityRestoration(None, QPSubproblem(None, Options()), strategy, Options())
     relaxation.phase = RESTORATION
     relaxation.reference = ProgressMeasures(eta=1.5, f=0.0)
     relaxation._optimality_feasible = True

@@ -14,6 +14,7 @@ from modnlp.linalg import (
 )
 from modnlp.model import Evaluations, evaluate
 from modnlp.reformulation import to_equality_form
+from modnlp.state import Bounds
 from modnlp.subproblem import (
     Direction,
     barrier_gradient_terms,
@@ -48,7 +49,9 @@ class TestBuildQP:
     def test_bound_encoding(self):
         # min x^2 s.t. x >= 0 at x = 2: step to the origin
         ev = scalar_model_evals([[2.0]], [4.0], np.zeros(0), np.zeros((0, 1)))
-        qp, tr = build_sqp_qp(ev, np.array([2.0]), 1.0, np.array([0.0]), np.array([INF]))
+        qp, tr = build_sqp_qp(ev, ev.hessian, np.array([2.0]), 1.0,
+                              Bounds(np.array([0.0]), np.array([INF])), None,
+                              RegularizationSchedule())
         assert qp.d_lower[0] == -2.0 and qp.d_upper[0] == INF
         from modnlp.linalg import qp_solve
 
@@ -58,7 +61,8 @@ class TestBuildQP:
     def test_trust_region_caps_step(self):
         ev = scalar_model_evals([[2.0]], [4.0], np.zeros(0), np.zeros((0, 1)))
         qp, tr = build_sqp_qp(
-            ev, np.array([2.0]), 1.0, np.array([0.0]), np.array([INF]), trust_radius=1.0
+            ev, ev.hessian, np.array([2.0]), 1.0, Bounds(np.array([0.0]), np.array([INF])), 1.0,
+            None,
         )
         assert qp.d_lower[0] == -1.0 and qp.d_upper[0] == 1.0
         from modnlp.linalg import qp_solve
@@ -68,27 +72,42 @@ class TestBuildQP:
     def test_infinite_trust_region_is_identity(self):
         ev = scalar_model_evals(np.eye(2), [1.0, -1.0], np.zeros(0), np.zeros((0, 2)))
         x = np.array([0.5, 1.5])
-        lower, upper = np.zeros(2), np.array([2.0, INF])
-        plain, _ = build_sqp_qp(ev, x, 1.0, lower, upper)
-        capped, _ = build_sqp_qp(ev, x, 1.0, lower, upper, trust_radius=np.inf)
+        bounds = Bounds(np.zeros(2), np.array([2.0, INF]))
+        plain, _ = build_sqp_qp(ev, ev.hessian, x, 1.0, bounds, None, RegularizationSchedule())
+        capped, _ = build_sqp_qp(ev, ev.hessian, x, 1.0, bounds, np.inf, None)
+        assert np.array_equal(plain.W, capped.W)  # the identity is positive definite
         assert np.array_equal(plain.d_lower, capped.d_lower)
         assert np.array_equal(plain.d_upper, capped.d_upper)
 
     def test_regularize_makes_positive_definite(self):
+        # without a trust region the Hessian is shifted positive definite
         ev = scalar_model_evals([[-1.0]], [0.0], np.zeros(0), np.zeros((0, 1)))
         schedule = RegularizationSchedule()
-        qp, _ = build_sqp_qp(
-            ev, np.array([0.0]), 1.0, np.array([-INF]), np.array([INF]),
-            regularize=True, schedule=schedule,
-        )
+        qp, _ = build_sqp_qp(ev, ev.hessian, np.array([0.0]), 1.0,
+                             Bounds(np.array([-INF]), np.array([INF])), None, schedule)
         assert schedule.last_successful > 1.0  # the schedule records the dw it took
         # independent eigen check of the returned Hessian
         assert np.all(np.linalg.eigvalsh(qp.W) > 0.0)
 
+    def test_a_trust_region_keeps_the_hessian(self):
+        ev = scalar_model_evals([[-1.0]], [0.0], np.zeros(0), np.zeros((0, 1)))
+        qp, _ = build_sqp_qp(ev, ev.hessian, np.array([0.0]), 1.0,
+                             Bounds(np.array([-INF]), np.array([INF])), 1.0, None)
+        assert np.array_equal(qp.W, [[-1.0]])
+
+    @pytest.mark.parametrize("trust_radius", [None, 1.0])
+    def test_no_hessian_is_an_lp(self, trust_radius):
+        # W = 0, with or without a trust region: nothing is shifted
+        ev = scalar_model_evals([[-1.0]], [1.0], np.zeros(0), np.zeros((0, 2)))
+        qp, _ = build_sqp_qp(ev, None, np.zeros(2), 1.0, Bounds(np.zeros(2), np.ones(2)),
+                             trust_radius, None)
+        assert np.array_equal(qp.W, np.zeros((2, 2)))
+
     def test_elastic_extension_always_feasible(self):
         ev = scalar_model_evals(np.eye(1), [0.0], [1.0], [[1.0]])
         qp, _ = build_sqp_qp(
-            ev, np.array([0.0]), 1.0, np.array([0.0]), np.array([0.0])
+            ev, ev.hessian, np.array([0.0]), 1.0, Bounds(np.array([0.0]), np.array([0.0])), None,
+            RegularizationSchedule(),
         )  # d fixed to 0, c = 1: inconsistent without elastics
         from modnlp.linalg import INFEASIBLE, OPTIMAL, qp_solve
 
@@ -102,13 +121,13 @@ class TestBuildQP:
 class TestFractionToBoundary:
     def test_closed_form_example(self):
         alpha = fraction_to_boundary(
-            np.array([1.0]), np.array([-2.0]), np.array([0.0]), np.array([INF]), 0.995
+            np.array([1.0]), np.array([-2.0]), Bounds(np.array([0.0]), np.array([INF])), 0.995
         )
         assert alpha == pytest.approx(0.4975)
 
     def test_interior_step_uncapped(self):
         alpha = fraction_to_boundary(
-            np.array([1.0]), np.array([0.5]), np.array([0.0]), np.array([2.0]), 0.995
+            np.array([1.0]), np.array([0.5]), Bounds(np.array([0.0]), np.array([2.0])), 0.995
         )
         assert alpha == 1.0
 
@@ -136,7 +155,7 @@ class TestFractionToBoundary:
             tau = rng.uniform(0.9, 1.0)
             expected = loop(x, dx, lower, upper, tau)
             capped += expected < 1.0
-            assert np.float64(fraction_to_boundary(x, dx, lower, upper, tau)).tobytes() == \
+            assert np.float64(fraction_to_boundary(x, dx, Bounds(lower, upper), tau)).tobytes() == \
                 np.float64(expected).tobytes()
         assert capped > 100
 
@@ -190,7 +209,7 @@ class TestBarrierUpdate:
         for mu, tau in ((0.1, 0.99), (1e-4, 1.0 - 1e-4)):
             d = ipm_solve_step(
                 ev, np.array([1.0]), np.zeros(0), np.array([1.0]), np.array([0.0]),
-                np.array([0.0]), np.array([INF]), mu, RegularizationSchedule(), TAU_MIN,
+                Bounds(np.array([0.0]), np.array([INF])), mu, RegularizationSchedule(), TAU_MIN,
             )
             assert d.dx[0] == pytest.approx(-(10.0 - mu))
             assert d.alpha_max == pytest.approx(tau / (10.0 - mu))
@@ -202,7 +221,7 @@ class TestIPMStep:
         ev = scalar_model_evals([[0.0]], [1.0], np.zeros(0), np.zeros((0, 1)))
         d = ipm_solve_step(
             ev, np.array([1.0]), np.zeros(0), np.array([1.0]), np.array([0.0]),
-            np.array([0.0]), np.array([INF]), 0.1,
+            Bounds(np.array([0.0]), np.array([INF])), 0.1,
             RegularizationSchedule(), TAU_MIN,
         )
         np.testing.assert_allclose(d.dx, [-0.9], atol=1e-12)
@@ -228,11 +247,10 @@ class TestIPMStep:
             g = rng.randn(n)
             c = rng.randn(m)
             mu = 0.05
-            lower = np.zeros(n)
-            upper = np.full(n, INF)
+            bounds = Bounds(np.zeros(n), np.full(n, INF))
             ev = scalar_model_evals(W, g, c, J)
             schedule = RegularizationSchedule()
-            d = ipm_solve_step(ev, x, y, zl, np.zeros(n), lower, upper, mu, schedule, TAU_MIN)
+            d = ipm_solve_step(ev, x, y, zl, np.zeros(n), bounds, mu, schedule, TAU_MIN)
             if schedule.last_successful != RegularizationSchedule.last_successful:
                 continue  # a shift dw > 0 was recorded: the identity holds without one
             checked += 1
@@ -256,7 +274,7 @@ class TestIPMStep:
         ev = scalar_model_evals(np.eye(n), rng.randn(n), rng.randn(m), rng.randn(m, n))
         mu = 0.02
         d = ipm_solve_step(
-            ev, x, np.zeros(m), zl, np.zeros(n), np.zeros(n), np.full(n, INF),
+            ev, x, np.zeros(m), zl, np.zeros(n), Bounds(np.zeros(n), np.full(n, INF)),
             mu, RegularizationSchedule(), TAU_MIN,
         )
         resid = x * (zl + d.dzl) + zl * d.dx - mu
@@ -273,7 +291,7 @@ class TestIPMStep:
             ev = scalar_model_evals(W, rng.randn(n), rng.randn(m), rng.randn(m, n))
             tau = max(TAU_MIN, 1.0 - 0.05)
             d = ipm_solve_step(
-                ev, x, rng.randn(m), zl, np.zeros(n), np.zeros(n), np.full(n, INF),
+                ev, x, rng.randn(m), zl, np.zeros(n), Bounds(np.zeros(n), np.full(n, INF)),
                 0.05, RegularizationSchedule(), TAU_MIN,
             )
             assert 0.0 < d.alpha_max <= 1.0
@@ -287,7 +305,7 @@ class TestIPMStep:
 def test_push_to_interior():
     lower = np.array([0.0, -INF, 1.0])
     upper = np.array([INF, 2.0, 1.5])
-    x = push_to_interior(np.array([0.0, 5.0, 1.0]), lower, upper, kappa=1e-2)
+    x = push_to_interior(np.array([0.0, 5.0, 1.0]), Bounds(lower, upper), kappa=1e-2)
     assert x[0] >= 0.01
     assert x[1] <= 2.0 - 0.01 * 2.0 + 1e-15
     assert lower[2] < x[2] < upper[2]
@@ -329,7 +347,7 @@ def test_push_to_interior_matches_the_loop():
         kinds.update(kind.tolist())
         kinds.update(["narrow"] if narrow.any() else [])
         x = rng.randn(n) * 10.0 ** rng.uniform(-1.0, 3.0, n)
-        pushed = push_to_interior(x, lower, upper, kappa)
+        pushed = push_to_interior(x, Bounds(lower, upper), kappa)
         assert np.array_equal(pushed, push_to_interior_loop(x, lower, upper, kappa))
         assert np.all(lower < pushed) and np.all(pushed < upper)
     assert kinds == {0, 1, 2, 3, "narrow"}
@@ -343,7 +361,7 @@ def test_ipm_on_equality_model_matches_newton():
     ev = evaluate(model, x, 1.0, y, with_hessian=True)
     d = ipm_solve_step(
         ev, x, y, np.zeros(model.n), np.zeros(model.n),
-        model.variable_lower, model.variable_upper,
+        Bounds(model.variable_lower, model.variable_upper),
         0.1, RegularizationSchedule(), TAU_MIN,
     )
     K = np.block([[ev.hessian, ev.jac_c.T], [ev.jac_c, np.zeros((model.m, model.m))]])
@@ -487,24 +505,21 @@ def bounded_points(rng, count):
 
 
 def test_barrier_helpers_equal_the_oracle():
-    # with the masks passed or not, byte for byte
+    # byte for byte
     rng = np.random.RandomState(41)
     with np.errstate(divide="ignore", invalid="ignore"):
         for x, lower, upper, zl, zu in bounded_points(rng, 400):
-            finite = np.isfinite(lower), np.isfinite(upper)
+            bounds = Bounds(lower, upper)
             mu = 10.0 ** rng.uniform(-9.0, 0.0)
             expected = parent_primal_dual_diagonal(x, lower, upper, zl, zu)
-            assert same_bytes(primal_dual_diagonal(x, lower, upper, zl, zu), expected)
-            assert same_bytes(primal_dual_diagonal(x, lower, upper, zl, zu, finite), expected)
+            assert same_bytes(primal_dual_diagonal(x, bounds, zl, zu), expected)
             expected = parent_barrier_gradient_terms(x, lower, upper, mu)
-            assert same_bytes(barrier_gradient_terms(x, lower, upper, mu), expected)
-            assert same_bytes(barrier_gradient_terms(x, lower, upper, mu, finite), expected)
+            assert same_bytes(barrier_gradient_terms(x, bounds, mu), expected)
             dx = rng.randn(x.size) * 10.0 ** rng.uniform(-2.0, 2.0)
             dx[rng.rand(x.size) < 0.1] = 0.0
             tau = rng.uniform(0.9, 1.0)
             expected = parent_fraction_to_boundary(x, dx, lower, upper, tau)
-            assert same_bytes(fraction_to_boundary(x, dx, lower, upper, tau), expected)
-            assert same_bytes(fraction_to_boundary(x, dx, lower, upper, tau, finite), expected)
+            assert same_bytes(fraction_to_boundary(x, dx, bounds, tau), expected)
 
 
 def test_barrier_kkt_error_equals_the_oracle():
@@ -529,7 +544,7 @@ def test_barrier_kkt_error_equals_the_oracle():
             mu = 10.0 ** rng.uniform(-9.0, 0.0)
             cap = (100.0, INF)[trial % 2]
             stationarity, _, feasibility, complementarity = kkt_residuals(
-                evals, x, y, zl, zu, lower, upper, 1.0, mu, cap)
+                evals, x, y, zl, zu, Bounds(lower, upper), 1.0, mu, cap)
             error = max(stationarity, feasibility, complementarity)
             parts = parent_barrier_kkt_parts(evals, x, y, zl, zu, lower, upper, mu, cap)
             # the two complementarity sides are joined first, as in the
@@ -608,7 +623,7 @@ def test_ipm_solve_step_equals_the_oracle():
         y = rng.randn(m)
         mu = 10.0 ** rng.uniform(-8.0, 0.0)
         schedules = RegularizationSchedule(), RegularizationSchedule()
-        d = ipm_solve_step(evals, x, y, zl, zu, lower, upper, mu, schedules[0], TAU_MIN)
+        d = ipm_solve_step(evals, x, y, zl, zu, Bounds(lower, upper), mu, schedules[0], TAU_MIN)
         expected = parent_ipm_solve_step(evals, x, y, zl, zu, lower, upper, mu, schedules[1],
                                          TAU_MIN)
         for name in ("dx", "dy", "dzl", "dzu", "alpha_max", "dual_scale", "gtd", "dwd", "btd",

@@ -6,13 +6,18 @@ checkouts, interleaved.
 It solves the tasks of one pass of workload W, built from seed S by
 CHECKOUT/perfbench/workloads.py (default: this checkout; the tool only
 reads that file), with this checkout's solver, and records every qp_solve
-call the solver makes (its QPData, warm start, iteration limit and start)
-and every ipm_solve_step call (its evaluations, point, multipliers, bounds,
-mu, regularization schedule and tau_min). It then replays each call
-through CHECKOUT/src, imported under another package name, and through
-this checkout, R rounds (default 5) with one BLAS thread, alternating
-which of the two goes first. An IPM step is replayed with a fresh copy of
-the schedule it was called with.
+call the solver makes (its QPData, warm start and start) and every
+ipm_solve_step call (its evaluations, point, multipliers, bounds, mu,
+regularization schedule and tau_min). It then replays each call through
+CHECKOUT/src, imported under another package name, and through this
+checkout, R rounds (default 5) with one BLAS thread, alternating which of
+the two goes first. qp_solve is called with its warm start and start by
+keyword. An IPM step is replayed with a fresh copy of the schedule it was
+called with, and with its bounds as the checkout takes them: a
+state.Bounds of that checkout, or, for a CHECKOUT older than Bounds
+(whose ipm_solve_step takes the lower and the upper bounds as two
+arrays), those two arrays. Either way the step is the same step, so such
+a CHECKOUT is compared byte for byte like any other.
 
 For each kind of QP (plain or elastic, warm or cold, with or without phase
 I, as this checkout solves it) it prints the count, the mean microseconds
@@ -77,12 +82,12 @@ def capture(modnlp, root: Path, workload: str, seed: int):
     qps, steps, raised = [], [], []
     qp_solve, ipm_solve_step = modnlp.linalg.qp_solve, modnlp.subproblem.ipm_solve_step
 
-    def recorded_qp(qp, warm_start=None, max_iter=None, start=None):
-        qps.append(copy.deepcopy((qp, warm_start, max_iter, start)))
-        return qp_solve(qp, warm_start, max_iter, start)
+    def recorded_qp(qp, warm_start=None, start=None):
+        qps.append(copy.deepcopy((qp, warm_start, start)))
+        return qp_solve(qp, warm_start=warm_start, start=start)
 
-    def recorded_step(evals, x, y, zl, zu, lower, upper, mu, schedule, tau_min):
-        args = (evals, x, y, zl, zu, lower, upper, mu, schedule, tau_min)
+    def recorded_step(evals, x, y, zl, zu, bounds, mu, schedule, tau_min):
+        args = (evals, x, y, zl, zu, bounds, mu, schedule, tau_min)
         steps.append(copy.deepcopy(args))
         return ipm_solve_step(*args)
 
@@ -113,9 +118,9 @@ def qp_outcome(package, call) -> tuple:
     """The bytes of one replayed qp_solve call's result, or of the exception
     it raised."""
     linalg = package.linalg
-    qp, *rest = call
+    qp, warm_start, start = call
     try:
-        sol = linalg.qp_solve(converted(linalg.QPData, qp), *rest)
+        sol = linalg.qp_solve(converted(linalg.QPData, qp), warm_start=warm_start, start=start)
     except Exception as exc:  # noqa: BLE001 - a raise is a result to compare
         return ("raise", type(exc).__name__, str(exc))
     return (sol.status, sol.d.tobytes(), sol.multipliers_eq.tobytes(),
@@ -125,11 +130,17 @@ def qp_outcome(package, call) -> tuple:
 
 def run_step(package, call):
     """The Direction of one replayed ipm_solve_step call and the schedule it
-    leaves. The step runs on a fresh copy of the captured schedule."""
-    evals, *middle, schedule, tau_min = call
+    leaves. The step runs on a fresh copy of the captured schedule, with
+    the bounds as the package takes them (module docstring)."""
+    evals, x, y, zl, zu, bounds, mu, schedule, tau_min = call
     schedule = converted(package.linalg.RegularizationSchedule, schedule)
+    if hasattr(package.state, "Bounds"):
+        bounds = (package.state.Bounds(bounds.lower, bounds.upper),)
+    else:
+        bounds = (bounds.lower, bounds.upper)
     direction = package.subproblem.ipm_solve_step(
-        converted(package.model.Evaluations, evals), *middle, schedule, tau_min)
+        converted(package.model.Evaluations, evals), x, y, zl, zu, *bounds, mu, schedule,
+        tau_min)
     return direction, schedule
 
 
@@ -310,10 +321,12 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(HERE / "src"))
     import modnlp
     import modnlp.linalg
+    import modnlp.state
     import modnlp.subproblem
 
     root = load_package(args.root.resolve() / "src", "modnlp_root")
     import modnlp_root.linalg  # noqa: F401
+    import modnlp_root.state  # noqa: F401
     import modnlp_root.subproblem  # noqa: F401
 
     sides = (root, modnlp)

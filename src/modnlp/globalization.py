@@ -120,12 +120,12 @@ class Filter:
     from the options' filter_beta, filter_gamma, filter_capacity and
     eta_max_factor."""
 
-    def __init__(self, opts, eta_max: float = np.inf):
+    def __init__(self, opts):
         self.beta = opts.filter_beta
         self.gamma = opts.filter_gamma
         self.capacity = opts.filter_capacity
         self.eta_max_factor = opts.eta_max_factor
-        self.eta_max = eta_max
+        self.eta_max = np.inf  # until initialize
         self.entries: list[tuple[float, float]] = []
 
     def acceptable(self, eta: float, phi: float) -> bool:

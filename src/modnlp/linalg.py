@@ -508,12 +508,13 @@ def inertia_correct(
     H: np.ndarray,
     A: np.ndarray,
     schedule: RegularizationSchedule,
-    delta_c_value: float = 1e-8,
+    delta_c_value: float,
 ) -> Factorization:
     """Regularize the KKT matrix [[H + dw I, A^T], [A, -dc I]] until its
     inertia is exactly (n, m, 0), and return its factorization.
 
-    dc is switched on only when zero eigenvalues indicate a rank-deficient A.
+    dc is switched on, at delta_c_value, only when zero eigenvalues indicate
+    a rank-deficient A.
     Each trial is a _kkt_factorization: eigenvalues are computed only for
     small matrices, at dc > 0, and where the certificate refuses (A rank
     deficient, or Z^T (H + dw I) Z not positive definite).
@@ -957,7 +958,6 @@ def _phase_two_start(W, g, A, b, d, lb, ub, feas_tol):
 def qp_solve(
     qp: QPData,
     warm_start=None,
-    max_iter: int | None = None,
     start: np.ndarray | None = None,
 ) -> QPSolution:
     """Solve a dense QP with equality constraints and box bounds.
@@ -994,7 +994,8 @@ def qp_solve(
     solve of _certified_factorization when A_f has full row rank. Every working-set
     system, phase I and phase II, reaches LAPACK through _kkt_factorization.
     With W = 0 the method acts as an LP solver.
-    Nonconvex QPs terminate at first-order stationary points.
+    Nonconvex QPs terminate at first-order stationary points. Each phase
+    takes at most 100 (n + m + 10) working-set iterations.
 
     The bound multipliers are W d + g - A^T y on the active bounds and 0
     elsewhere, and objective_value is the objective at d. At an Optimal
@@ -1009,8 +1010,7 @@ def qp_solve(
     lb = np.asarray(qp.d_lower, dtype=float)
     ub = np.asarray(qp.d_upper, dtype=float)
     n, m = qp.n, qp.m
-    if max_iter is None:
-        max_iter = 100 * (n + m + 10)
+    max_iter = 100 * (n + m + 10)
     feas_tol = 1e-10 * (1.0 + float(np.abs(b).max()) if m else 1.0)
 
     if (lb > ub).any():

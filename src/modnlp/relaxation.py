@@ -224,7 +224,7 @@ class IPMSubproblem:
     def maybe_update_mu(self, iterate, elastic_rho=None) -> bool:
         """Decrease mu when the barrier problem being solved (the elastic one
         at elastic_rho during relaxation or restoration) is converged to its
-        mu-tolerance."""
+        mu-tolerance; a NaN part of its error holds mu."""
         opts = self.opts
         if elastic_rho is None:
             problem = (iterate.evals, iterate.x, iterate.zl, iterate.zu, self.ws.bounds)
@@ -235,7 +235,7 @@ class IPMSubproblem:
         stationarity, _, feasibility, complementarity = kkt_residuals(
             evals, x, iterate.y, zl, zu, bounds, 1.0, previous, opts.multiplier_scaling_cap
         )
-        error = max(stationarity, feasibility, complementarity)
+        error = float(np.max((stationarity, feasibility, complementarity)))
         self.mu = update_barrier_parameter(
             previous, error, opts.tolerance, opts.kappa_epsilon, opts.kappa_mu, opts.theta_mu
         )

@@ -56,10 +56,10 @@ def update_barrier_parameter(
 ) -> float:
     """The next monotone (Fiacco-McCormick) barrier parameter: mu decreases
     once the barrier-problem KKT error is below kappa_epsilon * mu, and never
-    rises; the caller must flush the filter on a decrease. From mu = 1 up,
-    kappa_mu * mu < mu <= mu**theta_mu, so the power, which can overflow
-    there, is taken only below 1."""
-    if kkt_error > kappa_epsilon * mu:
+    rises; the caller must flush the filter on a decrease. A NaN error
+    holds mu. From mu = 1 up, kappa_mu * mu < mu <= mu**theta_mu, so the
+    power, which can overflow there, is taken only below 1."""
+    if not kkt_error <= kappa_epsilon * mu:
         return mu
     decreased = min(kappa_mu * mu, mu**theta_mu) if mu < 1.0 else kappa_mu * mu
     return min(mu, max(epsilon / 10.0, decreased))
@@ -209,9 +209,7 @@ def ipm_solve_step(
     barrier = barrier_gradient_terms(x, bounds, mu)
     r_d = grad - (J.T @ y if m else 0.0) + barrier
 
-    fact = inertia_correct(
-        H, J, schedule, delta_c_value=_DELTA_C_SCALE * max(mu, 1e-8) ** 0.25
-    )
+    fact = inertia_correct(H, J, schedule, _DELTA_C_SCALE * max(mu, 1e-8) ** 0.25)
     rhs = np.concatenate([-r_d, -c])
     sol = solve_factorized(fact, rhs)
     dx = sol[:n]
@@ -273,7 +271,8 @@ def kkt_residuals(
     (x, y, zl, zu): the stationarity rho grad_f - J^T y - (zl - zu) and its
     part at rho = 0, each over s_d (dual_scaling); max |c|; and the
     complementarity, gap * z - mu over the finite bounds and 0 * z at the
-    others, over s_d. The Jacobian is not read when m = 0."""
+    others, over s_d. Each is a largest entry, and a NaN entry makes it NaN.
+    The Jacobian is not read when m = 0."""
     finite_lo, finite_hi = bounds.lower_finite, bounds.upper_finite
     stat = rho * np.asarray(evals.grad_f)
     z = zl - zu
@@ -297,4 +296,4 @@ def kkt_residuals(
         return float(np.abs(v, out=v).max(initial=0.0))
 
     return (largest(stat) / s_d, largest(stat0) / s_d, float(np.abs(evals.c).max(initial=0.0)),
-            max(largest(gap_lo), largest(gap_hi)) / s_d)
+            float(np.maximum(largest(gap_lo), largest(gap_hi))) / s_d)

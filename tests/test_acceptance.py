@@ -169,8 +169,8 @@ def test_criterion_6_filter_properties():
                     violations += 1
         probe = (float(rng.rand() * 2), float(rng.randn()))
         if flt.acceptable(*probe) and entries:
-            shrunk = Filter(replace(Options(), filter_beta=0.999, filter_gamma=1e-3),
-                            eta_max=flt.eta_max)
+            shrunk = Filter(replace(Options(), filter_beta=0.999, filter_gamma=1e-3))
+            shrunk.eta_max = flt.eta_max
             keep = rng.rand(len(entries)) < 0.5
             shrunk.entries = [e for e, k in zip(entries, keep) if k]
             if not shrunk.acceptable(*probe):

@@ -563,7 +563,8 @@ def test_no_legal_extreme_crashes_a_solve():
 
 def compute_residuals_oracle(ws, iterate, rho, scaling_cap):
     """compute_residuals, dual_scaling and l1_sign_residual as they were
-    before they took fewer numpy passes: the oracle of their values."""
+    before they took fewer numpy passes: the oracle of their values. The two
+    complementarity sides are joined by a max that a NaN side makes NaN."""
     ev = iterate.evals
     grad = np.asarray(ev.grad_f)
     J = np.asarray(ev.jac_c)
@@ -578,10 +579,10 @@ def compute_residuals_oracle(ws, iterate, rho, scaling_cap):
     lower, upper = ws.bounds.lower, ws.bounds.upper
     gap_lo = np.where(np.isfinite(lower), iterate.x - lower, 0.0)
     gap_hi = np.where(np.isfinite(upper), upper - iterate.x, 0.0)
-    comp = max(
-        float(np.max(np.abs(gap_lo * iterate.zl), initial=0.0)),
-        float(np.max(np.abs(gap_hi * iterate.zu), initial=0.0)),
-    ) / s_d
+    comp = float(np.max([
+        np.max(np.abs(gap_lo * iterate.zl), initial=0.0),
+        np.max(np.abs(gap_hi * iterate.zu), initial=0.0),
+    ])) / s_d
     c = np.asarray(ev.c, dtype=float)
     terms = np.abs((np.asarray(iterate.y, dtype=float) + np.sign(c)) * c)
     sign_res = float(np.cumsum(np.concatenate(([0.0], terms)))[-1])

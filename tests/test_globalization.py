@@ -225,7 +225,8 @@ class TestFilter:
         assert f.entries == [(0.1, 0.1)]
 
     def test_eta_max_blocks_insert(self):
-        f = Filter(OPTS, eta_max=10.0)
+        f = Filter(OPTS)
+        f.eta_max = 10.0
         f.add(11.0, 0.0)
         assert f.entries == []
 
@@ -271,7 +272,8 @@ class TestFilter:
             probe = (float(rng.rand()), float(rng.randn()))
             accepted = f.acceptable(*probe)
             if accepted and f.entries:
-                smaller = Filter(OPTS, eta_max=f.eta_max)
+                smaller = Filter(OPTS)
+                smaller.eta_max = f.eta_max
                 smaller.entries = f.entries[1:]
                 assert smaller.acceptable(*probe)
 

@@ -228,7 +228,7 @@ def corrected(H, A, schedule=None):
     equilibration (0 for a certified factorization, which has no matrix)."""
     schedule = RegularizationSchedule() if schedule is None else schedule
     before = schedule.last_successful
-    fact = inertia_correct(H, A, schedule)
+    fact = inertia_correct(H, A, schedule, 1e-8)
     dw = schedule.last_successful if schedule.last_successful != before else 0.0
     n = H.shape[0]
     dc = 0.0

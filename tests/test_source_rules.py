@@ -99,3 +99,78 @@ def test_parts_inside_a_relaxation_are_read_only_by_it():
         and not is_options(node.value)
     ]
     assert SOURCES and not found
+
+
+def parameters(function):
+    arguments = function.args
+    return [a.arg for a in arguments.posonlyargs + arguments.args + arguments.kwonlyargs]
+
+
+def test_subproblems_hold_their_workspace_and_kernels_take_bounds():
+    # a subproblem is built with the workspace (__init__) and no later call
+    # is given one; a kernel takes one bounds value (a state.Bounds, which
+    # carries the finite masks) where it took lower, upper and the masks
+    from modnlp.driver import SUBPROBLEMS
+
+    subproblems = {cls.__name__ for cls in SUBPROBLEMS.values()}
+    kernels = ("subproblem.py", "globalization.py", "relaxation.py")
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                     and path.name in kernels]
+        functions += [method for cls in tree.body
+                      if isinstance(cls, ast.ClassDef) and cls.name in subproblems
+                      for method in cls.body
+                      if isinstance(method, ast.FunctionDef) and method.name != "__init__"]
+        for function in functions:
+            names = parameters(function)
+            found += ["%s:%d %s(%s)" % (path.name, function.lineno, function.name, name)
+                      for name in names if name in ("ws", "workspace", "finite")]
+            if "lower" in names or "upper" in names:
+                found.append("%s:%d %s(lower, upper)" % (path.name, function.lineno,
+                                                         function.name))
+    assert subproblems and not found
+
+
+def test_bound_masks_are_made_only_by_bounds():
+    # np.isfinite of a lower or upper bound runs in state.Bounds alone, once
+    # per bound set; the QP solver's own step bounds of each QP (lb, ub in
+    # linalg) are not a bound set the solver works in
+    def bound_name(node):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else "")
+        return "lower" in name or "upper" in name
+
+    found, in_bounds = [], 0
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                owner.update({id(node): cls.name for node in ast.walk(cls)})
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "isfinite" and any(map(bound_name, node.args))):
+                if path.name == "state.py" and owner.get(id(node)) == "Bounds":
+                    in_bounds += 1
+                else:
+                    found.append("%s:%d" % (path.name, node.lineno))
+    assert in_bounds == 2 and not found
+
+
+def test_the_lp_is_told_apart_by_its_hessian():
+    # no second_order flag: the LP overrides hessian (None: W = 0) alone
+    from modnlp.driver import SUBPROBLEMS
+
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id == "second_order"
+        or isinstance(node, ast.Attribute) and node.attr == "second_order"
+        or isinstance(node, ast.arg) and node.arg == "second_order"
+        or isinstance(node, ast.keyword) and node.arg == "second_order"
+    ]
+    assert not found
+    assert not any(hasattr(cls, "second_order") for cls in SUBPROBLEMS.values())

@@ -1,4 +1,6 @@
 import itertools
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from modnlp.linalg import (
 )
 from modnlp.model import Evaluations, evaluate
 from modnlp.reformulation import to_equality_form
-from modnlp.state import Bounds
+from modnlp.relaxation import IPMSubproblem
+from modnlp.state import Bounds, Iterate, Workspace
 from modnlp.subproblem import (
     Direction,
     barrier_gradient_terms,
@@ -370,6 +373,27 @@ def test_ipm_on_equality_model_matches_newton():
     np.testing.assert_allclose(d.dx, expected[: model.n], atol=1e-9)
 
 
+def test_a_nan_part_makes_the_residual_and_the_barrier_error_nan():
+    # a NaN upper-side complementarity behind a finite lower side (0.5): it
+    # makes the complementarity NaN, the barrier error NaN, and mu is held
+    bounds = Bounds(np.array([0.0, -INF]), np.array([INF, 1.0]))
+    x, zl, zu = np.array([0.5, np.nan]), np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    evals = Evaluations(f=0.0, c=np.zeros(0), grad_f=np.zeros(2), jac_c=np.zeros((0, 2)))
+    with np.errstate(invalid="ignore"):
+        parts = kkt_residuals(evals, x, np.zeros(0), zl, zu, bounds, 1.0, 0.0, 100.0)
+    assert parts[:3] == (1.0, 1.0, 0.0) and np.isnan(parts[3])
+    assert update_barrier_parameter(0.1, np.nan, 1e-8, **MU_UPDATE) == 0.1
+
+    # the barrier update at mu = 0.1: stationarity 1 <= kappa_epsilon mu
+    # = 1 and the lower complementarity 0.4, so only the NaN side holds mu
+    ws = Workspace(SimpleNamespace(n=2, m=0, variable_lower=bounds.lower,
+                                   variable_upper=bounds.upper))
+    ipm = IPMSubproblem(ws, replace(OPTS, mu_initial=0.1, kappa_epsilon=10.0))
+    with np.errstate(invalid="ignore"):
+        assert not ipm.maybe_update_mu(Iterate(x, np.zeros(0), zl, zu, evals))
+    assert ipm.mu == 0.1
+
+
 def test_dual_scaling():
     # s_d = max(1, multiplier mass / (cap * max(1, n + m))), n = zl.size
     y, zl, zu = np.array([300.0, -100.0]), np.array([50.0, 0.0, 0.0]), np.array([0.0, 0.0, 50.0])
@@ -450,7 +474,7 @@ def parent_ipm_solve_step(evals, x, y, zl, zu, lower, upper, mu, schedule, tau_m
     H = W.copy()
     H.flat[:: n + 1] += sigma
     r_d = grad - (J.T @ y if m else 0.0) + parent_barrier_gradient_terms(x, lower, upper, mu)
-    fact = inertia_correct(H, J, schedule, delta_c_value=1e-8 * max(mu, 1e-8) ** 0.25)
+    fact = inertia_correct(H, J, schedule, 1e-8 * max(mu, 1e-8) ** 0.25)
     sol = solve_factorized(fact, np.concatenate([-r_d, -c]))
     dx = sol[:n]
     dy = -sol[n:]
@@ -545,13 +569,11 @@ def test_barrier_kkt_error_equals_the_oracle():
             cap = (100.0, INF)[trial % 2]
             stationarity, _, feasibility, complementarity = kkt_residuals(
                 evals, x, y, zl, zu, Bounds(lower, upper), 1.0, mu, cap)
-            error = max(stationarity, feasibility, complementarity)
+            error = float(np.max((stationarity, feasibility, complementarity)))
             parts = parent_barrier_kkt_parts(evals, x, y, zl, zu, lower, upper, mu, cap)
-            # the two complementarity sides are joined first, as in the
-            # termination residuals: a NaN lower side (a NaN x at a finite
-            # bound) then hides the upper one, which a max of the four
-            # parts would take
-            expected = max(parts[0], parts[1], max(parts[2], parts[3]))
+            # the four parts joined by a max that a NaN part makes NaN,
+            # whichever part it is
+            expected = float(np.max(parts))
             assert same_bytes(error, expected)
             seen.add("nan" if np.isnan(expected) else "inf" if expected == INF else "finite")
             if np.isfinite(expected) and expected > 0.0:

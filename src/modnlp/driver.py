@@ -14,12 +14,9 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     InfeasibleLinearConstraintsError,
-    InnerIterationLimitError,
+    ModNLPError,
     NonFiniteEvaluationError,
     QPFailureError,
-    RegularizationFailedError,
-    SingularMatrixError,
-    StepTooSmallError,
     TinyRadiusError,
     UnknownOptionError,
     UnknownPresetError,
@@ -435,7 +432,10 @@ def _build_ingredients(ws: Workspace, opts: Options):
 
 
 def solve(model: Model, options: Options | None = None, log=None) -> SolveResult:
-    """Run the composed iterative method on the model."""
+    """Run the composed iterative method on the model. A part that cannot go
+    on ends the solve with the error's message: a collapsed trust radius in
+    SmallTrustRegion at feasible residuals, a non-finite evaluation in
+    EvaluationError, and every other ModNLPError in IterationLimit."""
     opts = validate_options(options or Options())
     counted, counts = instrument(model)
     working = to_equality_form(counted)
@@ -504,25 +504,15 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
             break
         try:
             new_iterate = mechanism.compute_acceptable_iterate(iterate)
-        except StepTooSmallError as exc:
-            status, message = ITERATION_LIMIT, str(exc)
-            break
         except TinyRadiusError as exc:
-            status = (
-                SMALL_TRUST_REGION
-                if res is not None and res.feasibility <= opts.tolerance
-                else ITERATION_LIMIT
-            )
+            status = SMALL_TRUST_REGION if res.feasibility <= opts.tolerance else ITERATION_LIMIT
             message = str(exc)
-            break
-        except (
-            InnerIterationLimitError, QPFailureError, RegularizationFailedError,
-            SingularMatrixError,
-        ) as exc:
-            status, message = ITERATION_LIMIT, str(exc)
             break
         except NonFiniteEvaluationError as exc:  # e.g. an IPM step at an extreme mu
             status, message = EVALUATION_ERROR, str(exc)
+            break
+        except ModNLPError as exc:  # any other part that cannot go on
+            status, message = ITERATION_LIMIT, str(exc)
             break
         if not new_iterate.evals.is_finite:
             status, message = EVALUATION_ERROR, "accepted trial is non-finite"

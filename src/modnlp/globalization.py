@@ -102,6 +102,13 @@ class ReductionModels:
         return -alpha * self.gtd + alpha * self.btd
 
 
+def sufficient_decrease(current: float, trial: float, sigma_predicted: float) -> bool:
+    """The Armijo test of every acceptance rule: a measure falls from current
+    to trial by at least sigma_predicted, sigma times its predicted
+    reduction, up to a roundoff slack of 10 eps max(1, |current|)."""
+    return current - trial + 10.0 * _EPS * max(1.0, abs(current)) >= sigma_predicted
+
+
 def infeasibility_armijo(
     current: ProgressMeasures,
     trial: ProgressMeasures,
@@ -111,8 +118,7 @@ def infeasibility_armijo(
 ) -> bool:
     """Restoration-phase acceptance: sufficient decrease of eta against its
     linearized reduction model."""
-    slack = 10.0 * _EPS * max(1.0, current.eta)
-    return current.eta - trial.eta + slack >= sigma * models.eta(step)
+    return sufficient_decrease(current.eta, trial.eta, sigma * models.eta(step))
 
 
 class Filter:
@@ -173,6 +179,9 @@ class GlobalizationStrategy:
     strategy reads its own measure off the ProgressMeasures (the filters
     phi, the merit strategy merit) and names it for the log."""
 
+    sigma: float
+    """The Armijo fraction; feasibility restoration accepts its steps on it too."""
+
     def initialize(self, eta0: float) -> None:
         """Anchor the strategy at the initial infeasibility."""
 
@@ -208,10 +217,9 @@ class MeritL1(GlobalizationStrategy):
 
     def check_acceptance(self, current, trial, models, step) -> bool:
         """Armijo condition on the merit function rho f + eta + xi."""
-        actual = current.merit - trial.merit
-        predicted = models.merit_reduction(step)
-        slack = 10.0 * _EPS * max(1.0, abs(current.merit))
-        return actual + slack >= self.sigma * predicted
+        return sufficient_decrease(
+            current.merit, trial.merit, self.sigma * models.merit_reduction(step)
+        )
 
 
 class FilterMethod(GlobalizationStrategy):
@@ -258,8 +266,7 @@ class FilterMethod(GlobalizationStrategy):
 
     def armijo(self, current, trial, dm_phi: float) -> bool:
         """Armijo condition on phi against its predicted reduction dm_phi."""
-        slack = 10.0 * _EPS * max(1.0, abs(current.phi))
-        return current.phi - trial.phi + slack >= self.sigma * dm_phi
+        return sufficient_decrease(current.phi, trial.phi, self.sigma * dm_phi)
 
     def admits(self, measures: ProgressMeasures) -> bool:
         return self.filter.acceptable(measures.eta, measures.phi)

@@ -170,26 +170,16 @@ def evaluate(
     with_hessian: bool = False,
     with_derivatives: bool = True,
 ) -> Evaluations:
-    """Evaluate the model at x once, outside any record (the derivative
-    checker's centre, and tools reading a result). Non-finite values are
-    reported through Evaluations.is_finite rather than raised."""
-    x = np.asarray(x, dtype=float)
-    if y is None:
-        y = np.zeros(model.m)
-    with np.errstate(all="ignore"):
-        f = float(model.eval_objective(x))
-        c = np.asarray(model.eval_constraints(x), dtype=float).reshape(model.m)
-        grad = jac = hess = None
-        if with_derivatives:
-            grad = np.asarray(model.eval_objective_gradient(x), dtype=float).reshape(model.n)
-            jac = np.asarray(model.eval_constraint_jacobian(x), dtype=float).reshape(
-                model.m, model.n
-            )
-        if with_hessian:
-            hess = np.asarray(
-                model.eval_lagrangian_hessian(x, float(rho), np.asarray(y, dtype=float)),
-                dtype=float,
-            ).reshape(model.n, model.n)
+    """Evaluate the model at x once, through a fresh EvaluationRecord (the
+    derivative checker's centre, and tools reading a result). Non-finite
+    values are reported through Evaluations.is_finite rather than raised."""
+    record = EvaluationRecord(model, x)
+    f, c = record.f, record.c
+    grad = jac = hess = None
+    if with_derivatives:
+        grad, jac = record.grad_f, record.jac_c
+    if with_hessian:
+        hess = record.lagrangian_hessian(rho, np.zeros(model.m) if y is None else y)
     return Evaluations(f, c, grad, jac, hess)
 
 

@@ -27,6 +27,7 @@ from .globalization import (
     barrier_value,
     compute_measures,
     infeasibility_armijo,
+    sufficient_decrease,
 )
 from .linalg import (
     ITERATION_LIMIT,
@@ -323,10 +324,10 @@ class IPMSubproblem:
         slope = float(grad @ direction.dx)
         if slope >= 0.0:
             return False
-        current_value = smoothed(iterate.x, c)
-        decrease = current_value - smoothed(trial.x, np.asarray(trial.evals.c))
-        slack = 10.0 * np.finfo(float).eps * max(1.0, abs(current_value))
-        return decrease + slack >= sigma * (-slope) * alpha
+        return sufficient_decrease(
+            smoothed(iterate.x, c), smoothed(trial.x, np.asarray(trial.evals.c)),
+            sigma * (-slope) * alpha,
+        )
 
 
 def _qp_direction(sol, iterate, W, trust_radius, tr_masks) -> Direction:

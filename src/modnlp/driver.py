@@ -433,9 +433,9 @@ def _build_ingredients(ws: Workspace, opts: Options):
 
 def solve(model: Model, options: Options | None = None, log=None) -> SolveResult:
     """Run the composed iterative method on the model. A part that cannot go
-    on ends the solve with the error's message: a collapsed trust radius in
-    SmallTrustRegion at feasible residuals, a non-finite evaluation in
-    EvaluationError, and every other ModNLPError in IterationLimit."""
+    on ends the solve with its message: in SmallTrustRegion (a collapsed
+    radius at a feasible point), EvaluationError (a non-finite value) or
+    IterationLimit."""
     opts = validate_options(options or Options())
     counted, counts = instrument(model)
     working = to_equality_form(counted)

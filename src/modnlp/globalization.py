@@ -103,9 +103,8 @@ class ReductionModels:
 
 
 def sufficient_decrease(current: float, trial: float, sigma_predicted: float) -> bool:
-    """The Armijo test of every acceptance rule: a measure falls from current
-    to trial by at least sigma_predicted, sigma times its predicted
-    reduction, up to a roundoff slack of 10 eps max(1, |current|)."""
+    """The Armijo test of every acceptance rule: current - trial >= sigma times
+    the predicted reduction, up to a roundoff slack of 10 eps max(1, |current|)."""
     return current - trial + 10.0 * _EPS * max(1.0, abs(current)) >= sigma_predicted
 
 
@@ -217,9 +216,8 @@ class MeritL1(GlobalizationStrategy):
 
     def check_acceptance(self, current, trial, models, step) -> bool:
         """Armijo condition on the merit function rho f + eta + xi."""
-        return sufficient_decrease(
-            current.merit, trial.merit, self.sigma * models.merit_reduction(step)
-        )
+        predicted = models.merit_reduction(step)
+        return sufficient_decrease(current.merit, trial.merit, self.sigma * predicted)
 
 
 class FilterMethod(GlobalizationStrategy):

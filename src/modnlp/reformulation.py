@@ -16,14 +16,17 @@ def to_equality_form(model: Model) -> Model:
 
     Equality rows pass through shifted to c(x) - b = 0; inequality rows get a
     slack with the row bounds and become c(x) - s = 0. Slacks are appended
-    after the original variables.
+    after the original variables. Inverted variable or row bounds raise
+    InconsistentBoundsError before any callback runs.
     """
     lo, hi = model.constraint_lower, model.constraint_upper
-    if np.any(lo > hi):
-        bad = int(np.argmax(lo > hi))
-        raise InconsistentBoundsError(
-            "constraint %d has lower bound %g > upper bound %g" % (bad, lo[bad], hi[bad])
-        )
+    for kind, lower, upper in (("variable", model.variable_lower, model.variable_upper),
+                               ("constraint", lo, hi)):
+        if np.any(lower > upper):
+            bad = int(np.argmax(lower > upper))
+            raise InconsistentBoundsError(
+                "%s %d has lower bound %g > upper bound %g" % (kind, bad, lower[bad], upper[bad])
+            )
     if model.is_equality_form:
         return model
 

@@ -12,6 +12,7 @@ from modnlp.driver import (
     ITERATION_LIMIT,
     LOOSE_KKT,
     SMALL_TRUST_REGION,
+    MECHANISMS,
     PARTS,
     PRESETS,
     _RANGES,
@@ -29,12 +30,21 @@ from modnlp.driver import (
 )
 from modnlp.errors import (
     ConfigurationError,
+    InconsistentBoundsError,
     InfeasibleLinearConstraintsError,
+    InnerIterationLimitError,
+    ModNLPError,
+    NonFiniteEvaluationError,
+    QPFailureError,
+    RegularizationFailedError,
+    SingularMatrixError,
+    StepTooSmallError,
+    TinyRadiusError,
     UnknownOptionError,
     UnknownPresetError,
 )
 from modnlp.globalization import FilterMethod
-from modnlp.model import EvaluationRecord, Model, evaluate, instrument
+from modnlp.model import EvaluationCounts, EvaluationRecord, Model, evaluate, instrument
 from modnlp.reformulation import to_equality_form
 
 INF = np.inf
@@ -495,6 +505,68 @@ class TestSolve:
         opts = replace(preset_options("filtersqp"), s_max=np.nextafter(0.0, 1.0))
         with pytest.raises(ConfigurationError, match="s_max"):
             solve(corpus_get("hs071"), opts)
+
+    @pytest.mark.parametrize("preset", ["filtersqp", "ipopt", "byrd"])
+    def test_inverted_variable_bounds_are_refused(self, preset):
+        # refused before any callback runs, as inverted row bounds are; they
+        # used to run to a misleading status: filtersqp to "feasibility QP
+        # unexpectedly failed" at iteration 0, ipopt and byrd to "stagnation:
+        # 50 zero steps" after 49 iterations
+        model = corpus_get("hs071")
+        counted, counts = instrument(replace(model, variable_lower=model.variable_upper + 1.0))
+        with pytest.raises(InconsistentBoundsError,
+                           match="^variable 0 has lower bound 6 > upper bound 5$"):
+            solve(counted, preset_options(preset))
+        assert counts == EvaluationCounts()
+
+
+# the status each error class a part raises ends the solve in, at an
+# infeasible start (hs071) and, for a collapsed radius, at a feasible one
+# (hs003, bounds only)
+PART_FAILURES = [
+    (StepTooSmallError, "hs071", ITERATION_LIMIT),
+    (InnerIterationLimitError, "hs071", ITERATION_LIMIT),
+    (QPFailureError, "hs071", ITERATION_LIMIT),
+    (RegularizationFailedError, "hs071", ITERATION_LIMIT),
+    (SingularMatrixError, "hs071", ITERATION_LIMIT),
+    (NonFiniteEvaluationError, "hs071", EVALUATION_ERROR),
+    (TinyRadiusError, "hs003", SMALL_TRUST_REGION),
+    (TinyRadiusError, "hs071", ITERATION_LIMIT),
+]
+
+
+@pytest.mark.parametrize("error, problem, status", PART_FAILURES)
+def test_a_part_failure_ends_in_its_status(monkeypatch, error, problem, status):
+    message = "%s raised by a part" % error.__name__
+
+    def fail(self, iterate):
+        raise error(message)
+
+    for mechanism in MECHANISMS.values():
+        monkeypatch.setattr(mechanism, "compute_acceptable_iterate", fail)
+    for preset in ("filtersqp", "ipopt"):  # a trust region and a line search
+        result = solve(corpus_get(problem), preset_options(preset))
+        assert (result.status, result.message, result.iterations) == (status, message, 0)
+
+
+def test_the_status_table_names_every_error_a_part_raises():
+    # the parts' modules raise no ModNLPError class that the table leaves out
+    import ast
+    from pathlib import Path
+
+    import modnlp
+
+    package = Path(modnlp.__file__).resolve().parent
+    raised = {
+        node.exc.func.id
+        for name in ("globalization", "linalg", "mechanism", "relaxation", "subproblem")
+        for node in ast.walk(ast.parse((package / (name + ".py")).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name)
+    }
+    errors = {name for name in raised if issubclass(getattr(modnlp.errors, name, Exception),
+                                                    ModNLPError)}
+    assert errors == {error.__name__ for error, _, _ in PART_FAILURES}
 
 
 TINY = float(np.nextafter(0.0, 1.0))

@@ -174,3 +174,71 @@ def test_the_lp_is_told_apart_by_its_hessian():
     ]
     assert not found
     assert not any(hasattr(cls, "second_order") for cls in SUBPROBLEMS.values())
+
+
+def functions_around(tree):
+    """Each node's innermost enclosing function, by the node's id."""
+    owner = {}
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(function):
+                owner[id(node)] = function.name  # inner functions are walked later
+    return owner
+
+
+def test_sufficient_decrease_is_tested_in_one_place():
+    # the roundoff slack of the Armijo test (a multiple of machine epsilon)
+    # is written in globalization.sufficient_decrease alone
+    def is_eps(node):
+        return (isinstance(node, ast.Name) and node.id == "_EPS"
+                or isinstance(node, ast.Attribute) and node.attr == "eps")
+
+    found, inside = [], 0
+    for name in ("globalization.py", "relaxation.py"):
+        tree = ast.parse((SOURCES[0].parent / name).read_text(encoding="utf-8"))
+        owner = functions_around(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                    and (is_eps(node.left) or is_eps(node.right))):
+                if name == "globalization.py" and owner.get(id(node)) == "sufficient_decrease":
+                    inside += 1
+                else:
+                    found.append("%s:%d" % (name, node.lineno))
+    assert inside == 1 and not found
+
+
+def test_model_callbacks_are_called_only_by_the_record_and_the_checker():
+    # a point is evaluated through EvaluationRecord._evaluate, which takes
+    # the callback as a value; check_derivatives' probes call theirs directly
+    tree = ast.parse((SOURCES[0].parent / "model.py").read_text(encoding="utf-8"))
+    owner = functions_around(tree)
+    found = [
+        "model.py:%d %s" % (node.lineno, node.func.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr.startswith("eval_")
+        and owner.get(id(node)) not in ("_evaluate", "check_derivatives")
+    ]
+    assert not found
+
+
+def test_every_strategy_sets_a_float_sigma():
+    # feasibility restoration accepts its steps on strategy.sigma, which
+    # GlobalizationStrategy declares
+    from modnlp.driver import STRATEGIES, Options
+
+    assert all(isinstance(cls(Options()).sigma, float) for cls in STRATEGIES.values())
+
+
+def test_one_rule_turns_a_part_failure_into_a_status():
+    # solve's loop names only the two errors with a status of their own;
+    # every other ModNLPError a part raises ends in the last clause
+    tree = ast.parse((SOURCES[0].parent / "driver.py").read_text(encoding="utf-8"))
+    solve = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "solve")
+    loop = next(node for node in ast.walk(solve) if isinstance(node, ast.For))
+    caught = [
+        [ast.unparse(handler.type) for handler in node.handlers]
+        for node in ast.walk(loop) if isinstance(node, ast.Try)
+    ]
+    assert caught == [["TinyRadiusError", "NonFiniteEvaluationError", "ModNLPError"]]

@@ -180,7 +180,7 @@ def functions_around(tree):
     """Each node's innermost enclosing function, by the node's id."""
     owner = {}
     for function in ast.walk(tree):
-        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(function, ast.FunctionDef):
             for node in ast.walk(function):
                 owner[id(node)] = function.name  # inner functions are walked later
     return owner

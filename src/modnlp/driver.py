@@ -438,7 +438,7 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
     IterationLimit."""
     opts = validate_options(options or Options())
     counted, counts = instrument(model)
-    working = to_equality_form(counted)
+    start = to_equality_form(EvaluationRecord(counted, counted.initial_point))
     ws, s_f = None, 1.0
 
     def result(status, x, evals, k=0, y=None, z=None, res=None, rho=1.0, message=""):
@@ -460,13 +460,16 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
             message=message,
         )
 
-    start = EvaluationRecord(working, working.initial_point)
-    if not _finite_with_derivatives(start):
+    # x0 is read only as processing the start needs; f is first read where
+    # iteration 0 starts, since preprocessing and the interior push may move x0
+    if not (np.isfinite(start.c).all() and np.isfinite(start.grad_f).all()
+            and np.isfinite(start.jac_c).all()):
         return result(EVALUATION_ERROR, start.x, start,
                       message="IEEE exception at the initial point")
 
     working, factors, start = scale_functions(start, opts.s_max)
     s_f = factors.s_f
+    initial = start
 
     ws = Workspace(working)
     subproblem, relaxation, mechanism = _build_ingredients(ws, opts)
@@ -484,8 +487,9 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
     start = start.at(x0)
     y0 = estimate_initial_multipliers(start, zl - zu, opts.y_max)
     if not _finite_with_derivatives(start):
+        where = "initial point" if start is initial else "preprocessed initial point"
         return result(EVALUATION_ERROR, x0, start, y=y0, z=zl - zu,
-                      message="IEEE exception at the preprocessed initial point")
+                      message="IEEE exception at the " + where)
 
     iterate = Iterate(x=x0, y=y0, zl=zl, zu=zu, evals=start)
     relaxation.initialize(iterate)

@@ -13,10 +13,6 @@ class NonFiniteEvaluationError(ModNLPError):
     """A function evaluation produced NaN or infinity where finiteness is required."""
 
 
-class InconsistentBoundsError(ModNLPError):
-    """A lower bound exceeds the corresponding upper bound."""
-
-
 class SingularMatrixError(ModNLPError):
     """A matrix is singular or non-finite and cannot be factorized or used
     for a solve."""
@@ -31,7 +27,13 @@ class QPFailureError(ModNLPError):
 
 
 class ConfigurationError(ModNLPError):
-    """Invalid or prohibited combination of solver options."""
+    """Invalid or prohibited combination of solver options, or a model that
+    is refused before any callback runs."""
+
+
+class InconsistentBoundsError(ConfigurationError):
+    """A lower bound exceeds the corresponding upper bound, or either is NaN:
+    the model is refused before the first iteration."""
 
 
 class UnknownPresetError(ConfigurationError):

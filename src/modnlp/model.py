@@ -284,9 +284,10 @@ def instrument(model: Model) -> tuple[Model, EvaluationCounts]:
     The objective counter is the comparison metric across solver
     configurations. The solver evaluates each point through one
     EvaluationRecord, so a count is the number of distinct points (and, for
-    the Hessian, of distinct (x, rho, y)) at which that quantity was needed;
-    the one repeat is the constraint call of to_equality_form's slack start
-    at the initial point.
+    the Hessian, of distinct (x, rho, y)) at which that quantity was needed:
+    no callback repeats its arguments within a solve. The objective is
+    first needed where iteration 0 starts, so a start that preprocessing or
+    the interior push moves costs no objective call at x0.
     """
     counts = EvaluationCounts()
 

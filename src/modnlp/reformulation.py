@@ -11,24 +11,32 @@ from .errors import ConfigurationError, InconsistentBoundsError, NonFiniteEvalua
 from .model import EvaluationRecord, Model
 
 
-def to_equality_form(model: Model) -> Model:
-    """Turn every general row l <= c(x) <= u into an equality.
+def to_equality_form(start: EvaluationRecord) -> EvaluationRecord:
+    """Turn every general row l <= c(x) <= u into an equality; start is the
+    record of x0, the initial point of the model to reformulate.
 
     Equality rows pass through shifted to c(x) - b = 0; inequality rows get a
     slack with the row bounds and become c(x) - s = 0. Slacks are appended
-    after the original variables. Inverted variable or row bounds raise
+    after the original variables and start at c(x0) clipped into the row
+    bounds. Returns the record of the working model's initial point, whose
+    c is formed from start's c(x0) by the operations of the working
+    constraints, so it holds the bytes of a fresh evaluation and c(x0) is
+    evaluated once; start itself where the model is already in equality
+    form. Inverted or NaN variable or row bounds raise
     InconsistentBoundsError before any callback runs.
     """
+    model = start.model
     lo, hi = model.constraint_lower, model.constraint_upper
     for kind, lower, upper in (("variable", model.variable_lower, model.variable_upper),
                                ("constraint", lo, hi)):
-        if np.any(lower > upper):
-            bad = int(np.argmax(lower > upper))
-            raise InconsistentBoundsError(
-                "%s %d has lower bound %g > upper bound %g" % (kind, bad, lower[bad], upper[bad])
-            )
+        bad = ~(lower <= upper)  # NaN compares false
+        if bad.any():
+            j = int(np.argmax(bad))
+            relation = ">" if lower[j] > upper[j] else "unordered with"
+            raise InconsistentBoundsError("%s %d has lower bound %g %s upper bound %g"
+                                          % (kind, j, lower[j], relation, upper[j]))
     if model.is_equality_form:
-        return model
+        return start
 
     n, m = model.n, model.m
     slack_rows = [j for j in range(m) if lo[j] < hi[j]]
@@ -46,8 +54,11 @@ def to_equality_form(model: Model) -> Model:
     base_f = model.eval_objective
     base_hess = model.eval_lagrangian_hessian
 
+    def shifted(c, s):
+        return c - shift - E @ s
+
     def constraints(w):
-        return base_c(w[:n]) - shift - E @ w[n:]
+        return shifted(base_c(w[:n]), w[n:])
 
     def jacobian(w):
         return np.hstack([base_jac(w[:n]), -E])
@@ -63,11 +74,11 @@ def to_equality_form(model: Model) -> Model:
         W[:n, :n] = base_hess(w[:n], rho, y)
         return W
 
-    c0 = np.asarray(base_c(model.initial_point), dtype=float)
+    c0 = start.c
     s0 = np.clip(np.nan_to_num(c0[slack_rows], nan=0.0, posinf=0.0, neginf=0.0),
                  lo[slack_rows], hi[slack_rows])
 
-    return Model(
+    working = Model(
         name=model.name,
         n=n + n_slack,
         m=m,
@@ -80,9 +91,12 @@ def to_equality_form(model: Model) -> Model:
         eval_objective_gradient=gradient,
         eval_constraint_jacobian=jacobian,
         eval_lagrangian_hessian=hessian,
-        initial_point=np.concatenate([model.initial_point, s0]),
+        initial_point=np.concatenate([start.x, s0]),
         linear_rows=model.linear_rows,
     )
+    with np.errstate(all="ignore"):  # as the record evaluates constraints
+        c = shifted(c0, s0)
+    return EvaluationRecord(working, working.initial_point, c=c)
 
 
 @dataclass(frozen=True)

@@ -312,9 +312,8 @@ def test_criterion_10_termination_cross_check(preset_results):
     for preset in PRESETS:
         for name, result in preset_results[preset].items():
             model = corpus_get(name)
-            working = to_equality_form(model)
             working, factors, _ = scale_functions(
-                EvaluationRecord(working, working.initial_point), 100.0)
+                to_equality_form(EvaluationRecord(model, model.initial_point)), 100.0)
             if result.status == "FeasibleKKT":
                 x_full = _lift(working, model, result.x)
                 ev = evaluate(working, x_full)

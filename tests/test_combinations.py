@@ -181,21 +181,24 @@ PRESET_CONFIGS = {
     "byrd_TR": lambda: replace(preset_options("byrd"), globalization_mechanism="TR"),
 }
 
-# (status, iterations, (f, c, gradient, Jacobian, Hessian) calls, subproblem solves)
+# (status, iterations, (f, c, gradient, Jacobian, Hessian) calls, subproblem solves).
+# While the slack start evaluated c(x0) a second time, each hs071 entry read
+# one more constraint call; while f was evaluated at x0 before the interior
+# push moved it, hs071 under ipopt read f 13 (mild) and 12 (strong).
 PERTURBED_PINNED = {
-    ("mild", "hs071", "filtersqp"): ("FeasibleKKT", 5, (6, 7, 6, 6, 5), 5),
-    ("mild", "hs071", "ipopt"): ("FeasibleKKT", 11, (13, 14, 13, 13, 11), 11),
-    ("mild", "hs071", "byrd"): ("LooseToleranceKKT", 41, (42, 43, 42, 42, 41), 41),
-    ("mild", "hs071", "byrd_TR"): ("FeasibleKKT", 5, (6, 7, 6, 6, 5), 5),
+    ("mild", "hs071", "filtersqp"): ("FeasibleKKT", 5, (6, 6, 6, 6, 5), 5),
+    ("mild", "hs071", "ipopt"): ("FeasibleKKT", 11, (12, 13, 13, 13, 11), 11),
+    ("mild", "hs071", "byrd"): ("LooseToleranceKKT", 41, (42, 42, 42, 42, 41), 41),
+    ("mild", "hs071", "byrd_TR"): ("FeasibleKKT", 5, (6, 6, 6, 6, 5), 5),
     ("mild", "maratos", "filtersqp"): ("FeasibleKKT", 25, (51, 51, 26, 26, 25), 50),
     ("mild", "maratos", "ipopt"): ("FeasibleKKT", 5, (9, 9, 6, 6, 5), 5),
     # the outer limit: the returned iterate's gradient and Jacobian give its residuals
     ("mild", "maratos", "byrd"): ("IterationLimit", 100, (1809, 1809, 101, 101, 100), 100),
     ("mild", "maratos", "byrd_TR"): ("FeasibleKKT", 26, (56, 56, 27, 27, 27), 56),
-    ("strong", "hs071", "filtersqp"): ("FeasibleKKT", 5, (6, 7, 6, 6, 5), 5),
-    ("strong", "hs071", "ipopt"): ("FeasibleKKT", 10, (12, 13, 12, 12, 10), 10),
-    ("strong", "hs071", "byrd"): ("LooseToleranceKKT", 34, (35, 36, 35, 35, 34), 34),
-    ("strong", "hs071", "byrd_TR"): ("FeasibleKKT", 5, (6, 7, 6, 6, 5), 5),
+    ("strong", "hs071", "filtersqp"): ("FeasibleKKT", 5, (6, 6, 6, 6, 5), 5),
+    ("strong", "hs071", "ipopt"): ("FeasibleKKT", 10, (11, 12, 12, 12, 10), 10),
+    ("strong", "hs071", "byrd"): ("LooseToleranceKKT", 34, (35, 35, 35, 35, 34), 34),
+    ("strong", "hs071", "byrd_TR"): ("FeasibleKKT", 5, (6, 6, 6, 6, 5), 5),
     ("strong", "maratos", "filtersqp"): ("FeasibleKKT", 26, (52, 52, 27, 27, 26), 51),
     ("strong", "maratos", "ipopt"): ("FeasibleKKT", 7, (14, 14, 8, 8, 7), 7),
     ("strong", "maratos", "byrd"): ("FeasibleKKT", 10, (23, 23, 11, 11, 10), 10),

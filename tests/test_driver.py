@@ -323,10 +323,13 @@ class TestSolve:
         assert result.status == "InfeasibleStationary"
         assert "inconsistent" in result.message
 
+    # While f was read first at x0, the nan start read (1, 0, 0, 0, 0) and the
+    # pole (2, 1, 2, 2, 0): now x0's check reads c first, and f only where
+    # iteration 0 would start
     @pytest.mark.parametrize("case, pinned", [
-        ("nan start", ("EvaluationError", (1, 0, 0, 0, 0))),
+        ("nan start", ("EvaluationError", (1, 1, 0, 0, 0))),
         ("inconsistent rows", ("InfeasibleStationary", (1, 1, 1, 1, 0))),
-        ("pole at the preprocessed point", ("EvaluationError", (2, 1, 2, 2, 0))),
+        ("pole at the preprocessed point", ("EvaluationError", (1, 1, 2, 2, 0))),
     ])
     def test_early_exits_pinned(self, case, pinned):
         # each exit before the first iteration keeps its callback calls
@@ -382,8 +385,9 @@ class TestSolve:
         result = solve(corpus_get("hs071"), opts, log=records.append)
         mus = [record["mu"] for record in records]
         assert mus[:3] == pytest.approx([0.1, 0.02, 0.02**1.5])
+        # 9 objective calls while f was also read at x0, before the interior push
         assert (result.status, result.iterations, result.objective_evaluations) == (
-            "FeasibleKKT", 7, 9)
+            "FeasibleKKT", 7, 8)
         default = []
         solve(corpus_get("hs071"), preset_options("ipopt"), log=default.append)
         assert [record["mu"] for record in default][:3] == pytest.approx([0.1, 0.1, 0.02])
@@ -429,8 +433,8 @@ class TestSolve:
         model = corpus_get("hs063")
         result = solve(model, preset_options("byrd"))
         assert result.status == "FeasibleKKT"
-        working = to_equality_form(model)
-        working, _, _ = scale_op(EvaluationRecord(working, working.initial_point), 100.0)
+        working, _, _ = scale_op(to_equality_form(EvaluationRecord(model, model.initial_point)),
+                                 100.0)
         # rebuild the full working-space point (slack = constraint value)
         x_full = np.concatenate([result.x, np.zeros(working.n - model.n)])
         ev = evaluate(working, x_full)
@@ -516,6 +520,21 @@ class TestSolve:
         counted, counts = instrument(replace(model, variable_lower=model.variable_upper + 1.0))
         with pytest.raises(InconsistentBoundsError,
                            match="^variable 0 has lower bound 6 > upper bound 5$"):
+            solve(counted, preset_options(preset))
+        assert counts == EvaluationCounts()
+
+    @pytest.mark.parametrize("preset", ["filtersqp", "ipopt", "byrd"])
+    def test_nan_bounds_are_refused(self, preset):
+        # a NaN bound compares false with its partner; it used to pass the
+        # inverted-bounds test, and np.clip then turned x0[0] into NaN, so
+        # the solve ended in EvaluationError after 2 calls of each of f, c,
+        # the gradient and the Jacobian. Infinite bounds stay legal.
+        model = corpus_get("hs071")
+        lower = model.variable_lower.copy()
+        lower[0] = np.nan
+        counted, counts = instrument(replace(model, variable_lower=lower))
+        with pytest.raises(ConfigurationError,
+                           match="^variable 0 has lower bound nan unordered with upper bound 5$"):
             solve(counted, preset_options(preset))
         assert counts == EvaluationCounts()
 
@@ -676,7 +695,7 @@ def test_compute_residuals_equals_the_oracle():
     empty_rows = 0
     for name in corpus_names():
         counted, counts = instrument(corpus_get(name))
-        working = to_equality_form(counted)
+        working = to_equality_form(EvaluationRecord(counted, counted.initial_point)).model
         ws = Workspace(working)
         n, m = working.n, working.m
         lower = np.where(ws.bounds.lower_finite, ws.bounds.lower, -3.0)

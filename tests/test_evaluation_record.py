@@ -17,6 +17,11 @@ from modnlp.reformulation import scale_functions, to_equality_form
 from modnlp.state import Iterate
 from modnlp.subproblem import Direction
 
+
+def equality_form(model):
+    """The working model of to_equality_form at the model's initial point."""
+    return to_equality_form(EvaluationRecord(model, model.initial_point)).model
+
 CALLBACKS = ("eval_objective", "eval_constraints", "eval_objective_gradient",
              "eval_constraint_jacobian", "eval_lagrangian_hessian")
 PRESETS = {
@@ -50,30 +55,71 @@ def recorded(model):
 
 @pytest.mark.parametrize("preset", list(PRESETS))
 def test_no_callback_repeats_its_arguments(preset):
-    # f, the gradient, the Jacobian and W are evaluated once per argument;
-    # c repeats once at most: to_equality_form evaluates it at the initial
-    # point for the slack start, before the solver's record of that point
+    # every callback is evaluated once per argument within a solve; c(x0)
+    # too, which the slack start reads from the record of x0 (it used to
+    # evaluate c(x0) once more, before the solver's record of that point)
     repeats = []
     for name in corpus_names():
-        model = corpus_get(name)
-        wrapped, calls = recorded(model)
+        wrapped, calls = recorded(corpus_get(name))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             solve(wrapped, PRESETS[preset])
         for callback, counter in calls.items():
-            repeated = {key: count for key, count in counter.items() if count > 1}
-            if callback == "eval_constraints" and not model.is_equality_form:
-                start = arguments_key((model.initial_point,))
-                if set(repeated) <= {start} and repeated.get(start, 2) == 2:
-                    continue
+            repeated = [count for count in counter.values() if count > 1]
             if repeated:
-                repeats.append((name, callback, sorted(repeated.values())))
+                repeats.append((name, callback, sorted(repeated)))
     assert repeats == []
+
+
+@pytest.mark.parametrize("name, preset", [("hs071", "ipopt"), ("hs063", "filtersqp")])
+def test_a_moved_start_costs_no_objective_call_at_x0(name, preset):
+    # the interior push (hs071 under ipopt) and the linear-row projection
+    # (hs063 under filtersqp) move x0 before iteration 0; x0 is read only
+    # for what processing the start needs, and f first where iteration 0
+    # starts
+    model = corpus_get(name)
+    wrapped, calls = recorded(model)
+    result = solve(wrapped, PRESETS[preset])
+    x0 = arguments_key((model.initial_point,))
+    assert result.status == "FeasibleKKT"
+    assert calls["eval_objective"][x0] == 0
+    assert calls["eval_objective_gradient"][x0] == calls["eval_constraint_jacobian"][x0] == 1
+
+
+@pytest.mark.parametrize("name, preset", [("hs071", "filtersqp"), ("hs028", "byrd")])
+def test_a_start_that_stays_costs_one_objective_call_at_x0(name, preset):
+    model = corpus_get(name)
+    wrapped, calls = recorded(model)
+    result = solve(wrapped, PRESETS[preset])
+    assert result.status == "FeasibleKKT"
+    assert calls["eval_objective"][arguments_key((model.initial_point,))] == 1
+
+
+@pytest.mark.parametrize("preset, status, message", [
+    ("filtersqp", "EvaluationError", "IEEE exception at the initial point"),
+    ("ipopt", "FeasibleKKT", ""),
+])
+def test_a_non_finite_objective_at_x0_counts_only_where_iteration_0_starts(
+        preset, status, message):
+    # f is NaN at x0 alone: filtersqp starts at x0 and refuses it, ipopt's
+    # interior push moves the start and never reads f there
+    model = corpus_get("hs071")
+    x0 = arguments_key((model.initial_point,))
+    base_f = model.eval_objective
+    nan_at_x0 = replace(model, eval_objective=lambda x: (
+        np.nan if arguments_key((x,)) == x0 else base_f(x)))
+    wrapped, calls = recorded(nan_at_x0)
+    result = solve(wrapped, PRESETS[preset])
+    assert (result.status, result.message) == (status, message)
+    assert calls["eval_objective"][x0] == (1 if preset == "filtersqp" else 0)
+    if preset == "ipopt":  # the same run as from a finite f at x0
+        plain = solve(model, PRESETS[preset])
+        assert result.iterations == plain.iterations and result.x.tobytes() == plain.x.tobytes()
 
 
 @pytest.mark.parametrize("name", ["hs071", "hs063", "maratos", "booth", "infeasible1"])
 def test_scaled_start_record_equals_a_fresh_scaled_evaluation(name):
-    working, counts = instrument(to_equality_form(corpus_get(name)))
+    working, counts = instrument(equality_form(corpus_get(name)))
     start = EvaluationRecord(working, working.initial_point)
     f, c, g, J = start.f, start.c, start.grad_f, start.jac_c
     before = (counts.objective, counts.constraints, counts.objective_gradient,
@@ -92,8 +138,23 @@ def test_scaled_start_record_equals_a_fresh_scaled_evaluation(name):
     assert np.array_equal(factors.s_c[:, None] * J, scaled_start.jac_c)
 
 
+@pytest.mark.parametrize("name", corpus_names())
+def test_slack_start_record_equals_a_fresh_evaluation(name):
+    # to_equality_form reads c(x0) once, from the record of x0, and forms the
+    # working record's c from it by the working constraints' operations
+    counted, counts = instrument(corpus_get(name))
+    start = to_equality_form(EvaluationRecord(counted, counted.initial_point))
+    assert counts.constraints == (0 if counted.is_equality_form else 1)
+    assert counts.objective == counts.objective_gradient == counts.constraint_jacobian == 0
+    c = start.c
+    assert counts.constraints == 1
+    fresh = EvaluationRecord(start.model, start.model.initial_point)
+    assert start.x.tobytes() == fresh.x.tobytes()
+    assert c.shape == fresh.c.shape and c.tobytes() == fresh.c.tobytes()
+
+
 def test_scaled_record_scales_only_what_was_evaluated():
-    working, counts = instrument(to_equality_form(corpus_get("hs071")))
+    working, counts = instrument(equality_form(corpus_get("hs071")))
     start = EvaluationRecord(working, working.initial_point)
     start.grad_f, start.jac_c  # what the scaling rule reads
     _, _, scaled_start = scale_functions(start, 100.0)
@@ -103,7 +164,7 @@ def test_scaled_record_scales_only_what_was_evaluated():
 
 
 def test_zero_step_trial_shares_the_iterate_record():
-    model, counts = instrument(to_equality_form(corpus_get("hs071")))
+    model, counts = instrument(equality_form(corpus_get("hs071")))
     n, m = model.n, model.m
     x = model.initial_point.astype(float)
     iterate = Iterate(x, np.ones(m), np.ones(n), np.zeros(n), EvaluationRecord(model, x))
@@ -128,7 +189,7 @@ def test_zero_step_trial_shares_the_iterate_record():
 
 
 def test_hessian_memo_is_per_exact_rho_and_y():
-    model, counts = instrument(to_equality_form(corpus_get("hs071")))
+    model, counts = instrument(equality_form(corpus_get("hs071")))
     record = EvaluationRecord(model, model.initial_point)
     y = np.array([0.5, -1.0])
     W = record.lagrangian_hessian(1.0, y)
@@ -148,7 +209,7 @@ def test_hessian_memo_evaluates_again_after_restoration_resets_y():
     from modnlp.driver import _build_ingredients
     from modnlp.state import Workspace
 
-    working, counts = instrument(to_equality_form(corpus_get("hs071")))
+    working, counts = instrument(equality_form(corpus_get("hs071")))
     ws = Workspace(working)
     _, relaxation, _ = _build_ingredients(ws, PRESETS["ipopt"])
     x, zl, zu = relaxation.subproblem.initial_point(working.initial_point)

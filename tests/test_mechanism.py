@@ -59,7 +59,8 @@ class StubRelaxation:
 
 
 def make_workspace():
-    return Workspace(to_equality_form(corpus_get("hs028")))
+    model = corpus_get("hs028")
+    return Workspace(to_equality_form(EvaluationRecord(model, model.initial_point)).model)
 
 
 def make_iterate(ws):

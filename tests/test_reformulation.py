@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modnlp.corpus import corpus_get
-from modnlp.errors import InconsistentBoundsError
+from modnlp.errors import ConfigurationError, InconsistentBoundsError
 from modnlp.linalg import elastic_init, ldlt_factorize
 from modnlp.model import EvaluationRecord, evaluate
 from modnlp.reformulation import scale_functions, to_equality_form
@@ -11,8 +11,13 @@ from modnlp.relaxation import IPMSubproblem, elastic_evaluations
 from modnlp.state import Workspace
 
 
+def equality_form(model):
+    """The working model of to_equality_form at the model's initial point."""
+    return to_equality_form(EvaluationRecord(model, model.initial_point)).model
+
+
 def test_inequality_gets_slack():
-    model = to_equality_form(corpus_get("hs021"))
+    model = equality_form(corpus_get("hs021"))
     assert model.is_equality_form
     assert model.n == 3  # one slack for the single inequality
     assert model.m == 1
@@ -24,9 +29,9 @@ def test_inequality_gets_slack():
 def test_equality_model_unchanged():
     model = corpus_get("booth")
     # booth rows are authored with nonzero rhs, so a shift is applied once
-    eq = to_equality_form(model)
-    assert eq.is_equality_form
-    assert (eq.n, eq.m) == (2, 2)
+    eq = to_equality_form(EvaluationRecord(model, model.initial_point))
+    assert eq.model.is_equality_form
+    assert (eq.model.n, eq.model.m) == (2, 2)
     again = to_equality_form(eq)
     assert again is eq
 
@@ -41,13 +46,24 @@ def test_inconsistent_row_bounds():
         constraint_upper=np.array([0.0]),
     )
     with pytest.raises(InconsistentBoundsError):
-        to_equality_form(broken)
+        to_equality_form(EvaluationRecord(broken, broken.initial_point))
+
+
+@pytest.mark.parametrize("lower, upper", [(np.nan, 0.0), (0.0, np.nan), (np.inf, -np.inf)])
+def test_nan_or_inverted_row_bounds_are_a_configuration_error(lower, upper):
+    from dataclasses import replace
+
+    model = corpus_get("hs021")
+    broken = replace(model, constraint_lower=np.array([lower]),
+                     constraint_upper=np.array([upper]))
+    with pytest.raises(ConfigurationError, match="^constraint 0 has lower bound"):
+        to_equality_form(EvaluationRecord(broken, broken.initial_point))
 
 
 def test_equality_form_residual_consistency():
     for name in ("hs035", "hs071", "hs076"):
         base = corpus_get(name)
-        eq = to_equality_form(base)
+        eq = equality_form(base)
         w = eq.initial_point.copy()
         c = eq.eval_constraints(w)
         raw = base.eval_constraints(base.initial_point)
@@ -62,7 +78,7 @@ def test_equality_form_residual_consistency():
 
 
 def test_scaling_factors():
-    model = to_equality_form(corpus_get("hs063"))
+    model = equality_form(corpus_get("hs063"))
     x0 = model.initial_point
     scaled, factors, _ = scale_functions(EvaluationRecord(model, x0), s_max=100.0)
     ev = evaluate(model, x0)
@@ -91,7 +107,7 @@ def test_scaling_capped_and_zero_norm_convention():
 def test_unit_factors_return_the_model_and_the_start():
     # where every factor is 1 (always at s_max = inf) nothing is wrapped:
     # the model and the start record come back as given
-    model = to_equality_form(corpus_get("rosenbrock_ring"))
+    model = equality_form(corpus_get("rosenbrock_ring"))
     start = EvaluationRecord(model, model.initial_point)
     scaled, factors, scaled_start = scale_functions(start, s_max=100.0)
     assert factors.s_f < 1.0 and scaled is not model and scaled_start is not start
@@ -148,7 +164,7 @@ def elastic_at(base, x, rho):
 
 
 def test_elastic_model_objective_and_residual():
-    base = to_equality_form(corpus_get("rosenbrock_ring"))
+    base = equality_form(corpus_get("rosenbrock_ring"))
     rng = np.random.RandomState(2)
     for rho in (0.0, 0.37, 1.0):
         for _ in range(5):
@@ -160,7 +176,7 @@ def test_elastic_model_objective_and_residual():
 
 
 def test_elastic_rho_zero_is_feasibility_objective():
-    base = to_equality_form(corpus_get("hs006"))
+    base = equality_form(corpus_get("hs006"))
     x = np.array([0.5, -1.0])
     ev = evaluate(base, x, with_derivatives=False)
     assert elastic_at(base, x, 0.0).f == pytest.approx(np.sum(np.abs(ev.c)))
@@ -170,7 +186,7 @@ def test_elastic_rho_zero_is_feasibility_objective():
 def test_elastic_jacobian_full_row_rank():
     rng = np.random.RandomState(3)
     for name in ("hs071", "infeasible1", "hs048"):
-        base = to_equality_form(corpus_get(name))
+        base = equality_form(corpus_get(name))
         for _ in range(10):
             x = rng.uniform(-2.0, 2.0, size=base.n)
             J = elastic_at(base, x, 1.0).jac_c
@@ -180,7 +196,7 @@ def test_elastic_jacobian_full_row_rank():
 
 
 def test_elastic_structure_sizes():
-    base = to_equality_form(corpus_get("booth"))
+    base = equality_form(corpus_get("booth"))
     ws = Workspace(base)
     eev = elastic_evaluations(
         EvaluationRecord(base, np.zeros(base.n)), np.zeros(base.m), np.zeros(4), 1.0, ws.bounds

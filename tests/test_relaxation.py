@@ -34,8 +34,8 @@ INF = np.inf
 def prepared(name, preset="byrd"):
     opts = validate_options(preset_options(preset))
     counted, _ = instrument(corpus_get(name))
-    working = to_equality_form(counted)
-    working, _, start = scale_functions(EvaluationRecord(working, working.initial_point), 100.0)
+    working, _, start = scale_functions(
+        to_equality_form(EvaluationRecord(counted, counted.initial_point)), 100.0)
     ws = Workspace(working)
     start = preprocess_initial_point(start)
     y0 = estimate_initial_multipliers(start, np.zeros(working.n), 1e3)

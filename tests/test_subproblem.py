@@ -14,7 +14,7 @@ from modnlp.linalg import (
     inertia_correct,
     solve_factorized,
 )
-from modnlp.model import Evaluations, evaluate
+from modnlp.model import EvaluationRecord, Evaluations, evaluate
 from modnlp.reformulation import to_equality_form
 from modnlp.relaxation import IPMSubproblem
 from modnlp.state import Bounds, Iterate, Workspace
@@ -358,7 +358,8 @@ def test_push_to_interior_matches_the_loop():
 
 def test_ipm_on_equality_model_matches_newton():
     # unconstrained-variable model: the step reduces to a plain Newton-KKT solve
-    model = to_equality_form(corpus_get("hs028"))
+    base = corpus_get("hs028")
+    model = to_equality_form(EvaluationRecord(base, base.initial_point)).model
     x = model.initial_point.astype(float)
     y = np.zeros(model.m)
     ev = evaluate(model, x, 1.0, y, with_hessian=True)

@@ -6,8 +6,9 @@ from __future__ import annotations
 
 import difflib
 import math
+import numbers
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -91,64 +92,85 @@ EVALUATION_ERROR = "EvaluationError"
 SUCCESS_STATUSES = (FEASIBLE_KKT, LOOSE_KKT)
 
 
+# each declared type's class: the class of its default, and the parser of a
+# string value (options file, -option)
+_CLASSES = {"int": int, "float": float, "str": str}
+# the numbers each numeric type admits
+_NUMBERS = {"int": numbers.Integral, "float": numbers.Real}
+
+
+def _option(default, interval: str, inf: str | None = None):
+    """A numeric Options field: its default, the interval it admits, each end
+    open or closed ("(0, 1]", "[eps, inf)", eps being machine epsilon), and,
+    where it is closed at inf, what inf means; an interval open at inf
+    refuses inf (tolerance = inf would accept any point)."""
+    return field(default=default, metadata={"interval": interval, "inf": inf})
+
+
 @dataclass
 class Options:
     """Every hyperparameter of the solver, and the only place that gives one
     a default: each part takes this object and reads its own constants from
     it. Loadable from file and overridable on the command line (command line
-    beats file beats preset beats these defaults). validate_options admits
-    each numeric value in its range (_RANGES), finite except for the
-    options of INFINITE_MEANS."""
+    beats file beats preset beats these defaults). Each numeric option is
+    declared once, with its type, default, admitted interval and, for the
+    five that admit inf, what inf means; validate_options refuses a value
+    outside the interval or of another type (a string, None, a bool, or a
+    float for an int option)."""
 
     constraint_relaxation_strategy: str = "feasibility_restoration"
     subproblem: str = "QP"
     globalization_strategy: str = "leyffer_filter_method"
     globalization_mechanism: str = "TR"
 
-    tolerance: float = 1e-6
-    max_iterations: int = 1000
-    loose_tolerance_factor: float = 100.0
-    loose_tolerance_window: int = 15
+    tolerance: float = _option(1e-6, "(0, inf)")
+    max_iterations: int = _option(1000, "[1, inf)")
+    loose_tolerance_factor: float = _option(100.0, "[1, inf)")
+    loose_tolerance_window: int = _option(15, "[1, inf)")
 
-    armijo_sigma: float = 1e-4
-    filter_sigma: float = 1e-8
-    filter_delta: float = 1.0
-    filter_beta: float = 0.999
-    filter_gamma: float = 1e-3
-    filter_capacity: int = 200
-    theta_min_factor: float = 1e-4
-    eta_max_factor: float = 1e4
-    restoration_exit_factor: float = 0.9
+    armijo_sigma: float = _option(1e-4, "(0, 1)")
+    filter_sigma: float = _option(1e-8, "(0, 1)")
+    filter_delta: float = _option(1.0, "(0, inf)")
+    filter_beta: float = _option(0.999, "(0, 1)")
+    filter_gamma: float = _option(1e-3, "(0, 1)")
+    filter_capacity: int = _option(200, "[1, inf)")
+    theta_min_factor: float = _option(1e-4, "(0, inf)")
+    # eta_max = factor * max(1, eta0) must admit the starting point
+    eta_max_factor: float = _option(1e4, "[1, inf]", "no upper bound on the constraint violation")
+    restoration_exit_factor: float = _option(0.9, "(0, 1]")
 
-    steering_epsilon1: float = 0.1
-    steering_epsilon2: float = 0.1
-    rho_initial: float = 1.0
-    rho_decrease_factor: float = 0.1
-    rho_min: float = 1e-14
+    steering_epsilon1: float = _option(0.1, "(0, 1)")
+    steering_epsilon2: float = _option(0.1, "(0, 1)")
+    rho_initial: float = _option(1.0, "(0, 1]")
+    rho_decrease_factor: float = _option(0.1, "(0, 1)")
+    rho_min: float = _option(1e-14, "(0, inf)")
 
-    mu_initial: float = 0.1
-    kappa_epsilon: float = 10.0
-    kappa_mu: float = 0.2
-    theta_mu: float = 1.5
-    tau_min: float = 0.99
-    interior_push: float = 1e-2
+    mu_initial: float = _option(0.1, "(0, inf)")
+    kappa_epsilon: float = _option(10.0, "(0, inf)")
+    kappa_mu: float = _option(0.2, "(0, 1)")
+    theta_mu: float = _option(1.5, "(1, 2)")
+    tau_min: float = _option(0.99, "(0, 1)")
+    interior_push: float = _option(1e-2, "(0, inf)")
 
-    backtrack_factor: float = 0.5
-    alpha_min: float = 1e-7
-    max_inner: int = 50
+    backtrack_factor: float = _option(0.5, "(0, 1)")
+    alpha_min: float = _option(1e-7, "[eps, inf)")
+    max_inner: int = _option(50, "[1, inf)")
 
-    radius_initial: float = 10.0
-    radius_min: float = 1e-16
-    radius_max: float = 1e30
-    radius_increase_factor: float = 2.0
-    radius_decrease_factor: float = 0.5
-    activity_tolerance_rel: float = 1e-10
+    radius_initial: float = _option(10.0, "(0, inf)")
+    radius_min: float = _option(1e-16, "[0, inf)")
+    radius_max: float = _option(1e30, "(0, inf]", "no cap on the trust radius")
+    radius_increase_factor: float = _option(2.0, "(1, inf)")
+    radius_decrease_factor: float = _option(0.5, "(0, 1)")
+    activity_tolerance_rel: float = _option(1e-10, "[0, 1)")
 
-    y_max: float = 1e3
-    s_max: float = 100.0
-    multiplier_scaling_cap: float = 100.0
+    y_max: float = _option(1e3, "[0, inf]", "keep every least-squares multiplier estimate")
+    s_max: float = _option(100.0, "(0, inf]", "no function scaling")
+    multiplier_scaling_cap: float = _option(100.0, "(0, inf]", "residuals without dual scaling")
 
     def updated(self, mapping: dict) -> "Options":
+        """A copy with mapping's values. A string (as the options file and
+        -option give) is parsed as its option's declared type; any other
+        value is kept as given, for validate_options to judge."""
         known = {f.name: f.type for f in fields(self)}
         values = {}
         for key, raw in mapping.items():
@@ -157,20 +179,10 @@ class Options:
                 hint = (" did you mean: " + ", ".join(near) + "?") if near else ""
                 raise UnknownOptionError("unknown option %r;%s" % (key, hint))
             try:
-                values[key] = _coerce(raw, getattr(self, key))
-            except (TypeError, ValueError) as exc:
+                values[key] = _CLASSES[known[key]](raw) if isinstance(raw, str) else raw
+            except ValueError as exc:
                 raise ConfigurationError("option %s: cannot parse %r" % (key, raw)) from exc
         return replace(self, **values)
-
-
-def _coerce(raw, current):
-    if isinstance(raw, str):
-        if isinstance(current, int):
-            return int(raw)
-        if isinstance(current, float):
-            return float(raw)
-        return raw
-    return type(current)(raw)
 
 
 def load_options_file(path: str) -> dict:
@@ -201,69 +213,51 @@ def preset_options(name: str) -> Options:
     return replace(Options(), **PRESETS[name])
 
 
-# (option, admits its value, the admitted range)
-_RANGES = (
-    ("tolerance", lambda v: v > 0.0, "> 0"),
-    ("max_iterations", lambda v: v >= 1, ">= 1"),
-    ("loose_tolerance_factor", lambda v: v >= 1.0, ">= 1"),
-    ("loose_tolerance_window", lambda v: v >= 1, ">= 1"),
-    ("mu_initial", lambda v: v > 0.0, "> 0"),
-    ("kappa_epsilon", lambda v: v > 0.0, "> 0"),
-    ("kappa_mu", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    ("theta_mu", lambda v: 1.0 < v < 2.0, "in (1, 2)"),
-    ("tau_min", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    ("interior_push", lambda v: v > 0.0, "> 0"),
-    ("backtrack_factor", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    ("alpha_min", lambda v: v >= np.finfo(float).eps, ">= machine epsilon"),
-    ("max_inner", lambda v: v >= 1, ">= 1"),
-    ("radius_initial", lambda v: v > 0.0, "> 0"),
-    ("radius_min", lambda v: v >= 0.0, ">= 0"),
-    ("radius_max", lambda v: v > 0.0, "> 0"),
-    ("radius_increase_factor", lambda v: v > 1.0, "> 1"),
-    ("radius_decrease_factor", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    ("activity_tolerance_rel", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-    ("filter_capacity", lambda v: v >= 1, ">= 1"),
-    ("filter_sigma", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    ("filter_beta", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    ("filter_gamma", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    ("filter_delta", lambda v: v > 0.0, "> 0"),
-    ("theta_min_factor", lambda v: v > 0.0, "> 0"),
-    # eta_max = factor * max(1, eta0) must admit the starting point
-    ("eta_max_factor", lambda v: v >= 1.0, ">= 1"),
-    ("armijo_sigma", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    ("restoration_exit_factor", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    ("steering_epsilon1", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    ("steering_epsilon2", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    ("rho_initial", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    ("rho_decrease_factor", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    ("rho_min", lambda v: v > 0.0, "> 0"),
-    ("y_max", lambda v: v >= 0.0, ">= 0"),
-    ("s_max", lambda v: v > 0.0, "> 0"),
-    ("multiplier_scaling_cap", lambda v: v > 0.0, "> 0"),
-)
+def _has_type(value, kind: str) -> bool:
+    """Whether value is a number of the kind "int" (integral) or "float"
+    (real); a bool is neither."""
+    return isinstance(value, _NUMBERS[kind]) and not isinstance(value, bool)
 
 
-# the options for which inf means something, and what it means; every other
-# numeric option must be finite (tolerance = inf would accept any point)
-INFINITE_MEANS = {
-    "y_max": "keep every least-squares multiplier estimate",
-    "s_max": "no function scaling",
-    "multiplier_scaling_cap": "residuals without dual scaling",
-    "radius_max": "no cap on the trust radius",
-    "eta_max_factor": "no upper bound on the constraint violation",
-}
+def _admits(kind: str, interval: str):
+    """The test that a value has the type kind and lies in interval."""
+    low, high = (float(np.finfo(float).eps) if end == "eps" else float(end)
+                 for end in interval[1:-1].split(", "))
+    low_closed, high_closed = interval[0] == "[", interval[-1] == "]"
+    exact = _CLASSES[kind]  # the common case, tested without a call
+    return lambda v: ((type(v) is exact or _has_type(v, kind))
+                      and (low < v or low_closed and v == low)
+                      and (v < high or high_closed and v == high))
+
+
+def _refusal(option, value) -> str:
+    """Why validate_options refuses value for a numeric option."""
+    interval = option.metadata["interval"]
+    low, high = interval[1:-1].split(", ")
+    if not _has_type(value, option.type):
+        bounds = "an integer" if option.type == "int" else "a number"
+    elif high != "inf":
+        bounds = "in " + interval
+    elif value == math.inf:
+        bounds = "finite"
+    else:
+        bounds = (">= " if interval[0] == "[" else "> ") + low.replace("eps", "machine epsilon")
+    return "option %s must be %s, got %r" % (option.name, bounds, value)
+
+
+# (option, its field, the test of its value) for each numeric option
+_NUMERIC = tuple((f.name, f, _admits(f.type, f.metadata["interval"]))
+                 for f in fields(Options) if f.metadata)
 
 
 def validate_options(opts: Options) -> Options:
-    for key, admits, bounds in _RANGES:
+    for key, option, admits in _NUMERIC:
         value = getattr(opts, key)
         if not admits(value):
-            raise ConfigurationError("option %s must be %s, got %r" % (key, bounds, value))
-        if isinstance(value, float) and not math.isfinite(value) and key not in INFINITE_MEANS:
-            raise ConfigurationError("option %s must be finite, got %r" % (key, value))
+            raise ConfigurationError(_refusal(option, value))
     for option, table in PARTS.items():
         value = getattr(opts, option)
-        if value not in table:
+        if not (isinstance(value, str) and value in table):
             raise ConfigurationError("unknown %s %r" % (option, value))
     if opts.subproblem == "primal_dual_IPM" and opts.globalization_mechanism == "TR":
         raise ConfigurationError(
@@ -441,15 +435,15 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
     start = to_equality_form(EvaluationRecord(counted, counted.initial_point))
     ws, s_f = None, 1.0
 
-    def result(status, x, evals, k=0, y=None, z=None, res=None, rho=1.0, message=""):
-        """The result at x with its evaluations; multipliers default to zero."""
+    def result(status, x, f, k=0, y=None, z=None, res=None, rho=1.0, message=""):
+        """The result at x with objective value f; multipliers default to zero."""
         return SolveResult(
             status=status,
             x=x[:model.n].copy(),
             y=np.zeros(model.m) if y is None else y.copy(),
             z=np.zeros(model.n) if z is None else z[:model.n].copy(),
             rho=rho,
-            objective_value=evals.f / s_f,
+            objective_value=f / s_f,
             iterations=k,
             objective_evaluations=counts.objective,
             constraint_evaluations=counts.constraints,
@@ -460,11 +454,11 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
             message=message,
         )
 
-    # x0 is read only as processing the start needs; f is first read where
-    # iteration 0 starts, since preprocessing and the interior push may move x0
+    # x0 is read only as processing the start needs, f first where iteration 0
+    # starts (preprocessing and the interior push may move x0): no f at this exit
     if not (np.isfinite(start.c).all() and np.isfinite(start.grad_f).all()
             and np.isfinite(start.jac_c).all()):
-        return result(EVALUATION_ERROR, start.x, start,
+        return result(EVALUATION_ERROR, start.x, np.nan,
                       message="IEEE exception at the initial point")
 
     working, factors, start = scale_functions(start, opts.s_max)
@@ -480,7 +474,7 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
         zeros = np.zeros(working.n)
         certificate = Iterate(start.x, np.zeros(working.m), zeros, zeros, start)
         res = compute_residuals(ws, certificate, 0.0, opts.multiplier_scaling_cap)
-        return result(INFEASIBLE_STATIONARY, start.x, start, res=res, rho=0.0,
+        return result(INFEASIBLE_STATIONARY, start.x, start.f, res=res, rho=0.0,
                       message=str(exc))
 
     x0, zl, zu = subproblem.initial_point(start.x)
@@ -488,7 +482,7 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
     y0 = estimate_initial_multipliers(start, zl - zu, opts.y_max)
     if not _finite_with_derivatives(start):
         where = "initial point" if start is initial else "preprocessed initial point"
-        return result(EVALUATION_ERROR, x0, start, y=y0, z=zl - zu,
+        return result(EVALUATION_ERROR, x0, start.f, y=y0, z=zl - zu,
                       message="IEEE exception at the " + where)
 
     iterate = Iterate(x=x0, y=y0, zl=zl, zu=zu, evals=start)
@@ -537,7 +531,7 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
     if measured is not iterate:  # an iterate accepted in the last iteration
         res = compute_residuals(ws, iterate, relaxation.measure_rho(), opts.multiplier_scaling_cap)
     rho_final = 0.0 if status == INFEASIBLE_STATIONARY else relaxation.measure_rho()
-    return result(status, iterate.x, iterate.evals, k, iterate.y, iterate.z, res, rho_final,
+    return result(status, iterate.x, iterate.evals.f, k, iterate.y, iterate.z, res, rho_final,
                   message)
 
 

@@ -461,24 +461,26 @@ def solve_factorized(fact: Factorization, rhs: np.ndarray) -> np.ndarray:
     return x * s if s is not None else x
 
 
+_REGULARIZATION_GROWTH = 8.0
+_REGULARIZATION_LIMIT = 1e40
+
+
 @dataclass
 class RegularizationSchedule:
     """State of the primal regularization schedule.
 
     Candidates are 0, then a third of the last successful value, then growing
-    by a fixed factor until the hard limit.
+    by _REGULARIZATION_GROWTH until _REGULARIZATION_LIMIT.
     """
 
     last_successful: float = 3e-4
-    growth: float = 8.0
-    limit: float = 1e40
 
     def candidates(self):
         yield 0.0
         delta = max(self.last_successful / 3.0, 1e-10)
-        while delta <= self.limit:
+        while delta <= _REGULARIZATION_LIMIT:
             yield delta
-            delta *= self.growth
+            delta *= _REGULARIZATION_GROWTH
 
     def record_success(self, delta: float) -> None:
         if delta > 0.0:
@@ -783,7 +785,7 @@ def _ratio_test(d, p, lb, ub, lb_finite, ub_finite, step_tol):
     return max(ratios[blocker], 0.0), blocker, _UPPER if up[blocker] else _LOWER
 
 
-def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, feas_tol, y=None):
+def _active_set_loop(W, g, A, b, d, codes, lb, ub, schedule, max_iter, y=None):
     """Primal active-set iteration from a feasible point d with working set
     codes; W None is a zero Hessian, with every product by it skipped.
 
@@ -1052,7 +1054,7 @@ def qp_solve(
         codes1 = (np.abs(d1 - phase1.d_lower) <= 1e-12).astype(np.int8)  # _LOWER or _FREE
         status1, d1, _, phase1_iters, _, _ = _active_set_loop(
             phase1.W, phase1.g, phase1.A, b, d1, codes1, phase1.d_lower, phase1.d_upper,
-            schedule, max_iter, feas_tol,
+            schedule, max_iter,
         )
         infeasibility = float(d1[n:].sum())
         if status1 != OPTIMAL or infeasibility > 100.0 * feas_tol * (1 + m):
@@ -1063,7 +1065,7 @@ def qp_solve(
 
     d0, codes, y0 = start or (*_working_set(d0, lb, ub), None)
     status, d, y, iters, r, objective = _active_set_loop(
-        W, g, A, b, d0, codes, lb, ub, schedule, max_iter, feas_tol, y0
+        W, g, A, b, d0, codes, lb, ub, schedule, max_iter, y0
     )
     if r is None:
         r = W @ d + g - (A.T @ y if m else 0.0)

@@ -15,8 +15,6 @@ from modnlp.driver import (
     MECHANISMS,
     PARTS,
     PRESETS,
-    _RANGES,
-    INFINITE_MEANS,
     Options,
     Residuals,
     SolveResult,
@@ -249,6 +247,11 @@ class TestOptions:
         with pytest.raises(ConfigurationError, match="unknown %s 'bogus'" % key):
             solve(corpus_get("booth"), opts)
 
+    def test_unhashable_part_value_is_refused(self):
+        # used to raise TypeError (unhashable list) out of validate_options
+        with pytest.raises(ConfigurationError, match=r"unknown subproblem \['QP'\]"):
+            validate_options(replace(Options(), subproblem=["QP"]))
+
     def test_presets_name_every_part(self):
         # a preset does not inherit a part from the Options defaults
         for overrides in PRESETS.values():
@@ -256,27 +259,58 @@ class TestOptions:
 
     def test_every_numeric_option_has_a_range(self):
         numeric = {f.name for f in fields(Options) if f.type in ("int", "float")}
-        assert {key for key, _, _ in _RANGES} == numeric
+        assert {f.name for f in fields(Options) if "interval" in f.metadata} == numeric
 
     def test_non_finite_value_is_refused_where_inf_means_nothing(self):
-        # +inf passes every range that has no upper end; only the options
-        # of INFINITE_MEANS admit it, and each of those solves with it
-        reals = [key for key, _, _ in _RANGES if isinstance(getattr(Options(), key), float)]
-        assert set(INFINITE_MEANS) <= set(reals)
-        for key in reals:
+        # +inf lies beyond every interval open at inf; only the options that
+        # declare what inf means are closed there, and each solves with it
+        reals = [f for f in fields(Options) if f.type == "float"]
+        means_inf = {f.name for f in reals if f.metadata["inf"]}
+        assert {f.name for f in reals if f.metadata["interval"].endswith(", inf]")} == means_inf
+        assert len(means_inf) == 5
+        for key in (f.name for f in reals):
             for value in (np.inf, -np.inf, np.nan):
                 opts = Options().updated({key: value})
-                if key in INFINITE_MEANS and value == np.inf:
+                if key in means_inf and value == np.inf:
                     continue
                 with pytest.raises(ConfigurationError, match="option %s must be" % key):
                     validate_options(opts)
-        for key in INFINITE_MEANS:
+        for key in means_inf:
             for preset in ("filtersqp", "ipopt", "byrd"):
                 opts = validate_options(preset_options(preset).updated({key: "inf"}))
                 assert solve(corpus_get("hs071"), opts).status in STATUSES
         # an int option given a float inf (not through the parser) is refused too
-        with pytest.raises(ConfigurationError, match="max_iterations must be finite"):
+        with pytest.raises(ConfigurationError, match="max_iterations must be an integer"):
             validate_options(replace(Options(), max_iterations=np.inf))
+
+    @pytest.mark.parametrize("key, value", [
+        ("tolerance", "1e-6"), ("tolerance", None), ("max_iterations", 2.5),
+        ("max_iterations", True), ("max_inner", 50.0), ("filter_capacity", 3.7),
+    ])
+    def test_wrongly_typed_value_is_refused(self, key, value):
+        # a string or None used to raise TypeError out of validate_options;
+        # a float or a bool for a count passed it, and a float raised
+        # TypeError out of solve() (max_iterations = 2.5 after 4 callback calls)
+        opts = replace(Options(), **{key: value})
+        kind = "an integer" if isinstance(getattr(Options(), key), int) else "a number"
+        with pytest.raises(ConfigurationError, match="option %s must be %s" % (key, kind)):
+            validate_options(opts)
+        counted, counts = instrument(corpus_get("hs071"))
+        with pytest.raises(ConfigurationError, match=key):
+            solve(counted, opts)
+        assert counts == EvaluationCounts()
+
+    def test_updated_does_not_truncate(self):
+        # a non-string value used to pass through int(): 2.5 became 2
+        opts = Options().updated({"max_iterations": 2.5})
+        assert opts.max_iterations == 2.5
+        with pytest.raises(ConfigurationError, match="max_iterations must be an integer"):
+            validate_options(opts)
+
+    def test_legal_values_of_other_types_pass(self):
+        opts = replace(Options(), tolerance=1, max_iterations=np.int64(5))
+        assert validate_options(opts) is opts
+        assert solve(corpus_get("hs071"), opts).status in STATUSES
 
     def test_every_range_admits_defaults_and_presets(self):
         for opts in [Options()] + [preset_options(name) for name in PRESETS]:
@@ -327,7 +361,8 @@ class TestSolve:
     # pole (2, 1, 2, 2, 0): now x0's check reads c first, and f only where
     # iteration 0 would start
     @pytest.mark.parametrize("case, pinned", [
-        ("nan start", ("EvaluationError", (1, 1, 0, 0, 0))),
+        # (1, 1, 0, 0, 0) while f at x0 filled the exit's objective value
+        ("nan start", ("EvaluationError", (0, 1, 0, 0, 0))),
         ("inconsistent rows", ("InfeasibleStationary", (1, 1, 1, 1, 0))),
         ("pole at the preprocessed point", ("EvaluationError", (1, 1, 2, 2, 0))),
     ])
@@ -351,6 +386,7 @@ class TestSolve:
         assert (result.status, observed) == pinned
         assert result.iterations == 0 and result.subproblem_solves == 0
         assert np.all(result.y == 0.0) and np.all(result.z == 0.0)
+        assert np.isnan(result.objective_value) == (case == "nan start")
         if case == "inconsistent rows":
             assert (result.stationarity, result.feasibility, result.complementarity) == (
                 0.0, 2.0, 0.0)
@@ -624,14 +660,20 @@ SWEPT_CONFIGS = {
 
 
 def test_legal_extremes_are_just_inside_every_range():
-    assert set(LEGAL_EXTREMES) == {key for key, _, _ in _RANGES}
-    for key, admits, _ in _RANGES:
-        low, high = LEGAL_EXTREMES[key]
-        assert admits(low) and admits(high)
+    def admits(key, value):
+        try:
+            validate_options(replace(Options(), **{key: value}))
+        except ConfigurationError:
+            return False
+        return True
+
+    assert set(LEGAL_EXTREMES) == {f.name for f in fields(Options) if "interval" in f.metadata}
+    for key, (low, high) in LEGAL_EXTREMES.items():
+        assert admits(key, low) and admits(key, high)
         if isinstance(low, float):
-            assert not admits(float(np.nextafter(low, -np.inf)))
+            assert not admits(key, float(np.nextafter(low, -np.inf)))
         if high != HUGE and high != int(HUGE):
-            assert not admits(float(np.nextafter(high, np.inf)))
+            assert not admits(key, float(np.nextafter(high, np.inf)))
 
 
 def test_no_legal_extreme_crashes_a_solve():

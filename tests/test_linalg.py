@@ -1741,7 +1741,7 @@ class TestQPSolve:
         loop, eqp_solve, ratio_test = linalg._active_set_loop, linalg._eqp_solve, linalg._ratio_test
 
         def traced_loop(W, g, A, b, d, codes, *args):
-            y = args[5] if len(args) > 5 else None
+            y = args[4] if len(args) > 4 else None
             loops.append({"start": d.copy(), "codes": codes.copy(), "y": y, "events": []})
             return loop(W, g, A, b, d, codes, *args)
 

@@ -68,7 +68,7 @@ class BacktrackingLineSearch:
     def compute_acceptable_iterate(self, iterate: Iterate) -> Iterate:
         recoveries = 4
         try:
-            direction = self.relaxation.compute_direction(iterate, trust_radius=None)
+            direction = self.relaxation.compute_direction(iterate, trust_radius=np.inf)
         except _RECOVERABLE:
             direction = self.relaxation.handle_small_step(iterate)
             if direction is None:

@@ -17,6 +17,8 @@ without knowing which one it is.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InnerIterationLimitError, QPFailureError
@@ -124,8 +126,8 @@ class QPSubproblem:
     def _direction(self, iterate, rho, trust_radius, elastic, start_dx=None) -> Direction:
         """Build the QP at rho, with elastics if elastic, solve it from the
         last optimal working set of its kind and start_dx, keep the new
-        working set and finish the direction. Without a trust radius (the
-        line search) W_rho is made positive definite."""
+        working set and finish the direction. With an infinite radius (no
+        box: the line search) W_rho is made positive definite."""
         hessian = self.hessian(iterate, rho)
         qp, tr_masks = build_sqp_qp(iterate.evals, hessian, iterate.x, rho, self.ws.bounds,
                                     trust_radius, self.schedule)
@@ -347,14 +349,12 @@ def _qp_direction(sol, iterate, W, trust_radius, tr_masks) -> Direction:
     z_hat = sol.multipliers_bounds[:n]
     zl_hat = np.maximum(z_hat, 0.0)
     zu_hat = np.maximum(-z_hat, 0.0)
-    if trust_radius is not None and np.isfinite(trust_radius):
+    if math.isfinite(trust_radius):
         # a component the trust region pins has no bound multiplier
         tol = 1e-10 * max(1.0, trust_radius)
-        pinned = (tr_masks[0][:n] & (dx <= -trust_radius + tol)) | (
-            tr_masks[1][:n] & (dx >= trust_radius - tol)
-        )
-        zl_hat[pinned] = 0.0
-        zu_hat[pinned] = 0.0
+        pinned = ((tr_masks[0][:n] & (dx <= -trust_radius + tol))
+                  | (tr_masks[1][:n] & (dx >= trust_radius - tol)))
+        zl_hat[pinned] = zu_hat[pinned] = 0.0
     return Direction(
         dx=dx,
         dy=sol.multipliers_eq - iterate.y,
@@ -438,7 +438,7 @@ class ConstraintRelaxationStrategy:
 
     # -- interface used by the mechanisms ------------------------------------
 
-    def compute_direction(self, iterate: Iterate, trust_radius=None) -> Direction:
+    def compute_direction(self, iterate: Iterate, trust_radius=math.inf) -> Direction:
         raise NotImplementedError
 
     def acceptance_test(self, iterate: Iterate, direction: Direction):
@@ -499,7 +499,7 @@ class L1Relaxation(ConstraintRelaxationStrategy):
             raise QPFailureError("elastic QP failed with status " + direction.status)
         return direction
 
-    def compute_direction(self, iterate: Iterate, trust_radius=None) -> Direction:
+    def compute_direction(self, iterate: Iterate, trust_radius=math.inf) -> Direction:
         self._maybe_update_barrier(iterate)
         opts = self.opts
         l0 = float(np.abs(np.asarray(iterate.evals.c, dtype=float)).sum())
@@ -641,7 +641,7 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
         self.phase = OPTIMALITY
         self.strategy.register_current(iterate_measures)
 
-    def compute_direction(self, iterate: Iterate, trust_radius=None) -> Direction:
+    def compute_direction(self, iterate: Iterate, trust_radius=math.inf) -> Direction:
         self._maybe_update_barrier(iterate)
         if self.phase == RESTORATION:
             return self._restoration_direction(iterate, trust_radius)
@@ -709,4 +709,4 @@ class FeasibilityRestoration(ConstraintRelaxationStrategy):
             # the restoration barrier problem may simply be over-smoothed for
             # the current point: retry after a barrier decrease, fail otherwise
             return None
-        return self._restoration_direction(iterate, None)
+        return self._restoration_direction(iterate, math.inf)

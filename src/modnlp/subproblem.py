@@ -4,6 +4,7 @@ fraction-to-boundary step caps and barrier-parameter management.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,23 +72,22 @@ def build_sqp_qp(
     x: np.ndarray,
     rho: float,
     bounds: Bounds,
-    trust_radius: float | None,
+    trust_radius: float,
     schedule: RegularizationSchedule,
 ) -> tuple[QPData, np.ndarray]:
     """Assemble the QP  min 1/2 d'Wd + rho grad_f'd  s.t. c + Jd = 0,
-    bounds on x + d, and ||d||_inf <= trust_radius (None: no trust region).
+    bounds on x + d, and ||d||_inf <= trust_radius (inf: no box; a QP
+    without a box is made convex).
 
-    W is the given Hessian, or 0 (an LP) where it is None. Without a trust
-    region (the line-search lineage), a Hessian is shifted to W + delta_w I
+    W is the given Hessian, or 0 (an LP) where it is None. Without a box
+    (the line-search lineage), a Hessian is shifted to W + delta_w I
     positive definite. Returns (qp, trust-region-active-candidate mask pair).
     """
     n = x.size
-    if hessian is None:
-        W = np.zeros((n, n))
-    else:
-        W = np.asarray(hessian, dtype=float)
-        if trust_radius is None:
-            W, _ = make_positive_definite(W, schedule)
+    boxed = math.isfinite(trust_radius)
+    W = np.zeros((n, n)) if hessian is None else np.asarray(hessian, dtype=float)
+    if hessian is not None and not boxed:
+        W, _ = make_positive_definite(W, schedule)
     g = rho * np.asarray(evals.grad_f, dtype=float)
     A = np.asarray(evals.jac_c, dtype=float)
     b = -np.asarray(evals.c, dtype=float)
@@ -95,7 +95,7 @@ def build_sqp_qp(
     ub = bounds.upper - x
     tr_lower = np.zeros(n, dtype=bool)
     tr_upper = np.zeros(n, dtype=bool)
-    if trust_radius is not None and np.isfinite(trust_radius):
+    if boxed:
         tr_lower = -trust_radius > lb
         tr_upper = trust_radius < ub
         lb = np.maximum(lb, -trust_radius)

@@ -118,7 +118,7 @@ class TestSteering:
                 ws, QPSubproblem(ws, relaxation.opts), relaxation.strategy,
                 replace(relaxation.opts, rho_initial=rho),
             )
-            direction = probe._solve_at(it, rho, None)
+            direction = probe._solve_at(it, rho, np.inf)
             return float(np.abs(c + jac @ direction.dx).sum())
 
         assert l_at(rho_star) <= 1e-9 * (1.0 + l0)

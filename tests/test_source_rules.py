@@ -242,3 +242,38 @@ def test_one_rule_turns_a_part_failure_into_a_status():
         for node in ast.walk(loop) if isinstance(node, ast.Try)
     ]
     assert caught == [["TinyRadiusError", "NonFiniteEvaluationError", "ModNLPError"]]
+
+
+def test_no_radius_is_compared_with_or_defaulted_to_none():
+    # a radius is a float, and inf means no box (a QP without a box is made
+    # convex): None is not a third state of it
+    def is_radius(node):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        return isinstance(name, str) and "radius" in name
+
+    def is_none(node):
+        return isinstance(node, ast.Constant) and node.value is None
+
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                hit = any(map(is_radius, operands)) and any(map(is_none, operands))
+            elif isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                pairs = [*zip(positional[len(positional) - len(args.defaults):], args.defaults),
+                         *zip(args.kwonlyargs, args.kw_defaults)]
+                hit = any("radius" in arg.arg and default is not None and is_none(default)
+                          for arg, default in pairs) or any(
+                    "radius" in arg.arg and arg.annotation is not None
+                    and "None" in ast.unparse(arg.annotation)
+                    for arg in positional + args.kwonlyargs)
+            elif isinstance(node, ast.keyword):
+                hit = node.arg is not None and "radius" in node.arg and is_none(node.value)
+            else:
+                continue
+            if hit:
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert SOURCES and not found

@@ -53,7 +53,7 @@ class TestBuildQP:
         # min x^2 s.t. x >= 0 at x = 2: step to the origin
         ev = scalar_model_evals([[2.0]], [4.0], np.zeros(0), np.zeros((0, 1)))
         qp, tr = build_sqp_qp(ev, ev.hessian, np.array([2.0]), 1.0,
-                              Bounds(np.array([0.0]), np.array([INF])), None,
+                              Bounds(np.array([0.0]), np.array([INF])), INF,
                               RegularizationSchedule())
         assert qp.d_lower[0] == -2.0 and qp.d_upper[0] == INF
         from modnlp.linalg import qp_solve
@@ -73,21 +73,22 @@ class TestBuildQP:
         np.testing.assert_allclose(qp_solve(qp).d, [-1.0])
 
     def test_infinite_trust_region_is_identity(self):
+        # an infinite radius adds no box: the step bounds are those of x
         ev = scalar_model_evals(np.eye(2), [1.0, -1.0], np.zeros(0), np.zeros((0, 2)))
         x = np.array([0.5, 1.5])
         bounds = Bounds(np.zeros(2), np.array([2.0, INF]))
-        plain, _ = build_sqp_qp(ev, ev.hessian, x, 1.0, bounds, None, RegularizationSchedule())
-        capped, _ = build_sqp_qp(ev, ev.hessian, x, 1.0, bounds, np.inf, None)
-        assert np.array_equal(plain.W, capped.W)  # the identity is positive definite
-        assert np.array_equal(plain.d_lower, capped.d_lower)
-        assert np.array_equal(plain.d_upper, capped.d_upper)
+        plain, tr = build_sqp_qp(ev, ev.hessian, x, 1.0, bounds, INF, RegularizationSchedule())
+        assert np.array_equal(plain.W, np.eye(2))  # the identity is positive definite
+        assert np.array_equal(plain.d_lower, bounds.lower - x)
+        assert np.array_equal(plain.d_upper, bounds.upper - x)
+        assert not tr.any()
 
     def test_regularize_makes_positive_definite(self):
         # without a trust region the Hessian is shifted positive definite
         ev = scalar_model_evals([[-1.0]], [0.0], np.zeros(0), np.zeros((0, 1)))
         schedule = RegularizationSchedule()
         qp, _ = build_sqp_qp(ev, ev.hessian, np.array([0.0]), 1.0,
-                             Bounds(np.array([-INF]), np.array([INF])), None, schedule)
+                             Bounds(np.array([-INF]), np.array([INF])), INF, schedule)
         assert schedule.last_successful > 1.0  # the schedule records the dw it took
         # independent eigen check of the returned Hessian
         assert np.all(np.linalg.eigvalsh(qp.W) > 0.0)
@@ -98,7 +99,7 @@ class TestBuildQP:
                              Bounds(np.array([-INF]), np.array([INF])), 1.0, None)
         assert np.array_equal(qp.W, [[-1.0]])
 
-    @pytest.mark.parametrize("trust_radius", [None, 1.0])
+    @pytest.mark.parametrize("trust_radius", [INF, 1.0])
     def test_no_hessian_is_an_lp(self, trust_radius):
         # W = 0, with or without a trust region: nothing is shifted
         ev = scalar_model_evals([[-1.0]], [1.0], np.zeros(0), np.zeros((0, 2)))
@@ -109,7 +110,7 @@ class TestBuildQP:
     def test_elastic_extension_always_feasible(self):
         ev = scalar_model_evals(np.eye(1), [0.0], [1.0], [[1.0]])
         qp, _ = build_sqp_qp(
-            ev, ev.hessian, np.array([0.0]), 1.0, Bounds(np.array([0.0]), np.array([0.0])), None,
+            ev, ev.hessian, np.array([0.0]), 1.0, Bounds(np.array([0.0]), np.array([0.0])), INF,
             RegularizationSchedule(),
         )  # d fixed to 0, c = 1: inconsistent without elastics
         from modnlp.linalg import INFEASIBLE, OPTIMAL, qp_solve

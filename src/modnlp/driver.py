@@ -517,6 +517,7 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
             break
         step = float(np.abs(new_iterate.x - iterate.x).max(initial=0.0))
         zero_steps = zero_steps + 1 if step == 0.0 else 0
+        new_iterate.last_step = step if step > 0.0 else iterate.last_step
         iterate = new_iterate
         if log is not None:
             log(_log_record(k, mechanism, relaxation, iterate))

@@ -126,8 +126,9 @@ class QPSubproblem:
     def _direction(self, iterate, rho, trust_radius, elastic, start_dx=None) -> Direction:
         """Build the QP at rho, with elastics if elastic, solve it from the
         last optimal working set of its kind and start_dx, keep the new
-        working set and finish the direction. With an infinite radius (no
-        box: the line search) W_rho is made positive definite."""
+        working set and finish the direction. The radius is the step box,
+        inf for none (the line search), and a QP without a box has W_rho
+        made positive definite."""
         hessian = self.hessian(iterate, rho)
         qp, tr_masks = build_sqp_qp(iterate.evals, hessian, iterate.x, rho, self.ws.bounds,
                                     trust_radius, self.schedule)
@@ -170,10 +171,23 @@ class QPSubproblem:
 
 class LPSubproblem(QPSubproblem):
     """Sequential linear programming: no second-order information, so no
-    Hessian call and dwd = 0 in the merit model of every step."""
+    Hessian call and dwd = 0 in the merit model of every step.
+
+    An LP needs a step bound. It replaces an infinite radius (the line
+    search) with the box min(10, max(1e-8, 2 ||dx||_inf)), dx the last
+    nonzero accepted change in x (the iterate's last_step; 10 before the
+    first), and so runs the trust region's boxed path: SLP with an
+    inf-norm step bound (Fletcher & Sainz de la Maza, Math. Prog. 43,
+    1989) and the LP trust region of SLQP (Byrd, Gould, Nocedal & Waltz,
+    Math. Prog. 100, 2004)."""
 
     def hessian(self, iterate, rho) -> None:
         return None
+
+    def _direction(self, iterate, rho, trust_radius, elastic, start_dx=None) -> Direction:
+        if not math.isfinite(trust_radius):
+            trust_radius = min(10.0, max(1e-8, 2.0 * iterate.last_step))
+        return super()._direction(iterate, rho, trust_radius, elastic, start_dx)
 
 
 def elastic_evaluations(record, y, u, rho, bounds: Bounds, with_hessian=False) -> Evaluations:

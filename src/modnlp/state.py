@@ -17,7 +17,10 @@ class Iterate:
     system. The objective multiplier rho is the relaxation's, not the
     point's. evals is the one record of x: every part reads f, c and the
     derivatives from it, each evaluated on first need, and W_rho from it
-    once per (rho, y); a trial at the same x shares it.
+    once per (rho, y); a trial at the same x shares it. last_step is
+    ||dx||_inf of the last nonzero accepted change in x that led here (inf
+    before the first), set by the outer loop: the LP's step box under the
+    line search is taken from it.
     """
 
     x: np.ndarray
@@ -25,6 +28,7 @@ class Iterate:
     zl: np.ndarray
     zu: np.ndarray
     evals: EvaluationRecord
+    last_step: float = np.inf
 
     @property
     def z(self) -> np.ndarray:

@@ -48,14 +48,16 @@ SHORT = {
 }
 
 # (status, iterations, (f, c, gradient, Jacobian, Hessian) calls, subproblem
-# solves); the LP's W is 0, so it calls no Hessian
+# solves); the LP's W is 0, so it calls no Hessian. While the LP had no box
+# under the line search, each of the six maratos LP LS entries was
+# ("IterationLimit", 0, (1, 1, 1, 1, 0), 1): an unbounded first LP.
 PINNED = {
     "maratos": {
-        "FR LP merit LS": ("IterationLimit", 0, (1, 1, 1, 1, 0), 1),
+        "FR LP merit LS": ("LooseToleranceKKT", 98, (214, 214, 99, 99, 0), 98),
         "FR LP merit TR": ("FeasibleKKT", 25, (71, 71, 26, 26, 0), 70),
-        "FR LP leyffer LS": ("IterationLimit", 0, (1, 1, 1, 1, 0), 1),
+        "FR LP leyffer LS": ("LooseToleranceKKT", 92, (202, 202, 93, 93, 0), 92),
         "FR LP leyffer TR": ("FeasibleKKT", 25, (71, 71, 26, 26, 0), 70),
-        "FR LP waechter LS": ("IterationLimit", 0, (1, 1, 1, 1, 0), 1),
+        "FR LP waechter LS": ("LooseToleranceKKT", 121, (260, 260, 122, 122, 0), 121),
         "FR LP waechter TR": ("FeasibleKKT", 27, (75, 75, 28, 28, 0), 74),
         "FR QP merit LS": ("FeasibleKKT", 6, (12, 12, 7, 7, 6), 6),
         "FR QP merit TR": ("FeasibleKKT", 6, (11, 11, 7, 7, 6), 10),
@@ -66,11 +68,11 @@ PINNED = {
         "FR IPM merit LS": ("FeasibleKKT", 6, (12, 12, 7, 7, 6), 6),
         "FR IPM leyffer LS": ("FeasibleKKT", 6, (12, 12, 7, 7, 6), 6),
         "FR IPM waechter LS": ("FeasibleKKT", 6, (12, 12, 7, 7, 6), 6),
-        "L1 LP merit LS": ("IterationLimit", 0, (1, 1, 1, 1, 0), 1),
+        "L1 LP merit LS": ("LooseToleranceKKT", 84, (183, 183, 85, 85, 0), 86),
         "L1 LP merit TR": ("FeasibleKKT", 31, (81, 81, 32, 32, 0), 82),
-        "L1 LP leyffer LS": ("IterationLimit", 0, (1, 1, 1, 1, 0), 1),
+        "L1 LP leyffer LS": ("LooseToleranceKKT", 74, (164, 164, 75, 75, 0), 76),
         "L1 LP leyffer TR": ("FeasibleKKT", 23, (65, 65, 24, 24, 0), 66),
-        "L1 LP waechter LS": ("IterationLimit", 0, (1, 1, 1, 1, 0), 1),
+        "L1 LP waechter LS": ("LooseToleranceKKT", 103, (222, 222, 104, 104, 0), 105),
         "L1 LP waechter TR": ("FeasibleKKT", 25, (69, 69, 26, 26, 0), 70),
         "L1 QP merit LS": ("FeasibleKKT", 40, (294, 294, 41, 41, 42), 42),
         "L1 QP merit TR": ("FeasibleKKT", 22, (42, 42, 22, 22, 40), 60),
@@ -122,9 +124,8 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("problem, combo", CASES,
-                         ids=["%s-%s" % (p, short(c).replace(" ", "-")) for p, c in CASES])
-def test_combination_pinned(problem, combo):
+def observed(problem, combo):
+    """The pinned tuple of one solve of the corpus problem under combo."""
     relaxation, subproblem, strategy, mechanism = combo
     options = Options(
         constraint_relaxation_strategy=relaxation, subproblem=subproblem,
@@ -134,14 +135,38 @@ def test_combination_pinned(problem, combo):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # feasibility_restoration + l1_merit
         result = solve(model, options)
-    observed = (
+    return (
         result.status,
         result.iterations,
         (counts.objective, counts.constraints, counts.objective_gradient,
          counts.constraint_jacobian, counts.hessian),
         result.subproblem_solves,
     )
-    assert observed == PINNED[problem][short(combo)]
+
+
+@pytest.mark.parametrize("problem, combo", CASES,
+                         ids=["%s-%s" % (p, short(c).replace(" ", "-")) for p, c in CASES])
+def test_combination_pinned(problem, combo):
+    assert observed(problem, combo) == PINNED[problem][short(combo)]
+
+
+# hs021 under the six LP + line-search combinations. While the LP had no box
+# under the line search, each was ("IterationLimit", 1000,
+# (14456, 14458, 1002, 1003, 0), 1000): the outer limit, and no answer.
+HS021_LP_LS = {
+    "FR LP merit LS": ("FeasibleKKT", 30, (84, 86, 32, 33, 0), 30),
+    "FR LP leyffer LS": ("FeasibleKKT", 15, (56, 58, 17, 18, 0), 15),
+    "FR LP waechter LS": ("FeasibleKKT", 30, (84, 86, 32, 33, 0), 30),
+    "L1 LP merit LS": ("FeasibleKKT", 30, (84, 86, 32, 33, 0), 30),
+    "L1 LP leyffer LS": ("FeasibleKKT", 15, (56, 58, 17, 18, 0), 15),
+    "L1 LP waechter LS": ("FeasibleKKT", 30, (84, 86, 32, 33, 0), 30),
+}
+
+
+@pytest.mark.parametrize("combo", [c for c in LEGAL if short(c) in HS021_LP_LS],
+                         ids=lambda combo: short(combo).replace(" ", "-"))
+def test_lp_with_the_line_search_is_boxed_on_hs021(combo):
+    assert observed("hs021", combo) == HS021_LP_LS[short(combo)]
 
 
 # Every numeric option moved off its default to a legal value, in two sets,

@@ -188,3 +188,32 @@ def test_compare_counts_seeded_statuses_and_messages(tmp_path, capsys):
     assert "  seeded: message 'stagnation' 1 -> 0" in lines
     assert "  seeded: message '' 1 -> 2" in lines
     assert "  right answers: 1/1 -> 1/1" in lines  # the grid's alone
+
+
+def test_compare_lists_each_lost_right_answer(tmp_path, capsys):
+    # a swap keeps every count of right answers and still lists the record
+    # that lost its answer, on the grid and from seeded starts
+    compare = load_tool().compare
+
+    def judged(right, **kwargs):
+        return dict(record([1.0], **kwargs), right=right)
+
+    a = write(tmp_path / "a.json", {
+        "grid p l1 QP": judged(True), "grid q l1 QP": judged(False, status="IterationLimit"),
+        "seeded p #0 l1 QP": judged(True), "seeded p #1 l1 QP": judged(False),
+        "seeded p #0 fr LP": judged(False), "seeded p #1 fr LP": judged(True)})
+    b = write(tmp_path / "b.json", {
+        "grid p l1 QP": judged(False, status="IterationLimit"), "grid q l1 QP": judged(True),
+        "seeded p #0 l1 QP": judged(True), "seeded p #1 l1 QP": judged(True),
+        "seeded p #0 fr LP": judged(False)})
+    assert compare(a, b) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "  right answers, l1 QP: 1/2 -> 1/2" in lines
+    assert "  grid: 1 right answers lost" in lines
+    assert "  right answer lost: grid p l1 QP (Optimal -> IterationLimit)" in lines
+    assert "  seeded right answers, l1 QP: 1/2 -> 2/2" in lines
+    assert "  seeded right answers, fr LP: 1/2 -> 0/1  lost" in lines
+    assert "  seeded: 1 right answers lost" in lines
+    assert "  right answer lost: seeded p #1 fr LP (Optimal -> absent)" in lines
+    assert compare(a, a) == 0
+    assert "  grid: 0 right answers lost" in capsys.readouterr().out.splitlines()

@@ -18,6 +18,7 @@ from modnlp.model import EvaluationRecord, Evaluations, instrument
 from modnlp.reformulation import scale_functions, to_equality_form
 from modnlp.relaxation import (
     L1Relaxation,
+    LPSubproblem,
     OPTIMALITY,
     RESTORATION,
     QPSubproblem,
@@ -444,3 +445,84 @@ def test_acceptance_test_reads_the_phase_at_each_trial():
     accepts = relaxation.acceptance_test(point(1.5), direction)
     assert not accepts(point(0.5), 1.0) and relaxation.phase == OPTIMALITY
     assert accepts(point(2.0), 0.5) and not strategy.decisions
+
+
+class TestStepBox:
+    """Under the line search (an infinite radius) the LP takes the box
+    min(10, max(1e-8, 2 ||dx||_inf)) of the last nonzero accepted step dx;
+    the QP and the IPM take none."""
+
+    @staticmethod
+    def built(monkeypatch):
+        """The (radius, QP) of each build_sqp_qp call the subproblems make."""
+        import modnlp.relaxation as relaxation
+
+        seen, original = [], relaxation.build_sqp_qp
+
+        def spy(evals, hessian, x, rho, bounds, trust_radius, schedule):
+            qp, masks = original(evals, hessian, x, rho, bounds, trust_radius, schedule)
+            seen.append((trust_radius, qp))
+            return qp, masks
+
+        monkeypatch.setattr(relaxation, "build_sqp_qp", spy)
+        return seen
+
+    @pytest.mark.parametrize("last_step, box", [(INF, 10.0), (0.3, 0.6), (7.0, 10.0),
+                                                (1e-12, 1e-8)])
+    def test_lp_box_is_twice_the_last_step_clipped(self, monkeypatch, last_step, box):
+        seen = self.built(monkeypatch)
+        ws, it, _, _ = prepared("hs071", preset="filtersqp")
+        assert it.last_step == INF  # no step yet: the first box is 10
+        it.last_step = last_step
+        lp = LPSubproblem(ws, Options())
+        lp.optimality_direction(it, INF)
+        lp.feasibility_direction(it, 0.5, INF)
+        lp.optimality_direction(it, 0.25)  # a finite radius is the box as given
+        assert [radius for radius, _ in seen] == [box, box, 0.25]
+
+    def test_qp_under_the_line_search_is_unboxed_and_convex(self, monkeypatch):
+        seen = self.built(monkeypatch)
+        ws, it, _, _ = prepared("hs071", preset="filtersqp")
+        assert np.linalg.eigvalsh(it.evals.lagrangian_hessian(1.0, it.y)).min() < 0.0
+        it.last_step = 0.3
+        QPSubproblem(ws, Options()).optimality_direction(it, INF)
+        (radius, qp), = seen
+        assert radius == INF
+        assert np.array_equal(qp.d_lower, ws.bounds.lower - it.x)
+        assert np.array_equal(qp.d_upper, ws.bounds.upper - it.x)
+        assert np.all(np.linalg.eigvalsh(qp.W) > 0.0)
+
+    def test_ipm_does_not_read_the_last_step(self):
+        ws, it, relaxation, _ = prepared("hs071", preset="ipopt")
+        it.x = push_to_interior(it.x, ws.bounds, relaxation.subproblem.opts.interior_push)
+        it.zl, it.zu = initial_bound_multipliers(ws.bounds)
+        it.evals = EvaluationRecord(ws.model, it.x)
+        first = relaxation.subproblem.optimality_direction(it, INF)
+        it.last_step = 1e-3
+        again = relaxation.subproblem.optimality_direction(it, INF)
+        assert np.array_equal(first.dx, again.dx) and np.array_equal(first.dy, again.dy)
+
+    def test_a_zero_step_keeps_the_last_step(self, monkeypatch):
+        # the outer loop sets each accepted iterate's last_step: the step
+        # that led to it, or after a zero step the one before
+        from modnlp import mechanism
+        from modnlp.driver import solve
+
+        original = mechanism.BacktrackingLineSearch.compute_acceptable_iterate
+        seen = []
+
+        def scripted(self, iterate):
+            seen.append((iterate.x.copy(), iterate.last_step))
+            if len(seen) == 2:  # a zero step
+                return Iterate(iterate.x.copy(), iterate.y, iterate.zl, iterate.zu, iterate.evals)
+            return original(self, iterate)
+
+        monkeypatch.setattr(mechanism.BacktrackingLineSearch, "compute_acceptable_iterate",
+                            scripted)
+        solve(corpus_get("hs021"), Options(subproblem="LP", globalization_mechanism="LS",
+                                           max_iterations=4))
+        (x0, s0), (x1, s1), (x2, s2), (x3, s3) = seen
+        assert s0 == INF
+        assert s1 == np.abs(x1 - x0).max() > 0.0
+        assert np.array_equal(x2, x1) and s2 == s1
+        assert s3 == np.abs(x3 - x2).max() > 0.0

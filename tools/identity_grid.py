@@ -38,8 +38,12 @@ changed from failure to success (FeasibleKKT or LooseToleranceKKT), from
 success to failure, and otherwise, with the objective-call totals of those
 records in A and in B; and, per combination of the four parts, the grid's
 right answers in each file (a combination with fewer in B is marked
-"lost"). For the seeded records it also prints the right answers and the
-count of each status and of each message in A and in B.
+"lost"). For the seeded records it also prints the right answers, in all
+and per combination (marked "lost" in the same way), and the count of
+each status and of each message in A and in B. Last, for the grid and
+the seeded records, it lists every record whose answer was right in A and
+is not in B, so that a lost answer is not hidden by a gain elsewhere in
+a count.
 """
 from __future__ import annotations
 
@@ -178,16 +182,27 @@ def source(key: str) -> str:
     return key.split(" #")[0]
 
 
-def right_answers(records: dict) -> dict:
-    """Per combination (the grid key's label), [right answers, records] over
-    the grid records that carry a judgement."""
+def right_answers(records: dict, kind: str = "grid") -> dict:
+    """Per combination (the label that ends a grid or seeded key), [right
+    answers, records] over the records of that kind that carry a
+    judgement."""
     tally = {}
     for key, rec in records.items():
-        if key.startswith("grid ") and "right" in rec:
-            counts = tally.setdefault(key.split(" ", 2)[2], [0, 0])
+        if source(key) == kind and "right" in rec:
+            label = key.split(" ", 3 if kind == "seeded" else 2)[-1]
+            counts = tally.setdefault(label, [0, 0])
             counts[0] += bool(rec["right"])
             counts[1] += 1
     return tally
+
+
+def print_right_answers(prefix: str, right_a: dict, right_b: dict) -> None:
+    """Right answers per combination in A and in B, a combination with
+    fewer in B marked "lost"."""
+    for combo in sorted(set(right_a) | set(right_b)):
+        ca, cb = right_a.get(combo, [0, 0]), right_b.get(combo, [0, 0])
+        print("  %s, %s: %d/%d -> %d/%d%s"
+              % (prefix, combo, *ca, *cb, "  lost" if cb[0] < ca[0] else ""))
 
 
 def seeded_tallies(records: dict) -> tuple:
@@ -225,6 +240,8 @@ def compare(path_a: str, path_b: str, x_tol: float = 0.0) -> int:
     # per source: statuses changed to success, to failure and otherwise,
     # and the objective calls of those records in A and in B
     changes = {}
+    # per source: the records right in A and not in B
+    wrong_now = {}
     for key in sorted(set(a) | set(b)):
         tally = summary.setdefault(source(key), [0, 0, 0, 0.0])
         totals = calls.setdefault(source(key), [[0] * 5, [0] * 5, 0])
@@ -232,6 +249,8 @@ def compare(path_a: str, path_b: str, x_tol: float = 0.0) -> int:
         for side, rec in enumerate((ra, rb)):
             if rec is not None and "counts" in rec:
                 totals[side] = [t + c for t, c in zip(totals[side], rec["counts"])]
+        if (ra or {}).get("right") and not (rb or {}).get("right"):
+            wrong_now.setdefault(source(key), []).append(key)
         if ra is None or rb is None:
             print("%s: only in %s" % (key, path_a if rb is None else path_b))
             tally[2] += 1
@@ -272,10 +291,7 @@ def compare(path_a: str, path_b: str, x_tol: float = 0.0) -> int:
                   " their objective calls %d -> %d"
                   % (name, to_success, to_failure, other, f_a, f_b))
     right_a, right_b = right_answers(a), right_answers(b)
-    for combo in sorted(set(right_a) | set(right_b)):
-        ca, cb = right_a.get(combo, [0, 0]), right_b.get(combo, [0, 0])
-        print("  right answers, %s: %d/%d -> %d/%d%s"
-              % (combo, *ca, *cb, "  lost" if cb[0] < ca[0] else ""))
+    print_right_answers("right answers", right_a, right_b)
     if right_a or right_b:
         print("  right answers: %d/%d -> %d/%d" % (
             sum(c[0] for c in right_a.values()), sum(c[1] for c in right_a.values()),
@@ -284,12 +300,20 @@ def compare(path_a: str, path_b: str, x_tol: float = 0.0) -> int:
         (right_a, statuses_a, messages_a), (right_b, statuses_b, messages_b) = (
             seeded_tallies(a), seeded_tallies(b))
         print("  seeded: right answers %d -> %d" % (right_a, right_b))
+        print_right_answers("seeded right answers", right_answers(a, "seeded"),
+                            right_answers(b, "seeded"))
         for status in sorted(set(statuses_a) | set(statuses_b)):
             print("  seeded: status %s %d -> %d"
                   % (status, statuses_a[status], statuses_b[status]))
         for message in sorted(set(messages_a) | set(messages_b)):
             print("  seeded: message %r %d -> %d"
                   % (message, messages_a[message], messages_b[message]))
+    for name in ("grid", "seeded"):
+        if name in summary:
+            print("  %s: %d right answers lost" % (name, len(wrong_now.get(name, []))))
+            for key in wrong_now.get(name, []):
+                print("  right answer lost: %s (%s -> %s)" % (
+                    key, a[key].get("status"), b[key].get("status") if key in b else "absent"))
     differ = sum(tally[2] for tally in summary.values())
     x_within = sum(tally[1] for tally in summary.values())
     max_dx = max((tally[3] for tally in summary.values()), default=0.0)

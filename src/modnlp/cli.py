@@ -25,7 +25,7 @@ from .driver import (
 from .errors import ConfigurationError, ModNLPError, UnknownProblemError
 
 TAU_GRID = np.logspace(0.0, np.log10(1024.0), 64)
-PROFILE_CONFIGS = "filtersqp;ipopt;byrd"
+PROFILE_CONFIGS = ";".join(PRESETS)  # the default of --profile-configs
 
 
 @dataclass

@@ -1,5 +1,6 @@
-"""Built-in analytic test problems with hand-coded derivatives, and the
-judge of a solve's answer on them.
+"""Built-in analytic test problems with hand-coded derivatives, the judge
+of a solve's answer on them, and the two other facts of an experiment on
+them: the legal combinations of the four parts and the seeded starts.
 
 The registry spans linear systems, bound-constrained QPs, equality-constrained
 QPs, general nonlinear problems, and deliberately infeasible instances.
@@ -8,13 +9,22 @@ reduces them to equality form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import warnings
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .driver import INFEASIBLE_STATIONARY, LOOSE_KKT, SUCCESS_STATUSES
-from .errors import UnknownProblemError
+from .driver import (
+    INFEASIBLE_STATIONARY,
+    LOOSE_KKT,
+    PARTS,
+    SUCCESS_STATUSES,
+    Options,
+    validate_options,
+)
+from .errors import ConfigurationError, UnknownProblemError
 from .model import Model, evaluate
 
 INF = np.inf
@@ -833,6 +843,35 @@ def is_right(name: str, result) -> bool:
     tolerance = 2e-4 if result.status == LOOSE_KKT else 2e-5
     return bool(min(abs(result.objective_value - f) / (1 + abs(f))
                     for f in KNOWN_OPTIMA[name]) <= tolerance)
+
+
+def legal_combinations() -> list[tuple[tuple[str, ...], Options]]:
+    """Every combination of the driver.PARTS tables, in itertools.product
+    order, that validate_options accepts (without its warning): the four
+    part names, and the Options with those parts and every default."""
+    legal = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for combo in itertools.product(*PARTS.values()):
+            try:
+                legal.append((combo, validate_options(Options(**dict(zip(PARTS, combo))))))
+            except ConfigurationError:
+                continue
+    return legal
+
+
+SEEDED_RNG = 7  # the seed of every problem's generator of seeded starts
+
+
+def seeded_starts(model: Model, count: int) -> list[Model]:
+    """count copies of model, the k-th started at x0 + N(0, I) clipped to
+    the bounds: the k-th draw of a generator seeded with SEEDED_RNG for
+    this model alone, so a start depends on neither the other problems nor
+    the order in which they are solved."""
+    rng = np.random.default_rng(SEEDED_RNG)
+    return [replace(model, initial_point=np.clip(
+        model.initial_point + rng.standard_normal(model.n),
+        model.variable_lower, model.variable_upper)) for _ in range(count)]
 
 
 def corpus_names() -> tuple[str, ...]:

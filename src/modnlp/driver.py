@@ -33,7 +33,7 @@ from .linalg import (
     solve_factorized,  # noqa: F401 -- bound here for perfbench/layers.py
 )
 from .mechanism import BacktrackingLineSearch, TrustRegionMethod
-from .model import EvaluationRecord, Model, instrument
+from .model import EvaluationCounts, EvaluationRecord, Model, instrument
 from .reformulation import scale_functions, to_equality_form
 from .relaxation import (
     FeasibilityRestoration,
@@ -89,6 +89,8 @@ LOOSE_KKT = "LooseToleranceKKT"
 ITERATION_LIMIT = "IterationLimit"
 EVALUATION_ERROR = "EvaluationError"
 
+STATUSES = (FEASIBLE_KKT, FEASIBLE_FJ, INFEASIBLE_STATIONARY, SMALL_TRUST_REGION, LOOSE_KKT,
+            ITERATION_LIMIT, EVALUATION_ERROR)  # every status solve() returns
 SUCCESS_STATUSES = (FEASIBLE_KKT, LOOSE_KKT)
 
 
@@ -279,6 +281,9 @@ def validate_options(opts: Options) -> Options:
 
 @dataclass
 class SolveResult:
+    """The outcome of solve(). counts holds the calls of each of the five
+    model callbacks the solve made."""
+
     status: str
     x: np.ndarray
     y: np.ndarray
@@ -286,8 +291,7 @@ class SolveResult:
     rho: float
     objective_value: float
     iterations: int
-    objective_evaluations: int
-    constraint_evaluations: int
+    counts: EvaluationCounts
     subproblem_solves: int
     stationarity: float
     feasibility: float
@@ -297,6 +301,14 @@ class SolveResult:
     @property
     def success(self) -> bool:
         return self.status in SUCCESS_STATUSES
+
+    @property
+    def objective_evaluations(self) -> int:
+        return self.counts.objective
+
+    @property
+    def constraint_evaluations(self) -> int:
+        return self.counts.constraints
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +457,7 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
             rho=rho,
             objective_value=f / s_f,
             iterations=k,
-            objective_evaluations=counts.objective,
-            constraint_evaluations=counts.constraints,
+            counts=counts,
             subproblem_solves=ws.subproblem_solves if ws is not None else 0,
             stationarity=res.stationarity if res else np.nan,
             feasibility=res.feasibility if res else np.nan,

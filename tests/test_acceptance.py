@@ -10,7 +10,7 @@ import pytest
 
 import modnlp.mechanism
 from modnlp.corpus import corpus_get, corpus_names, is_right
-from modnlp.driver import SUCCESS_STATUSES, Options, preset_options, solve, validate_options
+from modnlp.driver import PRESETS, SUCCESS_STATUSES, Options, preset_options, solve, validate_options
 from modnlp.errors import ConfigurationError
 from modnlp.globalization import Filter
 from modnlp.linalg import ldlt_factorize, qp_solve
@@ -24,7 +24,6 @@ from modnlp.relaxation import (
 from modnlp.state import Bounds
 
 EPSILON = 1e-6
-PRESETS = ("filtersqp", "ipopt", "byrd")
 
 
 def report(number, passed, text):

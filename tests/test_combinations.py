@@ -8,37 +8,28 @@ the subproblem solves recorded here. The four presets run again on hs071
 and maratos with every numeric option off its default, and their QP
 phase-I and phase-II loops, active-set iterations and KKT factorizations
 over the 28 default starts are counted. Four small problems also run under
-every legal combination from seeded starts.
+every legal combination from seeded starts. The legal combinations and the
+seeded starts are those of modnlp.corpus, checked here against their rules.
 """
-import importlib.util
 import itertools
 import warnings
-from dataclasses import fields, replace
-from pathlib import Path
+from dataclasses import astuple, fields, replace
 
+import numpy as np
 import pytest
 
 import modnlp.linalg as linalg
-from modnlp.corpus import corpus_get, corpus_names
+from modnlp.corpus import corpus_get, corpus_names, legal_combinations, seeded_starts
 from modnlp.driver import (
-    EVALUATION_ERROR,
-    FEASIBLE_FJ,
-    FEASIBLE_KKT,
-    INFEASIBLE_STATIONARY,
-    ITERATION_LIMIT,
-    LOOSE_KKT,
-    MECHANISMS,
-    RELAXATIONS,
-    SMALL_TRUST_REGION,
-    STRATEGIES,
-    SUBPROBLEMS,
+    PARTS,
+    PRESETS,
+    STATUSES,
     Options,
     preset_options,
     solve,
     validate_options,
 )
 from modnlp.errors import ConfigurationError
-from modnlp.model import instrument
 
 SHORT = {
     "feasibility_restoration": "FR", "l1_relaxation": "L1",
@@ -103,14 +94,28 @@ PINNED = {
     },
 }
 
-LEGAL = [
-    combo for combo in itertools.product(RELAXATIONS, SUBPROBLEMS, STRATEGIES, MECHANISMS)
-    if not (combo[1] == "primal_dual_IPM" and combo[3] == "TR")
-]
+# each legal combination's four part names, and its Options
+LEGAL = dict(legal_combinations())
 
 
 def test_thirty_legal_combinations():
-    assert len(LEGAL) == 30
+    # the products of the part tables that validate_options accepts, in
+    # product order, each with default Options but for its parts; listing
+    # them warns of nothing
+    def accepted(options):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                return validate_options(options) is options
+        except ConfigurationError:
+            return False
+
+    products = [(combo, Options(**dict(zip(PARTS, combo))))
+                for combo in itertools.product(*PARTS.values())]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert legal_combinations() == [pair for pair in products if accepted(pair[1])]
+    assert (len(products), len(LEGAL)) == (36, 30)
     assert len(PINNED["maratos"]) == 30 and len(PINNED["infeasible1"]) == 15
 
 
@@ -124,30 +129,18 @@ CASES = [
 ]
 
 
-def observed(problem, combo):
-    """The pinned tuple of one solve of the corpus problem under combo."""
-    relaxation, subproblem, strategy, mechanism = combo
-    options = Options(
-        constraint_relaxation_strategy=relaxation, subproblem=subproblem,
-        globalization_strategy=strategy, globalization_mechanism=mechanism,
-    )
-    model, counts = instrument(corpus_get(problem))
+def observed(problem, options):
+    """The pinned tuple of one solve of the corpus problem under options."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # feasibility_restoration + l1_merit
-        result = solve(model, options)
-    return (
-        result.status,
-        result.iterations,
-        (counts.objective, counts.constraints, counts.objective_gradient,
-         counts.constraint_jacobian, counts.hessian),
-        result.subproblem_solves,
-    )
+        result = solve(corpus_get(problem), options)
+    return result.status, result.iterations, astuple(result.counts), result.subproblem_solves
 
 
 @pytest.mark.parametrize("problem, combo", CASES,
                          ids=["%s-%s" % (p, short(c).replace(" ", "-")) for p, c in CASES])
 def test_combination_pinned(problem, combo):
-    assert observed(problem, combo) == PINNED[problem][short(combo)]
+    assert observed(problem, LEGAL[combo]) == PINNED[problem][short(combo)]
 
 
 # hs021 under the six LP + line-search combinations. While the LP had no box
@@ -166,7 +159,7 @@ HS021_LP_LS = {
 @pytest.mark.parametrize("combo", [c for c in LEGAL if short(c) in HS021_LP_LS],
                          ids=lambda combo: short(combo).replace(" ", "-"))
 def test_lp_with_the_line_search_is_boxed_on_hs021(combo):
-    assert observed("hs021", combo) == HS021_LP_LS[short(combo)]
+    assert observed("hs021", LEGAL[combo]) == HS021_LP_LS[short(combo)]
 
 
 # Every numeric option moved off its default to a legal value, in two sets,
@@ -199,12 +192,8 @@ PERTURBED = {
     ),
 }
 
-PRESET_CONFIGS = {
-    "filtersqp": lambda: preset_options("filtersqp"),
-    "ipopt": lambda: preset_options("ipopt"),
-    "byrd": lambda: preset_options("byrd"),
-    "byrd_TR": lambda: replace(preset_options("byrd"), globalization_mechanism="TR"),
-}
+PRESET_CONFIGS = {**{name: preset_options(name) for name in PRESETS},
+                  "byrd_TR": replace(preset_options("byrd"), globalization_mechanism="TR")}
 
 # (status, iterations, (f, c, gradient, Jacobian, Hessian) calls, subproblem solves).
 # While the slack start evaluated c(x0) a second time, each hs071 entry read
@@ -239,24 +228,15 @@ def test_perturbed_options_cover_every_numeric_option(perturbation):
     assert set(values) == numeric
     for name, value in values.items():
         for config in PRESET_CONFIGS.values():
-            assert value != getattr(config(), name)
+            assert value != getattr(config, name)
     validate_options(replace(Options(), **values))
 
 
 @pytest.mark.parametrize("perturbation, problem, config", list(PERTURBED_PINNED),
                          ids=["-".join(key) for key in PERTURBED_PINNED])
 def test_perturbed_options_pinned(perturbation, problem, config):
-    options = replace(PRESET_CONFIGS[config](), **PERTURBED[perturbation])
-    model, counts = instrument(corpus_get(problem))
-    result = solve(model, options)
-    observed = (
-        result.status,
-        result.iterations,
-        (counts.objective, counts.constraints, counts.objective_gradient,
-         counts.constraint_jacobian, counts.hessian),
-        result.subproblem_solves,
-    )
-    assert observed == PERTURBED_PINNED[(perturbation, problem, config)]
+    options = replace(PRESET_CONFIGS[config], **PERTURBED[perturbation])
+    assert observed(problem, options) == PERTURBED_PINNED[(perturbation, problem, config)]
 
 
 # (phase I, phase II) active-set loops over the 28 corpus default starts.
@@ -300,44 +280,36 @@ def test_active_set_loops_per_preset_pinned(config, monkeypatch):
     for name in corpus_names():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            solve(corpus_get(name), PRESET_CONFIGS[config]())
+            solve(corpus_get(name), PRESET_CONFIGS[config])
     assert tuple(loops) == LOOPS_PINNED[config]
     assert iterations[0] == ITERATIONS_PINNED[config]
     assert factorizations[0] == FACTORIZATIONS_PINNED[config]
 
 
 # The seeded-start slice: every legal combination on four small problems
-# from two starts x0 + N(0, I) clipped to the bounds, drawn as
-# tools/identity_grid.py --seeded draws them, at 20 iterations each.
+# from two seeded starts (corpus.seeded_starts), at 20 iterations each.
 SEEDED_PROBLEMS = ("hs006", "hs007", "maratos", "hs071")
-STATUSES = (FEASIBLE_KKT, FEASIBLE_FJ, INFEASIBLE_STATIONARY, SMALL_TRUST_REGION, LOOSE_KKT,
-            ITERATION_LIMIT, EVALUATION_ERROR)
-IDENTITY_GRID = Path(__file__).resolve().parent.parent / "tools" / "identity_grid.py"
 
 
-def seeded_models(model, count):
-    spec = importlib.util.spec_from_file_location("identity_grid", IDENTITY_GRID)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool.seeded_models(model, count)
+def test_seeded_starts_are_drawn_per_problem_and_clipped():
+    # the k-th start is x0 plus the k-th draw of default_rng(7), clipped
+    # to the bounds, whatever else was drawn before
+    model = corpus_get("hs071")  # 1 <= x <= 5, x0 = (1, 5, 5, 1)
+    first, second = seeded_starts(model, 2)
+    rng = np.random.default_rng(7)
+    for start in (first, second):
+        expected = np.clip(model.initial_point + rng.standard_normal(4), 1.0, 5.0)
+        assert np.array_equal(start.initial_point, expected)
+    assert np.array_equal(seeded_starts(model, 1)[0].initial_point, first.initial_point)
+    assert first.eval_objective is model.eval_objective
 
 
 @pytest.mark.parametrize("problem", SEEDED_PROBLEMS)
 def test_seeded_starts_end_in_a_status(problem):
-    # solve() returns a documented status or refuses the options before
-    # the first iteration, from any start
-    for model in seeded_models(corpus_get(problem), 2):
-        for combo in LEGAL:
-            relaxation, subproblem, strategy, mechanism = combo
-            options = Options(
-                constraint_relaxation_strategy=relaxation, subproblem=subproblem,
-                globalization_strategy=strategy, globalization_mechanism=mechanism,
-                max_iterations=20,
-            )
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)
-                    result = solve(model, options)
-            except ConfigurationError:
-                continue
+    # every legal combination returns a documented status from any start
+    for model in seeded_starts(corpus_get(problem), 2):
+        for combo, options in LEGAL.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                result = solve(model, replace(options, max_iterations=20))
             assert result.status in STATUSES, (problem, short(combo))

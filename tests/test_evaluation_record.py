@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import modnlp.driver
 from modnlp.corpus import corpus_get, corpus_names
 from modnlp.driver import preset_options, solve
 from modnlp.mechanism import assemble_trial
@@ -24,12 +25,8 @@ def equality_form(model):
 
 CALLBACKS = ("eval_objective", "eval_constraints", "eval_objective_gradient",
              "eval_constraint_jacobian", "eval_lagrangian_hessian")
-PRESETS = {
-    "filtersqp": preset_options("filtersqp"),
-    "ipopt": preset_options("ipopt"),
-    "byrd": preset_options("byrd"),
-    "byrd_TR": replace(preset_options("byrd"), globalization_mechanism="TR"),
-}
+PRESETS = {**{name: preset_options(name) for name in modnlp.driver.PRESETS},
+           "byrd_TR": replace(preset_options("byrd"), globalization_mechanism="TR")}
 
 
 def arguments_key(args) -> bytes:
@@ -57,18 +54,21 @@ def recorded(model):
 def test_no_callback_repeats_its_arguments(preset):
     # every callback is evaluated once per argument within a solve; c(x0)
     # too, which the slack start reads from the record of x0 (it used to
-    # evaluate c(x0) once more, before the solver's record of that point)
-    repeats = []
+    # evaluate c(x0) once more, before the solver's record of that point).
+    # The counts the solve reports are the calls an outer counter sees.
+    repeats, miscounted = [], []
     for name in corpus_names():
         wrapped, calls = recorded(corpus_get(name))
+        counted, counts = instrument(wrapped)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            solve(wrapped, PRESETS[preset])
+            if solve(counted, PRESETS[preset]).counts != counts:
+                miscounted.append(name)
         for callback, counter in calls.items():
             repeated = [count for count in counter.values() if count > 1]
             if repeated:
                 repeats.append((name, callback, sorted(repeated)))
-    assert repeats == []
+    assert (repeats, miscounted) == ([], [])
 
 
 @pytest.mark.parametrize("name, preset", [("hs071", "ipopt"), ("hs063", "filtersqp")])

@@ -1,16 +1,18 @@
-"""tools/identity_grid.py --compare on two hand-made record files."""
+"""tools/identity_grid.py --compare on two hand-made record files, and its
+refusal of a checkout that predates the combinations of modnlp.corpus."""
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "identity_grid.py"
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("identity_grid", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+SPEC = importlib.util.spec_from_file_location("identity_grid", TOOL)
+tool = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(tool)
+compare = tool.compare
 
 
 def record(x, status="Optimal", iterations=5, counts=(6, 6, 5, 5, 4), solves=5,
@@ -20,13 +22,16 @@ def record(x, status="Optimal", iterations=5, counts=(6, 6, 5, 5, 4), solves=5,
             "rho": rho, "message": message}
 
 
+def judged(right, **kwargs):
+    return dict(record([1.0], **kwargs), right=right)
+
+
 def write(path, records):
     path.write_text(json.dumps(records))
     return str(path)
 
 
 def test_compare_x_tolerance(tmp_path, capsys):
-    compare = load_tool().compare
     a = write(tmp_path / "a.json", {"p": record([1.0, 2.0]), "q": record([0.0])})
     b = write(tmp_path / "b.json", {"p": record([1.0, 2.0 + 1e-9]), "q": record([0.0])})
     assert compare(a, b) == 1  # bit identity by default
@@ -37,7 +42,6 @@ def test_compare_x_tolerance(tmp_path, capsys):
 
 
 def test_compare_counts_must_match_exactly(tmp_path, capsys):
-    compare = load_tool().compare
     base = {"p": record([1.0]), "q": record([3.0]), "r": record([float("nan")])}
     a = write(tmp_path / "a.json", base)
     changed = {"p": record([1.0], iterations=6), "q": record([3.0], counts=(6, 7, 5, 5, 4)),
@@ -55,7 +59,6 @@ def test_compare_counts_must_match_exactly(tmp_path, capsys):
 
 def test_compare_multipliers_rho_and_message(tmp_path, capsys):
     # y, z and rho are compared like x; the message must match exactly
-    compare = load_tool().compare
     a = write(tmp_path / "a.json", {
         "p": record([1.0]), "q": record([1.0]), "r": record([1.0]), "s": record([1.0]),
         "t": record([1.0])})
@@ -76,7 +79,6 @@ def test_compare_multipliers_rho_and_message(tmp_path, capsys):
 
 
 def test_compare_summarizes_each_source(tmp_path, capsys):
-    tool = load_tool()
     keys = ["grid hs071 l1", "preset ipopt", "options defaults",
             "corpus seed 1 #0 hs071 ipopt", "corpus seed 1 #1 hs071 byrd",
             "scaled_ipm seed 1 #3 chain ipopt"]
@@ -91,7 +93,7 @@ def test_compare_summarizes_each_source(tmp_path, capsys):
         "grid p": record([1.0]), "preset ipopt": {"mu": 0.1}, "options defaults": {"mu": 0.1},
         "corpus seed 1 #0 p": record([1.0, 2.0 + 1e-9]), "corpus seed 1 #1 q": record([3.5]),
         "scaled_ipm seed 1 #0 r": record([4.0], iterations=7)})
-    assert tool.compare(a, b, x_tol=1e-6) == 1
+    assert compare(a, b, x_tol=1e-6) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "  grid: 1 identical, 0 within 1e-06, 0 differ, max |dx| 0" in lines
     assert "  presets and Options: 2 identical, 0 within 1e-06, 0 differ, max |dx| 0" in lines
@@ -101,11 +103,6 @@ def test_compare_summarizes_each_source(tmp_path, capsys):
 
 
 def test_compare_counts_right_answers_per_combination(tmp_path, capsys):
-    compare = load_tool().compare
-
-    def judged(right, **kwargs):
-        return dict(record([1.0], **kwargs), right=right)
-
     a = write(tmp_path / "a.json", {
         "grid p l1 QP": judged(True), "grid q l1 QP": judged(True),
         "grid p fr LP": judged(False), "grid q fr LP": judged(True),
@@ -125,7 +122,6 @@ def test_compare_counts_right_answers_per_combination(tmp_path, capsys):
 def test_compare_reports_callback_totals_and_fewer_calls(tmp_path, capsys):
     # per source: the five callback totals of A and B, and the records whose
     # only difference is fewer calls in B; those still differ (exit 1)
-    compare = load_tool().compare
     a = write(tmp_path / "a.json", {
         "grid p": record([1.0]), "grid q": record([2.0]), "grid r": record([3.0]),
         "preset ipopt": {"mu": 0.1}, "corpus seed 1 #0 s": record([1.0])})
@@ -146,30 +142,8 @@ def test_compare_reports_callback_totals_and_fewer_calls(tmp_path, capsys):
     assert compare(a, a) == 0
 
 
-def test_seeded_starts_are_drawn_per_problem_and_clipped():
-    # the k-th start is x0 plus the k-th draw of default_rng(7), clipped
-    # to the bounds, whatever else was drawn before
-    import numpy as np
-
-    from modnlp.corpus import corpus_get
-
-    seeded_models = load_tool().seeded_models
-    model = corpus_get("hs071")  # 1 <= x <= 5, x0 = (1, 5, 5, 1)
-    first, second = seeded_models(model, 2)
-    rng = np.random.default_rng(7)
-    for start in (first, second):
-        expected = np.clip(model.initial_point + rng.standard_normal(4), 1.0, 5.0)
-        assert np.array_equal(start.initial_point, expected)
-    assert np.array_equal(seeded_models(model, 1)[0].initial_point, first.initial_point)
-    assert first.eval_objective is model.eval_objective
-
-
 def test_compare_counts_seeded_statuses_and_messages(tmp_path, capsys):
-    tool = load_tool()
     assert tool.source("seeded hs071 #1 l1 QP") == "seeded"
-
-    def judged(right, **kwargs):
-        return dict(record([1.0], **kwargs), right=right)
 
     a = write(tmp_path / "a.json", {
         "seeded p #0 l1": judged(True, status="FeasibleKKT"),
@@ -179,7 +153,7 @@ def test_compare_counts_seeded_statuses_and_messages(tmp_path, capsys):
         "seeded p #0 l1": judged(True, status="FeasibleKKT"),
         "seeded p #1 l1": judged(True, status="FeasibleKKT"),
         "grid p l1": judged(True)})
-    assert tool.compare(a, b) == 1
+    assert compare(a, b) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "  seeded: 1 identical, 0 within 0, 1 differ, max |dx| 0" in lines
     assert "  seeded: right answers 1 -> 2" in lines
@@ -193,11 +167,6 @@ def test_compare_counts_seeded_statuses_and_messages(tmp_path, capsys):
 def test_compare_lists_each_lost_right_answer(tmp_path, capsys):
     # a swap keeps every count of right answers and still lists the record
     # that lost its answer, on the grid and from seeded starts
-    compare = load_tool().compare
-
-    def judged(right, **kwargs):
-        return dict(record([1.0], **kwargs), right=right)
-
     a = write(tmp_path / "a.json", {
         "grid p l1 QP": judged(True), "grid q l1 QP": judged(False, status="IterationLimit"),
         "seeded p #0 l1 QP": judged(True), "seeded p #1 l1 QP": judged(False),
@@ -217,3 +186,16 @@ def test_compare_lists_each_lost_right_answer(tmp_path, capsys):
     assert "  right answer lost: seeded p #1 fr LP (Optimal -> absent)" in lines
     assert compare(a, a) == 0
     assert "  grid: 0 right answers lost" in capsys.readouterr().out.splitlines()
+
+
+def test_a_checkout_without_legal_combinations_is_refused(tmp_path):
+    # such a checkout is run with its own copy of the tool: this one exits
+    # 2 with a one-line hint, where it used to stop on an AttributeError
+    package = tmp_path / "src" / "modnlp"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("from . import corpus\n")
+    (package / "corpus.py").write_text("")
+    run = subprocess.run([sys.executable, str(TOOL), str(tmp_path / "out.json"),
+                          "--root", str(tmp_path)], capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr.count("\n")) == (2, "", 1)
+    assert "run that checkout's own tools/identity_grid.py" in run.stderr

@@ -1,7 +1,7 @@
-"""Rules on the library source itself."""
+"""Rules on the library source itself, and one on the tests."""
 import ast
 import sys
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import modnlp
 
@@ -277,3 +277,25 @@ def test_no_radius_is_compared_with_or_defaulted_to_none():
             if hit:
                 found.append("%s:%d" % (path.name, node.lineno))
     assert SOURCES and not found
+
+
+def test_only_the_grid_tool_test_loads_a_tool():
+    # a fact that tests need lives in modnlp, not in a script under tools/:
+    # only the tool's own test names one, by an import or by its file name
+    tests = Path(__file__).resolve().parent
+    tools = {path.stem for path in (tests.parent / "tools").glob("*.py")}
+
+    def names_a_tool(node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            path = PurePosixPath(node.value)  # "identity_grid.py", "tools/..."
+            return path.stem in tools and path.suffix in ("", ".py") or "tools" in path.parts[:-1]
+        modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                   else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        return any(module.split(".")[0] in tools | {"tools"} for module in modules)
+
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(tests.glob("test_*.py")) if path.name != "test_identity_grid.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if names_a_tool(node)
+    ]
+    assert tools and not found

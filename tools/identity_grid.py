@@ -5,23 +5,25 @@
 
 The first form imports modnlp from CHECKOUT/src (default: this checkout)
 and solves the default-start grid: every legal combination of the four
-parts (30) on every corpus problem (28), through ``instrument``. With
---benchmark it also solves the task lists of the benchmark's corpus seeds
-1 and 2, scaled_qp seed 1 and scaled_ipm seed 1, built by
+parts (30, ``modnlp.corpus.legal_combinations``) on every corpus problem
+(28). With --benchmark it also solves the task lists of the benchmark's
+corpus seeds 1 and 2, scaled_qp seed 1 and scaled_ipm seed 1, built by
 CHECKOUT/perfbench/workloads.py. With --seeded K it also solves every
 legal combination on every corpus problem from K seeded starts
-(seeded_models: x0 + N(0, I) clipped to the bounds), each judged like a
-grid record. For each solve it writes the status,
-iterations, the five callback counts (objective, constraints, gradient,
-Jacobian, Hessian), subproblem_solves, x, the multipliers y and z, rho and
-the message to OUT.json; a solve that raises is recorded as
-"crash:<ExceptionType>". Each grid record also gets ``right``, the
-verdict of CHECKOUT's own answer judge, ``modnlp.corpus.is_right``; a
-checkout whose modnlp has no such judge is run with its own copy of this
-tool. It also writes every field of ``preset_options(name)`` for each
-preset and of ``Options()``, so that two checkouts are seen to resolve the
-presets to the same options. JSON floats round-trip exactly, so equal
-values in the file mean bit-identical values.
+(``modnlp.corpus.seeded_starts``: x0 + N(0, I) clipped to the bounds),
+each judged like a grid record. For each solve it writes the status,
+iterations, the five callback counts the solve reports (objective,
+constraints, gradient, Jacobian, Hessian), subproblem_solves, x, the
+multipliers y and z, rho and the message to OUT.json; a solve that
+raises is recorded as "crash:<ExceptionType>". Each grid record also gets
+``right``, the verdict of CHECKOUT's own answer judge,
+``modnlp.corpus.is_right``. A checkout whose modnlp has no
+``corpus.legal_combinations`` is refused (exit 2): run it with its own
+copy of this tool. It also writes every field of
+``preset_options(name)`` for each preset and of ``Options()``, so that two
+checkouts are seen to resolve the presets to the same options. JSON
+floats round-trip exactly, so equal values in the file mean bit-identical
+values.
 
 --compare lists every solve whose record differs between two files, and
 the largest |dx| over the solves whose x has the same shape. It exits 1
@@ -49,7 +51,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import os
 import sys
@@ -61,26 +62,23 @@ BENCHMARK_RUNS = (("corpus", 1), ("corpus", 2), ("scaled_qp", 1), ("scaled_ipm",
 # the record fields compared under --x-tol; every other field must match exactly
 TOLERANT = ("x", "y", "z", "rho")
 SUCCESS = ("FeasibleKKT", "LooseToleranceKKT")
-SEEDED_RNG = 7  # the seed of every problem's generator of seeded starts
 
 
 def record(modnlp, model, options, problem=None) -> dict:
     """The record of one solve; for the corpus problem named by problem,
     also "right", the answer judge's verdict (False for a solve that
     raises)."""
-    counted, counts = modnlp.model.instrument(model)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            result = modnlp.solve(counted, options)
+            result = modnlp.solve(model, options)
     except Exception as exc:  # noqa: BLE001 - a raising solve is a result to compare
         crash = {"status": "crash:" + type(exc).__name__}
         return crash if problem is None else dict(crash, right=False)
     out = {
         "status": result.status,
         "iterations": result.iterations,
-        "counts": [counts.objective, counts.constraints, counts.objective_gradient,
-                   counts.constraint_jacobian, counts.hessian],
+        "counts": list(dataclasses.astuple(result.counts)),
         "subproblem_solves": result.subproblem_solves,
         "x": [float(v) for v in result.x],
         "y": [float(v) for v in result.y],
@@ -93,58 +91,19 @@ def record(modnlp, model, options, problem=None) -> dict:
     return out
 
 
-def legal_combinations(modnlp) -> list:
-    """(label, Options) of every legal combination of the four parts."""
-    from modnlp.driver import MECHANISMS, RELAXATIONS, STRATEGIES, SUBPROBLEMS, validate_options
-    from modnlp.errors import ConfigurationError
-
-    legal = []
-    for combo in itertools.product(RELAXATIONS, SUBPROBLEMS, STRATEGIES, MECHANISMS):
-        options = modnlp.Options(
-            constraint_relaxation_strategy=combo[0], subproblem=combo[1],
-            globalization_strategy=combo[2], globalization_mechanism=combo[3],
-        )
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                validate_options(options)
-        except ConfigurationError:
-            continue
-        legal.append((" ".join(combo), options))
-    return legal
-
-
-def grid(modnlp) -> dict:
-    legal = legal_combinations(modnlp)
-    return {
-        "grid %s %s" % (problem, label): record(
-            modnlp, modnlp.corpus_get(problem), options, problem)
-        for label, options in legal
-        for problem in modnlp.corpus_names()
-    }
-
-
-def seeded_models(model, count: int) -> list:
-    """count copies of model, the k-th started at x0 + N(0, I) clipped to
-    the bounds: the k-th draw of a generator seeded with SEEDED_RNG for
-    this model alone, so a start depends on neither the other problems nor
-    the order in which they are solved."""
-    import numpy as np
-
-    rng = np.random.default_rng(SEEDED_RNG)
-    return [dataclasses.replace(model, initial_point=np.clip(
-        model.initial_point + rng.standard_normal(model.n),
-        model.variable_lower, model.variable_upper)) for _ in range(count)]
-
-
-def seeded(modnlp, count: int) -> dict:
-    legal = legal_combinations(modnlp)
+def grid(modnlp, count: int) -> dict:
+    """Every legal combination on every corpus problem from the default
+    start ("grid" records) and from count seeded starts ("seeded")."""
+    legal = modnlp.corpus.legal_combinations()
     out = {}
     for problem in modnlp.corpus_names():
-        for k, model in enumerate(seeded_models(modnlp.corpus_get(problem), count)):
-            for label, options in legal:
-                key = "seeded %s #%d %s" % (problem, k, label)
-                out[key] = record(modnlp, model, options, problem)
+        model = modnlp.corpus_get(problem)
+        starts = [("grid " + problem, model)] + [
+            ("seeded %s #%d" % (problem, k), start)
+            for k, start in enumerate(modnlp.corpus.seeded_starts(model, count))]
+        for prefix, start in starts:
+            for combo, options in legal:
+                out["%s %s" % (prefix, " ".join(combo))] = record(modnlp, start, options, problem)
     return out
 
 
@@ -346,11 +305,14 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(root / "src"))
     import modnlp
 
-    results = grid(modnlp)
+    if not hasattr(modnlp.corpus, "legal_combinations"):
+        print("identity_grid: %s has no modnlp.corpus.legal_combinations; run that "
+              "checkout's own tools/identity_grid.py" % root, file=sys.stderr)
+        return 2
+    results = grid(modnlp, args.seeded)
     results.update(presets(modnlp))
     if args.benchmark:
         results.update(benchmark(modnlp, root))
-    results.update(seeded(modnlp, args.seeded))
     Path(args.out).write_text(json.dumps(results, indent=0))
     print("%d solves written to %s" % (len(results), args.out))
     return 0

@@ -281,8 +281,10 @@ def validate_options(opts: Options) -> Options:
 
 @dataclass
 class SolveResult:
-    """The outcome of solve(). counts holds the calls of each of the five
-    model callbacks the solve made."""
+    """The outcome of solve(). y and z multiply the model's own rows and
+    bounds at objective multiplier rho: rho grad f - J^T y - z = 0 at a KKT
+    point. stationarity, feasibility and complementarity are those of the
+    scaled working model. counts holds the calls of the five callbacks."""
 
     status: str
     x: np.ndarray
@@ -445,15 +447,16 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
     opts = validate_options(options or Options())
     counted, counts = instrument(model)
     start = to_equality_form(EvaluationRecord(counted, counted.initial_point))
-    ws, s_f = None, 1.0
+    ws, s_f, s_c = None, 1.0, 1.0
 
     def result(status, x, f, k=0, y=None, z=None, res=None, rho=1.0, message=""):
-        """The result at x with objective value f; multipliers default to zero."""
+        """The result at x with objective value f, and the working model's
+        multipliers y and z unscaled; multipliers default to zero."""
         return SolveResult(
             status=status,
             x=x[:model.n].copy(),
-            y=np.zeros(model.m) if y is None else y.copy(),
-            z=np.zeros(model.n) if z is None else z[:model.n].copy(),
+            y=np.zeros(model.m) if y is None else y * s_c / s_f,
+            z=np.zeros(model.n) if z is None else z[:model.n] / s_f,
             rho=rho,
             objective_value=f / s_f,
             iterations=k,
@@ -473,7 +476,7 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
                       message="IEEE exception at the initial point")
 
     working, factors, start = scale_functions(start, opts.s_max)
-    s_f = factors.s_f
+    s_f, s_c = factors.s_f, factors.s_c
     initial = start
 
     ws = Workspace(working)

@@ -313,10 +313,11 @@ def test_criterion_10_termination_cross_check(preset_results):
             model = corpus_get(name)
             working, factors, _ = scale_functions(
                 to_equality_form(EvaluationRecord(model, model.initial_point)), 100.0)
+            y = result.y * factors.s_f / factors.s_c  # the working model's multipliers
             if result.status == "FeasibleKKT":
                 x_full = _lift(working, model, result.x)
                 ev = evaluate(working, x_full)
-                e = error_measure(ev, x_full, result.y, result.rho,
+                e = error_measure(ev, x_full, y, result.rho,
                                   Bounds(working.variable_lower, working.variable_upper))
                 if e > 10 * EPSILON:
                     bad.append((preset, name, "E=%.2e" % e))
@@ -324,7 +325,7 @@ def test_criterion_10_termination_cross_check(preset_results):
                 x_full = _lift(working, model, result.x)
                 ev = evaluate(working, x_full)
                 eta = float(np.max(np.abs(ev.c)))
-                sign = l1_sign_residual(ev.c, result.y)
+                sign = l1_sign_residual(ev.c, y)
                 if eta <= EPSILON or sign > 10 * EPSILON:
                     bad.append((preset, name, "eta=%.2e sign=%.2e" % (eta, sign)))
     report(10, not bad,

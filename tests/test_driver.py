@@ -387,6 +387,21 @@ class TestSolve:
                 0.0, 2.0, 0.0)
             assert result.rho == 0.0
 
+    @pytest.mark.parametrize("problem, options", [
+        ("rosenbrock_ring", Options()),  # s_f = 0.4638
+        *[("hs071", replace(preset_options(name), s_max=1.0)) for name in PRESETS],
+    ], ids=["rosenbrock_ring", *("hs071-" + name for name in PRESETS)])
+    def test_multipliers_are_those_of_the_model(self, problem, options):
+        # rho grad f - J^T y - z vanishes on the model's own callbacks; y and
+        # z used to be the scaled working model's, and it read 0.716 on
+        # rosenbrock_ring and 14.01, 14.01 and 1.40 on hs071 at s_max = 1
+        model = corpus_get(problem)
+        result = solve(model, options)
+        stationarity = (result.rho * model.eval_objective_gradient(result.x)
+                        - model.eval_constraint_jacobian(result.x).T @ result.y - result.z)
+        assert result.status == FEASIBLE_KKT
+        assert np.max(np.abs(stationarity)) < 1e-4
+
     @pytest.mark.parametrize("problem, preset, scaled", [
         ("hs071", "filtersqp", True),
         *[(problem, preset, False) for problem in ("hs006", "hs039", "hs063")

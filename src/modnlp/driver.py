@@ -526,9 +526,6 @@ def solve(model: Model, options: Options | None = None, log=None) -> SolveResult
         except ModNLPError as exc:  # any other part that cannot go on
             status, message = ITERATION_LIMIT, str(exc)
             break
-        if not new_iterate.evals.is_finite:
-            status, message = EVALUATION_ERROR, "accepted trial is non-finite"
-            break
         step = float(np.abs(new_iterate.x - iterate.x).max(initial=0.0))
         zero_steps = zero_steps + 1 if step == 0.0 else 0
         new_iterate.last_step = step if step > 0.0 else iterate.last_step

@@ -2,7 +2,8 @@
 and one class per strategy: MeritL1 (Armijo acceptance on the l1 merit
 function), FilterMethod (the Fletcher-Leyffer rule, trust-region lineage)
 and WaechterFilter (the Waechter-Biegler rule, line-search lineage). The
-two filter methods share one Filter and differ only in their `rule`.
+filter method holds its filter, and the two filter methods differ only in
+their `rule`.
 """
 from __future__ import annotations
 
@@ -32,20 +33,6 @@ class ProgressMeasures:
     @property
     def merit(self) -> float:
         return self.rho * self.f + self.eta + self.xi
-
-
-def compute_measures(
-    f_value: float,
-    c_values: np.ndarray,
-    rho: float = 1.0,
-    barrier_term: float = 0.0,
-) -> ProgressMeasures:
-    return ProgressMeasures(
-        eta=float(np.abs(c_values).sum()),
-        f=float(f_value),
-        rho=rho,
-        xi=float(barrier_term),
-    )
 
 
 def barrier_value(x, bounds, mu) -> float:
@@ -120,59 +107,6 @@ def infeasibility_armijo(
     return sufficient_decrease(current.eta, trial.eta, sigma * models.eta(step))
 
 
-class Filter:
-    """Non-dominated list of (eta, phi) pairs with envelope parameters, read
-    from the options' filter_beta, filter_gamma, filter_capacity and
-    eta_max_factor."""
-
-    def __init__(self, opts):
-        self.beta = opts.filter_beta
-        self.gamma = opts.filter_gamma
-        self.capacity = opts.filter_capacity
-        self.eta_max_factor = opts.eta_max_factor
-        self.eta_max = np.inf  # until initialize
-        self.entries: list[tuple[float, float]] = []
-
-    def acceptable(self, eta: float, phi: float) -> bool:
-        if eta > self.eta_max:
-            return False
-        for eta_l, phi_l in self.entries:
-            if not (phi <= phi_l - self.gamma * eta or eta < self.beta * eta_l):
-                return False
-        return True
-
-    def add(self, eta: float, phi: float) -> None:
-        if not np.isfinite(eta) or eta < 0.0 or eta > self.eta_max:
-            return
-        kept = [
-            (eta_l, phi_l)
-            for (eta_l, phi_l) in self.entries
-            if not (eta <= eta_l and phi <= phi_l)
-        ]
-        for eta_l, phi_l in kept:
-            if eta_l <= eta and phi_l <= phi:
-                self.entries = kept  # new pair is dominated; drop it
-                return
-        kept.append((eta, phi))
-        if len(kept) > self.capacity:
-            kept.pop(0)
-        self.entries = kept
-
-    def initialize(self, eta0: float) -> None:
-        """Set the upper bound, once per solve, at eta_max_factor times
-        max(1, eta0), eta0 the initial infeasibility (Waechter & Biegler,
-        Math. Prog. 106, 2006, theta_max)."""
-        self.eta_max = self.eta_max_factor * max(1.0, eta0)
-
-    def reset(self) -> None:
-        """Flush all entries, whenever the barrier parameter changes. The
-        upper bound and the envelope parameters are retained."""
-        self.entries.clear()
-
-    def eta_min(self) -> float:
-        return min((e for e, _ in self.entries), default=np.inf)
-
-
 class GlobalizationStrategy:
     """Decides whether a trial iterate makes acceptable progress. Each
     strategy reads its own measure off the ProgressMeasures (the filters
@@ -222,23 +156,59 @@ class MeritL1(GlobalizationStrategy):
 
 class FilterMethod(GlobalizationStrategy):
     """Filter method with the Fletcher-Leyffer acceptance rule (trust-region
-    lineage); `rule` is the hook its variants replace."""
+    lineage); `rule` is the hook its variants replace. It holds its filter:
+    entries, a non-dominated list of (eta, phi) pairs, with the envelope
+    parameters read from the options' filter_beta, filter_gamma,
+    filter_capacity and eta_max_factor."""
 
     def __init__(self, opts):
         self.sigma = opts.filter_sigma
         self.delta = opts.filter_delta
-        self.filter = Filter(opts)
+        self.beta = opts.filter_beta
+        self.gamma = opts.filter_gamma
+        self.capacity = opts.filter_capacity
+        self.eta_max_factor = opts.eta_max_factor
+        self.eta_max = np.inf  # until initialize
+        self.entries: list[tuple[float, float]] = []
 
     def initialize(self, eta0: float) -> None:
-        self.filter.initialize(eta0)
+        """Set the upper bound, once per solve, at eta_max_factor times
+        max(1, eta0), eta0 the initial infeasibility (Waechter & Biegler,
+        Math. Prog. 106, 2006, theta_max)."""
+        self.eta_max = self.eta_max_factor * max(1.0, eta0)
 
     def log_fields(self, measures: ProgressMeasures) -> dict:
         return {"phi": measures.phi}
 
+    def acceptable(self, eta: float, phi: float) -> bool:
+        if eta > self.eta_max:
+            return False
+        for eta_l, phi_l in self.entries:
+            if not (phi <= phi_l - self.gamma * eta or eta < self.beta * eta_l):
+                return False
+        return True
+
+    def add(self, eta: float, phi: float) -> None:
+        if not np.isfinite(eta) or eta < 0.0 or eta > self.eta_max:
+            return
+        kept = [
+            (eta_l, phi_l)
+            for (eta_l, phi_l) in self.entries
+            if not (eta <= eta_l and phi <= phi_l)
+        ]
+        for eta_l, phi_l in kept:
+            if eta_l <= eta and phi_l <= phi:
+                self.entries = kept  # new pair is dominated; drop it
+                return
+        kept.append((eta, phi))
+        if len(kept) > self.capacity:
+            kept.pop(0)
+        self.entries = kept
+
     def check_acceptance(self, current, trial, models, step) -> bool:
         accepted, add_current = self.rule(current, trial, models, step)
         if add_current:
-            self.filter.add(current.eta, current.phi)
+            self.add(current.eta, current.phi)
         return accepted
 
     def rule(self, current, trial, models, step) -> tuple[bool, bool]:
@@ -246,7 +216,7 @@ class FilterMethod(GlobalizationStrategy):
         acceptable to the filter and improve upon the current point; when
         the switching condition holds, it is an f-type step and must also
         satisfy the Armijo condition on phi."""
-        if not (self.filter.acceptable(trial.eta, trial.phi) and self.improves(current, trial)):
+        if not (self.acceptable(trial.eta, trial.phi) and self.improves(current, trial)):
             return False, False
         dm_phi = models.phi_reduction(step)
         if dm_phi >= self.delta * current.eta**2:
@@ -258,8 +228,8 @@ class FilterMethod(GlobalizationStrategy):
     def improves(self, current, trial) -> bool:
         """The filter's envelope test of the trial against the current pair."""
         return (
-            trial.phi <= current.phi - self.filter.gamma * trial.eta
-            or trial.eta < self.filter.beta * current.eta
+            trial.phi <= current.phi - self.gamma * trial.eta
+            or trial.eta < self.beta * current.eta
         )
 
     def armijo(self, current, trial, dm_phi: float) -> bool:
@@ -267,16 +237,18 @@ class FilterMethod(GlobalizationStrategy):
         return sufficient_decrease(current.phi, trial.phi, self.sigma * dm_phi)
 
     def admits(self, measures: ProgressMeasures) -> bool:
-        return self.filter.acceptable(measures.eta, measures.phi)
+        return self.acceptable(measures.eta, measures.phi)
 
     def least_infeasibility(self, reference: ProgressMeasures) -> float:
-        return self.filter.eta_min()
+        return min((e for e, _ in self.entries), default=np.inf)
 
     def register_current(self, measures: ProgressMeasures) -> None:
-        self.filter.add(measures.eta, measures.phi)
+        self.add(measures.eta, measures.phi)
 
     def reset(self) -> None:
-        self.filter.reset()
+        """Flush all entries, whenever the barrier parameter changes. The
+        upper bound and the envelope parameters are retained."""
+        self.entries.clear()
 
 
 class WaechterFilter(FilterMethod):
@@ -296,7 +268,7 @@ class WaechterFilter(FilterMethod):
         """The theta_min gate and the positivity of the predicted phi
         reduction come before the switching condition; the current pair is
         recorded into the filter whenever the switching condition fails."""
-        if not self.filter.acceptable(trial.eta, trial.phi):
+        if not self.acceptable(trial.eta, trial.phi):
             return False, False
         dm_phi = models.phi_reduction(step)
         switching = dm_phi > 0.0 and dm_phi >= self.delta * current.eta**2

@@ -609,7 +609,8 @@ _PRICE_SIGN = np.array([0.0, 1.0, -1.0])
 class QPData:
     """min 1/2 d^T W d + g^T d  s.t.  A d = b,  d_lower <= d <= d_upper.
 
-    W is None only inside qp_solve, for phase I's LP. step_columns is set by
+    W None means no Hessian: an LP's (build_sqp_qp with none given) or
+    phase I's inside qp_solve. step_columns is set by
     extend_with_elastics alone: the number of columns before the elastic
     pairs (u+, u-) of its layout, None for a QP without elastics."""
 
@@ -644,8 +645,8 @@ def extend_with_elastics(qp: QPData) -> QPData:
     This is the solver's one elastic layout, columns ordered (d, u+, u-),
     and the returned QP records it (step_columns = n): qp_solve reads its
     start as the step, completes the elastics (exact_elastics), and starts
-    a cold one with its elastics at zero. A W of None (phase I's LP) stays
-    None."""
+    a cold one with its elastics at zero. A W of None (no Hessian: an LP's
+    or phase I's) stays None."""
     n, m = qp.n, qp.m
     ne = n + 2 * m
     W = None
@@ -707,7 +708,7 @@ def _eqp_solve(W, g, A, b, d, free, fixed, schedule=None):
     free-free block (0.0 for W None). At delta_w = 0 neither q_free nor y
     depends on d's free entries.
 
-    W None is phase I's zero Hessian: every product with it is skipped, and
+    W None is no Hessian (an LP's or phase I's): every product is skipped, and
     the KKT blocks are (delta_w I, A_f), a scalar H for _kkt_factorization.
     The record of _kkt_factorization decides: a solve at inertia (nf, m, 0),
     least squares on the equilibrated matrix when A_f is row rank deficient.
@@ -970,7 +971,7 @@ def qp_solve(
     alone: clipped to its box and completed with its exact elastics
     (QPData.exact_elastics) when warm_start is given, with every elastic at
     its zero bound when it is not (a cold start). When d0 misses A d = b
-    and W is not zero, convex or not, phase II starts where
+    and W is given and not zero, convex or not, phase II starts where
     _phase_two_start puts it, from one working set of d0 (the bounds d0
     touches): at the minimizer of that working set's equality-constrained
     QP, solved at delta_w = 0, where that system is regular and the
@@ -982,20 +983,20 @@ def qp_solve(
     at the minimizer or the projection of its step, elastics at zero. A
     convex QP's minimizer does not depend on which feasible point phase II
     starts from (a nonconvex QP's stationary point may). Where neither is
-    taken (W = 0, or no projection lands feasible), a cold elastic QP
+    taken (no W, or no projection lands feasible), a cold elastic QP
     starts phase II from its step with exact elastics, feasible by the
     layout, and never runs phase I. Any other QP runs phase I there: an LP
-    (W = 0), whose vertex depends on its start, or a QP with no projection
+    (no W), whose vertex depends on its start, or a QP with no projection
     that lands feasible.
 
     Phase I minimizes the elastic infeasibility of the equalities, so
     inconsistent constraints are reported as Infeasible (with the partial
-    point) rather than raised. It is an LP with no Hessian at all: its
-    working-set steps solve KKT systems with the scalar (1,1) block
-    delta_w I, from order _SCALAR_MIN_ORDER on by the range-space proof and
-    solve of _certified_factorization when A_f has full row rank. Every working-set
+    point) rather than raised. Phase I and an LP (W None: the method acts
+    as an LP solver) have no Hessian at all: their working-set steps solve
+    KKT systems with the scalar (1,1) block delta_w I, from order
+    _SCALAR_MIN_ORDER on by the range-space proof and solve of
+    _certified_factorization when A_f has full row rank. Every working-set
     system, phase I and phase II, reaches LAPACK through _kkt_factorization.
-    With W = 0 the method acts as an LP solver.
     Nonconvex QPs terminate at first-order stationary points. Each phase
     takes at most 100 (n + m + 10) working-set iterations.
 
@@ -1005,7 +1006,7 @@ def qp_solve(
     value it holds), and _verify_kkt checks the solution with that residual
     before it is returned.
     """
-    W = np.asarray(qp.W, dtype=float)
+    W = None if qp.W is None else np.asarray(qp.W, dtype=float)
     g = np.asarray(qp.g, dtype=float)
     A = np.asarray(qp.A, dtype=float).reshape(qp.m, qp.n)
     b = np.asarray(qp.b, dtype=float)
@@ -1041,7 +1042,7 @@ def qp_solve(
     start = None  # (d, codes, y) off a d0 that misses the rows
     phase1_iters = 0
     infeasible = misses_rows(d0)
-    if infeasible and W.any():
+    if infeasible and W is not None and W.any():
         start = _phase_two_start(W, g, A, b, d0, lb, ub, feas_tol)
         infeasible = start is None  # the start tested the rows
     if infeasible and cold_elastic:
@@ -1068,7 +1069,7 @@ def qp_solve(
         W, g, A, b, d0, codes, lb, ub, schedule, max_iter, y0
     )
     if r is None:
-        r = W @ d + g - (A.T @ y if m else 0.0)
+        r = (g if W is None else W @ d + g) - (A.T @ y if m else 0.0)
     fixed = codes.nonzero()[0]
     solution = QPSolution(status, d, y, np.where(codes, r, 0.0),
                           tuple(zip(fixed.tolist(), codes[fixed].tolist())),
@@ -1103,7 +1104,8 @@ def _verify_kkt(qp: QPData, sol: QPSolution, r: np.ndarray) -> None:
     stat_res = float(np.abs(stat, out=stat).max(initial=0.0))
     tol_stat = 1e-8 * (1.0 + float(np.abs(qp.g).max(initial=0.0)))
     if not stat_res <= tol_stat:
-        d_norm, y_norm, w_norm, a_norm = magnitudes(d, sol.multipliers_eq, qp.W, qp.A)
+        d_norm, y_norm, w_norm, a_norm = magnitudes(
+            d, sol.multipliers_eq, 0.0 if qp.W is None else qp.W, qp.A)
         if not stat_res <= tol_stat + 100.0 * _EPS * n * (w_norm * d_norm + a_norm * y_norm):
             raise QPFailureError("QP stationarity violated")
     if qp.m:

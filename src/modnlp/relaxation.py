@@ -7,13 +7,13 @@ a feasibility (elastic) direction at a given rho, and the barrier
 questions. Each asks the iterate's evaluation record for the Hessian it
 needs (hessian: one evaluation per (rho, y) at a point, however many
 steering re-solves or trust-region cycles ask; the LP overrides it to give
-None, W = 0) and returns a finished direction; the interior-point one owns
-the elastic barrier problem (elastic_evaluations, over bounds it makes
-once) and its smoothed infeasibility. The l1 relaxation with
-penalty steering and feasibility restoration with phase switching build the
-progress measures and reduction models at their rho (the strategy reads its
-own measure off them) and drive a subproblem through these calls alone,
-without knowing which one it is.
+None, a QP without W) and returns a finished direction; the
+interior-point one owns the elastic barrier problem (elastic_evaluations,
+over bounds it makes once) and its smoothed infeasibility. The l1
+relaxation with penalty steering and feasibility restoration with phase
+switching build the progress measures and reduction models at their rho
+(the strategy reads its own measure off them) and drive a subproblem
+through these calls alone, without knowing which one it is.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from .globalization import (
     ProgressMeasures,
     ReductionModels,
     barrier_value,
-    compute_measures,
     infeasibility_armijo,
     sufficient_decrease,
 )
@@ -137,8 +136,8 @@ class QPSubproblem:
                        warm_start=self.warm_sets[elastic], start=start_dx)
         if sol.status == OPTIMAL:
             self.warm_sets[elastic] = sol.active_set
-        W = qp.W if hessian is None else hessian  # dwd's W_rho is the unshifted one
-        return _qp_direction(sol, iterate, W, trust_radius, tr_masks)
+        # dwd's W_rho is the unshifted one, None for the LP
+        return _qp_direction(sol, iterate, hessian, trust_radius, tr_masks)
 
     def optimality_direction(self, iterate, trust_radius) -> Direction:
         return self._direction(iterate, 1.0, trust_radius, elastic=False)
@@ -348,7 +347,7 @@ class IPMSubproblem:
 def _qp_direction(sol, iterate, W, trust_radius, tr_masks) -> Direction:
     dx = sol.d[:iterate.x.size].copy()
     gtd = float(np.asarray(iterate.evals.grad_f) @ dx)
-    dwd = float(dx @ W @ dx)
+    dwd = 0.0 if W is None else float(dx @ W @ dx)
     if sol.status != OPTIMAL:
         return Direction(
             dx=dx,
@@ -413,10 +412,9 @@ class ConstraintRelaxationStrategy:
                 **self.strategy.log_fields(measures), **self.subproblem.log_fields()}
 
     def measures_from(self, iterate: Iterate) -> ProgressMeasures:
-        return compute_measures(
-            iterate.evals.f, iterate.evals.c, rho=self.measure_rho(),
-            barrier_term=self.subproblem.barrier_term(iterate.x),
-        )
+        f = float(iterate.evals.f)  # f is evaluated before c
+        return ProgressMeasures(float(np.abs(iterate.evals.c).sum()), f, self.measure_rho(),
+                                float(self.subproblem.barrier_term(iterate.x)))
 
     def reduction_models(self, iterate: Iterate, direction: Direction, rho=None) -> ReductionModels:
         """The models of a step along the direction, at the given rho

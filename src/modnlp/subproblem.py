@@ -79,14 +79,14 @@ def build_sqp_qp(
     bounds on x + d, and ||d||_inf <= trust_radius (inf: no box; a QP
     without a box is made convex).
 
-    W is the given Hessian, or 0 (an LP) where it is None. Without a box
-    (the line-search lineage), a Hessian is shifted to W + delta_w I
+    W is the given Hessian, or None (an LP) where none is given. Without a
+    box (the line-search lineage), a Hessian is shifted to W + delta_w I
     positive definite. Returns (qp, trust-region-active-candidate mask pair).
     """
     n = x.size
     boxed = math.isfinite(trust_radius)
-    W = np.zeros((n, n)) if hessian is None else np.asarray(hessian, dtype=float)
-    if hessian is not None and not boxed:
+    W = None if hessian is None else np.asarray(hessian, dtype=float)
+    if W is not None and not boxed:
         W, _ = make_positive_definite(W, schedule)
     g = rho * np.asarray(evals.grad_f, dtype=float)
     A = np.asarray(evals.jac_c, dtype=float)

@@ -12,7 +12,7 @@ import modnlp.mechanism
 from modnlp.corpus import corpus_get, corpus_names, is_right
 from modnlp.driver import PRESETS, SUCCESS_STATUSES, Options, preset_options, solve, validate_options
 from modnlp.errors import ConfigurationError
-from modnlp.globalization import Filter
+from modnlp.globalization import FilterMethod
 from modnlp.linalg import ldlt_factorize, qp_solve
 from modnlp.model import EvaluationRecord, check_derivatives, evaluate
 from modnlp.reformulation import scale_functions, to_equality_form
@@ -158,7 +158,7 @@ def test_criterion_6_filter_properties():
     rng = np.random.RandomState(2024)
     violations = 0
     for _ in range(1000):
-        flt = Filter(replace(Options(), filter_beta=0.999, filter_gamma=1e-3))
+        flt = FilterMethod(replace(Options(), filter_beta=0.999, filter_gamma=1e-3))
         for _ in range(rng.randint(1, 20)):
             flt.add(float(rng.rand() * 2), float(rng.randn()))
         entries = flt.entries
@@ -168,7 +168,7 @@ def test_criterion_6_filter_properties():
                     violations += 1
         probe = (float(rng.rand() * 2), float(rng.randn()))
         if flt.acceptable(*probe) and entries:
-            shrunk = Filter(replace(Options(), filter_beta=0.999, filter_gamma=1e-3))
+            shrunk = FilterMethod(replace(Options(), filter_beta=0.999, filter_gamma=1e-3))
             shrunk.eta_max = flt.eta_max
             keep = rng.rand(len(entries)) < 0.5
             shrunk.entries = [e for e, k in zip(entries, keep) if k]

@@ -10,6 +10,7 @@ phase-I and phase-II loops, active-set iterations and KKT factorizations
 over the 28 default starts are counted. Four small problems also run under
 every legal combination from seeded starts. The legal combinations and the
 seeded starts are those of modnlp.corpus, checked here against their rules.
+Three known false statuses are pinned as strict xfails.
 """
 import itertools
 import warnings
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import modnlp.linalg as linalg
-from modnlp.corpus import corpus_get, corpus_names, legal_combinations, seeded_starts
+from modnlp.corpus import corpus_get, corpus_names, is_right, legal_combinations, seeded_starts
 from modnlp.driver import (
     PARTS,
     PRESETS,
@@ -39,7 +40,7 @@ SHORT = {
 }
 
 # (status, iterations, (f, c, gradient, Jacobian, Hessian) calls, subproblem
-# solves); the LP's W is 0, so it calls no Hessian. While the LP had no box
+# solves); the LP's QP has no W, so it calls no Hessian. While the LP had no box
 # under the line search, each of the six maratos LP LS entries was
 # ("IterationLimit", 0, (1, 1, 1, 1, 0), 1): an unbounded first LP.
 PINNED = {
@@ -313,3 +314,47 @@ def test_seeded_starts_end_in_a_status(problem):
                 warnings.simplefilter("ignore", UserWarning)
                 result = solve(model, replace(options, max_iterations=20))
             assert result.status in STATUSES, (problem, short(combo))
+
+
+# Known false statuses, each pinned as a strict xfail: the change that
+# mends one makes its test pass, and must remove the mark.
+LP_MERIT_LS = dict(subproblem="LP", globalization_strategy="l1_merit",
+                   globalization_mechanism="LS")
+
+
+def quiet_solve(model, options):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # feasibility_restoration + l1_merit
+        return solve(model, options)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a tiny s_max certifies a wrong point")
+@pytest.mark.parametrize("preset, s_max", [("filtersqp", 1e-10), ("byrd", 1e-10),
+                                           ("ipopt", 1e-300)])
+def test_a_tiny_function_scaling_certifies_no_wrong_point(preset, s_max):
+    # hs071 returns FeasibleKKT at f = 16 at iteration 0 (filtersqp, byrd)
+    # and at f = 36.91 (ipopt); its optimum is 17.014
+    result = solve(corpus_get("hs071"), replace(preset_options(preset), s_max=s_max))
+    assert not result.success or is_right("hs071", result)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the elastic LP fails its KKT check")
+@pytest.mark.parametrize("start", [0, 1])
+def test_elastic_lp_keeps_its_feasibility(start):
+    # infeasible2 from either seeded start under L1 + LP + l1_merit + LS
+    # ends in IterationLimit with "QP feasibility violated"
+    model = seeded_starts(corpus_get("infeasible2"), 2)[start]
+    result = quiet_solve(model, Options(constraint_relaxation_strategy="l1_relaxation",
+                                        **LP_MERIT_LS))
+    assert "QP feasibility violated" not in result.message
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a false infeasibility certificate")
+@pytest.mark.parametrize("relaxation", ["feasibility_restoration", "l1_relaxation"])
+def test_a_feasible_problem_is_not_certified_infeasible(relaxation):
+    # hs006 from seeded start 1 under LP + l1_merit + LS returns
+    # InfeasibleStationary at (0.99985, 0.99970); hs006 is feasible
+    model = seeded_starts(corpus_get("hs006"), 2)[1]
+    result = quiet_solve(model, Options(constraint_relaxation_strategy=relaxation,
+                                        **LP_MERIT_LS))
+    assert result.status != "InfeasibleStationary"

@@ -520,7 +520,7 @@ class TestSolve:
 
         def recorded(self, eta0):
             initialize(self, eta0)
-            bounds.append(self.filter.eta_max)
+            bounds.append(self.eta_max)
 
         monkeypatch.setattr(FilterMethod, "initialize", recorded)
         opts = replace(preset_options("ipopt"), mu_initial=1e300)

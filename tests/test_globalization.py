@@ -5,14 +5,12 @@ import pytest
 
 from modnlp.driver import Options
 from modnlp.globalization import (
-    Filter,
     FilterMethod,
     MeritL1,
     ProgressMeasures,
     ReductionModels,
     WaechterFilter,
     barrier_value,
-    compute_measures,
     infeasibility_armijo,
 )
 from modnlp.linalg import OPTIMAL
@@ -35,7 +33,7 @@ def filter_with(cls=FilterMethod, entries=(), **constants):
     strategy = cls(replace(OPTS, **constants))
     strategy.initialize(0.0)
     for eta, phi in entries:
-        strategy.filter.add(eta, phi)
+        strategy.add(eta, phi)
     return strategy
 
 
@@ -46,25 +44,58 @@ def models_for(c=(0.0,), jd=(0.0,), gtd=0.0, dwd=0.0, rho=1.0, btd=0.0, dbd=0.0)
     )
 
 
+class ReadRecord:
+    """An evaluation record holding f and c that notes each read of them."""
+
+    def __init__(self, f, c, reads):
+        self._f, self._c, self.reads = f, np.asarray(c, dtype=float), reads
+
+    @property
+    def f(self):
+        self.reads.append("f")
+        return self._f
+
+    @property
+    def c(self):
+        self.reads.append("c")
+        return self._c
+
+
+def measures_at(f, c, rho=1.0, xi=0.0, reads=None):
+    """The ProgressMeasures an l1 relaxation at rho builds at an iterate
+    whose record holds f and c, over a subproblem whose barrier term is xi."""
+    subproblem = QPSubproblem(None, OPTS)
+    subproblem.barrier_term = lambda x: xi
+    relaxation = L1Relaxation(None, subproblem, MeritL1(OPTS), replace(OPTS, rho_initial=rho))
+    record = ReadRecord(f, c, [] if reads is None else reads)
+    iterate = Iterate(np.zeros(1), np.zeros(np.size(c)), np.zeros(1), np.zeros(1), record)
+    return relaxation.measures_from(iterate)
+
+
 class TestMeasures:
     def test_feasible_eta_zero(self):
-        m = compute_measures(1.0, np.zeros(3), rho=1.0)
+        m = measures_at(1.0, np.zeros(3), rho=1.0)
         assert m.eta == 0.0
 
     def test_l1_norm(self):
-        m = compute_measures(0.0, np.array([1.0, -2.0]))
+        m = measures_at(0.0, np.array([1.0, -2.0]))
         assert m.eta == 3.0
 
     def test_phi_is_unpenalized_and_merit_is_penalized(self):
-        m = compute_measures(2.0, np.array([1.0, -0.5]), rho=0.5, barrier_term=0.25)
+        m = measures_at(2.0, np.array([1.0, -0.5]), rho=0.5, xi=0.25)
         assert (m.f, m.rho) == (2.0, 0.5)
         assert m.phi == 2.0 + 0.25
         assert m.merit == 0.5 * 2.0 + 1.5 + 0.25
 
+    def test_f_is_read_before_c(self):
+        reads = []
+        measures_at(1.0, np.ones(2), reads=reads)
+        assert reads == ["f", "c"]
+
     def test_barrier_term(self):
         xi = barrier_value(np.array([0.5]), Bounds(np.array([0.0]), np.array([np.inf])), 0.1)
         assert xi == pytest.approx(-0.1 * np.log(0.5))
-        m = compute_measures(0.0, np.zeros(1), barrier_term=xi)
+        m = measures_at(0.0, np.zeros(1), xi=xi)
         assert m.xi == pytest.approx(0.0693147, rel=1e-5)
 
     def test_barrier_infinite_outside(self):
@@ -211,27 +242,27 @@ class TestMerit:
 
 class TestFilter:
     def test_insert_mutually_nondominated(self):
-        f = Filter(OPTS)
+        f = FilterMethod(OPTS)
         for eta, phi in ((2.0, 0.5), (0.5, 2.0)):
             f.add(eta, phi)
         f.add(1.0, 1.0)
         assert sorted(f.entries) == [(0.5, 2.0), (1.0, 1.0), (2.0, 0.5)]
 
     def test_dominance_pruning(self):
-        f = Filter(OPTS)
+        f = FilterMethod(OPTS)
         for eta, phi in ((1.0, 1.0), (2.0, 0.5)):
             f.add(eta, phi)
         f.add(0.1, 0.1)
         assert f.entries == [(0.1, 0.1)]
 
     def test_eta_max_blocks_insert(self):
-        f = Filter(OPTS)
+        f = FilterMethod(OPTS)
         f.eta_max = 10.0
         f.add(11.0, 0.0)
         assert f.entries == []
 
     def test_envelope_acceptability(self):
-        f = Filter(replace(OPTS, filter_beta=0.99, filter_gamma=1e-5))
+        f = FilterMethod(replace(OPTS, filter_beta=0.99, filter_gamma=1e-5))
         f.add(1.0, 5.0)
         assert f.acceptable(0.5, 10.0)  # eta branch
         assert f.acceptable(2.0, 4.0)  # phi branch
@@ -240,7 +271,7 @@ class TestFilter:
     def test_reset(self):
         # a reset (a barrier update) flushes the entries; the upper bound
         # stays where initialize set it
-        f = Filter(replace(OPTS, filter_beta=0.9, filter_gamma=0.1))
+        f = FilterMethod(replace(OPTS, filter_beta=0.9, filter_gamma=0.1))
         f.initialize(2.0)
         f.add(1.0, 1.0)
         f.reset()
@@ -252,7 +283,7 @@ class TestFilter:
     def test_dominance_invariant_random_inserts(self):
         rng = np.random.RandomState(77)
         for _ in range(1000):
-            f = Filter(OPTS)
+            f = FilterMethod(OPTS)
             for _ in range(rng.randint(1, 25)):
                 f.add(float(rng.rand()), float(rng.randn()))
             entries = f.entries
@@ -266,23 +297,25 @@ class TestFilter:
     def test_acceptability_monotone_under_shrinking(self):
         rng = np.random.RandomState(78)
         for _ in range(200):
-            f = Filter(OPTS)
+            f = FilterMethod(OPTS)
             for _ in range(rng.randint(1, 15)):
                 f.add(float(rng.rand()), float(rng.randn()))
             probe = (float(rng.rand()), float(rng.randn()))
             accepted = f.acceptable(*probe)
             if accepted and f.entries:
-                smaller = Filter(OPTS)
+                smaller = FilterMethod(OPTS)
                 smaller.eta_max = f.eta_max
                 smaller.entries = f.entries[1:]
                 assert smaller.acceptable(*probe)
 
     def test_eta_min(self):
-        f = Filter(OPTS)
-        assert f.eta_min() == np.inf
+        # the least eta the filter holds, not the reference's
+        f = FilterMethod(OPTS)
+        reference = ProgressMeasures(eta=0.1, f=0.0)
+        assert f.least_infeasibility(reference) == np.inf
         f.add(0.7, 1.0)
         f.add(0.3, 2.0)
-        assert f.eta_min() == pytest.approx(0.3)
+        assert f.least_infeasibility(reference) == pytest.approx(0.3)
 
 
 class TestFilterAcceptance:
@@ -293,7 +326,7 @@ class TestFilterAcceptance:
         m = models_for(gtd=-1.0)  # predicted phi decrease 1
         accepted, add = flt.rule(cur, tri, m, 1.0)
         assert accepted and not add  # f-type at a feasible point: no entry added
-        assert flt.check_acceptance(cur, tri, m, 1.0) and flt.filter.entries == []
+        assert flt.check_acceptance(cur, tri, m, 1.0) and flt.entries == []
 
     def test_envelope_branch(self):
         flt = filter_with(entries=[(1.0, 5.0)], filter_beta=0.99, filter_gamma=1e-5)
@@ -339,7 +372,7 @@ class TestFilterAcceptance:
         m = models_for(gtd=-9.0)  # predicted phi decrease 9, actual only 2
         assert flt.rule(cur, tri, m, 1.0) == (False, True)
         assert not flt.check_acceptance(cur, tri, m, 1.0)
-        assert flt.filter.entries == [(0.0, 10.0)]
+        assert flt.entries == [(0.0, 10.0)]
 
 
 def test_infeasibility_armijo():
@@ -357,10 +390,10 @@ def test_strategy_classes():
     assert merit.log_fields(measures) == {"merit": 0.5 * 2.0 + 1.0 + 0.25}
     flt = WaechterFilter(OPTS)
     flt.initialize(eta0=2.0)
-    assert flt.filter.eta_max == pytest.approx(2e4)
+    assert flt.eta_max == pytest.approx(2e4)
     assert flt.theta_min == pytest.approx(2e-4)
     assert isinstance(flt, FilterMethod) and flt.log_fields(measures) == {"phi": 2.25}
     leyffer = FilterMethod(OPTS)
     leyffer.initialize(eta0=0.5)
-    assert leyffer.filter.eta_max == pytest.approx(1e4)
+    assert leyffer.eta_max == pytest.approx(1e4)
     assert not hasattr(leyffer, "theta_min")

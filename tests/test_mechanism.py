@@ -251,6 +251,25 @@ class TestTrustRegion:
         assert trial is accepted[-1]
 
 
+    def test_nonfinite_trial_is_rejected(self):
+        ws = make_workspace()
+        it = make_iterate(ws)
+        calls = []
+
+        def rule(trial, alpha, k):
+            calls.append(alpha)
+            return True
+
+        bad = simple_direction(ws.model.n, ws.model.m, dx_value=np.inf)
+        relax = StubRelaxation(ws, bad, rule)
+        tr = TrustRegionMethod(relax, replace(Options(), radius_initial=1.0, max_inner=5))
+        from modnlp.errors import InnerIterationLimitError
+
+        with pytest.raises((TinyRadiusError, InnerIterationLimitError)):
+            tr.compute_acceptable_iterate(it)
+        assert calls == []  # acceptance rule never sees non-finite trials
+        assert relax.radii == [1.0, 0.5, 0.25, 0.125, 0.0625]  # each rejection halves it
+
 def test_assemble_trial_dual_steps():
     ws = make_workspace()
     it = make_iterate(ws)

@@ -164,9 +164,9 @@ class TestRestoration:
     def test_filter_recorded_on_entry(self):
         ws, it, relaxation, _ = prepared("infeasible1", preset="filtersqp")
         assert isinstance(relaxation.strategy, FilterMethod)
-        before = len(relaxation.strategy.filter.entries)
+        before = len(relaxation.strategy.entries)
         relaxation.compute_direction(it, trust_radius=1e-3)
-        assert len(relaxation.strategy.filter.entries) == before + 1
+        assert len(relaxation.strategy.entries) == before + 1
 
     def test_small_step_in_restoration_is_retried_after_a_barrier_decrease(self):
         # a collapsed step in restoration gets a new restoration direction
@@ -385,8 +385,8 @@ def test_iterate_side_of_the_acceptance_test_once_per_direction(monkeypatch):
             accepted = accepts(trial, alpha)
             assert accepted == expected
             assert getattr(twin, "phase", None) == getattr(self, "phase", None)
-            assert getattr(twin.strategy, "filter", None) is None or (
-                twin.strategy.filter.entries == self.strategy.filter.entries)
+            assert (getattr(twin.strategy, "entries", None)
+                    == getattr(self.strategy, "entries", None))
             assert calls["reduction_models"] == before["reduction_models"]
             assert calls["_is_zero_step"] == before["_is_zero_step"]
             assert calls["measures_from"] - before["measures_from"] in (0, 1)  # 0: a zero step
@@ -526,3 +526,25 @@ class TestStepBox:
         assert s1 == np.abs(x1 - x0).max() > 0.0
         assert np.array_equal(x2, x1) and s2 == s1
         assert s3 == np.abs(x3 - x2).max() > 0.0
+
+
+@pytest.mark.parametrize("relaxation_name, strategy, mechanism", [
+    ("feasibility_restoration", "leyffer_filter_method", "TR"),
+    ("l1_relaxation", "l1_merit", "LS")])
+def test_an_lp_carries_no_hessian(monkeypatch, relaxation_name, strategy, mechanism):
+    # every QP an LP solve hands the active-set solver, elastic or not,
+    # takes its no-Hessian path: W is None, not a zero matrix
+    import modnlp.relaxation as relaxation
+    from modnlp.driver import solve
+
+    hessians, original = [], relaxation.qp_solve
+
+    def spy(qp, *args, **kwargs):
+        hessians.append(qp.W)
+        return original(qp, *args, **kwargs)
+
+    monkeypatch.setattr(relaxation, "qp_solve", spy)
+    solve(corpus_get("hs071"), Options(constraint_relaxation_strategy=relaxation_name,
+                                       subproblem="LP", globalization_strategy=strategy,
+                                       globalization_mechanism=mechanism))
+    assert hessians and all(W is None for W in hessians)

@@ -160,7 +160,7 @@ def test_bound_masks_are_made_only_by_bounds():
 
 
 def test_the_lp_is_told_apart_by_its_hessian():
-    # no second_order flag: the LP overrides hessian (None: W = 0) alone
+    # no second_order flag: the LP overrides hessian (None: a QP without W) alone
     from modnlp.driver import SUBPROBLEMS
 
     found = [

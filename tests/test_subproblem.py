@@ -101,11 +101,11 @@ class TestBuildQP:
 
     @pytest.mark.parametrize("trust_radius", [INF, 1.0])
     def test_no_hessian_is_an_lp(self, trust_radius):
-        # W = 0, with or without a trust region: nothing is shifted
+        # no W, with or without a trust region: nothing is built or shifted
         ev = scalar_model_evals([[-1.0]], [1.0], np.zeros(0), np.zeros((0, 2)))
         qp, _ = build_sqp_qp(ev, None, np.zeros(2), 1.0, Bounds(np.zeros(2), np.ones(2)),
                              trust_radius, None)
-        assert np.array_equal(qp.W, np.zeros((2, 2)))
+        assert qp.W is None
 
     def test_elastic_extension_always_feasible(self):
         ev = scalar_model_evals(np.eye(1), [0.0], [1.0], [[1.0]])
